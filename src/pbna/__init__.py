@@ -6,7 +6,7 @@ extra-decode quota d*, construct aligned precoding vectors over L + d* + 1
 slots, and simulate exact decoding at per-source rate 1/(L + d* + 1).
 """
 
-from .gf import DEFAULT_Q, FieldContext, NonPrimeModulus, NoSolution, RankDeficient, field_new, inverse, rank, solve
+from .gf import DEFAULT_Q, InvalidModulus, NoSolution, RankDeficient, check_modulus, rank, solve
 from .interference import (
     CyclicGraph,
     EmptyInterference,
@@ -26,7 +26,6 @@ from .network import (
     NetworkRealization,
     ParseError,
     ValidationReport,
-    is_zero_function,
     load_network,
     load_network_file,
     mincut,
@@ -47,11 +46,8 @@ from .precoding import (
 from .simulate import DecodeFailure, RateReport, SessionTrace, propagate_symbols, rate_report, run_session
 from .sparsify import (
     SparsificationResult,
-    TooLarge,
-    brute_force_dstar,
     default_labeling,
     find_dstar,
-    greedy_d,
     independence_check,
 )
 
@@ -59,12 +55,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_Q",
-    "FieldContext",
-    "field_new",
+    "check_modulus",
     "rank",
     "solve",
-    "inverse",
-    "NonPrimeModulus",
+    "InvalidModulus",
     "NoSolution",
     "RankDeficient",
     "Network",
@@ -74,7 +68,6 @@ __all__ = [
     "load_network_file",
     "mincut",
     "realize",
-    "is_zero_function",
     "validate_assumptions",
     "ParseError",
     "CycleError",
@@ -92,10 +85,7 @@ __all__ = [
     "SparsificationResult",
     "default_labeling",
     "independence_check",
-    "greedy_d",
     "find_dstar",
-    "brute_force_dstar",
-    "TooLarge",
     "PrecodingPlan",
     "AlignmentVerdict",
     "signed_transfer",

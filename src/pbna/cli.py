@@ -6,7 +6,8 @@ consolidated report.  Reports render as human text or as deterministic JSON
 byte-identical.
 
 Exit codes: 0 ok, 2 parse error, 3 assumption violation, 4 constraint
-violation (no valid alignment), 5 decode failure.
+violation (no valid alignment), 5 decode failure (a decode system had no
+unique solution, or a decode ran but recovered the wrong message).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import DEFAULT_Q, NonPrimeModulus, is_prime
+from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import CycleRatio, NotACycle, cycle_ratio, infeasibility_report
@@ -51,8 +52,7 @@ class RunConfig:
     cycle: str | None = None
 
     def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise NonPrimeModulus(f"--q must be prime, got {self.q}")
+        check_modulus(self.q)
         for name in ("max_attempts", "zero_test_trials", "ratio_trials", "sessions"):
             if getattr(self, name) < 1:
                 raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
@@ -260,6 +260,15 @@ def _parse_cycle_arg(net: Network, arg: str):
     return tuple(nodes)
 
 
+def _decode_exit(rr) -> int:
+    """Exit status after the report is out: 5 when any decode came out wrong."""
+    if rr.successes < rr.decode_checks:
+        print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes "
+              "recovered the wrong message", file=sys.stderr)
+        return EXIT_DECODE
+    return EXIT_OK
+
+
 def _run_sessions(net: Network, plan: PrecodingPlan, cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed)
     traces = []
@@ -359,7 +368,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ],
     }
     _emit(cfg, report, _text_simulation(section))
-    return EXIT_OK
+    return _decode_exit(rr)
 
 
 def cmd_pipeline(cfg: RunConfig) -> int:
@@ -403,7 +412,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
     parts.append(_text_precoding(report["precoding"]))
     parts.append(_text_simulation(report["simulation"]))
     _emit(cfg, report, "\n".join(parts))
-    return EXIT_OK
+    return _decode_exit(rr)
 
 
 _COMMANDS = {
@@ -424,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--network", required=True, help="path to the network JSON file")
-        p.add_argument("--q", type=int, default=DEFAULT_Q, help="prime field modulus")
+        p.add_argument("--q", type=int, default=DEFAULT_Q, help="prime field modulus below 2**31")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
         p.add_argument("--attempts", type=int, default=20, help="resampling budget for precoding")
         p.add_argument("--zero-trials", type=int, default=3, help="evaluations for zero-function tests")
@@ -469,8 +478,8 @@ def main(argv=None) -> int:
         print(f"error: simulate: {exc}", file=sys.stderr)
         return EXIT_DECODE
     except ValueError as exc:
-        # covers ParseError, NonPrimeModulus, NotACycle, bad config counts
-        module = {ParseError: "network", NonPrimeModulus: "gf", NotACycle: "obstruction"}
+        # covers ParseError, InvalidModulus, NotACycle, bad config counts
+        module = {ParseError: "network", InvalidModulus: "gf", NotACycle: "obstruction"}
         prefix = next((name for cls, name in module.items() if isinstance(exc, cls)), "config")
         print(f"error: {prefix}: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -4,14 +4,13 @@ Scalars are plain Python ints in [0, q); matrices are 2-D numpy int64 arrays
 with entries in [0, q).  Everything is exact -- no floating point anywhere --
 so rank and dimension checks are decisions, not estimates.
 
-Only prime moduli are supported.  The default modulus is the Mersenne prime
-2**31 - 1, large enough that randomized nonzero-certificates succeed with
-overwhelming probability while products of two residues still fit in int64.
+Only prime moduli below 2**31 are supported (``check_modulus``).  The
+default modulus is the Mersenne prime 2**31 - 1, large enough that
+randomized nonzero-certificates succeed with overwhelming probability while
+products of two residues still fit in int64.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,8 @@ from . import kernels
 DEFAULT_Q = 2147483647  # 2**31 - 1, prime
 
 
-class NonPrimeModulus(ValueError):
-    """Raised when a field modulus fails the primality test."""
+class InvalidModulus(ValueError):
+    """Raised for a field modulus that is composite or not below 2**31."""
 
 
 class NoSolution(ArithmeticError):
@@ -60,56 +59,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """Arithmetic context for the prime field F_q.
+def check_modulus(q: int) -> None:
+    """Reject moduli the int64 kernels cannot handle exactly.
 
-    Immutable and safe to share across threads; all methods are pure.
+    q must be prime, and below 2**31 so that a product of two residues fits
+    in int64.
     """
-
-    q: int = DEFAULT_Q
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.q):
-            raise NonPrimeModulus(f"field modulus must be prime, got {self.q}")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.q
-
-    def neg(self, a: int) -> int:
-        return -a % self.q
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse via Fermat exponentiation a**(q-2)."""
-        if a % self.q == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
-
-    def rand(self, rng: np.random.Generator, size=None):
-        """Uniform element(s) of F_q; int64 array for array sizes."""
-        if size is None:
-            return int(rng.integers(0, self.q))
-        return rng.integers(0, self.q, size=size, dtype=np.int64)
-
-    def rand_nonzero(self, rng: np.random.Generator, size=None):
-        """Uniform nonzero element(s) of F_q."""
-        if size is None:
-            return int(rng.integers(1, self.q))
-        return rng.integers(1, self.q, size=size, dtype=np.int64)
-
-
-def field_new(q: int) -> FieldContext:
-    """Create a FieldContext, rejecting non-prime moduli."""
-    return FieldContext(q)
+    if not is_prime(q):
+        raise InvalidModulus(f"field modulus must be prime, got {q}")
+    if q >= 2**31:
+        raise InvalidModulus(f"field modulus must be below 2**31, got {q}")
 
 
 def _as_matrix(m, q: int) -> np.ndarray:
@@ -150,37 +109,3 @@ def solve(a, y, q: int = DEFAULT_Q) -> np.ndarray:
     for i in range(r):
         x[int(pivots[i])] = aug[i, cols]
     return x
-
-
-def inverse(a, q: int = DEFAULT_Q) -> np.ndarray:
-    """Inverse of a square matrix over F_q; RankDeficient if singular."""
-    mat = _as_matrix(a, q)
-    n_dim = mat.shape[0]
-    if mat.shape[1] != n_dim:
-        raise ValueError("matrix inverse requires a square matrix")
-    aug = np.concatenate([mat, np.eye(n_dim, dtype=np.int64)], axis=1)
-    pivots = np.full(n_dim, -1, dtype=np.int64)
-    kernels.row_reduce(aug, q, pivots)
-    # singular iff some pivot falls in the identity block
-    main_rank = sum(1 for i in range(n_dim) if 0 <= int(pivots[i]) < n_dim)
-    if main_rank < n_dim:
-        raise RankDeficient(f"matrix is singular (rank {main_rank} < {n_dim})")
-    return aug[:, n_dim:]
-
-
-def mat_mul(a, b, q: int = DEFAULT_Q) -> np.ndarray:
-    """Exact matrix product over F_q (reduces after every outer product)."""
-    ma = _as_matrix(a, q)
-    mb = _as_matrix(b, q)
-    if ma.shape[1] != mb.shape[0]:
-        raise ValueError("inner dimensions do not match")
-    out = np.zeros((ma.shape[0], mb.shape[1]), dtype=np.int64)
-    for k in range(ma.shape[1]):
-        out = (out + ma[:, k, None] * mb[k, None, :]) % q
-    return out
-
-
-def mat_vec(a, x, q: int = DEFAULT_Q) -> np.ndarray:
-    """Exact matrix-vector product over F_q."""
-    xv = np.asarray(x, dtype=np.int64) % q
-    return mat_mul(a, xv[:, None], q)[:, 0]

@@ -1,87 +1,23 @@
 """Hot numeric kernels: exact mod-q row reduction and DAG transfer propagation.
 
-Each kernel ships in two interchangeable implementations:
+Both kernels are plain numpy with vectorized row updates.
 
-* a loop-oriented version compiled with numba ``@njit`` (the default when
-  numba imports cleanly), and
-* a pure-numpy version with vectorized row operations, used as fallback.
-
-Set the environment variable ``PBNA_NO_NUMBA=1`` before import to force the
-numpy path.  ``benchmarks/bench_kernels.py`` compares both.
-
-All arrays are int64 with entries in [0, q) for a prime q < 2**31, so any
-product of two entries fits in int64 and Python modulo semantics keep
-intermediate values in range.
+All arrays are int64 with entries in [0, q) for a prime q < 2**31 (enforced
+by ``gf.check_modulus``), so any product of two entries fits in int64 and
+Python modulo semantics keep intermediate values in range.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-def numba_disabled_by_env() -> bool:
-    return os.environ.get("PBNA_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and not numba_disabled_by_env()
-
-
-def _row_reduce_loops(a, q, pivots):
+def row_reduce(a, q, pivots):
     """In-place reduced row echelon form of ``a`` modulo q; returns the rank.
 
     ``pivots[r]`` receives the pivot column of pivot row r (rows beyond the
     rank are left untouched, callers should pre-fill with -1).
     """
-    rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        piv = -1
-        for i in range(r, rows):
-            if a[i, c] != 0:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != r:
-            for jj in range(cols):
-                tmp = a[r, jj]
-                a[r, jj] = a[piv, jj]
-                a[piv, jj] = tmp
-        # scale pivot row by the inverse of the pivot (Fermat exponentiation)
-        inv = 1
-        base = a[r, c] % q
-        e = q - 2
-        while e > 0:
-            if e & 1:
-                inv = inv * base % q
-            base = base * base % q
-            e >>= 1
-        for jj in range(cols):
-            a[r, jj] = a[r, jj] * inv % q
-        for i in range(rows):
-            if i != r and a[i, c] != 0:
-                f = a[i, c]
-                for jj in range(cols):
-                    a[i, jj] = (a[i, jj] - f * a[r, jj]) % q
-        pivots[r] = c
-        r += 1
-    return r
-
-
-def row_reduce_numpy(a, q, pivots):
-    """Numpy fallback for :func:`_row_reduce_loops` (vectorized row updates)."""
     rows, cols = a.shape
     r = 0
     for c in range(cols):
@@ -105,7 +41,7 @@ def row_reduce_numpy(a, q, pivots):
     return r
 
 
-def _propagate_loops(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q):
+def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q):
     """Forward-propagate per-slot coding coefficients through a DAG.
 
     ``coeffs`` is (n_slots, n_coeffs), one independent assignment per slot.
@@ -113,32 +49,6 @@ def _propagate_loops(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pai
     source).  ``pair_*`` arrays must be ordered so every write to an edge
     precedes all reads of it.  Returns (n_dest, n_cols, n_slots).
     """
-    n_slots = coeffs.shape[0]
-    n_dest = dest_ptr.shape[0] - 1
-    out = np.zeros((n_dest, n_cols, n_slots), dtype=np.int64)
-    val = np.zeros((n_edges, n_cols), dtype=np.int64)
-    for k in range(n_slots):
-        val[:, :] = 0
-        for p in range(inj_edge.shape[0]):
-            e = inj_edge[p]
-            j = inj_col[p]
-            val[e, j] = (val[e, j] + coeffs[k, inj_cidx[p]]) % q
-        for p in range(pair_in.shape[0]):
-            c = coeffs[k, pair_cidx[p]]
-            src = pair_in[p]
-            dst = pair_out[p]
-            for j in range(n_cols):
-                val[dst, j] = (val[dst, j] + c * val[src, j]) % q
-        for i in range(n_dest):
-            for t in range(dest_ptr[i], dest_ptr[i + 1]):
-                e = dest_edges[t]
-                for j in range(n_cols):
-                    out[i, j, k] = (out[i, j, k] + val[e, j]) % q
-    return out
-
-
-def propagate_numpy(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q):
-    """Numpy fallback for :func:`_propagate_loops` (vectorized over columns)."""
     n_slots = coeffs.shape[0]
     n_dest = dest_ptr.shape[0] - 1
     out = np.zeros((n_dest, n_cols, n_slots), dtype=np.int64)
@@ -156,22 +66,8 @@ def propagate_numpy(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair
     return out
 
 
-row_reduce_numba = None
-propagate_numba = None
-if NUMBA_AVAILABLE:
-    row_reduce_numba = njit(cache=True)(_row_reduce_loops)
-    propagate_numba = njit(cache=True)(_propagate_loops)
-
-if NUMBA_ENABLED:
-    row_reduce = row_reduce_numba
-    propagate = propagate_numba
-else:
-    row_reduce = row_reduce_numpy
-    propagate = propagate_numpy
-
-
 def warmup() -> None:
-    """Run the active kernels once on tiny inputs (forces JIT compilation)."""
+    """Run both kernels once on tiny inputs, so first-call costs stay out of timed work."""
     a = np.array([[1, 2], [3, 4]], dtype=np.int64)
     piv = np.full(2, -1, dtype=np.int64)
     row_reduce(a, 7, piv)

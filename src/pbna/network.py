@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from . import kernels
-from .gf import DEFAULT_Q
+from .gf import DEFAULT_Q, check_modulus
 
 
 class ParseError(ValueError):
@@ -200,6 +200,8 @@ def load_network(data: bytes | str) -> Network:
     for entry in demands_raw:
         if not (isinstance(entry, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
             raise ParseError(f"bad demand entry {entry!r}; expected integers")
+        if len(set(entry)) != len(entry):
+            raise ParseError(f"demand entry {entry!r} repeats a source index")
         for idx in entry:
             if not 1 <= idx <= len(sources):
                 raise ParseError(f"demand source index {idx} out of range 1..{len(sources)}")
@@ -364,21 +366,11 @@ def transfer_from_assignments(net: Network, coeffs: np.ndarray, q: int) -> np.nd
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:
     """Draw all coding coefficients uniformly at random, independently per slot."""
+    check_modulus(q)
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(0, q, size=(n, net.layout.n_coeffs), dtype=np.int64)
     transfer = transfer_from_assignments(net, coeffs, q)
     return NetworkRealization(net, q, n, coeffs, transfer)
-
-
-def is_zero_function(net: Network, j: int, i: int, trials: int = 3, seed: int = 0, q: int = DEFAULT_Q) -> bool:
-    """One-sided Monte Carlo test for m_ij being identically zero.
-
-    Evaluates the transfer function at ``trials`` independent random
-    assignments; False is always correct, True errs with probability at most
-    (deg/q)**trials.
-    """
-    r = realize(net, trials, seed, q)
-    return bool((r.transfer[i, j, :] == 0).all())
 
 
 @dataclass(frozen=True)

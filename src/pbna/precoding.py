@@ -111,7 +111,6 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
     """
     q = realization.q
     n = realization.slot_count
-    fq = gf.FieldContext(q)
     rng = np.random.default_rng(seed)
 
     for comp in h_bar_forest.components:
@@ -122,7 +121,7 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
     V = np.zeros((net.n_sources, n), dtype=np.int64)
     thetas: dict[int, np.ndarray] = {}
     for comp in h_bar_forest.components:
-        theta = fq.rand_nonzero(rng, size=n)
+        theta = rng.integers(1, q, size=n, dtype=np.int64)
         thetas[comp.root] = theta
         scale = {("x", comp.root): np.ones(n, dtype=np.int64)}
         for level in comp.levels[1:]:
@@ -139,7 +138,8 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
             V[j] = scale[("x", j)] * theta % q
 
     plan = PrecodingPlan(n=n, V=V, thetas=thetas, realization=realization, forest=h_bar_forest, seed=seed)
-    assert all((V[j] != 0).any() for j in range(net.n_sources))
+    if not all((V[j] != 0).any() for j in range(net.n_sources)):
+        raise AssertionError("a precoding vector came out identically zero")
     return plan
 
 

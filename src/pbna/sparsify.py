@@ -12,8 +12,7 @@ The common independent sets of two matroids do not form a matroid, so the
 greedy scan can stall at a maximal set below the maximum (rare, but real:
 see tests for counterexamples).  When that happens, find_dstar finishes the
 job exactly with matroid-intersection augmenting paths before deciding that
-the current quota is infeasible.  An exhaustive oracle over all removal
-subsets is provided for cross-checking on small graphs.
+the current quota is infeasible.
 """
 
 from __future__ import annotations
@@ -23,10 +22,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .interference import InterferenceGraph, connected_components
-
-
-class TooLarge(ValueError):
-    """Graph too large for the exhaustive oracle."""
 
 
 Edge = tuple[int, int]
@@ -79,16 +74,6 @@ def independence_check(g: InterferenceGraph, candidate, d: int) -> bool:
         if per_dest[i] > d:
             return False
     return _component_count(g, cand) == _component_count(g, frozenset())
-
-
-def greedy_d(g: InterferenceGraph, labeling, d: int) -> tuple[Edge, ...]:
-    """Greedy maximal independent set, scanning edges in label order.
-
-    Requires g connected (single component over all of its nodes).
-    """
-    if _component_count(g, frozenset()) != 1:
-        raise ValueError("greedy_d requires a connected graph")
-    return _greedy_scan(g, tuple(labeling), d)
 
 
 def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
@@ -278,51 +263,3 @@ def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> Sparsificat
         independence_checks=checks,
         augmentations=augmentations,
     )
-
-
-def _is_acyclic(n_nodes: int, edges) -> bool:
-    parent = list(range(n_nodes))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True
-
-
-def brute_force_dstar(g: InterferenceGraph) -> int:
-    """Exhaustive oracle: smallest worst-case per-destination removal count.
-
-    Minimizes max_i |removed edges at W_i| over all removal subsets whose
-    complement is acyclic.  Exponential in |edges|; refuses more than 14.
-    """
-    edges = sorted(g.edges)
-    f = len(edges)
-    if f > 14:
-        raise TooLarge(f"{f} edges is beyond the exhaustive search cap of 14")
-    node_id = {}
-    for j, i in edges:
-        node_id.setdefault(("x", j), len(node_id))
-        node_id.setdefault(("y", i), len(node_id))
-    pairs = [(node_id[("x", j)], node_id[("y", i)]) for j, i in edges]
-    best = f
-    for mask in range(1 << f):
-        kept = [pairs[t] for t in range(f) if not mask >> t & 1]
-        if not _is_acyclic(len(node_id), kept):
-            continue
-        per_dest: dict[int, int] = {}
-        for t in range(f):
-            if mask >> t & 1:
-                i = edges[t][1]
-                per_dest[i] = per_dest.get(i, 0) + 1
-        best = min(best, max(per_dest.values(), default=0))
-        if best == 0:
-            break
-    return best

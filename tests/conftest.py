@@ -5,7 +5,7 @@ from pbna import kernels
 
 @pytest.fixture(scope="session", autouse=True)
 def _warm_kernels():
-    # compile (or load cached) JIT kernels once, outside any timed section
+    # run the kernels once, outside any timed section
     kernels.warmup()
 
 

@@ -171,7 +171,9 @@ def dstar_exact_removal(g) -> int:
 
     Enumerates, per quota d, every way of choosing exactly min(d, deg_i)
     edges at each destination node, and asks whether some choice leaves the
-    graph acyclic.
+    graph acyclic.  Deleting more edges never creates a cycle, so this is
+    also the smallest quota for removing *at most* d edges per node: the d*
+    that find_dstar computes.
     """
     by_dest: dict[int, list[tuple[int, int]]] = {}
     for j, i in sorted(g.edges):

@@ -18,9 +18,9 @@ from pbna.network import mincut, realize
 from pbna.obstruction import cycle_ratio, infeasibility_report
 from pbna.precoding import ConstraintViolation, plan_with_resampling
 from pbna.simulate import propagate_symbols, rate_report, run_session
-from pbna.sparsify import brute_force_dstar, default_labeling, find_dstar
+from pbna.sparsify import default_labeling, find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net, random_bipartite, random_dag_net
-from oracles import mincut_by_enumeration
+from oracles import dstar_exact_removal, mincut_by_enumeration
 
 Q = gf.DEFAULT_Q
 
@@ -87,7 +87,7 @@ def test_criterion_2_fourbyfour_cycle(fourbyfour_stack):
         expected_cycle = {(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3)}
         assert set(graph.edges) == expected_cycle
         assert spars.d_star == 1
-        assert brute_force_dstar(graph) == 1
+        assert dstar_exact_removal(graph) == 1
         assert plan.n == 4
         traces = [run_session(net, plan.realization, plan, seed=s) for s in range(100)]
         report = rate_report(traces, plan)
@@ -110,7 +110,7 @@ def test_criterion_3_obstruction_hypothesis(fourbyfour_stack):
 
 
 def test_criterion_4_dstar_oracle_agreement():
-    with criterion(4, "find_dstar == brute_force_dstar on 200 random bipartite graphs in < 30 s"):
+    with criterion(4, "find_dstar == exhaustive d* oracle on 200 random bipartite graphs in < 30 s"):
         t0 = time.monotonic()
         rng = np.random.default_rng(412)
         disconnected = 0
@@ -121,7 +121,7 @@ def test_criterion_4_dstar_oracle_agreement():
                 if any(("x", j) in set(comp) for j, _ in g.edges)
             )
             disconnected += comps_with_edges > 1
-            assert find_dstar(g).d_star == brute_force_dstar(g)
+            assert find_dstar(g).d_star == dstar_exact_removal(g)
         assert disconnected > 10  # the pool genuinely includes disconnected graphs
         elapsed = time.monotonic() - t0
         assert elapsed < 30.0, f"took {elapsed:.2f}s"

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from pbna import cli
+from pbna.simulate import SessionTrace
 from gen import adversarial_net, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -160,6 +161,32 @@ def test_nonprime_q_rejected():
     proc = run_cli("validate", "--network", str(FOURBYFOUR), "--q", "10")
     assert proc.returncode == 2
     assert "prime" in proc.stderr
+
+
+def test_q_beyond_int64_contract_rejected(capsys):
+    # 4294967311 is prime, but products of two residues overflow int64
+    code = cli.main(["pipeline", "--network", str(FOURBYFOUR), "--q", "4294967311"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert "gf:" in captured.err and "2**31" in captured.err
+
+
+def test_wrong_decode_exits_5_after_writing_report(monkeypatch, capsys):
+    real = cli.run_session
+
+    def one_wrong(*args, **kwargs):
+        t = real(*args, **kwargs)
+        return SessionTrace(t.messages, t.transmitted, t.received, t.decoded, (False,) + t.success[1:])
+
+    monkeypatch.setattr(cli, "run_session", one_wrong)
+    for command in ("pipeline", "simulate"):
+        code = cli.main([command, "--network", str(FOREST), "--sessions", "1", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DECODE
+        sim = json.loads(captured.out)["simulation"]
+        assert sim["successes"] == sim["decode_checks"] - 1
+        assert "simulate:" in captured.err
 
 
 def test_decode_failure_exit_code_mapping():

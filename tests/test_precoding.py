@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pbna
 from pbna import gf
 from pbna import precoding as pc
 from pbna.interference import build_igraph, decompose
@@ -122,6 +128,21 @@ def test_build_raises_on_vanishing_tree_edge():
         except pc.ZeroAtAssignment:
             raised += 1
     assert raised > 0
+
+
+def test_zero_vector_check_survives_optimize_flag():
+    # an empty forest leaves V all zero; python -O must not strip the check
+    code = (
+        "from pbna.interference import ForestDecomposition\n"
+        "from pbna.network import Network, realize\n"
+        "from pbna.precoding import build_precoding\n"
+        "net = Network(('S1', 'D1'), (('S1', 'D1'),), ('S1',), ('D1',), (frozenset({0}),))\n"
+        "build_precoding(net, ForestDecomposition((), ()), realize(net, 2, 0), 0)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(pbna.__file__).resolve().parent.parent)}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert "AssertionError: a precoding vector came out identically zero" in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -53,30 +53,27 @@ def test_independence_keeps_tree_connected():
 
 
 # ---------------------------------------------------------------------------
-# greedy
+# greedy scan, observed through find_dstar (augmentations == 0 means the
+# greedy scan alone reached the spanning tree)
 
 
 def test_greedy_on_tree_removes_nothing():
-    g = star()
-    assert sp.greedy_d(g, sp.default_labeling(g), 2) == ()
+    res = sp.find_dstar(star())
+    assert res.removed == frozenset()
+    assert res.augmentations == 0
 
 
 def test_greedy_on_eight_cycle_takes_first_label():
     g = eight_cycle()
-    labeling = sp.default_labeling(g)
-    chosen = sp.greedy_d(g, labeling, 1)
-    assert chosen == (labeling[0],)
+    res = sp.find_dstar(g)
+    assert res.removed == {sp.default_labeling(g)[0]}
+    assert res.augmentations == 0
 
 
 def test_greedy_on_four_cycle():
-    g = four_cycle()
-    assert len(sp.greedy_d(g, sp.default_labeling(g), 1)) == 1
-
-
-def test_greedy_requires_connected():
-    g = InterferenceGraph(2, 2, frozenset({(0, 0), (1, 1)}))
-    with pytest.raises(ValueError):
-        sp.greedy_d(g, sp.default_labeling(g), 1)
+    res = sp.find_dstar(four_cycle())
+    assert len(res.removed) == 1
+    assert res.augmentations == 0
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +92,7 @@ def test_dstar_eight_cycle(fourbyfour):
     g = build_igraph(fourbyfour, realize(fourbyfour, 3, 0))
     result = sp.find_dstar(g, demands=fourbyfour.demands)
     assert result.d_star == 1
-    assert result.d_star == sp.brute_force_dstar(g)
+    assert result.d_star == dstar_exact_removal(g)
     assert not has_cycle(result.h_bar)
     # every destination decodes exactly one extra source, demands grow to 3
     assert all(len(e) == 1 for e in result.extra_decode)
@@ -108,34 +105,21 @@ def test_dstar_two_disjoint_cycles():
     g = InterferenceGraph(4, 4, frozenset(edges))
     result = sp.find_dstar(g)
     assert result.d_star == 1
-    assert result.d_star == sp.brute_force_dstar(g)
+    assert result.d_star == dstar_exact_removal(g)
 
 
 def test_brute_force_small_cases():
-    assert sp.brute_force_dstar(eight_cycle()) == 1
-    assert sp.brute_force_dstar(star()) == 0
     k23 = InterferenceGraph(2, 3, frozenset((j, i) for j in range(2) for i in range(3)))
-    assert sp.brute_force_dstar(k23) == 1
-
-
-def test_brute_force_too_large():
-    g = InterferenceGraph(4, 4, frozenset((j, i) for j in range(4) for i in range(4)))
-    with pytest.raises(sp.TooLarge):
-        sp.brute_force_dstar(g)
+    for g, expected in ((eight_cycle(), 1), (star(), 0), (k23, 1)):
+        assert dstar_exact_removal(g) == expected
+        assert sp.find_dstar(g).d_star == expected
 
 
 def test_dstar_matches_bruteforce_on_random_graphs():
     rng = np.random.default_rng(1234)
     for _ in range(60):
         g = random_bipartite(rng, max_edges=12)
-        assert sp.find_dstar(g).d_star == sp.brute_force_dstar(g)
-
-
-def test_exact_and_at_most_variants_share_dstar():
-    rng = np.random.default_rng(4321)
-    for _ in range(40):
-        g = random_bipartite(rng, max_edges=9)
-        assert sp.brute_force_dstar(g) == dstar_exact_removal(g)
+        assert sp.find_dstar(g).d_star == dstar_exact_removal(g)
 
 
 def test_labeling_invariance_of_greedy_size():
@@ -193,11 +177,9 @@ def test_greedy_stall_is_rescued_by_augmentation():
     g = InterferenceGraph(4, 3, frozenset(
         {(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
     ))
-    labeling = sp.default_labeling(g)
-    assert len(sp.greedy_d(g, labeling, 1)) == 2  # the stall
     res = sp.find_dstar(g)
-    assert res.d_star == 1 == sp.brute_force_dstar(g)
-    assert res.augmentations >= 1
+    assert res.d_star == 1 == dstar_exact_removal(g)
+    assert res.augmentations >= 1  # the greedy scan stalled at d = 1
     assert len(res.removed) == 3
     # the rescued removal is still independent in both matroids: complement
     # is a spanning tree and no destination loses more than d* edges
