@@ -44,12 +44,7 @@ from .precoding import (
     verify_alignment,
 )
 from .simulate import DecodeFailure, RateReport, SessionTrace, propagate_symbols, rate_report, run_session
-from .sparsify import (
-    SparsificationResult,
-    default_labeling,
-    find_dstar,
-    independence_check,
-)
+from .sparsify import SparsificationResult, default_labeling, find_dstar
 
 __version__ = "0.1.0"
 
@@ -84,7 +79,6 @@ __all__ = [
     "CyclicGraph",
     "SparsificationResult",
     "default_labeling",
-    "independence_check",
     "find_dstar",
     "PrecodingPlan",
     "AlignmentVerdict",

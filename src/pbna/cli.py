@@ -36,6 +36,10 @@ EXIT_DECODE = 5
 SCHEMA_VERSION = 1
 
 
+class ConfigError(ValueError):
+    """A command-line option is out of range."""
+
+
 @dataclass
 class RunConfig:
     """Resolved command-line options shared by all subcommands."""
@@ -53,9 +57,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_modulus(self.q)
-        for name in ("max_attempts", "zero_test_trials", "ratio_trials", "sessions"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be at least 1")
+        for name, low in (("seed", 0), ("max_attempts", 1), ("zero_test_trials", 1), ("ratio_trials", 2),
+                          ("sessions", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}")
 
 
 def _src(j: int) -> str:
@@ -85,7 +90,7 @@ def _config_section(cfg: RunConfig) -> dict:
     }
 
 
-def _assumptions_section(report) -> dict:
+def _assumptions_section(report, graph: InterferenceGraph) -> dict:
     return {
         "ok": report.ok,
         "mincuts": [
@@ -98,7 +103,7 @@ def _assumptions_section(report) -> dict:
              "demanded": p.demanded}
             for p in report.violations
         ],
-        "empty_interference": [_dst(i) for i in report.empty_interference],
+        "empty_interference": [_dst(i) for i in graph.empty_destinations()],
     }
 
 
@@ -245,6 +250,7 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
 
 
 def _probe_graph(net: Network, cfg: RunConfig) -> InterferenceGraph:
+    """The run's one zero-function probe; it also decides which destinations lack interference."""
     probe = realize(net, cfg.zero_test_trials, cfg.seed, cfg.q)
     return build_igraph(net, probe, allow_empty=True)
 
@@ -284,8 +290,8 @@ def _run_sessions(net: Network, plan: PrecodingPlan, cfg: RunConfig):
 
 def cmd_validate(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
-    report = validate_assumptions(net, cfg.zero_test_trials, cfg.seed, cfg.q)
-    section = _assumptions_section(report)
+    report = validate_assumptions(net)
+    section = _assumptions_section(report, _probe_graph(net, cfg))
     _emit(cfg, {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "assumptions": section},
           _text_assumptions(section))
     return EXIT_OK if report.ok else EXIT_ASSUMPTIONS
@@ -373,11 +379,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_pipeline(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
-    validation = validate_assumptions(net, cfg.zero_test_trials, cfg.seed, cfg.q)
-    assumptions = _assumptions_section(validation)
+    validation = validate_assumptions(net)
     validation.require_ok()
 
     graph = _probe_graph(net, cfg)
+    assumptions = _assumptions_section(validation, graph)
     cyclic = has_cycle(graph)
     obstruction_sec = None
     if cyclic:
@@ -477,10 +483,9 @@ def main(argv=None) -> int:
     except DecodeFailure as exc:
         print(f"error: simulate: {exc}", file=sys.stderr)
         return EXIT_DECODE
-    except ValueError as exc:
-        # covers ParseError, InvalidModulus, NotACycle, bad config counts
-        module = {ParseError: "network", InvalidModulus: "gf", NotACycle: "obstruction"}
-        prefix = next((name for cls, name in module.items() if isinstance(exc, cls)), "config")
+    except (ParseError, InvalidModulus, NotACycle, ConfigError) as exc:
+        module = {ParseError: "network", InvalidModulus: "gf", NotACycle: "obstruction", ConfigError: "config"}
+        prefix = next(name for cls, name in module.items() if isinstance(exc, cls))
         print(f"error: {prefix}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .network import Network, NetworkRealization
 
@@ -38,17 +39,35 @@ class InterferenceGraph:
 
     def interferers(self, i: int) -> tuple[int, ...]:
         """Sources with an edge at destination i, ascending."""
-        return tuple(sorted(j for j, ii in self.edges if ii == i))
-
-    def interferes_at(self, j: int) -> tuple[int, ...]:
-        """Destinations where source j appears as interference, ascending."""
-        return tuple(sorted(i for jj, i in self.edges if jj == j))
+        return tuple(j for _, j in self.adjacency[("y", i)])
 
     def empty_destinations(self) -> tuple[int, ...]:
+        """Destinations with no interferer.
+
+        The alignment constraints there are vacuous, so reports list them as
+        warnings, not as violations.
+        """
         return tuple(i for i in range(self.n_destinations) if not self.interferers(i))
 
     def replace_edges(self, edges) -> "InterferenceGraph":
         return InterferenceGraph(self.n_sources, self.n_destinations, frozenset(edges))
+
+    @cached_property
+    def adjacency(self) -> dict[NodeRef, list[NodeRef]]:
+        """Neighbours of every node, keyed sources first, in sorted edge order.
+
+        Built once per graph; cached_property writes the instance __dict__,
+        so it works on the frozen dataclass and stays out of eq/hash.
+        """
+        adj: dict[NodeRef, list[NodeRef]] = {}
+        for j in range(self.n_sources):
+            adj[("x", j)] = []
+        for i in range(self.n_destinations):
+            adj[("y", i)] = []
+        for j, i in sorted(self.edges):
+            adj[("x", j)].append(("y", i))
+            adj[("y", i)].append(("x", j))
+        return adj
 
 
 def build_igraph(net: Network, realization: NetworkRealization, allow_empty: bool = False) -> InterferenceGraph:
@@ -72,54 +91,58 @@ def build_igraph(net: Network, realization: NetworkRealization, allow_empty: boo
     return graph
 
 
-def _adjacency(g: InterferenceGraph) -> dict[NodeRef, list[NodeRef]]:
-    adj: dict[NodeRef, list[NodeRef]] = {}
-    for j in range(g.n_sources):
-        adj[("x", j)] = []
-    for i in range(g.n_destinations):
-        adj[("y", i)] = []
-    for j, i in sorted(g.edges):
-        adj[("x", j)].append(("y", i))
-        adj[("y", i)].append(("x", j))
-    return adj
+def _edge(u: NodeRef, v: NodeRef) -> tuple[int, int]:
+    """The (source j, destination i) edge joining two adjacent nodes."""
+    return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
+
+
+def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[NodeRef, NodeRef | None]:
+    """Breadth-first tree from ``start``, skipping the edges in ``removed``.
+
+    Returns {node: parent} in visit order, the start mapped to None.
+    """
+    adj = g.adjacency
+    parent: dict[NodeRef, NodeRef | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in parent and not (removed and _edge(u, v) in removed):
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def component_count(g: InterferenceGraph, removed=frozenset()) -> int:
+    """Number of connected components of g with the edges in ``removed`` deleted."""
+    seen: set[NodeRef] = set()
+    count = 0
+    for start in g.adjacency:
+        if start not in seen:
+            count += 1
+            seen.update(_bfs(g, start, removed))
+    return count
 
 
 def connected_components(g: InterferenceGraph) -> list[list[NodeRef]]:
-    """Components in ascending order of their smallest member, X side first."""
-    adj = _adjacency(g)
+    """Components in ascending order of their smallest member, X side first.
+
+    Scanning start nodes in adjacency order (sources, then destinations,
+    each ascending) discovers them in exactly that order.
+    """
     seen: set[NodeRef] = set()
     comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        comps.append(sorted(comp))
-    # order components by their minimum source index when they have one
-    def comp_key(comp):
-        xs = [idx for kind, idx in comp if kind == "x"]
-        return (0, min(xs)) if xs else (1, comp[0][1])
-
-    comps.sort(key=comp_key)
+    for start in g.adjacency:
+        if start not in seen:
+            comp = sorted(_bfs(g, start))
+            seen.update(comp)
+            comps.append(comp)
     return comps
 
 
 def has_cycle(g: InterferenceGraph) -> bool:
-    """True iff some connected component has at least as many edges as nodes."""
-    for comp in connected_components(g):
-        members = set(comp)
-        n_edges = sum(1 for j, i in g.edges if ("x", j) in members)
-        if n_edges >= len(comp):
-            return True
-    return False
+    """True iff g is not a forest, i.e. has more than V - C edges."""
+    return len(g.edges) > len(g.adjacency) - component_count(g)
 
 
 @dataclass(eq=False)
@@ -150,12 +173,12 @@ def decompose(g: InterferenceGraph, roots: dict[int, int] | None = None) -> Fore
     may override per component (keyed by that smallest index).  Raises
     CyclicGraph when the graph has a cycle.
     """
-    if has_cycle(g):
+    comps = connected_components(g)
+    if len(g.edges) > len(g.adjacency) - len(comps):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
-    adj = _adjacency(g)
     components = []
     isolated_y = []
-    for comp in connected_components(g):
+    for comp in comps:
         xs = tuple(idx for kind, idx in comp if kind == "x")
         ys = tuple(idx for kind, idx in comp if kind == "y")
         if not xs:
@@ -166,30 +189,24 @@ def decompose(g: InterferenceGraph, roots: dict[int, int] | None = None) -> Fore
             root = roots[root]
             if ("x", root) not in set(comp):
                 raise ValueError(f"root override S{root + 1} is not in this component")
-        root_ref: NodeRef = ("x", root)
-        depth = {root_ref: 0}
+        tree = _bfs(g, ("x", root))
+        depth: dict[NodeRef, int] = {}
         parent: dict[NodeRef, NodeRef] = {}
-        levels = [[root_ref]]
-        frontier = [root_ref]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if v not in depth:
-                        depth[v] = depth[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-            if nxt:
-                levels.append(sorted(nxt))
-            frontier = nxt
-        edges = tuple(sorted((j, i) for j, i in g.edges if ("x", j) in depth and ("y", i) in depth))
+        levels: list[list[NodeRef]] = []
+        for v, u in tree.items():
+            depth[v] = 0 if u is None else depth[u] + 1
+            if u is not None:
+                parent[v] = u
+            if depth[v] == len(levels):
+                levels.append([])
+            levels[depth[v]].append(v)
         components.append(
             TreeComponent(
                 x_nodes=xs,
                 y_nodes=ys,
-                edges=edges,
+                edges=tuple(sorted(_edge(u, v) for v, u in parent.items())),
                 root=root,
-                levels=tuple(tuple(lv) for lv in levels),
+                levels=tuple(tuple(sorted(lv)) for lv in levels),
                 parent=parent,
                 depth=depth,
             )
@@ -204,28 +221,18 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
     without that edge; the best closure wins.  Rotated to start at the
     smallest source on the cycle for deterministic output.
     """
-    adj = _adjacency(g)
     best: list[NodeRef] | None = None
     for j, i in sorted(g.edges):
         a: NodeRef = ("x", j)
         b: NodeRef = ("y", i)
-        prev: dict[NodeRef, NodeRef] = {a: a}
-        queue = deque([a])
-        while queue and b not in prev:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v in prev or (u == a and v == b) or (u == b and v == a):
-                    continue
-                prev[v] = u
-                queue.append(v)
+        prev = _bfs(g, a, removed={(j, i)})
         if b not in prev:
             continue
         path = [b]
         while path[-1] != a:
             path.append(prev[path[-1]])
-        cycle = list(reversed(path))
-        if best is None or len(cycle) < len(best):
-            best = cycle
+        if best is None or len(path) < len(best):
+            best = path[::-1]
     if best is None:
         return None
     starts = [k for k, (kind, _) in enumerate(best) if kind == "x"]

@@ -35,7 +35,7 @@ class CycleError(ParseError):
 
 
 class DemandSizeError(ParseError):
-    """Demand sets do not all have the same size."""
+    """Demand sets are empty or do not all have the same size."""
 
 
 class AssumptionViolation(Exception):
@@ -87,6 +87,8 @@ class Network:
             raise ParseError("need exactly one demand set per destination")
         if not self.demands:
             raise ParseError("at least one destination is required")
+        if not all(self.demands):
+            raise DemandSizeError("each destination must demand at least one source")
         sizes = {len(d) for d in self.demands}
         if len(sizes) != 1:
             raise DemandSizeError(f"demand sets must share one size, got sizes {sorted(sizes)}")
@@ -272,6 +274,7 @@ class CodingLayout:
     pair_cidx: np.ndarray
     dest_ptr: np.ndarray
     dest_edges: np.ndarray
+    in_edges: dict = field(repr=False, default_factory=dict)  # node -> in-edges in edge_order
     inj_index: dict = field(repr=False, default_factory=dict)
     pair_index: dict = field(repr=False, default_factory=dict)
 
@@ -326,6 +329,7 @@ def _build_layout(net: Network) -> CodingLayout:
         pair_cidx=as_arr(pair_cidx),
         dest_ptr=as_arr(dest_ptr),
         dest_edges=as_arr(dest_edges),
+        in_edges=in_edges,
         inj_index=inj_index,
         pair_index=pair_index,
     )
@@ -384,24 +388,21 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-pair mincut results plus empty-interference warnings.
+    """Per-pair mincut results.
 
     ok requires mincut exactly 1 for demanded pairs and at most 1 elsewhere.
-    Destinations whose interfering set came out empty are listed as warnings
-    (the alignment constraints there are vacuous), not as violations.
     """
 
     ok: bool
     pairs: tuple[PairCheck, ...]
     violations: tuple[PairCheck, ...]
-    empty_interference: tuple[int, ...]
 
     def require_ok(self) -> None:
         if not self.ok:
             raise AssumptionViolation(self)
 
 
-def validate_assumptions(net: Network, trials: int = 3, seed: int = 0, q: int = DEFAULT_Q) -> ValidationReport:
+def validate_assumptions(net: Network) -> ValidationReport:
     """Check the unit-mincut regime for every (destination, source) pair."""
     checks = []
     for i in range(net.n_destinations):
@@ -410,14 +411,5 @@ def validate_assumptions(net: Network, trials: int = 3, seed: int = 0, q: int = 
             demanded = j in net.demands[i]
             ok = cut == 1 if demanded else cut <= 1
             checks.append(PairCheck(i, j, cut, demanded, ok))
-    probe = realize(net, trials, seed, q)
-    empty = []
-    for i in range(net.n_destinations):
-        interferers = [
-            j for j in range(net.n_sources)
-            if j not in net.demands[i] and not (probe.transfer[i, j, :] == 0).all()
-        ]
-        if not interferers:
-            empty.append(i)
     violations = tuple(c for c in checks if not c.ok)
-    return ValidationReport(not violations, tuple(checks), violations, tuple(empty))
+    return ValidationReport(not violations, tuple(checks), violations)

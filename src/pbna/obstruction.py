@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q
-from .interference import InterferenceGraph, NodeRef, build_igraph, shortest_cycle
+from .interference import InterferenceGraph, NodeRef, component_count
 from .network import Network, realize
 
 
@@ -116,27 +116,17 @@ class ObstructionReport:
 def _is_four_by_four_cycle(net: Network, graph: InterferenceGraph) -> bool:
     if net.n_sources != 4 or net.n_destinations != 4 or net.demand_size != 2:
         return False
-    if len(graph.edges) != 8:
-        return False
-    degrees_ok = all(len(graph.interferers(i)) == 2 for i in range(4)) and all(
-        len(graph.interferes_at(j)) == 2 for j in range(4)
-    )
-    if not degrees_ok:
-        return False
-    cyc = shortest_cycle(graph)
-    return cyc is not None and len(cyc) == 8
+    # a 2-regular bipartite graph on 8 nodes is one 8-cycle or two 4-cycles
+    return all(len(nbrs) == 2 for nbrs in graph.adjacency.values()) and component_count(graph) == 1
 
 
-def infeasibility_report(net: Network, ratio: CycleRatio, graph: InterferenceGraph | None = None,
-                         trials: int = 3, seed: int = 0, q: int = DEFAULT_Q) -> ObstructionReport:
+def infeasibility_report(net: Network, ratio: CycleRatio, graph: InterferenceGraph) -> ObstructionReport:
     """Interpret a cycle-ratio verdict for this network's configuration.
 
     The hard infeasibility statement is only issued for the 4-source,
     4-destination, two-demands configuration whose interference graph is a
     single 8-cycle; other cyclic configurations get an advisory.
     """
-    if graph is None:
-        graph = build_igraph(net, realize(net, trials, seed, q), allow_empty=True)
     matched = _is_four_by_four_cycle(net, graph)
     if ratio.verdict == "non-constant" and matched:
         claim = "infeasible"

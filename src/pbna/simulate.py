@@ -43,9 +43,7 @@ def propagate_symbols(net: Network, realization: NetworkRealization, k: int, sou
     lay = net.layout
     coeff = realization.coding_assignments[k]
     source_of = {s: j for j, s in enumerate(net.sources)}
-    in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
-    for e in lay.edge_order:
-        in_edges[net.edges[e][1]].append(e)
+    in_edges = lay.in_edges
 
     val: dict[int, int] = {}
     for e in lay.edge_order:

@@ -21,7 +21,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .interference import InterferenceGraph, connected_components
+from .interference import InterferenceGraph, component_count, connected_components
 
 
 Edge = tuple[int, int]
@@ -32,58 +32,14 @@ def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
     return tuple(sorted(g.edges, key=lambda e: (e[1], e[0])))
 
 
-def _component_count(g: InterferenceGraph, removed: frozenset[Edge] | set[Edge]) -> int:
-    adj: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for j in range(g.n_sources):
-        adj[("x", j)] = []
-    for i in range(g.n_destinations):
-        adj[("y", i)] = []
-    for j, i in g.edges:
-        if (j, i) in removed:
-            continue
-        adj[("x", j)].append(("y", i))
-        adj[("y", i)].append(("x", j))
-    seen = set()
-    count = 0
-    for start in adj:
-        if start in seen:
-            continue
-        count += 1
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-    return count
-
-
-def independence_check(g: InterferenceGraph, candidate, d: int) -> bool:
-    """Membership test for the intersected matroid.
-
-    True iff removing ``candidate`` leaves every component of g connected
-    (bond-matroid independence, checked by BFS) and at most d candidate
-    edges touch any one destination node (partition-matroid independence).
-    """
-    cand = set(candidate)
-    per_dest: dict[int, int] = {}
-    for _, i in cand:
-        per_dest[i] = per_dest.get(i, 0) + 1
-        if per_dest[i] > d:
-            return False
-    return _component_count(g, cand) == _component_count(g, frozenset())
-
-
 def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
-    base_components = _component_count(g, frozenset())
+    base_components = component_count(g)
     chosen: list[Edge] = []
     per_dest: dict[int, int] = {}
     for e in labeling:
         if per_dest.get(e[1], 0) + 1 > d:
             continue
-        if _component_count(g, set(chosen) | {e}) != base_components:
+        if component_count(g, set(chosen) | {e}) != base_components:
             continue
         chosen.append(e)
         per_dest[e[1]] = per_dest.get(e[1], 0) + 1
@@ -97,10 +53,10 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     matroids over ``pool``) by one element per shortest augmenting path until
     none exists; by the matroid intersection theorem the result is maximum.
     """
-    base_components = _component_count(g, frozenset())
+    base_components = component_count(g)
 
     def bond_ok(removal) -> bool:
-        return _component_count(g, removal) == base_components
+        return component_count(g, removal) == base_components
 
     current = set(start)
     while True:

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive -- extended Euclid, Laplace expansion,
 subset enumeration, path enumeration -- and shares no code with the
-implementations under test.
+implementations under test.  The one exception is ``independence_check``, a
+membership predicate for the matroids find_dstar intersects, which counts
+components with the package's traversal layer.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+
+from pbna.interference import component_count
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -189,3 +193,19 @@ def dstar_exact_removal(g) -> int:
             if _forest_after_removal(g, removed):
                 return d
     return max_deg
+
+
+def independence_check(g, candidate, d: int) -> bool:
+    """Membership test for the intersected matroid.
+
+    True iff removing ``candidate`` leaves every component of g connected
+    (bond-matroid independence) and at most d candidate edges touch any one
+    destination node (partition-matroid independence).
+    """
+    cand = set(candidate)
+    per_dest: dict[int, int] = {}
+    for _, i in cand:
+        per_dest[i] = per_dest.get(i, 0) + 1
+        if per_dest[i] > d:
+            return False
+    return component_count(g, cand) == component_count(g)

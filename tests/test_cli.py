@@ -5,13 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from pbna import cli
+from pbna import cli, network, obstruction, precoding
 from pbna.simulate import SessionTrace
 from gen import adversarial_net, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
 FOREST = REPO / "networks" / "forest.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
@@ -217,3 +218,59 @@ def test_stages_compose_to_pipeline_result():
     assert stage["sparsification"] == full["sparsification"]
     precode = json.loads(run_cli("precode", *args).stdout)
     assert precode["precoding"] == full["precoding"]
+
+
+@pytest.mark.parametrize("network_name", ["fourbyfour", "forest"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_report_matches_golden(command, network_name, monkeypatch, capsys):
+    # goldens hold `pbna <command> --network networks/<name>.json --format json
+    # --sessions 5`, run from the repository root (the config echoes the path)
+    monkeypatch.chdir(REPO)
+    code = cli.main([command, "--network", f"networks/{network_name}.json", "--format", "json",
+                     "--sessions", "5"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK, captured.err
+    assert captured.out == (GOLDEN / f"{command}-{network_name}.json").read_text(encoding="utf-8")
+
+
+def test_empty_demand_set_exits_2(tmp_path):
+    path = tmp_path / "no_demand.json"
+    path.write_text(json.dumps({"nodes": ["S1", "D1"], "edges": [["S1", "D1"]], "sources": ["S1"],
+                                "destinations": ["D1"], "demands": [[]]}))
+    proc = run_cli("pipeline", "--network", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: network:")
+    assert "at least one source" in proc.stderr
+
+
+def test_internal_value_error_is_not_reported_as_config(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "find_dstar", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["pipeline", "--network", str(FOREST)])
+
+
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0")])
+def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):
+    code = cli.main(["obstruct", "--network", str(FOURBYFOUR), option, value])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith("error: config: ")
+
+
+def test_pipeline_draws_one_zero_function_probe(monkeypatch, capsys):
+    calls = []
+    real = network.realize
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    for module in (cli, network, obstruction, precoding):
+        monkeypatch.setattr(module, "realize", counting)
+    assert cli.main(["pipeline", "--network", str(FOREST), "--sessions", "1", "--format", "json"]) == 0
+    attempts = json.loads(capsys.readouterr().out)["precoding"]["attempts"]
+    assert len(calls) == 1 + attempts  # the probe, then one realization per precoding attempt

@@ -161,3 +161,50 @@ def test_components_discovered_in_ascending_root_order():
         assert roots == sorted(roots)
         for comp in ig.decompose(g).components:
             assert comp.root == min(comp.x_nodes)
+
+
+# ---------------------------------------------------------------------------
+# traversal layer against networkx
+
+
+def _nx_graph(g: ig.InterferenceGraph, removed=frozenset()):
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(g.adjacency)
+    h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges - set(removed))
+    return nx, h
+
+
+def test_shortest_cycle_matches_networkx_girth():
+    rng = np.random.default_rng(2024)
+    seen_cyclic = 0
+    for _ in range(250):
+        g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=16)
+        nx, h = _nx_graph(g)
+        cyc = ig.shortest_cycle(g)
+        girth = nx.girth(h)
+        if cyc is None:
+            assert girth == float("inf")
+            continue
+        seen_cyclic += 1
+        assert len(cyc) == girth
+        assert len(set(cyc)) == len(cyc)
+        for t, u in enumerate(cyc):
+            v = cyc[(t + 1) % len(cyc)]
+            assert u[0] != v[0]
+            assert ((u[1], v[1]) if u[0] == "x" else (v[1], u[1])) in g.edges
+    assert seen_cyclic > 50
+
+
+def test_component_count_matches_networkx_under_removals():
+    rng = np.random.default_rng(77)
+    for _ in range(250):
+        g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=16)
+        edges = sorted(g.edges)
+        for _ in range(3):
+            removed = {e for e in edges if rng.random() < 0.4}
+            nx, h = _nx_graph(g, removed)
+            assert ig.component_count(g, removed) == nx.number_connected_components(h)
+        nx, h = _nx_graph(g)
+        assert ig.component_count(g) == nx.number_connected_components(h)
+        assert ig.has_cycle(g) == (not nx.is_forest(h))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
 from gen import forest_instance, fourbyfour_net, net_to_json, random_dag_net
@@ -100,6 +101,14 @@ def test_demand_sizes_must_match():
                    ("S1", "S2"), ("D1", "D2"), (frozenset({0}), frozenset({0, 1})))
 
 
+def test_empty_demand_sets_rejected():
+    with pytest.raises(ng.DemandSizeError, match="at least one source"):
+        ng.Network(("S1", "D1"), (("S1", "D1"),), ("S1",), ("D1",), (frozenset(),))
+    with pytest.raises(ng.DemandSizeError):
+        ng.load_network(json.dumps({"nodes": ["S1", "D1"], "edges": [["S1", "D1"]], "sources": ["S1"],
+                                    "destinations": ["D1"], "demands": [[]]}))
+
+
 # ---------------------------------------------------------------------------
 # mincut
 
@@ -139,7 +148,6 @@ def test_validate_fourbyfour_all_unit_mincuts(fourbyfour):
     assert report.ok
     assert len(report.pairs) == 16
     assert all(p.mincut == 1 for p in report.pairs)
-    assert report.empty_interference == ()
     report.require_ok()
 
 
@@ -165,10 +173,14 @@ def test_validate_flags_mincut_two():
     assert report.violations[0].mincut == 2
 
 
-def test_validate_flags_empty_interference():
-    report = ng.validate_assumptions(single_edge_net())
-    assert report.ok  # mincuts fine; empty interference is a warning
-    assert report.empty_interference == (0,)
+def test_validate_flags_empty_interference(tmp_path, capsys):
+    # the warning comes from the igraph probe the validate command draws
+    path = tmp_path / "single.json"
+    path.write_text(net_to_json(single_edge_net()))
+    assert cli.main(["validate", "--network", str(path), "--format", "json"]) == cli.EXIT_OK
+    section = json.loads(capsys.readouterr().out)["assumptions"]
+    assert section["ok"]  # mincuts fine; empty interference is a warning
+    assert section["empty_interference"] == ["D1"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pbna import sparsify as sp
-from pbna.interference import InterferenceGraph, build_igraph, has_cycle
+from pbna.interference import InterferenceGraph, build_igraph, component_count, has_cycle
 from pbna.network import realize
 from gen import random_bipartite
-from oracles import dstar_exact_removal
+from oracles import dstar_exact_removal, independence_check
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -29,27 +29,27 @@ def star() -> InterferenceGraph:
 
 
 def test_independence_empty_set():
-    assert sp.independence_check(eight_cycle(), set(), 0)
-    assert sp.independence_check(eight_cycle(), set(), 3)
+    assert independence_check(eight_cycle(), set(), 0)
+    assert independence_check(eight_cycle(), set(), 3)
 
 
 def test_independence_single_cycle_edge():
     g = eight_cycle()
     for e in g.edges:
-        assert sp.independence_check(g, {e}, 1)
+        assert independence_check(g, {e}, 1)
 
 
 def test_independence_partition_constraint():
     g = eight_cycle()
-    assert not sp.independence_check(g, {(0, 0), (1, 0)}, 1)  # both at W1
-    assert sp.independence_check(g, {(0, 0), (1, 0)}, 2) is False  # disconnects the cycle
-    assert not sp.independence_check(g, {(0, 0), (2, 1)}, 1)  # disconnects
+    assert not independence_check(g, {(0, 0), (1, 0)}, 1)  # both at W1
+    assert independence_check(g, {(0, 0), (1, 0)}, 2) is False  # disconnects the cycle
+    assert not independence_check(g, {(0, 0), (2, 1)}, 1)  # disconnects
 
 
 def test_independence_keeps_tree_connected():
     g = star()
     for e in g.edges:
-        assert not sp.independence_check(g, {e}, 1)
+        assert not independence_check(g, {e}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +147,7 @@ def test_result_invariants_on_random_graphs():
         if g.edges:
             assert res.d_star == max(len(e) for e in res.extra_decode)
         # complement of the greedy removal spans every component
-        from pbna.sparsify import _component_count
-        assert _component_count(g, res.removed) == _component_count(g, frozenset())
+        assert component_count(g, res.removed) == component_count(g)
 
 
 def test_independence_check_budget():
@@ -183,6 +182,6 @@ def test_greedy_stall_is_rescued_by_augmentation():
     assert len(res.removed) == 3
     # the rescued removal is still independent in both matroids: complement
     # is a spanning tree and no destination loses more than d* edges
-    assert sp.independence_check(g, res.removed, res.d_star)
+    assert independence_check(g, res.removed, res.d_star)
     assert len(res.spanning_forest) == 4 + 3 - 1
     assert not has_cycle(g.replace_edges(res.spanning_forest))
