@@ -40,6 +40,10 @@ class ConfigError(ValueError):
     """A command-line option is out of range."""
 
 
+class OutputError(OSError):
+    """The report could not be written to ``--out``."""
+
+
 @dataclass
 class RunConfig:
     """Resolved command-line options shared by all subcommands."""
@@ -242,8 +246,11 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise OutputError(exc.errno, exc.strerror, exc.filename) from exc
         print(f"report written to {cfg.out}")
     else:
         sys.stdout.write(payload)
@@ -469,6 +476,9 @@ def main(argv=None) -> int:
             cycle=getattr(args, "cycle", None),
         )
         return _COMMANDS[args.command](cfg)
+    except OutputError as exc:
+        print(f"error: output: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except OSError as exc:
         print(f"error: network file: {exc}", file=sys.stderr)
         return EXIT_PARSE

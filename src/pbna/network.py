@@ -17,6 +17,7 @@ The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -144,6 +145,10 @@ class Network:
     def layout(self) -> "CodingLayout":
         return _build_layout(self)
 
+    @cached_property
+    def arcs(self) -> "ArcLists":
+        return _build_arcs(self)
+
     def to_mapping(self) -> dict:
         """JSON-ready mapping in the network file format (1-based demands)."""
         return {
@@ -156,6 +161,33 @@ class Network:
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
+
+
+@dataclass(frozen=True)
+class ArcLists:
+    """Residual-graph skeleton of a network, shared read-only by every mincut.
+
+    Edge e is arc 2e (tail to head) and its reverse is arc 2e + 1, so an
+    arc's partner is ``a ^ 1``.  head[a] is the node index arc a points to,
+    and out[v] lists the arcs that start at node v: the forward arcs of its
+    out-edges and the reverse arcs of its in-edges.
+    """
+
+    index: dict[str, int]
+    head: tuple[int, ...]
+    out: tuple[tuple[int, ...], ...]
+
+
+def _build_arcs(net: Network) -> ArcLists:
+    index = {v: k for k, v in enumerate(net.nodes)}
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in net.nodes]
+    for tail, h in net.edges:
+        a = len(head)
+        head.extend((index[h], index[tail]))
+        out[index[tail]].append(a)
+        out[index[h]].append(a + 1)
+    return ArcLists(index, tuple(head), tuple(tuple(arcs) for arcs in out))
 
 
 def load_network(data: bytes | str) -> Network:
@@ -219,39 +251,55 @@ def load_network_file(path) -> Network:
 def mincut(net: Network, j: int, i: int) -> int:
     """Max-flow value from source j to destination i with unit edge capacities.
 
-    Computed by breadth-first augmenting paths; parallel edges add capacity.
-    An unreachable destination (or co-located pair) yields 0.
+    Edmonds-Karp: breadth-first augmenting paths over the network's arc
+    lists, so a call costs O(flow * (V + E)); parallel edges add capacity.
+    Each call keeps its residual capacities to itself.  An unreachable
+    destination (or co-located pair) yields 0.
     """
     s = net.sources[j]
     t = net.destinations[i]
     if s == t:
         return 0
-    idx = {v: k for k, v in enumerate(net.nodes)}
-    n = len(net.nodes)
-    cap = [[0] * n for _ in range(n)]
-    for tail, head in net.edges:
-        cap[idx[tail]][idx[head]] += 1
-    src, dst = idx[s], idx[t]
+    arcs = net.arcs
+    head, out = arcs.head, arcs.out
+    src, dst = arcs.index[s], arcs.index[t]
+    residual = [1, 0] * len(net.edges)
     flow = 0
     while True:
-        parent = [-1] * n
-        parent[src] = src
-        queue = [src]
-        while queue and parent[dst] < 0:
-            u = queue.pop(0)
-            for v in range(n):
-                if parent[v] < 0 and cap[u][v] > 0:
-                    parent[v] = u
+        via = [-1] * len(out)  # arc that first reached each node
+        via[src] = len(head)  # any non-negative mark: the source is reached
+        queue = deque([src])
+        while queue and via[dst] < 0:
+            u = queue.popleft()
+            for a in out[u]:
+                v = head[a]
+                if residual[a] and via[v] < 0:
+                    via[v] = a
                     queue.append(v)
-        if parent[dst] < 0:
+        if via[dst] < 0:
             return flow
         v = dst
         while v != src:
-            u = parent[v]
-            cap[u][v] -= 1
-            cap[v][u] += 1
-            v = u
+            a = via[v]
+            residual[a] -= 1
+            residual[a ^ 1] += 1
+            v = head[a ^ 1]
         flow += 1
+
+
+def _reached(arcs: ArcLists, src: int) -> list[bool]:
+    """Which nodes a path of one or more edges leads to from node index src."""
+    head, out = arcs.head, arcs.out
+    seen = [False] * len(out)
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for a in out[u]:
+            v = head[a]
+            if not a & 1 and not seen[v]:
+                seen[v] = True
+                queue.append(v)
+    return seen
 
 
 @dataclass(eq=False)
@@ -403,11 +451,18 @@ class ValidationReport:
 
 
 def validate_assumptions(net: Network) -> ValidationReport:
-    """Check the unit-mincut regime for every (destination, source) pair."""
+    """Check the unit-mincut regime for every (destination, source) pair.
+
+    One reachability pass per source finds the connected pairs; only those
+    need a max-flow, every other pair has mincut 0.
+    """
+    arcs = net.arcs
+    reached = [_reached(arcs, arcs.index[s]) for s in net.sources]
     checks = []
     for i in range(net.n_destinations):
+        t = arcs.index[net.destinations[i]]
         for j in range(net.n_sources):
-            cut = mincut(net, j, i)
+            cut = mincut(net, j, i) if reached[j][t] else 0
             demanded = j in net.demands[i]
             ok = cut == 1 if demanded else cut <= 1
             checks.append(PairCheck(i, j, cut, demanded, ok))

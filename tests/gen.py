@@ -176,3 +176,41 @@ def random_bipartite(rng: np.random.Generator, max_sources: int = 5, max_dests: 
     rng.shuffle(all_pairs)
     n_edges = int(rng.integers(0, min(max_edges, len(all_pairs)) + 1))
     return InterferenceGraph(k, m, frozenset(all_pairs[:n_edges]))
+
+
+def random_multiterminal_dag(rng: np.random.Generator, min_nodes: int = 4, max_nodes: int = 7,
+                             edge_prob: float = 0.4) -> Network:
+    """Random DAG with 1-4 sources and 1-4 destinations, for mincut oracles.
+
+    Edges go from lower to higher position in a hidden random order, so the
+    graph is acyclic but neither node names nor file order reveal it.
+    Sources and destinations are drawn from all nodes, so edges run into
+    sources and out of destinations, some pairs are unreachable, and one node
+    is both a source and a destination about half the time.  Parallel edges
+    (up to three copies) make mincuts of 3 and more common.
+    """
+    n = int(rng.integers(min_nodes, max_nodes + 1))
+    names = [f"N{t + 1}" for t in rng.permutation(n)]
+    edges = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < edge_prob:
+                extra = int(rng.integers(1, 3))
+                copies = 1 + extra if rng.random() < 0.15 else 1
+                edges += [(names[a], names[b])] * copies
+    order = rng.permutation(len(edges))
+    edges = [edges[k] for k in order]
+    k_sources = int(rng.integers(1, min(4, n - 1) + 1))
+    m_dests = int(rng.integers(1, min(4, n - 1) + 1))
+    picks = [names[k] for k in rng.permutation(n)]
+    sources = picks[:k_sources]
+    if rng.random() < 0.5:
+        # share exactly one node between the two groups
+        destinations = [sources[int(rng.integers(k_sources))]] + picks[k_sources:k_sources + m_dests - 1]
+    else:
+        destinations = picks[k_sources:k_sources + m_dests]
+    l_size = int(rng.integers(1, k_sources + 1))
+    demands = tuple(
+        frozenset(int(x) for x in rng.choice(k_sources, size=l_size, replace=False)) for _ in destinations
+    )
+    return Network(tuple(names), tuple(edges), tuple(sources), tuple(destinations), demands)

@@ -274,3 +274,18 @@ def test_pipeline_draws_one_zero_function_probe(monkeypatch, capsys):
     assert cli.main(["pipeline", "--network", str(FOREST), "--sessions", "1", "--format", "json"]) == 0
     attempts = json.loads(capsys.readouterr().out)["precoding"]["attempts"]
     assert len(calls) == 1 + attempts  # the probe, then one realization per precoding attempt
+
+
+def test_unwritable_out_path_is_reported_as_output_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["validate", "--network", str(FOREST), "--out", str(out)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ")
+    assert str(out) in err
+    assert "network file" not in err
+
+
+def test_unreadable_network_still_says_network_file(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert cli.main(["validate", "--network", str(missing), "--out", str(tmp_path / "r.json")]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err.startswith("error: network file: ")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
-from gen import forest_instance, fourbyfour_net, net_to_json, random_dag_net
+from gen import forest_instance, fourbyfour_net, net_to_json, random_dag_net, random_multiterminal_dag
 from oracles import mincut_by_enumeration, transfer_by_paths
 
 
@@ -137,6 +138,88 @@ def test_mincut_matches_enumeration_on_random_dags():
     for _ in range(50):
         net = random_dag_net(rng)
         assert ng.mincut(net, 0, 0) == mincut_by_enumeration(net, 0, 0)
+
+
+def _checked_pairs(net, oracle):
+    """validate_assumptions' pair checks, each mincut asserted equal to the oracle's."""
+    pairs = ng.validate_assumptions(net).pairs
+    for p in pairs:
+        assert p.mincut == oracle(net, p.source, p.destination), (net.to_mapping(), p)
+    return pairs
+
+
+def test_validate_mincuts_match_enumeration_on_multiterminal_dags():
+    rng = np.random.default_rng(11)
+    seen = {"unreachable": 0, "at_least_3": 0, "shared_node": 0, "parallel": 0, "into_source": 0}
+    for _ in range(200):
+        net = random_multiterminal_dag(rng)
+        seen["shared_node"] += bool(set(net.sources) & set(net.destinations))
+        seen["parallel"] += len(set(net.edges)) < len(net.edges)
+        seen["into_source"] += any(h in net.sources for _, h in net.edges)
+        for p in _checked_pairs(net, mincut_by_enumeration):
+            colocated = net.sources[p.source] == net.destinations[p.destination]
+            seen["unreachable"] += p.mincut == 0 and not colocated
+            seen["at_least_3"] += p.mincut >= 3
+    assert all(seen.values()), seen
+
+
+def _networkx_mincut(net, j, i):
+    import networkx as nx
+
+    s, t = net.sources[j], net.destinations[i]
+    if s == t:
+        return 0
+    g = nx.DiGraph()
+    g.add_nodes_from(net.nodes)
+    for tail, head in net.edges:
+        cap = g.edges[tail, head]["capacity"] + 1 if g.has_edge(tail, head) else 1
+        g.add_edge(tail, head, capacity=cap)
+    return nx.maximum_flow_value(g, s, t)
+
+
+def test_validate_mincuts_match_networkx_on_larger_dags():
+    pytest.importorskip("networkx")
+    rng = np.random.default_rng(12)
+    largest = 0
+    for _ in range(100):
+        net = random_multiterminal_dag(rng, min_nodes=20, max_nodes=40, edge_prob=0.12)
+        largest = max([largest] + [p.mincut for p in _checked_pairs(net, _networkx_mincut)])
+    assert largest >= 3
+
+
+def test_mincut_keeps_no_state_between_calls():
+    net = random_multiterminal_dag(np.random.default_rng(4), min_nodes=12, max_nodes=12, edge_prob=0.5)
+    pairs = [(j, i) for i in range(net.n_destinations) for j in range(net.n_sources)]
+    runs = [
+        {(j, i): ng.mincut(net, j, i) for j, i in order}
+        for order in (pairs, pairs[::-1], pairs, pairs[::-1])
+    ]
+    assert all(run == runs[0] for run in runs)
+    assert max(runs[0].values()) >= 2  # flows that leave residual state behind
+
+
+@pytest.mark.parametrize("which", ["forest.json", "multiterminal"])
+def test_validate_calls_mincut_once_per_connected_pair(which, monkeypatch):
+    # the benchmark times validation through the module attribute pbna.network.mincut
+    if which == "forest.json":
+        net = ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / "forest.json")
+    else:
+        # D1 is S1's own node, D2 is unreachable, D3 and D4 are connected
+        net = random_multiterminal_dag(np.random.default_rng(3), min_nodes=8, max_nodes=8)
+    calls = []
+    real = ng.mincut
+
+    def counting(net_, j, i):
+        calls.append((j, i))
+        return real(net_, j, i)
+
+    monkeypatch.setattr(ng, "mincut", counting)
+    ng.validate_assumptions(net)
+    connected = [(j, i) for i in range(net.n_destinations) for j in range(net.n_sources)
+                 if mincut_by_enumeration(net, j, i) > 0]
+    assert calls == connected
+    if which == "multiterminal":
+        assert len(connected) < net.n_sources * net.n_destinations
 
 
 # ---------------------------------------------------------------------------
