@@ -22,7 +22,7 @@ import numpy as np
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
-from .obstruction import CycleRatio, NotACycle, cycle_ratio, infeasibility_report
+from .obstruction import CycleRatio, NotACycle, check_cycle, cycle_ratio, infeasibility_report
 from .precoding import ConstraintViolation, PrecodingPlan, plan_with_resampling
 from .simulate import DecodeFailure, rate_report, run_session
 from .sparsify import SparsificationResult, find_dstar
@@ -262,7 +262,8 @@ def _probe_graph(net: Network, cfg: RunConfig) -> InterferenceGraph:
     return build_igraph(net, probe, allow_empty=True)
 
 
-def _parse_cycle_arg(net: Network, arg: str):
+def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
+    """An explicit ``--cycle``: well formed, and a cycle of this run's interference graph."""
     nodes = []
     for tok in arg.split(","):
         tok = tok.strip()
@@ -270,7 +271,13 @@ def _parse_cycle_arg(net: Network, arg: str):
             raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels")
         idx = int(tok[1:]) - 1
         nodes.append(("x" if tok[0] == "S" else "y", idx))
-    return tuple(nodes)
+    cyc = check_cycle(net, nodes)
+    for t, u in enumerate(cyc):
+        v = cyc[(t + 1) % len(cyc)]
+        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
+        if (j, i) not in graph.edges:
+            raise NotACycle(f"(S{j + 1}, W{i + 1}) is not an edge of the interference graph")
+    return cyc
 
 
 def _decode_exit(rr) -> int:
@@ -341,7 +348,7 @@ def cmd_obstruct(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
     graph = _probe_graph(net, cfg)
     if cfg.cycle:
-        cyc = _parse_cycle_arg(net, cfg.cycle)
+        cyc = _parse_cycle_arg(net, graph, cfg.cycle)
     else:
         cyc = shortest_cycle(graph)
         if cyc is None:

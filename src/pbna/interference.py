@@ -113,6 +113,44 @@ def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[Node
     return parent
 
 
+def bridges(g: InterferenceGraph, removed=frozenset()) -> set[tuple[int, int]]:
+    """Bridges of g with the edges in ``removed`` deleted (Tarjan 1974).
+
+    An edge is a bridge iff deleting it splits its component.  One
+    depth-first pass with low-links over the cached adjacency, O(V + E),
+    kept iterative so that deep graphs do not hit the recursion limit.
+    """
+    adj = g.adjacency
+    order: dict[NodeRef, int] = {}
+    low: dict[NodeRef, int] = {}
+    found: set[tuple[int, int]] = set()
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
+                # the graph is simple, so the tree edge is the only way back to the parent
+                if v == parent or (removed and _edge(u, v) in removed):
+                    continue
+                if v not in order:
+                    order[v] = low[v] = len(order)
+                    stack.append((v, u, iter(adj[v])))
+                    break
+                if order[v] < low[u]:
+                    low[u] = order[v]
+            else:
+                stack.pop()
+                if parent is not None:
+                    if low[u] < low[parent]:
+                        low[parent] = low[u]
+                    if low[u] > order[parent]:
+                        found.add(_edge(parent, u))
+    return found
+
+
 def component_count(g: InterferenceGraph, removed=frozenset()) -> int:
     """Number of connected components of g with the edges in ``removed`` deleted."""
     seen: set[NodeRef] = set()

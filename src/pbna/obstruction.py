@@ -39,7 +39,12 @@ class CycleRatio:
     verdict: str
 
 
-def _check_cycle(net: Network, cycle) -> tuple[NodeRef, ...]:
+def check_cycle(net: Network, cycle) -> tuple[NodeRef, ...]:
+    """The cycle as ("x"|"y", index) pairs; NotACycle unless its nodes are
+    distinct, in range and alternating, with no demanded pair adjacent.
+
+    Whether each adjacent pair is an interference edge is left to the caller.
+    """
     cyc = tuple((str(kind), int(idx)) for kind, idx in cycle)
     if len(cyc) < 4 or len(cyc) % 2 != 0:
         raise NotACycle("a cycle needs an even number of nodes, at least 4")
@@ -74,7 +79,7 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
     """
     if trials < 2:
         raise ValueError("constancy testing needs at least 2 trials")
-    cyc = _check_cycle(net, cycle)
+    cyc = check_cycle(net, cycle)
     rng = np.random.default_rng(seed)
     evaluations: list[int | None] = []
     for _ in range(trials):

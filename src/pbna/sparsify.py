@@ -11,8 +11,10 @@ destination node, raising d until the kept edges form a spanning forest.
 The common independent sets of two matroids do not form a matroid, so the
 greedy scan can stall at a maximal set below the maximum (rare, but real:
 see tests for counterexamples).  When that happens, find_dstar finishes the
-job exactly with matroid-intersection augmenting paths before deciding that
-the current quota is infeasible.
+job exactly with matroid-intersection augmenting paths (Cunningham 1986)
+before deciding that the current quota is infeasible.  The exchange graph's
+bond arcs come from bridge sets (Tarjan 1974), at most one bridge pass per
+removed edge, so an augmentation of a removal set I costs O(|I|·(V+E)).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .interference import InterferenceGraph, component_count, connected_components
+from .interference import InterferenceGraph, bridges, component_count, connected_components
 
 
 Edge = tuple[int, int]
@@ -52,12 +54,13 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     Grows ``start`` (a common independent set of the bond and partition
     matroids over ``pool``) by one element per shortest augmenting path until
     none exists; by the matroid intersection theorem the result is maximum.
+
+    Bond independence is read off bridge sets: since ``current`` (I) keeps
+    every component connected, I + x does iff x is not a bridge of G - I,
+    and I - y + x does iff x is not a bridge of G - (I - y).  So one bridge
+    pass gives the sources, and one more gives y's outgoing arcs when the
+    search first leaves y; nodes it never reaches cost nothing.
     """
-    base_components = component_count(g)
-
-    def bond_ok(removal) -> bool:
-        return component_count(g, removal) == base_components
-
     current = set(start)
     while True:
         ins = sorted(current)
@@ -65,19 +68,11 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
         deg = {}
         for _, i in current:
             deg[i] = deg.get(i, 0) + 1
-        sources = [e for e in outs if bond_ok(current | {e})]
+        cut = bridges(g, current)
+        sources = [e for e in outs if e not in cut]
         sinks = {e for e in outs if deg.get(e[1], 0) + 1 <= d}
         if not sources or not sinks:
             return tuple(sorted(current))
-        arcs: dict[Edge, list[Edge]] = {e: [] for e in ins + outs}
-        for y in ins:
-            swapped_base = current - {y}
-            for x in outs:
-                if bond_ok(swapped_base | {x}):
-                    arcs[y].append(x)  # exchange keeps bond independence
-                extra = 1 if x[1] == y[1] else 0
-                if deg.get(x[1], 0) + 1 - extra <= d:
-                    arcs[x].append(y)  # exchange keeps partition independence
         prev: dict[Edge, Edge | None] = {e: None for e in sources}
         queue = deque(sources)
         goal = None
@@ -87,7 +82,12 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
                 break
         while queue and goal is None:
             u = queue.popleft()
-            for v in arcs[u]:
+            if u in current:  # swaps I - u + x that keep bond independence
+                cut = bridges(g, current - {u})
+                arcs = [x for x in outs if x not in cut]
+            else:  # swaps I - y + u that keep partition independence
+                arcs = [y for y in ins if deg.get(u[1], 0) + 1 - (y[1] == u[1]) <= d]
+            for v in arcs:
                 if v in prev:
                     continue
                 prev[v] = u

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive -- extended Euclid, Laplace expansion,
 subset enumeration, path enumeration -- and shares no code with the
-implementations under test.  The one exception is ``independence_check``, a
-membership predicate for the matroids find_dstar intersects, which counts
-components with the package's traversal layer.
+implementations under test.  Two exceptions count components with the
+package's traversal layer: ``independence_check``, a membership predicate
+for the matroids find_dstar intersects, and ``augment_by_component_counts``,
+the exchange-graph augmentation with one component count per arc test.
 """
 
 from __future__ import annotations
@@ -209,3 +210,65 @@ def independence_check(g, candidate, d: int) -> bool:
         if per_dest[i] > d:
             return False
     return component_count(g, cand) == component_count(g)
+
+
+def augment_by_component_counts(g, pool, d: int, start):
+    """The exchange-graph augmentation find_dstar ran before bridge oracles.
+
+    Same construction, one full component count per bond-independence test
+    (O(|I|·|out|·(V+E)) per augmentation), kept to check that the bridge
+    oracles build the same exchange graph.
+
+    Grows ``start`` (a common independent set of the bond and partition
+    matroids over ``pool``) by one element per shortest augmenting path until
+    none exists; by the matroid intersection theorem the result is maximum.
+    """
+    base_components = component_count(g)
+
+    def bond_ok(removal) -> bool:
+        return component_count(g, removal) == base_components
+
+    current = set(start)
+    while True:
+        ins = sorted(current)
+        outs = sorted(e for e in pool if e not in current)
+        deg = {}
+        for _, i in current:
+            deg[i] = deg.get(i, 0) + 1
+        sources = [e for e in outs if bond_ok(current | {e})]
+        sinks = {e for e in outs if deg.get(e[1], 0) + 1 <= d}
+        if not sources or not sinks:
+            return tuple(sorted(current))
+        arcs = {e: [] for e in ins + outs}
+        for y in ins:
+            swapped_base = current - {y}
+            for x in outs:
+                if bond_ok(swapped_base | {x}):
+                    arcs[y].append(x)  # exchange keeps bond independence
+                extra = 1 if x[1] == y[1] else 0
+                if deg.get(x[1], 0) + 1 - extra <= d:
+                    arcs[x].append(y)  # exchange keeps partition independence
+        prev = {e: None for e in sources}
+        queue = deque(sources)
+        goal = None
+        for e in sources:
+            if e in sinks:
+                goal = e
+                break
+        while queue and goal is None:
+            u = queue.popleft()
+            for v in arcs[u]:
+                if v in prev:
+                    continue
+                prev[v] = u
+                if v in sinks:
+                    goal = v
+                    queue.clear()
+                    break
+                queue.append(v)
+        if goal is None:
+            return tuple(sorted(current))
+        node = goal
+        while node is not None:
+            current.symmetric_difference_update({node})
+            node = prev[node]

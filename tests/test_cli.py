@@ -289,3 +289,22 @@ def test_unreadable_network_still_says_network_file(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli.main(["validate", "--network", str(missing), "--out", str(tmp_path / "r.json")]) == cli.EXIT_PARSE
     assert capsys.readouterr().err.startswith("error: network file: ")
+
+
+def test_obstruct_rejects_explicit_cycle_missing_from_interference_graph(tmp_path, capsys):
+    # interference edges: S2-W1, S3-W1, S2-W2 (acyclic); S3-W2 has an
+    # identically zero transfer, so S2,W2,S3,W1 is not a cycle
+    path = tmp_path / "acyclic.json"
+    path.write_text(json.dumps({
+        "nodes": ["S1", "S2", "S3", "D1", "D2"],
+        "edges": [["S1", "D1"], ["S1", "D2"], ["S2", "D1"], ["S2", "D2"], ["S3", "D1"]],
+        "sources": ["S1", "S2", "S3"],
+        "destinations": ["D1", "D2"],
+        "demands": [[1], [1]],
+    }))
+    code = cli.main(["obstruct", "--network", str(path), "--cycle", "S2,W2,S3,W1", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith("error: obstruction: ")
+    assert "(S3, W2)" in captured.err

@@ -208,3 +208,30 @@ def test_component_count_matches_networkx_under_removals():
         nx, h = _nx_graph(g)
         assert ig.component_count(g) == nx.number_connected_components(h)
         assert ig.has_cycle(g) == (not nx.is_forest(h))
+
+
+def test_bridges_match_networkx_under_removals():
+    rng = np.random.default_rng(1974)
+    disconnected = isolated = bridgeless = 0
+    for _ in range(250):
+        g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=30)
+        share = rng.choice([0.0, 0.15, 0.4])
+        removed = {e for e in sorted(g.edges) if rng.random() < share}
+        nx, h = _nx_graph(g, removed)
+        expected = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
+        found = ig.bridges(g, removed)
+        assert found == expected
+        disconnected += not nx.is_connected(h)
+        isolated += nx.number_of_isolates(h) > 0
+        bridgeless += h.number_of_edges() > 0 and not found
+    assert disconnected > 50 and isolated > 50 and bridgeless > 10
+
+
+def test_bridges_do_not_recurse_on_long_paths():
+    # a 4,000-node path S1-W1-S2-W2-...; a recursive DFS would exceed
+    # Python's default recursion limit of 1,000 frames
+    n = 2000
+    path = {(j, j) for j in range(n)} | {(j + 1, j) for j in range(n - 1)}
+    g = ig.InterferenceGraph(n, n, frozenset(path))
+    assert ig.bridges(g) == path
+    assert ig.bridges(g.replace_edges(path | {(0, n - 1)})) == set()

@@ -7,7 +7,7 @@ from pbna import sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, component_count, has_cycle
 from pbna.network import realize
 from gen import random_bipartite
-from oracles import dstar_exact_removal, independence_check
+from oracles import augment_by_component_counts, dstar_exact_removal, independence_check
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -168,14 +168,18 @@ def test_rejects_bad_labeling():
         sp.find_dstar(g, labeling=((0, 0),))
 
 
+def stalling_graph() -> InterferenceGraph:
+    return InterferenceGraph(4, 3, frozenset(
+        {(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+    ))
+
+
 def test_greedy_stall_is_rescued_by_augmentation():
     # Known counterexample to "common independent sets form a matroid": with
     # the default labeling the greedy at d=1 stalls at 2 of 3 removable edges,
     # yet a quota-1 spanning-tree solution exists (e.g. drop (1,0), (2,1),
     # (0,2)).  find_dstar must still return 1 via the exact fallback.
-    g = InterferenceGraph(4, 3, frozenset(
-        {(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
-    ))
+    g = stalling_graph()
     res = sp.find_dstar(g)
     assert res.d_star == 1 == dstar_exact_removal(g)
     assert res.augmentations >= 1  # the greedy scan stalled at d = 1
@@ -185,3 +189,51 @@ def test_greedy_stall_is_rescued_by_augmentation():
     assert independence_check(g, res.removed, res.d_star)
     assert len(res.spanning_forest) == 4 + 3 - 1
     assert not has_cycle(g.replace_edges(res.spanning_forest))
+
+
+def _outcome(res: sp.SparsificationResult):
+    return (res.removed, res.h_bar.edges, res.extra_decode, res.d_star,
+            res.augmentations, res.independence_checks)
+
+
+def test_bridge_oracles_build_the_component_count_exchange_graph(monkeypatch):
+    # Same exchange graph, same BFS, so the same augmenting paths: every
+    # result field must match the per-pair component-count construction.
+    rng = np.random.default_rng(1986)
+    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(120)]
+    for _ in range(100):
+        k, m = (int(n) for n in rng.integers(8, 15, size=2))
+        density = rng.uniform(0.15, 0.4)
+        graphs.append(InterferenceGraph(k, m, frozenset(
+            (j, i) for j in range(k) for i in range(m) if rng.random() < density
+        )))
+    bridged = [sp.find_dstar(g) for g in graphs]
+    monkeypatch.setattr(sp, "_augment_to_maximum", augment_by_component_counts)
+    counted = [sp.find_dstar(g) for g in graphs]
+    assert [_outcome(r) for r in bridged] == [_outcome(r) for r in counted]
+    assert sum(r.augmentations >= 1 for r in bridged) >= 20
+
+
+def test_augmentation_makes_no_connectivity_test(monkeypatch):
+    # Every component count find_dstar makes must come from the greedy scan.
+    calls = {"greedy": 0, "other": 0}
+    in_greedy = []
+    real_count, real_scan = sp.component_count, sp._greedy_scan
+
+    def counting(*args, **kwargs):
+        calls["greedy" if in_greedy else "other"] += 1
+        return real_count(*args, **kwargs)
+
+    def scan(*args, **kwargs):
+        in_greedy.append(True)
+        try:
+            return real_scan(*args, **kwargs)
+        finally:
+            in_greedy.pop()
+
+    monkeypatch.setattr(sp, "component_count", counting)
+    monkeypatch.setattr(sp, "_greedy_scan", scan)
+    res = sp.find_dstar(stalling_graph())
+    assert res.augmentations >= 1
+    assert calls["greedy"] > 0
+    assert calls["other"] == 0
