@@ -290,12 +290,9 @@ def _decode_exit(rr) -> int:
 
 
 def _run_sessions(net: Network, plan: PrecodingPlan, cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    traces = []
-    for _ in range(cfg.sessions):
-        msg = rng.integers(0, cfg.q, size=net.n_sources, dtype=np.int64)
-        traces.append(run_session(net, plan.realization, plan, messages=msg))
-    return traces
+    # one (S, K) draw gives the same rows as S draws of K messages from one generator
+    messages = np.random.default_rng(cfg.seed).integers(0, cfg.q, size=(cfg.sessions, net.n_sources), dtype=np.int64)
+    return run_session(net, plan.realization, plan, messages)
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +367,23 @@ def cmd_simulate(cfg: RunConfig) -> int:
     graph = _probe_graph(net, cfg)
     spars = find_dstar(graph, demands=net.demands)
     plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
-    traces = _run_sessions(net, plan, cfg)
-    rr = rate_report(traces, plan)
+    trace = _run_sessions(net, plan, cfg)
+    rr = rate_report(trace, plan)
     section = _simulation_section(rr)
+    m = net.n_destinations
+    decoded = [{_src(j): v.tolist() for j, v in d.items()} for d in trace.decoded]
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": _config_section(cfg),
         "simulation": section,
         "traces": [
             {
-                "messages": [int(x) for x in t.messages],
-                "received": [[int(x) for x in row] for row in t.received],
-                "decoded": [{_src(j): v for j, v in d.items()} for d in t.decoded],
-                "success": list(t.success),
+                "messages": trace.messages[s].tolist(),
+                "received": trace.received[s].tolist(),
+                "decoded": [{label: v[s] for label, v in d.items()} for d in decoded],
+                "success": list(trace.success[s * m:(s + 1) * m]),
             }
-            for t in traces
+            for s in range(len(trace.messages))
         ],
     }
     _emit(cfg, report, _text_simulation(section))
@@ -408,8 +407,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
 
     spars = find_dstar(graph, demands=net.demands)
     plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
-    traces = _run_sessions(net, plan, cfg)
-    rr = rate_report(traces, plan)
+    rr = rate_report(_run_sessions(net, plan, cfg), plan)
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -23,11 +23,19 @@ class InvalidModulus(ValueError):
     """Raised for a field modulus that is composite or not below 2**31."""
 
 
-class NoSolution(ArithmeticError):
-    """Raised by solve() when the right-hand side is outside the column span."""
+class SolveError(ArithmeticError):
+    """A system without a unique solution; ``column`` is the first right-hand side that has none."""
+
+    def __init__(self, message: str, column: int = 0):
+        super().__init__(message)
+        self.column = column
 
 
-class RankDeficient(ArithmeticError):
+class NoSolution(SolveError):
+    """Raised by solve() when a right-hand side is outside the column span."""
+
+
+class RankDeficient(SolveError):
     """Raised when a full-column-rank matrix was required but not supplied."""
 
 
@@ -90,22 +98,29 @@ def rank(m, q: int = DEFAULT_Q) -> int:
 def solve(a, y, q: int = DEFAULT_Q) -> np.ndarray:
     """Solve A x = y for the unique x, requiring A to have full column rank.
 
-    Raises NoSolution if y is outside the column span of A, RankDeficient if
-    the columns of A are linearly dependent.
+    ``y`` is one right-hand side (rows,) or several, the columns of a
+    (rows, s) matrix; x comes back in the same layout.  All right-hand sides
+    are reduced with A in one pass.  Errors are those of solving the columns
+    one at a time in order: the first column without a unique solution
+    raises NoSolution if it lies outside the column span of A, else
+    RankDeficient if the columns of A are linearly dependent, and the
+    exception's ``column`` names it.
     """
     mat = _as_matrix(a, q)
     rhs = np.asarray(y, dtype=np.int64) % q
-    if rhs.ndim != 1 or rhs.shape[0] != mat.shape[0]:
-        raise ValueError("right-hand side must be a vector with one entry per row")
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != mat.shape[0]:
+        raise ValueError("right-hand side must be a vector or matrix with one row per row of A")
     rows, cols = mat.shape
-    aug = np.concatenate([mat, rhs[:, None]], axis=1)
+    aug = np.concatenate([mat, rhs.reshape(rows, -1)], axis=1)
     pivots = np.full(rows, -1, dtype=np.int64)
-    r = int(kernels.row_reduce(aug, q, pivots))
-    if any(int(pivots[i]) == cols for i in range(r)):
-        raise NoSolution("right-hand side is not in the column span")
-    if r < cols:
-        raise RankDeficient(f"matrix has column rank {r} < {cols}")
-    x = np.zeros(cols, dtype=np.int64)
-    for i in range(r):
-        x[int(pivots[i])] = aug[i, cols]
-    return x
+    kernels.row_reduce(aug, q, pivots)
+    rank_a = int(np.count_nonzero((pivots >= 0) & (pivots < cols)))
+    # the reduced rows below rank(A) are zero on A, so a column is solvable iff zero there too
+    unsolvable = aug[rank_a:, cols:].any(axis=0)
+    if rank_a < cols and unsolvable.size and not unsolvable[0]:
+        raise RankDeficient(f"matrix has column rank {rank_a} < {cols}")
+    if unsolvable.any():
+        raise NoSolution("right-hand side is not in the column span", int(np.argmax(unsolvable)))
+    x = np.zeros((cols, aug.shape[1] - cols), dtype=np.int64)
+    x[pivots[:rank_a]] = aug[:rank_a, cols:]
+    return x[:, 0] if rhs.ndim == 1 else x

@@ -41,29 +41,42 @@ def row_reduce(a, q, pivots):
     return r
 
 
-def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q):
-    """Forward-propagate per-slot coding coefficients through a DAG.
+def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q,
+              inputs):
+    """Forward-propagate per-slot coding coefficients and source inputs through a DAG.
 
     ``coeffs`` is (n_slots, n_coeffs), one independent assignment per slot.
-    Edge values are length-``n_cols`` vectors (one column per injected
-    source).  ``pair_*`` arrays must be ordered so every write to an edge
-    precedes all reads of it.  Returns (n_dest, n_cols, n_slots).
+    ``inputs`` is (n_sources, n_cols, n_slots): at slot k, source j injects
+    ``inputs[j, :, k]`` into each of its out-edges, scaled by that edge's
+    injection coefficient.  Edge values are (n_cols, n_slots) arrays, so one
+    pass serves every slot.  ``pair_*`` arrays must be ordered so every write
+    to an edge precedes all reads of it.  Returns (n_dest, n_cols, n_slots).
     """
     n_slots = coeffs.shape[0]
+    by_coeff = coeffs.T  # (n_coeffs, n_slots)
+    val = np.zeros((n_edges, n_cols, n_slots), dtype=np.int64)
+    # an edge has one tail, so at most one injection
+    val[inj_edge] = by_coeff[inj_cidx][:, None, :] * inputs[inj_col] % q
+
+    # A pair runs in round depth[its in-edge]: every write to that edge lies in an earlier round.
+    depth = [0] * n_edges
+    rounds = []
+    for e_in, e_out in zip(pair_in.tolist(), pair_out.tolist()):
+        r = depth[e_in]
+        rounds.append(r)
+        depth[e_out] = max(depth[e_out], r + 1)
+    rounds = np.asarray(rounds, dtype=np.int64)
+    for r in range(int(rounds.max(initial=-1)) + 1):
+        sel = np.flatnonzero(rounds == r)
+        outs = pair_out[sel]
+        # each term is below q, so no sum of an edge's terms overflows int64
+        np.add.at(val, outs, val[pair_in[sel]] * by_coeff[pair_cidx[sel]][:, None, :] % q)
+        val[outs] %= q
+
     n_dest = dest_ptr.shape[0] - 1
     out = np.zeros((n_dest, n_cols, n_slots), dtype=np.int64)
-    for k in range(n_slots):
-        val = np.zeros((n_edges, n_cols), dtype=np.int64)
-        row = coeffs[k]
-        for p in range(inj_edge.shape[0]):
-            val[inj_edge[p], inj_col[p]] = (val[inj_edge[p], inj_col[p]] + row[inj_cidx[p]]) % q
-        for p in range(pair_in.shape[0]):
-            val[pair_out[p]] = (val[pair_out[p]] + row[pair_cidx[p]] * val[pair_in[p]]) % q
-        for i in range(n_dest):
-            sel = dest_edges[dest_ptr[i]:dest_ptr[i + 1]]
-            if sel.size:
-                out[i, :, k] = val[sel].sum(axis=0) % q
-    return out
+    np.add.at(out, np.repeat(np.arange(n_dest), np.diff(dest_ptr)), val[dest_edges])
+    return out % q
 
 
 def warmup() -> None:
@@ -80,4 +93,5 @@ def warmup() -> None:
         empty, empty, empty,
         np.array([0, 1], dtype=np.int64), idx0,
         1, 1, 7,
+        np.ones((1, 1, 1), dtype=np.int64),
     )

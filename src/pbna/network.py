@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -313,7 +313,6 @@ class CodingLayout:
     """
 
     n_coeffs: int
-    edge_order: tuple[int, ...]
     inj_edge: np.ndarray
     inj_col: np.ndarray
     inj_cidx: np.ndarray
@@ -322,15 +321,12 @@ class CodingLayout:
     pair_cidx: np.ndarray
     dest_ptr: np.ndarray
     dest_edges: np.ndarray
-    in_edges: dict = field(repr=False, default_factory=dict)  # node -> in-edges in edge_order
-    inj_index: dict = field(repr=False, default_factory=dict)
-    pair_index: dict = field(repr=False, default_factory=dict)
 
 
 def _build_layout(net: Network) -> CodingLayout:
     topo_pos = {v: k for k, v in enumerate(net.topo_order)}
     n_edges = len(net.edges)
-    edge_order = tuple(sorted(range(n_edges), key=lambda e: (topo_pos[net.edges[e][0]], e)))
+    edge_order = sorted(range(n_edges), key=lambda e: (topo_pos[net.edges[e][0]], e))
     in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
     for e in edge_order:
         in_edges[net.edges[e][1]].append(e)
@@ -338,23 +334,18 @@ def _build_layout(net: Network) -> CodingLayout:
 
     inj_edge, inj_col, inj_cidx = [], [], []
     pair_in, pair_out, pair_cidx = [], [], []
-    inj_index: dict[tuple[int, int], int] = {}
-    pair_index: dict[tuple[int, int], int] = {}
     cidx = 0
     for e in edge_order:
         tail = net.edges[e][0]
         if tail in source_of:
-            j = source_of[tail]
             inj_edge.append(e)
-            inj_col.append(j)
+            inj_col.append(source_of[tail])
             inj_cidx.append(cidx)
-            inj_index[(j, e)] = cidx
             cidx += 1
         for e_in in in_edges[tail]:
             pair_in.append(e_in)
             pair_out.append(e)
             pair_cidx.append(cidx)
-            pair_index[(e_in, e)] = cidx
             cidx += 1
 
     dest_ptr = [0]
@@ -368,7 +359,6 @@ def _build_layout(net: Network) -> CodingLayout:
 
     return CodingLayout(
         n_coeffs=cidx,
-        edge_order=edge_order,
         inj_edge=as_arr(inj_edge),
         inj_col=as_arr(inj_col),
         inj_cidx=as_arr(inj_cidx),
@@ -377,9 +367,6 @@ def _build_layout(net: Network) -> CodingLayout:
         pair_cidx=as_arr(pair_cidx),
         dest_ptr=as_arr(dest_ptr),
         dest_edges=as_arr(dest_edges),
-        in_edges=in_edges,
-        inj_index=inj_index,
-        pair_index=pair_index,
     )
 
 
@@ -397,32 +384,31 @@ class NetworkRealization:
     coding_assignments: np.ndarray  # (slot_count, n_coeffs)
     transfer: np.ndarray  # (M, K, slot_count)
 
-    def injection_value(self, k: int, j: int, e: int) -> int:
-        return int(self.coding_assignments[k, self.network.layout.inj_index[(j, e)]])
 
-    def pair_value(self, k: int, e_in: int, e_out: int) -> int:
-        return int(self.coding_assignments[k, self.network.layout.pair_index[(e_in, e_out)]])
-
-
-def transfer_from_assignments(net: Network, coeffs: np.ndarray, q: int) -> np.ndarray:
-    """Evaluate all transfer values for the given (n_slots, n_coeffs) rows."""
+def propagate_inputs(net: Network, coeffs: np.ndarray, inputs: np.ndarray, q: int) -> np.ndarray:
+    """Destination values (M, n_cols, n_slots) for what the sources inject, ``inputs`` (K, n_cols, n_slots)."""
     lay = net.layout
     return kernels.propagate(
         np.ascontiguousarray(coeffs, dtype=np.int64),
         lay.inj_edge, lay.inj_col, lay.inj_cidx,
         lay.pair_in, lay.pair_out, lay.pair_cidx,
         lay.dest_ptr, lay.dest_edges,
-        len(net.edges), net.n_sources, q,
+        len(net.edges), inputs.shape[1], q, inputs,
     )
 
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:
-    """Draw all coding coefficients uniformly at random, independently per slot."""
+    """Draw all coding coefficients uniformly at random, independently per slot.
+
+    The transfer values come from one propagation in which source j injects
+    the unit vector e_j in every slot, so column j at a destination is the
+    transfer value from source j.
+    """
     check_modulus(q)
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(0, q, size=(n, net.layout.n_coeffs), dtype=np.int64)
-    transfer = transfer_from_assignments(net, coeffs, q)
-    return NetworkRealization(net, q, n, coeffs, transfer)
+    unit = np.broadcast_to(np.eye(net.n_sources, dtype=np.int64)[:, :, None], (net.n_sources, net.n_sources, n))
+    return NetworkRealization(net, q, n, coeffs, propagate_inputs(net, coeffs, unit, q))
 
 
 @dataclass(frozen=True)

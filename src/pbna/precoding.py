@@ -66,8 +66,7 @@ class PrecodingPlan:
     """Per-source precoding vectors plus the randomness that produced them."""
 
     n: int
-    V: np.ndarray  # (K, n), row j is the length-n vector of source j
-    thetas: dict  # root source index -> (n,) root vector
+    V: np.ndarray  # (K, n), row j is the length-n vector of source j; a tree root's row is its raw random vector
     realization: NetworkRealization
     forest: ForestDecomposition
     a: int = 1
@@ -119,10 +118,8 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
                 raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) vanishes at the sampled assignment")
 
     V = np.zeros((net.n_sources, n), dtype=np.int64)
-    thetas: dict[int, np.ndarray] = {}
     for comp in h_bar_forest.components:
         theta = rng.integers(1, q, size=n, dtype=np.int64)
-        thetas[comp.root] = theta
         scale = {("x", comp.root): np.ones(n, dtype=np.int64)}
         for level in comp.levels[1:]:
             for node in level:
@@ -137,7 +134,7 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
         for j in comp.x_nodes:
             V[j] = scale[("x", j)] * theta % q
 
-    plan = PrecodingPlan(n=n, V=V, thetas=thetas, realization=realization, forest=h_bar_forest, seed=seed)
+    plan = PrecodingPlan(n=n, V=V, realization=realization, forest=h_bar_forest, seed=seed)
     if not all((V[j] != 0).any() for j in range(net.n_sources)):
         raise AssertionError("a precoding vector came out identically zero")
     return plan

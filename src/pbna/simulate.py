@@ -1,9 +1,11 @@
 """End-to-end slot-level simulation: encode, propagate, decode, report rates.
 
-Raw propagation here walks the DAG edge by edge in plain Python, independent
-of the batched transfer kernel, so traces double as a consistency check of
-the algebraic model: the received vector must equal sum_j diag(m_ij) V_j z_j
-exactly.
+A batch of sessions travels through the DAG together: every session's slot
+symbols are injected at the sources and propagated through the coded edges
+by the transfer kernel, and never computed from the transfer values, so each
+decode doubles as a check of the algebraic model.  The decode matrix of a
+destination is the same for every session, so each destination solves for
+all sessions in one exact reduction.
 """
 
 from __future__ import annotations
@@ -13,8 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .network import Network, NetworkRealization
+from .network import Network, NetworkRealization, propagate_inputs
 from .precoding import PrecodingPlan
+
+# Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
+SESSION_BLOCK = 256
 
 
 class DecodeFailure(Exception):
@@ -23,70 +28,56 @@ class DecodeFailure(Exception):
 
 @dataclass(eq=False)
 class SessionTrace:
-    """One transmission round: K messages in, per-destination decodes out."""
+    """S transmission rounds: K messages in per session, per-destination decodes out."""
 
-    messages: np.ndarray  # (K,)
-    transmitted: np.ndarray  # (K, n) slot symbols per source
-    received: np.ndarray  # (M, n) slot symbols per destination
-    decoded: tuple[dict, ...]  # per destination: {source j: recovered symbol}
-    success: tuple[bool, ...]
+    messages: np.ndarray  # (S, K)
+    transmitted: np.ndarray  # (S, K, n) slot symbols per source
+    received: np.ndarray  # (S, M, n) slot symbols per destination
+    decoded: tuple[dict[int, np.ndarray], ...]  # per destination: {source j: (S,) recovered symbols}
+    success: tuple[bool, ...]  # per (session, destination), session-major
 
 
-def propagate_symbols(net: Network, realization: NetworkRealization, k: int, source_symbols) -> np.ndarray:
-    """Propagate one slot's source symbols through the DAG, edge by edge.
+def propagate_symbols(net: Network, realization: NetworkRealization, transmitted) -> np.ndarray:
+    """Propagate every session's slot symbols through the DAG.
 
-    Every out-edge carries the coded combination of its tail's in-edge
-    symbols plus, at a source, the injected message symbol; a destination
-    observes the sum of its in-edge symbols.
+    ``transmitted`` is (S, K, n): the symbol source j sends in slot k of
+    session s.  Every out-edge carries the coded combination of its tail's
+    in-edge symbols plus, at a source, the injected symbol; a destination
+    observes the sum of its in-edge symbols.  Returns (S, M, n).
     """
     q = realization.q
-    lay = net.layout
-    coeff = realization.coding_assignments[k]
-    source_of = {s: j for j, s in enumerate(net.sources)}
-    in_edges = lay.in_edges
-
-    val: dict[int, int] = {}
-    for e in lay.edge_order:
-        tail = net.edges[e][0]
-        acc = 0
-        j = source_of.get(tail)
-        if j is not None:
-            acc = int(coeff[lay.inj_index[(j, e)]]) * int(source_symbols[j]) % q
-        for e_in in in_edges[tail]:
-            acc = (acc + int(coeff[lay.pair_index[(e_in, e)]]) * val[e_in]) % q
-        val[e] = acc
-
-    received = np.zeros(net.n_destinations, dtype=np.int64)
-    for i, d in enumerate(net.destinations):
-        received[i] = sum(val[e] for e in in_edges[d]) % q
+    sessions = transmitted.shape[0]
+    received = np.zeros((sessions, net.n_destinations, realization.slot_count), dtype=np.int64)
+    for lo in range(0, sessions, SESSION_BLOCK):
+        block = transmitted[lo:lo + SESSION_BLOCK].transpose(1, 0, 2)  # (K, b, n)
+        got = propagate_inputs(net, realization.coding_assignments, block, q)
+        received[lo:lo + SESSION_BLOCK] = got.transpose(1, 0, 2)
     return received
 
 
-def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPlan,
-                messages=None, seed: int = 0) -> SessionTrace:
-    """Encode messages with the plan, propagate every slot, decode everywhere.
+def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPlan, messages) -> SessionTrace:
+    """Encode a batch of sessions with the plan, propagate every slot, decode everywhere.
 
-    ``messages`` defaults to a uniform random tuple drawn from ``seed``.
+    ``messages`` is (S, K), one symbol per source for each of S sessions.
     Each destination solves for its decoded sources plus one aggregated
     interference coordinate (the interference columns coincide by
-    construction), then keeps the source coordinates.
+    construction), then keeps the source coordinates.  A decode system
+    without a unique solution raises DecodeFailure for the first failing
+    (session, destination) pair in session-major order.
     """
     if plan.new_demands is None or plan.new_interference is None:
         raise ValueError("plan is missing decode sets; build it via plan_with_resampling or fill them in")
     q = realization.q
-    if messages is None:
-        messages = np.random.default_rng(seed).integers(0, q, size=net.n_sources, dtype=np.int64)
     z = np.asarray(messages, dtype=np.int64) % q
-    if z.shape != (net.n_sources,):
-        raise ValueError(f"need one message per source, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[1] != net.n_sources:
+        raise ValueError(f"need one message per source for each session, got shape {z.shape}")
 
-    transmitted = plan.V * z[:, None] % q
-    received = np.zeros((net.n_destinations, plan.n), dtype=np.int64)
-    for k in range(plan.n):
-        received[:, k] = propagate_symbols(net, realization, k, transmitted[:, k])
+    transmitted = z[:, :, None] * plan.V[None, :, :] % q
+    received = propagate_symbols(net, realization, transmitted)
 
     decoded = []
-    success = []
+    ok = np.ones((z.shape[0], net.n_destinations), dtype=bool)
+    failures = []
     for i in range(net.n_destinations):
         desired = sorted(plan.new_demands[i])
         interf = sorted(plan.new_interference[i])
@@ -94,15 +85,18 @@ def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPl
         if interf:
             rep = interf[0]
             cols.append(realization.transfer[i, rep, :] * plan.V[rep] % q)
-        system = np.stack(cols, axis=1)
         try:
-            sol = gf.solve(system, received[i], q)
-        except (gf.NoSolution, gf.RankDeficient) as exc:
-            raise DecodeFailure(f"destination D{i + 1}: {exc}") from exc
-        got = {j: int(sol[t]) for t, j in enumerate(desired)}
-        decoded.append(got)
-        success.append(all(got[j] == int(z[j]) for j in desired))
-    return SessionTrace(z, transmitted, received, tuple(decoded), tuple(success))
+            sol = gf.solve(np.stack(cols, axis=1), received[:, i, :].T, q)
+        except gf.SolveError as exc:
+            failures.append((exc.column, i, exc))
+            continue
+        got = sol[:len(desired)]
+        decoded.append(dict(zip(desired, got)))
+        ok[:, i] = (got == z[:, desired].T).all(axis=0)
+    if failures:
+        _, i, exc = min(failures, key=lambda f: f[:2])
+        raise DecodeFailure(f"destination D{i + 1}: {exc}") from exc
+    return SessionTrace(z, transmitted, received, tuple(decoded), tuple(ok.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -120,18 +114,18 @@ class RateReport:
     matches_reference: bool | None
 
 
-def rate_report(traces, plan: PrecodingPlan) -> RateReport:
-    """Summarize decode success and compare achieved vs reference rates."""
+def rate_report(trace: SessionTrace, plan: PrecodingPlan) -> RateReport:
+    """Summarize decode success over a batch and compare achieved vs reference rates."""
     net = plan.realization.network
     k_sources = net.n_sources
     l_size = net.demand_size
     reference = (1, plan.n)  # n = L + d* + 1 by construction
     ceiling = (k_sources, l_size + 1)
-    sessions = len(traces)
+    sessions = len(trace.messages)
     if sessions == 0:
         return RateReport(0, 0, 0, None, None, None, reference, ceiling, None)
-    checks = sum(len(t.success) for t in traces)
-    successes = sum(sum(t.success) for t in traces)
+    checks = len(trace.success)
+    successes = trace.success.count(True)
     per_source = (plan.a, plan.n)
     return RateReport(
         sessions=sessions,

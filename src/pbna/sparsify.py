@@ -20,7 +20,7 @@ removed edge, so an augmentation of a removal set I costs O(|I|·(V+E)).
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .interference import InterferenceGraph, bridges, component_count, connected_components
@@ -65,9 +65,10 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     while True:
         ins = sorted(current)
         outs = sorted(e for e in pool if e not in current)
-        deg = {}
-        for _, i in current:
-            deg[i] = deg.get(i, 0) + 1
+        ins_at: dict[int, list[Edge]] = {}  # removed edges per destination, in ins order
+        for y in ins:
+            ins_at.setdefault(y[1], []).append(y)
+        deg = {i: len(ys) for i, ys in ins_at.items()}
         cut = bridges(g, current)
         sources = [e for e in outs if e not in cut]
         sinks = {e for e in outs if deg.get(e[1], 0) + 1 <= d}
@@ -85,8 +86,9 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
             if u in current:  # swaps I - u + x that keep bond independence
                 cut = bridges(g, current - {u})
                 arcs = [x for x in outs if x not in cut]
-            else:  # swaps I - y + u that keep partition independence
-                arcs = [y for y in ins if deg.get(u[1], 0) + 1 - (y[1] == u[1]) <= d]
+            else:  # swaps I - y + u that keep partition independence: u is no sink, so its
+                # destination is full and only dropping a removed edge there makes room
+                arcs = ins_at.get(u[1], ())
             for v in arcs:
                 if v in prev:
                     continue
@@ -163,6 +165,7 @@ def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> Sparsificat
         k = sum(1 for kind, _ in comp if kind == "x")
         m = sum(1 for kind, _ in comp if kind == "y")
         target = f - k - m + 1
+        max_degree = max(Counter(i for _, i in comp_labels).values())
         d = max(0, math.ceil(target / m))
         while True:
             chosen = _greedy_scan(g, comp_labels, d)
@@ -176,8 +179,10 @@ def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> Sparsificat
             if len(chosen) == target:
                 break
             d += 1
-            if d > f:  # cannot happen: quota >= max degree makes the scan unconstrained
-                raise AssertionError("search failed to reach a spanning tree")
+            if d >= max_degree:
+                # d* < max degree: keeping any spanning tree removes at most deg - 1 edges at each node
+                raise AssertionError(f"quota {d} reached the max destination degree {max_degree} "
+                                     "without a spanning tree")
         removed.update(chosen)
         stats.append(ComponentStats(k, m, f, d))
 

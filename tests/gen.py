@@ -214,3 +214,9 @@ def random_multiterminal_dag(rng: np.random.Generator, min_nodes: int = 4, max_n
         frozenset(int(x) for x in rng.choice(k_sources, size=l_size, replace=False)) for _ in destinations
     )
     return Network(tuple(names), tuple(edges), tuple(sources), tuple(destinations), demands)
+
+
+def seeded_messages(net: Network, q: int, seeds) -> np.ndarray:
+    """One session per seed: the K messages ``default_rng(seed)`` draws first, stacked (S, K)."""
+    return np.array([np.random.default_rng(s).integers(0, q, size=net.n_sources, dtype=np.int64) for s in seeds],
+                    dtype=np.int64).reshape(-1, net.n_sources)

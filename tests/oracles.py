@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive -- extended Euclid, Laplace expansion,
-subset enumeration, path enumeration -- and shares no code with the
-implementations under test.  Two exceptions count components with the
+subset enumeration, path enumeration, an edge-by-edge walk -- and shares no
+code with the implementations under test; coding coefficients are looked up
+through the network's layout index arrays.  Two exceptions count components with the
 package's traversal layer: ``independence_check``, a membership predicate
 for the matroids find_dstar intersects, and ``augment_by_component_counts``,
 the exchange-graph augmentation with one component count per arc test.
@@ -12,6 +13,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+
+import numpy as np
 
 from pbna.interference import component_count
 
@@ -103,17 +106,69 @@ def enumerate_paths(net, j: int):
     return paths_to
 
 
+def coefficient_indices(net):
+    """Coefficient positions from the layout arrays: {(j, e): c} for injections, {(e_in, e_out): c} for pairs."""
+    lay = net.layout
+    inj = {(int(j), int(e)): int(c) for j, e, c in zip(lay.inj_col, lay.inj_edge, lay.inj_cidx)}
+    pair = {(int(a), int(b)): int(c) for a, b, c in zip(lay.pair_in, lay.pair_out, lay.pair_cidx)}
+    return inj, pair
+
+
+def injection_value(realization, k: int, j: int, e: int) -> int:
+    """Slot-k coefficient with which source j injects into its out-edge e."""
+    inj, _ = coefficient_indices(realization.network)
+    return int(realization.coding_assignments[k, inj[(j, e)]])
+
+
+def pair_value(realization, k: int, e_in: int, e_out: int) -> int:
+    """Slot-k coefficient with which in-edge e_in feeds out-edge e_out at their shared node."""
+    _, pair = coefficient_indices(realization.network)
+    return int(realization.coding_assignments[k, pair[(e_in, e_out)]])
+
+
 def transfer_by_paths(net, realization, i: int, j: int, k: int) -> int:
     """Transfer value as the sum over paths of products of path coefficients."""
     q = realization.q
+    inj, pair = coefficient_indices(net)
+    coeff = realization.coding_assignments[k]
     paths = enumerate_paths(net, j)[net.destinations[i]]
     total = 0
     for path in paths:
-        prod = realization.injection_value(k, j, path[0])
+        prod = int(coeff[inj[(j, path[0])]])
         for e_in, e_out in zip(path, path[1:]):
-            prod = prod * realization.pair_value(k, e_in, e_out) % q
+            prod = prod * int(coeff[pair[(e_in, e_out)]]) % q
         total = (total + prod) % q
     return total
+
+
+def propagate_symbols_by_edges(net, realization, k: int, source_symbols) -> np.ndarray:
+    """Propagate one slot's source symbols through the DAG, edge by edge.
+
+    Every out-edge carries the coded combination of its tail's in-edge
+    symbols plus, at a source, the injected message symbol; a destination
+    observes the sum of its in-edge symbols.  Plain Python ints throughout.
+    """
+    q = realization.q
+    inj, pair = coefficient_indices(net)
+    coeff = realization.coding_assignments[k]
+    topo_pos = {v: t for t, v in enumerate(net.topo_order)}
+    edge_order = sorted(range(len(net.edges)), key=lambda e: (topo_pos[net.edges[e][0]], e))
+    in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
+    for e in edge_order:
+        in_edges[net.edges[e][1]].append(e)
+    source_of = {s: j for j, s in enumerate(net.sources)}
+
+    val: dict[int, int] = {}
+    for e in edge_order:
+        tail = net.edges[e][0]
+        acc = 0
+        j = source_of.get(tail)
+        if j is not None:
+            acc = int(coeff[inj[(j, e)]]) * int(source_symbols[j]) % q
+        for e_in in in_edges[tail]:
+            acc = (acc + int(coeff[pair[(e_in, e)]]) * val[e_in]) % q
+        val[e] = acc
+    return np.array([sum(val[e] for e in in_edges[d]) % q for d in net.destinations], dtype=np.int64)
 
 
 def bipartite_has_cycle_bruteforce(g) -> bool:

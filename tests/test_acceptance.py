@@ -19,8 +19,8 @@ from pbna.obstruction import cycle_ratio, infeasibility_report
 from pbna.precoding import ConstraintViolation, plan_with_resampling
 from pbna.simulate import propagate_symbols, rate_report, run_session
 from pbna.sparsify import default_labeling, find_dstar
-from gen import adversarial_net, forest_instance, fourbyfour_net, random_bipartite, random_dag_net
-from oracles import dstar_exact_removal, mincut_by_enumeration
+from gen import adversarial_net, forest_instance, fourbyfour_net, random_bipartite, random_dag_net, seeded_messages
+from oracles import dstar_exact_removal, mincut_by_enumeration, propagate_symbols_by_edges
 
 Q = gf.DEFAULT_Q
 
@@ -71,8 +71,8 @@ def test_criterion_1_forest_rate(forest_plans):
             assert spars.d_star == 0
             assert plan.n == l_size + 1
             assert all(v.ok for v in plan.verdicts)
-            traces = [run_session(net, plan.realization, plan, seed=s) for s in range(100)]
-            report = rate_report(traces, plan)
+            trace = run_session(net, plan.realization, plan, seeded_messages(net, Q, range(100)))
+            report = rate_report(trace, plan)
             assert report.per_source_rate == (1, l_size + 1)
             assert report.successes == report.decode_checks  # 100% decode
         assert seen_l == {1, 2, 3}
@@ -89,8 +89,8 @@ def test_criterion_2_fourbyfour_cycle(fourbyfour_stack):
         assert spars.d_star == 1
         assert dstar_exact_removal(graph) == 1
         assert plan.n == 4
-        traces = [run_session(net, plan.realization, plan, seed=s) for s in range(100)]
-        report = rate_report(traces, plan)
+        trace = run_session(net, plan.realization, plan, seeded_messages(net, Q, range(100)))
+        report = rate_report(trace, plan)
         assert report.per_source_rate == (1, 4)
         assert report.successes == report.decode_checks
         elapsed = time.monotonic() - t0
@@ -186,13 +186,15 @@ def test_criterion_7_transfer_consistency():
                 net, _ = forest_instance(rng)
             realization = realize(net, 2, seed=int(rng.integers(2**32)), q=Q)
             x = rng.integers(0, Q, size=net.n_sources, dtype=np.int64)
+            batched = propagate_symbols(net, realization, np.repeat(x[None, :, None], 2, axis=2))
             for k in range(2):
-                got = propagate_symbols(net, realization, k, x)
+                got = propagate_symbols_by_edges(net, realization, k, x)
                 for i in range(net.n_destinations):
                     expect = 0
                     for j in range(net.n_sources):
                         expect = (expect + int(realization.transfer[i, j, k]) * int(x[j])) % Q
                     assert int(got[i]) == expect
+                assert np.array_equal(batched[0, :, k], got)
             done += 1
 
 

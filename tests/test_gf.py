@@ -107,6 +107,44 @@ def test_solve_roundtrip_random():
             assert gf.solve(a, y, q).tolist() == (x % q).tolist()
 
 
+def test_solve_columns_match_one_at_a_time():
+    # Several right-hand sides in one reduction: same solutions as solving
+    # each column alone, and the error of the first column that has none.
+    rng = np.random.default_rng(29)
+    seen = {"ok": 0, "NoSolution later": 0, "RankDeficient": 0}
+    for _ in range(400):
+        q = int(rng.choice([2, 5, 7]))
+        rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
+        a = rng.integers(0, q, size=(rows, cols))
+        x_true = rng.integers(0, q, size=(cols, int(rng.integers(0, 5))))
+        y = (a.astype(object) @ x_true.astype(object) % q).astype(np.int64).reshape(rows, -1)
+        y[:, rng.random(y.shape[1]) < 0.2] = rng.integers(0, q, size=rows)[:, None]  # some arbitrary columns
+        one_by_one = []
+        for s in range(y.shape[1]):
+            try:
+                one_by_one.append(gf.solve(a, y[:, s], q))
+            except (gf.NoSolution, gf.RankDeficient) as exc:
+                one_by_one.append(exc)
+        failed = [s for s, r in enumerate(one_by_one) if isinstance(r, Exception)]
+        if not failed:
+            got = gf.solve(a, y, q)
+            assert got.shape == (cols, y.shape[1])
+            for s, col in enumerate(one_by_one):
+                assert got[:, s].tolist() == col.tolist()
+            assert ((a.astype(object) @ got.astype(object) - y) % q == 0).all()
+            seen["ok"] += 1
+            continue
+        want = one_by_one[failed[0]]
+        with pytest.raises(type(want)) as info:
+            gf.solve(a, y, q)
+        assert str(info.value) == str(want)
+        assert info.value.column == failed[0]
+        if isinstance(want, gf.NoSolution) and failed[0] > 0:
+            seen["NoSolution later"] += 1
+        seen["RankDeficient"] += isinstance(want, gf.RankDeficient)
+    assert min(seen.values()) >= 10, seen
+
+
 def test_row_reduce_no_int64_overflow_near_modulus():
     # worst-case entries (q-1) with the largest supported modulus
     q = 2147483647

@@ -8,7 +8,7 @@ from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
 from gen import forest_instance, fourbyfour_net, net_to_json, random_dag_net, random_multiterminal_dag
-from oracles import mincut_by_enumeration, transfer_by_paths
+from oracles import injection_value, mincut_by_enumeration, pair_value, transfer_by_paths
 
 
 def single_edge_net() -> ng.Network:
@@ -274,7 +274,7 @@ def test_single_edge_transfer_is_path_product():
     net = single_edge_net()
     r = ng.realize(net, 3, seed=1)
     for k in range(3):
-        assert int(r.transfer[0, 0, k]) == r.injection_value(k, 0, 0)
+        assert int(r.transfer[0, 0, k]) == injection_value(r, k, 0, 0)
 
 
 def test_two_hop_transfer_is_path_product():
@@ -282,7 +282,7 @@ def test_two_hop_transfer_is_path_product():
                      ("S1",), ("D1",), (frozenset({0}),))
     r = ng.realize(net, 2, seed=3)
     for k in range(2):
-        expect = r.injection_value(k, 0, 0) * r.pair_value(k, 0, 1) % r.q
+        expect = injection_value(r, k, 0, 0) * pair_value(r, k, 0, 1) % r.q
         assert int(r.transfer[0, 0, k]) == expect
 
 

@@ -122,6 +122,38 @@ def test_dstar_matches_bruteforce_on_random_graphs():
         assert sp.find_dstar(g).d_star == dstar_exact_removal(g)
 
 
+def test_dstar_within_paper_bound_on_random_graphs():
+    # The paper's 0 <= d* < K - L: keeping a spanning tree leaves every
+    # destination node at least one edge, so d* <= max_i deg(W_i) - 1.
+    rng = np.random.default_rng(5150)
+    positive = 0
+    for _ in range(150):
+        g = random_bipartite(rng, max_sources=6, max_dests=5, max_edges=12)
+        res = sp.find_dstar(g)
+        assert res.d_star == dstar_exact_removal(g)
+        if g.edges:
+            assert res.d_star <= max(len(g.interferers(i)) for i in range(g.n_destinations)) - 1
+        positive += res.d_star >= 1
+    assert positive >= 30
+
+
+def test_stalled_search_stops_at_the_degree_bound(monkeypatch):
+    # With the scan and the augmentation forced to find nothing, the quota
+    # loop must give up once d reaches the max destination degree.
+    k52 = InterferenceGraph(5, 2, frozenset((j, i) for j in range(5) for i in range(2)))
+    quotas = []
+
+    def nothing(g, labeling, d):
+        quotas.append(d)
+        return ()
+
+    monkeypatch.setattr(sp, "_greedy_scan", nothing)
+    monkeypatch.setattr(sp, "_augment_to_maximum", lambda g, pool, d, start: tuple(start))
+    with pytest.raises(AssertionError, match="max destination degree 5"):
+        sp.find_dstar(k52)
+    assert quotas == [2, 3, 4]
+
+
 def test_labeling_invariance_of_greedy_size():
     rng = np.random.default_rng(777)
     for _ in range(20):
