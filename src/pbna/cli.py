@@ -259,7 +259,7 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
 def _probe_graph(net: Network, cfg: RunConfig) -> InterferenceGraph:
     """The run's one zero-function probe; it also decides which destinations lack interference."""
     probe = realize(net, cfg.zero_test_trials, cfg.seed, cfg.q)
-    return build_igraph(net, probe, allow_empty=True)
+    return build_igraph(net, probe)
 
 
 def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
@@ -292,7 +292,7 @@ def _decode_exit(rr) -> int:
 def _run_sessions(net: Network, plan: PrecodingPlan, cfg: RunConfig):
     # one (S, K) draw gives the same rows as S draws of K messages from one generator
     messages = np.random.default_rng(cfg.seed).integers(0, cfg.q, size=(cfg.sessions, net.n_sources), dtype=np.int64)
-    return run_session(net, plan.realization, plan, messages)
+    return run_session(plan, messages)
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,20 @@ def _as_matrix(m, q: int) -> np.ndarray:
     return a % q
 
 
+def pivot_columns(m, q: int = DEFAULT_Q) -> np.ndarray:
+    """Pivot columns of the reduced row echelon form over F_q, ascending.
+
+    Column c is a pivot iff it is outside the span of the columns before it,
+    so the number of pivots below c is the rank of the first c columns.
+    """
+    a = _as_matrix(m, q).copy()
+    pivots = np.full(a.shape[0], -1, dtype=np.int64)
+    return pivots[:kernels.row_reduce(a, q, pivots)]
+
+
 def rank(m, q: int = DEFAULT_Q) -> int:
     """Rank over F_q by exact Gaussian elimination."""
-    a = _as_matrix(m, q).copy()
-    if a.size == 0:
-        return 0
-    pivots = np.full(a.shape[0], -1, dtype=np.int64)
-    return int(kernels.row_reduce(a, q, pivots))
+    return len(pivot_columns(m, q))
 
 
 def solve(a, y, q: int = DEFAULT_Q) -> np.ndarray:

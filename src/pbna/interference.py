@@ -18,15 +18,6 @@ from .network import Network, NetworkRealization
 NodeRef = tuple[str, int]  # ("x", source index) or ("y", destination index)
 
 
-class EmptyInterference(Exception):
-    """Some destination has an empty interfering set."""
-
-    def __init__(self, destinations: tuple[int, ...]):
-        self.destinations = destinations
-        names = ", ".join(f"W{i + 1}" for i in destinations)
-        super().__init__(f"no interference at: {names}")
-
-
 class CyclicGraph(Exception):
     """Forest decomposition was requested for a graph with cycles."""
 
@@ -70,25 +61,20 @@ class InterferenceGraph:
         return adj
 
 
-def build_igraph(net: Network, realization: NetworkRealization, allow_empty: bool = False) -> InterferenceGraph:
+def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
     """Assemble the interference graph from a realization's transfer values.
 
     An all-zero transfer row across the realization's slots is taken as
     evidence that the pair's transfer function is identically zero (one-sided
-    Monte Carlo, error probability at most (deg/q)**slots).
+    Monte Carlo, error probability at most (deg/q)**slots).  Destinations
+    left without an interferer are listed by ``empty_destinations``.
     """
-    edges = set()
-    for i in range(net.n_destinations):
-        for j in range(net.n_sources):
-            if j in net.demands[i]:
-                continue
-            if not (realization.transfer[i, j, :] == 0).all():
-                edges.add((j, i))
-    graph = InterferenceGraph(net.n_sources, net.n_destinations, frozenset(edges))
-    empty = graph.empty_destinations()
-    if empty and not allow_empty:
-        raise EmptyInterference(empty)
-    return graph
+    live = realization.transfer.any(axis=2)  # (M, K)
+    for i, demanded in enumerate(net.demands):
+        live[i, sorted(demanded)] = False
+    dests, srcs = live.nonzero()
+    edges = frozenset(zip(srcs.tolist(), dests.tolist()))
+    return InterferenceGraph(net.n_sources, net.n_destinations, edges)
 
 
 def _edge(u: NodeRef, v: NodeRef) -> tuple[int, int]:

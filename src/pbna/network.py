@@ -149,16 +149,6 @@ class Network:
     def arcs(self) -> "ArcLists":
         return _build_arcs(self)
 
-    def to_mapping(self) -> dict:
-        """JSON-ready mapping in the network file format (1-based demands)."""
-        return {
-            "nodes": list(self.nodes),
-            "edges": [[t, h] for t, h in self.edges],
-            "sources": list(self.sources),
-            "destinations": list(self.destinations),
-            "demands": [sorted(j + 1 for j in dem) for dem in self.demands],
-        }
-
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
 

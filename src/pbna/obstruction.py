@@ -112,10 +112,8 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
 @dataclass(frozen=True)
 class ObstructionReport:
     four_by_four_cycle: bool
-    verdict: str
     claim: str  # "infeasible" | "advisory" | "none"
     statement: str
-    cycle: tuple[NodeRef, ...]
 
 
 def _is_four_by_four_cycle(net: Network, graph: InterferenceGraph) -> bool:
@@ -157,4 +155,4 @@ def infeasibility_report(net: Network, ratio: CycleRatio, graph: InterferenceGra
             f"Alternating transfer ratio verdict is '{ratio.verdict}'; the "
             "obstruction hypothesis is not established for this network."
         )
-    return ObstructionReport(matched, ratio.verdict, claim, statement, ratio.cycle)
+    return ObstructionReport(matched, claim, statement)

@@ -63,19 +63,17 @@ class AlignmentVerdict:
 
 @dataclass(eq=False)
 class PrecodingPlan:
-    """Per-source precoding vectors plus the randomness that produced them."""
+    """Per-source precoding vectors plus the realization they were built on."""
 
     n: int
     V: np.ndarray  # (K, n), row j is the length-n vector of source j; a tree root's row is its raw random vector
     realization: NetworkRealization
-    forest: ForestDecomposition
     a: int = 1
     b: int = 1
     verdicts: tuple[AlignmentVerdict, ...] = ()
     new_demands: tuple[frozenset[int], ...] | None = None
     new_interference: tuple[frozenset[int], ...] | None = None
     attempts: int = 0
-    seed: int | None = None
 
     @property
     def rate(self) -> tuple[int, int]:
@@ -83,25 +81,7 @@ class PrecodingPlan:
         return (self.a, self.n)
 
 
-def signed_transfer(h_edge: tuple[int, int], parity: str, realization: NetworkRealization, k: int) -> int:
-    """Transfer value of one interference edge at slot k, with orientation.
-
-    ``h_edge`` is (destination i, source j).  Edges walked downward (source
-    above the destination node in the BFS tree) contribute the plain value;
-    edges walked upward contribute its inverse, which requires it nonzero.
-    """
-    i, j = h_edge
-    m = int(realization.transfer[i, j, k])
-    if parity == "down":
-        return m
-    if parity != "up":
-        raise ValueError(f"parity must be 'down' or 'up', got {parity!r}")
-    if m == 0:
-        raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) is 0 at slot {k}, cannot invert")
-    return pow(m, realization.q - 2, realization.q)
-
-
-def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization: NetworkRealization, seed: int) -> PrecodingPlan:
+def build_precoding(forest: ForestDecomposition, realization: NetworkRealization, seed: int) -> PrecodingPlan:
     """Construct all precoding vectors for one realized assignment.
 
     Raises ZeroAtAssignment when any tree-edge transfer value vanishes at
@@ -110,67 +90,69 @@ def build_precoding(net: Network, h_bar_forest: ForestDecomposition, realization
     """
     q = realization.q
     n = realization.slot_count
+    transfer = realization.transfer
     rng = np.random.default_rng(seed)
 
-    for comp in h_bar_forest.components:
+    for comp in forest.components:
         for j, i in comp.edges:
-            if (realization.transfer[i, j, :] == 0).any():
+            if (transfer[i, j, :] == 0).any():
                 raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) vanishes at the sampled assignment")
 
-    V = np.zeros((net.n_sources, n), dtype=np.int64)
-    for comp in h_bar_forest.components:
+    V = np.zeros((realization.network.n_sources, n), dtype=np.int64)
+    for comp in forest.components:
         theta = rng.integers(1, q, size=n, dtype=np.int64)
         scale = {("x", comp.root): np.ones(n, dtype=np.int64)}
         for level in comp.levels[1:]:
             for node in level:
                 parent = comp.parent[node]
                 if node[0] == "y":
-                    # downward edge (parent source, this destination node)
-                    factors = [signed_transfer((node[1], parent[1]), "down", realization, k) for k in range(n)]
+                    # downward edge (parent source, this destination node): its transfer row
+                    factor = transfer[node[1], parent[1]]
                 else:
-                    # upward edge (this source, parent destination node)
-                    factors = [signed_transfer((parent[1], node[1]), "up", realization, k) for k in range(n)]
-                scale[node] = scale[parent] * np.asarray(factors, dtype=np.int64) % q
+                    # upward edge (this source, parent destination node): the row's inverses, nonzero by the check above
+                    factor = np.array([pow(int(m), q - 2, q) for m in transfer[parent[1], node[1]]], dtype=np.int64)
+                scale[node] = scale[parent] * factor % q
         for j in comp.x_nodes:
             V[j] = scale[("x", j)] * theta % q
 
-    plan = PrecodingPlan(n=n, V=V, realization=realization, forest=h_bar_forest, seed=seed)
-    if not all((V[j] != 0).any() for j in range(net.n_sources)):
+    if not (V != 0).any(axis=1).all():
         raise AssertionError("a precoding vector came out identically zero")
-    return plan
+    return PrecodingPlan(n=n, V=V, realization=realization)
 
 
-def _signal_column(plan: PrecodingPlan, realization: NetworkRealization, i: int, j: int) -> np.ndarray:
-    """Received direction of source j at destination i: diag(m_ij) V_j."""
-    return realization.transfer[i, j, :] * plan.V[j] % realization.q
+def signal_columns(plan: PrecodingPlan, i: int, sources) -> np.ndarray:
+    """Received directions of ``sources`` at destination i: column t is diag(m_ij) V_j for j = sources[t]."""
+    js = list(sources)
+    return (plan.realization.transfer[i, js] * plan.V[js] % plan.realization.q).T
 
 
-def verify_alignment(plan: PrecodingPlan, realization: NetworkRealization, net: Network, new_demands, new_interference) -> list[AlignmentVerdict]:
+def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list[AlignmentVerdict]:
     """Exact rank checks of the alignment conditions at every destination.
 
     dim_u must equal the number of decoded sources, all interference must
     collapse to at most one dimension, and the two spans must intersect
     trivially; the representative full-rank test uses the smallest-index
-    interferer.
+    interferer.  One reduction of [U | W] gives rank(U), rank([U | w_rep])
+    and rank([U | W]) as pivot counts; W gets one rank of its own.
     """
-    q = realization.q
+    q = plan.realization.q
     verdicts = []
-    for i in range(net.n_destinations):
+    for i in range(plan.realization.network.n_destinations):
         desired = sorted(new_demands[i])
         interf = sorted(new_interference[i])
-        u_cols = np.stack([_signal_column(plan, realization, i, j) for j in desired], axis=1)
-        dim_u = gf.rank(u_cols, q)
+        u = len(desired)
+        cols = signal_columns(plan, i, desired + interf)
+        pivots = gf.pivot_columns(cols, q)
+        dim_u = int(np.count_nonzero(pivots < u))
         if interf:
-            w_cols = np.stack([_signal_column(plan, realization, i, j) for j in interf], axis=1)
-            dim_w = gf.rank(w_cols, q)
-            dim_int = dim_u + dim_w - gf.rank(np.concatenate([u_cols, w_cols], axis=1), q)
-            rep = np.concatenate([u_cols, w_cols[:, :1]], axis=1)
-            r_det_nonzero = gf.rank(rep, q) == rep.shape[1]
+            dim_w = gf.rank(cols[:, u:], q)
+            dim_int = dim_u + dim_w - len(pivots)
+            r_det_nonzero = int(np.count_nonzero(pivots <= u)) == u + 1
         else:
             dim_w = 0
             dim_int = 0
-            r_det_nonzero = dim_u == len(desired)
-        ok = dim_u == len(desired) * plan.a and dim_w <= plan.b and dim_int == 0
+            r_det_nonzero = dim_u == u
+        ok = dim_u == u * plan.a and dim_w <= plan.b and dim_int == 0
         verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts
 
@@ -209,14 +191,13 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         if zeros:
             attempt_failures.append(("zero_at_assignment", tuple(zeros)))
             continue
-        plan = build_precoding(net, forest, realization, p_seed)
-        verdicts = verify_alignment(plan, realization, net, new_demands, new_interference)
+        plan = build_precoding(forest, realization, p_seed)
+        verdicts = verify_alignment(plan, new_demands, new_interference)
         if all(v.ok for v in verdicts):
             plan.verdicts = tuple(verdicts)
             plan.new_demands = new_demands
             plan.new_interference = new_interference
             plan.attempts = attempt
-            plan.seed = seed
             return plan
         failed = tuple(
             (v.destination, min(new_interference[v.destination], default=-1))

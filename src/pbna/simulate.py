@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gf
 from .network import Network, NetworkRealization, propagate_inputs
-from .precoding import PrecodingPlan
+from .precoding import PrecodingPlan, signal_columns
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
@@ -31,7 +31,6 @@ class SessionTrace:
     """S transmission rounds: K messages in per session, per-destination decodes out."""
 
     messages: np.ndarray  # (S, K)
-    transmitted: np.ndarray  # (S, K, n) slot symbols per source
     received: np.ndarray  # (S, M, n) slot symbols per destination
     decoded: tuple[dict[int, np.ndarray], ...]  # per destination: {source j: (S,) recovered symbols}
     success: tuple[bool, ...]  # per (session, destination), session-major
@@ -55,7 +54,7 @@ def propagate_symbols(net: Network, realization: NetworkRealization, transmitted
     return received
 
 
-def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPlan, messages) -> SessionTrace:
+def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     """Encode a batch of sessions with the plan, propagate every slot, decode everywhere.
 
     ``messages`` is (S, K), one symbol per source for each of S sessions.
@@ -67,6 +66,8 @@ def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPl
     """
     if plan.new_demands is None or plan.new_interference is None:
         raise ValueError("plan is missing decode sets; build it via plan_with_resampling or fill them in")
+    realization = plan.realization
+    net = realization.network
     q = realization.q
     z = np.asarray(messages, dtype=np.int64) % q
     if z.ndim != 2 or z.shape[1] != net.n_sources:
@@ -81,12 +82,9 @@ def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPl
     for i in range(net.n_destinations):
         desired = sorted(plan.new_demands[i])
         interf = sorted(plan.new_interference[i])
-        cols = [realization.transfer[i, j, :] * plan.V[j] % q for j in desired]
-        if interf:
-            rep = interf[0]
-            cols.append(realization.transfer[i, rep, :] * plan.V[rep] % q)
         try:
-            sol = gf.solve(np.stack(cols, axis=1), received[:, i, :].T, q)
+            # the prefix of verify_alignment's [U | W] whose full rank r_det_nonzero records
+            sol = gf.solve(signal_columns(plan, i, desired + interf[:1]), received[:, i, :].T, q)
         except gf.SolveError as exc:
             failures.append((exc.column, i, exc))
             continue
@@ -96,7 +94,7 @@ def run_session(net: Network, realization: NetworkRealization, plan: PrecodingPl
     if failures:
         _, i, exc = min(failures, key=lambda f: f[:2])
         raise DecodeFailure(f"destination D{i + 1}: {exc}") from exc
-    return SessionTrace(z, transmitted, received, tuple(decoded), tuple(ok.ravel().tolist()))
+    return SessionTrace(z, received, tuple(decoded), tuple(ok.ravel().tolist()))
 
 
 @dataclass(frozen=True)

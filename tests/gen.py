@@ -70,8 +70,19 @@ def adversarial_net() -> Network:
     return Network(nodes, edges, ("S1", "S2", "S3"), ("D1", "D2"), demands)
 
 
+def net_to_mapping(net: Network) -> dict:
+    """JSON-ready mapping in the network file format (1-based demands)."""
+    return {
+        "nodes": list(net.nodes),
+        "edges": [[t, h] for t, h in net.edges],
+        "sources": list(net.sources),
+        "destinations": list(net.destinations),
+        "demands": [sorted(j + 1 for j in dem) for dem in net.demands],
+    }
+
+
 def net_to_json(net: Network) -> str:
-    return json.dumps(net.to_mapping(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(net_to_mapping(net), indent=2, sort_keys=True) + "\n"
 
 
 def forest_instance(rng: np.random.Generator):

@@ -7,6 +7,8 @@ through the network's layout index arrays.  Two exceptions count components with
 package's traversal layer: ``independence_check``, a membership predicate
 for the matroids find_dstar intersects, and ``augment_by_component_counts``,
 the exchange-graph augmentation with one component count per arc test.
+``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
+call, to check verify_alignment's reading of them off one reduction.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from collections import deque
 
 import numpy as np
 
+from pbna import gf
 from pbna.interference import component_count
+from pbna.precoding import AlignmentVerdict
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -327,3 +331,32 @@ def augment_by_component_counts(g, pool, d: int, start):
         while node is not None:
             current.symmetric_difference_update({node})
             node = prev[node]
+
+
+def verdicts_by_ranks(plan, new_demands, new_interference) -> list:
+    """Alignment verdicts from four separate rank reductions per destination.
+
+    rank(U), rank(W), rank([U | W]) and rank([U | w_rep]) each get their own
+    ``gf.rank`` call, on columns diag(m_ij) V_j built one source at a time.
+    """
+    r = plan.realization
+    q = r.q
+    verdicts = []
+    for i in range(r.network.n_destinations):
+        desired = sorted(new_demands[i])
+        interf = sorted(new_interference[i])
+        u_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in desired], axis=1)
+        dim_u = gf.rank(u_cols, q)
+        if interf:
+            w_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in interf], axis=1)
+            dim_w = gf.rank(w_cols, q)
+            dim_int = dim_u + dim_w - gf.rank(np.concatenate([u_cols, w_cols], axis=1), q)
+            rep = np.concatenate([u_cols, w_cols[:, :1]], axis=1)
+            r_det_nonzero = gf.rank(rep, q) == rep.shape[1]
+        else:
+            dim_w = 0
+            dim_int = 0
+            r_det_nonzero = dim_u == len(desired)
+        ok = dim_u == len(desired) * plan.a and dim_w <= plan.b and dim_int == 0
+        verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
+    return verdicts

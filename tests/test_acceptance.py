@@ -36,7 +36,7 @@ def criterion(num: int, summary: str):
 
 
 def _build_plan(net, seed):
-    graph = build_igraph(net, realize(net, 3, seed, Q), allow_empty=True)
+    graph = build_igraph(net, realize(net, 3, seed, Q))
     spars = find_dstar(graph, demands=net.demands)
     return graph, spars, plan_with_resampling(net, spars, max_attempts=20, seed=seed, q=Q)
 
@@ -71,7 +71,7 @@ def test_criterion_1_forest_rate(forest_plans):
             assert spars.d_star == 0
             assert plan.n == l_size + 1
             assert all(v.ok for v in plan.verdicts)
-            trace = run_session(net, plan.realization, plan, seeded_messages(net, Q, range(100)))
+            trace = run_session(plan, seeded_messages(net, Q, range(100)))
             report = rate_report(trace, plan)
             assert report.per_source_rate == (1, l_size + 1)
             assert report.successes == report.decode_checks  # 100% decode
@@ -89,7 +89,7 @@ def test_criterion_2_fourbyfour_cycle(fourbyfour_stack):
         assert spars.d_star == 1
         assert dstar_exact_removal(graph) == 1
         assert plan.n == 4
-        trace = run_session(net, plan.realization, plan, seeded_messages(net, Q, range(100)))
+        trace = run_session(plan, seeded_messages(net, Q, range(100)))
         report = rate_report(trace, plan)
         assert report.per_source_rate == (1, 4)
         assert report.successes == report.decode_checks

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from pbna import cli, network, obstruction, precoding
-from pbna.simulate import SessionTrace
 from gen import adversarial_net, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -178,7 +178,7 @@ def test_wrong_decode_exits_5_after_writing_report(monkeypatch, capsys):
 
     def one_wrong(*args, **kwargs):
         t = real(*args, **kwargs)
-        return SessionTrace(t.messages, t.transmitted, t.received, t.decoded, (False,) + t.success[1:])
+        return dataclasses.replace(t, success=(False,) + t.success[1:])
 
     monkeypatch.setattr(cli, "run_session", one_wrong)
     for command in ("pipeline", "simulate"):
@@ -220,17 +220,34 @@ def test_stages_compose_to_pipeline_result():
     assert precode["precoding"] == full["precoding"]
 
 
-@pytest.mark.parametrize("network_name", ["fourbyfour", "forest"])
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_report_matches_golden(command, network_name, monkeypatch, capsys):
+GOLDEN_CASES = [
+    *(pytest.param(command, network_name, (), cli.EXIT_OK, id=f"{command}-{network_name}")
+      for command in cli._COMMANDS for network_name in ("fourbyfour", "forest")),
+    # 12 attempts, an alignment failure among them
+    pytest.param("precode", "fourbyfour", ("--q", "31", "--seed", "1"), cli.EXIT_OK,
+                 id="precode-fourbyfour-q31-seed1"),
+    pytest.param("pipeline", "forest", ("--q", "31", "--seed", "6"), cli.EXIT_OK, id="pipeline-forest-q31-seed6"),
+    pytest.param("precode", "fourbyfour", ("--q", "7", "--seed", "3"), cli.EXIT_CONSTRAINTS,
+                 id="precode-fourbyfour-q7-seed3"),
+]
+
+
+@pytest.mark.parametrize("command, network_name, options, exit_code", GOLDEN_CASES)
+def test_report_matches_golden(command, network_name, options, exit_code, request, monkeypatch, capsys):
     # goldens hold `pbna <command> --network networks/<name>.json --format json
-    # --sessions 5`, run from the repository root (the config echoes the path)
+    # --sessions 5 <options>`, run from the repository root (the config echoes the
+    # path): stdout as <id>.json, or stderr as <id>.stderr for a run that fails
     monkeypatch.chdir(REPO)
     code = cli.main([command, "--network", f"networks/{network_name}.json", "--format", "json",
-                     "--sessions", "5"])
+                     "--sessions", "5", *options])
     captured = capsys.readouterr()
-    assert code == cli.EXIT_OK, captured.err
-    assert captured.out == (GOLDEN / f"{command}-{network_name}.json").read_text(encoding="utf-8")
+    assert code == exit_code, captured.err
+    name = request.node.callspec.id
+    if exit_code == cli.EXIT_OK:
+        assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    else:
+        assert captured.out == ""
+        assert captured.err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
 
 
 def test_empty_demand_set_exits_2(tmp_path):
@@ -308,3 +325,14 @@ def test_obstruct_rejects_explicit_cycle_missing_from_interference_graph(tmp_pat
     assert captured.out == ""
     assert captured.err.startswith("error: obstruction: ")
     assert "(S3, W2)" in captured.err
+
+
+def test_readme_python_api_example_runs(monkeypatch, capsys):
+    # the package root exports what the README's example calls, and the example prints what it says
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(REPO)
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out
+    expected = code.rsplit("#", 1)[1].strip()
+    assert printed.strip() == expected == "(1, 4) 40 True"

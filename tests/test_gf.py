@@ -74,6 +74,22 @@ def test_rank_matches_minor_enumeration():
         assert gf.rank(a, q) == rank_by_minors(a.tolist(), q)
 
 
+def test_pivot_columns_count_the_rank_of_every_column_prefix():
+    rng = np.random.default_rng(19)
+    for q in (2, 5, 7):
+        for _ in range(40):
+            rows = int(rng.integers(1, 5))
+            cols = int(rng.integers(1, 7))
+            a = rng.integers(0, q, size=(rows, cols))
+            if rng.random() < 0.4:
+                a[:, int(rng.integers(cols))] = a[:, int(rng.integers(cols))]
+            pivots = gf.pivot_columns(a, q).tolist()
+            assert pivots == sorted(set(pivots)) and all(0 <= c < cols for c in pivots)
+            for c in range(1, cols + 1):
+                prefix = sum(p < c for p in pivots)
+                assert prefix == gf.rank(a[:, :c], q) == rank_by_minors(a[:, :c].tolist(), q)
+
+
 def test_solve_identity():
     x = gf.solve(np.eye(2, dtype=np.int64), [3, 4], 7)
     assert x.tolist() == [3, 4]

@@ -7,8 +7,8 @@ from gen import forest_instance, random_bipartite
 from oracles import bipartite_has_cycle_bruteforce
 
 
-def graph_of(net: Network, trials: int = 3, seed: int = 0, allow_empty: bool = True):
-    return ig.build_igraph(net, realize(net, trials, seed), allow_empty=allow_empty)
+def graph_of(net: Network, trials: int = 3, seed: int = 0):
+    return ig.build_igraph(net, realize(net, trials, seed))
 
 
 def test_fourbyfour_is_the_eight_cycle(fourbyfour):
@@ -28,9 +28,7 @@ def test_single_interference_edge():
 
 def test_empty_interference_raises_unless_allowed():
     net = Network(("S1", "D1"), (("S1", "D1"),), ("S1",), ("D1",), (frozenset({0}),))
-    with pytest.raises(ig.EmptyInterference):
-        graph_of(net, allow_empty=False)
-    g = graph_of(net, allow_empty=True)
+    g = graph_of(net)
     assert g.edges == frozenset()
     assert g.empty_destinations() == (0,)
 

@@ -7,7 +7,7 @@ import pytest
 from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
-from gen import forest_instance, fourbyfour_net, net_to_json, random_dag_net, random_multiterminal_dag
+from gen import forest_instance, fourbyfour_net, net_to_json, net_to_mapping, random_dag_net, random_multiterminal_dag
 from oracles import injection_value, mincut_by_enumeration, pair_value, transfer_by_paths
 
 
@@ -144,7 +144,7 @@ def _checked_pairs(net, oracle):
     """validate_assumptions' pair checks, each mincut asserted equal to the oracle's."""
     pairs = ng.validate_assumptions(net).pairs
     for p in pairs:
-        assert p.mincut == oracle(net, p.source, p.destination), (net.to_mapping(), p)
+        assert p.mincut == oracle(net, p.source, p.destination), (net_to_mapping(net), p)
     return pairs
 
 

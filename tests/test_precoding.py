@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -10,9 +11,10 @@ import pbna
 from pbna import gf
 from pbna import precoding as pc
 from pbna.interference import build_igraph, decompose
-from pbna.network import Network, NetworkRealization, realize
+from pbna.network import Network, realize
 from pbna.sparsify import find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net
+from oracles import verdicts_by_ranks
 
 
 def path_net() -> Network:
@@ -34,42 +36,9 @@ def star_net() -> Network:
 
 
 def build_plan(net: Network, seed: int = 0, q: int = gf.DEFAULT_Q) -> pc.PrecodingPlan:
-    graph = build_igraph(net, realize(net, 3, seed, q), allow_empty=True)
+    graph = build_igraph(net, realize(net, 3, seed, q))
     spars = find_dstar(graph, demands=net.demands)
     return pc.plan_with_resampling(net, spars, seed=seed, q=q)
-
-
-def fake_realization(q: int, values) -> NetworkRealization:
-    net = Network(("S1", "D1"), (("S1", "D1"),), ("S1",), ("D1",), (frozenset({0}),))
-    transfer = np.asarray(values, dtype=np.int64).reshape(1, 1, -1)
-    coeffs = np.zeros((transfer.shape[2], net.layout.n_coeffs), dtype=np.int64)
-    return NetworkRealization(net, q, transfer.shape[2], coeffs, transfer)
-
-
-# ---------------------------------------------------------------------------
-# signed_transfer
-
-
-def test_signed_transfer_down():
-    r = fake_realization(7, [5])
-    assert pc.signed_transfer((0, 0), "down", r, 0) == 5
-
-
-def test_signed_transfer_up_inverts():
-    r = fake_realization(7, [5])
-    assert pc.signed_transfer((0, 0), "up", r, 0) == 3  # 5 * 3 = 15 = 1 mod 7
-
-
-def test_signed_transfer_up_zero_raises():
-    r = fake_realization(7, [0])
-    with pytest.raises(pc.ZeroAtAssignment):
-        pc.signed_transfer((0, 0), "up", r, 0)
-
-
-def test_signed_transfer_bad_parity():
-    r = fake_realization(7, [5])
-    with pytest.raises(ValueError):
-        pc.signed_transfer((0, 0), "sideways", r, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +51,7 @@ def test_path_vector_follows_parity_rule():
     realization = realize(net, 2, seed=5, q=q)
     graph = build_igraph(net, realization)
     forest = decompose(graph)
-    plan = pc.build_precoding(net, forest, realization, seed=8)
+    plan = pc.build_precoding(forest, realization, seed=8)
     theta = plan.V[0]  # the root keeps its raw random vector
     for k in range(2):
         m11 = int(realization.transfer[0, 0, k])
@@ -97,7 +66,7 @@ def test_star_columns_coincide():
     net = star_net()
     realization = realize(net, 2, seed=11)
     graph = build_igraph(net, realization)
-    plan = pc.build_precoding(net, decompose(graph), realization, seed=3)
+    plan = pc.build_precoding(decompose(graph), realization, seed=3)
     q = realization.q
     cols = [realization.transfer[0, j, :] * plan.V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
@@ -123,7 +92,7 @@ def test_build_raises_on_vanishing_tree_edge():
             continue
         graph = build_igraph(net, realize(net, 6, seed=123, q=3))
         try:
-            pc.build_precoding(net, decompose(graph), realization, seed=1)
+            pc.build_precoding(decompose(graph), realization, seed=1)
         except pc.ZeroAtAssignment:
             raised += 1
     assert raised > 0
@@ -136,7 +105,7 @@ def test_zero_vector_check_survives_optimize_flag():
         "from pbna.network import Network, realize\n"
         "from pbna.precoding import build_precoding\n"
         "net = Network(('S1', 'D1'), (('S1', 'D1'),), ('S1',), ('D1',), (frozenset({0}),))\n"
-        "build_precoding(net, ForestDecomposition((), ()), realize(net, 2, 0), 0)\n"
+        "build_precoding(ForestDecomposition((), ()), realize(net, 2, 0), 0)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pbna.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
@@ -172,9 +141,69 @@ def test_corrupted_vector_fails_verification():
     bad_v = plan.V.copy()
     bad_v[1, 0] = (bad_v[1, 0] + 1) % realization.q
     plan.V = bad_v
-    verdicts = pc.verify_alignment(plan, realization, net, plan.new_demands, plan.new_interference)
+    verdicts = pc.verify_alignment(plan, plan.new_demands, plan.new_interference)
     assert any(v.dim_w > 1 or v.dim_intersection > 0 for v in verdicts)
     assert not all(v.ok for v in verdicts)
+
+
+def corrupted_vectors(plan: pc.PrecodingPlan, kind: int, rng: np.random.Generator) -> np.ndarray:
+    """A copy of plan.V broken at one destination so that verification must fail there.
+
+    kind 1 nudges one interferer's vector (interference spans two dimensions),
+    kind 2 aligns an interferer with a decoded source (the spans intersect),
+    kind 3 aligns two decoded sources or zeroes the only one (dim_u drops),
+    kind 4 draws every vector from {0, 1, 2}.  Kind 0 leaves V as it is.
+    """
+    r = plan.realization
+    q = r.q
+    V = plan.V.copy()
+    i = int(rng.integers(r.network.n_destinations))
+    desired = sorted(plan.new_demands[i])
+    interf = sorted(plan.new_interference[i])
+
+    def aligned_with(d, j):
+        # V_j with diag(m_ij) V_j = diag(m_id) V_d; relevant transfer values are nonzero on a verified plan
+        inv = np.array([pow(int(m), q - 2, q) for m in r.transfer[i, j]], dtype=np.int64)
+        return r.transfer[i, d] * V[d] % q * inv % q
+
+    if kind == 1 and len(interf) >= 2:
+        j = interf[int(rng.integers(len(interf)))]
+        V[j, int(rng.integers(plan.n))] += 1 + int(rng.integers(q - 1))
+    elif kind == 2 and interf:
+        j = interf[int(rng.integers(len(interf)))]
+        V[j] = aligned_with(desired[int(rng.integers(len(desired)))], j)
+    elif kind == 3:
+        if len(desired) >= 2:
+            d, j = rng.choice(desired, size=2, replace=False)
+            V[j] = aligned_with(int(d), int(j))
+        else:
+            V[desired[0]] = 0
+    elif kind == 4:
+        V = rng.integers(0, 3, size=V.shape, dtype=np.int64)
+    return V % q
+
+
+def test_verdicts_match_four_rank_oracle():
+    rng = np.random.default_rng(53)
+    bases = [build_plan(fourbyfour_net(), seed=s) for s in range(4)]
+    bases.append(build_plan(fourbyfour_net(), seed=1, q=31))
+    while len(bases) < 45:
+        net, _ = forest_instance(rng)
+        bases.append(build_plan(net, seed=int(rng.integers(2**31))))
+    seen = {"dim_w > 1": 0, "dim_int > 0": 0, "dim_u < |desired|": 0}
+    plans = 0
+    for base in bases:
+        for kind in range(5):
+            plan = dataclasses.replace(base, V=corrupted_vectors(base, kind, rng))
+            got = pc.verify_alignment(plan, plan.new_demands, plan.new_interference)
+            assert got == verdicts_by_ranks(plan, plan.new_demands, plan.new_interference)
+            plans += 1
+            for v in got:
+                seen["dim_w > 1"] += v.dim_w > 1
+                seen["dim_int > 0"] += v.dim_intersection > 0
+                seen["dim_u < |desired|"] += v.dim_u < len(plan.new_demands[v.destination])
+    assert plans >= 200
+    assert min(seen.values()) >= 10, seen
 
 
 def test_decode_matrix_full_rank_on_success():
@@ -262,15 +291,15 @@ def test_root_choice_does_not_change_verdicts():
     realization = realize(net, 2, seed=31)
     graph = build_igraph(net, realization)
     default_forest = decompose(graph)
-    plan_a = pc.build_precoding(net, default_forest, realization, seed=1)
+    plan_a = pc.build_precoding(default_forest, realization, seed=1)
     sets = (net.demands[0] | set(), )  # demanded set unchanged, no extra decode
     new_demands = (net.demands[0],)
     new_interference = (frozenset(graph.interferers(0)),)
-    verdicts_a = pc.verify_alignment(plan_a, realization, net, new_demands, new_interference)
+    verdicts_a = pc.verify_alignment(plan_a, new_demands, new_interference)
     for other_root in (1, 2):
         forest_b = decompose(graph, roots={0: other_root})
-        plan_b = pc.build_precoding(net, forest_b, realization, seed=1)
-        verdicts_b = pc.verify_alignment(plan_b, realization, net, new_demands, new_interference)
+        plan_b = pc.build_precoding(forest_b, realization, seed=1)
+        verdicts_b = pc.verify_alignment(plan_b, new_demands, new_interference)
         assert verdicts_a == verdicts_b
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pbna import kernels
 from pbna import simulate as sim
-from pbna.interference import ForestDecomposition, build_igraph
+from pbna.interference import build_igraph
 from pbna.network import Network, realize
 from pbna.precoding import PrecodingPlan, plan_with_resampling
 from pbna.sparsify import find_dstar
@@ -14,7 +14,7 @@ from oracles import propagate_symbols_by_edges
 
 
 def build_plan(net, seed=0):
-    graph = build_igraph(net, realize(net, 3, seed), allow_empty=True)
+    graph = build_igraph(net, realize(net, 3, seed))
     spars = find_dstar(graph, demands=net.demands)
     return plan_with_resampling(net, spars, seed=seed)
 
@@ -31,7 +31,7 @@ def l2_forest_net() -> Network:
 
 def test_all_zero_messages_decode_to_zero(fourbyfour):
     plan = build_plan(fourbyfour)
-    trace = sim.run_session(fourbyfour, plan.realization, plan, np.zeros((1, 4), dtype=np.int64))
+    trace = sim.run_session(plan, np.zeros((1, 4), dtype=np.int64))
     assert (trace.received == 0).all()
     assert trace.success == (True,) * 4
     for i in range(4):
@@ -47,11 +47,10 @@ def test_single_edge_smoke_with_handmade_plan():
         n=1,
         V=np.ones((1, 1), dtype=np.int64),
         realization=realization,
-        forest=ForestDecomposition((), ()),
         new_demands=(frozenset({0}),),
         new_interference=(frozenset(),),
     )
-    trace = sim.run_session(net, realization, plan, [[123456]])
+    trace = sim.run_session(plan, [[123456]])
     assert trace.decoded[0][0].tolist() == [123456]
     assert trace.success == (True,)
 
@@ -60,7 +59,7 @@ def test_hundred_random_tuples_all_decode(fourbyfour):
     plan = build_plan(fourbyfour)
     rng = np.random.default_rng(5)
     msg = rng.integers(0, plan.realization.q, size=(100, 4), dtype=np.int64)
-    trace = sim.run_session(fourbyfour, plan.realization, plan, msg)
+    trace = sim.run_session(plan, msg)
     assert len(trace.success) == 400 and all(trace.success)
     for i in range(4):
         assert sorted(trace.decoded[i]) == sorted(plan.new_demands[i])
@@ -74,7 +73,7 @@ def test_received_matches_algebraic_model(fourbyfour):
     q = realization.q
     rng = np.random.default_rng(17)
     msg = rng.integers(0, q, size=(3, 4), dtype=np.int64)
-    trace = sim.run_session(fourbyfour, realization, plan, msg)
+    trace = sim.run_session(plan, msg)
     for s in range(3):
         for i in range(4):
             expect = np.zeros(plan.n, dtype=np.int64)
@@ -131,18 +130,19 @@ def test_session_blocks_match_single_session_batches(fourbyfour, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(kernels, "propagate", counted)
-    batch = sim.run_session(fourbyfour, realization, plan, msg)
+    batch = sim.run_session(plan, msg)
     assert calls == [sim.SESSION_BLOCK, 44]
     assert all(batch.success)
     for s in range(len(msg)):
-        one = sim.run_session(fourbyfour, realization, plan, msg[s:s + 1])
+        one = sim.run_session(plan, msg[s:s + 1])
         assert np.array_equal(batch.messages[s], one.messages[0])
-        assert np.array_equal(batch.transmitted[s], one.transmitted[0])
         assert np.array_equal(batch.received[s], one.received[0])
         for i in range(4):
             assert batch.decoded[i].keys() == one.decoded[i].keys()
             assert all(batch.decoded[i][j][s] == one.decoded[i][j][0] for j in one.decoded[i])
         assert batch.success[4 * s:4 * s + 4] == one.success
+    transmitted = batch.messages[:, :, None] * plan.V % realization.q
+    assert np.array_equal(batch.received, sim.propagate_symbols(fourbyfour, realization, transmitted))
 
 
 def test_receive_is_linear_in_messages(fourbyfour):
@@ -152,7 +152,7 @@ def test_receive_is_linear_in_messages(fourbyfour):
     rng = np.random.default_rng(31)
     z1 = rng.integers(0, q, size=4, dtype=np.int64)
     z2 = rng.integers(0, q, size=4, dtype=np.int64)
-    t = sim.run_session(fourbyfour, realization, plan, np.stack([z1, z2, (z1 + z2) % q]))
+    t = sim.run_session(plan, np.stack([z1, z2, (z1 + z2) % q]))
     assert np.array_equal(t.received[2], (t.received[0] + t.received[1]) % q)
 
 
@@ -160,7 +160,7 @@ def test_rate_report_forest_is_one_over_l_plus_one():
     net = l2_forest_net()
     plan = build_plan(net)
     assert plan.n == 3  # L = 2, d* = 0
-    trace = sim.run_session(net, plan.realization, plan, seeded_messages(net, plan.realization.q, range(10)))
+    trace = sim.run_session(plan, seeded_messages(net, plan.realization.q, range(10)))
     report = sim.rate_report(trace, plan)
     assert report.per_source_rate == (1, 3)
     assert report.success_fraction == 1.0
@@ -171,7 +171,7 @@ def test_rate_report_forest_is_one_over_l_plus_one():
 
 def test_rate_report_fourbyfour(fourbyfour):
     plan = build_plan(fourbyfour)
-    trace = sim.run_session(fourbyfour, plan.realization, plan, seeded_messages(fourbyfour, plan.realization.q, range(5)))
+    trace = sim.run_session(plan, seeded_messages(fourbyfour, plan.realization.q, range(5)))
     report = sim.rate_report(trace, plan)
     assert report.per_source_rate == (1, 4)
     assert report.sum_rate == (4, 4)
@@ -181,7 +181,7 @@ def test_rate_report_fourbyfour(fourbyfour):
 
 def test_rate_report_empty_traces(fourbyfour):
     plan = build_plan(fourbyfour)
-    trace = sim.run_session(fourbyfour, plan.realization, plan, np.zeros((0, 4), dtype=np.int64))
+    trace = sim.run_session(plan, np.zeros((0, 4), dtype=np.int64))
     assert trace.received.shape == (0, 4, plan.n) and trace.success == ()
     report = sim.rate_report(trace, plan)
     assert report.sessions == 0
@@ -192,12 +192,9 @@ def test_rate_report_empty_traces(fourbyfour):
 
 def test_run_session_requires_decode_sets(fourbyfour):
     realization = realize(fourbyfour, 4, seed=1)
-    plan = PrecodingPlan(
-        n=4, V=np.ones((4, 4), dtype=np.int64), realization=realization,
-        forest=ForestDecomposition((), ()),
-    )
+    plan = PrecodingPlan(n=4, V=np.ones((4, 4), dtype=np.int64), realization=realization)
     with pytest.raises(ValueError):
-        sim.run_session(fourbyfour, realization, plan, np.zeros((1, 4), dtype=np.int64))
+        sim.run_session(plan, np.zeros((1, 4), dtype=np.int64))
 
 
 def test_success_on_random_forest_instances():
@@ -205,7 +202,7 @@ def test_success_on_random_forest_instances():
     for _ in range(5):
         net, _ = forest_instance(rng)
         plan = build_plan(net, seed=int(rng.integers(2**31)))
-        trace = sim.run_session(net, plan.realization, plan, seeded_messages(net, plan.realization.q, range(20)))
+        trace = sim.run_session(plan, seeded_messages(net, plan.realization.q, range(20)))
         assert len(trace.success) == 20 * net.n_destinations and all(trace.success)
 
 
@@ -213,7 +210,7 @@ def first_failure_one_session_at_a_time(net, plan, msg):
     """(session, message) of the first DecodeFailure when the sessions run one per batch, in order."""
     for s in range(len(msg)):
         try:
-            sim.run_session(net, plan.realization, plan, msg[s:s + 1])
+            sim.run_session(plan, msg[s:s + 1])
         except sim.DecodeFailure as exc:
             return s, str(exc)
     return None
@@ -222,12 +219,12 @@ def first_failure_one_session_at_a_time(net, plan, msg):
 def assert_batch_fails_like_the_session_loop(net, plan, msg):
     first, text = first_failure_one_session_at_a_time(net, plan, msg)
     with pytest.raises(sim.DecodeFailure) as info:
-        sim.run_session(net, plan.realization, plan, msg)
+        sim.run_session(plan, msg)
     assert str(info.value) == text
     # the batch of the sessions before it decodes, and adding the failing one raises the same
-    sim.run_session(net, plan.realization, plan, msg[:first])
+    sim.run_session(plan, msg[:first])
     with pytest.raises(sim.DecodeFailure, match=f"^{text}$"):
-        sim.run_session(net, plan.realization, plan, msg[:first + 1])
+        sim.run_session(plan, msg[:first + 1])
     return first, text
 
 
