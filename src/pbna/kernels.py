@@ -1,6 +1,7 @@
 """Hot numeric kernels: exact mod-q row reduction and DAG transfer propagation.
 
-Both kernels are plain numpy with vectorized row updates.
+Both kernels are plain numpy with vectorized row updates; the row reduction
+works on a stack of matrices, so one call serves many small systems.
 
 All arrays are int64 with entries in [0, q) for a prime q < 2**31 (enforced
 by ``gf.check_modulus``), so any product of two entries fits in int64 and
@@ -13,32 +14,39 @@ import numpy as np
 
 
 def row_reduce(a, q, pivots):
-    """In-place reduced row echelon form of ``a`` modulo q; returns the rank.
+    """In-place reduced row echelon form of every matrix in the stack ``a`` modulo q.
 
-    ``pivots[r]`` receives the pivot column of pivot row r (rows beyond the
-    rank are left untouched, callers should pre-fill with -1).
+    ``a`` is (B, rows, cols); each column step finds every matrix's pivot row,
+    then swaps, normalizes and eliminates in all of them at once.
+    ``pivots[b, r]`` receives the pivot column of pivot row r of matrix b
+    (entries beyond its rank are left untouched, callers should pre-fill with
+    -1).  Returns the (B,) ranks.
     """
-    rows, cols = a.shape
-    r = 0
+    n_items, rows, cols = a.shape
+    rank = np.zeros(n_items, dtype=np.int64)
+    row_ids = np.arange(rows)
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+        # a row at or below the item's rank with a nonzero entry in column c
+        cand = (a[:, :, c] != 0) & (row_ids[None, :] >= rank[:, None])
+        items = np.flatnonzero(cand.any(axis=1))
+        if items.size == 0:
             continue
-        piv = r + int(nz[0])
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, c]), q - 2, q)
-        a[r] = a[r] * inv % q
-        factors = a[:, c].copy()
-        factors[r] = 0
-        hit = np.nonzero(factors)[0]
-        if hit.size:
-            a[hit] = (a[hit] - factors[hit, None] * a[r][None, :]) % q
-        pivots[r] = c
-        r += 1
-    return r
+        r = rank[items]
+        piv = cand[items].argmax(axis=1)
+        pivot_rows = a[items, piv]
+        a[items, piv] = a[items, r]
+        inv = np.array([pow(x, -1, q) for x in pivot_rows[:, c].tolist()], dtype=np.int64)
+        pivot_rows = pivot_rows * inv[:, None] % q
+        factors = a[items, :, c]
+        factors[np.arange(items.size), r] = 0
+        # (x - 0) % q == x for entries in [0, q), so rows with a zero factor come out unchanged
+        a[items] = (a[items] - factors[:, :, None] * pivot_rows[:, None, :]) % q
+        a[items, r] = pivot_rows
+        pivots[items, r] = c
+        rank[items] += 1
+        if rank.min() == rows:
+            break
+    return rank
 
 
 def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q,
@@ -80,10 +88,13 @@ def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx,
 
 
 def warmup() -> None:
-    """Run both kernels once on tiny inputs, so first-call costs stay out of timed work."""
-    a = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    piv = np.full(2, -1, dtype=np.int64)
-    row_reduce(a, 7, piv)
+    """Run both kernels once on tiny inputs, so first-call costs stay out of timed work.
+
+    The row reduction gets a stack of two, the second a one-column matrix
+    zero-padded on the right, so its multi-item path and row swap run too.
+    """
+    a = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 0]]], dtype=np.int64)
+    row_reduce(a, 7, np.full((2, 2), -1, dtype=np.int64))
     coeffs = np.ones((1, 2), dtype=np.int64)
     idx0 = np.zeros(1, dtype=np.int64)
     empty = np.zeros(0, dtype=np.int64)

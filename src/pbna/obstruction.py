@@ -97,7 +97,7 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
                 den = den * m % q
             else:
                 num = num * int(r.transfer[u[1], v[1], 0]) % q
-        evaluations.append(None if skip else num * pow(den, q - 2, q) % q)
+        evaluations.append(None if skip else num * pow(den, -1, q) % q)
 
     valid = [e for e in evaluations if e is not None]
     if len(valid) < 2:

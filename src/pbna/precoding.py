@@ -110,7 +110,7 @@ def build_precoding(forest: ForestDecomposition, realization: NetworkRealization
                     factor = transfer[node[1], parent[1]]
                 else:
                     # upward edge (this source, parent destination node): the row's inverses, nonzero by the check above
-                    factor = np.array([pow(int(m), q - 2, q) for m in transfer[parent[1], node[1]]], dtype=np.int64)
+                    factor = np.array([pow(m, -1, q) for m in transfer[parent[1], node[1]].tolist()], dtype=np.int64)
                 scale[node] = scale[parent] * factor % q
         for j in comp.x_nodes:
             V[j] = scale[("x", j)] * theta % q
@@ -132,24 +132,26 @@ def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list
     dim_u must equal the number of decoded sources, all interference must
     collapse to at most one dimension, and the two spans must intersect
     trivially; the representative full-rank test uses the smallest-index
-    interferer.  One reduction of [U | W] gives rank(U), rank([U | w_rep])
-    and rank([U | W]) as pivot counts; W gets one rank of its own.
+    interferer.  One stacked reduction of every destination's [U | W] gives
+    rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and one
+    more stacked reduction gives every rank(W).
     """
     q = plan.realization.q
+    n_dest = plan.realization.network.n_destinations
+    desired = [sorted(new_demands[i]) for i in range(n_dest)]
+    interf = [sorted(new_interference[i]) for i in range(n_dest)]
+    cols = [signal_columns(plan, i, desired[i] + interf[i]) for i in range(n_dest)]
+    all_pivots = gf.pivot_columns(gf.stack(cols), q)
+    dims_w = gf.rank(gf.stack([c[:, len(d):] for c, d in zip(cols, desired)]), q)
     verdicts = []
-    for i in range(plan.realization.network.n_destinations):
-        desired = sorted(new_demands[i])
-        interf = sorted(new_interference[i])
-        u = len(desired)
-        cols = signal_columns(plan, i, desired + interf)
-        pivots = gf.pivot_columns(cols, q)
+    for i, pivots in enumerate(all_pivots):
+        u = len(desired[i])
         dim_u = int(np.count_nonzero(pivots < u))
-        if interf:
-            dim_w = gf.rank(cols[:, u:], q)
+        dim_w = int(dims_w[i])
+        if interf[i]:
             dim_int = dim_u + dim_w - len(pivots)
             r_det_nonzero = int(np.count_nonzero(pivots <= u)) == u + 1
         else:
-            dim_w = 0
             dim_int = 0
             r_det_nonzero = dim_u == u
         ok = dim_u == u * plan.a and dim_w <= plan.b and dim_int == 0

@@ -4,8 +4,9 @@ A batch of sessions travels through the DAG together: every session's slot
 symbols are injected at the sources and propagated through the coded edges
 by the transfer kernel, and never computed from the transfer values, so each
 decode doubles as a check of the algebraic model.  The decode matrix of a
-destination is the same for every session, so each destination solves for
-all sessions in one exact reduction.
+destination is the same for every session, and every destination's system
+has the same n rows, so one exact stacked reduction decodes every
+destination for all sessions.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     ``messages`` is (S, K), one symbol per source for each of S sessions.
     Each destination solves for its decoded sources plus one aggregated
     interference coordinate (the interference columns coincide by
-    construction), then keeps the source coordinates.  A decode system
+    construction), then keeps the source coordinates; one stacked reduction
+    solves every destination's system for all sessions.  A decode system
     without a unique solution raises DecodeFailure for the first failing
     (session, destination) pair in session-major order.
     """
@@ -76,24 +78,21 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     transmitted = z[:, :, None] * plan.V[None, :, :] % q
     received = propagate_symbols(net, realization, transmitted)
 
+    n_dest = net.n_destinations
+    desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
+    # the prefix of verify_alignment's [U | W] whose full rank r_det_nonzero records
+    systems = [signal_columns(plan, i, desired[i] + sorted(plan.new_interference[i])[:1]) for i in range(n_dest)]
+    try:
+        sol = gf.solve(gf.stack(systems), received.transpose(1, 2, 0), q, widths=[a.shape[1] for a in systems])
+    except gf.SolveError as exc:
+        # solve raises for the smallest (column, system) pair: the first failing (session, destination)
+        raise DecodeFailure(f"destination D{exc.item + 1}: {exc}") from exc
     decoded = []
-    ok = np.ones((z.shape[0], net.n_destinations), dtype=bool)
-    failures = []
-    for i in range(net.n_destinations):
-        desired = sorted(plan.new_demands[i])
-        interf = sorted(plan.new_interference[i])
-        try:
-            # the prefix of verify_alignment's [U | W] whose full rank r_det_nonzero records
-            sol = gf.solve(signal_columns(plan, i, desired + interf[:1]), received[:, i, :].T, q)
-        except gf.SolveError as exc:
-            failures.append((exc.column, i, exc))
-            continue
-        got = sol[:len(desired)]
-        decoded.append(dict(zip(desired, got)))
-        ok[:, i] = (got == z[:, desired].T).all(axis=0)
-    if failures:
-        _, i, exc = min(failures, key=lambda f: f[:2])
-        raise DecodeFailure(f"destination D{i + 1}: {exc}") from exc
+    ok = np.ones((z.shape[0], n_dest), dtype=bool)
+    for i in range(n_dest):
+        got = sol[i, :len(desired[i])]
+        decoded.append(dict(zip(desired[i], got)))
+        ok[:, i] = (got == z[:, desired[i]].T).all(axis=0)
     return SessionTrace(z, received, tuple(decoded), tuple(ok.ravel().tolist()))
 
 

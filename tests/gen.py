@@ -85,15 +85,17 @@ def net_to_json(net: Network) -> str:
     return json.dumps(net_to_mapping(net), indent=2, sort_keys=True) + "\n"
 
 
-def forest_instance(rng: np.random.Generator):
+def forest_instance(rng: np.random.Generator, size: int | None = None):
     """Random groupcast network whose interference graph is a forest.
+
+    ``size`` fixes K = M; by default both are drawn small.
 
     Demanded and interfering pairs get private routes (a direct edge or a
     fresh 2-hop relay), so every connected pair has mincut exactly 1 and the
     interference pattern is exactly the generated forest.
     """
-    k_sources = int(rng.integers(2, 7))
-    m_dests = int(rng.integers(1, 7))
+    k_sources = int(rng.integers(2, 7)) if size is None else size
+    m_dests = int(rng.integers(1, 7)) if size is None else size
     l_size = int(rng.integers(1, min(3, k_sources - 1) + 1))
     demands = tuple(
         frozenset(int(x) for x in rng.choice(k_sources, size=l_size, replace=False))

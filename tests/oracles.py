@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive -- extended Euclid, Laplace expansion,
-subset enumeration, path enumeration, an edge-by-edge walk -- and shares no
-code with the implementations under test; coding coefficients are looked up
+Everything here is deliberately naive -- extended Euclid, one-matrix
+Gaussian elimination with Fermat inverses, Laplace expansion, subset
+enumeration, path enumeration, an edge-by-edge walk -- and shares no code
+with the implementations under test; coding coefficients are looked up
 through the network's layout index arrays.  Two exceptions count components with the
 package's traversal layer: ``independence_check``, a membership predicate
 for the matroids find_dstar intersects, and ``augment_by_component_counts``,
@@ -33,6 +34,35 @@ def egcd_inverse(a: int, q: int) -> int:
         old_s, s = s, old_s - quot * s
     assert old_r == 1, "not invertible"
     return old_s % q
+
+
+def row_reduce_one(a, q, pivots):
+    """In-place reduced row echelon form of ``a`` modulo q; returns the rank.
+
+    ``pivots[r]`` receives the pivot column of pivot row r (rows beyond the
+    rank are left untouched, callers should pre-fill with -1).
+    """
+    rows, cols = a.shape
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(a[r:, c])[0]
+        if nz.size == 0:
+            continue
+        piv = r + int(nz[0])
+        if piv != r:
+            a[[r, piv]] = a[[piv, r]]
+        inv = pow(int(a[r, c]), q - 2, q)
+        a[r] = a[r] * inv % q
+        factors = a[:, c].copy()
+        factors[r] = 0
+        hit = np.nonzero(factors)[0]
+        if hit.size:
+            a[hit] = (a[hit] - factors[hit, None] * a[r][None, :]) % q
+        pivots[r] = c
+        r += 1
+    return r
 
 
 def det_mod(rows, q: int) -> int:

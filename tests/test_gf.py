@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pbna import gf, kernels
-from oracles import egcd_inverse, rank_by_minors
+from oracles import egcd_inverse, rank_by_minors, row_reduce_one
 
 
 def test_field_new_rejects_composite():
@@ -161,12 +161,124 @@ def test_solve_columns_match_one_at_a_time():
     assert min(seen.values()) >= 10, seen
 
 
+def test_euclid_inverse_matches_fermat():
+    for q in (2, 3, 5, 7, 31, 251):
+        for x in range(1, q):
+            assert pow(x, -1, q) == pow(x, q - 2, q)
+    q = gf.DEFAULT_Q
+    for x in np.random.default_rng(53).integers(1, q, size=1000).tolist():
+        assert pow(x, -1, q) == pow(x, q - 2, q)
+
+
+def _ragged_items(rng, q):
+    """Matrices with one row count and ragged widths: all-zero, rank-deficient, tall and wide ones."""
+    rows = int(rng.integers(1, 7))
+    items = []
+    for _ in range(int(rng.integers(1, 7))):
+        a = rng.integers(0, q, size=(rows, int(rng.integers(0, 9))))
+        kind = rng.random()
+        if kind < 0.15:
+            a[:] = 0
+        elif kind < 0.5 and a.shape[1] >= 2:
+            # a repeated column, or a row that is a multiple of another
+            if rng.random() < 0.5:
+                a[:, int(rng.integers(a.shape[1]))] = a[:, int(rng.integers(a.shape[1]))]
+            elif rows >= 2:
+                a[int(rng.integers(rows))] = a[int(rng.integers(rows))] * int(rng.integers(0, q)) % q
+        items.append(a)
+    return items
+
+
+def test_stacked_row_reduce_matches_one_at_a_time():
+    rng = np.random.default_rng(59)
+    seen = {"zero": 0, "deficient": 0, "tall": 0, "wide": 0, "padded": 0}
+    for q in (2, 3, 7, gf.DEFAULT_Q):
+        for _ in range(60):
+            items = _ragged_items(rng, q)
+            stack = gf.stack(items)
+            width = stack.shape[2]
+            pivots = np.full(stack.shape[:2], -1, dtype=np.int64)
+            ranks = kernels.row_reduce(stack, q, pivots)
+            assert ranks.shape == (len(items),)
+            for b, a in enumerate(items):
+                one = a.copy()
+                piv = np.full(a.shape[0], -1, dtype=np.int64)
+                rank = row_reduce_one(one, q, piv)
+                assert ranks[b] == rank
+                assert pivots[b].tolist() == piv.tolist()
+                assert stack[b, :, :a.shape[1]].tolist() == one.tolist()
+                assert not stack[b, :, a.shape[1]:].any()
+                seen["zero"] += not a.any()
+                seen["deficient"] += 0 < rank < min(a.shape)
+                seen["tall"] += a.shape[0] > a.shape[1]
+                seen["wide"] += a.shape[0] < a.shape[1]
+                seen["padded"] += a.shape[1] < width
+    assert min(seen.values()) >= 20, seen
+
+
+def _solve_alone(a, y, q):
+    try:
+        return gf.solve(a, y, q)
+    except gf.SolveError as exc:
+        return exc
+
+
+def test_stacked_solve_raises_like_one_system_at_a_time():
+    # Each system is full rank and consistent, rank-deficient, or leaves the span from
+    # some right-hand side on.  The stack raises what the first failing (column, system)
+    # pair raises alone, and otherwise returns every system's solution, zero-padded.
+    rng = np.random.default_rng(61)
+    seen = {"ok": 0, "RankDeficient": 0, "NoSolution at 0": 0, "NoSolution later": 0, "later system": 0}
+    for _ in range(300):
+        q = int(rng.choice([2, 5, 7, gf.DEFAULT_Q]))
+        rows = int(rng.integers(2, 6))
+        n_rhs = int(rng.integers(1, 5))
+        items, rhs = [], []
+        for _ in range(int(rng.integers(1, 5))):
+            a = rng.integers(0, q, size=(rows, int(rng.integers(1, rows + 1))))
+            kind = rng.random()
+            if kind < 0.25 and a.shape[1] >= 2:
+                a[:, -1] = a[:, 0]
+            y = (a.astype(object) @ rng.integers(0, q, size=(a.shape[1], n_rhs)).astype(object) % q).astype(np.int64)
+            if kind > 0.6:
+                y[:, int(rng.integers(n_rhs)):] = rng.integers(0, q, size=(rows, 1))
+            items.append(a)
+            rhs.append(y)
+        stack, y = gf.stack(items), np.stack(rhs)
+        widths = [a.shape[1] for a in items]
+        alone = [_solve_alone(a, yb, q) for a, yb in zip(items, rhs)]
+        failed = sorted((r.column, b) for b, r in enumerate(alone) if isinstance(r, Exception))
+        if not failed:
+            x = gf.solve(stack, y, q, widths=widths)
+            assert x.shape == (len(items), stack.shape[2], n_rhs)
+            for b, r in enumerate(alone):
+                assert x[b, :widths[b]].tolist() == r.tolist()
+                assert not x[b, widths[b]:].any()
+            one_rhs = gf.solve(stack, y[:, :, 0], q, widths=widths)
+            assert one_rhs.tolist() == x[:, :, 0].tolist()
+            seen["ok"] += 1
+            continue
+        column, b = failed[0]
+        want = alone[b]
+        with pytest.raises(type(want)) as info:
+            gf.solve(stack, y, q, widths=widths)
+        assert str(info.value) == str(want)
+        assert (info.value.column, info.value.item) == (column, b)
+        if isinstance(want, gf.RankDeficient):
+            seen["RankDeficient"] += 1
+        else:
+            seen["NoSolution later" if column else "NoSolution at 0"] += 1
+        seen["later system"] += b > 0
+    assert min(seen.values()) >= 10, seen
+
+
 def test_row_reduce_no_int64_overflow_near_modulus():
-    # worst-case entries (q-1) with the largest supported modulus
+    # worst-case entries (q-1) with the largest supported modulus, in a stack with a padded item
     q = 2147483647
-    a = np.full((4, 4), q - 1, dtype=np.int64)
-    a[0, 0] = 1
-    piv = np.full(4, -1, dtype=np.int64)
-    r = kernels.row_reduce(a.copy(), q, piv)
-    assert 1 <= r <= 4
+    a = np.full((2, 4, 4), q - 1, dtype=np.int64)
+    a[0, 0, 0] = 1
+    a[1, :, 3] = 0
+    piv = np.full((2, 4), -1, dtype=np.int64)
+    r = kernels.row_reduce(a, q, piv)
+    assert ((1 <= r) & (r <= 4)).all()
     assert ((a >= 0) & (a < q)).all()

@@ -7,7 +7,7 @@ from pbna import kernels
 from pbna import simulate as sim
 from pbna.interference import build_igraph
 from pbna.network import Network, realize
-from pbna.precoding import PrecodingPlan, plan_with_resampling
+from pbna.precoding import PrecodingPlan, plan_with_resampling, verify_alignment
 from pbna.sparsify import find_dstar
 from gen import forest_instance, random_dag_net, random_multiterminal_dag, seeded_messages
 from oracles import propagate_symbols_by_edges
@@ -204,6 +204,26 @@ def test_success_on_random_forest_instances():
         plan = build_plan(net, seed=int(rng.integers(2**31)))
         trace = sim.run_session(plan, seeded_messages(net, plan.realization.q, range(20)))
         assert len(trace.success) == 20 * net.n_destinations and all(trace.success)
+
+
+@pytest.mark.parametrize("which", ["fourbyfour", "forest_k12"])
+def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfour, monkeypatch):
+    net = fourbyfour if which == "fourbyfour" else forest_instance(np.random.default_rng(67), size=12)[0]
+    plan = build_plan(net)
+    msg = seeded_messages(net, plan.realization.q, range(10))
+    calls = []
+    original = kernels.row_reduce
+
+    def counting(a, q, pivots):
+        calls.append(a.shape)
+        return original(a, q, pivots)
+
+    monkeypatch.setattr(kernels, "row_reduce", counting)
+    verdicts = verify_alignment(plan, plan.new_demands, plan.new_interference)
+    assert len(calls) == 2 and all(v.ok for v in verdicts)
+    trace = sim.run_session(plan, msg)
+    assert len(calls) == 3 and all(trace.success)
+    assert [shape[0] for shape in calls] == [net.n_destinations] * 3
 
 
 def first_failure_one_session_at_a_time(net, plan, msg):
