@@ -13,6 +13,7 @@ unique solution, or a decode ran but recovered the wrong message).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -61,10 +62,11 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_modulus(self.q)
-        for name, low in (("seed", 0), ("max_attempts", 1), ("zero_test_trials", 1), ("ratio_trials", 2),
-                          ("sessions", 1)):
+        for name, flag, low in (("seed", "--seed", 0), ("max_attempts", "--attempts", 1),
+                                ("zero_test_trials", "--zero-trials", 1), ("ratio_trials", "--ratio-trials", 2),
+                                ("sessions", "--sessions", 1)):
             if getattr(self, name) < low:
-                raise ConfigError(f"--{name.replace('_', '-')} must be at least {low}")
+                raise ConfigError(f"{flag} must be at least {low}")
 
 
 def _src(j: int) -> str:
@@ -237,12 +239,88 @@ def _text_obstruction(section: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON emission: the text of json.dumps(obj, indent=2, sort_keys=True), with every run of
+# flat containers encoded by the C encoder, which json.dumps drops whenever indent is set
+
+
+_CONTAINERS = (list, tuple, dict)
+
+
+@functools.cache
+def _c_encode(depth: int):
+    """C-encoder ``encode`` whose item separator starts a new line at ``depth`` levels of indent."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _is_flat(obj) -> bool:
+    """A non-empty container none of whose children is a container."""
+    return bool(obj) and not any(isinstance(v, _CONTAINERS) for v in (obj.values() if isinstance(obj, dict) else obj))
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` at ``depth`` levels of indent.
+
+    Dict keys must be strings, as they are in every report.
+    """
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return _compact_text(obj)
+    if _is_flat(obj):
+        return _flat_text(obj, depth)
+    if not isinstance(obj, dict):
+        kind = dict if isinstance(obj[0], dict) else (list, tuple)
+        if all(isinstance(v, kind) and _is_flat(v) for v in obj):
+            return _flat_run_text(obj, depth)
+    return _nested_text(obj, depth)
+
+
+def _compact_text(obj) -> str:
+    """A scalar or an empty container."""
+    return _c_encode(0)(obj)
+
+
+def _flat_text(obj, depth: int) -> str:
+    """A container of scalars: one C call, then the line breaks after and before its brackets."""
+    text = _c_encode(depth + 1)(obj)
+    return text[0] + "\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + text[-1]
+
+
+def _flat_run_text(items, depth: int) -> str:
+    """A list of flat containers of one kind (all dicts, or all lists): one C call for the whole run.
+
+    The C text separates both the items and their children with ",\n" and the
+    children's indent; only the items' line breaks and indents are missing.
+    ensure_ascii escapes every control character, so each raw newline comes
+    from a separator, and a separator right after a closing bracket lies
+    between two items, since no scalar's text ends in one.
+    """
+    text = _c_encode(depth + 2)(items)
+    open_, close = text[1], text[-2]
+    item_indent, child_indent = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    body = text[2:-2].replace(close + "," + child_indent + open_,
+                              item_indent + close + "," + item_indent + open_ + child_indent)
+    return ("[" + item_indent + open_ + child_indent + body + item_indent + close
+            + "\n" + "  " * depth + "]")
+
+
+def _nested_text(obj, depth: int) -> str:
+    """Any other container: one line per child, each child emitted by ``_json_text``."""
+    indent = "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict):
+        lines = (_compact_text(key) + ": " + _json_text(obj[key], depth + 1) for key in sorted(obj))
+        open_, close = "{", "}"
+    else:
+        lines = (_json_text(v, depth + 1) for v in obj)
+        open_, close = "[", "]"
+    return open_ + indent + ("," + indent).join(lines) + "\n" + "  " * depth + close
+
+
+# ---------------------------------------------------------------------------
 # shared stage runners
 
 
 def _emit(cfg: RunConfig, report: dict, text: str) -> None:
     if cfg.fmt == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = _json_text(report) + "\n"
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if cfg.out:
@@ -444,7 +522,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call and shared by later ones."""
     parser = argparse.ArgumentParser(prog="pbna", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -105,10 +105,13 @@ def stack(mats) -> np.ndarray:
     return out
 
 
-def _reduce(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce the stack ``a`` in place; returns its (B, rows) pivot table and (B,) ranks."""
+def _reduce(a: np.ndarray, q: int, pivot_cols=None) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the stack ``a`` in place, pivoting on its first ``pivot_cols`` columns (default: all).
+
+    Returns its (B, rows) pivot table and (B,) ranks.
+    """
     pivots = np.full(a.shape[:2], -1, dtype=np.int64)
-    return pivots, kernels.row_reduce(a, q, pivots)
+    return pivots, kernels.row_reduce(a, q, pivots, pivot_cols)
 
 
 def pivot_columns(m, q: int = DEFAULT_Q):
@@ -157,9 +160,9 @@ def solve(a, y, q: int = DEFAULT_Q, widths=None) -> np.ndarray:
         raise ValueError("right-hand side must be a vector or matrix with one row per row of A")
     widths = np.full(n_items, cols) if widths is None else np.asarray(widths, dtype=np.int64)
     aug = np.concatenate([mat, rhs.reshape(n_items, rows, -1)], axis=2)
-    pivots, _ = _reduce(aug, q)
-    rank_a = np.count_nonzero((pivots >= 0) & (pivots < cols), axis=1)
-    # the reduced rows below rank(A) are zero on A, so a column is solvable iff zero there too
+    # Pivots on A's columns only: the right-hand sides are carried along, and a column of
+    # them is solvable iff it is zero in the rows below rank(A), which are zero on A.
+    pivots, rank_a = _reduce(aug, q, cols)
     below = np.arange(rows)[None, :, None] >= rank_a[:, None, None]
     unsolvable = (aug[:, :, cols:].astype(bool) & below).any(axis=1)  # (B, s)
     deficient = (rank_a < widths) & (unsolvable.shape[1] > 0)

@@ -13,19 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 
-def row_reduce(a, q, pivots):
+def row_reduce(a, q, pivots, pivot_cols=None):
     """In-place reduced row echelon form of every matrix in the stack ``a`` modulo q.
 
     ``a`` is (B, rows, cols); each column step finds every matrix's pivot row,
-    then swaps, normalizes and eliminates in all of them at once.
-    ``pivots[b, r]`` receives the pivot column of pivot row r of matrix b
-    (entries beyond its rank are left untouched, callers should pre-fill with
-    -1).  Returns the (B,) ranks.
+    then swaps, normalizes and eliminates in all of them at once.  Only the
+    first ``pivot_cols`` columns (default: all) may hold pivots; row
+    operations still span every column, so the rest are carried along as
+    right-hand sides.  ``pivots[b, r]`` receives the pivot column of pivot row
+    r of matrix b (entries beyond its rank are left untouched, callers should
+    pre-fill with -1).  Returns the (B,) ranks.
     """
     n_items, rows, cols = a.shape
     rank = np.zeros(n_items, dtype=np.int64)
     row_ids = np.arange(rows)
-    for c in range(cols):
+    for c in range(cols if pivot_cols is None else pivot_cols):
         # a row at or below the item's rank with a nonzero entry in column c
         cand = (a[:, :, c] != 0) & (row_ids[None, :] >= rank[:, None])
         items = np.flatnonzero(cand.any(axis=1))

@@ -9,7 +9,8 @@ package's traversal layer: ``independence_check``, a membership predicate
 for the matroids find_dstar intersects, and ``augment_by_component_counts``,
 the exchange-graph augmentation with one component count per arc test.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
-call, to check verify_alignment's reading of them off one reduction.
+call, to check verify_alignment's reading of them off one reduction, and
+``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
 """
 
 from __future__ import annotations
@@ -63,6 +64,37 @@ def row_reduce_one(a, q, pivots):
         pivots[r] = c
         r += 1
     return r
+
+
+def solve_full_width(a, y, q: int, widths):
+    """``gf.solve`` on a (B, rows, cols) stack and (B, rows, s) right-hand sides, one system at a time.
+
+    Each [A | Y] is reduced over its full width, right-hand sides included, by
+    ``row_reduce_one``; returns x as (B, cols, s) or raises the error of the
+    first failing (column, system) pair.
+    """
+    n_items, rows, cols = a.shape
+    x = np.zeros((n_items, cols, y.shape[2]), dtype=np.int64)
+    failures = []
+    for b in range(n_items):
+        aug = np.concatenate([a[b], y[b]], axis=1) % q
+        piv = np.full(rows, -1, dtype=np.int64)
+        row_reduce_one(aug, q, piv)
+        rank_a = int(np.count_nonzero((piv >= 0) & (piv < cols)))
+        bad = [s for s in range(y.shape[2]) if aug[rank_a:, cols + s].any()]
+        if rank_a < widths[b] and y.shape[2]:
+            failures.append((0, b, rank_a, bool(bad and bad[0] == 0)))
+        elif bad:
+            failures.append((bad[0], b, rank_a, True))
+        else:
+            for r in range(rank_a):
+                x[b, piv[r]] = aug[r, cols:]
+    if failures:
+        column, b, rank_a, outside_span = min(failures)
+        if not outside_span:
+            raise gf.RankDeficient(f"matrix has column rank {rank_a} < {widths[b]}", 0, b)
+        raise gf.NoSolution("right-hand side is not in the column span", column, b)
+    return x
 
 
 def det_mod(rows, q: int) -> int:

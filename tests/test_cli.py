@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pbna import cli, network, obstruction, precoding
-from gen import adversarial_net, net_to_json
+from gen import adversarial_net, forest_instance, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
@@ -269,13 +271,14 @@ def test_internal_value_error_is_not_reported_as_config(monkeypatch):
         cli.main(["pipeline", "--network", str(FOREST)])
 
 
-@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0")])
+@pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0"),
+                                           ("--attempts", "0"), ("--zero-trials", "0")])
 def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):
     code = cli.main(["obstruct", "--network", str(FOURBYFOUR), option, value])
     captured = capsys.readouterr()
     assert code == cli.EXIT_PARSE
     assert captured.out == ""
-    assert captured.err.startswith("error: config: ")
+    assert captured.err.startswith(f"error: config: {option} must be at least ")
 
 
 def test_pipeline_draws_one_zero_function_probe(monkeypatch, capsys):
@@ -336,3 +339,75 @@ def test_readme_python_api_example_runs(monkeypatch, capsys):
     printed = capsys.readouterr().out
     expected = code.rsplit("#", 1)[1].strip()
     assert printed.strip() == expected == "(1, 4) 40 True"
+
+
+_FUZZ_CHARS = 'ab{}[],:"\\\n\t\x00 \u00e9\u20ac\u2028\U0001f600'
+_EMITTER_BRANCHES = ("_compact_text", "_flat_text", "_flat_run_text", "_nested_text")
+
+
+def _fuzz_scalar(rng: random.Random):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, rng.uniform(-1e6, 1e6)])
+    if kind == 2:
+        return rng.randrange(-10**20, 10**20)
+    return rng.choice([True, False, None])
+
+
+def _fuzz_flat(rng: random.Random, kind):
+    n = rng.randrange(1, 5)
+    if kind is dict:
+        return {"".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(4))): _fuzz_scalar(rng)
+                for _ in range(n)}
+    return kind(_fuzz_scalar(rng) for _ in range(n))
+
+
+def _fuzz_value(rng: random.Random, depth: int):
+    """A random nested value that reaches every emission branch: scalars and empty containers,
+    flat containers, runs of flat dicts or flat lists, and mixed containers."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice([_fuzz_scalar(rng), [], {}, ()])
+    if roll < 0.5:
+        return _fuzz_flat(rng, rng.choice([dict, list, tuple]))
+    n = rng.randrange(1, 5)
+    if roll < 0.7:
+        kinds = [dict] if rng.random() < 0.5 else [list, tuple]
+        run = [_fuzz_flat(rng, rng.choice(kinds)) for _ in range(n)]
+        return run if rng.random() < 0.8 else tuple(run)
+    children = [_fuzz_value(rng, depth - 1) for _ in range(n)]
+    if rng.random() < 0.5:
+        return {rng.choice(_FUZZ_CHARS) + str(t): child for t, child in enumerate(children)}
+    return children if rng.random() < 0.8 else tuple(children)
+
+
+def test_emitter_matches_json_dumps_on_random_values(monkeypatch):
+    hits = dict.fromkeys(_EMITTER_BRANCHES, 0)
+    for name in _EMITTER_BRANCHES:
+        def counting(*args, _name=name, _real=getattr(cli, name)):
+            hits[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    rng = random.Random(71)
+    for _ in range(10_000):
+        value = _fuzz_value(rng, 3)
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+    assert min(hits.values()) >= 100, hits
+
+
+def test_json_reports_match_json_dumps_on_a_k48_forest(tmp_path, monkeypatch, capsys):
+    net, _ = forest_instance(np.random.default_rng(48), size=48)
+    path = tmp_path / "forest48.json"
+    path.write_text(net_to_json(net))
+    reports = []
+    real = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj, depth=0: reports.append(obj) or real(obj, depth))
+    for command in cli._COMMANDS:
+        del reports[:]
+        code = cli.main([command, "--network", str(path), "--format", "json", "--sessions", "3"])
+        out = capsys.readouterr().out
+        assert code == cli.EXIT_OK, command
+        assert out == json.dumps(reports[0], indent=2, sort_keys=True) + "\n", command

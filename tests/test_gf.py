@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pbna import gf, kernels
-from oracles import egcd_inverse, rank_by_minors, row_reduce_one
+from oracles import egcd_inverse, rank_by_minors, row_reduce_one, solve_full_width
 
 
 def test_field_new_rejects_composite():
@@ -270,6 +270,44 @@ def test_stacked_solve_raises_like_one_system_at_a_time():
             seen["NoSolution later" if column else "NoSolution at 0"] += 1
         seen["later system"] += b > 0
     assert min(seen.values()) >= 10, seen
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args).tolist()
+    except gf.SolveError as exc:
+        return type(exc), str(exc), exc.column, exc.item
+
+
+def test_solve_pivots_on_a_only_like_a_full_width_reduction():
+    # gf.solve pivots only on A's columns; an oracle that reduces [A | Y] over its full
+    # width must give the same x, or the same error, column and item, on consistent,
+    # inconsistent and rank-deficient stacks.
+    rng = np.random.default_rng(67)
+    seen = {"ok": 0, "NoSolution": 0, "RankDeficient": 0}
+    for _ in range(300):
+        q = int(rng.choice([2, 3, 7, gf.DEFAULT_Q]))
+        rows, n_rhs = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        items = []
+        for _ in range(int(rng.integers(1, 6))):
+            a = rng.integers(0, q, size=(rows, int(rng.integers(1, rows + 1))))
+            if rng.random() < 0.2 and a.shape[1] >= 2:
+                a[:, -1] = a[:, 0] * int(rng.integers(0, q)) % q
+            items.append(a)
+        a = gf.stack(items)
+        widths = [m.shape[1] for m in items]
+        y = (a.astype(object) @ rng.integers(0, q, size=(a.shape[2], n_rhs)).astype(object) % q).astype(np.int64)
+        if rng.random() < 0.4:
+            y[int(rng.integers(len(items))), :, int(rng.integers(n_rhs)):] = rng.integers(0, q, size=(rows, 1))
+        want = _outcome(solve_full_width, a, y, q, widths)
+        assert _outcome(gf.solve, a, y, q, widths) == want
+        seen[want[0].__name__ if isinstance(want, tuple) else "ok"] += 1
+        pivots = np.full((len(items), rows), -1, dtype=np.int64)
+        aug = np.concatenate([a, y], axis=2)
+        ranks = kernels.row_reduce(aug, q, pivots, a.shape[2])
+        assert (pivots < a.shape[2]).all()
+        assert ranks.tolist() == [gf.rank(m, q) for m in items]
+    assert min(seen.values()) >= 20, seen
 
 
 def test_row_reduce_no_int64_overflow_near_modulus():
