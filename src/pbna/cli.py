@@ -24,7 +24,7 @@ from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import CycleRatio, NotACycle, check_cycle, cycle_ratio, infeasibility_report
-from .precoding import ConstraintViolation, PrecodingPlan, plan_with_resampling
+from .precoding import A, B, ConstraintViolation, PrecodingPlan, plan_with_resampling
 from .simulate import DecodeFailure, rate_report, run_session
 from .sparsify import SparsificationResult, find_dstar
 
@@ -141,10 +141,10 @@ def _sparsification_section(spars: SparsificationResult) -> dict:
 def _precoding_section(plan: PrecodingPlan) -> dict:
     return {
         "n": plan.n,
-        "a": plan.a,
-        "b": plan.b,
+        "a": A,
+        "b": B,
         "attempts": plan.attempts,
-        "per_source_rate": f"{plan.a}/{plan.n}",
+        "per_source_rate": f"{A}/{plan.n}",
         "V": {_src(j): [int(x) for x in plan.V[j]] for j in range(plan.V.shape[0])},
         "verdicts": [
             {"destination": _dst(v.destination), "dim_u": v.dim_u, "dim_w": v.dim_w,
@@ -400,7 +400,7 @@ def cmd_igraph(cfg: RunConfig) -> int:
 def cmd_dstar(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
     graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     section = _sparsification_section(spars)
     report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "sparsification": section}
     text = _text_sparsification(section) + "\n" + json.dumps(section, sort_keys=True)
@@ -411,7 +411,7 @@ def cmd_dstar(cfg: RunConfig) -> int:
 def cmd_precode(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
     graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
     section = _precoding_section(plan)
     report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "precoding": section}
@@ -443,7 +443,7 @@ def cmd_obstruct(cfg: RunConfig) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     net = load_network_file(cfg.network_path)
     graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
     trace = _run_sessions(net, plan, cfg)
     rr = rate_report(trace, plan)
@@ -483,7 +483,7 @@ def cmd_pipeline(cfg: RunConfig) -> int:
         obs = infeasibility_report(net, ratio, graph)
         obstruction_sec = _obstruction_section(obs, ratio)
 
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
     rr = rate_report(_run_sessions(net, plan, cfg), plan)
 

@@ -16,6 +16,7 @@ from functools import cached_property
 from .network import Network, NetworkRealization
 
 NodeRef = tuple[str, int]  # ("x", source index) or ("y", destination index)
+Tree = dict[NodeRef, NodeRef | None]  # {node: parent}, the root mapped to None
 
 
 class CyclicGraph(Exception):
@@ -82,13 +83,13 @@ def _edge(u: NodeRef, v: NodeRef) -> tuple[int, int]:
     return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
 
 
-def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[NodeRef, NodeRef | None]:
+def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> Tree:
     """Breadth-first tree from ``start``, skipping the edges in ``removed``.
 
     Returns {node: parent} in visit order, the start mapped to None.
     """
     adj = g.adjacency
-    parent: dict[NodeRef, NodeRef | None] = {start: None}
+    parent: Tree = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
@@ -169,73 +170,25 @@ def has_cycle(g: InterferenceGraph) -> bool:
     return len(g.edges) > len(g.adjacency) - component_count(g)
 
 
-@dataclass(eq=False)
-class TreeComponent:
-    """One tree of the forest, with BFS levels from the chosen root source."""
-
-    x_nodes: tuple[int, ...]
-    y_nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    root: int  # source index
-    levels: tuple[tuple[NodeRef, ...], ...]
-    parent: dict  # NodeRef -> NodeRef, root excluded
-    depth: dict  # NodeRef -> int
-
-
-@dataclass(eq=False)
-class ForestDecomposition:
-    """Trees (each containing at least one source) plus isolated Y nodes."""
-
-    components: tuple[TreeComponent, ...]
-    isolated_y: tuple[int, ...]
-
-
-def decompose(g: InterferenceGraph, roots: dict[int, int] | None = None) -> ForestDecomposition:
+def decompose(g: InterferenceGraph) -> tuple[Tree, ...]:
     """Split an acyclic interference graph into rooted BFS trees.
 
-    The root of each tree defaults to its smallest source index; ``roots``
-    may override per component (keyed by that smallest index).  Raises
+    One ``_bfs`` tree per component that holds a source, rooted at its
+    smallest source, in ascending root order: a {node: parent} dict that
+    lists every node after its parent, the root mapped to None.  Components
+    without a source are single destination nodes and carry no tree.  Raises
     CyclicGraph when the graph has a cycle.
     """
-    comps = connected_components(g)
-    if len(g.edges) > len(g.adjacency) - len(comps):
+    trees: list[Tree] = []
+    seen: set[NodeRef] = set()
+    for j in range(g.n_sources):
+        if ("x", j) not in seen:
+            trees.append(_bfs(g, ("x", j)))
+            seen.update(trees[-1])
+    # every edge lies in a tree's component, and each component is a tree iff it has one edge fewer than nodes
+    if len(g.edges) > sum(len(tree) - 1 for tree in trees):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
-    components = []
-    isolated_y = []
-    for comp in comps:
-        xs = tuple(idx for kind, idx in comp if kind == "x")
-        ys = tuple(idx for kind, idx in comp if kind == "y")
-        if not xs:
-            isolated_y.extend(ys)
-            continue
-        root = min(xs)
-        if roots and root in roots:
-            root = roots[root]
-            if ("x", root) not in set(comp):
-                raise ValueError(f"root override S{root + 1} is not in this component")
-        tree = _bfs(g, ("x", root))
-        depth: dict[NodeRef, int] = {}
-        parent: dict[NodeRef, NodeRef] = {}
-        levels: list[list[NodeRef]] = []
-        for v, u in tree.items():
-            depth[v] = 0 if u is None else depth[u] + 1
-            if u is not None:
-                parent[v] = u
-            if depth[v] == len(levels):
-                levels.append([])
-            levels[depth[v]].append(v)
-        components.append(
-            TreeComponent(
-                x_nodes=xs,
-                y_nodes=ys,
-                edges=tuple(sorted(_edge(u, v) for v, u in parent.items())),
-                root=root,
-                levels=tuple(tuple(sorted(lv)) for lv in levels),
-                parent=parent,
-                depth=depth,
-            )
-        )
-    return ForestDecomposition(tuple(components), tuple(sorted(isolated_y)))
+    return tuple(trees)
 
 
 def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:

@@ -16,6 +16,7 @@ The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -116,27 +117,21 @@ class Network:
         return self._topo_order
 
     def _topological_order(self) -> tuple[str, ...]:
-        # Kahn's algorithm; ties broken by position in the nodes list so the
-        # order depends only on structure, not on node names.
-        pos = {v: i for i, v in enumerate(self.nodes)}
-        indeg = {v: 0 for v in self.nodes}
-        succ: dict[str, list[str]] = {v: [] for v in self.nodes}
-        for t, h in self.edges:
-            indeg[h] += 1
-            succ[t].append(h)
-        ready = sorted((v for v in self.nodes if indeg[v] == 0), key=pos.__getitem__)
+        # Kahn's algorithm over the arc lists (node index = position, forward
+        # arcs even); the heap hands out the ready node of smallest position,
+        # so the order depends only on structure, not on node names.
+        head, out = self.arcs.head, self.arcs.out
+        indeg = [sum(a & 1 for a in arcs) for arcs in out]
+        ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
         order: list[str] = []
         while ready:
-            v = ready.pop(0)
-            order.append(v)
-            changed = False
-            for w in succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-                    changed = True
-            if changed:
-                ready.sort(key=pos.__getitem__)
+            v = heapq.heappop(ready)
+            order.append(self.nodes[v])
+            for a in out[v]:
+                if not a & 1:
+                    indeg[head[a]] -= 1
+                    if indeg[head[a]] == 0:
+                        heapq.heappush(ready, head[a])
         if len(order) != len(self.nodes):
             raise CycleError("directed graph has a cycle")
         return tuple(order)

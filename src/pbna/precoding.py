@@ -1,27 +1,33 @@
 """Precoding vectors from interference-forest paths, and alignment verification.
 
-Operating point: one message symbol per source (a = 1), one interference
-dimension per destination (b = 1), over n = L + d* + 1 slots.  Each tree root
-gets a fresh random nonzero vector; every other source's vector is the root
-vector scaled per slot by the product of signed transfer values along the
-unique tree path to the root (plain transfer values on edges walked from an
-even BFS level down to an odd one, inverses on edges walked back up).  On
-that construction all interference columns at a destination coincide exactly,
-so verification reduces to exact rank checks at the sampled assignment;
-failures are retried with fresh randomness.
+Operating point: one message symbol per source (a = A = 1), one interference
+dimension per destination (b = B = 1), over n = L + d* + 1 slots.  Each BFS
+tree of the sparsified graph gets a fresh random nonzero vector at its root;
+every other source's vector is the root vector scaled per slot by the
+product of signed transfer values along the unique tree path to the root
+(plain transfer values on edges walked from a source down to a destination
+node, inverses on edges walked from a destination node down to a source).
+On that construction all interference columns at a destination coincide
+exactly, so verification reduces to exact rank checks at the sampled
+assignment; failures are retried with fresh randomness.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
 from .gf import DEFAULT_Q
-from .interference import ForestDecomposition, decompose
+from .interference import NodeRef, Tree, decompose
 from .network import Network, NetworkRealization, realize
 from .sparsify import SparsificationResult
+
+
+# message symbols per source and interference dimensions per destination
+A = B = 1
 
 
 class ZeroAtAssignment(Exception):
@@ -61,63 +67,66 @@ class AlignmentVerdict:
     r_det_nonzero: bool
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PrecodingPlan:
-    """Per-source precoding vectors plus the realization they were built on."""
+    """Per-source precoding vectors, the realization they were built on, and the decode sets.
 
-    n: int
+    new_demands[i] holds the sources destination i decodes (its demands plus
+    its extra-decode set) and new_interference[i] the ones that interfere
+    there; a plan from plan_with_resampling also carries its verdicts and
+    the attempt that produced it.
+    """
+
     V: np.ndarray  # (K, n), row j is the length-n vector of source j; a tree root's row is its raw random vector
     realization: NetworkRealization
-    a: int = 1
-    b: int = 1
+    new_demands: tuple[frozenset[int], ...]
+    new_interference: tuple[frozenset[int], ...]
     verdicts: tuple[AlignmentVerdict, ...] = ()
-    new_demands: tuple[frozenset[int], ...] | None = None
-    new_interference: tuple[frozenset[int], ...] | None = None
     attempts: int = 0
+
+    @property
+    def n(self) -> int:
+        return self.realization.slot_count
 
     @property
     def rate(self) -> tuple[int, int]:
         """Per-source rate as the exact fraction (a, n)."""
-        return (self.a, self.n)
+        return (A, self.n)
 
 
-def build_precoding(forest: ForestDecomposition, realization: NetworkRealization, seed: int) -> PrecodingPlan:
-    """Construct all precoding vectors for one realized assignment.
+def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, seed: int) -> np.ndarray:
+    """All precoding vectors, as the (K, n) array V, for one realized assignment.
 
-    Raises ZeroAtAssignment when any tree-edge transfer value vanishes at
-    some slot (every such value is a factor of the nonzero-certificate
-    polynomial, so the whole plan must be resampled).
+    ``forest`` holds decompose's trees; each is walked in its dict order, so
+    a node's scale is known before its children's.  Raises ZeroAtAssignment
+    when any tree-edge transfer value vanishes at some slot (every such value
+    is a factor of the nonzero-certificate polynomial, so the whole plan must
+    be resampled).
     """
     q = realization.q
     n = realization.slot_count
-    transfer = realization.transfer
     rng = np.random.default_rng(seed)
-
-    for comp in forest.components:
-        for j, i in comp.edges:
-            if (transfer[i, j, :] == 0).any():
-                raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) vanishes at the sampled assignment")
-
     V = np.zeros((realization.network.n_sources, n), dtype=np.int64)
-    for comp in forest.components:
-        theta = rng.integers(1, q, size=n, dtype=np.int64)
-        scale = {("x", comp.root): np.ones(n, dtype=np.int64)}
-        for level in comp.levels[1:]:
-            for node in level:
-                parent = comp.parent[node]
-                if node[0] == "y":
-                    # downward edge (parent source, this destination node): its transfer row
-                    factor = transfer[node[1], parent[1]]
-                else:
-                    # upward edge (this source, parent destination node): the row's inverses, nonzero by the check above
-                    factor = np.array([pow(m, -1, q) for m in transfer[parent[1], node[1]].tolist()], dtype=np.int64)
-                scale[node] = scale[parent] * factor % q
-        for j in comp.x_nodes:
-            V[j] = scale[("x", j)] * theta % q
+    for tree in forest:
+        scale: dict[NodeRef, np.ndarray] = {}
+        for node, parent in tree.items():
+            if parent is None:
+                scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
+            else:
+                i, j = (node[1], parent[1]) if node[0] == "y" else (parent[1], node[1])
+                row = realization.transfer[i, j]
+                if (row == 0).any():
+                    raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) vanishes at the sampled assignment")
+                if node[0] == "x":
+                    # walked from a destination node down to a source: the row's inverses
+                    row = np.array([pow(m, -1, q) for m in row.tolist()], dtype=np.int64)
+                scale[node] = scale[parent] * row % q
+            if node[0] == "x":
+                V[node[1]] = scale[node]
 
     if not (V != 0).any(axis=1).all():
         raise AssertionError("a precoding vector came out identically zero")
-    return PrecodingPlan(n=n, V=V, realization=realization)
+    return V
 
 
 def signal_columns(plan: PrecodingPlan, i: int, sources) -> np.ndarray:
@@ -126,8 +135,8 @@ def signal_columns(plan: PrecodingPlan, i: int, sources) -> np.ndarray:
     return (plan.realization.transfer[i, js] * plan.V[js] % plan.realization.q).T
 
 
-def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list[AlignmentVerdict]:
-    """Exact rank checks of the alignment conditions at every destination.
+def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
+    """Exact rank checks of the alignment conditions at every destination, for the plan's decode sets.
 
     dim_u must equal the number of decoded sources, all interference must
     collapse to at most one dimension, and the two spans must intersect
@@ -138,8 +147,8 @@ def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list
     """
     q = plan.realization.q
     n_dest = plan.realization.network.n_destinations
-    desired = [sorted(new_demands[i]) for i in range(n_dest)]
-    interf = [sorted(new_interference[i]) for i in range(n_dest)]
+    desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
+    interf = [sorted(plan.new_interference[i]) for i in range(n_dest)]
     cols = [signal_columns(plan, i, desired[i] + interf[i]) for i in range(n_dest)]
     all_pivots = gf.pivot_columns(gf.stack(cols), q)
     dims_w = gf.rank(gf.stack([c[:, len(d):] for c, d in zip(cols, desired)]), q)
@@ -154,7 +163,7 @@ def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list
         else:
             dim_int = 0
             r_det_nonzero = dim_u == u
-        ok = dim_u == u * plan.a and dim_w <= plan.b and dim_int == 0
+        ok = dim_u == u * A and dim_w <= B and dim_int == 0
         verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts
 
@@ -162,20 +171,18 @@ def verify_alignment(plan: PrecodingPlan, new_demands, new_interference) -> list
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:
     """Realize, precode, and verify with fresh randomness until success.
 
-    Success certifies the sampled assignment satisfies every alignment
+    Destination i decodes its demands plus its extra-decode set and sees the
+    sparsified graph's interferers at i as interference; the plan carries
+    both sets.  Success certifies the sampled assignment satisfies every alignment
     condition exactly.  Exhausting ``max_attempts`` raises
     ConstraintViolation carrying the per-attempt failure pattern -- strong
     evidence that some required determinant is identically zero.
     """
     n = net.demand_size + sparsification.d_star + 1
-    forest = decompose(sparsification.h_bar)
-    if sparsification.new_demands is not None:
-        new_demands = sparsification.new_demands
-    else:
-        new_demands = tuple(
-            net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations)
-        )
-    new_interference = sparsification.new_interference
+    h_bar = sparsification.h_bar
+    forest = decompose(h_bar)
+    new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
+    new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
     relevant = [
         (i, j)
         for i in range(net.n_destinations)
@@ -193,14 +200,10 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         if zeros:
             attempt_failures.append(("zero_at_assignment", tuple(zeros)))
             continue
-        plan = build_precoding(forest, realization, p_seed)
-        verdicts = verify_alignment(plan, new_demands, new_interference)
+        plan = PrecodingPlan(build_precoding(forest, realization, p_seed), realization, new_demands, new_interference)
+        verdicts = verify_alignment(plan)
         if all(v.ok for v in verdicts):
-            plan.verdicts = tuple(verdicts)
-            plan.new_demands = new_demands
-            plan.new_interference = new_interference
-            plan.attempts = attempt
-            return plan
+            return dataclasses.replace(plan, verdicts=tuple(verdicts), attempts=attempt)
         failed = tuple(
             (v.destination, min(new_interference[v.destination], default=-1))
             for v in verdicts

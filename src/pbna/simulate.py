@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf
 from .network import Network, NetworkRealization, propagate_inputs
-from .precoding import PrecodingPlan, signal_columns
+from .precoding import A, PrecodingPlan, signal_columns
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
@@ -66,8 +66,6 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     without a unique solution raises DecodeFailure for the first failing
     (session, destination) pair in session-major order.
     """
-    if plan.new_demands is None or plan.new_interference is None:
-        raise ValueError("plan is missing decode sets; build it via plan_with_resampling or fill them in")
     realization = plan.realization
     net = realization.network
     q = realization.q
@@ -123,14 +121,14 @@ def rate_report(trace: SessionTrace, plan: PrecodingPlan) -> RateReport:
         return RateReport(0, 0, 0, None, None, None, reference, ceiling, None)
     checks = len(trace.success)
     successes = trace.success.count(True)
-    per_source = (plan.a, plan.n)
+    per_source = plan.rate
     return RateReport(
         sessions=sessions,
         decode_checks=checks,
         successes=successes,
         success_fraction=successes / checks if checks else None,
         per_source_rate=per_source,
-        sum_rate=(k_sources * plan.a, plan.n),
+        sum_rate=(k_sources * A, plan.n),
         reference_rate=reference,
         sum_rate_ceiling=ceiling,
         matches_reference=per_source == reference,

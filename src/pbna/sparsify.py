@@ -15,6 +15,10 @@ job exactly with matroid-intersection augmenting paths (Cunningham 1986)
 before deciding that the current quota is infeasible.  The exchange graph's
 bond arcs come from bridge sets (Tarjan 1974), at most one bridge pass per
 removed edge, so an augmentation of a removal set I costs O(|I|·(V+E)).
+
+The result is the sparsified graph h_bar and each destination's
+extra-decode set; precoding.plan_with_resampling derives the decode and
+interference sets from them.
 """
 
 from __future__ import annotations
@@ -119,34 +123,30 @@ class SparsificationResult:
     """Outcome of the minimal extra-decode search.
 
     ``removed`` is the union of the per-component maximum independent sets;
-    its complement ``spanning_forest`` is a spanning tree of every component.
-    ``h_bar`` removes further spanning-forest edges until every destination
-    node has lost exactly min(d_star, degree) edges; those losses define the
-    per-destination extra-decode sets.  ``independence_checks`` counts greedy
+    the kept edges (the graph's edges minus ``removed``) form a spanning tree
+    of every component.  ``h_bar`` removes further kept edges until every
+    destination node has lost exactly min(d_star, degree) edges; those losses
+    define the per-destination extra-decode sets.  ``independence_checks`` counts greedy
     membership tests; ``augmentations`` counts the rare exact-fallback passes
     that rescued a stalled greedy scan.
     """
 
     d_star: int
     removed: frozenset[Edge]
-    spanning_forest: frozenset[Edge]
     h_bar: InterferenceGraph
     extra_decode: tuple[frozenset[int], ...]
-    new_interference: tuple[frozenset[int], ...]
-    new_demands: tuple[frozenset[int], ...] | None
     components: tuple[ComponentStats, ...]
     independence_checks: int
     augmentations: int
 
 
-def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> SparsificationResult:
+def find_dstar(g: InterferenceGraph, labeling=None) -> SparsificationResult:
     """Find d* and the sparsified acyclic graph for a (possibly disconnected) g.
 
     Each component is searched independently, iterating the quota d upward
     from max(0, ceil((f-k-m+1)/m)) until the greedy independent set reaches
     size f-k-m+1 (complement a spanning tree); d* is the maximum over
-    components.  When ``demands`` is given, the enlarged per-destination
-    decode sets are filled in alongside the extra-decode sets.
+    components.
     """
     label_order = tuple(labeling) if labeling is not None else default_labeling(g)
     if set(label_order) != set(g.edges) or len(label_order) != len(g.edges):
@@ -187,7 +187,6 @@ def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> Sparsificat
         stats.append(ComponentStats(k, m, f, d))
 
     d_star = max((s.d for s in stats), default=0)
-    spanning_forest = frozenset(g.edges - removed)
 
     # Trim: every destination node loses exactly min(d_star, degree) edges in
     # total.  Extra deletions come from the spanning forest in label order;
@@ -208,18 +207,11 @@ def find_dstar(g: InterferenceGraph, labeling=None, demands=None) -> Sparsificat
     extra = tuple(
         frozenset(j for j, ii in final_removed if ii == i) for i in range(g.n_destinations)
     )
-    new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(g.n_destinations))
-    new_demands = None
-    if demands is not None:
-        new_demands = tuple(frozenset(demands[i]) | extra[i] for i in range(g.n_destinations))
     return SparsificationResult(
         d_star=d_star,
         removed=frozenset(removed),
-        spanning_forest=spanning_forest,
         h_bar=h_bar,
         extra_decode=extra,
-        new_interference=new_interference,
-        new_demands=new_demands,
         components=tuple(stats),
         independence_checks=checks,
         augmentations=augmentations,

@@ -22,7 +22,7 @@ import numpy as np
 
 from pbna import gf
 from pbna.interference import component_count
-from pbna.precoding import AlignmentVerdict
+from pbna.precoding import A, B, AlignmentVerdict
 
 
 def egcd_inverse(a: int, q: int) -> int:
@@ -395,8 +395,8 @@ def augment_by_component_counts(g, pool, d: int, start):
             node = prev[node]
 
 
-def verdicts_by_ranks(plan, new_demands, new_interference) -> list:
-    """Alignment verdicts from four separate rank reductions per destination.
+def verdicts_by_ranks(plan) -> list:
+    """Alignment verdicts for the plan's decode sets from four separate rank reductions per destination.
 
     rank(U), rank(W), rank([U | W]) and rank([U | w_rep]) each get their own
     ``gf.rank`` call, on columns diag(m_ij) V_j built one source at a time.
@@ -405,8 +405,8 @@ def verdicts_by_ranks(plan, new_demands, new_interference) -> list:
     q = r.q
     verdicts = []
     for i in range(r.network.n_destinations):
-        desired = sorted(new_demands[i])
-        interf = sorted(new_interference[i])
+        desired = sorted(plan.new_demands[i])
+        interf = sorted(plan.new_interference[i])
         u_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in desired], axis=1)
         dim_u = gf.rank(u_cols, q)
         if interf:
@@ -419,6 +419,6 @@ def verdicts_by_ranks(plan, new_demands, new_interference) -> list:
             dim_w = 0
             dim_int = 0
             r_det_nonzero = dim_u == len(desired)
-        ok = dim_u == len(desired) * plan.a and dim_w <= plan.b and dim_int == 0
+        ok = dim_u == len(desired) * A and dim_w <= B and dim_int == 0
         verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts

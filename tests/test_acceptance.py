@@ -37,7 +37,7 @@ def criterion(num: int, summary: str):
 
 def _build_plan(net, seed):
     graph = build_igraph(net, realize(net, 3, seed, Q))
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     return graph, spars, plan_with_resampling(net, spars, max_attempts=20, seed=seed, q=Q)
 
 
@@ -147,8 +147,9 @@ def test_criterion_5_size_law_under_labelings():
                 res = find_dstar(g, labeling=tuple(labeling))
                 assert len(res.removed) == target
                 # complement is a spanning tree: correct size and acyclic
-                assert len(res.spanning_forest) == g.n_sources + g.n_destinations - 1
-                assert not has_cycle(g.replace_edges(res.spanning_forest))
+                kept = g.edges - res.removed
+                assert len(kept) == g.n_sources + g.n_destinations - 1
+                assert not has_cycle(g.replace_edges(kept))
             tested += 1
 
 
@@ -210,7 +211,7 @@ def test_criterion_9_constraint_violation_detection():
     with criterion(9, "adversarial network raises ConstraintViolation in >= 95/100 seeded runs"):
         net = adversarial_net()
         graph = build_igraph(net, realize(net, 3, 0, Q))
-        spars = find_dstar(graph, demands=net.demands)
+        spars = find_dstar(graph)
         violations = 0
         for seed in range(100):
             try:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
@@ -18,9 +19,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*args):
+    # the child imports the pbna this process imported, whether or not PYTHONPATH names it
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
     return subprocess.run(
         [sys.executable, "-m", "pbna", *args],
-        capture_output=True, text=True, cwd=REPO,
+        capture_output=True, text=True, cwd=REPO, env=env,
     )
 
 
@@ -339,6 +342,27 @@ def test_readme_python_api_example_runs(monkeypatch, capsys):
     printed = capsys.readouterr().out
     expected = code.rsplit("#", 1)[1].strip()
     assert printed.strip() == expected == "(1, 4) 40 True"
+
+
+def test_pipeline_fires_the_benchmark_trace_hooks(tmp_path, monkeypatch):
+    # pipebench's tracer wraps pipeline boundaries by module attribute and reads counters off
+    # their results; a rename or a changed result field must fail here, not only in the benchmark
+    monkeypatch.syspath_prepend(str(REPO / "pipebench"))
+    from spans import Tracer
+
+    argv = ["pipeline", "--network", str(FOURBYFOUR), "--format", "json", "--out"]
+    assert cli.main(argv + [str(tmp_path / "untraced.json")]) == cli.EXIT_OK
+    with Tracer() as tracer:
+        code = cli.main(argv + [str(tmp_path / "traced.json")])
+    assert code == cli.EXIT_OK
+    report = (tmp_path / "traced.json").read_bytes()
+    assert report == (tmp_path / "untraced.json").read_bytes()
+    counts = tracer.counters
+    for name in ("sparsify.find_dstar", "network.mincut", "obstruction.cycle_ratio", "precoding.plan"):
+        assert counts[name + "_calls"] > 0, name
+    assert counts["sparsify.d_star"] == 1
+    assert counts["precoding.attempts"] >= 1
+    assert counts["simulate.decode_checks"] == 4 * json.loads(report)["simulation"]["sessions"]
 
 
 _FUZZ_CHARS = 'ab{}[],:"\\\n\t\x00 \u00e9\u20ac\u2028\U0001f600'

@@ -51,29 +51,33 @@ def test_has_cycle_matches_bruteforce_on_random_graphs():
     assert seen_cyclic > 5
 
 
+def _depths(tree) -> dict:
+    """Depth of every node of a {node: parent} tree; a KeyError means a child came before its parent."""
+    depth = {}
+    for v, u in tree.items():
+        depth[v] = 0 if u is None else depth[u] + 1
+    return depth
+
+
 def test_decompose_single_edge():
     g = ig.InterferenceGraph(2, 1, frozenset({(1, 0)}))
-    forest = ig.decompose(g)
-    # S2-W1 tree plus the isolated source S1
-    by_root = {c.root: c for c in forest.components}
-    assert set(by_root) == {0, 1}
-    assert by_root[1].levels == ((("x", 1),), (("y", 0),))
-    assert by_root[0].levels == ((("x", 0),),)
+    # the isolated source S1, then the S2-W1 tree
+    assert [list(t.items()) for t in ig.decompose(g)] == [
+        [(("x", 0), None)],
+        [(("x", 1), None), (("y", 0), ("x", 1))],
+    ]
 
 
 def test_decompose_path():
     g = ig.InterferenceGraph(2, 1, frozenset({(0, 0), (1, 0)}))
-    forest = ig.decompose(g)
-    (comp,) = forest.components
-    assert comp.root == 0
-    assert comp.levels == ((("x", 0),), (("y", 0),), (("x", 1),))
+    (tree,) = ig.decompose(g)
+    assert list(tree.items()) == [(("x", 0), None), (("y", 0), ("x", 0)), (("x", 1), ("y", 0))]
 
 
 def test_decompose_star():
     g = ig.InterferenceGraph(3, 1, frozenset({(0, 0), (1, 0), (2, 0)}))
-    (comp,) = ig.decompose(g).components
-    assert comp.root == 0
-    assert comp.levels == ((("x", 0),), (("y", 0),), (("x", 1), ("x", 2)))
+    (tree,) = ig.decompose(g)
+    assert list(tree.items()) == [(("x", 0), None), (("y", 0), ("x", 0)), (("x", 1), ("y", 0)), (("x", 2), ("y", 0))]
 
 
 def test_decompose_rejects_cycles():
@@ -90,16 +94,19 @@ def test_decompose_partitions_nodes_and_levels_alternate():
             continue
         forest = ig.decompose(g)
         seen_x: list[int] = []
-        seen_y: list[int] = list(forest.isolated_y)
-        for comp in forest.components:
-            seen_x.extend(comp.x_nodes)
-            seen_y.extend(comp.y_nodes)
-            for depth, level in enumerate(comp.levels):
-                for kind, _ in level:
-                    assert kind == ("x" if depth % 2 == 0 else "y")
-            # every tree edge joins consecutive levels
-            for j, i in comp.edges:
-                assert abs(comp.depth[("x", j)] - comp.depth[("y", i)]) == 1
+        # destinations without an interferer form their own components and carry no tree
+        seen_y: list[int] = list(g.empty_destinations())
+        for tree in forest:
+            seen_x.extend(idx for kind, idx in tree if kind == "x")
+            seen_y.extend(idx for kind, idx in tree if kind == "y")
+            depth = _depths(tree)
+            for (kind, _), d in depth.items():
+                assert kind == ("x" if d % 2 == 0 else "y")
+            # every tree edge is a graph edge joining consecutive levels
+            for v, u in tree.items():
+                if u is not None:
+                    assert ((u[1], v[1]) if u[0] == "x" else (v[1], u[1])) in g.edges
+                    assert depth[v] == depth[u] + 1
         assert sorted(seen_x) == list(range(g.n_sources))
         assert sorted(seen_y) == list(range(g.n_destinations))
 
@@ -155,10 +162,12 @@ def test_components_discovered_in_ascending_root_order():
         g = random_bipartite(rng, max_edges=8)
         if ig.has_cycle(g):
             continue
-        roots = [c.root for c in ig.decompose(g).components]
+        forest = ig.decompose(g)
+        roots = [next(iter(tree)) for tree in forest]
         assert roots == sorted(roots)
-        for comp in ig.decompose(g).components:
-            assert comp.root == min(comp.x_nodes)
+        for root, tree in zip(roots, forest):
+            assert tree[root] is None
+            assert root == min(v for v in tree if v[0] == "x")
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +215,34 @@ def test_component_count_matches_networkx_under_removals():
         nx, h = _nx_graph(g)
         assert ig.component_count(g) == nx.number_connected_components(h)
         assert ig.has_cycle(g) == (not nx.is_forest(h))
+
+
+def test_decompose_matches_networkx():
+    rng = np.random.default_rng(3141)
+    forests = cyclic = 0
+    for _ in range(300):
+        g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=10)
+        nx, h = _nx_graph(g)
+        if not nx.is_forest(h):
+            with pytest.raises(ig.CyclicGraph):
+                ig.decompose(g)
+            cyclic += 1
+            continue
+        forests += 1
+        trees = ig.decompose(g)
+        with_source = sorted((c for c in nx.connected_components(h) if any(v[0] == "x" for v in c)),
+                             key=lambda c: min(c))
+        assert [set(tree) for tree in trees] == with_source
+        for tree, comp in zip(trees, with_source):
+            root = next(iter(tree))
+            assert root == min(v for v in comp if v[0] == "x")
+            lengths = nx.shortest_path_length(h, root)
+            for v, u in tree.items():
+                assert (u is None) == (v == root)
+                if u is not None:
+                    assert h.has_edge(u, v)
+            assert _depths(tree) == lengths
+    assert forests > 100 and cyclic > 50
 
 
 def test_bridges_match_networkx_under_removals():

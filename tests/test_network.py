@@ -96,6 +96,22 @@ def test_cycle_rejected():
                    ("S1",), ("D1",), (frozenset({0}),))
 
 
+@pytest.mark.parametrize("which", ["forest.json", "fourbyfour.json", "multiterminal"])
+def test_topo_order_is_networkx_lexicographic_by_position(which):
+    nx = pytest.importorskip("networkx")
+    if which == "multiterminal":
+        rng = np.random.default_rng(1962)
+        nets = [random_multiterminal_dag(rng, min_nodes=4, max_nodes=14) for _ in range(300)]
+    else:
+        nets = [ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / which)]
+    for net in nets:
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(net.nodes)
+        g.add_edges_from(net.edges)
+        position = {v: k for k, v in enumerate(net.nodes)}.__getitem__
+        assert net.topo_order == tuple(nx.lexicographical_topological_sort(g, key=position))
+
+
 def test_demand_sizes_must_match():
     with pytest.raises(ng.DemandSizeError):
         ng.Network(("S1", "S2", "D1", "D2"), (("S1", "D1"), ("S2", "D2")),

@@ -10,7 +10,7 @@ import pytest
 import pbna
 from pbna import gf
 from pbna import precoding as pc
-from pbna.interference import build_igraph, decompose
+from pbna.interference import _bfs, build_igraph, decompose
 from pbna.network import Network, realize
 from pbna.sparsify import find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net
@@ -37,7 +37,7 @@ def star_net() -> Network:
 
 def build_plan(net: Network, seed: int = 0, q: int = gf.DEFAULT_Q) -> pc.PrecodingPlan:
     graph = build_igraph(net, realize(net, 3, seed, q))
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     return pc.plan_with_resampling(net, spars, seed=seed, q=q)
 
 
@@ -51,24 +51,24 @@ def test_path_vector_follows_parity_rule():
     realization = realize(net, 2, seed=5, q=q)
     graph = build_igraph(net, realization)
     forest = decompose(graph)
-    plan = pc.build_precoding(forest, realization, seed=8)
-    theta = plan.V[0]  # the root keeps its raw random vector
+    V = pc.build_precoding(forest, realization, seed=8)
+    theta = V[0]  # the root keeps its raw random vector
     for k in range(2):
         m11 = int(realization.transfer[0, 0, k])
         m12 = int(realization.transfer[0, 1, k])
         expect = m11 * pow(m12, q - 2, q) % q * int(theta[k]) % q
-        assert int(plan.V[1, k]) == expect
+        assert int(V[1, k]) == expect
     # the isolated demanded source gets its own vector
-    assert (plan.V[2] != 0).all()
+    assert (V[2] != 0).all()
 
 
 def test_star_columns_coincide():
     net = star_net()
     realization = realize(net, 2, seed=11)
     graph = build_igraph(net, realization)
-    plan = pc.build_precoding(decompose(graph), realization, seed=3)
+    V = pc.build_precoding(decompose(graph), realization, seed=3)
     q = realization.q
-    cols = [realization.transfer[0, j, :] * plan.V[j] % q for j in (0, 1, 2)]
+    cols = [realization.transfer[0, j, :] * V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
     assert np.array_equal(cols[0], cols[2])
 
@@ -101,11 +101,10 @@ def test_build_raises_on_vanishing_tree_edge():
 def test_zero_vector_check_survives_optimize_flag():
     # an empty forest leaves V all zero; python -O must not strip the check
     code = (
-        "from pbna.interference import ForestDecomposition\n"
         "from pbna.network import Network, realize\n"
         "from pbna.precoding import build_precoding\n"
         "net = Network(('S1', 'D1'), (('S1', 'D1'),), ('S1',), ('D1',), (frozenset({0}),))\n"
-        "build_precoding(ForestDecomposition((), ()), realize(net, 2, 0), 0)\n"
+        "build_precoding((), realize(net, 2, 0), 0)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(pbna.__file__).resolve().parent.parent)}
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
@@ -140,8 +139,7 @@ def test_corrupted_vector_fails_verification():
     realization = plan.realization
     bad_v = plan.V.copy()
     bad_v[1, 0] = (bad_v[1, 0] + 1) % realization.q
-    plan.V = bad_v
-    verdicts = pc.verify_alignment(plan, plan.new_demands, plan.new_interference)
+    verdicts = pc.verify_alignment(dataclasses.replace(plan, V=bad_v))
     assert any(v.dim_w > 1 or v.dim_intersection > 0 for v in verdicts)
     assert not all(v.ok for v in verdicts)
 
@@ -195,8 +193,8 @@ def test_verdicts_match_four_rank_oracle():
     for base in bases:
         for kind in range(5):
             plan = dataclasses.replace(base, V=corrupted_vectors(base, kind, rng))
-            got = pc.verify_alignment(plan, plan.new_demands, plan.new_interference)
-            assert got == verdicts_by_ranks(plan, plan.new_demands, plan.new_interference)
+            got = pc.verify_alignment(plan)
+            assert got == verdicts_by_ranks(plan)
             plans += 1
             for v in got:
                 seen["dim_w > 1"] += v.dim_w > 1
@@ -246,7 +244,7 @@ def test_fourbyfour_reaches_rate_one_fourth(fourbyfour):
 def test_adversarial_network_raises_constraint_violation():
     net = adversarial_net()
     graph = build_igraph(net, realize(net, 3, 0))
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     assert spars.d_star == 0
     with pytest.raises(pc.ConstraintViolation) as exc_info:
         pc.plan_with_resampling(net, spars, max_attempts=20, seed=0)
@@ -290,16 +288,16 @@ def test_root_choice_does_not_change_verdicts():
     net = star_net()
     realization = realize(net, 2, seed=31)
     graph = build_igraph(net, realization)
-    default_forest = decompose(graph)
-    plan_a = pc.build_precoding(default_forest, realization, seed=1)
-    sets = (net.demands[0] | set(), )  # demanded set unchanged, no extra decode
-    new_demands = (net.demands[0],)
-    new_interference = (frozenset(graph.interferers(0)),)
-    verdicts_a = pc.verify_alignment(plan_a, new_demands, new_interference)
+    # demanded set unchanged, no extra decode
+    sets = ((net.demands[0],), (frozenset(graph.interferers(0)),))
+    plan_a = pc.PrecodingPlan(pc.build_precoding(decompose(graph), realization, seed=1), realization, *sets)
+    verdicts_a = pc.verify_alignment(plan_a)
     for other_root in (1, 2):
-        forest_b = decompose(graph, roots={0: other_root})
-        plan_b = pc.build_precoding(forest_b, realization, seed=1)
-        verdicts_b = pc.verify_alignment(plan_b, new_demands, new_interference)
+        # the star's tree rooted at another source, then the isolated S4's own tree
+        forest_b = (_bfs(graph, ("x", other_root)), _bfs(graph, ("x", 3)))
+        assert [set(t) for t in forest_b] == [set(t) for t in decompose(graph)]
+        plan_b = pc.PrecodingPlan(pc.build_precoding(forest_b, realization, seed=1), realization, *sets)
+        verdicts_b = pc.verify_alignment(plan_b)
         assert verdicts_a == verdicts_b
 
 

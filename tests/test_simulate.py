@@ -15,7 +15,7 @@ from oracles import propagate_symbols_by_edges
 
 def build_plan(net, seed=0):
     graph = build_igraph(net, realize(net, 3, seed))
-    spars = find_dstar(graph, demands=net.demands)
+    spars = find_dstar(graph)
     return plan_with_resampling(net, spars, seed=seed)
 
 
@@ -44,7 +44,6 @@ def test_single_edge_smoke_with_handmade_plan():
     net = Network(("S1", "D1"), (("S1", "D1"),), ("S1",), ("D1",), (frozenset({0}),))
     realization = realize(net, 1, seed=2)
     plan = PrecodingPlan(
-        n=1,
         V=np.ones((1, 1), dtype=np.int64),
         realization=realization,
         new_demands=(frozenset({0}),),
@@ -190,13 +189,6 @@ def test_rate_report_empty_traces(fourbyfour):
     assert report.success_fraction is None
 
 
-def test_run_session_requires_decode_sets(fourbyfour):
-    realization = realize(fourbyfour, 4, seed=1)
-    plan = PrecodingPlan(n=4, V=np.ones((4, 4), dtype=np.int64), realization=realization)
-    with pytest.raises(ValueError):
-        sim.run_session(plan, np.zeros((1, 4), dtype=np.int64))
-
-
 def test_success_on_random_forest_instances():
     rng = np.random.default_rng(41)
     for _ in range(5):
@@ -219,7 +211,7 @@ def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfo
         return original(a, q, pivots, *args)
 
     monkeypatch.setattr(kernels, "row_reduce", counting)
-    verdicts = verify_alignment(plan, plan.new_demands, plan.new_interference)
+    verdicts = verify_alignment(plan)
     assert len(calls) == 2 and all(v.ok for v in verdicts)
     trace = sim.run_session(plan, msg)
     assert len(calls) == 3 and all(trace.success)

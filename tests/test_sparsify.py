@@ -90,14 +90,14 @@ def test_dstar_zero_on_forest():
 
 def test_dstar_eight_cycle(fourbyfour):
     g = build_igraph(fourbyfour, realize(fourbyfour, 3, 0))
-    result = sp.find_dstar(g, demands=fourbyfour.demands)
+    result = sp.find_dstar(g)
     assert result.d_star == 1
     assert result.d_star == dstar_exact_removal(g)
     assert not has_cycle(result.h_bar)
     # every destination decodes exactly one extra source, demands grow to 3
     assert all(len(e) == 1 for e in result.extra_decode)
-    assert all(len(d) == 3 for d in result.new_demands)
-    assert all(len(b) == 1 for b in result.new_interference)
+    assert all(len(fourbyfour.demands[i] | e) == 3 for i, e in enumerate(result.extra_decode))
+    assert all(len(result.h_bar.interferers(i)) == 1 for i in range(4))
 
 
 def test_dstar_two_disjoint_cycles():
@@ -219,8 +219,9 @@ def test_greedy_stall_is_rescued_by_augmentation():
     # the rescued removal is still independent in both matroids: complement
     # is a spanning tree and no destination loses more than d* edges
     assert independence_check(g, res.removed, res.d_star)
-    assert len(res.spanning_forest) == 4 + 3 - 1
-    assert not has_cycle(g.replace_edges(res.spanning_forest))
+    kept = g.edges - res.removed
+    assert len(kept) == 4 + 3 - 1
+    assert not has_cycle(g.replace_edges(kept))
 
 
 def _outcome(res: sp.SparsificationResult):
