@@ -1,13 +1,18 @@
 """Command-line front-end: validate -> igraph -> dstar -> precode -> simulate.
 
-Every stage is independently invocable; ``pipeline`` composes them into one
-consolidated report.  Reports render as human text or as deterministic JSON
+Every subcommand is a list of report sections read off one ``Run``: the
+scheme's chain (network, mincut validation, zero-function probe, cycle
+obstruction, d* sparsification, precoding plan, simulated sessions) with
+each stage computed on first use and kept, so a command runs only the
+stages its sections need and each of those once.  ``pipeline`` lists every
+section.  Reports render as human text or as deterministic JSON
 (schema_version 1, sorted keys) so identical (file, config) pairs are
 byte-identical.
 
-Exit codes: 0 ok, 2 parse error, 3 assumption violation, 4 constraint
-violation (no valid alignment), 5 decode failure (a decode system had no
-unique solution, or a decode ran but recovered the wrong message).
+Exit codes: 0 ok, 2 parse error, 3 assumption violation (including an
+interference edge the zero-function probe missed), 4 constraint violation
+(no valid alignment), 5 decode failure (a decode system had no unique
+solution, or a decode ran but recovered the wrong message).
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ import numpy as np
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
-from .obstruction import CycleRatio, NotACycle, check_cycle, cycle_ratio, infeasibility_report
-from .precoding import A, B, ConstraintViolation, PrecodingPlan, plan_with_resampling
+from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
+from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
 from .simulate import DecodeFailure, rate_report, run_session
-from .sparsify import SparsificationResult, find_dstar
+from .sparsify import find_dstar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -47,7 +52,7 @@ class OutputError(OSError):
 
 @dataclass
 class RunConfig:
-    """Resolved command-line options shared by all subcommands."""
+    """Resolved command-line options shared by all subcommands; the parser's dests are these fields."""
 
     network_path: str
     q: int = DEFAULT_Q
@@ -69,6 +74,84 @@ class RunConfig:
                 raise ConfigError(f"{flag} must be at least {low}")
 
 
+class Run:
+    """One command's pass through the scheme's chain; each stage is computed on first use, then kept."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+
+    @functools.cached_property
+    def net(self) -> Network:
+        return load_network_file(self.cfg.network_path)
+
+    @functools.cached_property
+    def validation(self):
+        return validate_assumptions(self.net)
+
+    @functools.cached_property
+    def graph(self) -> InterferenceGraph:
+        """The run's one zero-function probe; it also decides which destinations lack interference."""
+        return build_igraph(self.net, realize(self.net, self.cfg.zero_test_trials, self.cfg.seed, self.cfg.q))
+
+    @functools.cached_property
+    def cyclic(self) -> bool:
+        return has_cycle(self.graph)
+
+    @functools.cached_property
+    def obstruction(self):
+        """(cycle ratio, infeasibility report) on ``--cycle`` or a shortest cycle; None when acyclic."""
+        if self.cfg.cycle:
+            cyc = _parse_cycle_arg(self.net, self.graph, self.cfg.cycle)
+        elif self.cyclic:
+            cyc = shortest_cycle(self.graph)
+        else:
+            return None
+        ratio = cycle_ratio(self.net, cyc, self.cfg.ratio_trials, self.cfg.seed, self.cfg.q)
+        return ratio, infeasibility_report(self.net, ratio, self.graph)
+
+    @functools.cached_property
+    def sparsification(self):
+        return find_dstar(self.graph)
+
+    @functools.cached_property
+    def plan(self):
+        return plan_with_resampling(self.net, self.sparsification, self.cfg.max_attempts, self.cfg.seed, self.cfg.q)
+
+    @functools.cached_property
+    def trace(self):
+        # one (S, K) draw gives the same rows as S draws of K messages from one generator
+        messages = np.random.default_rng(self.cfg.seed).integers(
+            0, self.cfg.q, size=(self.cfg.sessions, self.net.n_sources), dtype=np.int64)
+        return run_session(self.plan, messages)
+
+    @functools.cached_property
+    def rates(self):
+        return rate_report(self.trace, self.plan)
+
+    @property
+    def decode_exit(self) -> int:
+        """5 when any simulated decode recovered the wrong message, else 0."""
+        return EXIT_DECODE if self.rates.successes < self.rates.decode_checks else EXIT_OK
+
+
+def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
+    """An explicit ``--cycle``: well formed, and a cycle of this run's interference graph."""
+    nodes = []
+    for tok in arg.split(","):
+        tok = tok.strip()
+        if len(tok) < 2 or tok[0] not in "SW" or not tok[1:].isdigit():
+            raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels")
+        idx = int(tok[1:]) - 1
+        nodes.append(("x" if tok[0] == "S" else "y", idx))
+    cyc = check_cycle(net, nodes)
+    for t, u in enumerate(cyc):
+        v = cyc[(t + 1) % len(cyc)]
+        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
+        if (j, i) not in graph.edges:
+            raise NotACycle(f"(S{j + 1}, W{i + 1}) is not an edge of the interference graph")
+    return cyc
+
+
 def _src(j: int) -> str:
     return f"S{j + 1}"
 
@@ -77,12 +160,8 @@ def _dst(i: int) -> str:
     return f"D{i + 1}"
 
 
-def _cycle_labels(cycle) -> list[str]:
-    return [(_src(idx) if kind == "x" else f"W{idx + 1}") for kind, idx in cycle]
-
-
 # ---------------------------------------------------------------------------
-# report sections (JSON-ready dicts)
+# report sections (JSON-ready values read off a run)
 
 
 def _config_section(cfg: RunConfig) -> dict:
@@ -96,7 +175,8 @@ def _config_section(cfg: RunConfig) -> dict:
     }
 
 
-def _assumptions_section(report, graph: InterferenceGraph) -> dict:
+def _assumptions_section(run: Run) -> dict:
+    report = run.validation
     return {
         "ok": report.ok,
         "mincuts": [
@@ -109,11 +189,12 @@ def _assumptions_section(report, graph: InterferenceGraph) -> dict:
              "demanded": p.demanded}
             for p in report.violations
         ],
-        "empty_interference": [_dst(i) for i in graph.empty_destinations()],
+        "empty_interference": [_dst(i) for i in run.graph.empty_destinations()],
     }
 
 
-def _igraph_section(graph: InterferenceGraph) -> dict:
+def _igraph_section(run: Run) -> dict:
+    graph = run.graph
     return {
         "sources": graph.n_sources,
         "destinations": graph.n_destinations,
@@ -122,7 +203,8 @@ def _igraph_section(graph: InterferenceGraph) -> dict:
     }
 
 
-def _sparsification_section(spars: SparsificationResult) -> dict:
+def _sparsification_section(run: Run) -> dict:
+    spars = run.sparsification
     removed = sorted(
         (j, i) for i, ed in enumerate(spars.extra_decode) for j in ed
     )
@@ -138,7 +220,8 @@ def _sparsification_section(spars: SparsificationResult) -> dict:
     }
 
 
-def _precoding_section(plan: PrecodingPlan) -> dict:
+def _precoding_section(run: Run) -> dict:
+    plan = run.plan
     return {
         "n": plan.n,
         "a": A,
@@ -154,10 +237,13 @@ def _precoding_section(plan: PrecodingPlan) -> dict:
     }
 
 
-def _obstruction_section(obs, ratio: CycleRatio) -> dict:
+def _obstruction_section(run: Run) -> dict | None:
+    if run.obstruction is None:
+        return None
+    ratio, obs = run.obstruction
     return {
-        "cycle": _cycle_labels(ratio.cycle),
-        "evaluations": [e for e in ratio.evaluations],
+        "cycle": [(_src(idx) if kind == "x" else f"W{idx + 1}") for kind, idx in ratio.cycle],
+        "evaluations": list(ratio.evaluations),
         "verdict": ratio.verdict,
         "four_by_four_cycle": obs.four_by_four_cycle,
         "claim": obs.claim,
@@ -165,10 +251,11 @@ def _obstruction_section(obs, ratio: CycleRatio) -> dict:
     }
 
 
-def _simulation_section(rr) -> dict:
+def _simulation_section(run: Run) -> dict:
     def frac(pair):
         return None if pair is None else f"{pair[0]}/{pair[1]}"
 
+    rr = run.rates
     return {
         "sessions": rr.sessions,
         "decode_checks": rr.decode_checks,
@@ -180,6 +267,20 @@ def _simulation_section(rr) -> dict:
         "sum_rate_ceiling": frac(rr.sum_rate_ceiling),
         "matches_reference": rr.matches_reference,
     }
+
+
+def _traces_section(run: Run) -> list:
+    trace, m = run.trace, run.net.n_destinations
+    decoded = [{_src(j): v.tolist() for j, v in d.items()} for d in trace.decoded]
+    return [
+        {
+            "messages": trace.messages[s].tolist(),
+            "received": trace.received[s].tolist(),
+            "decoded": [{label: v[s] for label, v in d.items()} for d in decoded],
+            "success": list(trace.success[s * m:(s + 1) * m]),
+        }
+        for s in range(len(trace.messages))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +415,6 @@ def _nested_text(obj, depth: int) -> str:
     return open_ + indent + ("," + indent).join(lines) + "\n" + "  " * depth + close
 
 
-# ---------------------------------------------------------------------------
-# shared stage runners
-
-
 def _emit(cfg: RunConfig, report: dict, text: str) -> None:
     if cfg.fmt == "json":
         payload = _json_text(report) + "\n"
@@ -334,181 +431,62 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
         sys.stdout.write(payload)
 
 
-def _probe_graph(net: Network, cfg: RunConfig) -> InterferenceGraph:
-    """The run's one zero-function probe; it also decides which destinations lack interference."""
-    probe = realize(net, cfg.zero_test_trials, cfg.seed, cfg.q)
-    return build_igraph(net, probe)
-
-
-def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
-    """An explicit ``--cycle``: well formed, and a cycle of this run's interference graph."""
-    nodes = []
-    for tok in arg.split(","):
-        tok = tok.strip()
-        if len(tok) < 2 or tok[0] not in "SW" or not tok[1:].isdigit():
-            raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels")
-        idx = int(tok[1:]) - 1
-        nodes.append(("x" if tok[0] == "S" else "y", idx))
-    cyc = check_cycle(net, nodes)
-    for t, u in enumerate(cyc):
-        v = cyc[(t + 1) % len(cyc)]
-        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
-        if (j, i) not in graph.edges:
-            raise NotACycle(f"(S{j + 1}, W{i + 1}) is not an edge of the interference graph")
-    return cyc
-
-
-def _decode_exit(rr) -> int:
-    """Exit status after the report is out: 5 when any decode came out wrong."""
-    if rr.successes < rr.decode_checks:
-        print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes "
-              "recovered the wrong message", file=sys.stderr)
-        return EXIT_DECODE
-    return EXIT_OK
-
-
-def _run_sessions(net: Network, plan: PrecodingPlan, cfg: RunConfig):
-    # one (S, K) draw gives the same rows as S draws of K messages from one generator
-    messages = np.random.default_rng(cfg.seed).integers(0, cfg.q, size=(cfg.sessions, net.n_sources), dtype=np.int64)
-    return run_session(plan, messages)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (report sections, text report, exit status)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    report = validate_assumptions(net)
-    section = _assumptions_section(report, _probe_graph(net, cfg))
-    _emit(cfg, {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "assumptions": section},
-          _text_assumptions(section))
-    return EXIT_OK if report.ok else EXIT_ASSUMPTIONS
+def cmd_validate(run: Run):
+    section = _assumptions_section(run)
+    return {"assumptions": section}, _text_assumptions(section), EXIT_OK if run.validation.ok else EXIT_ASSUMPTIONS
 
 
-def cmd_igraph(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    graph = _probe_graph(net, cfg)
-    section = _igraph_section(graph)
-    text = to_dot(graph) + f"cyclic: {has_cycle(graph)}"
-    report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg),
-              "interference_graph": section, "cyclic": has_cycle(graph)}
-    _emit(cfg, report, text)
-    return EXIT_OK
+def cmd_igraph(run: Run):
+    sections = {"interference_graph": _igraph_section(run), "cyclic": run.cyclic}
+    return sections, to_dot(run.graph) + f"cyclic: {run.cyclic}", EXIT_OK
 
 
-def cmd_dstar(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph)
-    section = _sparsification_section(spars)
-    report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "sparsification": section}
+def cmd_dstar(run: Run):
+    section = _sparsification_section(run)
     text = _text_sparsification(section) + "\n" + json.dumps(section, sort_keys=True)
-    _emit(cfg, report, text)
-    return EXIT_OK
+    return {"sparsification": section}, text, EXIT_OK
 
 
-def cmd_precode(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph)
-    plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
-    section = _precoding_section(plan)
-    report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), "precoding": section}
-    _emit(cfg, report, _text_precoding(section))
-    return EXIT_OK
+def cmd_precode(run: Run):
+    section = _precoding_section(run)
+    return {"precoding": section}, _text_precoding(section), EXIT_OK
 
 
-def cmd_obstruct(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    graph = _probe_graph(net, cfg)
-    if cfg.cycle:
-        cyc = _parse_cycle_arg(net, graph, cfg.cycle)
-    else:
-        cyc = shortest_cycle(graph)
-        if cyc is None:
-            report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg),
-                      "obstruction": None, "cyclic": False}
-            _emit(cfg, report, "interference graph is acyclic; no obstruction to test")
-            return EXIT_OK
-    ratio = cycle_ratio(net, cyc, cfg.ratio_trials, cfg.seed, cfg.q)
-    obs = infeasibility_report(net, ratio, graph)
-    section = _obstruction_section(obs, ratio)
-    report = {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg),
-              "obstruction": section, "cyclic": True}
-    _emit(cfg, report, _text_obstruction(section))
-    return EXIT_OK
+def cmd_obstruct(run: Run):
+    section = _obstruction_section(run)
+    text = _text_obstruction(section) if section else "interference graph is acyclic; no obstruction to test"
+    return {"obstruction": section, "cyclic": run.cyclic}, text, EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    graph = _probe_graph(net, cfg)
-    spars = find_dstar(graph)
-    plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
-    trace = _run_sessions(net, plan, cfg)
-    rr = rate_report(trace, plan)
-    section = _simulation_section(rr)
-    m = net.n_destinations
-    decoded = [{_src(j): v.tolist() for j, v in d.items()} for d in trace.decoded]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _config_section(cfg),
-        "simulation": section,
-        "traces": [
-            {
-                "messages": trace.messages[s].tolist(),
-                "received": trace.received[s].tolist(),
-                "decoded": [{label: v[s] for label, v in d.items()} for d in decoded],
-                "success": list(trace.success[s * m:(s + 1) * m]),
-            }
-            for s in range(len(trace.messages))
-        ],
-    }
-    _emit(cfg, report, _text_simulation(section))
-    return _decode_exit(rr)
+def cmd_simulate(run: Run):
+    section = _simulation_section(run)
+    return {"simulation": section, "traces": _traces_section(run)}, _text_simulation(section), run.decode_exit
 
 
-def cmd_pipeline(cfg: RunConfig) -> int:
-    net = load_network_file(cfg.network_path)
-    validation = validate_assumptions(net)
-    validation.require_ok()
-
-    graph = _probe_graph(net, cfg)
-    assumptions = _assumptions_section(validation, graph)
-    cyclic = has_cycle(graph)
-    obstruction_sec = None
-    if cyclic:
-        cyc = shortest_cycle(graph)
-        ratio = cycle_ratio(net, cyc, cfg.ratio_trials, cfg.seed, cfg.q)
-        obs = infeasibility_report(net, ratio, graph)
-        obstruction_sec = _obstruction_section(obs, ratio)
-
-    spars = find_dstar(graph)
-    plan = plan_with_resampling(net, spars, cfg.max_attempts, cfg.seed, cfg.q)
-    rr = rate_report(_run_sessions(net, plan, cfg), plan)
-
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "config": _config_section(cfg),
-        "assumptions": assumptions,
-        "interference_graph": _igraph_section(graph),
-        "cyclic": cyclic,
-        "obstruction": obstruction_sec,
-        "sparsification": _sparsification_section(spars),
-        "precoding": _precoding_section(plan),
-        "simulation": _simulation_section(rr),
+def cmd_pipeline(run: Run):
+    run.validation.require_ok()
+    sections = {
+        "assumptions": _assumptions_section(run),
+        "interference_graph": _igraph_section(run),
+        "cyclic": run.cyclic,
+        "obstruction": _obstruction_section(run),
+        "sparsification": _sparsification_section(run),
+        "precoding": _precoding_section(run),
+        "simulation": _simulation_section(run),
     }
     parts = [
-        _text_assumptions(assumptions),
-        f"interference graph: {len(graph.edges)} edges, cyclic={cyclic}",
+        _text_assumptions(sections["assumptions"]),
+        f"interference graph: {len(run.graph.edges)} edges, cyclic={run.cyclic}",
+        sections["obstruction"] and _text_obstruction(sections["obstruction"]),
+        _text_sparsification(sections["sparsification"]),
+        _text_precoding(sections["precoding"]),
+        _text_simulation(sections["simulation"]),
     ]
-    if obstruction_sec:
-        parts.append(_text_obstruction(obstruction_sec))
-    parts.append(_text_sparsification(report["sparsification"]))
-    parts.append(_text_precoding(report["precoding"]))
-    parts.append(_text_simulation(report["simulation"]))
-    _emit(cfg, report, "\n".join(parts))
-    return _decode_exit(rr)
+    return sections, "\n".join(part for part in parts if part), run.decode_exit
 
 
 _COMMANDS = {
@@ -530,11 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name, help=f"run the {name} stage")
-        p.add_argument("--network", required=True, help="path to the network JSON file")
+        p.add_argument("--network", required=True, dest="network_path", metavar="NETWORK",
+                       help="path to the network JSON file")
         p.add_argument("--q", type=int, default=DEFAULT_Q, help="prime field modulus below 2**31")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--attempts", type=int, default=20, help="resampling budget for precoding")
-        p.add_argument("--zero-trials", type=int, default=3, help="evaluations for zero-function tests")
+        p.add_argument("--attempts", type=int, default=20, dest="max_attempts", metavar="ATTEMPTS",
+                       help="resampling budget for precoding")
+        p.add_argument("--zero-trials", type=int, default=3, dest="zero_test_trials", metavar="ZERO_TRIALS",
+                       help="evaluations for zero-function tests")
         p.add_argument("--ratio-trials", type=int, default=5, help="evaluations for ratio constancy tests")
         p.add_argument("--sessions", type=int, default=100, help="simulated sessions (simulate/pipeline)")
         p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
@@ -546,21 +527,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    command = args.pop("command")
     try:
-        cfg = RunConfig(
-            network_path=args.network,
-            q=args.q,
-            seed=args.seed,
-            max_attempts=args.attempts,
-            zero_test_trials=args.zero_trials,
-            ratio_trials=args.ratio_trials,
-            fmt=args.fmt,
-            out=args.out,
-            sessions=args.sessions,
-            cycle=getattr(args, "cycle", None),
-        )
-        return _COMMANDS[args.command](cfg)
+        cfg = RunConfig(**args)
+        run = Run(cfg)
+        sections, text, code = _COMMANDS[command](run)
+        _emit(cfg, {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), **sections}, text)
+        if code == EXIT_DECODE:
+            rr = run.rates
+            print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes "
+                  "recovered the wrong message", file=sys.stderr)
+        return code
     except OutputError as exc:
         print(f"error: output: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -570,6 +548,9 @@ def main(argv=None) -> int:
     except AssumptionViolation as exc:
         print(f"error: network: {exc} (every demanded pair needs mincut exactly 1, others at most 1)",
               file=sys.stderr)
+        return EXIT_ASSUMPTIONS
+    except MissedInterference as exc:
+        print(f"error: probe: {exc} (rerun with a larger --zero-trials or --q)", file=sys.stderr)
         return EXIT_ASSUMPTIONS
     except ConstraintViolation as exc:
         print(f"error: precoding: {exc} (a required decoding determinant appears to vanish identically)",

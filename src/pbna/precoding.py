@@ -30,8 +30,18 @@ from .sparsify import SparsificationResult
 A = B = 1
 
 
-class ZeroAtAssignment(Exception):
-    """A needed transfer value vanished at the sampled assignment; resample."""
+class MissedInterference(Exception):
+    """A sampled realization has a nonzero transfer at pairs the interference graph calls zero.
+
+    pairs holds those (destination, source) pairs: the zero-function probe
+    that built the graph missed their interference, so no plan on that
+    graph can be trusted.
+    """
+
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+        what = ", ".join(f"(D{i + 1}, S{j + 1})" for i, j in self.pairs)
+        super().__init__(f"the interference graph misses {what}: nonzero transfers at a sampled assignment")
 
 
 class ConstraintViolation(Exception):
@@ -98,10 +108,9 @@ def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, s
     """All precoding vectors, as the (K, n) array V, for one realized assignment.
 
     ``forest`` holds decompose's trees; each is walked in its dict order, so
-    a node's scale is known before its children's.  Raises ZeroAtAssignment
-    when any tree-edge transfer value vanishes at some slot (every such value
-    is a factor of the nonzero-certificate polynomial, so the whole plan must
-    be resampled).
+    a node's scale is known before its children's.  Every tree-edge transfer
+    value must be nonzero at every slot; plan_with_resampling drops the
+    attempts where one vanishes.
     """
     q = realization.q
     n = realization.slot_count
@@ -115,8 +124,6 @@ def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, s
             else:
                 i, j = (node[1], parent[1]) if node[0] == "y" else (parent[1], node[1])
                 row = realization.transfer[i, j]
-                if (row == 0).any():
-                    raise ZeroAtAssignment(f"transfer (D{i + 1}, S{j + 1}) vanishes at the sampled assignment")
                 if node[0] == "x":
                     # walked from a destination node down to a source: the row's inverses
                     row = np.array([pow(m, -1, q) for m in row.tolist()], dtype=np.int64)
@@ -174,20 +181,21 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     Destination i decodes its demands plus its extra-decode set and sees the
     sparsified graph's interferers at i as interference; the plan carries
     both sets.  Success certifies the sampled assignment satisfies every alignment
-    condition exactly.  Exhausting ``max_attempts`` raises
-    ConstraintViolation carrying the per-attempt failure pattern -- strong
-    evidence that some required determinant is identically zero.
+    condition exactly.  An attempt whose realization has a nonzero transfer
+    at a pair in neither set proves the graph wrong and raises
+    MissedInterference; one with a zero transfer at a pair in them is
+    dropped.  Exhausting ``max_attempts`` raises ConstraintViolation
+    carrying the per-attempt failure pattern -- strong evidence that some
+    required determinant is identically zero.
     """
     n = net.demand_size + sparsification.d_star + 1
     h_bar = sparsification.h_bar
     forest = decompose(h_bar)
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
-    relevant = [
-        (i, j)
-        for i in range(net.n_destinations)
-        for j in sorted(new_demands[i] | new_interference[i])
-    ]
+    used = np.zeros((net.n_destinations, net.n_sources), dtype=bool)
+    for i in range(net.n_destinations):
+        used[i, list(new_demands[i] | new_interference[i])] = True
 
     rng = np.random.default_rng(seed)
     attempt_failures = []
@@ -196,9 +204,12 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         r_seed = int(rng.integers(0, 2**63))
         p_seed = int(rng.integers(0, 2**63))
         realization = realize(net, n, r_seed, q)
-        zeros = [(i, j) for i, j in relevant if (realization.transfer[i, j, :] == 0).any()]
+        missed = _pairs(realization.transfer.any(axis=2) & ~used)
+        if missed:
+            raise MissedInterference(missed)
+        zeros = _pairs(~realization.transfer.all(axis=2) & used)
         if zeros:
-            attempt_failures.append(("zero_at_assignment", tuple(zeros)))
+            attempt_failures.append(("zero_at_assignment", zeros))
             continue
         plan = PrecodingPlan(build_precoding(forest, realization, p_seed), realization, new_demands, new_interference)
         verdicts = verify_alignment(plan)
@@ -214,3 +225,8 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
 
     persistent = sorted(set.intersection(*failing_sets)) if failing_sets else []
     raise ConstraintViolation(attempt_failures, persistent)
+
+
+def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (destination, source) pairs set in an (M, K) mask, in row-major order."""
+    return tuple(map(tuple, np.argwhere(mask).tolist()))

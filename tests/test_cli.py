@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import json
 import os
@@ -284,19 +285,45 @@ def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):
     assert captured.err.startswith(f"error: config: {option} must be at least ")
 
 
-def test_pipeline_draws_one_zero_function_probe(monkeypatch, capsys):
-    calls = []
-    real = network.realize
+@pytest.mark.parametrize("network_path", [FOREST, FOURBYFOUR], ids=["forest", "fourbyfour"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, capsys):
+    calls = collections.Counter()
+    results = {}
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:])
-        return real(*args, **kwargs)
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            results[name] = real(*args, **kwargs)
+            return results[name]
+        return wrapper
 
+    for name in ("load_network_file", "build_igraph", "find_dstar", "plan_with_resampling", "cycle_ratio"):
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    counting_realize = counting("realize", network.realize)
     for module in (cli, network, obstruction, precoding):
-        monkeypatch.setattr(module, "realize", counting)
-    assert cli.main(["pipeline", "--network", str(FOREST), "--sessions", "1", "--format", "json"]) == 0
-    attempts = json.loads(capsys.readouterr().out)["precoding"]["attempts"]
-    assert len(calls) == 1 + attempts  # the probe, then one realization per precoding attempt
+        monkeypatch.setattr(module, "realize", counting_realize)
+    assert cli.main([command, "--network", str(network_path), "--format", "json", "--sessions", "2"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert calls["load_network_file"] == calls["build_igraph"] == 1
+    assert calls["find_dstar"] <= 1 and calls["plan_with_resampling"] <= 1 and calls["cycle_ratio"] <= 1
+    ratio_trials = len(results["cycle_ratio"].evaluations) if "cycle_ratio" in results else 0
+    attempts = results["plan_with_resampling"].attempts if "plan_with_resampling" in results else 0
+    assert calls["realize"] == 1 + ratio_trials + attempts  # the probe, the ratio trials, the precoding attempts
+
+
+@pytest.mark.parametrize("seed", [12, 25])
+@pytest.mark.parametrize("command", ["precode", "simulate", "pipeline"])
+def test_probe_that_missed_an_edge_exits_3(command, seed, capsys):
+    # a one-trial probe over F_3 drops real interference edges on these seeds; the plan's
+    # realizations prove them nonzero, so the run stops before decoding against the wrong graph
+    code = cli.main([command, "--network", str(FOREST), "--q", "3", "--zero-trials", "1", "--seed", str(seed),
+                     "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_ASSUMPTIONS
+    assert captured.out == ""
+    assert captured.err.startswith("error: probe: the interference graph misses (D")
+    assert "--zero-trials" in captured.err
 
 
 def test_unwritable_out_path_is_reported_as_output_error(tmp_path, capsys):

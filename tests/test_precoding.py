@@ -11,7 +11,7 @@ import pbna
 from pbna import gf
 from pbna import precoding as pc
 from pbna.interference import _bfs, build_igraph, decompose
-from pbna.network import Network, realize
+from pbna.network import Network, load_network_file, realize
 from pbna.sparsify import find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net
 from oracles import verdicts_by_ranks
@@ -81,21 +81,23 @@ def test_every_vector_nonzero_on_random_forests():
         assert (plan.V != 0).any(axis=1).all()
 
 
-def test_build_raises_on_vanishing_tree_edge():
-    # with q = 3 some seed quickly produces a zero transfer value on a tree edge
+def test_resampling_drops_attempts_with_a_vanishing_tree_edge():
+    # with q = 3 tree-edge transfers often vanish at some slot; such attempts are recorded
+    # and dropped, so every plan returned has nonzero transfers on all of h_bar's edges
     net = path_net()
-    raised = 0
+    spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
+    plans = [pc.plan_with_resampling(net, spars, max_attempts=200, seed=seed, q=3) for seed in range(40)]
+    for plan in plans:
+        for j, i in spars.h_bar.edges:
+            assert plan.realization.transfer[i, j].all()
+    assert max(plan.attempts for plan in plans) > 1
+    reasons = []
     for seed in range(40):
-        realization = realize(net, 2, seed=seed, q=3)
-        graph_edges = [(0, 0), (1, 0)]
-        if not any((realization.transfer[i, j, :] == 0).any() for j, i in graph_edges):
-            continue
-        graph = build_igraph(net, realize(net, 6, seed=123, q=3))
         try:
-            pc.build_precoding(decompose(graph), realization, seed=1)
-        except pc.ZeroAtAssignment:
-            raised += 1
-    assert raised > 0
+            pc.plan_with_resampling(net, spars, max_attempts=1, seed=seed, q=3)
+        except pc.ConstraintViolation as exc:
+            reasons += [reason for reason, _ in exc.attempt_failures]
+    assert "zero_at_assignment" in reasons
 
 
 def test_zero_vector_check_survives_optimize_flag():
@@ -252,6 +254,21 @@ def test_adversarial_network_raises_constraint_violation():
     assert len(err.attempt_failures) == 20
     # destination D2 (index 1) persistently fails with representative S3 (index 2)
     assert (1, 2) in err.persistent
+
+
+def test_probe_that_missed_an_edge_raises_missed_interference():
+    # at q = 3 a one-trial probe drops real interference edges; an attempt's
+    # realization shows them nonzero, so no plan is built on the wrong graph
+    net = load_network_file(Path(__file__).resolve().parent.parent / "networks" / "forest.json")
+    true_edges = build_igraph(net, realize(net, 3, seed=0)).edges
+    for seed in (12, 25):
+        graph = build_igraph(net, realize(net, 1, seed, q=3))
+        assert graph.edges < true_edges
+        with pytest.raises(pc.MissedInterference) as exc_info:
+            pc.plan_with_resampling(net, find_dstar(graph), seed=seed, q=3)
+        pairs = exc_info.value.pairs
+        assert pairs and set(pairs) <= {(i, j) for j, i in true_edges - graph.edges}
+        assert all(f"(D{i + 1}, S{j + 1})" in str(exc_info.value) for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
