@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
-from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
+from .interference import InterferenceGraph, build_igraph, edge_between, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
@@ -145,8 +145,7 @@ def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
         nodes.append(("x" if tok[0] == "S" else "y", idx))
     cyc = check_cycle(net, nodes)
     for t, u in enumerate(cyc):
-        v = cyc[(t + 1) % len(cyc)]
-        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
+        j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
         if (j, i) not in graph.edges:
             raise NotACycle(f"(S{j + 1}, W{i + 1}) is not an edge of the interference graph")
     return cyc
@@ -177,17 +176,19 @@ def _config_section(cfg: RunConfig) -> dict:
 
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
+    cuts, demanded, ok = report.mincut.tolist(), report.demanded.tolist(), report.pair_ok.tolist()
+    dsts = [_dst(i) for i in range(len(cuts))]
+    srcs = [_src(j) for j in range(len(cuts[0]))]
     return {
         "ok": report.ok,
         "mincuts": [
-            {"destination": _dst(p.destination), "source": _src(p.source),
-             "mincut": p.mincut, "demanded": p.demanded, "ok": p.ok}
-            for p in report.pairs
+            {"destination": dsts[i], "source": srcs[j], "mincut": cuts[i][j], "demanded": demanded[i][j],
+             "ok": ok[i][j]}
+            for i in range(len(dsts)) for j in range(len(srcs))
         ],
         "violations": [
-            {"destination": _dst(p.destination), "source": _src(p.source), "mincut": p.mincut,
-             "demanded": p.demanded}
-            for p in report.violations
+            {"destination": dsts[i], "source": srcs[j], "mincut": cuts[i][j], "demanded": demanded[i][j]}
+            for i, j in report.violations
         ],
         "empty_interference": [_dst(i) for i in run.graph.empty_destinations()],
     }
@@ -553,8 +554,9 @@ def main(argv=None) -> int:
         print(f"error: probe: {exc} (rerun with a larger --zero-trials or --q)", file=sys.stderr)
         return EXIT_ASSUMPTIONS
     except ConstraintViolation as exc:
-        print(f"error: precoding: {exc} (a required decoding determinant appears to vanish identically)",
-              file=sys.stderr)
+        aligned = any(reason == "alignment" for reason, _ in exc.attempt_failures)
+        hint = " (a required decoding determinant appears to vanish identically)" if aligned else ""
+        print(f"error: precoding: {exc}{hint}", file=sys.stderr)
         return EXIT_CONSTRAINTS
     except DecodeFailure as exc:
         print(f"error: simulate: {exc}", file=sys.stderr)

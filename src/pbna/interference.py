@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .network import Network, NetworkRealization
+from .network import Network, NetworkRealization, pairs_in
 
 NodeRef = tuple[str, int]  # ("x", source index) or ("y", destination index)
 Tree = dict[NodeRef, NodeRef | None]  # {node: parent}, the root mapped to None
@@ -70,15 +70,11 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
     Monte Carlo, error probability at most (deg/q)**slots).  Destinations
     left without an interferer are listed by ``empty_destinations``.
     """
-    live = realization.transfer.any(axis=2)  # (M, K)
-    for i, demanded in enumerate(net.demands):
-        live[i, sorted(demanded)] = False
-    dests, srcs = live.nonzero()
-    edges = frozenset(zip(srcs.tolist(), dests.tolist()))
-    return InterferenceGraph(net.n_sources, net.n_destinations, edges)
+    live = realization.transfer.any(axis=2) & ~net.demand_mask  # (M, K)
+    return InterferenceGraph(net.n_sources, net.n_destinations, frozenset((j, i) for i, j in pairs_in(live)))
 
 
-def _edge(u: NodeRef, v: NodeRef) -> tuple[int, int]:
+def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
     """The (source j, destination i) edge joining two adjacent nodes."""
     return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
 
@@ -94,7 +90,7 @@ def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> Tree:
     while queue:
         u = queue.popleft()
         for v in adj[u]:
-            if v not in parent and not (removed and _edge(u, v) in removed):
+            if v not in parent and not (removed and edge_between(u, v) in removed):
                 parent[v] = u
                 queue.append(v)
     return parent
@@ -120,7 +116,7 @@ def bridges(g: InterferenceGraph, removed=frozenset()) -> set[tuple[int, int]]:
             u, parent, nbrs = stack[-1]
             for v in nbrs:
                 # the graph is simple, so the tree edge is the only way back to the parent
-                if v == parent or (removed and _edge(u, v) in removed):
+                if v == parent or (removed and edge_between(u, v) in removed):
                     continue
                 if v not in order:
                     order[v] = low[v] = len(order)
@@ -134,7 +130,7 @@ def bridges(g: InterferenceGraph, removed=frozenset()) -> set[tuple[int, int]]:
                     if low[u] < low[parent]:
                         low[parent] = low[u]
                     if low[u] > order[parent]:
-                        found.add(_edge(parent, u))
+                        found.add(edge_between(parent, u))
     return found
 
 

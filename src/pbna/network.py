@@ -45,9 +45,8 @@ class AssumptionViolation(Exception):
 
     def __init__(self, report: "ValidationReport"):
         self.report = report
-        pairs = ", ".join(
-            f"(D{p.destination + 1}, S{p.source + 1}) mincut={p.mincut}" for p in report.violations
-        )
+        cuts = report.mincut.tolist()
+        pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={cuts[i][j]}" for i, j in report.violations)
         super().__init__(f"mincut assumptions violated for: {pairs}")
 
 
@@ -143,6 +142,20 @@ class Network:
     @cached_property
     def arcs(self) -> "ArcLists":
         return _build_arcs(self)
+
+    @cached_property
+    def demand_mask(self) -> np.ndarray:
+        """(M, K) read-only bool array, True where destination i demands source j."""
+        mask = np.zeros((self.n_destinations, self.n_sources), dtype=bool)
+        for i, dem in enumerate(self.demands):
+            mask[i, list(dem)] = True
+        mask.flags.writeable = False
+        return mask
+
+
+def pairs_in(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """The (destination, source) pairs set in an (M, K) mask, in row-major order."""
+    return tuple(map(tuple, np.argwhere(mask).tolist()))
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
@@ -396,25 +409,29 @@ def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkReali
     return NetworkRealization(net, q, n, coeffs, propagate_inputs(net, coeffs, unit, q))
 
 
-@dataclass(frozen=True)
-class PairCheck:
-    destination: int
-    source: int
-    mincut: int
-    demanded: bool
-    ok: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Per-pair mincut results.
+    """Mincut of every (destination, source) pair, as (M, K) arrays.
 
-    ok requires mincut exactly 1 for demanded pairs and at most 1 elsewhere.
+    mincut[i, j] is the max-flow value from source j to destination i and
+    demanded the network's demand mask.  A pair is ok with mincut exactly 1
+    when demanded and at most 1 otherwise; violations lists the other pairs.
     """
 
-    ok: bool
-    pairs: tuple[PairCheck, ...]
-    violations: tuple[PairCheck, ...]
+    mincut: np.ndarray  # (M, K) int64
+    demanded: np.ndarray  # (M, K) bool
+
+    @cached_property
+    def pair_ok(self) -> np.ndarray:
+        return np.where(self.demanded, self.mincut == 1, self.mincut <= 1)
+
+    @property
+    def ok(self) -> bool:
+        return bool(self.pair_ok.all())
+
+    @property
+    def violations(self) -> tuple[tuple[int, int], ...]:
+        return pairs_in(~self.pair_ok)
 
     def require_ok(self) -> None:
         if not self.ok:
@@ -428,14 +445,8 @@ def validate_assumptions(net: Network) -> ValidationReport:
     need a max-flow, every other pair has mincut 0.
     """
     arcs = net.arcs
-    reached = [_reached(arcs, arcs.index[s]) for s in net.sources]
-    checks = []
-    for i in range(net.n_destinations):
-        t = arcs.index[net.destinations[i]]
-        for j in range(net.n_sources):
-            cut = mincut(net, j, i) if reached[j][t] else 0
-            demanded = j in net.demands[i]
-            ok = cut == 1 if demanded else cut <= 1
-            checks.append(PairCheck(i, j, cut, demanded, ok))
-    violations = tuple(c for c in checks if not c.ok)
-    return ValidationReport(not violations, tuple(checks), violations)
+    reached = np.array([_reached(arcs, arcs.index[s]) for s in net.sources], dtype=bool)  # (K, nodes)
+    cuts = np.zeros((net.n_destinations, net.n_sources), dtype=np.int64)
+    for i, j in pairs_in(reached[:, [arcs.index[t] for t in net.destinations]].T):
+        cuts[i, j] = mincut(net, j, i)
+    return ValidationReport(cuts, net.demand_mask)

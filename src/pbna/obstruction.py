@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q
-from .interference import InterferenceGraph, NodeRef, component_count
+from .interference import InterferenceGraph, NodeRef, component_count, edge_between
 from .network import Network, realize
 
 
@@ -62,9 +62,8 @@ def check_cycle(net: Network, cycle) -> tuple[NodeRef, ...]:
     for t, (kind, _) in enumerate(cyc):
         if kind == cyc[(t + 1) % len(cyc)][0]:
             raise NotACycle("cycle must alternate source and destination nodes")
-    for t in range(len(cyc)):
-        u, v = cyc[t], cyc[(t + 1) % len(cyc)]
-        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
+    for t, u in enumerate(cyc):
+        j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
         if j in net.demands[i]:
             raise NotACycle(f"(S{j + 1}, W{i + 1}) is a demanded pair, not interference")
     return cyc
@@ -84,20 +83,19 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
     evaluations: list[int | None] = []
     for _ in range(trials):
         r = realize(net, 1, int(rng.integers(0, 2**63)), q)
-        num = 1
-        den = 1
-        skip = False
-        for t in range(len(cyc)):
-            u, v = cyc[t], cyc[(t + 1) % len(cyc)]
-            if u[0] == "x":
-                m = int(r.transfer[v[1], u[1], 0])
-                if m == 0:
-                    skip = True
-                    break
-                den = den * m % q
+        num = den = 1
+        for t, u in enumerate(cyc):
+            j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
+            m = int(r.transfer[i, j, 0])
+            if u[0] == "y":
+                num = num * m % q
+            elif m == 0:
+                evaluations.append(None)
+                break
             else:
-                num = num * int(r.transfer[u[1], v[1], 0]) % q
-        evaluations.append(None if skip else num * pow(den, -1, q) % q)
+                den = den * m % q
+        else:
+            evaluations.append(num * pow(den, -1, q) % q)
 
     valid = [e for e in evaluations if e is not None]
     if len(valid) < 2:

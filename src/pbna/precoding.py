@@ -15,14 +15,15 @@ assignment; failures are retried with fresh randomness.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf
 from .gf import DEFAULT_Q
-from .interference import NodeRef, Tree, decompose
-from .network import Network, NetworkRealization, realize
+from .interference import NodeRef, Tree, decompose, edge_between
+from .network import Network, NetworkRealization, pairs_in, realize
 from .sparsify import SparsificationResult
 
 
@@ -47,21 +48,24 @@ class MissedInterference(Exception):
 class ConstraintViolation(Exception):
     """All resampling attempts failed; evidence of a structural violation.
 
-    attempt_failures holds one (reason, details) record per attempt;
-    persistent holds the destinations (with their interference
-    representative) that failed in every alignment-checked attempt.
+    attempt_failures holds one (reason, details) record per attempt, and the
+    message counts them by reason; persistent holds the destinations (with
+    their interference representative) that failed in every alignment-checked
+    attempt.
     """
 
     def __init__(self, attempt_failures, persistent):
         self.attempt_failures = tuple(attempt_failures)
         self.persistent = tuple(persistent)
+        tally = Counter(reason for reason, _ in self.attempt_failures)
+        counts = "(" + ", ".join(f"{reason}: {n}" for reason, n in sorted(tally.items())) + ")"
         if persistent:
             what = ", ".join(
                 f"(D{i + 1}, {f'S{k + 1}' if k >= 0 else 'no interferer'})" for i, k in persistent
             )
-            msg = f"alignment unachievable after {len(self.attempt_failures)} attempts; persistent failures at {what}"
+            msg = f"alignment unachievable after {len(self.attempt_failures)} attempts {counts}; persistent failures at {what}"
         else:
-            msg = f"no valid assignment found in {len(self.attempt_failures)} attempts"
+            msg = f"no valid assignment found in {len(self.attempt_failures)} attempts {counts}"
         super().__init__(msg)
 
 
@@ -122,7 +126,7 @@ def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, s
             if parent is None:
                 scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
             else:
-                i, j = (node[1], parent[1]) if node[0] == "y" else (parent[1], node[1])
+                j, i = edge_between(node, parent)
                 row = realization.transfer[i, j]
                 if node[0] == "x":
                     # walked from a destination node down to a source: the row's inverses
@@ -193,9 +197,9 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     forest = decompose(h_bar)
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
-    used = np.zeros((net.n_destinations, net.n_sources), dtype=bool)
+    used = net.demand_mask.copy()
     for i in range(net.n_destinations):
-        used[i, list(new_demands[i] | new_interference[i])] = True
+        used[i, list(sparsification.extra_decode[i] | new_interference[i])] = True
 
     rng = np.random.default_rng(seed)
     attempt_failures = []
@@ -204,10 +208,10 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         r_seed = int(rng.integers(0, 2**63))
         p_seed = int(rng.integers(0, 2**63))
         realization = realize(net, n, r_seed, q)
-        missed = _pairs(realization.transfer.any(axis=2) & ~used)
+        missed = pairs_in(realization.transfer.any(axis=2) & ~used)
         if missed:
             raise MissedInterference(missed)
-        zeros = _pairs(~realization.transfer.all(axis=2) & used)
+        zeros = pairs_in(~realization.transfer.all(axis=2) & used)
         if zeros:
             attempt_failures.append(("zero_at_assignment", zeros))
             continue
@@ -225,8 +229,3 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
 
     persistent = sorted(set.intersection(*failing_sets)) if failing_sets else []
     raise ConstraintViolation(attempt_failures, persistent)
-
-
-def _pairs(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The (destination, source) pairs set in an (M, K) mask, in row-major order."""
-    return tuple(map(tuple, np.argwhere(mask).tolist()))

@@ -188,30 +188,22 @@ def find_dstar(g: InterferenceGraph, labeling=None) -> SparsificationResult:
 
     d_star = max((s.d for s in stats), default=0)
 
-    # Trim: every destination node loses exactly min(d_star, degree) edges in
-    # total.  Extra deletions come from the spanning forest in label order;
-    # removing forest edges keeps the graph acyclic, and since each edge
+    # Trim, in one pass: every destination node loses exactly min(d_star, degree)
+    # edges in total.  Extra deletions come from the spanning forest in label
+    # order; removing forest edges keeps the graph acyclic, and since each edge
     # touches exactly one destination node the quotas never interact.
-    final_removed = set(removed)
-    for i in range(g.n_destinations):
-        degree = len(g.interferers(i))
-        need = min(d_star, degree) - sum(1 for e in final_removed if e[1] == i)
-        for e in label_order:
-            if need <= 0:
-                break
-            if e[1] == i and e not in final_removed:
-                final_removed.add(e)
-                need -= 1
+    extra: list[set[int]] = [set() for _ in range(g.n_destinations)]
+    for j, i in removed:
+        extra[i].add(j)
+    for j, i in label_order:
+        if len(extra[i]) < d_star:
+            extra[i].add(j)
 
-    h_bar = g.replace_edges(g.edges - final_removed)
-    extra = tuple(
-        frozenset(j for j, ii in final_removed if ii == i) for i in range(g.n_destinations)
-    )
     return SparsificationResult(
         d_star=d_star,
         removed=frozenset(removed),
-        h_bar=h_bar,
-        extra_decode=extra,
+        h_bar=g.replace_edges((j, i) for j, i in g.edges if j not in extra[i]),
+        extra_decode=tuple(map(frozenset, extra)),
         components=tuple(stats),
         independence_checks=checks,
         augmentations=augmentations,

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -86,6 +87,7 @@ def test_constraint_violation_exits_4(tmp_path):
     proc = run_cli("pipeline", "--network", str(path))
     assert proc.returncode == 4
     assert "alignment" in proc.stderr
+    assert "determinant appears to vanish" in proc.stderr
 
 
 def test_reports_byte_identical(tmp_path):
@@ -227,33 +229,64 @@ def test_stages_compose_to_pipeline_result():
 
 
 GOLDEN_CASES = [
-    *(pytest.param(command, network_name, (), cli.EXIT_OK, id=f"{command}-{network_name}")
+    *(pytest.param(command, f"networks/{network_name}.json", (), cli.EXIT_OK, id=f"{command}-{network_name}")
       for command in cli._COMMANDS for network_name in ("fourbyfour", "forest")),
     # 12 attempts, an alignment failure among them
-    pytest.param("precode", "fourbyfour", ("--q", "31", "--seed", "1"), cli.EXIT_OK,
+    pytest.param("precode", "networks/fourbyfour.json", ("--q", "31", "--seed", "1"), cli.EXIT_OK,
                  id="precode-fourbyfour-q31-seed1"),
-    pytest.param("pipeline", "forest", ("--q", "31", "--seed", "6"), cli.EXIT_OK, id="pipeline-forest-q31-seed6"),
-    pytest.param("precode", "fourbyfour", ("--q", "7", "--seed", "3"), cli.EXIT_CONSTRAINTS,
+    pytest.param("pipeline", "networks/forest.json", ("--q", "31", "--seed", "6"), cli.EXIT_OK,
+                 id="pipeline-forest-q31-seed6"),
+    # every attempt has a zero transfer at a used pair; no alignment check runs
+    pytest.param("precode", "networks/fourbyfour.json", ("--q", "7", "--seed", "3"), cli.EXIT_CONSTRAINTS,
                  id="precode-fourbyfour-q7-seed3"),
+    # (D1, S1) has mincut 2 and the demanded (D2, S3) mincut 0: exit 3, report written
+    pytest.param("validate", "tests/violating.json", (), cli.EXIT_ASSUMPTIONS, id="validate-violating"),
+    pytest.param("validate", "tests/violating.json", ("--format", "text"), cli.EXIT_ASSUMPTIONS,
+                 id="validate-violating-text"),
 ]
 
 
-@pytest.mark.parametrize("command, network_name, options, exit_code", GOLDEN_CASES)
-def test_report_matches_golden(command, network_name, options, exit_code, request, monkeypatch, capsys):
-    # goldens hold `pbna <command> --network networks/<name>.json --format json
-    # --sessions 5 <options>`, run from the repository root (the config echoes the
-    # path): stdout as <id>.json, or stderr as <id>.stderr for a run that fails
+@pytest.mark.parametrize("command, network, options, exit_code", GOLDEN_CASES)
+def test_report_matches_golden(command, network, options, exit_code, request, monkeypatch, capsys):
+    # goldens hold `pbna <command> --network <network> --format json --sessions 5
+    # <options>` (a later --format wins), run from the repository root (the config
+    # echoes the path): stdout as <id>.json, or <id>.txt for a text report, and
+    # stderr as <id>.stderr; a missing file stands for empty output
     monkeypatch.chdir(REPO)
-    code = cli.main([command, "--network", f"networks/{network_name}.json", "--format", "json",
-                     "--sessions", "5", *options])
+    code = cli.main([command, "--network", network, "--format", "json", "--sessions", "5", *options])
     captured = capsys.readouterr()
     assert code == exit_code, captured.err
     name = request.node.callspec.id
-    if exit_code == cli.EXIT_OK:
-        assert captured.out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    else:
-        assert captured.out == ""
-        assert captured.err == (GOLDEN / f"{name}.stderr").read_text(encoding="utf-8")
+    out, err = GOLDEN / f"{name}.{'txt' if 'text' in options else 'json'}", GOLDEN / f"{name}.stderr"
+    assert captured.out == (out.read_text(encoding="utf-8") if out.exists() else "")
+    assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
+
+
+# sha256 of `pbna pipeline --network forest160.json --format json --sessions 2` on
+# gen.forest_instance(np.random.default_rng(160), size=160): a 3,629,389-byte report whose
+# 25,600-row mincut table any change to validation or emission must keep byte for byte
+K160_PIPELINE_SHA256 = "0363086b92bd426e8348bc85b9b972167c7d908ae03bd3cae8b6b3fecc1cffeb"
+
+
+def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
+    net, _ = forest_instance(np.random.default_rng(160), size=160)
+    (tmp_path / "forest160.json").write_text(net_to_json(net))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["pipeline", "--network", "forest160.json", "--format", "json", "--sessions", "2"])
+    out = capsys.readouterr().out.encode()
+    assert code == cli.EXIT_OK
+    assert len(out) == 3_629_389
+    assert hashlib.sha256(out).hexdigest() == K160_PIPELINE_SHA256
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exit_4_names_the_failure_reason(seed, capsys):
+    # over F_2 every attempt has a zero transfer at a used pair, so no alignment check ever
+    # runs and the message must not blame a vanishing decoding determinant
+    code = cli.main(["precode", "--network", str(FOREST), "--q", "2", "--zero-trials", "20", "--seed", str(seed)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONSTRAINTS
+    assert err == "error: precoding: no valid assignment found in 20 attempts (zero_at_assignment: 20)\n"
 
 
 def test_empty_demand_set_exits_2(tmp_path):

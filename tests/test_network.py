@@ -156,12 +156,13 @@ def test_mincut_matches_enumeration_on_random_dags():
         assert ng.mincut(net, 0, 0) == mincut_by_enumeration(net, 0, 0)
 
 
-def _checked_pairs(net, oracle):
-    """validate_assumptions' pair checks, each mincut asserted equal to the oracle's."""
-    pairs = ng.validate_assumptions(net).pairs
-    for p in pairs:
-        assert p.mincut == oracle(net, p.source, p.destination), (net_to_mapping(net), p)
-    return pairs
+def _checked_mincuts(net, oracle):
+    """validate_assumptions' (M, K) mincut table, each entry asserted equal to the oracle's."""
+    cuts = ng.validate_assumptions(net).mincut
+    assert cuts.shape == (net.n_destinations, net.n_sources)
+    for (i, j), cut in np.ndenumerate(cuts):
+        assert cut == oracle(net, j, i), (net_to_mapping(net), i, j)
+    return cuts
 
 
 def test_validate_mincuts_match_enumeration_on_multiterminal_dags():
@@ -172,10 +173,10 @@ def test_validate_mincuts_match_enumeration_on_multiterminal_dags():
         seen["shared_node"] += bool(set(net.sources) & set(net.destinations))
         seen["parallel"] += len(set(net.edges)) < len(net.edges)
         seen["into_source"] += any(h in net.sources for _, h in net.edges)
-        for p in _checked_pairs(net, mincut_by_enumeration):
-            colocated = net.sources[p.source] == net.destinations[p.destination]
-            seen["unreachable"] += p.mincut == 0 and not colocated
-            seen["at_least_3"] += p.mincut >= 3
+        for (i, j), cut in np.ndenumerate(_checked_mincuts(net, mincut_by_enumeration)):
+            colocated = net.sources[j] == net.destinations[i]
+            seen["unreachable"] += cut == 0 and not colocated
+            seen["at_least_3"] += cut >= 3
     assert all(seen.values()), seen
 
 
@@ -199,7 +200,7 @@ def test_validate_mincuts_match_networkx_on_larger_dags():
     largest = 0
     for _ in range(100):
         net = random_multiterminal_dag(rng, min_nodes=20, max_nodes=40, edge_prob=0.12)
-        largest = max([largest] + [p.mincut for p in _checked_pairs(net, _networkx_mincut)])
+        largest = max(largest, int(_checked_mincuts(net, _networkx_mincut).max()))
     assert largest >= 3
 
 
@@ -242,22 +243,33 @@ def test_validate_calls_mincut_once_per_connected_pair(which, monkeypatch):
 # validation
 
 
+def test_demand_mask_is_read_only_and_matches_demands(fourbyfour):
+    mask = fourbyfour.demand_mask
+    assert mask is fourbyfour.demand_mask
+    assert [set(np.flatnonzero(row).tolist()) for row in mask] == [set(d) for d in fourbyfour.demands]
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+
+
 def test_validate_fourbyfour_all_unit_mincuts(fourbyfour):
     report = ng.validate_assumptions(fourbyfour)
     assert report.ok
-    assert len(report.pairs) == 16
-    assert all(p.mincut == 1 for p in report.pairs)
+    assert report.mincut.shape == (4, 4)
+    assert (report.mincut == 1).all()
+    assert report.pair_ok.all() and report.violations == ()
     report.require_ok()
 
 
 def test_validate_flags_unreachable_demanded_pair():
     net = ng.Network(("S1", "S2", "D1", "D2"), (("S1", "D1"), ("S2", "D2")),
                      ("S1", "S2"), ("D1", "D2"), (frozenset({1}), frozenset({0})))
-    # D1 demands S2 but only S1 reaches it
+    # D1 demands S2 but only S1 reaches it, and D2 demands S1 but only S2 reaches it
     report = ng.validate_assumptions(net)
     assert not report.ok
-    assert any(v.demanded and v.mincut == 0 for v in report.violations)
-    with pytest.raises(ng.AssumptionViolation):
+    assert report.violations == ((0, 1), (1, 0))
+    assert report.demanded.tolist() == [[False, True], [True, False]]
+    assert report.mincut.tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ng.AssumptionViolation, match=r"\(D1, S2\) mincut=0, \(D2, S1\) mincut=0$"):
         report.require_ok()
 
 
@@ -269,7 +281,8 @@ def test_validate_flags_mincut_two():
     )
     report = ng.validate_assumptions(net)
     assert not report.ok
-    assert report.violations[0].mincut == 2
+    assert report.violations == ((0, 0),)
+    assert report.mincut[0, 0] == 2
 
 
 def test_validate_flags_empty_interference(tmp_path, capsys):
