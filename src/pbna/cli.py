@@ -27,7 +27,7 @@ import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, edge_between, has_cycle, shortest_cycle, to_dot
-from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
+from .network import AssumptionViolation, Network, ParseError, ValidationReport, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
 from .simulate import DecodeFailure, rate_report, run_session
@@ -139,10 +139,11 @@ def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
     nodes = []
     for tok in arg.split(","):
         tok = tok.strip()
-        if len(tok) < 2 or tok[0] not in "SW" or not tok[1:].isdigit():
-            raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels")
-        idx = int(tok[1:]) - 1
-        nodes.append(("x" if tok[0] == "S" else "y", idx))
+        kind, digits = tok[:1], tok[1:]
+        # str.isdigit alone also accepts digits such as "²" and "١"
+        if kind not in ("S", "W") or not (digits.isascii() and digits.isdigit()) or int(digits) == 0:
+            raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels, k from 1")
+        nodes.append(("x" if kind == "S" else "y", int(digits) - 1))
     cyc = check_cycle(net, nodes)
     for t, u in enumerate(cyc):
         j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
@@ -176,18 +177,13 @@ def _config_section(cfg: RunConfig) -> dict:
 
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
-    cuts, demanded, ok = report.mincut.tolist(), report.demanded.tolist(), report.pair_ok.tolist()
-    dsts = [_dst(i) for i in range(len(cuts))]
-    srcs = [_src(j) for j in range(len(cuts[0]))]
     return {
         "ok": report.ok,
-        "mincuts": [
-            {"destination": dsts[i], "source": srcs[j], "mincut": cuts[i][j], "demanded": demanded[i][j],
-             "ok": ok[i][j]}
-            for i in range(len(dsts)) for j in range(len(srcs))
-        ],
+        # the K*M rows stay as arrays until _json_text writes them; text reports never read them
+        "mincuts": report,
         "violations": [
-            {"destination": dsts[i], "source": srcs[j], "mincut": cuts[i][j], "demanded": demanded[i][j]}
+            {"destination": _dst(i), "source": _src(j), "mincut": int(report.mincut[i, j]),
+             "demanded": bool(report.demanded[i, j])}
             for i, j in report.violations
         ],
         "empty_interference": [_dst(i) for i in run.graph.empty_destinations()],
@@ -342,10 +338,11 @@ def _text_obstruction(section: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # JSON emission: the text of json.dumps(obj, indent=2, sort_keys=True), with every run of
-# flat containers encoded by the C encoder, which json.dumps drops whenever indent is set
+# flat containers encoded by the C encoder, which json.dumps drops whenever indent is set,
+# and a ValidationReport standing for its list of mincut rows
 
 
-_CONTAINERS = (list, tuple, dict)
+_CONTAINERS = (list, tuple, dict, ValidationReport)
 
 
 @functools.cache
@@ -362,8 +359,11 @@ def _is_flat(obj) -> bool:
 def _json_text(obj, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` at ``depth`` levels of indent.
 
-    Dict keys must be strings, as they are in every report.
+    Dict keys must be strings, as they are in every report.  A ValidationReport
+    stands for the list of its mincut rows (see ``_mincut_table_text``).
     """
+    if isinstance(obj, ValidationReport):
+        return _mincut_table_text(obj, depth)
     if not isinstance(obj, _CONTAINERS) or not obj:
         return _compact_text(obj)
     if _is_flat(obj):
@@ -402,6 +402,27 @@ def _flat_run_text(items, depth: int) -> str:
                               item_indent + close + "," + item_indent + open_ + child_indent)
     return ("[" + item_indent + open_ + child_indent + body + item_indent + close
             + "\n" + "  " * depth + "]")
+
+
+def _mincut_table_text(report: ValidationReport, depth: int) -> str:
+    """A ValidationReport as its list of rows, destination-major, each the dict of
+    demanded, destination ("D<i>"), mincut, ok and source ("S<j>").
+
+    Every row has the same keys at the same indent, so the table is one
+    %-template per row, filled in one call from the (M, K) arrays; no dict is built.
+    """
+    item_indent = "\n" + "  " * (depth + 1)
+    key = item_indent + "  "
+    row = (item_indent + "{" + key + '"demanded": %s,' + key + '"destination": "D%d",' + key + '"mincut": %d,'
+           + key + '"ok": %s,' + key + '"source": "S%d"' + item_indent + "}")
+    m, k = report.mincut.shape
+    fields = np.empty((m, k, 5), dtype=object)
+    fields[..., 0] = np.where(report.demanded, "true", "false")
+    fields[..., 1] = np.arange(1, m + 1)[:, None]
+    fields[..., 2] = report.mincut
+    fields[..., 3] = np.where(report.pair_ok, "true", "false")
+    fields[..., 4] = np.arange(1, k + 1)
+    return "[" + ",".join([row] * (m * k)) % tuple(fields.ravel().tolist()) + "\n" + "  " * depth + "]"
 
 
 def _nested_text(obj, depth: int) -> str:

@@ -197,7 +197,7 @@ def load_network(data: bytes | str) -> Network:
             raise ParseError(f"network file is not UTF-8: {exc}") from exc
     try:
         obj = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")

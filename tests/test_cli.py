@@ -52,13 +52,15 @@ def test_pipeline_forest_text():
 
 
 def test_malformed_file_exits_2_without_report(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{ this is not json")
-    out = tmp_path / "report.json"
-    proc = run_cli("pipeline", "--network", str(bad), "--format", "json", "--out", str(out))
-    assert proc.returncode == 2
-    assert not out.exists()
-    assert "parse" in proc.stderr.lower() or "network" in proc.stderr.lower()
+    # the nested file exhausts the JSON decoder's recursion limit
+    for content in ("{ this is not json", "[" * 200_000 + "]" * 200_000):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        out = tmp_path / "report.json"
+        proc = run_cli("pipeline", "--network", str(bad), "--format", "json", "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert not out.exists()
+        assert proc.stderr.startswith("error: network: invalid JSON: ")
 
 
 def test_missing_file_exits_2(tmp_path):
@@ -154,6 +156,16 @@ def test_obstruct_bad_explicit_cycle_exits_2():
     proc = run_cli("obstruct", "--network", str(FOREST), "--cycle", "S1,W1,S2,W2")
     assert proc.returncode == 2
     assert "obstruction" in proc.stderr
+
+
+# "²" and "١" pass str.isdigit, and int() rejects the first and reads the second as 1
+@pytest.mark.parametrize("cycle", ["S\u00b2,W1,S2,W2", "S\u0661,W1,S2,W2", "S0,W1,S2,W2", "S1,W0,S2,W2", "S1,,S2,W2"])
+def test_obstruct_rejects_bad_cycle_labels(cycle, capsys):
+    code = cli.main(["obstruct", "--network", str(FOURBYFOUR), "--cycle", cycle])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err.startswith("error: network: bad cycle node "), captured.err
 
 
 def test_simulate_subcommand_traces(tmp_path):
@@ -426,7 +438,7 @@ def test_pipeline_fires_the_benchmark_trace_hooks(tmp_path, monkeypatch):
 
 
 _FUZZ_CHARS = 'ab{}[],:"\\\n\t\x00 \u00e9\u20ac\u2028\U0001f600'
-_EMITTER_BRANCHES = ("_compact_text", "_flat_text", "_flat_run_text", "_nested_text")
+_EMITTER_BRANCHES = ("_compact_text", "_flat_text", "_flat_run_text", "_nested_text", "_mincut_table_text")
 
 
 def _fuzz_scalar(rng: random.Random):
@@ -448,12 +460,32 @@ def _fuzz_flat(rng: random.Random, kind):
     return kind(_fuzz_scalar(rng) for _ in range(n))
 
 
+def _fuzz_report(rng: random.Random) -> network.ValidationReport:
+    """A 1x1 to 4x4 mincut table, square or not, with cuts of 0, 1, 2 and far above."""
+    m, k = rng.randrange(1, 5), rng.randrange(1, 5)
+    mincut = np.array([[rng.choice([0, 1, 1, 2, 10, 2**40]) for _ in range(k)] for _ in range(m)], dtype=np.int64)
+    demanded = np.array([[rng.random() < 0.5 for _ in range(k)] for _ in range(m)])
+    return network.ValidationReport(mincut, demanded)
+
+
+def _mincut_rows(obj):
+    """``json.dumps`` default hook: a ValidationReport as the list of row dicts it stands for."""
+    if not isinstance(obj, network.ValidationReport):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return [
+        {"destination": f"D{i + 1}", "source": f"S{j + 1}", "mincut": cut, "demanded": demanded,
+         "ok": cut == 1 if demanded else cut <= 1}
+        for i, (cuts, flags) in enumerate(zip(obj.mincut.tolist(), obj.demanded.tolist()))
+        for j, (cut, demanded) in enumerate(zip(cuts, flags))
+    ]
+
+
 def _fuzz_value(rng: random.Random, depth: int):
     """A random nested value that reaches every emission branch: scalars and empty containers,
-    flat containers, runs of flat dicts or flat lists, and mixed containers."""
+    mincut tables, flat containers, runs of flat dicts or flat lists, and mixed containers."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
-        return rng.choice([_fuzz_scalar(rng), [], {}, ()])
+        return rng.choice([_fuzz_scalar, lambda _: [], lambda _: {}, lambda _: (), _fuzz_report])(rng)
     if roll < 0.5:
         return _fuzz_flat(rng, rng.choice([dict, list, tuple]))
     n = rng.randrange(1, 5)
@@ -468,18 +500,26 @@ def _fuzz_value(rng: random.Random, depth: int):
 
 
 def test_emitter_matches_json_dumps_on_random_values(monkeypatch):
-    hits = dict.fromkeys(_EMITTER_BRANCHES, 0)
+    calls = {name: [] for name in _EMITTER_BRANCHES}
     for name in _EMITTER_BRANCHES:
-        def counting(*args, _name=name, _real=getattr(cli, name)):
-            hits[_name] += 1
+        def recording(*args, _name=name, _real=getattr(cli, name)):
+            calls[_name].append(args)
             return _real(*args)
 
-        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(cli, name, recording)
     rng = random.Random(71)
     for _ in range(10_000):
         value = _fuzz_value(rng, 3)
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
-    assert min(hits.values()) >= 100, hits
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=_mincut_rows), value
+    assert min(map(len, calls.values())) >= 100, {name: len(args) for name, args in calls.items()}
+    tables = calls["_mincut_table_text"]
+    shapes = {report.mincut.shape for report, _ in tables}
+    assert (1, 1) in shapes and any(m != k for m, k in shapes)
+    cuts = {cut for report, _ in tables for cut in report.mincut.flat}
+    assert {0, 1, 2} <= cuts and max(cuts) >= 10
+    assert {(bool(d), bool(ok)) for report, _ in tables for d, ok in zip(report.demanded.flat, report.pair_ok.flat)} \
+        == {(False, False), (False, True), (True, False), (True, True)}
+    assert {depth for _, depth in tables} - {2}
 
 
 def test_json_reports_match_json_dumps_on_a_k48_forest(tmp_path, monkeypatch, capsys):
@@ -494,4 +534,15 @@ def test_json_reports_match_json_dumps_on_a_k48_forest(tmp_path, monkeypatch, ca
         code = cli.main([command, "--network", str(path), "--format", "json", "--sessions", "3"])
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK, command
-        assert out == json.dumps(reports[0], indent=2, sort_keys=True) + "\n", command
+        assert out == json.dumps(reports[0], indent=2, sort_keys=True, default=_mincut_rows) + "\n", command
+
+
+@pytest.mark.parametrize("command", ["validate", "pipeline"])
+def test_text_reports_never_render_the_mincut_rows(command, monkeypatch, capsys):
+    calls = []
+    real = cli._mincut_table_text
+    monkeypatch.setattr(cli, "_mincut_table_text", lambda *args: calls.append(args) or real(*args))
+    assert cli.main([command, "--network", str(FOREST), "--format", "text"]) == cli.EXIT_OK
+    assert calls == []
+    assert cli.main([command, "--network", str(FOREST), "--format", "json"]) == cli.EXIT_OK
+    assert len(calls) == 1
