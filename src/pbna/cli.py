@@ -142,7 +142,7 @@ def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
         kind, digits = tok[:1], tok[1:]
         # str.isdigit alone also accepts digits such as "²" and "١"
         if kind not in ("S", "W") or not (digits.isascii() and digits.isdigit()) or int(digits) == 0:
-            raise ParseError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels, k from 1")
+            raise ConfigError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels, k from 1")
         nodes.append(("x" if kind == "S" else "y", int(digits) - 1))
     cyc = check_cycle(net, nodes)
     for t, u in enumerate(cyc):

@@ -13,8 +13,11 @@ greedy scan can stall at a maximal set below the maximum (rare, but real:
 see tests for counterexamples).  When that happens, find_dstar finishes the
 job exactly with matroid-intersection augmenting paths (Cunningham 1986)
 before deciding that the current quota is infeasible.  The exchange graph's
-bond arcs come from bridge sets (Tarjan 1974), at most one bridge pass per
-removed edge, so an augmentation of a removal set I costs O(|I|·(V+E)).
+bond arcs come from one bridge pass (Tarjan 1974) per augmentation round:
+H = G - I's bridge forest gives every arc, each removed edge y costing only
+the length of the forest path between its endpoints, so a round costs
+O(V + E + |I|·V).  The greedy scan tests each candidate with one search
+that stops as soon as it reaches the candidate's far endpoint.
 
 The result is the sparsified graph h_bar and each destination's
 extra-decode set; precoding.plan_with_resampling derives the decode and
@@ -27,10 +30,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 
-from .interference import InterferenceGraph, bridges, component_count, connected_components
-
-
-Edge = tuple[int, int]
+from .interference import Edge, InterferenceGraph, bridge_forest, connected_components, edge_mask, reaches
 
 
 def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
@@ -39,16 +39,26 @@ def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
 
 
 def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
-    base_components = component_count(g)
+    """Scan ``labeling`` once, keeping each edge that stays independent in both matroids.
+
+    The chosen set keeps every component connected, so e = (j, i) can join
+    it iff e is no bridge of G - chosen, i.e. j still reaches destination
+    node K + i in G - chosen - e: one search that stops on reaching it.
+    """
+    ids = g.index.ids
+    mask = bytearray(len(ids))  # the chosen edges
     chosen: list[Edge] = []
     per_dest: dict[int, int] = {}
     for e in labeling:
-        if per_dest.get(e[1], 0) + 1 > d:
+        j, i = e
+        if per_dest.get(i, 0) + 1 > d:
             continue
-        if component_count(g, set(chosen) | {e}) != base_components:
+        mask[ids[e]] = 1
+        if not reaches(g, j, g.n_sources + i, mask):
+            mask[ids[e]] = 0  # e is a bridge of G - chosen
             continue
         chosen.append(e)
-        per_dest[e[1]] = per_dest.get(e[1], 0) + 1
+        per_dest[i] = per_dest.get(i, 0) + 1
     return tuple(chosen)
 
 
@@ -59,12 +69,16 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     matroids over ``pool``) by one element per shortest augmenting path until
     none exists; by the matroid intersection theorem the result is maximum.
 
-    Bond independence is read off bridge sets: since ``current`` (I) keeps
-    every component connected, I + x does iff x is not a bridge of G - I,
-    and I - y + x does iff x is not a bridge of G - (I - y).  So one bridge
-    pass gives the sources, and one more gives y's outgoing arcs when the
-    search first leaves y; nodes it never reaches cost nothing.
+    Bond independence is read off the bridges of H = G - I: since
+    ``current`` (I) keeps every component connected, I + x does iff x is
+    not a bridge of H, and I - y + x does iff x is not a bridge of H + y.
+    Those are H's non-bridges, which are all sources and so already
+    visited, plus the bridges on H's bridge-forest path between y's
+    endpoints.  So one bridge pass per round gives the sources and every
+    arc, and each popped y costs only its path length.  ``pool`` holds the
+    edges of one component of g.
     """
+    ids, edges = g.index.ids, g.index.edges
     current = set(start)
     while True:
         ins = sorted(current)
@@ -73,8 +87,8 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
         for y in ins:
             ins_at.setdefault(y[1], []).append(y)
         deg = {i: len(ys) for i, ys in ins_at.items()}
-        cut = bridges(g, current)
-        sources = [e for e in outs if e not in cut]
+        forest = bridge_forest(g, edge_mask(g, current))
+        sources = [e for e in outs if not forest.is_bridge[ids[e]]]
         sinks = {e for e in outs if deg.get(e[1], 0) + 1 <= d}
         if not sources or not sinks:
             return tuple(sorted(current))
@@ -88,8 +102,7 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
         while queue and goal is None:
             u = queue.popleft()
             if u in current:  # swaps I - u + x that keep bond independence
-                cut = bridges(g, current - {u})
-                arcs = [x for x in outs if x not in cut]
+                arcs = [edges[e] for e in forest.path(u[0], g.n_sources + u[1])]
             else:  # swaps I - y + u that keep partition independence: u is no sink, so its
                 # destination is full and only dropping a removed edge there makes room
                 arcs = ins_at.get(u[1], ())

@@ -160,6 +160,43 @@ def forest_instance(rng: np.random.Generator, size: int | None = None):
     return net, frozenset(forest)
 
 
+def cyclic_instance(rng: np.random.Generator, size: int, demand_size: int = 2, density: float = 0.03):
+    """Random groupcast network whose interference graph is a random bipartite graph.
+
+    K = M = ``size``; every destination demands ``demand_size`` sources, and
+    each other (source, destination) pair interferes independently with
+    probability ``density``.  Routes are private as in ``forest_instance``, so
+    the interference graph the pipeline finds is exactly the drawn one.
+    """
+    demands = tuple(
+        frozenset(int(x) for x in rng.choice(size, size=demand_size, replace=False))
+        for _ in range(size)
+    )
+    interference = frozenset(
+        (j, i) for i in range(size) for j in range(size)
+        if j not in demands[i] and rng.random() < density
+    )
+    nodes = [f"S{j + 1}" for j in range(size)] + [f"D{i + 1}" for i in range(size)]
+    edges: list[tuple[str, str]] = []
+    for i in range(size):
+        for j in sorted(demands[i] | {j for j, ii in interference if ii == i}):
+            if rng.random() < 0.3:
+                mid = f"R{len(nodes) - 2 * size + 1}"
+                nodes.append(mid)
+                edges.append((f"S{j + 1}", mid))
+                edges.append((mid, f"D{i + 1}"))
+            else:
+                edges.append((f"S{j + 1}", f"D{i + 1}"))
+    net = Network(
+        tuple(nodes),
+        tuple(edges),
+        tuple(f"S{j + 1}" for j in range(size)),
+        tuple(f"D{i + 1}" for i in range(size)),
+        demands,
+    )
+    return net, interference
+
+
 def random_dag_net(rng: np.random.Generator, max_extra_nodes: int = 4, max_edges: int = 8):
     """Small arbitrary DAG with one source and one destination, for oracles.
 
@@ -189,6 +226,19 @@ def random_bipartite(rng: np.random.Generator, max_sources: int = 5, max_dests: 
     rng.shuffle(all_pairs)
     n_edges = int(rng.integers(0, min(max_edges, len(all_pairs)) + 1))
     return InterferenceGraph(k, m, frozenset(all_pairs[:n_edges]))
+
+
+def dense_bipartite(rng: np.random.Generator) -> InterferenceGraph:
+    """Random bipartite graph on 8-15 sources and 8-15 destinations.
+
+    Each pair is an edge with one density drawn from [0.15, 0.45), so most
+    of these graphs are cyclic and many stall find_dstar's greedy scan.
+    """
+    k, m = (int(n) for n in rng.integers(8, 16, size=2))
+    density = rng.uniform(0.15, 0.45)
+    return InterferenceGraph(k, m, frozenset(
+        (j, i) for j in range(k) for i in range(m) if rng.random() < density
+    ))
 
 
 def random_multiterminal_dag(rng: np.random.Generator, min_nodes: int = 4, max_nodes: int = 7,

@@ -4,10 +4,12 @@ Everything here is deliberately naive -- extended Euclid, one-matrix
 Gaussian elimination with Fermat inverses, Laplace expansion, subset
 enumeration, path enumeration, an edge-by-edge walk -- and shares no code
 with the implementations under test; coding coefficients are looked up
-through the network's layout index arrays.  Two exceptions count components with the
+through the network's layout index arrays.  Four exceptions use the
 package's traversal layer: ``independence_check``, a membership predicate
-for the matroids find_dstar intersects, and ``augment_by_component_counts``,
-the exchange-graph augmentation with one component count per arc test.
+for the matroids find_dstar intersects; ``greedy_scan_by_component_counts``
+and ``augment_by_component_counts``, the greedy scan and the exchange-graph
+augmentation with one full component count per independence test; and
+``shortest_cycle_by_full_bfs``, one complete breadth-first tree per edge.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's reading of them off one reduction, and
 ``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
@@ -21,7 +23,7 @@ from collections import deque
 import numpy as np
 
 from pbna import gf
-from pbna.interference import component_count
+from pbna.interference import Edge, InterferenceGraph, NodeRef, _bfs, component_count
 from pbna.precoding import A, B, AlignmentVerdict
 
 
@@ -331,6 +333,47 @@ def independence_check(g, candidate, d: int) -> bool:
         if per_dest[i] > d:
             return False
     return component_count(g, cand) == component_count(g)
+
+
+def greedy_scan_by_component_counts(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
+    """find_dstar's greedy scan with one full component count per scanned edge."""
+    base_components = component_count(g)
+    chosen: list[Edge] = []
+    per_dest: dict[int, int] = {}
+    for e in labeling:
+        if per_dest.get(e[1], 0) + 1 > d:
+            continue
+        if component_count(g, set(chosen) | {e}) != base_components:
+            continue
+        chosen.append(e)
+        per_dest[e[1]] = per_dest.get(e[1], 0) + 1
+    return tuple(chosen)
+
+
+def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
+    """Shortest cycle as an alternating node sequence, or None if acyclic.
+
+    For every edge, BFS the shortest path between its endpoints in the graph
+    without that edge; the best closure wins.  Rotated to start at the
+    smallest source on the cycle for deterministic output.
+    """
+    best: list[NodeRef] | None = None
+    for j, i in sorted(g.edges):
+        a: NodeRef = ("x", j)
+        b: NodeRef = ("y", i)
+        prev = _bfs(g, a, removed={(j, i)})
+        if b not in prev:
+            continue
+        path = [b]
+        while path[-1] != a:
+            path.append(prev[path[-1]])
+        if best is None or len(path) < len(best):
+            best = path[::-1]
+    if best is None:
+        return None
+    starts = [k for k, (kind, _) in enumerate(best) if kind == "x"]
+    k0 = min(starts, key=lambda k: best[k][1])
+    return tuple(best[k0:] + best[:k0])
 
 
 def augment_by_component_counts(g, pool, d: int, start):

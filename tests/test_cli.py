@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pbna import cli, network, obstruction, precoding
-from gen import adversarial_net, forest_instance, net_to_json
+from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
@@ -165,7 +165,7 @@ def test_obstruct_rejects_bad_cycle_labels(cycle, capsys):
     captured = capsys.readouterr()
     assert code == cli.EXIT_PARSE
     assert captured.out == ""
-    assert captured.err.startswith("error: network: bad cycle node "), captured.err
+    assert captured.err.startswith("error: config: bad cycle node "), captured.err
 
 
 def test_simulate_subcommand_traces(tmp_path):
@@ -289,6 +289,24 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_OK
     assert len(out) == 3_629_389
     assert hashlib.sha256(out).hexdigest() == K160_PIPELINE_SHA256
+
+
+# sha256 of `pbna pipeline --network cyclic160.json --format json --sessions 2` on
+# gen.cyclic_instance(np.random.default_rng(160), 160): K = M = 160, L = 2, 776 interference
+# edges at density 0.03, d* = 4 after 2 augmentations, so the report pins find_dstar's
+# removal and the shortest cycle the obstruction section names
+K160_CYCLIC_PIPELINE_SHA256 = "107afc9c0532bc1fe7d4fac752cd39376afb118cdddb4cacf88a9ed9d66dc3db"
+
+
+def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
+    net, _ = cyclic_instance(np.random.default_rng(160), 160)
+    (tmp_path / "cyclic160.json").write_text(net_to_json(net))
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
+    out = capsys.readouterr().out.encode()
+    assert code == cli.EXIT_OK
+    assert len(out) == 3_702_476
+    assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 
 @pytest.mark.parametrize("seed", range(8))

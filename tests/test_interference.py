@@ -3,8 +3,8 @@ import pytest
 
 from pbna import interference as ig
 from pbna.network import Network, realize
-from gen import forest_instance, random_bipartite
-from oracles import bipartite_has_cycle_bruteforce
+from gen import dense_bipartite, forest_instance, random_bipartite
+from oracles import bipartite_has_cycle_bruteforce, shortest_cycle_by_full_bfs
 
 
 def graph_of(net: Network, trials: int = 3, seed: int = 0):
@@ -177,7 +177,7 @@ def test_components_discovered_in_ascending_root_order():
 def _nx_graph(g: ig.InterferenceGraph, removed=frozenset()):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
-    h.add_nodes_from(g.adjacency)
+    h.add_nodes_from(g.index.nodes)
     h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges - set(removed))
     return nx, h
 
@@ -270,3 +270,82 @@ def test_bridges_do_not_recurse_on_long_paths():
     g = ig.InterferenceGraph(n, n, frozenset(path))
     assert ig.bridges(g) == path
     assert ig.bridges(g.replace_edges(path | {(0, n - 1)})) == set()
+
+
+def test_shortest_cycle_matches_one_full_bfs_per_edge():
+    # The early-exit, depth-bounded searches must name exactly the cycle that
+    # one complete breadth-first tree per edge names, rotation included.
+    rng = np.random.default_rng(1978)
+    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=16) for _ in range(250)]
+    graphs += [dense_bipartite(rng) for _ in range(100)]
+    assert [ig.shortest_cycle(g) for g in graphs] == [shortest_cycle_by_full_bfs(g) for g in graphs]
+    assert sum(ig.has_cycle(g) for g in graphs) >= 150
+
+
+def test_reaches_matches_networkx_under_removals():
+    rng = np.random.default_rng(4242)
+    answers = set()
+    for _ in range(200):
+        g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=16)
+        removed = {e for e in sorted(g.edges) if rng.random() < 0.3}
+        nx, h = _nx_graph(g, removed)
+        mask = ig.edge_mask(g, removed)
+        for _ in range(3):
+            j, i = int(rng.integers(g.n_sources)), int(rng.integers(g.n_destinations))
+            expected = nx.has_path(h, ("x", j), ("y", i))
+            assert ig.reaches(g, j, g.n_sources + i, mask) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def _bond_removal(rng, nx, g):
+    """A random edge set whose removal keeps every component of g connected.
+
+    Each edge is tried with probability 1/2, so G minus the set usually
+    keeps cycles, and with them 2-edge-connected classes of several nodes.
+    """
+    h = nx.Graph()
+    h.add_nodes_from(g.index.nodes)
+    h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges)
+    components = nx.number_connected_components(h)
+    removal = set()
+    for j, i in sorted(g.edges, key=lambda e: rng.random()):
+        if rng.random() < 0.5:
+            continue
+        h.remove_edge(("x", j), ("y", i))
+        if nx.number_connected_components(h) == components:
+            removal.add((j, i))
+        else:
+            h.add_edge(("x", j), ("y", i))
+    return removal
+
+
+def test_bridge_forest_arcs_match_networkx():
+    # For I keeping every component connected and H = G - I: the exchange
+    # arcs out of y in I are the x outside I that are no bridge of H + y,
+    # i.e. H's non-bridges plus the bridges on the forest path of y's ends.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(1992)
+    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(150)]
+    graphs += [dense_bipartite(rng) for _ in range(50)]
+    checked = with_path = classes = 0
+    for g in graphs:
+        removal = _bond_removal(rng, nx, g)
+        outs = g.edges - removal
+        forest = ig.bridge_forest(g, ig.edge_mask(g, removal))
+        _, h = _nx_graph(g, removal)
+        cut = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
+        assert {e for e in outs if forest.is_bridge[g.index.ids[e]]} == cut
+        classes += len(forest.depth) < len(g.index.nodes)
+        for j, i in sorted(removal):
+            path = forest.path(j, g.n_sources + i)
+            assert path == sorted(set(path))
+            h.add_edge(("x", j), ("y", i))
+            still = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
+            h.remove_edge(("x", j), ("y", i))
+            arcs = {e for e in outs if e not in cut} | {g.index.edges[e] for e in path}
+            assert arcs == {x for x in outs if x not in still}
+            assert {g.index.edges[e] for e in path} <= cut
+            checked += 1
+            with_path += bool(path)
+    assert checked > 500 and with_path > 300 and classes >= 40

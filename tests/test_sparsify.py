@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from pbna import sparsify as sp
+from pbna import interference as ig, sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, component_count, has_cycle
 from pbna.network import realize
-from gen import random_bipartite
-from oracles import augment_by_component_counts, dstar_exact_removal, independence_check
+from gen import dense_bipartite, random_bipartite
+from oracles import augment_by_component_counts, dstar_exact_removal, greedy_scan_by_component_counts, independence_check
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -248,14 +248,14 @@ def test_bridge_oracles_build_the_component_count_exchange_graph(monkeypatch):
 
 
 def test_augmentation_makes_no_connectivity_test(monkeypatch):
-    # Every component count find_dstar makes must come from the greedy scan.
+    # Every reachability search find_dstar makes must come from the greedy scan.
     calls = {"greedy": 0, "other": 0}
     in_greedy = []
-    real_count, real_scan = sp.component_count, sp._greedy_scan
+    real_reaches, real_scan = sp.reaches, sp._greedy_scan
 
     def counting(*args, **kwargs):
         calls["greedy" if in_greedy else "other"] += 1
-        return real_count(*args, **kwargs)
+        return real_reaches(*args, **kwargs)
 
     def scan(*args, **kwargs):
         in_greedy.append(True)
@@ -264,9 +264,76 @@ def test_augmentation_makes_no_connectivity_test(monkeypatch):
         finally:
             in_greedy.pop()
 
-    monkeypatch.setattr(sp, "component_count", counting)
+    monkeypatch.setattr(sp, "reaches", counting)
     monkeypatch.setattr(sp, "_greedy_scan", scan)
     res = sp.find_dstar(stalling_graph())
     assert res.augmentations >= 1
     assert calls["greedy"] > 0
     assert calls["other"] == 0
+
+
+def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
+    # A round either augments by one edge or ends the search, so a call from
+    # start to result makes len(result) - len(start) + 1 rounds; each must
+    # cost exactly one Tarjan pass, and nothing outside the augmentation may
+    # make one.
+    passes = rounds = 0
+    real_tarjan, real_augment = ig._tarjan, sp._augment_to_maximum
+
+    def counting(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return real_tarjan(*args, **kwargs)
+
+    def augment(g, pool, d, start):
+        nonlocal rounds
+        before = passes
+        result = real_augment(g, pool, d, start)
+        assert passes - before == len(result) - len(start) + 1
+        rounds += len(result) - len(start) + 1
+        return result
+
+    monkeypatch.setattr(ig, "_tarjan", counting)
+    monkeypatch.setattr(sp, "_augment_to_maximum", augment)
+    augmented = sum(sp.find_dstar(g).augmentations for g in _corpus(1992, sparse=0, dense=60))
+    assert passes == rounds
+    assert augmented >= 20 and rounds > augmented
+
+
+def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
+    """``sparse`` small random_bipartite graphs, then ``dense`` 8-15 node graphs."""
+    rng = np.random.default_rng(seed)
+    return ([random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(sparse)]
+            + [dense_bipartite(rng) for _ in range(dense)])
+
+
+def test_greedy_scan_matches_the_component_count_scan():
+    # One early-exit search per candidate must accept exactly the edges that
+    # one full component count per candidate accepts, in any label order.
+    rng = np.random.default_rng(625)
+    graphs = _corpus(1324, sparse=220, dense=100)
+    cyclic = sum(has_cycle(g) for g in graphs)
+    for g in graphs:
+        shuffled = list(sp.default_labeling(g))
+        rng.shuffle(shuffled)
+        for labeling in (sp.default_labeling(g), tuple(shuffled)):
+            for d in range(4):
+                assert sp._greedy_scan(g, labeling, d) == greedy_scan_by_component_counts(g, labeling, d)
+    assert len(graphs) >= 300 and cyclic >= 50
+
+
+def test_find_dstar_matches_the_component_count_search(monkeypatch):
+    # The whole search, with the greedy scan and the augmentation both
+    # replaced by their one-component-count-per-test oracles, must give every
+    # result field unchanged; small graphs are also checked exhaustively.
+    graphs = _corpus(1226, sparse=150, dense=180)
+    fast = [sp.find_dstar(g) for g in graphs]
+    for g, res in zip(graphs, fast):
+        if len(g.edges) <= 12:
+            assert res.d_star == dstar_exact_removal(g)
+    monkeypatch.setattr(sp, "_greedy_scan", greedy_scan_by_component_counts)
+    monkeypatch.setattr(sp, "_augment_to_maximum", augment_by_component_counts)
+    counted = [sp.find_dstar(g) for g in graphs]
+    assert [_outcome(r) for r in fast] == [_outcome(r) for r in counted]
+    assert len(graphs) >= 300
+    assert sum(r.augmentations >= 1 for r in fast) >= 100
