@@ -52,7 +52,10 @@ class OutputError(OSError):
 
 @dataclass
 class RunConfig:
-    """Resolved command-line options shared by all subcommands; the parser's dests are these fields."""
+    """Resolved command-line options shared by all subcommands; the parser's dests are these fields.
+
+    The defaults live here alone: the parser sets only the options given.
+    """
 
     network_path: str
     q: int = DEFAULT_Q
@@ -529,22 +532,21 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} stage")
+        p = sub.add_parser(name, help=f"run the {name} stage", argument_default=argparse.SUPPRESS)
         p.add_argument("--network", required=True, dest="network_path", metavar="NETWORK",
                        help="path to the network JSON file")
-        p.add_argument("--q", type=int, default=DEFAULT_Q, help="prime field modulus below 2**31")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-        p.add_argument("--attempts", type=int, default=20, dest="max_attempts", metavar="ATTEMPTS",
+        p.add_argument("--q", type=int, help="prime field modulus below 2**31")
+        p.add_argument("--seed", type=int, help="seed for all randomness")
+        p.add_argument("--attempts", type=int, dest="max_attempts", metavar="ATTEMPTS",
                        help="resampling budget for precoding")
-        p.add_argument("--zero-trials", type=int, default=3, dest="zero_test_trials", metavar="ZERO_TRIALS",
+        p.add_argument("--zero-trials", type=int, dest="zero_test_trials", metavar="ZERO_TRIALS",
                        help="evaluations for zero-function tests")
-        p.add_argument("--ratio-trials", type=int, default=5, help="evaluations for ratio constancy tests")
-        p.add_argument("--sessions", type=int, default=100, help="simulated sessions (simulate/pipeline)")
-        p.add_argument("--format", choices=("text", "json"), default="text", dest="fmt")
-        p.add_argument("--out", default=None, help="write the report to this path")
+        p.add_argument("--ratio-trials", type=int, help="evaluations for ratio constancy tests")
+        p.add_argument("--sessions", type=int, help="simulated sessions (simulate/pipeline)")
+        p.add_argument("--format", choices=("text", "json"), dest="fmt")
+        p.add_argument("--out", help="write the report to this path")
         if name == "obstruct":
-            p.add_argument("--cycle", default=None,
-                           help="explicit cycle as comma-separated labels, e.g. S1,W1,S2,W2")
+            p.add_argument("--cycle", help="explicit cycle as comma-separated labels, e.g. S1,W1,S2,W2")
     return parser
 
 

@@ -9,7 +9,12 @@ identically zero.  Results leave this module with nodes addressed as
 Underneath, every traversal runs on one cached integer index
 (``InterferenceGraph.index``): source j is node j, destination i is node
 K + i, edge ids follow sorted edge order, and a set of deleted edges is a
-``bytearray`` mask over edge ids.
+``bytearray`` mask over edge ids.  There is one traversal per question: one
+component pass (``_components``) serves ``connected_components``,
+``has_cycle`` and ``decompose``; ``reaches`` is the greedy scan's
+early-exit search; ``_tarjan`` is the one bridge pass, read through
+``bridge_forest``; and ``shortest_cycle`` runs its own depth-bounded
+searches.
 """
 
 from __future__ import annotations
@@ -99,50 +104,13 @@ def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
     return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
 
 
-def edge_mask(g: InterferenceGraph, removed=()) -> bytearray:
-    """The (source, destination) edges in ``removed`` as a mask over g's edge ids.
-
-    Edges that g does not have are ignored.
-    """
+def edge_mask(g: InterferenceGraph, removed) -> bytearray:
+    """The (source, destination) edges in ``removed``, all of them g's, as a mask over g's edge ids."""
     ids = g.index.ids
     mask = bytearray(len(ids))
     for edge in removed:
-        e = ids.get(edge)
-        if e is not None:
-            mask[e] = 1
+        mask[ids[edge]] = 1
     return mask
-
-
-def _visit(incidence, start: int, mask: bytearray, parent: list[int]) -> list[int]:
-    """Breadth-first visit from node ``start`` over the edges not in ``mask``.
-
-    Sets ``parent[v]`` for every node reached (-1 marks unvisited nodes; the
-    start is its own parent) and returns the nodes in visit order.
-    """
-    parent[start] = start
-    order = [start]
-    for u in order:  # the visit order doubles as the queue
-        for v, e in incidence[u]:
-            if parent[v] < 0 and not mask[e]:
-                parent[v] = u
-                order.append(v)
-    return order
-
-
-def _tree(nodes, order: list[int], parent: list[int]) -> Tree:
-    """A ``_visit`` result as a {node: parent} tree of NodeRefs, the start mapped to None."""
-    return {nodes[v]: None if parent[v] == v else nodes[parent[v]] for v in order}
-
-
-def _bfs(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> Tree:
-    """Breadth-first tree from ``start``, skipping the edges in ``removed``.
-
-    Returns {node: parent} in visit order, the start mapped to None.
-    """
-    index = g.index
-    parent = [-1] * len(index.nodes)
-    v = start[1] if start[0] == "x" else g.n_sources + start[1]
-    return _tree(index.nodes, _visit(index.incidence, v, edge_mask(g, removed), parent), parent)
 
 
 def reaches(g: InterferenceGraph, s: int, t: int, mask: bytearray) -> bool:
@@ -209,12 +177,6 @@ def _tarjan(g: InterferenceGraph, mask: bytearray) -> tuple[bytearray, list[int]
     return is_bridge, preorder, up
 
 
-def bridges(g: InterferenceGraph, removed=frozenset()) -> set[tuple[int, int]]:
-    """Bridges of g with the edges in ``removed`` deleted (Tarjan 1974)."""
-    is_bridge = _tarjan(g, edge_mask(g, removed))[0]
-    return {edge for edge, flag in zip(g.index.edges, is_bridge) if flag}
-
-
 class BridgeForest(NamedTuple):
     """The bridges of H = g minus a masked edge set, and the forest they span.
 
@@ -279,60 +241,58 @@ def bridge_forest(g: InterferenceGraph, mask: bytearray) -> BridgeForest:
     return BridgeForest(is_bridge, cls, parent, up_edge, depth)
 
 
-def component_count(g: InterferenceGraph, removed=frozenset()) -> int:
-    """Number of connected components of g with the edges in ``removed`` deleted."""
+def _components(g: InterferenceGraph) -> tuple[list[int], list[list[int]]]:
+    """One breadth-first visit per component of g.
+
+    Start ids are scanned in order, so each component is visited from its
+    smallest node id, and the components come in ascending order of it.
+    Returns every node's BFS parent (a start is its own parent) and each
+    component's nodes in visit order.
+    """
     incidence = g.index.incidence
-    mask = edge_mask(g, removed)
     parent = [-1] * len(incidence)
-    count = 0
+    orders = []
     for start in range(len(incidence)):
-        if parent[start] < 0:
-            count += 1
-            _visit(incidence, start, mask, parent)
-    return count
+        if parent[start] >= 0:
+            continue
+        parent[start] = start
+        order = [start]
+        for u in order:  # the visit order doubles as the queue
+            for v, _ in incidence[u]:
+                if parent[v] < 0:
+                    parent[v] = u
+                    order.append(v)
+        orders.append(order)
+    return parent, orders
 
 
 def connected_components(g: InterferenceGraph) -> list[list[NodeRef]]:
-    """Components in ascending order of their smallest member, X side first.
-
-    Scanning start nodes in id order (sources, then destinations, each
-    ascending) discovers them in exactly that order.
-    """
-    index = g.index
-    mask = edge_mask(g)
-    parent = [-1] * len(index.nodes)
-    comps = []
-    for start in range(len(index.nodes)):
-        if parent[start] < 0:
-            comps.append([index.nodes[v] for v in sorted(_visit(index.incidence, start, mask, parent))])
-    return comps
+    """Components in ascending order of their smallest member, X side first."""
+    nodes = g.index.nodes
+    return [[nodes[v] for v in sorted(order)] for order in _components(g)[1]]
 
 
 def has_cycle(g: InterferenceGraph) -> bool:
     """True iff g is not a forest, i.e. has more than V - C edges."""
-    return len(g.edges) > len(g.index.nodes) - component_count(g)
+    return len(g.edges) > len(g.index.nodes) - len(_components(g)[1])
 
 
 def decompose(g: InterferenceGraph) -> tuple[Tree, ...]:
     """Split an acyclic interference graph into rooted BFS trees.
 
-    One ``_bfs`` tree per component that holds a source, rooted at its
-    smallest source, in ascending root order: a {node: parent} dict that
-    lists every node after its parent, the root mapped to None.  Components
-    without a source are single destination nodes and carry no tree.  Raises
+    One tree per component that holds a source, rooted at its smallest
+    source, in ascending root order: a {node: parent} dict that lists every
+    node after its parent, the root mapped to None.  Components without a
+    source are single destination nodes and carry no tree.  Raises
     CyclicGraph when the graph has a cycle.
     """
-    index = g.index
-    mask = edge_mask(g)
-    parent = [-1] * len(index.nodes)
-    trees: list[Tree] = []
-    for j in range(g.n_sources):
-        if parent[j] < 0:
-            trees.append(_tree(index.nodes, _visit(index.incidence, j, mask, parent), parent))
-    # every edge lies in a tree's component, and each component is a tree iff it has one edge fewer than nodes
-    if len(g.edges) > sum(len(tree) - 1 for tree in trees):
+    nodes = g.index.nodes
+    parent, orders = _components(g)
+    if len(g.edges) > len(nodes) - len(orders):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
-    return tuple(trees)
+    # sources have the smallest ids, so a component holding one starts at its smallest
+    return tuple({nodes[v]: None if parent[v] == v else nodes[parent[v]] for v in order}
+                 for order in orders if order[0] < g.n_sources)
 
 
 def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:

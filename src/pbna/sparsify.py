@@ -44,9 +44,15 @@ def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tu
     The chosen set keeps every component connected, so e = (j, i) can join
     it iff e is no bridge of G - chosen, i.e. j still reaches destination
     node K + i in G - chosen - e: one search that stops on reaching it.
+
+    A rejected edge stays masked.  It is a bridge of G - chosen, and it
+    stays a bridge as chosen grows, since deleting edges makes no new cycle.
+    A later candidate's detour from j to K + i closes a cycle with that
+    candidate, so it never crosses a bridge: masking rejected edges changes
+    no answer and only makes the searches smaller.
     """
     ids = g.index.ids
-    mask = bytearray(len(ids))  # the chosen edges
+    mask = bytearray(len(ids))  # the chosen and the rejected edges
     chosen: list[Edge] = []
     per_dest: dict[int, int] = {}
     for e in labeling:
@@ -55,7 +61,6 @@ def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tu
             continue
         mask[ids[e]] = 1
         if not reaches(g, j, g.n_sources + i, mask):
-            mask[ids[e]] = 0  # e is a bridge of G - chosen
             continue
         chosen.append(e)
         per_dest[i] = per_dest.get(i, 0) + 1

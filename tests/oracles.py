@@ -4,12 +4,14 @@ Everything here is deliberately naive -- extended Euclid, one-matrix
 Gaussian elimination with Fermat inverses, Laplace expansion, subset
 enumeration, path enumeration, an edge-by-edge walk -- and shares no code
 with the implementations under test; coding coefficients are looked up
-through the network's layout index arrays.  Four exceptions use the
-package's traversal layer: ``independence_check``, a membership predicate
-for the matroids find_dstar intersects; ``greedy_scan_by_component_counts``
-and ``augment_by_component_counts``, the greedy scan and the exchange-graph
-augmentation with one full component count per independence test; and
-``shortest_cycle_by_full_bfs``, one complete breadth-first tree per edge.
+through the network's layout index arrays.  The graph oracles walk g.edges
+with their own ``bfs_tree`` (neighbours in sorted edge order, as in the
+package) and union-find ``component_count``: ``independence_check``, a
+membership predicate for the matroids find_dstar intersects;
+``greedy_scan_by_component_counts`` and ``augment_by_component_counts``, the
+greedy scan and the exchange-graph augmentation with one full component
+count per independence test; and ``shortest_cycle_by_full_bfs``, one
+complete breadth-first tree per edge.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's reading of them off one reduction, and
 ``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
@@ -23,7 +25,7 @@ from collections import deque
 import numpy as np
 
 from pbna import gf
-from pbna.interference import Edge, InterferenceGraph, NodeRef, _bfs, component_count
+from pbna.interference import Edge, InterferenceGraph, NodeRef
 from pbna.precoding import A, B, AlignmentVerdict
 
 
@@ -319,6 +321,48 @@ def dstar_exact_removal(g) -> int:
     return max_deg
 
 
+def bfs_tree(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[NodeRef, NodeRef | None]:
+    """Breadth-first {node: parent} tree from ``start`` over g's edges not in ``removed``.
+
+    Neighbours are visited in sorted edge order; the tree lists nodes in
+    visit order, the start mapped to None.
+    """
+    adj: dict[NodeRef, list[NodeRef]] = {start: []}
+    for j, i in sorted(g.edges - set(removed)):
+        adj.setdefault(("x", j), []).append(("y", i))
+        adj.setdefault(("y", i), []).append(("x", j))
+    tree: dict[NodeRef, NodeRef | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in tree:
+                tree[v] = u
+                queue.append(v)
+    return tree
+
+
+def component_count(g: InterferenceGraph, removed=frozenset()) -> int:
+    """Number of connected components of g with the edges in ``removed`` deleted (union-find)."""
+    k = g.n_sources
+    root = list(range(k + g.n_destinations))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    count = len(root)
+    for j, i in g.edges:
+        if (j, i) not in removed:
+            a, b = find(j), find(k + i)
+            if a != b:
+                root[a] = b
+                count -= 1
+    return count
+
+
 def independence_check(g, candidate, d: int) -> bool:
     """Membership test for the intersected matroid.
 
@@ -361,7 +405,7 @@ def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | No
     for j, i in sorted(g.edges):
         a: NodeRef = ("x", j)
         b: NodeRef = ("y", i)
-        prev = _bfs(g, a, removed={(j, i)})
+        prev = bfs_tree(g, a, removed={(j, i)})
         if b not in prev:
             continue
         path = [b]

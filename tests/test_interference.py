@@ -203,18 +203,22 @@ def test_shortest_cycle_matches_networkx_girth():
     assert seen_cyclic > 50
 
 
-def test_component_count_matches_networkx_under_removals():
+def test_connected_components_match_networkx_under_removals():
     rng = np.random.default_rng(77)
+    counts, cyclic = set(), set()
     for _ in range(250):
         g = random_bipartite(rng, max_sources=7, max_dests=7, max_edges=16)
         edges = sorted(g.edges)
-        for _ in range(3):
-            removed = {e for e in edges if rng.random() < 0.4}
+        for removed in [{e for e in edges if rng.random() < 0.4} for _ in range(3)] + [set()]:
             nx, h = _nx_graph(g, removed)
-            assert ig.component_count(g, removed) == nx.number_connected_components(h)
-        nx, h = _nx_graph(g)
-        assert ig.component_count(g) == nx.number_connected_components(h)
-        assert ig.has_cycle(g) == (not nx.is_forest(h))
+            rest = g.replace_edges(g.edges - removed)
+            components = ig.connected_components(rest)
+            # ascending order of the smallest member, each component sorted
+            assert components == sorted(sorted(c) for c in nx.connected_components(h))
+            assert ig.has_cycle(rest) == (not nx.is_forest(h))
+            counts.add(len(components))
+            cyclic.add(ig.has_cycle(rest))
+    assert len(counts) > 5 and cyclic == {True, False}
 
 
 def test_decompose_matches_networkx():
@@ -245,6 +249,12 @@ def test_decompose_matches_networkx():
     assert forests > 100 and cyclic > 50
 
 
+def _bridges(g: ig.InterferenceGraph, removed=frozenset()) -> set:
+    """The bridges of g minus ``removed``, as flagged by its bridge forest."""
+    forest = ig.bridge_forest(g, ig.edge_mask(g, removed))
+    return {edge for edge, flag in zip(g.index.edges, forest.is_bridge) if flag}
+
+
 def test_bridges_match_networkx_under_removals():
     rng = np.random.default_rng(1974)
     disconnected = isolated = bridgeless = 0
@@ -254,7 +264,7 @@ def test_bridges_match_networkx_under_removals():
         removed = {e for e in sorted(g.edges) if rng.random() < share}
         nx, h = _nx_graph(g, removed)
         expected = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-        found = ig.bridges(g, removed)
+        found = _bridges(g, removed)
         assert found == expected
         disconnected += not nx.is_connected(h)
         isolated += nx.number_of_isolates(h) > 0
@@ -268,8 +278,10 @@ def test_bridges_do_not_recurse_on_long_paths():
     n = 2000
     path = {(j, j) for j in range(n)} | {(j + 1, j) for j in range(n - 1)}
     g = ig.InterferenceGraph(n, n, frozenset(path))
-    assert ig.bridges(g) == path
-    assert ig.bridges(g.replace_edges(path | {(0, n - 1)})) == set()
+    assert _bridges(g) == path
+    # S1 to W_n crosses every class of the 4,000-deep bridge forest
+    assert ig.bridge_forest(g, ig.edge_mask(g, ())).path(0, 2 * n - 1) == list(range(len(path)))
+    assert _bridges(g.replace_edges(path | {(0, n - 1)})) == set()
 
 
 def test_shortest_cycle_matches_one_full_bfs_per_edge():

@@ -10,11 +10,11 @@ import pytest
 import pbna
 from pbna import gf
 from pbna import precoding as pc
-from pbna.interference import _bfs, build_igraph, decompose
+from pbna.interference import build_igraph, decompose
 from pbna.network import Network, load_network_file, realize
 from pbna.sparsify import find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net
-from oracles import verdicts_by_ranks
+from oracles import bfs_tree, verdicts_by_ranks
 
 
 def path_net() -> Network:
@@ -311,7 +311,7 @@ def test_root_choice_does_not_change_verdicts():
     verdicts_a = pc.verify_alignment(plan_a)
     for other_root in (1, 2):
         # the star's tree rooted at another source, then the isolated S4's own tree
-        forest_b = (_bfs(graph, ("x", other_root)), _bfs(graph, ("x", 3)))
+        forest_b = (bfs_tree(graph, ("x", other_root)), bfs_tree(graph, ("x", 3)))
         assert [set(t) for t in forest_b] == [set(t) for t in decompose(graph)]
         plan_b = pc.PrecodingPlan(pc.build_precoding(forest_b, realization, seed=1), realization, *sets)
         verdicts_b = pc.verify_alignment(plan_b)

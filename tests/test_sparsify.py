@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from pbna import interference as ig, sparsify as sp
-from pbna.interference import InterferenceGraph, build_igraph, component_count, has_cycle
+from pbna.interference import InterferenceGraph, build_igraph, has_cycle
 from pbna.network import realize
 from gen import dense_bipartite, random_bipartite
-from oracles import augment_by_component_counts, dstar_exact_removal, greedy_scan_by_component_counts, independence_check
+from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, greedy_scan_by_component_counts,
+                     independence_check)
 
 
 def eight_cycle() -> InterferenceGraph:
