@@ -45,8 +45,7 @@ class AssumptionViolation(Exception):
 
     def __init__(self, report: "ValidationReport"):
         self.report = report
-        cuts = report.mincut.tolist()
-        pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={cuts[i][j]}" for i, j in report.violations)
+        pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={report.mincut[i, j]}" for i, j in report.violations)
         super().__init__(f"mincut assumptions violated for: {pairs}")
 
 
@@ -97,7 +96,8 @@ class Network:
             for j in dem:
                 if not 0 <= j < len(self.sources):
                     raise ParseError(f"demand source index {j} out of range")
-        self._topo_order = self._topological_order()
+        self._topo_index = self._topological_order()
+        self._topo_order = tuple(self.nodes[v] for v in self._topo_index)
 
     @property
     def n_sources(self) -> int:
@@ -115,17 +115,22 @@ class Network:
     def topo_order(self) -> tuple[str, ...]:
         return self._topo_order
 
-    def _topological_order(self) -> tuple[str, ...]:
+    @property
+    def topo_index(self) -> tuple[int, ...]:
+        """topo_order as node indices (positions in ``nodes``)."""
+        return self._topo_index
+
+    def _topological_order(self) -> tuple[int, ...]:
         # Kahn's algorithm over the arc lists (node index = position, forward
         # arcs even); the heap hands out the ready node of smallest position,
         # so the order depends only on structure, not on node names.
         head, out = self.arcs.head, self.arcs.out
         indeg = [sum(a & 1 for a in arcs) for arcs in out]
         ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
-        order: list[str] = []
+        order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
-            order.append(self.nodes[v])
+            order.append(v)
             for a in out[v]:
                 if not a & 1:
                     indeg[head[a]] -= 1
@@ -168,12 +173,14 @@ class ArcLists:
     Edge e is arc 2e (tail to head) and its reverse is arc 2e + 1, so an
     arc's partner is ``a ^ 1``.  head[a] is the node index arc a points to,
     and out[v] lists the arcs that start at node v: the forward arcs of its
-    out-edges and the reverse arcs of its in-edges.
+    out-edges and the reverse arcs of its in-edges.  destination[v] is node
+    v's position in the network's destinations, or -1.
     """
 
     index: dict[str, int]
     head: tuple[int, ...]
     out: tuple[tuple[int, ...], ...]
+    destination: tuple[int, ...]
 
 
 def _build_arcs(net: Network) -> ArcLists:
@@ -185,7 +192,10 @@ def _build_arcs(net: Network) -> ArcLists:
         head.extend((index[h], index[tail]))
         out[index[tail]].append(a)
         out[index[h]].append(a + 1)
-    return ArcLists(index, tuple(head), tuple(tuple(arcs) for arcs in out))
+    destination = [-1] * len(net.nodes)
+    for i, t in enumerate(net.destinations):
+        destination[index[t]] = i
+    return ArcLists(index, tuple(head), tuple(tuple(arcs) for arcs in out), tuple(destination))
 
 
 def load_network(data: bytes | str) -> Network:
@@ -246,21 +256,69 @@ def load_network_file(path) -> Network:
         return load_network(fh.read())
 
 
-def mincut(net: Network, j: int, i: int) -> int:
-    """Max-flow value from source j to destination i with unit edge capacities.
+def mincut(net: Network, j: int) -> np.ndarray:
+    """Max-flow value from source j to every destination, as an (M,) int64 column.
+
+    Edges have unit capacity, so parallel edges add capacity.  By Menger's
+    theorem a reached destination has mincut 1 exactly when one edge lies on
+    every path to it from the source: when an edge dominates it in the DAG
+    with every edge subdivided.  One pass over the nodes the source reaches,
+    in topological order, builds that dominator tree (Cooper, Harvey and
+    Kennedy, "A Simple, Fast Dominance Algorithm", 2001).  A node with exactly
+    one reached in-edge (a parallel edge counts as a second) is dominated by
+    that edge.  Otherwise its immediate dominator is the lowest common
+    ancestor of its in-edges' tails, and an edge dominates it exactly when
+    one dominates that ancestor.  An unreached destination, or one at the
+    source's own node, gets 0 and an edge-dominated one gets 1.  Only the
+    rest, which have two edge-disjoint paths, run ``_max_flow``.
+    """
+    arcs = net.arcs
+    head, out, destination = arcs.head, arcs.out, arcs.destination
+    src = arcs.index[net.sources[j]]
+    order = net.topo_index
+    n = len(out)
+    into = [0] * n  # reached in-edges seen so far; stays 0 at the source and at unreached nodes
+    idom = [-1] * n  # nearest dominating node: the LCA of the tails seen so far
+    depth = [0] * n  # in the dominator tree, rooted at the source
+    edge_dom = [False] * n  # one edge lies on every path from the source
+    cuts = np.zeros(net.n_destinations, dtype=np.int64)
+    for u in order[order.index(src):]:
+        if u != src:
+            if not into[u]:
+                continue
+            # every tail of u comes earlier in the order, so idom[u] is final
+            d = idom[u]
+            depth[u] = depth[d] + 1
+            edge_dom[u] = into[u] == 1 or edge_dom[d]
+            if destination[u] >= 0:
+                cuts[destination[u]] = 1 if edge_dom[u] else _max_flow(net, src, u)
+        for a in out[u]:
+            if a & 1:
+                continue
+            v = head[a]
+            if into[v]:
+                x, y = idom[v], u
+                while x != y:  # a node no shallower than the other is not its ancestor
+                    if depth[x] < depth[y]:
+                        y = idom[y]
+                    else:
+                        x = idom[x]
+                idom[v] = x
+            else:
+                idom[v] = u
+            into[v] += 1
+    return cuts
+
+
+def _max_flow(net: Network, src: int, dst: int) -> int:
+    """Max-flow value from node index src to node index dst with unit edge capacities.
 
     Edmonds-Karp: breadth-first augmenting paths over the network's arc
     lists, so a call costs O(flow * (V + E)); parallel edges add capacity.
-    Each call keeps its residual capacities to itself.  An unreachable
-    destination (or co-located pair) yields 0.
+    Each call keeps its residual capacities to itself.
     """
-    s = net.sources[j]
-    t = net.destinations[i]
-    if s == t:
-        return 0
     arcs = net.arcs
     head, out = arcs.head, arcs.out
-    src, dst = arcs.index[s], arcs.index[t]
     residual = [1, 0] * len(net.edges)
     flow = 0
     while True:
@@ -283,21 +341,6 @@ def mincut(net: Network, j: int, i: int) -> int:
             residual[a ^ 1] += 1
             v = head[a ^ 1]
         flow += 1
-
-
-def _reached(arcs: ArcLists, src: int) -> list[bool]:
-    """Which nodes a path of one or more edges leads to from node index src."""
-    head, out = arcs.head, arcs.out
-    seen = [False] * len(out)
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for a in out[u]:
-            v = head[a]
-            if not a & 1 and not seen[v]:
-                seen[v] = True
-                queue.append(v)
-    return seen
 
 
 @dataclass(eq=False)
@@ -413,9 +456,11 @@ def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkReali
 class ValidationReport:
     """Mincut of every (destination, source) pair, as (M, K) arrays.
 
-    mincut[i, j] is the max-flow value from source j to destination i and
-    demanded the network's demand mask.  A pair is ok with mincut exactly 1
-    when demanded and at most 1 otherwise; violations lists the other pairs.
+    mincut[i, j] is the max-flow value from source j to destination i, which
+    by Menger's theorem is the fewest edges whose removal cuts every path
+    between them; column j is ``mincut(net, j)``.  demanded is the network's
+    demand mask.  A pair is ok with mincut exactly 1 when demanded and at
+    most 1 otherwise; violations lists the other pairs.
     """
 
     mincut: np.ndarray  # (M, K) int64
@@ -441,12 +486,9 @@ class ValidationReport:
 def validate_assumptions(net: Network) -> ValidationReport:
     """Check the unit-mincut regime for every (destination, source) pair.
 
-    One reachability pass per source finds the connected pairs; only those
-    need a max-flow, every other pair has mincut 0.
+    One ``mincut`` call per source gives that source's column: its dominator
+    pass settles every pair with mincut 0 or 1, and only pairs joined by two
+    edge-disjoint paths run a max-flow.
     """
-    arcs = net.arcs
-    reached = np.array([_reached(arcs, arcs.index[s]) for s in net.sources], dtype=bool)  # (K, nodes)
-    cuts = np.zeros((net.n_destinations, net.n_sources), dtype=np.int64)
-    for i, j in pairs_in(reached[:, [arcs.index[t] for t in net.destinations]].T):
-        cuts[i, j] = mincut(net, j, i)
+    cuts = np.stack([mincut(net, j) for j in range(net.n_sources)], axis=1)
     return ValidationReport(cuts, net.demand_mask)

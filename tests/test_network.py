@@ -131,12 +131,12 @@ def test_empty_demand_sets_rejected():
 
 
 def test_mincut_direct_edge():
-    assert ng.mincut(single_edge_net(), 0, 0) == 1
+    assert ng.mincut(single_edge_net(), 0)[0] == 1
 
 
 def test_mincut_no_path():
     net = ng.Network(("S1", "D1", "X"), (("S1", "X"),), ("S1",), ("D1",), (frozenset({0}),))
-    assert ng.mincut(net, 0, 0) == 0
+    assert ng.mincut(net, 0)[0] == 0
 
 
 def test_mincut_two_disjoint_paths():
@@ -145,15 +145,15 @@ def test_mincut_two_disjoint_paths():
         (("S1", "A"), ("A", "D1"), ("S1", "B"), ("B", "D1")),
         ("S1",), ("D1",), (frozenset({0}),),
     )
-    assert ng.mincut(net, 0, 0) == 2
-    assert ng.mincut(net, 0, 0) == mincut_by_enumeration(net, 0, 0)
+    assert ng.mincut(net, 0)[0] == 2
+    assert ng.mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
 
 
 def test_mincut_matches_enumeration_on_random_dags():
     rng = np.random.default_rng(7)
     for _ in range(50):
         net = random_dag_net(rng)
-        assert ng.mincut(net, 0, 0) == mincut_by_enumeration(net, 0, 0)
+        assert ng.mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
 
 
 def _checked_mincuts(net, oracle):
@@ -206,37 +206,90 @@ def test_validate_mincuts_match_networkx_on_larger_dags():
 
 def test_mincut_keeps_no_state_between_calls():
     net = random_multiterminal_dag(np.random.default_rng(4), min_nodes=12, max_nodes=12, edge_prob=0.5)
-    pairs = [(j, i) for i in range(net.n_destinations) for j in range(net.n_sources)]
+    sources = list(range(net.n_sources))
     runs = [
-        {(j, i): ng.mincut(net, j, i) for j, i in order}
-        for order in (pairs, pairs[::-1], pairs, pairs[::-1])
+        {j: ng.mincut(net, j).tolist() for j in order}
+        for order in (sources, sources[::-1], sources, sources[::-1])
     ]
     assert all(run == runs[0] for run in runs)
-    assert max(runs[0].values()) >= 2  # flows that leave residual state behind
+    assert max(max(col) for col in runs[0].values()) >= 2  # flows that leave residual state behind
+
+
+def test_mincut_columns_match_networkx_and_enumeration(monkeypatch):
+    pytest.importorskip("networkx")
+    flows = []
+    real_flow = ng._max_flow
+
+    def counting_flow(net_, src, dst):
+        flows.append((src, dst))
+        return real_flow(net_, src, dst)
+
+    monkeypatch.setattr(ng, "_max_flow", counting_flow)
+    rng = np.random.default_rng(16)
+    seen = {"unreachable": 0, "at_least_3": 0, "shared_node": 0, "parallel": 0, "into_source": 0}
+    for _ in range(400):
+        net = random_multiterminal_dag(rng)
+        seen["shared_node"] += bool(set(net.sources) & set(net.destinations))
+        seen["parallel"] += len(set(net.edges)) < len(net.edges)
+        seen["into_source"] += any(h in net.sources for _, h in net.edges)
+        for j in range(net.n_sources):
+            flows.clear()
+            column = ng.mincut(net, j)
+            assert column.shape == (net.n_destinations,) and column.dtype == np.int64
+            assert len(flows) == np.count_nonzero(column >= 2)  # the dominator pass settles every cut below 2
+            for i, cut in enumerate(column.tolist()):
+                expect = mincut_by_enumeration(net, j, i)
+                assert cut == expect == _networkx_mincut(net, j, i), (net_to_mapping(net), i, j)
+                seen["unreachable"] += cut == 0 and net.sources[j] != net.destinations[i]
+                seen["at_least_3"] += cut >= 3
+    assert all(seen.values()), seen
+
+
+def test_mincut_on_deep_dags():
+    # a chain: every node is dominated by the edge into it
+    chain = [f"V{k}" for k in range(4000)]
+    net = ng.Network(tuple(chain), tuple(zip(chain, chain[1:])), (chain[0],), tuple(chain[1:]),
+                     (frozenset({0}),) * (len(chain) - 1))
+    assert ng.mincut(net, 0).tolist() == [1] * (len(chain) - 1)
+    # a ladder: each rail step A<k> -> A<k+1> is doubled by a detour through the rung R<k>, so the
+    # dominator tree is the rail, 2,000 deep; every rail node past A0 has mincut 2 and every rung 1
+    rail = [f"A{k}" for k in range(2001)]
+    rungs = [f"R{k}" for k in range(2000)]
+    edges = [e for k in range(2000) for e in ((rail[k], rail[k + 1]), (rail[k], rungs[k]), (rungs[k], rail[k + 1]))]
+    picked = rail[1::250] + [rail[-1]] + rungs[::500]
+    net = ng.Network(tuple(rail + rungs), tuple(edges), (rail[0],), tuple(picked), (frozenset({0}),) * len(picked))
+    assert ng.mincut(net, 0).tolist() == [2] * (len(rail[1::250]) + 1) + [1] * len(rungs[::500])
 
 
 @pytest.mark.parametrize("which", ["forest.json", "multiterminal"])
-def test_validate_calls_mincut_once_per_connected_pair(which, monkeypatch):
+def test_validate_calls_mincut_once_per_source(which, monkeypatch):
     # the benchmark times validation through the module attribute pbna.network.mincut
     if which == "forest.json":
         net = ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / "forest.json")
     else:
-        # D1 is S1's own node, D2 is unreachable, D3 and D4 are connected
-        net = random_multiterminal_dag(np.random.default_rng(3), min_nodes=8, max_nodes=8)
-    calls = []
-    real = ng.mincut
+        # D1 is S1's own node, D2 is unreachable, and both sources reach D3 with mincut 2 and D4 with 1
+        net = random_multiterminal_dag(np.random.default_rng(9), min_nodes=8, max_nodes=8)
+    calls, flows = [], []
+    real_mincut, real_flow = ng.mincut, ng._max_flow
 
-    def counting(net_, j, i):
-        calls.append((j, i))
-        return real(net_, j, i)
+    def counting_mincut(net_, j):
+        calls.append(j)
+        return real_mincut(net_, j)
 
-    monkeypatch.setattr(ng, "mincut", counting)
+    def counting_flow(net_, src, dst):
+        flows.append((src, dst))
+        return real_flow(net_, src, dst)
+
+    monkeypatch.setattr(ng, "mincut", counting_mincut)
+    monkeypatch.setattr(ng, "_max_flow", counting_flow)
     ng.validate_assumptions(net)
-    connected = [(j, i) for i in range(net.n_destinations) for j in range(net.n_sources)
-                 if mincut_by_enumeration(net, j, i) > 0]
-    assert calls == connected
-    if which == "multiterminal":
-        assert len(connected) < net.n_sources * net.n_destinations
+    assert calls == list(range(net.n_sources))
+    index = net.arcs.index
+    wide = [(index[net.sources[j]], index[net.destinations[i]])
+            for j in range(net.n_sources) for i in range(net.n_destinations)
+            if mincut_by_enumeration(net, j, i) >= 2]
+    assert sorted(flows) == sorted(wide)
+    assert bool(wide) == (which == "multiterminal")
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +393,7 @@ def test_mincut_zero_implies_zero_function():
     rng = np.random.default_rng(29)
     for _ in range(30):
         net = random_dag_net(rng)
-        if ng.mincut(net, 0, 0) == 0:
+        if ng.mincut(net, 0)[0] == 0:
             assert (ng.realize(net, 3, 0).transfer[0, 0, :] == 0).all()
 
 
