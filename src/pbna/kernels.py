@@ -2,6 +2,9 @@
 
 Both kernels are plain numpy with vectorized row updates; the row reduction
 works on a stack of matrices, so one call serves many small systems.
+Propagation follows an index schedule that ``network.CodingLayout`` builds
+once per network: one value per edge when sources inject session symbols,
+one per (edge, source) entry when ``realize`` evaluates transfers.
 
 All arrays are int64 with entries in [0, q) for a prime q < 2**31 (enforced
 by ``gf.check_modulus``), so any product of two entries fits in int64 and
@@ -52,41 +55,42 @@ def row_reduce(a, q, pivots, pivot_cols=None):
 
 
 def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q,
-              inputs):
+              inputs, round_ptr):
     """Forward-propagate per-slot coding coefficients and source inputs through a DAG.
 
-    ``coeffs`` is (n_slots, n_coeffs), one independent assignment per slot.
-    ``inputs`` is (n_sources, n_cols, n_slots): at slot k, source j injects
-    ``inputs[j, :, k]`` into each of its out-edges, scaled by that edge's
-    injection coefficient.  Edge values are (n_cols, n_slots) arrays, so one
-    pass serves every slot.  ``pair_*`` arrays must be ordered so every write
-    to an edge precedes all reads of it.  Returns (n_dest, n_cols, n_slots).
+    The index arrays are a schedule over ``n_edges`` propagated values: one
+    per network edge, or one per (edge, source) entry where the source
+    reaches the edge.  ``coeffs`` is (n_slots, n_coeffs), one independent
+    assignment per slot.  ``inputs`` is (n_sources, n_cols, n_slots): at slot
+    k, value ``inj_edge[t]`` starts as ``inputs[inj_col[t], :, k]`` scaled by
+    coefficient ``inj_cidx[t]``.  Values are (n_cols, n_slots) arrays, so one
+    pass serves every slot.  Pair round r is ``round_ptr[r]:round_ptr[r + 1]``
+    of the ``pair_*`` arrays, sorted by ``pair_out``; a round reads only
+    values that earlier rounds finished and writes each of its out-values
+    once.  Destination d sums ``dest_edges[dest_ptr[d]:dest_ptr[d + 1]]``.
+    Returns (n_dest, n_cols, n_slots).
     """
     n_slots = coeffs.shape[0]
     by_coeff = coeffs.T  # (n_coeffs, n_slots)
     val = np.zeros((n_edges, n_cols, n_slots), dtype=np.int64)
-    # an edge has one tail, so at most one injection
+    # a value's edge has one tail, so at most one injection
     val[inj_edge] = by_coeff[inj_cidx][:, None, :] * inputs[inj_col] % q
 
-    # A pair runs in round depth[its in-edge]: every write to that edge lies in an earlier round.
-    depth = [0] * n_edges
-    rounds = []
-    for e_in, e_out in zip(pair_in.tolist(), pair_out.tolist()):
-        r = depth[e_in]
-        rounds.append(r)
-        depth[e_out] = max(depth[e_out], r + 1)
-    rounds = np.asarray(rounds, dtype=np.int64)
-    for r in range(int(rounds.max(initial=-1)) + 1):
-        sel = np.flatnonzero(rounds == r)
-        outs = pair_out[sel]
-        # each term is below q, so no sum of an edge's terms overflows int64
-        np.add.at(val, outs, val[pair_in[sel]] * by_coeff[pair_cidx[sel]][:, None, :] % q)
-        val[outs] %= q
+    for lo, hi in zip(round_ptr[:-1].tolist(), round_ptr[1:].tolist()):
+        outs = pair_out[lo:hi]
+        starts = np.flatnonzero(np.diff(outs, prepend=-1))  # one run of pairs per out-value
+        terms = val[pair_in[lo:hi]] * by_coeff[pair_cidx[lo:hi]][:, None, :] % q
+        heads = outs[starts]
+        # each term is below q, so no run's sum overflows int64
+        val[heads] = (val[heads] + np.add.reduceat(terms, starts)) % q
 
     n_dest = dest_ptr.shape[0] - 1
     out = np.zeros((n_dest, n_cols, n_slots), dtype=np.int64)
-    np.add.at(out, np.repeat(np.arange(n_dest), np.diff(dest_ptr)), val[dest_edges])
-    return out % q
+    filled = np.flatnonzero(np.diff(dest_ptr))
+    if filled.size:
+        # reduceat gives an empty segment its first element, so only nonempty segments are summed
+        out[filled] = np.add.reduceat(val[dest_edges], dest_ptr[filled]) % q
+    return out
 
 
 def warmup() -> None:
@@ -97,14 +101,15 @@ def warmup() -> None:
     """
     a = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 0]]], dtype=np.int64)
     row_reduce(a, 7, np.full((2, 2), -1, dtype=np.int64))
-    coeffs = np.ones((1, 2), dtype=np.int64)
+    # value 0 is injected, value 1 fed from it in one pair round; destination 0 has no in-values
     idx0 = np.zeros(1, dtype=np.int64)
-    empty = np.zeros(0, dtype=np.int64)
+    idx1 = np.ones(1, dtype=np.int64)
     propagate(
-        coeffs,
+        np.ones((1, 2), dtype=np.int64),
         idx0, idx0, idx0,
-        empty, empty, empty,
-        np.array([0, 1], dtype=np.int64), idx0,
-        1, 1, 7,
+        idx0, idx1, idx1,
+        np.array([0, 0, 1], dtype=np.int64), idx1,
+        2, 1, 7,
         np.ones((1, 1, 1), dtype=np.int64),
+        np.array([0, 1], dtype=np.int64),
     )

@@ -344,70 +344,172 @@ def _max_flow(net: Network, src: int, dst: int) -> int:
 
 
 @dataclass(eq=False)
-class CodingLayout:
-    """Index layout of the coding-coefficient vector for one network.
+class Schedule:
+    """Index arrays of one ``kernels.propagate`` schedule over ``n_values`` propagated values.
 
-    Coefficient order follows edges in topological processing order: for each
-    edge, first its source injection (if the tail is a source), then one
-    coefficient per in-edge of the tail.  The ``pair_*`` arrays are already in
-    a valid propagation order.
+    ``inj_edge[t]`` starts as source ``inj_col[t]``'s input times coefficient
+    ``inj_cidx[t]``.  Pair p adds value ``pair_in[p]`` times coefficient
+    ``pair_cidx[p]`` into value ``pair_out[p]``; the pairs are sorted by round,
+    then by out-value, and round r is ``round_ptr[r]:round_ptr[r + 1]``.  A
+    pair's round is one less than the number of edges on the longest path
+    into its out-edge's tail, so every pair into a value runs in one round,
+    after the rounds that write its in-value.  Target d sums the values
+    ``dest_edges[dest_ptr[d]:dest_ptr[d + 1]]``.
     """
 
-    n_coeffs: int
+    n_values: int
     inj_edge: np.ndarray
     inj_col: np.ndarray
     inj_cidx: np.ndarray
     pair_in: np.ndarray
     pair_out: np.ndarray
     pair_cidx: np.ndarray
+    round_ptr: np.ndarray
     dest_ptr: np.ndarray
     dest_edges: np.ndarray
 
+    def propagate(self, coeffs: np.ndarray, inputs: np.ndarray, q: int) -> np.ndarray:
+        """Target values (n_targets, n_cols, n_slots) for source inputs (K, n_cols, n_slots)."""
+        return kernels.propagate(
+            coeffs,
+            self.inj_edge, self.inj_col, self.inj_cidx,
+            self.pair_in, self.pair_out, self.pair_cidx,
+            self.dest_ptr, self.dest_edges,
+            self.n_values, inputs.shape[1], q, inputs,
+            self.round_ptr,
+        )
+
+
+@dataclass(eq=False)
+class CodingLayout(Schedule):
+    """Coefficient layout of one network, with its two propagation schedules.
+
+    Coefficient order follows the edges by their tails' topological order,
+    then by index: for each edge, first its source injection (if the tail is
+    a source), then one coefficient per in-edge of the tail, in that same
+    edge order.  The layout itself is the per-edge schedule: one value per
+    edge, one target per destination.  ``reach`` is the schedule over
+    (edge, source) entries, one for each source that is the edge's tail or
+    reaches an in-edge of its tail.  Each coding pair there becomes one pair
+    per source reaching its in-edge, with the same coefficient, and target
+    i * K + j sums the entries of source j on destination i's in-edges.  So
+    ``reach`` with unit inputs yields every transfer value while carrying
+    only entries that can be nonzero.
+    """
+
+    n_coeffs: int
+    reach: Schedule
+
 
 def _build_layout(net: Network) -> CodingLayout:
-    topo_pos = {v: k for k, v in enumerate(net.topo_order)}
-    n_edges = len(net.edges)
-    edge_order = sorted(range(n_edges), key=lambda e: (topo_pos[net.edges[e][0]], e))
-    in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
-    for e in edge_order:
-        in_edges[net.edges[e][1]].append(e)
-    source_of = {s: j for j, s in enumerate(net.sources)}
+    arcs = net.arcs
+    n_nodes, k_sources = len(net.nodes), net.n_sources
+    source_node = _int64([arcs.index[s] for s in net.sources])
+    # One pass over the nodes in topological order, their out-edges by index: the coefficient
+    # order of the edges.  depth[v] counts the edges on the longest path into node v, and bit j
+    # of reach[v] says that v is source j's node or that source j reaches an in-edge of v.
+    head_of, out = arcs.head, arcs.out
+    order: list[int] = []
+    depth = [0] * n_nodes
+    reach = [0] * n_nodes
+    for j, v in enumerate(source_node.tolist()):
+        reach[v] = 1 << j
+    for v in net.topo_index:
+        bit, d = reach[v], depth[v] + 1
+        for a in out[v]:
+            if not a & 1:
+                order.append(a >> 1)
+                h = head_of[a]
+                reach[h] |= bit
+                if depth[h] < d:
+                    depth[h] = d
+    depth, order = _int64(depth), _int64(order)
 
-    inj_edge, inj_col, inj_cidx = [], [], []
-    pair_in, pair_out, pair_cidx = [], [], []
-    cidx = 0
-    for e in edge_order:
-        tail = net.edges[e][0]
-        if tail in source_of:
-            inj_edge.append(e)
-            inj_col.append(source_of[tail])
-            inj_cidx.append(cidx)
-            cidx += 1
-        for e_in in in_edges[tail]:
-            pair_in.append(e_in)
-            pair_out.append(e)
-            pair_cidx.append(cidx)
-            cidx += 1
+    tail = _int64(head_of[1::2])  # arc 2e + 1 runs back to edge e's tail
+    head = _int64(head_of[0::2])
+    into = order[np.argsort(head[order], kind="stable")]  # in-edges grouped by head, in that order
+    indeg = np.bincount(head, minlength=n_nodes)
+    in_ptr = np.cumsum(indeg) - indeg
+    source_at = np.full(n_nodes, -1, dtype=np.int64)
+    source_at[source_node] = np.arange(k_sources)
 
-    dest_ptr = [0]
-    dest_edges: list[int] = []
-    for d in net.destinations:
-        dest_edges.extend(in_edges[d])
-        dest_ptr.append(len(dest_edges))
+    # Coefficients, edge by edge in that order: the injection when the tail is a source, then
+    # one per in-edge of the tail.  A pair runs in the round one less than its out-edge's
+    # tail's depth, after every round that writes its in-edge.
+    tails = tail[order]
+    injects = source_at[tails] >= 0
+    fan_in = indeg[tails]
+    width = injects + fan_in  # coefficients per edge
+    first = np.cumsum(width) - width
+    inj_edge, inj_col, inj_cidx = order[injects], source_at[tails[injects]], first[injects]
+    pair_in = into[_runs(in_ptr[tails], fan_in)]
+    pair_out = np.repeat(order, fan_in)
+    pair_cidx = _runs(first + injects, fan_in)
+    rounds = depth[tail[pair_out]] - 1
+    dest_node = _int64([arcs.index[d] for d in net.destinations])
+    dest_edges = into[_runs(in_ptr[dest_node], indeg[dest_node])]
+    dest_ptr = np.concatenate(([0], np.cumsum(indeg[dest_node])))
+    edge_schedule = _schedule(len(tail), inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, rounds,
+                              dest_ptr, dest_edges)
 
-    def as_arr(xs):
-        return np.asarray(xs, dtype=np.int64)
+    # (node, source) keys node * K + j for the bits of reach, ascending; an edge's entries are
+    # its tail's keys, and entries are numbered edge by edge in coefficient order
+    n_bytes = (k_sources + 7) // 8
+    bits = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in reach), dtype=np.uint8)
+    keys = np.flatnonzero(np.unpackbits(bits.reshape(n_nodes, n_bytes), axis=1, bitorder="little")[:, :k_sources])
+    node_size = np.bincount(keys // k_sources, minlength=n_nodes)
+    node_ptr = np.cumsum(node_size) - node_size
+    size = node_size[tail]
+    base = np.zeros(len(tail), dtype=np.int64)
+    base[order] = np.cumsum(node_size[tails]) - node_size[tails]
+    entry_src = keys[_runs(node_ptr[tails], node_size[tails])] % k_sources
 
-    return CodingLayout(
-        n_coeffs=cidx,
-        inj_edge=as_arr(inj_edge),
-        inj_col=as_arr(inj_col),
-        inj_cidx=as_arr(inj_cidx),
-        pair_in=as_arr(pair_in),
-        pair_out=as_arr(pair_out),
-        pair_cidx=as_arr(pair_cidx),
-        dest_ptr=as_arr(dest_ptr),
-        dest_edges=as_arr(dest_edges),
+    def entry(e, j):
+        return base[e] + np.searchsorted(keys, tail[e] * k_sources + j) - node_ptr[tail[e]]
+
+    # one pair per source reaching the in-edge; target i * K + j sums entry (e, j) over in-edges e of i
+    fan = size[pair_in]
+    reach_pair_in = _runs(base[pair_in], fan)
+    reach_pair_out = np.repeat(pair_out, fan)
+    slot_size = size[dest_edges]
+    slot_entries = _runs(base[dest_edges], slot_size)
+    targets = np.repeat(np.repeat(np.arange(net.n_destinations), indeg[dest_node]), slot_size) * k_sources
+    targets += entry_src[slot_entries]
+    counts = np.bincount(targets, minlength=net.n_destinations * k_sources)
+    reach_schedule = _schedule(
+        len(entry_src), entry(inj_edge, inj_col), inj_col, inj_cidx,
+        reach_pair_in, entry(reach_pair_out, entry_src[reach_pair_in]), np.repeat(pair_cidx, fan),
+        np.repeat(rounds, fan),
+        np.concatenate(([0], np.cumsum(counts))), slot_entries[np.argsort(targets, kind="stable")],
+    )
+    return CodingLayout(**vars(edge_schedule), n_coeffs=int(width.sum()), reach=reach_schedule)
+
+
+def _int64(xs) -> np.ndarray:
+    return np.asarray(xs, dtype=np.int64)
+
+
+def _runs(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The runs ``starts[t] .. starts[t] + sizes[t] - 1``, concatenated."""
+    return np.repeat(starts - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())
+
+
+def _schedule(n_values, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, rounds, dest_ptr,
+              dest_edges) -> Schedule:
+    """A ``Schedule`` with its pairs sorted by round, then by out-value."""
+    order = np.lexsort((pair_out, rounds))
+    rounds = rounds[order]
+    return Schedule(
+        n_values=n_values,
+        inj_edge=inj_edge,
+        inj_col=inj_col,
+        inj_cidx=inj_cidx,
+        pair_in=pair_in[order],
+        pair_out=pair_out[order],
+        pair_cidx=pair_cidx[order],
+        round_ptr=np.append(np.flatnonzero(np.diff(rounds, prepend=-1)), len(rounds)),
+        dest_ptr=dest_ptr,
+        dest_edges=dest_edges,
     )
 
 
@@ -427,29 +529,28 @@ class NetworkRealization:
 
 
 def propagate_inputs(net: Network, coeffs: np.ndarray, inputs: np.ndarray, q: int) -> np.ndarray:
-    """Destination values (M, n_cols, n_slots) for what the sources inject, ``inputs`` (K, n_cols, n_slots)."""
-    lay = net.layout
-    return kernels.propagate(
-        np.ascontiguousarray(coeffs, dtype=np.int64),
-        lay.inj_edge, lay.inj_col, lay.inj_cidx,
-        lay.pair_in, lay.pair_out, lay.pair_cidx,
-        lay.dest_ptr, lay.dest_edges,
-        len(net.edges), inputs.shape[1], q, inputs,
-    )
+    """Destination values (M, n_cols, n_slots) for what the sources inject, ``inputs`` (K, n_cols, n_slots).
+
+    Runs the per-edge schedule, so every edge carries its real symbol.
+    """
+    return net.layout.propagate(np.ascontiguousarray(coeffs, dtype=np.int64), inputs, q)
 
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:
     """Draw all coding coefficients uniformly at random, independently per slot.
 
-    The transfer values come from one propagation in which source j injects
-    the unit vector e_j in every slot, so column j at a destination is the
-    transfer value from source j.
+    The transfer values come from one propagation over the layout's
+    (edge, source) schedule with unit inputs: entry (e, j) carries the
+    transfer value from source j to edge e, and target (i, j) sums it over
+    destination i's in-edges.  Entries exist only where source j reaches the
+    edge, so every other transfer value is 0 without being carried.
     """
     check_modulus(q)
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(0, q, size=(n, net.layout.n_coeffs), dtype=np.int64)
-    unit = np.broadcast_to(np.eye(net.n_sources, dtype=np.int64)[:, :, None], (net.n_sources, net.n_sources, n))
-    return NetworkRealization(net, q, n, coeffs, propagate_inputs(net, coeffs, unit, q))
+    units = np.ones((net.n_sources, 1, n), dtype=np.int64)
+    transfer = net.layout.reach.propagate(coeffs, units, q).reshape(net.n_destinations, net.n_sources, n)
+    return NetworkRealization(net, q, n, coeffs, transfer)
 
 
 @dataclass(frozen=True, eq=False)

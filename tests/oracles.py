@@ -12,6 +12,9 @@ membership predicate for the matroids find_dstar intersects;
 greedy scan and the exchange-graph augmentation with one full component
 count per independence test; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
+``transfer_by_unit_columns`` is the dense propagation ``realize`` once ran:
+every source injects its unit vector through every edge of the per-edge
+schedule, so each edge carries K columns.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's reading of them off one reduction, and
 ``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
@@ -26,6 +29,7 @@ import numpy as np
 
 from pbna import gf
 from pbna.interference import Edge, InterferenceGraph, NodeRef
+from pbna.network import propagate_inputs
 from pbna.precoding import A, B, AlignmentVerdict
 
 
@@ -209,6 +213,13 @@ def transfer_by_paths(net, realization, i: int, j: int, k: int) -> int:
             prod = prod * int(coeff[pair[(e_in, e_out)]]) % q
         total = (total + prod) % q
     return total
+
+
+def transfer_by_unit_columns(realization) -> np.ndarray:
+    """(M, K, n) transfers from the per-edge schedule, source j injecting the unit vector e_j in every slot."""
+    net, n = realization.network, realization.slot_count
+    units = np.broadcast_to(np.eye(net.n_sources, dtype=np.int64)[:, :, None], (net.n_sources, net.n_sources, n))
+    return propagate_inputs(net, realization.coding_assignments, units, realization.q)
 
 
 def propagate_symbols_by_edges(net, realization, k: int, source_symbols) -> np.ndarray:

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbna import cli, network, obstruction, precoding
+from pbna import cli, kernels, network, obstruction, precoding
 from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -442,6 +443,16 @@ def test_pipeline_fires_the_benchmark_trace_hooks(tmp_path, monkeypatch):
 
     argv = ["pipeline", "--network", str(FOURBYFOUR), "--format", "json", "--out"]
     assert cli.main(argv + [str(tmp_path / "untraced.json")]) == cli.EXIT_OK
+    # the tracer reads kernels.propagate's arguments by position; count them here by name
+    propagate = kernels.propagate
+    madds = []
+
+    def counted(*args):
+        call = inspect.signature(propagate).bind(*args).arguments
+        madds.append(call["coeffs"].shape[0] * (len(call["inj_edge"]) + len(call["pair_in"])) * call["n_cols"])
+        return propagate(*args)
+
+    monkeypatch.setattr(kernels, "propagate", counted)
     with Tracer() as tracer:
         code = cli.main(argv + [str(tmp_path / "traced.json")])
     assert code == cli.EXIT_OK
@@ -453,6 +464,9 @@ def test_pipeline_fires_the_benchmark_trace_hooks(tmp_path, monkeypatch):
     assert counts["sparsify.d_star"] == 1
     assert counts["precoding.attempts"] >= 1
     assert counts["simulate.decode_checks"] == 4 * json.loads(report)["simulation"]["sessions"]
+    assert counts["kernels.propagate_calls"] == len(madds) > 0
+    assert type(counts["kernels.propagate_madds"]) is int
+    assert counts["kernels.propagate_madds"] == sum(madds)
 
 
 _FUZZ_CHARS = 'ab{}[],:"\\\n\t\x00 \u00e9\u20ac\u2028\U0001f600'

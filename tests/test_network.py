@@ -1,3 +1,4 @@
+import collections
 import json
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
-from gen import forest_instance, fourbyfour_net, net_to_json, net_to_mapping, random_dag_net, random_multiterminal_dag
-from oracles import injection_value, mincut_by_enumeration, pair_value, transfer_by_paths
+from gen import (cyclic_instance, forest_instance, fourbyfour_net, net_to_json, net_to_mapping, random_dag_net,
+                 random_multiterminal_dag)
+from oracles import injection_value, mincut_by_enumeration, pair_value, transfer_by_paths, transfer_by_unit_columns
 
 
 def single_edge_net() -> ng.Network:
@@ -377,16 +379,49 @@ def test_disconnected_pair_transfer_zero():
     assert not (ng.realize(net, 3, 0).transfer[0, 0, :] == 0).all()
 
 
+def _sources_reaching_tails(net):
+    """Per edge, the sources that are its tail or have a networkx path to its tail."""
+    import networkx as nx
+
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(net.nodes)
+    g.add_edges_from(net.edges)
+    return [[j for j, s in enumerate(net.sources) if s == t or nx.has_path(g, s, t)] for t, _ in net.edges]
+
+
 def test_transfer_matches_path_enumeration_oracle():
+    # every (i, j, k) of the (edge, source) propagation against K unit columns through every edge
+    # and against the sum over paths of coefficient products
     rng = np.random.default_rng(13)
-    checked = 0
-    for _ in range(40):
-        net = random_dag_net(rng, max_extra_nodes=4, max_edges=10)
-        r = ng.realize(net, 2, seed=int(rng.integers(2**32)))
-        for k in range(2):
-            assert int(r.transfer[0, 0, k]) == transfer_by_paths(net, r, 0, 0, k)
-            checked += 1
-    assert checked >= 80
+    seen = collections.Counter()
+    for draw in range(400):
+        if draw % 2:
+            net = random_dag_net(rng, max_extra_nodes=4, max_edges=10)
+        else:
+            net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=7)
+        q = (2, 3, 7, 2**31 - 1)[draw // 2 % 4]
+        r = ng.realize(net, int(rng.integers(1, 4)), seed=int(rng.integers(2**32)), q=q)
+        assert np.array_equal(r.transfer, transfer_by_unit_columns(r))
+        for i, j, k in np.ndindex(r.transfer.shape):
+            assert int(r.transfer[i, j, k]) == transfer_by_paths(net, r, i, j, k)
+        tails = {t for t, _ in net.edges}
+        heads = {h for _, h in net.edges}
+        seen["shared edge"] += any(len(srcs) >= 2 for srcs in _sources_reaching_tails(net))
+        seen["parallel edges"] += len(set(net.edges)) < len(net.edges)
+        seen["destination without in-edges"] += any(d not in heads for d in net.destinations)
+        seen["source without out-edges"] += any(s not in tails for s in net.sources)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_reach_schedule_has_one_entry_per_reaching_source():
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=9)
+        assert net.layout.reach.n_values == sum(map(len, _sources_reaching_tails(net)))
+    # private routes: each edge is reached by the one source whose route it is on
+    for net in (forest_instance(rng, size=12)[0], cyclic_instance(rng, 12, density=0.3)[0]):
+        assert net.layout.reach.n_values == len(net.edges)
+        assert sum(map(len, _sources_reaching_tails(net))) == len(net.edges)
 
 
 def test_mincut_zero_implies_zero_function():
