@@ -6,7 +6,8 @@ obstruction, d* sparsification, precoding plan, simulated sessions) with
 each stage computed on first use and kept, so a command runs only the
 stages its sections need and each of those once.  ``pipeline`` lists every
 section.  Reports render as human text or as deterministic JSON
-(schema_version 1, sorted keys) so identical (file, config) pairs are
+(schema_version 2: one line, sorted keys, and mincut rows only for pairs
+joined by a path or demanded) so identical (file, config) pairs are
 byte-identical.
 
 Exit codes: 0 ok, 2 parse error, 3 assumption violation (including an
@@ -27,7 +28,7 @@ import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
 from .interference import InterferenceGraph, build_igraph, edge_between, has_cycle, shortest_cycle, to_dot
-from .network import AssumptionViolation, Network, ParseError, ValidationReport, load_network_file, realize, validate_assumptions
+from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
 from .simulate import DecodeFailure, rate_report, run_session
@@ -39,7 +40,7 @@ EXIT_ASSUMPTIONS = 3
 EXIT_CONSTRAINTS = 4
 EXIT_DECODE = 5
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(ValueError):
@@ -180,10 +181,15 @@ def _config_section(cfg: RunConfig) -> dict:
 
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
+    # one row per pair with a path or a demand, destination-major; every other pair has mincut 0 and is ok
+    listed = np.nonzero((report.mincut > 0) | report.demanded)
+    columns = (*listed, report.mincut[listed], report.demanded[listed], report.pair_ok[listed])
     return {
         "ok": report.ok,
-        # the K*M rows stay as arrays until _json_text writes them; text reports never read them
-        "mincuts": report,
+        "mincuts": [
+            {"demanded": demanded, "destination": _dst(i), "mincut": cut, "ok": ok, "source": _src(j)}
+            for i, j, cut, demanded, ok in zip(*(column.tolist() for column in columns))
+        ],
         "violations": [
             {"destination": _dst(i), "source": _src(j), "mincut": int(report.mincut[i, j]),
              "demanded": bool(report.demanded[i, j])}
@@ -339,110 +345,9 @@ def _text_obstruction(section: dict) -> str:
     return "\n".join(lines)
 
 
-# ---------------------------------------------------------------------------
-# JSON emission: the text of json.dumps(obj, indent=2, sort_keys=True), with every run of
-# flat containers encoded by the C encoder, which json.dumps drops whenever indent is set,
-# and a ValidationReport standing for its list of mincut rows
-
-
-_CONTAINERS = (list, tuple, dict, ValidationReport)
-
-
-@functools.cache
-def _c_encode(depth: int):
-    """C-encoder ``encode`` whose item separator starts a new line at ``depth`` levels of indent."""
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
-
-
-def _is_flat(obj) -> bool:
-    """A non-empty container none of whose children is a container."""
-    return bool(obj) and not any(isinstance(v, _CONTAINERS) for v in (obj.values() if isinstance(obj, dict) else obj))
-
-
-def _json_text(obj, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` of ``obj`` at ``depth`` levels of indent.
-
-    Dict keys must be strings, as they are in every report.  A ValidationReport
-    stands for the list of its mincut rows (see ``_mincut_table_text``).
-    """
-    if isinstance(obj, ValidationReport):
-        return _mincut_table_text(obj, depth)
-    if not isinstance(obj, _CONTAINERS) or not obj:
-        return _compact_text(obj)
-    if _is_flat(obj):
-        return _flat_text(obj, depth)
-    if not isinstance(obj, dict):
-        kind = dict if isinstance(obj[0], dict) else (list, tuple)
-        if all(isinstance(v, kind) and _is_flat(v) for v in obj):
-            return _flat_run_text(obj, depth)
-    return _nested_text(obj, depth)
-
-
-def _compact_text(obj) -> str:
-    """A scalar or an empty container."""
-    return _c_encode(0)(obj)
-
-
-def _flat_text(obj, depth: int) -> str:
-    """A container of scalars: one C call, then the line breaks after and before its brackets."""
-    text = _c_encode(depth + 1)(obj)
-    return text[0] + "\n" + "  " * (depth + 1) + text[1:-1] + "\n" + "  " * depth + text[-1]
-
-
-def _flat_run_text(items, depth: int) -> str:
-    """A list of flat containers of one kind (all dicts, or all lists): one C call for the whole run.
-
-    The C text separates both the items and their children with ",\n" and the
-    children's indent; only the items' line breaks and indents are missing.
-    ensure_ascii escapes every control character, so each raw newline comes
-    from a separator, and a separator right after a closing bracket lies
-    between two items, since no scalar's text ends in one.
-    """
-    text = _c_encode(depth + 2)(items)
-    open_, close = text[1], text[-2]
-    item_indent, child_indent = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    body = text[2:-2].replace(close + "," + child_indent + open_,
-                              item_indent + close + "," + item_indent + open_ + child_indent)
-    return ("[" + item_indent + open_ + child_indent + body + item_indent + close
-            + "\n" + "  " * depth + "]")
-
-
-def _mincut_table_text(report: ValidationReport, depth: int) -> str:
-    """A ValidationReport as its list of rows, destination-major, each the dict of
-    demanded, destination ("D<i>"), mincut, ok and source ("S<j>").
-
-    Every row has the same keys at the same indent, so the table is one
-    %-template per row, filled in one call from the (M, K) arrays; no dict is built.
-    """
-    item_indent = "\n" + "  " * (depth + 1)
-    key = item_indent + "  "
-    row = (item_indent + "{" + key + '"demanded": %s,' + key + '"destination": "D%d",' + key + '"mincut": %d,'
-           + key + '"ok": %s,' + key + '"source": "S%d"' + item_indent + "}")
-    m, k = report.mincut.shape
-    fields = np.empty((m, k, 5), dtype=object)
-    fields[..., 0] = np.where(report.demanded, "true", "false")
-    fields[..., 1] = np.arange(1, m + 1)[:, None]
-    fields[..., 2] = report.mincut
-    fields[..., 3] = np.where(report.pair_ok, "true", "false")
-    fields[..., 4] = np.arange(1, k + 1)
-    return "[" + ",".join([row] * (m * k)) % tuple(fields.ravel().tolist()) + "\n" + "  " * depth + "]"
-
-
-def _nested_text(obj, depth: int) -> str:
-    """Any other container: one line per child, each child emitted by ``_json_text``."""
-    indent = "\n" + "  " * (depth + 1)
-    if isinstance(obj, dict):
-        lines = (_compact_text(key) + ": " + _json_text(obj[key], depth + 1) for key in sorted(obj))
-        open_, close = "{", "}"
-    else:
-        lines = (_json_text(v, depth + 1) for v in obj)
-        open_, close = "[", "]"
-    return open_ + indent + ("," + indent).join(lines) + "\n" + "  " * depth + close
-
-
 def _emit(cfg: RunConfig, report: dict, text: str) -> None:
     if cfg.fmt == "json":
-        payload = _json_text(report) + "\n"
+        payload = json.dumps(report, sort_keys=True) + "\n"
     else:
         payload = text if text.endswith("\n") else text + "\n"
     if cfg.out:

@@ -561,7 +561,10 @@ class ValidationReport:
     by Menger's theorem is the fewest edges whose removal cuts every path
     between them; column j is ``mincut(net, j)``.  demanded is the network's
     demand mask.  A pair is ok with mincut exactly 1 when demanded and at
-    most 1 otherwise; violations lists the other pairs.
+    most 1 otherwise; violations lists the other pairs.  A report's mincut
+    table lists only the pairs with mincut > 0 or demanded: no path joins
+    any other pair (or its source is its destination), so it has mincut 0
+    and is ok.
     """
 
     mincut: np.ndarray  # (M, K) int64

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pbna import cli, kernels, network, obstruction, precoding
-from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json
+from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json, random_multiterminal_dag
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
@@ -36,7 +36,7 @@ def test_pipeline_fourbyfour_json(tmp_path):
                    "--out", str(out), "--sessions", "20")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["cyclic"] is True
     assert report["sparsification"]["d_star"] == 1
     assert report["precoding"]["per_source_rate"] == "1/4"
@@ -275,10 +275,41 @@ def test_report_matches_golden(command, network, options, exit_code, request, mo
     assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
 
 
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+# (exit code, sha256 of stdout, sha256 of stderr) of `pbna <command> --network <network>
+# --format text --sessions 5`, run from the repository root; JSON schema changes leave these alone
+TEXT_REPORT_PINS = {
+    ("validate", "fourbyfour"): (0, "0b01211a0c67e8ff410a89f98ffde032231e609d50a2f04a4fa80b05c1228a62", EMPTY_SHA256),
+    ("igraph", "fourbyfour"): (0, "2a93573f824991a46be2e7bc55ae84cbc049247d375cb3a09b6045ab9df9507c", EMPTY_SHA256),
+    ("dstar", "fourbyfour"): (0, "afaab3fce9245ade4a46747245e13c2d9390f437fcd480ab7e6ad924823ef81b", EMPTY_SHA256),
+    ("precode", "fourbyfour"): (0, "0e94fb58ab037bc515b6d05bdf1fe2d31c9929d26a19a7208b334ca9caea6036", EMPTY_SHA256),
+    ("obstruct", "fourbyfour"): (0, "f66493867e3d835314fc46772708e6d1332a3c7b2efa5766d764d479cd029602", EMPTY_SHA256),
+    ("simulate", "fourbyfour"): (0, "0ed370b1dcf2b570077883136ed861b9c808c201214350e47d02c5fb2ec5b21d", EMPTY_SHA256),
+    ("pipeline", "fourbyfour"): (0, "ac56f1862d006f04e8bedae5be1c8b8505b87a5f9fe27ba5970158290ead6cc5", EMPTY_SHA256),
+    ("validate", "forest"): (0, "0b01211a0c67e8ff410a89f98ffde032231e609d50a2f04a4fa80b05c1228a62", EMPTY_SHA256),
+    ("igraph", "forest"): (0, "5a6e4e524dc1a8081d3ed7a60c1421211e4823ea6455d9db2af5586d5fa2f7d9", EMPTY_SHA256),
+    ("dstar", "forest"): (0, "0dfc7d59b90f18b5ebadec141a5511bdc6252f27f996ae8d44ca58799f0ca923", EMPTY_SHA256),
+    ("precode", "forest"): (0, "819042151bac63633766f79a134ac7ce8e65a5d5c47a24eec2b516ddae734f1e", EMPTY_SHA256),
+    ("obstruct", "forest"): (0, "cc488b503b779e6bc2797e656d8f1e5af49122a78aebc1f60bb7b8aad2002049", EMPTY_SHA256),
+    ("simulate", "forest"): (0, "23075e039ec81d831eb072929e351f39659244b65a8498b68a2b6c0d77b66d2d", EMPTY_SHA256),
+    ("pipeline", "forest"): (0, "2fe8c2a89b179bd22288895534477b1094725beafc88641f0f3997e6d93a6ceb", EMPTY_SHA256),
+}
+
+
+def test_text_reports_are_pinned(monkeypatch, capsys):
+    assert {command for command, _ in TEXT_REPORT_PINS} == set(cli._COMMANDS)
+    monkeypatch.chdir(REPO)
+    for (command, network_name), pin in TEXT_REPORT_PINS.items():
+        code = cli.main([command, "--network", f"networks/{network_name}.json", "--format", "text", "--sessions", "5"])
+        captured = capsys.readouterr()
+        got = (code, hashlib.sha256(captured.out.encode()).hexdigest(), hashlib.sha256(captured.err.encode()).hexdigest())
+        assert got == pin, (command, network_name, captured.out)
+
+
 # sha256 of `pbna pipeline --network forest160.json --format json --sessions 2` on
-# gen.forest_instance(np.random.default_rng(160), size=160): a 3,629,389-byte report whose
-# 25,600-row mincut table any change to validation or emission must keep byte for byte
-K160_PIPELINE_SHA256 = "0363086b92bd426e8348bc85b9b972167c7d908ae03bd3cae8b6b3fecc1cffeb"
+# gen.forest_instance(np.random.default_rng(160), size=160): a 69,856-byte report whose
+# mincut table lists the pairs joined by a path, which any change to validation must keep
+K160_PIPELINE_SHA256 = "91cec6049d5d24492211b074b17e1393b1cff1df14a97f58b3daed80a1d93801"
 
 
 def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -288,7 +319,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "forest160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 3_629_389
+    assert len(out) == 69_856
     assert hashlib.sha256(out).hexdigest() == K160_PIPELINE_SHA256
 
 
@@ -296,7 +327,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 # gen.cyclic_instance(np.random.default_rng(160), 160): K = M = 160, L = 2, 776 interference
 # edges at density 0.03, d* = 4 after 2 augmentations, so the report pins find_dstar's
 # removal and the shortest cycle the obstruction section names
-K160_CYCLIC_PIPELINE_SHA256 = "107afc9c0532bc1fe7d4fac752cd39376afb118cdddb4cacf88a9ed9d66dc3db"
+K160_CYCLIC_PIPELINE_SHA256 = "10863b9be9bc1ba695bd56c6d87df71e765cd3ce108847c97945b328701eb893"
 
 
 def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -306,7 +337,7 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 3_702_476
+    assert len(out) == 152_839
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 
@@ -469,112 +500,92 @@ def test_pipeline_fires_the_benchmark_trace_hooks(tmp_path, monkeypatch):
     assert counts["kernels.propagate_madds"] == sum(madds)
 
 
-_FUZZ_CHARS = 'ab{}[],:"\\\n\t\x00 \u00e9\u20ac\u2028\U0001f600'
-_EMITTER_BRANCHES = ("_compact_text", "_flat_text", "_flat_run_text", "_nested_text", "_mincut_table_text")
-
-
-def _fuzz_scalar(rng: random.Random):
-    kind = rng.randrange(4)
-    if kind == 0:
-        return "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(6)))
-    if kind == 1:
-        return rng.choice([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e300, rng.uniform(-1e6, 1e6)])
-    if kind == 2:
-        return rng.randrange(-10**20, 10**20)
-    return rng.choice([True, False, None])
-
-
-def _fuzz_flat(rng: random.Random, kind):
-    n = rng.randrange(1, 5)
-    if kind is dict:
-        return {"".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(4))): _fuzz_scalar(rng)
-                for _ in range(n)}
-    return kind(_fuzz_scalar(rng) for _ in range(n))
-
-
-def _fuzz_report(rng: random.Random) -> network.ValidationReport:
-    """A 1x1 to 4x4 mincut table, square or not, with cuts of 0, 1, 2 and far above."""
-    m, k = rng.randrange(1, 5), rng.randrange(1, 5)
-    mincut = np.array([[rng.choice([0, 1, 1, 2, 10, 2**40]) for _ in range(k)] for _ in range(m)], dtype=np.int64)
-    demanded = np.array([[rng.random() < 0.5 for _ in range(k)] for _ in range(m)])
-    return network.ValidationReport(mincut, demanded)
-
-
-def _mincut_rows(obj):
-    """``json.dumps`` default hook: a ValidationReport as the list of row dicts it stands for."""
-    if not isinstance(obj, network.ValidationReport):
-        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-    return [
-        {"destination": f"D{i + 1}", "source": f"S{j + 1}", "mincut": cut, "demanded": demanded,
-         "ok": cut == 1 if demanded else cut <= 1}
-        for i, (cuts, flags) in enumerate(zip(obj.mincut.tolist(), obj.demanded.tolist()))
-        for j, (cut, demanded) in enumerate(zip(cuts, flags))
-    ]
-
-
-def _fuzz_value(rng: random.Random, depth: int):
-    """A random nested value that reaches every emission branch: scalars and empty containers,
-    mincut tables, flat containers, runs of flat dicts or flat lists, and mixed containers."""
-    roll = rng.random()
-    if depth == 0 or roll < 0.3:
-        return rng.choice([_fuzz_scalar, lambda _: [], lambda _: {}, lambda _: (), _fuzz_report])(rng)
-    if roll < 0.5:
-        return _fuzz_flat(rng, rng.choice([dict, list, tuple]))
-    n = rng.randrange(1, 5)
-    if roll < 0.7:
-        kinds = [dict] if rng.random() < 0.5 else [list, tuple]
-        run = [_fuzz_flat(rng, rng.choice(kinds)) for _ in range(n)]
-        return run if rng.random() < 0.8 else tuple(run)
-    children = [_fuzz_value(rng, depth - 1) for _ in range(n)]
-    if rng.random() < 0.5:
-        return {rng.choice(_FUZZ_CHARS) + str(t): child for t, child in enumerate(children)}
-    return children if rng.random() < 0.8 else tuple(children)
-
-
-def test_emitter_matches_json_dumps_on_random_values(monkeypatch):
-    calls = {name: [] for name in _EMITTER_BRANCHES}
-    for name in _EMITTER_BRANCHES:
-        def recording(*args, _name=name, _real=getattr(cli, name)):
-            calls[_name].append(args)
-            return _real(*args)
-
-        monkeypatch.setattr(cli, name, recording)
-    rng = random.Random(71)
-    for _ in range(10_000):
-        value = _fuzz_value(rng, 3)
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True, default=_mincut_rows), value
-    assert min(map(len, calls.values())) >= 100, {name: len(args) for name, args in calls.items()}
-    tables = calls["_mincut_table_text"]
-    shapes = {report.mincut.shape for report, _ in tables}
-    assert (1, 1) in shapes and any(m != k for m, k in shapes)
-    cuts = {cut for report, _ in tables for cut in report.mincut.flat}
-    assert {0, 1, 2} <= cuts and max(cuts) >= 10
-    assert {(bool(d), bool(ok)) for report, _ in tables for d, ok in zip(report.demanded.flat, report.pair_ok.flat)} \
-        == {(False, False), (False, True), (True, False), (True, True)}
-    assert {depth for _, depth in tables} - {2}
-
-
-def test_json_reports_match_json_dumps_on_a_k48_forest(tmp_path, monkeypatch, capsys):
+def test_json_reports_match_json_dumps_on_a_k48_forest(tmp_path, capsys):
     net, _ = forest_instance(np.random.default_rng(48), size=48)
     path = tmp_path / "forest48.json"
     path.write_text(net_to_json(net))
-    reports = []
-    real = cli._json_text
-    monkeypatch.setattr(cli, "_json_text", lambda obj, depth=0: reports.append(obj) or real(obj, depth))
     for command in cli._COMMANDS:
-        del reports[:]
         code = cli.main([command, "--network", str(path), "--format", "json", "--sessions", "3"])
         out = capsys.readouterr().out
         assert code == cli.EXIT_OK, command
-        assert out == json.dumps(reports[0], indent=2, sort_keys=True, default=_mincut_rows) + "\n", command
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", command
+        assert out.count("\n") == 1, command
+
+
+def _fuzz_value(rng: random.Random, depth: int):
+    """A random JSON value: nested dicts and lists of ints, floats, bools, None and strings
+    that hold newlines, quotes, backslashes and non-ASCII characters."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        return rng.choice([
+            lambda: rng.randrange(-10**20, 10**20), lambda: rng.uniform(-1e6, 1e6), lambda: rng.random() < 0.5,
+            lambda: None, lambda: "".join(rng.choice('ab\n"\\\u00e9\u2192 ') for _ in range(rng.randrange(6))),
+        ])()
+    children = [_fuzz_value(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if roll < 0.7:
+        return {rng.choice("zyxDS\n") + str(t): child for t, child in enumerate(children)}
+    return children
+
+
+def test_emitter_matches_json_dumps_on_random_values(tmp_path, capsys):
+    cfg = cli.RunConfig(network_path="unused.json", fmt="json")
+    out_cfg = cli.RunConfig(network_path="unused.json", fmt="json", out=str(tmp_path / "report.json"))
+    rng = random.Random(71)
+    for _ in range(2_000):
+        value = {"schema_version": cli.SCHEMA_VERSION, "payload": _fuzz_value(rng, 3)}
+        cli._emit(cfg, value, "unused text")
+        out = capsys.readouterr().out
+        assert out == json.dumps(value, sort_keys=True) + "\n", value
+        assert out.count("\n") == 1 and json.loads(out) == value
+        cli._emit(out_cfg, value, "unused text")
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == out
+        assert capsys.readouterr().out == f"report written to {out_cfg.out}\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "pipeline"])
 def test_text_reports_never_render_the_mincut_rows(command, monkeypatch, capsys):
-    calls = []
-    real = cli._mincut_table_text
-    monkeypatch.setattr(cli, "_mincut_table_text", lambda *args: calls.append(args) or real(*args))
-    assert cli.main([command, "--network", str(FOREST), "--format", "text"]) == cli.EXIT_OK
-    assert calls == []
-    assert cli.main([command, "--network", str(FOREST), "--format", "json"]) == cli.EXIT_OK
-    assert len(calls) == 1
+    # the text report of a run whose mincut table is emptied is the text report of the real run
+    reports = {}
+    for rows in ("real", "emptied"):
+        if rows == "emptied":
+            real = cli._assumptions_section
+            monkeypatch.setattr(cli, "_assumptions_section", lambda run: {**real(run), "mincuts": []})
+        for fmt in ("text", "json"):
+            assert cli.main([command, "--network", str(FOREST), "--format", fmt]) == cli.EXIT_OK
+            reports[rows, fmt] = capsys.readouterr().out
+    assert reports["real", "text"] == reports["emptied", "text"]
+    assert json.loads(reports["real", "json"])["assumptions"]["mincuts"]
+    assert reports["real", "json"] != reports["emptied", "json"]
+
+
+def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, capsys):
+    nx = pytest.importorskip("networkx")
+    path = tmp_path / "net.json"
+    rng = np.random.default_rng(18)
+    seen = {"unreachable_demanded": 0, "colocated": 0, "at_least_2": 0}
+    for _ in range(400):
+        net = random_multiterminal_dag(rng)
+        path.write_text(net_to_json(net))
+        code = cli.main(["validate", "--network", str(path), "--format", "json"])
+        section = json.loads(capsys.readouterr().out)["assumptions"]
+        expected = network.validate_assumptions(net)
+        assert code == (cli.EXIT_OK if expected.ok else cli.EXIT_ASSUMPTIONS)
+        g = nx.MultiDiGraph(list(net.edges))
+        g.add_nodes_from(net.nodes)
+        # a co-located pair has only the empty path, and mincut 0
+        reached = {(i, j) for i, t in enumerate(net.destinations) for j, s in enumerate(net.sources)
+                   if s != t and nx.has_path(g, s, t)}
+        demanded = {(i, j) for i, sources in enumerate(net.demands) for j in sources}
+        listed = [(int(row["destination"][1:]) - 1, int(row["source"][1:]) - 1) for row in section["mincuts"]]
+        assert listed == sorted(reached | demanded), net_to_json(net)
+        for (i, j), row in zip(listed, section["mincuts"]):
+            assert row == {"demanded": bool(expected.demanded[i, j]), "destination": f"D{i + 1}",
+                           "mincut": int(expected.mincut[i, j]), "ok": bool(expected.pair_ok[i, j]),
+                           "source": f"S{j + 1}"}
+        assert {(v["destination"], v["source"]) for v in section["violations"]} \
+            <= {(row["destination"], row["source"]) for row in section["mincuts"]}
+        assert len(section["violations"]) == len(expected.violations)
+        seen["unreachable_demanded"] += len(demanded - reached)
+        seen["colocated"] += len(set(net.sources) & set(net.destinations))
+        seen["at_least_2"] += int((expected.mincut >= 2).sum())
+    assert all(seen.values()), seen

@@ -34,3 +34,20 @@ def test_every_module_level_definition_has_a_caller_in_src():
     unused = [f"{module}.{name}" for module, name in defined
               if name not in used and (module, name) not in CALLED_FROM_OUTSIDE]
     assert unused == []
+
+
+def test_every_imported_name_is_read_by_its_module():
+    # an import its module never reads is dead weight; the strings in __all__ count as reads
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read |= set(ast.literal_eval(node.value))
+        unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
+    assert unread == []
