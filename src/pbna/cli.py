@@ -259,7 +259,7 @@ def _obstruction_section(run: Run) -> dict | None:
 
 def _simulation_section(run: Run) -> dict:
     def frac(pair):
-        return None if pair is None else f"{pair[0]}/{pair[1]}"
+        return f"{pair[0]}/{pair[1]}"
 
     rr = run.rates
     return {

@@ -1,9 +1,10 @@
 """Exact arithmetic over the prime field F_q and dense linear algebra on it.
 
-Scalars are plain Python ints in [0, q); matrices are 2-D numpy int64 arrays
-with entries in [0, q), and a (B, rows, cols) array is a stack of B matrices
-that one reduction handles together.  Everything is exact -- no floating
-point anywhere -- so rank and dimension checks are decisions, not estimates.
+Scalars are plain Python ints in [0, q).  The linear algebra takes one
+shape only: a (B, rows, cols) numpy int64 stack of B matrices, all handled
+by one reduction; a single matrix is a stack of one.  Everything is exact --
+no floating point anywhere -- so rank and dimension checks are decisions,
+not estimates.
 
 Only prime moduli below 2**31 are supported (``check_modulus``).  The
 default modulus is the Mersenne prime 2**31 - 1, large enough that
@@ -27,7 +28,7 @@ class InvalidModulus(ValueError):
 class SolveError(ArithmeticError):
     """A system without a unique solution; ``column`` is the first right-hand side that has none.
 
-    ``item`` is the failing system's index in a stack of systems (0 for one system).
+    ``item`` is the failing system's index in the stack of systems.
     """
 
     def __init__(self, message: str, column: int = 0, item: int = 0):
@@ -76,20 +77,21 @@ def check_modulus(q: int) -> None:
     """Reject moduli the int64 kernels cannot handle exactly.
 
     q must be prime, and below 2**31 so that a product of two residues fits
-    in int64.
+    in int64.  The bound is tested first, so a huge q is rejected without a
+    primality test.
     """
-    if not is_prime(q):
-        raise InvalidModulus(f"field modulus must be prime, got {q}")
     if q >= 2**31:
         raise InvalidModulus(f"field modulus must be below 2**31, got {q}")
+    if not is_prime(q):
+        raise InvalidModulus(f"field modulus must be prime, got {q}")
 
 
-def _as_stack(m, q: int) -> tuple[np.ndarray, bool]:
-    """``m`` mod q as a fresh (B, rows, cols) stack, and whether ``m`` was one already."""
+def _as_stack(m, q: int) -> np.ndarray:
+    """``m`` mod q as a fresh (B, rows, cols) stack."""
     a = np.asarray(m, dtype=np.int64)
-    if a.ndim not in (2, 3):
-        raise ValueError(f"expected a 2-D matrix or a 3-D stack of them, got shape {a.shape}")
-    return (a if a.ndim == 3 else a[None]) % q, a.ndim == 3
+    if a.ndim != 3:
+        raise ValueError(f"expected a (B, rows, cols) stack of matrices, got shape {a.shape}")
+    return a % q
 
 
 def stack(mats) -> np.ndarray:
@@ -114,52 +116,42 @@ def _reduce(a: np.ndarray, q: int, pivot_cols=None) -> tuple[np.ndarray, np.ndar
     return pivots, kernels.row_reduce(a, q, pivots, pivot_cols)
 
 
-def pivot_columns(m, q: int = DEFAULT_Q):
-    """Pivot columns of the reduced row echelon form over F_q, ascending.
+def pivot_columns(m, q: int = DEFAULT_Q) -> list[np.ndarray]:
+    """Pivot columns of each reduced row echelon form over F_q, ascending, one array per matrix.
 
     Column c is a pivot iff it is outside the span of the columns before it,
-    so the number of pivots below c is the rank of the first c columns.  A
-    (B, rows, cols) stack gives a list of B such arrays from one reduction.
+    so the number of pivots below c is the rank of the first c columns.  The
+    (B, rows, cols) stack ``m`` is reduced in one pass.
     """
-    a, stacked = _as_stack(m, q)
-    pivots, ranks = _reduce(a, q)
-    per_item = [p[:r] for p, r in zip(pivots, ranks.tolist())]
-    return per_item if stacked else per_item[0]
+    pivots, ranks = _reduce(_as_stack(m, q), q)
+    return [p[:r] for p, r in zip(pivots, ranks.tolist())]
 
 
-def rank(m, q: int = DEFAULT_Q):
-    """Rank over F_q by exact Gaussian elimination; a (B, rows, cols) stack gives the (B,) ranks."""
-    a, stacked = _as_stack(m, q)
-    ranks = _reduce(a, q)[1]
-    return ranks if stacked else int(ranks[0])
+def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
+    """The (B,) ranks over F_q of the (B, rows, cols) stack ``m``, by exact Gaussian elimination."""
+    return _reduce(_as_stack(m, q), q)[1]
 
 
-def solve(a, y, q: int = DEFAULT_Q, widths=None) -> np.ndarray:
-    """Solve A x = y for the unique x, requiring A to have full column rank.
+def solve(a, y, q: int, widths) -> np.ndarray:
+    """Solve A_b X_b = Y_b for the unique X_b of every system b, requiring full column rank.
 
-    ``y`` is one right-hand side (rows,) or several, the columns of a
-    (rows, s) matrix; x comes back in the same layout.  All right-hand sides
-    are reduced with A in one pass.  Errors are those of solving the columns
-    one at a time in order: the first column without a unique solution
-    raises NoSolution if it lies outside the column span of A, else
-    RankDeficient if the columns of A are linearly dependent, and the
-    exception's ``column`` names it.
-
-    A (B, rows, cols) stack of systems takes a (B, rows) or (B, rows, s)
-    ``y`` and is reduced in one pass; ``widths`` gives each system's real
-    column count when the stack is zero-padded (``stack``), and the padded
-    rows of x come back zero.  The error is the one of the first failing
-    (column, system) pair, as raised by solving that system alone, with
-    ``item`` naming the system.
+    ``a`` is a (B, rows, cols) stack, zero-padded on the right as ``stack``
+    makes it, and ``widths`` gives each system's real column count.  ``y`` is
+    (B, rows, s): the s right-hand sides of each system, as columns.  All of
+    them are reduced with A in one pass, and the (B, cols, s) solution comes
+    back with the padded rows zero.  The error is the one of solving the
+    (column, system) pairs one at a time, column-major: the first pair
+    without a unique solution raises NoSolution if its column lies outside
+    the column span of A_b, else RankDeficient if A_b's columns are linearly
+    dependent; ``column`` and ``item`` name the pair.
     """
-    mat, stacked = _as_stack(a, q)
+    mat = _as_stack(a, q)
     rhs = np.asarray(y, dtype=np.int64) % q
     n_items, rows, cols = mat.shape
-    lead = mat.shape[:2] if stacked else (rows,)
-    if rhs.ndim not in (len(lead), len(lead) + 1) or rhs.shape[:len(lead)] != lead:
-        raise ValueError("right-hand side must be a vector or matrix with one row per row of A")
-    widths = np.full(n_items, cols) if widths is None else np.asarray(widths, dtype=np.int64)
-    aug = np.concatenate([mat, rhs.reshape(n_items, rows, -1)], axis=2)
+    if rhs.ndim != 3 or rhs.shape[:2] != mat.shape[:2]:
+        raise ValueError("right-hand sides must be a (B, rows, s) stack with one row per row of A")
+    widths = np.asarray(widths, dtype=np.int64)
+    aug = np.concatenate([mat, rhs], axis=2)
     # Pivots on A's columns only: the right-hand sides are carried along, and a column of
     # them is solvable iff it is zero in the rows below rank(A), which are zero on A.
     pivots, rank_a = _reduce(aug, q, cols)
@@ -177,5 +169,4 @@ def solve(a, y, q: int = DEFAULT_Q, widths=None) -> np.ndarray:
     x = np.zeros((n_items, cols, aug.shape[2] - cols), dtype=np.int64)
     items, pivot_rows = np.nonzero(pivots >= 0)
     x[items, pivots[items, pivot_rows]] = aug[items, pivot_rows, cols:]
-    x = x.reshape(x.shape[:2]) if rhs.ndim == len(lead) else x
-    return x if stacked else x[0]
+    return x

@@ -97,7 +97,6 @@ class Network:
                 if not 0 <= j < len(self.sources):
                     raise ParseError(f"demand source index {j} out of range")
         self._topo_index = self._topological_order()
-        self._topo_order = tuple(self.nodes[v] for v in self._topo_index)
 
     @property
     def n_sources(self) -> int:
@@ -112,12 +111,8 @@ class Network:
         return len(self.demands[0])
 
     @property
-    def topo_order(self) -> tuple[str, ...]:
-        return self._topo_order
-
-    @property
     def topo_index(self) -> tuple[int, ...]:
-        """topo_order as node indices (positions in ``nodes``)."""
+        """A topological order of the nodes, as indices (positions in ``nodes``)."""
         return self._topo_index
 
     def _topological_order(self) -> tuple[int, ...]:
@@ -526,14 +521,6 @@ class NetworkRealization:
     slot_count: int
     coding_assignments: np.ndarray  # (slot_count, n_coeffs)
     transfer: np.ndarray  # (M, K, slot_count)
-
-
-def propagate_inputs(net: Network, coeffs: np.ndarray, inputs: np.ndarray, q: int) -> np.ndarray:
-    """Destination values (M, n_cols, n_slots) for what the sources inject, ``inputs`` (K, n_cols, n_slots).
-
-    Runs the per-edge schedule, so every edge carries its real symbol.
-    """
-    return net.layout.propagate(np.ascontiguousarray(coeffs, dtype=np.int64), inputs, q)
 
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:

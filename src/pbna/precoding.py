@@ -152,9 +152,9 @@ def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
     dim_u must equal the number of decoded sources, all interference must
     collapse to at most one dimension, and the two spans must intersect
     trivially; the representative full-rank test uses the smallest-index
-    interferer.  One stacked reduction of every destination's [U | W] gives
-    rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and one
-    more stacked reduction gives every rank(W).
+    interferer.  One reduction of the stack of every destination's [U | W]
+    gives rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and
+    one more, of the stack of every W, gives every rank(W).
     """
     q = plan.realization.q
     n_dest = plan.realization.network.n_destinations

@@ -5,7 +5,7 @@ symbols are injected at the sources and propagated through the coded edges
 by the transfer kernel, and never computed from the transfer values, so each
 decode doubles as a check of the algebraic model.  The decode matrix of a
 destination is the same for every session, and every destination's system
-has the same n rows, so one exact stacked reduction decodes every
+has the same n rows, so one exact reduction of their stack decodes every
 destination for all sessions.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf
-from .network import Network, NetworkRealization, propagate_inputs
+from .network import Network, NetworkRealization
 from .precoding import A, PrecodingPlan, signal_columns
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
@@ -50,7 +50,7 @@ def propagate_symbols(net: Network, realization: NetworkRealization, transmitted
     received = np.zeros((sessions, net.n_destinations, realization.slot_count), dtype=np.int64)
     for lo in range(0, sessions, SESSION_BLOCK):
         block = transmitted[lo:lo + SESSION_BLOCK].transpose(1, 0, 2)  # (K, b, n)
-        got = propagate_inputs(net, realization.coding_assignments, block, q)
+        got = net.layout.propagate(realization.coding_assignments, block, q)
         received[lo:lo + SESSION_BLOCK] = got.transpose(1, 0, 2)
     return received
 
@@ -58,20 +58,20 @@ def propagate_symbols(net: Network, realization: NetworkRealization, transmitted
 def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     """Encode a batch of sessions with the plan, propagate every slot, decode everywhere.
 
-    ``messages`` is (S, K), one symbol per source for each of S sessions.
+    ``messages`` is (S, K), one symbol per source for each of S >= 1 sessions.
     Each destination solves for its decoded sources plus one aggregated
     interference coordinate (the interference columns coincide by
-    construction), then keeps the source coordinates; one stacked reduction
-    solves every destination's system for all sessions.  A decode system
-    without a unique solution raises DecodeFailure for the first failing
-    (session, destination) pair in session-major order.
+    construction), then keeps the source coordinates; one reduction of the
+    stack of every destination's system solves them for all sessions.  A
+    decode system without a unique solution raises DecodeFailure for the
+    first failing (session, destination) pair in session-major order.
     """
     realization = plan.realization
     net = realization.network
     q = realization.q
     z = np.asarray(messages, dtype=np.int64) % q
-    if z.ndim != 2 or z.shape[1] != net.n_sources:
-        raise ValueError(f"need one message per source for each session, got shape {z.shape}")
+    if z.ndim != 2 or z.shape[1] != net.n_sources or z.shape[0] == 0:
+        raise ValueError(f"need one message per source for each of one or more sessions, got shape {z.shape}")
 
     transmitted = z[:, :, None] * plan.V[None, :, :] % q
     received = propagate_symbols(net, realization, transmitted)
@@ -96,40 +96,45 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Achieved rates and decode statistics over a batch of sessions."""
+    """Achieved rates and decode statistics over a non-empty batch of sessions.
+
+    ``reference_rate`` is read off the plan's decode sets, not its slot count
+    (see rate_report), so ``matches_reference`` is a check of the plan's n.
+    """
 
     sessions: int
     decode_checks: int
     successes: int
-    success_fraction: float | None
-    per_source_rate: tuple[int, int] | None  # exact fraction (a, n)
-    sum_rate: tuple[int, int] | None  # (K*a, n)
+    success_fraction: float
+    per_source_rate: tuple[int, int]  # exact fraction (a, n)
+    sum_rate: tuple[int, int]  # (K*a, n)
     reference_rate: tuple[int, int]  # 1 / (L + d* + 1)
     sum_rate_ceiling: tuple[int, int]  # K / (L + 1)
-    matches_reference: bool | None
+    matches_reference: bool
 
 
 def rate_report(trace: SessionTrace, plan: PrecodingPlan) -> RateReport:
-    """Summarize decode success over a batch and compare achieved vs reference rates."""
+    """Summarize decode success over a batch and compare the achieved rate with the reference.
+
+    The reference slot count is max_i |new_demands[i]| + 1, which is
+    L + d* + 1: an extra-decoded source is an interferer, outside the L
+    demanded ones, and d* = max_i |extra_decode[i]|, since find_dstar trims
+    min(d*, degree) edges at every destination and d* is below the largest
+    degree.
+    """
     net = plan.realization.network
     k_sources = net.n_sources
-    l_size = net.demand_size
-    reference = (1, plan.n)  # n = L + d* + 1 by construction
-    ceiling = (k_sources, l_size + 1)
-    sessions = len(trace.messages)
-    if sessions == 0:
-        return RateReport(0, 0, 0, None, None, None, reference, ceiling, None)
+    reference = (1, max(map(len, plan.new_demands)) + 1)
     checks = len(trace.success)
     successes = trace.success.count(True)
-    per_source = plan.rate
     return RateReport(
-        sessions=sessions,
+        sessions=len(trace.messages),
         decode_checks=checks,
         successes=successes,
-        success_fraction=successes / checks if checks else None,
-        per_source_rate=per_source,
+        success_fraction=successes / checks,
+        per_source_rate=plan.rate,
         sum_rate=(k_sources * A, plan.n),
         reference_rate=reference,
-        sum_rate_ceiling=ceiling,
-        matches_reference=per_source == reference,
+        sum_rate_ceiling=(k_sources, net.demand_size + 1),
+        matches_reference=plan.rate == reference,
     )

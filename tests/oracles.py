@@ -29,7 +29,6 @@ import numpy as np
 
 from pbna import gf
 from pbna.interference import Edge, InterferenceGraph, NodeRef
-from pbna.network import propagate_inputs
 from pbna.precoding import A, B, AlignmentVerdict
 
 
@@ -219,7 +218,7 @@ def transfer_by_unit_columns(realization) -> np.ndarray:
     """(M, K, n) transfers from the per-edge schedule, source j injecting the unit vector e_j in every slot."""
     net, n = realization.network, realization.slot_count
     units = np.broadcast_to(np.eye(net.n_sources, dtype=np.int64)[:, :, None], (net.n_sources, net.n_sources, n))
-    return propagate_inputs(net, realization.coding_assignments, units, realization.q)
+    return net.layout.propagate(realization.coding_assignments, units, realization.q)
 
 
 def propagate_symbols_by_edges(net, realization, k: int, source_symbols) -> np.ndarray:
@@ -232,7 +231,7 @@ def propagate_symbols_by_edges(net, realization, k: int, source_symbols) -> np.n
     q = realization.q
     inj, pair = coefficient_indices(net)
     coeff = realization.coding_assignments[k]
-    topo_pos = {v: t for t, v in enumerate(net.topo_order)}
+    topo_pos = {net.nodes[v]: t for t, v in enumerate(net.topo_index)}
     edge_order = sorted(range(len(net.edges)), key=lambda e: (topo_pos[net.edges[e][0]], e))
     in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
     for e in edge_order:
@@ -506,13 +505,13 @@ def verdicts_by_ranks(plan) -> list:
         desired = sorted(plan.new_demands[i])
         interf = sorted(plan.new_interference[i])
         u_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in desired], axis=1)
-        dim_u = gf.rank(u_cols, q)
+        dim_u = int(gf.rank(u_cols[None], q)[0])
         if interf:
             w_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in interf], axis=1)
-            dim_w = gf.rank(w_cols, q)
-            dim_int = dim_u + dim_w - gf.rank(np.concatenate([u_cols, w_cols], axis=1), q)
+            dim_w = int(gf.rank(w_cols[None], q)[0])
+            dim_int = dim_u + dim_w - int(gf.rank(np.concatenate([u_cols, w_cols], axis=1)[None], q)[0])
             rep = np.concatenate([u_cols, w_cols[:, :1]], axis=1)
-            r_det_nonzero = gf.rank(rep, q) == rep.shape[1]
+            r_det_nonzero = bool(gf.rank(rep[None], q)[0] == rep.shape[1])
         else:
             dim_w = 0
             dim_int = 0

@@ -15,9 +15,29 @@ def test_field_new_rejects_composite():
         gf.check_modulus(2147483647 * 3)
 
 
+def test_check_modulus_rejects_a_large_modulus_before_testing_primality(monkeypatch):
+    # a modulus with thousands of digits must fail on the bound, not after a long Miller-Rabin
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    monkeypatch.setattr(gf, "is_prime", no_primality_test)
+    for q in (2**31, 2**31 + 11, 10**4291 + 1):
+        with pytest.raises(gf.InvalidModulus, match="below 2"):
+            gf.check_modulus(q)
+
+
+def test_linear_algebra_takes_only_stacks():
+    # one shape: a single matrix is a stack of one
+    m = np.eye(2, dtype=np.int64)
+    for call in (lambda: gf.rank(m, 7), lambda: gf.pivot_columns(m, 7),
+                 lambda: gf.solve(m, [[1], [2]], 7, [2]), lambda: gf.solve(m[None], [1, 2], 7, [2])):
+        with pytest.raises(ValueError):
+            call()
+
+
 def _scalar_inverse(a: int, q: int) -> int:
     # a x = 1 over F_q, solved by the row-reduction kernel
-    return int(gf.solve([[a]], [1], q)[0])
+    return int(gf.solve([[[a]]], [[[1]]], q, [1])[0, 0, 0])
 
 
 def test_inverse_small_field():
@@ -49,9 +69,9 @@ def test_mul_inv_identity_random():
 
 
 def test_rank_identity_zero_dependent():
-    assert gf.rank(np.eye(3, dtype=np.int64), 7) == 3
-    assert gf.rank(np.zeros((2, 5), dtype=np.int64), 7) == 0
-    assert gf.rank([[1, 2], [2, 4]], 7) == 1
+    assert gf.rank(np.eye(3, dtype=np.int64)[None], 7).tolist() == [3]
+    assert gf.rank(np.zeros((1, 2, 5), dtype=np.int64), 7).tolist() == [0]
+    assert gf.rank([[[1, 2], [2, 4]]], 7).tolist() == [1]
 
 
 def test_rank_matches_transpose():
@@ -61,7 +81,7 @@ def test_rank_matches_transpose():
             rows = int(rng.integers(1, 9))
             cols = int(rng.integers(1, 9))
             a = rng.integers(0, q, size=(rows, cols))
-            assert gf.rank(a, q) == gf.rank(a.T, q)
+            assert gf.rank(a[None], q).tolist() == gf.rank(a.T[None], q).tolist()
 
 
 def test_rank_matches_minor_enumeration():
@@ -71,7 +91,7 @@ def test_rank_matches_minor_enumeration():
         rows = int(rng.integers(1, 5))
         cols = int(rng.integers(1, 5))
         a = rng.integers(0, q, size=(rows, cols))
-        assert gf.rank(a, q) == rank_by_minors(a.tolist(), q)
+        assert gf.rank(a[None], q).tolist() == [rank_by_minors(a.tolist(), q)]
 
 
 def test_pivot_columns_count_the_rank_of_every_column_prefix():
@@ -83,30 +103,30 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix():
             a = rng.integers(0, q, size=(rows, cols))
             if rng.random() < 0.4:
                 a[:, int(rng.integers(cols))] = a[:, int(rng.integers(cols))]
-            pivots = gf.pivot_columns(a, q).tolist()
+            pivots = gf.pivot_columns(a[None], q)[0].tolist()
             assert pivots == sorted(set(pivots)) and all(0 <= c < cols for c in pivots)
             for c in range(1, cols + 1):
                 prefix = sum(p < c for p in pivots)
-                assert prefix == gf.rank(a[:, :c], q) == rank_by_minors(a[:, :c].tolist(), q)
+                assert prefix == gf.rank(a[None, :, :c], q)[0] == rank_by_minors(a[:, :c].tolist(), q)
 
 
 def test_solve_identity():
-    x = gf.solve(np.eye(2, dtype=np.int64), [3, 4], 7)
-    assert x.tolist() == [3, 4]
+    x = gf.solve(np.eye(2, dtype=np.int64)[None], [[[3], [4]]], 7, [2])
+    assert x.tolist() == [[[3], [4]]]
 
 
 def test_solve_inconsistent_raises():
     with pytest.raises(gf.NoSolution):
-        gf.solve([[1], [1]], [2, 3], 5)
+        gf.solve([[[1], [1]]], [[[2], [3]]], 5, [1])
 
 
 def test_solve_scalar():
-    assert gf.solve([[2]], [3], 7).tolist() == [5]
+    assert gf.solve([[[2]]], [[[3]]], 7, [1]).tolist() == [[[5]]]
 
 
 def test_solve_rank_deficient_raises():
     with pytest.raises(gf.RankDeficient):
-        gf.solve([[1, 2], [2, 4]], [1, 2], 7)
+        gf.solve([[[1, 2], [2, 4]]], [[[1], [2]]], 7, [2])
 
 
 def test_solve_roundtrip_random():
@@ -116,11 +136,11 @@ def test_solve_roundtrip_random():
             cols = int(rng.integers(1, 5))
             rows = cols + int(rng.integers(0, 3))
             a = rng.integers(0, q, size=(rows, cols))
-            if gf.rank(a, q) < cols:
+            if gf.rank(a[None], q)[0] < cols:
                 continue
-            x = rng.integers(0, q, size=cols)
+            x = rng.integers(0, q, size=(cols, 1))
             y = (a.astype(object) @ x) % q
-            assert gf.solve(a, y, q).tolist() == (x % q).tolist()
+            assert gf.solve(a[None], y[None], q, [cols])[0].tolist() == x.tolist()
 
 
 def test_solve_columns_match_one_at_a_time():
@@ -138,12 +158,12 @@ def test_solve_columns_match_one_at_a_time():
         one_by_one = []
         for s in range(y.shape[1]):
             try:
-                one_by_one.append(gf.solve(a, y[:, s], q))
+                one_by_one.append(gf.solve(a[None], y[None, :, s:s + 1], q, [cols])[0, :, 0])
             except (gf.NoSolution, gf.RankDeficient) as exc:
                 one_by_one.append(exc)
         failed = [s for s, r in enumerate(one_by_one) if isinstance(r, Exception)]
         if not failed:
-            got = gf.solve(a, y, q)
+            got = gf.solve(a[None], y[None], q, [cols])[0]
             assert got.shape == (cols, y.shape[1])
             for s, col in enumerate(one_by_one):
                 assert got[:, s].tolist() == col.tolist()
@@ -152,7 +172,7 @@ def test_solve_columns_match_one_at_a_time():
             continue
         want = one_by_one[failed[0]]
         with pytest.raises(type(want)) as info:
-            gf.solve(a, y, q)
+            gf.solve(a[None], y[None], q, [cols])
         assert str(info.value) == str(want)
         assert info.value.column == failed[0]
         if isinstance(want, gf.NoSolution) and failed[0] > 0:
@@ -218,7 +238,7 @@ def test_stacked_row_reduce_matches_one_at_a_time():
 
 def _solve_alone(a, y, q):
     try:
-        return gf.solve(a, y, q)
+        return gf.solve(a[None], y[None], q, [a.shape[1]])[0]
     except gf.SolveError as exc:
         return exc
 
@@ -254,8 +274,6 @@ def test_stacked_solve_raises_like_one_system_at_a_time():
             for b, r in enumerate(alone):
                 assert x[b, :widths[b]].tolist() == r.tolist()
                 assert not x[b, widths[b]:].any()
-            one_rhs = gf.solve(stack, y[:, :, 0], q, widths=widths)
-            assert one_rhs.tolist() == x[:, :, 0].tolist()
             seen["ok"] += 1
             continue
         column, b = failed[0]
@@ -306,7 +324,7 @@ def test_solve_pivots_on_a_only_like_a_full_width_reduction():
         aug = np.concatenate([a, y], axis=2)
         ranks = kernels.row_reduce(aug, q, pivots, a.shape[2])
         assert (pivots < a.shape[2]).all()
-        assert ranks.tolist() == [gf.rank(m, q) for m in items]
+        assert ranks.tolist() == [gf.rank(m[None], q)[0] for m in items]
     assert min(seen.values()) >= 20, seen
 
 

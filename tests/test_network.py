@@ -107,11 +107,11 @@ def test_topo_order_is_networkx_lexicographic_by_position(which):
     else:
         nets = [ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / which)]
     for net in nets:
+        position = {v: k for k, v in enumerate(net.nodes)}
         g = nx.MultiDiGraph()
-        g.add_nodes_from(net.nodes)
-        g.add_edges_from(net.edges)
-        position = {v: k for k, v in enumerate(net.nodes)}.__getitem__
-        assert net.topo_order == tuple(nx.lexicographical_topological_sort(g, key=position))
+        g.add_nodes_from(range(len(net.nodes)))
+        g.add_edges_from((position[t], position[h]) for t, h in net.edges)
+        assert net.topo_index == tuple(nx.lexicographical_topological_sort(g))
 
 
 def test_demand_sizes_must_match():

@@ -218,8 +218,8 @@ def test_decode_matrix_full_rank_on_success():
             interf = sorted(plan.new_interference[i])
             if interf:
                 cols.append(realization.transfer[i, interf[0], :] * plan.V[interf[0]] % q)
-            stacked = np.stack(cols, axis=1)
-            assert gf.rank(stacked, q) == stacked.shape[1]
+            decode = np.stack(cols, axis=1)
+            assert gf.rank(decode[None], q).tolist() == [decode.shape[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -330,5 +330,5 @@ def test_verdict_independent_of_representative():
     ranks = []
     for rep in interf:
         w = (realization.transfer[0, rep, :] * plan.V[rep] % q)[:, None]
-        ranks.append(gf.rank(np.concatenate([u_cols, w], axis=1), q))
+        ranks.append(int(gf.rank(np.concatenate([u_cols, w], axis=1)[None], q)[0]))
     assert len(set(ranks)) == 1

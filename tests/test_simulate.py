@@ -178,15 +178,24 @@ def test_rate_report_fourbyfour(fourbyfour):
     assert report.success_fraction == 1.0
 
 
-def test_rate_report_empty_traces(fourbyfour):
+def test_run_session_rejects_an_empty_batch(fourbyfour):
     plan = build_plan(fourbyfour)
-    trace = sim.run_session(plan, np.zeros((0, 4), dtype=np.int64))
-    assert trace.received.shape == (0, 4, plan.n) and trace.success == ()
+    with pytest.raises(ValueError, match=r"got shape \(0, 4\)"):
+        sim.run_session(plan, np.zeros((0, 4), dtype=np.int64))
+
+
+def test_rate_report_reads_its_reference_off_the_decode_sets(fourbyfour):
+    # n = L + d* + 1 = 4 matches the reference; one more decoded source at a
+    # destination asks for 5 slots, and the same 4-slot plan falls short of it
+    plan = build_plan(fourbyfour)
+    trace = sim.run_session(plan, seeded_messages(fourbyfour, plan.realization.q, range(3)))
     report = sim.rate_report(trace, plan)
-    assert report.sessions == 0
-    assert report.per_source_rate is None
-    assert report.sum_rate is None
-    assert report.success_fraction is None
+    assert (report.reference_rate, report.matches_reference) == ((1, 4), True)
+    extra = next(j for j in range(4) if j not in plan.new_demands[0])
+    wider = dataclasses.replace(plan, new_demands=(plan.new_demands[0] | {extra},) + plan.new_demands[1:])
+    report = sim.rate_report(trace, wider)
+    assert report.per_source_rate == (1, 4)
+    assert (report.reference_rate, report.matches_reference) == ((1, 5), False)
 
 
 def test_success_on_random_forest_instances():
@@ -233,8 +242,9 @@ def assert_batch_fails_like_the_session_loop(net, plan, msg):
     with pytest.raises(sim.DecodeFailure) as info:
         sim.run_session(plan, msg)
     assert str(info.value) == text
-    # the batch of the sessions before it decodes, and adding the failing one raises the same
-    sim.run_session(plan, msg[:first])
+    # the batch of the sessions before it (if any) decodes, and adding the failing one raises the same
+    if first:
+        sim.run_session(plan, msg[:first])
     with pytest.raises(sim.DecodeFailure, match=f"^{text}$"):
         sim.run_session(plan, msg[:first + 1])
     return first, text

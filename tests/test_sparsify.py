@@ -308,6 +308,17 @@ def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
             + [dense_bipartite(rng) for _ in range(dense)])
 
 
+def test_most_extra_decoded_sources_at_one_destination_is_d_star():
+    # rate_report's reference slot count max_i |new_demands[i]| + 1 is L + d* + 1
+    # because some destination decodes exactly d* extra sources and none more
+    d_stars = []
+    for g in _corpus(3000, sparse=150, dense=150):
+        s = sp.find_dstar(g)
+        assert max(map(len, s.extra_decode)) == s.d_star
+        d_stars.append(s.d_star)
+    assert sum(d > 0 for d in d_stars) >= 100
+
+
 def test_greedy_scan_matches_the_component_count_scan():
     # One early-exit search per candidate must accept exactly the edges that
     # one full component count per candidate accepts, in any label order.

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pbna"
@@ -7,17 +8,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "pbna"
 CALLED_FROM_OUTSIDE = {("kernels", "warmup")}
 
 
+def _reads(tree: ast.AST) -> Counter:
+    """How often a piece of code reads each name or looks it up as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def _names_used(tree: ast.AST) -> set[str]:
     """Every name a piece of code reads, imports or looks up as an attribute."""
-    used = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name)
-    return used
+    return set(_reads(tree)) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
 
 
 def test_every_module_level_definition_has_a_caller_in_src():
@@ -34,6 +33,21 @@ def test_every_module_level_definition_has_a_caller_in_src():
     unused = [f"{module}.{name}" for module, name in defined
               if name not in used and (module, name) not in CALLED_FROM_OUTSIDE]
     assert unused == []
+
+
+def test_every_class_member_has_a_reader_in_src():
+    # a method or property that only tests read belongs in the tests; dunders are called implicitly
+    defined, reads = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_reads(tree))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and not stmt.name.startswith("__"):
+                        defined.append(f"{path.stem}.{cls.name}.{stmt.name}")
+                        reads[stmt.name] -= _reads(stmt)[stmt.name]  # its own body is no reader
+    assert [name for name in defined if reads[name.rpartition(".")[2]] <= 0] == []
 
 
 def test_every_imported_name_is_read_by_its_module():
