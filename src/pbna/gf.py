@@ -2,9 +2,11 @@
 
 Scalars are plain Python ints in [0, q).  The linear algebra takes one
 shape only: a (B, rows, cols) numpy int64 stack of B matrices, all handled
-by one reduction; a single matrix is a stack of one.  Everything is exact --
-no floating point anywhere -- so rank and dimension checks are decisions,
-not estimates.
+by one inverse-free ``kernels.row_reduce`` pass, whose pivot rows share one
+batched inverse; a single matrix is a stack of one.  Callers build their
+stacks with one gather each, zero-padded on the right.  Everything is exact
+-- no floating point anywhere -- so rank and dimension checks are
+decisions, not estimates.
 
 Only prime moduli below 2**31 are supported (``check_modulus``).  The
 default modulus is the Mersenne prime 2**31 - 1, large enough that
@@ -13,6 +15,8 @@ products of two residues still fit in int64.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -48,8 +52,9 @@ class RankDeficient(SolveError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+@functools.cache
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for all n < 3.3e24; each n is tested once per process."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -94,19 +99,6 @@ def _as_stack(m, q: int) -> np.ndarray:
     return a % q
 
 
-def stack(mats) -> np.ndarray:
-    """Stack matrices with one row count into (B, rows, widest), zero-padded on the right.
-
-    A zero column never becomes a pivot, so the padding changes no pivot,
-    rank or solution (``solve`` takes the real widths for its rank check).
-    """
-    mats = [np.asarray(m, dtype=np.int64) for m in mats]
-    out = np.zeros((len(mats), mats[0].shape[0], max(m.shape[1] for m in mats)), dtype=np.int64)
-    for b, m in enumerate(mats):
-        out[b, :, :m.shape[1]] = m
-    return out
-
-
 def _reduce(a: np.ndarray, q: int, pivot_cols=None) -> tuple[np.ndarray, np.ndarray]:
     """Reduce the stack ``a`` in place, pivoting on its first ``pivot_cols`` columns (default: all).
 
@@ -114,17 +106,6 @@ def _reduce(a: np.ndarray, q: int, pivot_cols=None) -> tuple[np.ndarray, np.ndar
     """
     pivots = np.full(a.shape[:2], -1, dtype=np.int64)
     return pivots, kernels.row_reduce(a, q, pivots, pivot_cols)
-
-
-def pivot_columns(m, q: int = DEFAULT_Q) -> list[np.ndarray]:
-    """Pivot columns of each reduced row echelon form over F_q, ascending, one array per matrix.
-
-    Column c is a pivot iff it is outside the span of the columns before it,
-    so the number of pivots below c is the rank of the first c columns.  The
-    (B, rows, cols) stack ``m`` is reduced in one pass.
-    """
-    pivots, ranks = _reduce(_as_stack(m, q), q)
-    return [p[:r] for p, r in zip(pivots, ranks.tolist())]
 
 
 def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
@@ -135,15 +116,16 @@ def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
 def solve(a, y, q: int, widths) -> np.ndarray:
     """Solve A_b X_b = Y_b for the unique X_b of every system b, requiring full column rank.
 
-    ``a`` is a (B, rows, cols) stack, zero-padded on the right as ``stack``
-    makes it, and ``widths`` gives each system's real column count.  ``y`` is
-    (B, rows, s): the s right-hand sides of each system, as columns.  All of
-    them are reduced with A in one pass, and the (B, cols, s) solution comes
-    back with the padded rows zero.  The error is the one of solving the
-    (column, system) pairs one at a time, column-major: the first pair
-    without a unique solution raises NoSolution if its column lies outside
-    the column span of A_b, else RankDeficient if A_b's columns are linearly
-    dependent; ``column`` and ``item`` name the pair.
+    ``a`` is a (B, rows, cols) stack, each system zero-padded on the right
+    (a zero column never becomes a pivot), and ``widths`` gives each
+    system's real column count.  ``y`` is (B, rows, s): the s right-hand
+    sides of each system, as columns.  All of them are reduced with A in one
+    pass, and the (B, cols, s) solution comes back with the padded rows
+    zero.  The error is the one of solving the (column, system) pairs one
+    at a time, column-major: the first pair without a unique solution
+    raises NoSolution if its column lies outside the column span of A_b,
+    else RankDeficient if A_b's columns are linearly dependent; ``column``
+    and ``item`` name the pair.
     """
     mat = _as_stack(a, q)
     rhs = np.asarray(y, dtype=np.int64) % q

@@ -1,14 +1,18 @@
-"""Hot numeric kernels: exact mod-q row reduction and DAG transfer propagation.
+"""Hot numeric kernels: exact mod-q row reduction, batched inverses and DAG transfer propagation.
 
-Both kernels are plain numpy with vectorized row updates; the row reduction
-works on a stack of matrices, so one call serves many small systems.
+All are plain numpy with vectorized updates.  The row reduction works on a
+stack of matrices, so one call serves many small systems; its elimination
+steps divide by nothing, and one call of ``inverse`` normalizes every pivot
+row at the end.  ``inverse`` inverts a whole array through a product tree
+with a single ``pow``; it is the package's one modular inverse.
 Propagation follows an index schedule that ``network.CodingLayout`` builds
 once per network: one value per edge when sources inject session symbols,
 one per (edge, source) entry when ``realize`` evaluates transfers.
 
 All arrays are int64 with entries in [0, q) for a prime q < 2**31 (enforced
-by ``gf.check_modulus``), so any product of two entries fits in int64 and
-Python modulo semantics keep intermediate values in range.
+by ``gf.check_modulus``), so a product of two entries, and the sum of two
+such products, fits in int64, and Python modulo semantics keep
+intermediate values in range.
 """
 
 from __future__ import annotations
@@ -16,16 +20,45 @@ from __future__ import annotations
 import numpy as np
 
 
+def inverse(x, q):
+    """Elementwise inverses modulo q of the residues ``x``, by one product tree and a single ``pow``.
+
+    The entries, padded with 1s to a power of two, are multiplied in pairs,
+    level by level, until one product is left.  Going down, each entry of a
+    pair has the pair's inverse times the other entry as its inverse.  A
+    zero entry makes the root zero, and ``pow`` raises ValueError for it.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    v = np.ones(1 << (x.size - 1).bit_length(), dtype=np.int64)
+    v[:x.size] = x.ravel()
+    pairs = []
+    while v.size > 1:
+        pairs.append(v.reshape(-1, 2))
+        v = pairs[-1][:, 0] * pairs[-1][:, 1] % q
+    inv = np.array([pow(int(v[0]), -1, q)], dtype=np.int64)
+    for pair in reversed(pairs):
+        inv = (inv[:, None] * pair[:, ::-1] % q).ravel()
+    return inv[:x.size].reshape(x.shape)
+
+
 def row_reduce(a, q, pivots, pivot_cols=None):
     """In-place reduced row echelon form of every matrix in the stack ``a`` modulo q.
 
     ``a`` is (B, rows, cols); each column step finds every matrix's pivot row,
-    then swaps, normalizes and eliminates in all of them at once.  Only the
-    first ``pivot_cols`` columns (default: all) may hold pivots; row
-    operations still span every column, so the rest are carried along as
-    right-hand sides.  ``pivots[b, r]`` receives the pivot column of pivot row
-    r of matrix b (entries beyond its rank are left untouched, callers should
+    then swaps and eliminates in all of them at once.  Only the first
+    ``pivot_cols`` columns (default: all) may hold pivots; row operations
+    still span every column, so the rest are carried along as right-hand
+    sides.  ``pivots[b, r]`` receives the pivot column of pivot row r of
+    matrix b (entries beyond its rank are left untouched, callers should
     pre-fill with -1).  Returns the (B,) ranks.
+
+    A step divides by nothing: with pivot p, every other row becomes
+    ``p * row - f * pivot_row`` for its entry f in the pivot column, which
+    scales it by the nonzero p, so zero patterns, pivots and ranks are those
+    of dividing by p.  One batched inverse of all pivot entries then
+    normalizes the pivot rows, which gives the exact RREF; a row below the
+    rank is zero on the pivot columns, and its other columns come out
+    scaled by a nonzero factor.
     """
     n_items, rows, cols = a.shape
     rank = np.zeros(n_items, dtype=np.int64)
@@ -40,17 +73,18 @@ def row_reduce(a, q, pivots, pivot_cols=None):
         piv = cand[items].argmax(axis=1)
         pivot_rows = a[items, piv]
         a[items, piv] = a[items, r]
-        inv = np.array([pow(x, -1, q) for x in pivot_rows[:, c].tolist()], dtype=np.int64)
-        pivot_rows = pivot_rows * inv[:, None] % q
-        factors = a[items, :, c]
-        factors[np.arange(items.size), r] = 0
-        # (x - 0) % q == x for entries in [0, q), so rows with a zero factor come out unchanged
-        a[items] = (a[items] - factors[:, :, None] * pivot_rows[:, None, :]) % q
-        a[items, r] = pivot_rows
+        # p * row - f * pivot_row as p * row + (q - f) * pivot_row: each product is below q**2 < 2**62,
+        # so the sum is exact in int64, and never negative, which keeps numpy's remainder fast
+        cofactors = q - a[items, :, c]
+        a[items] = (a[items] * pivot_rows[:, c, None, None] + cofactors[:, :, None] * pivot_rows[:, None, :]) % q
+        a[items, r] = pivot_rows  # row r's own update above is discarded
         pivots[items, r] = c
         rank[items] += 1
         if rank.min() == rows:
             break
+    items, r = np.nonzero(row_ids[None, :] < rank[:, None])
+    lead = a[items, r, pivots[items, r]]
+    a[items, r] = a[items, r] * inverse(lead, q)[:, None] % q
     return rank
 
 
@@ -94,10 +128,11 @@ def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx,
 
 
 def warmup() -> None:
-    """Run both kernels once on tiny inputs, so first-call costs stay out of timed work.
+    """Run every kernel once on tiny inputs, so first-call costs stay out of timed work.
 
     The row reduction gets a stack of two, the second a one-column matrix
-    zero-padded on the right, so its multi-item path and row swap run too.
+    zero-padded on the right, so its multi-item path and row swap run too;
+    its three pivots give the batched inverse a tree of two levels.
     """
     a = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 0]]], dtype=np.int64)
     row_reduce(a, 7, np.full((2, 2), -1, dtype=np.int64))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .gf import DEFAULT_Q
 from .interference import InterferenceGraph, NodeRef, connected_components, edge_between
 from .network import Network, realize
@@ -80,7 +81,7 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
         raise ValueError("constancy testing needs at least 2 trials")
     cyc = check_cycle(net, cycle)
     rng = np.random.default_rng(seed)
-    evaluations: list[int | None] = []
+    ratios: list[tuple[int, int] | None] = []
     for _ in range(trials):
         r = realize(net, 1, int(rng.integers(0, 2**63)), q)
         num = den = 1
@@ -90,12 +91,15 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
             if u[0] == "y":
                 num = num * m % q
             elif m == 0:
-                evaluations.append(None)
+                ratios.append(None)
                 break
             else:
                 den = den * m % q
         else:
-            evaluations.append(num * pow(den, -1, q) % q)
+            ratios.append((num, den))
+    # every usable trial's denominator, inverted in one batch
+    inv = iter(kernels.inverse([den for _, den in filter(None, ratios)], q).tolist())
+    evaluations = [None if ratio is None else ratio[0] * next(inv) % q for ratio in ratios]
 
     valid = [e for e in evaluations if e is not None]
     if len(valid) < 2:

@@ -10,6 +10,11 @@ node, inverses on edges walked from a destination node down to a source).
 On that construction all interference columns at a destination coincide
 exactly, so verification reduces to exact rank checks at the sampled
 assignment; failures are retried with fresh randomness.
+
+Every inverse a plan needs comes from one ``kernels.inverse`` call, made
+before the walk down the trees.  Verification and decoding gather every
+destination's received directions into one (M, n, w) stack, through a
+padded table of source indices, and reduce it in one pass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf
+from . import gf, kernels
 from .gf import DEFAULT_Q
 from .interference import NodeRef, Tree, decompose, edge_between
 from .network import Network, NetworkRealization, pairs_in, realize
@@ -119,19 +124,22 @@ def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, s
     q = realization.q
     n = realization.slot_count
     rng = np.random.default_rng(seed)
+    links = [(node, parent) for tree in forest for node, parent in tree.items() if parent is not None]
+    ends = [edge_between(node, parent) for node, parent in links]
+    factor = realization.transfer[[i for _, i in ends], [j for j, _ in ends]]  # one row per link, in walk order
+    # walked from a destination node down to a source: the row's inverses, all in one batch
+    up = np.array([node[0] == "x" for node, _ in links], dtype=bool)
+    factor[up] = kernels.inverse(factor[up], q)
     V = np.zeros((realization.network.n_sources, n), dtype=np.int64)
+    t = 0
     for tree in forest:
         scale: dict[NodeRef, np.ndarray] = {}
         for node, parent in tree.items():
             if parent is None:
                 scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
             else:
-                j, i = edge_between(node, parent)
-                row = realization.transfer[i, j]
-                if node[0] == "x":
-                    # walked from a destination node down to a source: the row's inverses
-                    row = np.array([pow(m, -1, q) for m in row.tolist()], dtype=np.int64)
-                scale[node] = scale[parent] * row % q
+                scale[node] = scale[parent] * factor[t] % q
+                t += 1
             if node[0] == "x":
                 V[node[1]] = scale[node]
 
@@ -140,10 +148,22 @@ def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, s
     return V
 
 
-def signal_columns(plan: PrecodingPlan, i: int, sources) -> np.ndarray:
-    """Received directions of ``sources`` at destination i: column t is diag(m_ij) V_j for j = sources[t]."""
-    js = list(sources)
-    return (plan.realization.transfer[i, js] * plan.V[js] % plan.realization.q).T
+def source_table(sources) -> np.ndarray:
+    """One list of source indices per destination, as an (M, w) table padded on the right with -1."""
+    w = max(map(len, sources))
+    return np.array([js + [-1] * (w - len(js)) for js in sources], dtype=np.int64)
+
+
+def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
+    """Received directions at every destination, as one (M, n, w) stack, by one gather.
+
+    Column t of matrix i is diag(m_ij) V_j for the source j = table[i, t] of
+    an (M, w) ``source_table``; its -1 padding gives zero columns.
+    """
+    # -1 gathers the last source, and the mask zeroes it
+    cols = plan.realization.transfer[np.arange(len(table))[:, None], table] * plan.V[table] % plan.realization.q
+    cols[table < 0] = 0
+    return cols.transpose(0, 2, 1)
 
 
 def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
@@ -152,31 +172,30 @@ def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
     dim_u must equal the number of decoded sources, all interference must
     collapse to at most one dimension, and the two spans must intersect
     trivially; the representative full-rank test uses the smallest-index
-    interferer.  One reduction of the stack of every destination's [U | W]
-    gives rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and
-    one more, of the stack of every W, gives every rank(W).
+    interferer.  One gather builds, per destination, [U | W] padded to a
+    common width followed by W; one reduction of the [U | W] stack gives
+    rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and one
+    more, of the W stack, gives every rank(W).
     """
     q = plan.realization.q
     n_dest = plan.realization.network.n_destinations
     desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
     interf = [sorted(plan.new_interference[i]) for i in range(n_dest)]
-    cols = [signal_columns(plan, i, desired[i] + interf[i]) for i in range(n_dest)]
-    all_pivots = gf.pivot_columns(gf.stack(cols), q)
-    dims_w = gf.rank(gf.stack([c[:, len(d):] for c, d in zip(cols, desired)]), q)
-    verdicts = []
-    for i, pivots in enumerate(all_pivots):
-        u = len(desired[i])
-        dim_u = int(np.count_nonzero(pivots < u))
-        dim_w = int(dims_w[i])
-        if interf[i]:
-            dim_int = dim_u + dim_w - len(pivots)
-            r_det_nonzero = int(np.count_nonzero(pivots <= u)) == u + 1
-        else:
-            dim_int = 0
-            r_det_nonzero = dim_u == u
-        ok = dim_u == u * A and dim_w <= B and dim_int == 0
-        verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
-    return verdicts
+    uw = source_table([d + f for d, f in zip(desired, interf)])
+    width = uw.shape[1]
+    cols = signal_stack(plan, np.concatenate([uw, source_table(interf)], axis=1))
+    pivots = np.full(cols.shape[:2], -1, dtype=np.int64)
+    rank_uw = kernels.row_reduce(cols[:, :, :width], q, pivots)
+    dim_w = gf.rank(cols[:, :, width:], q)
+    u = np.array([len(d) for d in desired])
+    dim_u = np.count_nonzero((pivots >= 0) & (pivots < u[:, None]), axis=1)
+    # with no interferer W is empty, so rank([U | W]) = dim_u and the intersection is trivial
+    dim_int = dim_u + dim_w - rank_uw
+    rep_rank = np.count_nonzero((pivots >= 0) & (pivots <= u[:, None]), axis=1)
+    r_det_nonzero = np.where([bool(f) for f in interf], rep_rank == u + 1, dim_u == u)
+    ok = (dim_u == u * A) & (dim_w <= B) & (dim_int == 0)
+    return [AlignmentVerdict(i, *v) for i, v in enumerate(zip(
+        dim_u.tolist(), dim_w.tolist(), dim_int.tolist(), ok.tolist(), r_det_nonzero.tolist()))]
 
 
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:
@@ -198,8 +217,8 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
     used = net.demand_mask.copy()
-    for i in range(net.n_destinations):
-        used[i, list(sparsification.extra_decode[i] | new_interference[i])] = True
+    extra = [sparsification.extra_decode[i] | new_interference[i] for i in range(net.n_destinations)]
+    used[[i for i, js in enumerate(extra) for _ in js], [j for js in extra for j in js]] = True
 
     rng = np.random.default_rng(seed)
     attempt_failures = []

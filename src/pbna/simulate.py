@@ -5,8 +5,8 @@ symbols are injected at the sources and propagated through the coded edges
 by the transfer kernel, and never computed from the transfer values, so each
 decode doubles as a check of the algebraic model.  The decode matrix of a
 destination is the same for every session, and every destination's system
-has the same n rows, so one exact reduction of their stack decodes every
-destination for all sessions.
+has the same n rows, so one gather builds their stack and one exact
+reduction of it decodes every destination for all sessions.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf
 from .network import Network, NetworkRealization
-from .precoding import A, PrecodingPlan, signal_columns
+from .precoding import A, PrecodingPlan, signal_stack, source_table
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
@@ -79,19 +79,17 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     n_dest = net.n_destinations
     desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
     # the prefix of verify_alignment's [U | W] whose full rank r_det_nonzero records
-    systems = [signal_columns(plan, i, desired[i] + sorted(plan.new_interference[i])[:1]) for i in range(n_dest)]
+    systems = source_table([d + sorted(plan.new_interference[i])[:1] for i, d in enumerate(desired)])
     try:
-        sol = gf.solve(gf.stack(systems), received.transpose(1, 2, 0), q, widths=[a.shape[1] for a in systems])
+        sol = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, widths=(systems >= 0).sum(axis=1))
     except gf.SolveError as exc:
         # solve raises for the smallest (column, system) pair: the first failing (session, destination)
         raise DecodeFailure(f"destination D{exc.item + 1}: {exc}") from exc
-    decoded = []
-    ok = np.ones((z.shape[0], n_dest), dtype=bool)
-    for i in range(n_dest):
-        got = sol[i, :len(desired[i])]
-        decoded.append(dict(zip(desired[i], got)))
-        ok[:, i] = (got == z[:, desired[i]].T).all(axis=0)
-    return SessionTrace(z, received, tuple(decoded), tuple(ok.ravel().tolist()))
+    wanted = source_table(desired)
+    # (S, M, u): every decoded source coordinate against its message; padding compares as equal
+    ok = ((sol[:, :wanted.shape[1]].transpose(2, 0, 1) == z[:, wanted]) | (wanted < 0)).all(axis=2)
+    decoded = tuple(dict(zip(d, sol[i, :len(d)])) for i, d in enumerate(desired))
+    return SessionTrace(z, received, decoded, tuple(ok.ravel().tolist()))
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,15 @@ def egcd_inverse(a: int, q: int) -> int:
     return old_s % q
 
 
+def pad_stack(mats) -> np.ndarray:
+    """Stack matrices with one row count into (B, rows, widest), zero-padded on the right."""
+    mats = [np.asarray(m, dtype=np.int64) for m in mats]
+    out = np.zeros((len(mats), mats[0].shape[0], max(m.shape[1] for m in mats)), dtype=np.int64)
+    for b, m in enumerate(mats):
+        out[b, :, :m.shape[1]] = m
+    return out
+
+
 def row_reduce_one(a, q, pivots):
     """In-place reduced row echelon form of ``a`` modulo q; returns the rank.
 

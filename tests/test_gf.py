@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pbna import gf, kernels
-from oracles import egcd_inverse, rank_by_minors, row_reduce_one, solve_full_width
+from oracles import egcd_inverse, pad_stack, rank_by_minors, row_reduce_one, solve_full_width
 
 
 def test_field_new_rejects_composite():
@@ -29,7 +29,7 @@ def test_check_modulus_rejects_a_large_modulus_before_testing_primality(monkeypa
 def test_linear_algebra_takes_only_stacks():
     # one shape: a single matrix is a stack of one
     m = np.eye(2, dtype=np.int64)
-    for call in (lambda: gf.rank(m, 7), lambda: gf.pivot_columns(m, 7),
+    for call in (lambda: gf.rank(m, 7),
                  lambda: gf.solve(m, [[1], [2]], 7, [2]), lambda: gf.solve(m[None], [1, 2], 7, [2])):
         with pytest.raises(ValueError):
             call()
@@ -95,6 +95,7 @@ def test_rank_matches_minor_enumeration():
 
 
 def test_pivot_columns_count_the_rank_of_every_column_prefix():
+    # the pivot table of kernels.row_reduce, which verify_alignment reads its dimensions off
     rng = np.random.default_rng(19)
     for q in (2, 5, 7):
         for _ in range(40):
@@ -103,7 +104,10 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix():
             a = rng.integers(0, q, size=(rows, cols))
             if rng.random() < 0.4:
                 a[:, int(rng.integers(cols))] = a[:, int(rng.integers(cols))]
-            pivots = gf.pivot_columns(a[None], q)[0].tolist()
+            table = np.full((1, rows), -1, dtype=np.int64)
+            rank = int(kernels.row_reduce(a[None].copy(), q, table)[0])
+            pivots = table[0, :rank].tolist()
+            assert (table[0, rank:] == -1).all()
             assert pivots == sorted(set(pivots)) and all(0 <= c < cols for c in pivots)
             for c in range(1, cols + 1):
                 prefix = sum(p < c for p in pivots)
@@ -215,7 +219,7 @@ def test_stacked_row_reduce_matches_one_at_a_time():
     for q in (2, 3, 7, gf.DEFAULT_Q):
         for _ in range(60):
             items = _ragged_items(rng, q)
-            stack = gf.stack(items)
+            stack = pad_stack(items)
             width = stack.shape[2]
             pivots = np.full(stack.shape[:2], -1, dtype=np.int64)
             ranks = kernels.row_reduce(stack, q, pivots)
@@ -264,7 +268,7 @@ def test_stacked_solve_raises_like_one_system_at_a_time():
                 y[:, int(rng.integers(n_rhs)):] = rng.integers(0, q, size=(rows, 1))
             items.append(a)
             rhs.append(y)
-        stack, y = gf.stack(items), np.stack(rhs)
+        stack, y = pad_stack(items), np.stack(rhs)
         widths = [a.shape[1] for a in items]
         alone = [_solve_alone(a, yb, q) for a, yb in zip(items, rhs)]
         failed = sorted((r.column, b) for b, r in enumerate(alone) if isinstance(r, Exception))
@@ -312,7 +316,7 @@ def test_solve_pivots_on_a_only_like_a_full_width_reduction():
             if rng.random() < 0.2 and a.shape[1] >= 2:
                 a[:, -1] = a[:, 0] * int(rng.integers(0, q)) % q
             items.append(a)
-        a = gf.stack(items)
+        a = pad_stack(items)
         widths = [m.shape[1] for m in items]
         y = (a.astype(object) @ rng.integers(0, q, size=(a.shape[2], n_rhs)).astype(object) % q).astype(np.int64)
         if rng.random() < 0.4:
@@ -338,3 +342,69 @@ def test_row_reduce_no_int64_overflow_near_modulus():
     r = kernels.row_reduce(a, q, piv)
     assert ((1 <= r) & (r <= 4)).all()
     assert ((a >= 0) & (a < q)).all()
+
+
+def test_check_modulus_tests_primality_once_per_modulus():
+    # realize checks its modulus on every call; the Miller-Rabin verdict is cached per q
+    gf.is_prime.cache_clear()
+    for _ in range(4):
+        gf.check_modulus(gf.DEFAULT_Q)
+        with pytest.raises(gf.InvalidModulus, match="must be prime"):
+            gf.check_modulus(2147483645)
+    info = gf.is_prime.cache_info()
+    assert (info.misses, info.hits) == (2, 6)
+
+
+def test_batched_inverse_matches_euclid():
+    for q in (2, 3, 7, 31):
+        x = np.arange(1, q, dtype=np.int64)
+        assert kernels.inverse(x, q).tolist() == [egcd_inverse(v, q) for v in range(1, q)]
+    q = gf.DEFAULT_Q
+    rng = np.random.default_rng(71)
+    for n in list(range(1, 18)) + [31, 64, 127, 240, 255, 256, 257, 600]:
+        x = rng.integers(1, q, size=n, dtype=np.int64)
+        assert kernels.inverse(x, q).tolist() == [egcd_inverse(v, q) for v in x.tolist()]
+    x = rng.integers(1, q, size=(4, 6), dtype=np.int64)
+    assert (kernels.inverse(x, q) * x % q == 1).all()
+    assert kernels.inverse(np.zeros(0, dtype=np.int64), q).shape == (0,)  # a stack of rank 0 has no pivots
+
+
+def test_batched_inverse_of_zero_raises_like_pow():
+    for x in ([0], [3, 0], [1, 2, 0, 4, 5]):
+        with pytest.raises(ValueError):
+            kernels.inverse(np.array(x, dtype=np.int64), 7)
+
+
+def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
+    # q - 1 in the factor, pivot and right-hand-side columns, and 0 and 1 beside them, put the
+    # products of an elimination step at their largest; the stacked result must equal the oracle's
+    q = gf.DEFAULT_Q
+    rng = np.random.default_rng(73)
+    rows, n_a, n_rhs = 4, 6, 5
+    seen = 0
+    for _ in range(40):
+        aug = rng.choice(np.array([0, 1, q - 2, q - 1], dtype=np.int64), size=(3, rows, n_a + n_rhs))
+        aug[:, :, 0] = q - 1  # every row has a factor q - 1 at the first pivot, itself q - 1
+        aug[:, :, n_a:] = q - 1
+        aug[1, :, n_a - 1] = 0  # a zero column inside A
+        want = aug.copy()
+        want_pivots = np.full((3, rows), -1, dtype=np.int64)
+        want_ranks = [row_reduce_one(want[b], q, want_pivots[b]) for b in range(3)]
+        if (want_pivots >= n_a).any():
+            continue  # a pivot outside A: reducing [A | Y] differs from pivoting on A alone
+        seen += 1
+        pivots = np.full((3, rows), -1, dtype=np.int64)
+        ranks = kernels.row_reduce(aug, q, pivots, n_a)
+        assert ranks.tolist() == want_ranks
+        assert pivots.tolist() == want_pivots.tolist()
+        assert aug.tolist() == want.tolist()
+    assert seen >= 20
+    # full width, every entry q - 1 but a diagonal of ones: each step runs at the extremes
+    a = np.full((2, 5, 7), q - 1, dtype=np.int64)
+    a[0, np.arange(5), np.arange(5)] = 1
+    want = a.copy()
+    want_pivots = np.full((2, 5), -1, dtype=np.int64)
+    want_ranks = [row_reduce_one(want[b], q, want_pivots[b]) for b in range(2)]
+    pivots = np.full((2, 5), -1, dtype=np.int64)
+    assert kernels.row_reduce(a, q, pivots).tolist() == want_ranks
+    assert pivots.tolist() == want_pivots.tolist() and a.tolist() == want.tolist()

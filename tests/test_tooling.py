@@ -65,3 +65,19 @@ def test_every_imported_name_is_read_by_its_module():
                 read |= set(ast.literal_eval(node.value))
         unread += [f"{path.stem}.{name}" for name in sorted(imported - read)]
     assert unread == []
+
+
+def _is_modular_inverse(node: ast.AST) -> bool:
+    """A call pow(_, -1, _)."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "pow" and len(node.args) == 3
+            and ast.unparse(node.args[1]) == "-1")
+
+
+def test_one_modular_inverse_implementation():
+    # every inverse in src/ goes through the batched product tree; its root is the one pow(_, -1, _)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            found += [(path.stem, owner) for node in ast.walk(stmt) if _is_modular_inverse(node)]
+    assert found == [("kernels", "inverse")]
