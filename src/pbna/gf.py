@@ -2,8 +2,8 @@
 
 Scalars are plain Python ints in [0, q).  The linear algebra takes one
 shape only: a (B, rows, cols) numpy int64 stack of B matrices, all handled
-by one inverse-free ``kernels.row_reduce`` pass, whose pivot rows share one
-batched inverse; a single matrix is a stack of one.  Callers build their
+by one inverse-free ``kernels.row_reduce`` pass (``solve`` then makes one
+batched inverse); a single matrix is a stack of one.  Callers build their
 stacks with one gather each, zero-padded on the right.  Everything is exact
 -- no floating point anywhere -- so rank and dimension checks are
 decisions, not estimates.
@@ -99,18 +99,10 @@ def _as_stack(m, q: int) -> np.ndarray:
     return a % q
 
 
-def _reduce(a: np.ndarray, q: int, pivot_cols=None) -> tuple[np.ndarray, np.ndarray]:
-    """Reduce the stack ``a`` in place, pivoting on its first ``pivot_cols`` columns (default: all).
-
-    Returns its (B, rows) pivot table and (B,) ranks.
-    """
-    pivots = np.full(a.shape[:2], -1, dtype=np.int64)
-    return pivots, kernels.row_reduce(a, q, pivots, pivot_cols)
-
-
 def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
     """The (B,) ranks over F_q of the (B, rows, cols) stack ``m``, by exact Gaussian elimination."""
-    return _reduce(_as_stack(m, q), q)[1]
+    a = _as_stack(m, q)
+    return kernels.row_reduce(a, q, np.full(a.shape[:2], -1, dtype=np.int64))
 
 
 def solve(a, y, q: int, widths) -> np.ndarray:
@@ -136,7 +128,8 @@ def solve(a, y, q: int, widths) -> np.ndarray:
     aug = np.concatenate([mat, rhs], axis=2)
     # Pivots on A's columns only: the right-hand sides are carried along, and a column of
     # them is solvable iff it is zero in the rows below rank(A), which are zero on A.
-    pivots, rank_a = _reduce(aug, q, cols)
+    pivots = np.full(aug.shape[:2], -1, dtype=np.int64)
+    rank_a = kernels.row_reduce(aug, q, pivots, cols)
     below = np.arange(rows)[None, :, None] >= rank_a[:, None, None]
     unsolvable = (aug[:, :, cols:].astype(bool) & below).any(axis=1)  # (B, s)
     deficient = (rank_a < widths) & (unsolvable.shape[1] > 0)
@@ -150,5 +143,6 @@ def solve(a, y, q: int, widths) -> np.ndarray:
         raise NoSolution("right-hand side is not in the column span", int(first[b]), b)
     x = np.zeros((n_items, cols, aug.shape[2] - cols), dtype=np.int64)
     items, pivot_rows = np.nonzero(pivots >= 0)
-    x[items, pivots[items, pivot_rows]] = aug[items, pivot_rows, cols:]
+    piv = pivots[items, pivot_rows]  # x's row piv: pivot row r's right-hand sides over its leading entry
+    x[items, piv] = aug[items, pivot_rows, cols:] * kernels.inverse(aug[items, pivot_rows, piv], q)[:, None] % q
     return x

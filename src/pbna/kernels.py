@@ -1,10 +1,10 @@
 """Hot numeric kernels: exact mod-q row reduction, batched inverses and DAG transfer propagation.
 
 All are plain numpy with vectorized updates.  The row reduction works on a
-stack of matrices, so one call serves many small systems; its elimination
-steps divide by nothing, and one call of ``inverse`` normalizes every pivot
-row at the end.  ``inverse`` inverts a whole array through a product tree
-with a single ``pow``; it is the package's one modular inverse.
+stack of matrices, so one call serves many small systems; it divides by
+nothing and normalizes no pivot row, so a rank costs no inverse.  ``inverse``
+inverts a whole array through a product tree with a single ``pow``; it is
+the package's one modular inverse.
 Propagation follows an index schedule that ``network.CodingLayout`` builds
 once per network: one value per edge when sources inject session symbols,
 one per (edge, source) entry when ``realize`` evaluates transfers.
@@ -42,7 +42,7 @@ def inverse(x, q):
 
 
 def row_reduce(a, q, pivots, pivot_cols=None):
-    """In-place reduced row echelon form of every matrix in the stack ``a`` modulo q.
+    """In-place reduced row echelon form, up to row scaling, of every matrix in the stack ``a`` modulo q.
 
     ``a`` is (B, rows, cols); each column step finds every matrix's pivot row,
     then swaps and eliminates in all of them at once.  Only the first
@@ -55,10 +55,10 @@ def row_reduce(a, q, pivots, pivot_cols=None):
     A step divides by nothing: with pivot p, every other row becomes
     ``p * row - f * pivot_row`` for its entry f in the pivot column, which
     scales it by the nonzero p, so zero patterns, pivots and ranks are those
-    of dividing by p.  One batched inverse of all pivot entries then
-    normalizes the pivot rows, which gives the exact RREF; a row below the
-    rank is zero on the pivot columns, and its other columns come out
-    scaled by a nonzero factor.
+    of dividing by p.  Each row comes out a nonzero multiple of its exact
+    RREF row: pivot row r's leading entry ``a[b, r, pivots[b, r]]`` is the
+    one nonzero of its pivot column, and a row below the rank is zero on
+    the pivot columns.  Only ``gf.solve`` divides by the leading entries.
     """
     n_items, rows, cols = a.shape
     rank = np.zeros(n_items, dtype=np.int64)
@@ -82,9 +82,6 @@ def row_reduce(a, q, pivots, pivot_cols=None):
         rank[items] += 1
         if rank.min() == rows:
             break
-    items, r = np.nonzero(row_ids[None, :] < rank[:, None])
-    lead = a[items, r, pivots[items, r]]
-    a[items, r] = a[items, r] * inverse(lead, q)[:, None] % q
     return rank
 
 
@@ -132,10 +129,11 @@ def warmup() -> None:
 
     The row reduction gets a stack of two, the second a one-column matrix
     zero-padded on the right, so its multi-item path and row swap run too;
-    its three pivots give the batched inverse a tree of two levels.
+    the batched inverse gets three entries, a tree of two levels.
     """
     a = np.array([[[1, 2], [3, 4]], [[0, 0], [5, 0]]], dtype=np.int64)
     row_reduce(a, 7, np.full((2, 2), -1, dtype=np.int64))
+    inverse(np.array([1, 2, 3], dtype=np.int64), 7)
     # value 0 is injected, value 1 fed from it in one pair round; destination 0 has no in-values
     idx0 = np.zeros(1, dtype=np.int64)
     idx1 = np.ones(1, dtype=np.int64)

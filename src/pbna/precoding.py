@@ -9,9 +9,11 @@ product of signed transfer values along the unique tree path to the root
 node, inverses on edges walked from a destination node down to a source).
 On that construction all interference columns at a destination coincide
 exactly, so verification reduces to exact rank checks at the sampled
-assignment; failures are retried with fresh randomness.
+assignment, and one rule accepts an attempt: every destination decodes.
+Any other attempt is retried with fresh randomness.
 
-Every inverse a plan needs comes from one ``kernels.inverse`` call, made
+The trees' links are indexed once per plan (``tree_links``), and every
+inverse an attempt needs comes from one ``kernels.inverse`` call, made
 before the walk down the trees.  Verification and decoding gather every
 destination's received directions into one (M, n, w) stack, through a
 padded table of source indices, and reduce it in one pass.
@@ -113,39 +115,45 @@ class PrecodingPlan:
         return (A, self.n)
 
 
-def build_precoding(forest: tuple[Tree, ...], realization: NetworkRealization, seed: int) -> np.ndarray:
+def tree_links(forest: tuple[Tree, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every tree link's transfer row, in walk order, as (destination, source, inverted) arrays."""
+    links = [(node, parent) for tree in forest for node, parent in tree.items() if parent is not None]
+    ends = np.array([edge_between(node, parent) for node, parent in links], dtype=np.int64).reshape(-1, 2)
+    return ends[:, 1], ends[:, 0], np.array([node[0] == "x" for node, _ in links], dtype=bool)
+
+
+def build_precoding(forest: tuple[Tree, ...], links, realization: NetworkRealization, seed: int) -> np.ndarray:
     """All precoding vectors, as the (K, n) array V, for one realized assignment.
 
-    ``forest`` holds decompose's trees; each is walked in its dict order, so
-    a node's scale is known before its children's.  Every tree-edge transfer
-    value must be nonzero at every slot; plan_with_resampling drops the
-    attempts where one vanishes.
+    ``forest`` holds decompose's trees, each walked in its dict order, and
+    ``links`` their tree_links.  The inverted rows must be nonzero at every
+    slot; any other row may vanish, and so zero the vectors below it at that
+    slot, and verification judges whether every destination still decodes.
     """
     q = realization.q
     n = realization.slot_count
     rng = np.random.default_rng(seed)
-    links = [(node, parent) for tree in forest for node, parent in tree.items() if parent is not None]
-    ends = [edge_between(node, parent) for node, parent in links]
-    factor = realization.transfer[[i for _, i in ends], [j for j, _ in ends]]  # one row per link, in walk order
-    # walked from a destination node down to a source: the row's inverses, all in one batch
-    up = np.array([node[0] == "x" for node, _ in links], dtype=bool)
-    factor[up] = kernels.inverse(factor[up], q)
+    dest, src, up = links
+    factor = realization.transfer[dest, src]  # one row per link, in walk order
+    factor[up] = kernels.inverse(factor[up], q)  # all of the attempt's inverses in one batch
+    rows = iter(factor)
     V = np.zeros((realization.network.n_sources, n), dtype=np.int64)
-    t = 0
     for tree in forest:
         scale: dict[NodeRef, np.ndarray] = {}
         for node, parent in tree.items():
             if parent is None:
                 scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
             else:
-                scale[node] = scale[parent] * factor[t] % q
-                t += 1
+                scale[node] = scale[parent] * next(rows) % q
             if node[0] == "x":
                 V[node[1]] = scale[node]
-
-    if not (V != 0).any(axis=1).all():
-        raise AssertionError("a precoding vector came out identically zero")
     return V
+
+
+def decode_sources(plan: PrecodingPlan) -> list[list[int]]:
+    """Per destination, the sources its decoder solves for: its decoded sources, then its smallest
+    interferer, if any, whose column every other interference column is a multiple of on an ok plan."""
+    return [sorted(d) + sorted(f)[:1] for d, f in zip(plan.new_demands, plan.new_interference)]
 
 
 def source_table(sources) -> np.ndarray:
@@ -169,51 +177,51 @@ def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
 def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
     """Exact rank checks of the alignment conditions at every destination, for the plan's decode sets.
 
-    dim_u must equal the number of decoded sources, all interference must
-    collapse to at most one dimension, and the two spans must intersect
-    trivially; the representative full-rank test uses the smallest-index
-    interferer.  One gather builds, per destination, [U | W] padded to a
-    common width followed by W; one reduction of the [U | W] stack gives
-    rank(U), rank([U | w_rep]) and rank([U | W]) as pivot counts, and one
-    more, of the W stack, gives every rank(W).
+    ``ok`` means the destination decodes: dim_u is the number of decoded
+    sources, interference spans at most one dimension, apart from U, and
+    decode_sources' system [U | w_rep] has full rank (``r_det_nonzero``).
+    One gather builds [U | W] per destination, w_rep first, padded to a
+    common width, then W; reducing the first gives rank(U), rank([U | w_rep])
+    and rank([U | W]) as pivot counts, and reducing W gives every rank(W).
     """
     q = plan.realization.q
-    n_dest = plan.realization.network.n_destinations
-    desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
-    interf = [sorted(plan.new_interference[i]) for i in range(n_dest)]
-    uw = source_table([d + f for d, f in zip(desired, interf)])
+    decode = decode_sources(plan)
+    interf = [sorted(f) for f in plan.new_interference]
+    uw = source_table([cols + f[1:] for cols, f in zip(decode, interf)])
     width = uw.shape[1]
     cols = signal_stack(plan, np.concatenate([uw, source_table(interf)], axis=1))
     pivots = np.full(cols.shape[:2], -1, dtype=np.int64)
     rank_uw = kernels.row_reduce(cols[:, :, :width], q, pivots)
     dim_w = gf.rank(cols[:, :, width:], q)
-    u = np.array([len(d) for d in desired])
+    u = np.array([len(d) for d in plan.new_demands])
+    n_decode = np.array([len(d) for d in decode])
     dim_u = np.count_nonzero((pivots >= 0) & (pivots < u[:, None]), axis=1)
     # with no interferer W is empty, so rank([U | W]) = dim_u and the intersection is trivial
     dim_int = dim_u + dim_w - rank_uw
-    rep_rank = np.count_nonzero((pivots >= 0) & (pivots <= u[:, None]), axis=1)
-    r_det_nonzero = np.where([bool(f) for f in interf], rep_rank == u + 1, dim_u == u)
-    ok = (dim_u == u * A) & (dim_w <= B) & (dim_int == 0)
+    r_det_nonzero = np.count_nonzero((pivots >= 0) & (pivots < n_decode[:, None]), axis=1) == n_decode
+    ok = (dim_u == u * A) & (dim_w <= B) & (dim_int == 0) & r_det_nonzero
     return [AlignmentVerdict(i, *v) for i, v in enumerate(zip(
         dim_u.tolist(), dim_w.tolist(), dim_int.tolist(), ok.tolist(), r_det_nonzero.tolist()))]
 
 
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:
-    """Realize, precode, and verify with fresh randomness until success.
+    """Realize, precode, and verify with fresh randomness until every destination decodes.
 
     Destination i decodes its demands plus its extra-decode set and sees the
     sparsified graph's interferers at i as interference; the plan carries
-    both sets.  Success certifies the sampled assignment satisfies every alignment
-    condition exactly.  An attempt whose realization has a nonzero transfer
-    at a pair in neither set proves the graph wrong and raises
-    MissedInterference; one with a zero transfer at a pair in them is
-    dropped.  Exhausting ``max_attempts`` raises ConstraintViolation
-    carrying the per-attempt failure pattern -- strong evidence that some
-    required determinant is identically zero.
+    both sets.  The one acceptance rule: every verdict of verify_alignment
+    is ``ok``.  An attempt with a nonzero transfer at a pair in neither set
+    proves the graph wrong and raises MissedInterference; one with a zero in
+    an inverted link's transfer row is dropped (``zero_at_assignment``), as
+    is one that fails verification (``alignment``).  Exhausting the attempts
+    raises ConstraintViolation with the per-attempt failure pattern --
+    strong evidence that some required determinant is identically zero.
     """
     n = net.demand_size + sparsification.d_star + 1
     h_bar = sparsification.h_bar
     forest = decompose(h_bar)
+    dest, src, up = links = tree_links(forest)
+    inverted = (dest[up], src[up])
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
     used = net.demand_mask.copy()
@@ -230,11 +238,12 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         missed = pairs_in(realization.transfer.any(axis=2) & ~used)
         if missed:
             raise MissedInterference(missed)
-        zeros = pairs_in(~realization.transfer.all(axis=2) & used)
-        if zeros:
-            attempt_failures.append(("zero_at_assignment", zeros))
+        vanished = ~realization.transfer[inverted].all(axis=1)
+        if vanished.any():
+            pairs = zip(inverted[0][vanished].tolist(), inverted[1][vanished].tolist())
+            attempt_failures.append(("zero_at_assignment", tuple(sorted(pairs))))
             continue
-        plan = PrecodingPlan(build_precoding(forest, realization, p_seed), realization, new_demands, new_interference)
+        plan = PrecodingPlan(build_precoding(forest, links, realization, p_seed), realization, new_demands, new_interference)
         verdicts = verify_alignment(plan)
         if all(v.ok for v in verdicts):
             return dataclasses.replace(plan, verdicts=tuple(verdicts), attempts=attempt)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import gf
 from .network import Network, NetworkRealization
-from .precoding import A, PrecodingPlan, signal_stack, source_table
+from .precoding import A, PrecodingPlan, decode_sources, signal_stack, source_table
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
@@ -76,10 +76,8 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     transmitted = z[:, :, None] * plan.V[None, :, :] % q
     received = propagate_symbols(net, realization, transmitted)
 
-    n_dest = net.n_destinations
-    desired = [sorted(plan.new_demands[i]) for i in range(n_dest)]
-    # the prefix of verify_alignment's [U | W] whose full rank r_det_nonzero records
-    systems = source_table([d + sorted(plan.new_interference[i])[:1] for i, d in enumerate(desired)])
+    desired = [sorted(d) for d in plan.new_demands]
+    systems = source_table(decode_sources(plan))  # the systems whose full rank r_det_nonzero records
     try:
         sol = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, widths=(systems >= 0).sum(axis=1))
     except gf.SolveError as exc:

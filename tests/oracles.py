@@ -18,6 +18,8 @@ schedule, so each edge carries K columns.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's reading of them off one reduction, and
 ``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
+``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
+unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
 """
 
 from __future__ import annotations
@@ -80,6 +82,20 @@ def row_reduce_one(a, q, pivots):
         pivots[r] = c
         r += 1
     return r
+
+
+def monic_rows(a, q):
+    """A copy of ``a`` with every nonzero row divided by its first nonzero entry, by Fermat inverses.
+
+    Two echelon forms whose rows are nonzero multiples of each other, like
+    ``kernels.row_reduce``'s and ``row_reduce_one``'s, agree after this.
+    """
+    out = np.asarray(a, dtype=np.int64) % q
+    for idx in np.ndindex(out.shape[:-1]):
+        nz = np.flatnonzero(out[idx])
+        if nz.size:
+            out[idx] = out[idx] * pow(int(out[idx][nz[0]]), q - 2, q) % q
+    return out
 
 
 def solve_full_width(a, y, q: int, widths):
@@ -505,7 +521,8 @@ def verdicts_by_ranks(plan) -> list:
     """Alignment verdicts for the plan's decode sets from four separate rank reductions per destination.
 
     rank(U), rank(W), rank([U | W]) and rank([U | w_rep]) each get their own
-    ``gf.rank`` call, on columns diag(m_ij) V_j built one source at a time.
+    ``gf.rank`` call, on columns diag(m_ij) V_j built one source at a time;
+    ``ok`` requires all four conditions, the decode system's full rank too.
     """
     r = plan.realization
     q = r.q
@@ -525,6 +542,6 @@ def verdicts_by_ranks(plan) -> list:
             dim_w = 0
             dim_int = 0
             r_det_nonzero = dim_u == len(desired)
-        ok = dim_u == len(desired) * A and dim_w <= B and dim_int == 0
+        ok = dim_u == len(desired) * A and dim_w <= B and dim_int == 0 and r_det_nonzero
         verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts

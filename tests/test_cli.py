@@ -244,14 +244,18 @@ def test_stages_compose_to_pipeline_result():
 GOLDEN_CASES = [
     *(pytest.param(command, f"networks/{network_name}.json", (), cli.EXIT_OK, id=f"{command}-{network_name}")
       for command in cli._COMMANDS for network_name in ("fourbyfour", "forest")),
-    # 12 attempts, an alignment failure among them
+    # 3 attempts, the first two failing verification
     pytest.param("precode", "networks/fourbyfour.json", ("--q", "31", "--seed", "1"), cli.EXIT_OK,
                  id="precode-fourbyfour-q31-seed1"),
     pytest.param("pipeline", "networks/forest.json", ("--q", "31", "--seed", "6"), cli.EXIT_OK,
                  id="pipeline-forest-q31-seed6"),
-    # every attempt has a zero transfer at a used pair; no alignment check runs
-    pytest.param("precode", "networks/fourbyfour.json", ("--q", "7", "--seed", "3"), cli.EXIT_CONSTRAINTS,
+    # 4 attempts, the first three failing verification; the plan decodes although some
+    # transfers it does not invert vanish at some slot
+    pytest.param("precode", "networks/fourbyfour.json", ("--q", "7", "--seed", "3"), cli.EXIT_OK,
                  id="precode-fourbyfour-q7-seed3"),
+    # over F_2 every attempt's inverted transfers are nonzero, but some decode system is singular
+    pytest.param("precode", "networks/fourbyfour.json", ("--q", "2", "--zero-trials", "20", "--seed", "3"),
+                 cli.EXIT_CONSTRAINTS, id="precode-fourbyfour-q2-seed3"),
     # (D1, S1) has mincut 2 and the demanded (D2, S3) mincut 0: exit 3, report written
     pytest.param("validate", "tests/violating.json", (), cli.EXIT_ASSUMPTIONS, id="validate-violating"),
     pytest.param("validate", "tests/violating.json", ("--format", "text"), cli.EXIT_ASSUMPTIONS,
@@ -342,10 +346,13 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_exit_4_names_the_failure_reason(seed, capsys):
-    # over F_2 every attempt has a zero transfer at a used pair, so no alignment check ever
-    # runs and the message must not blame a vanishing decoding determinant
-    code = cli.main(["precode", "--network", str(FOREST), "--q", "2", "--zero-trials", "20", "--seed", str(seed)])
+def test_exit_4_names_the_failure_reason(seed, tmp_path, capsys):
+    # on a K = 48 forest over F_7 every attempt has a zero on some inverted transfer row, so no
+    # alignment check ever runs and the message must not blame a vanishing decoding determinant
+    net, _ = forest_instance(np.random.default_rng(48), size=48)
+    path = tmp_path / "forest48.json"
+    path.write_text(net_to_json(net))
+    code = cli.main(["precode", "--network", str(path), "--q", "7", "--zero-trials", "20", "--seed", str(seed)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONSTRAINTS
     assert err == "error: precoding: no valid assignment found in 20 attempts (zero_at_assignment: 20)\n"

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from pbna import gf, kernels
-from oracles import egcd_inverse, pad_stack, rank_by_minors, row_reduce_one, solve_full_width
+from pbna.interference import build_igraph
+from pbna.network import realize
+from pbna.precoding import plan_with_resampling, verify_alignment
+from pbna.sparsify import find_dstar
+from gen import fourbyfour_net
+from oracles import egcd_inverse, monic_rows, pad_stack, rank_by_minors, row_reduce_one, solve_full_width
 
 
 def test_field_new_rejects_composite():
@@ -230,7 +235,8 @@ def test_stacked_row_reduce_matches_one_at_a_time():
                 rank = row_reduce_one(one, q, piv)
                 assert ranks[b] == rank
                 assert pivots[b].tolist() == piv.tolist()
-                assert stack[b, :, :a.shape[1]].tolist() == one.tolist()
+                # each row a nonzero multiple of the RREF's: no pivot row is normalized
+                assert monic_rows(stack[b, :, :a.shape[1]], q).tolist() == one.tolist()
                 assert not stack[b, :, a.shape[1]:].any()
                 seen["zero"] += not a.any()
                 seen["deficient"] += 0 < rank < min(a.shape)
@@ -377,7 +383,8 @@ def test_batched_inverse_of_zero_raises_like_pow():
 
 def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
     # q - 1 in the factor, pivot and right-hand-side columns, and 0 and 1 beside them, put the
-    # products of an elimination step at their largest; the stacked result must equal the oracle's
+    # products of an elimination step at their largest; the stacked result must equal the
+    # oracle's up to row scaling
     q = gf.DEFAULT_Q
     rng = np.random.default_rng(73)
     rows, n_a, n_rhs = 4, 6, 5
@@ -397,7 +404,8 @@ def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
         ranks = kernels.row_reduce(aug, q, pivots, n_a)
         assert ranks.tolist() == want_ranks
         assert pivots.tolist() == want_pivots.tolist()
-        assert aug.tolist() == want.tolist()
+        assert ((aug >= 0) & (aug < q)).all()
+        assert monic_rows(aug, q).tolist() == monic_rows(want, q).tolist()
     assert seen >= 20
     # full width, every entry q - 1 but a diagonal of ones: each step runs at the extremes
     a = np.full((2, 5, 7), q - 1, dtype=np.int64)
@@ -407,4 +415,20 @@ def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
     want_ranks = [row_reduce_one(want[b], q, want_pivots[b]) for b in range(2)]
     pivots = np.full((2, 5), -1, dtype=np.int64)
     assert kernels.row_reduce(a, q, pivots).tolist() == want_ranks
-    assert pivots.tolist() == want_pivots.tolist() and a.tolist() == want.tolist()
+    assert pivots.tolist() == want_pivots.tolist() and monic_rows(a, q).tolist() == want.tolist()
+
+
+def test_rank_only_reductions_invert_nothing(monkeypatch):
+    # only gf.solve reads normalized pivot rows, so only it calls the batched inverse, once per stack
+    net = fourbyfour_net()
+    plan = plan_with_resampling(net, find_dstar(build_igraph(net, realize(net, 3, 0))))
+    calls = []
+    original = kernels.inverse
+    monkeypatch.setattr(kernels, "inverse", lambda x, q: calls.append(np.size(x)) or original(x, q))
+    q = gf.DEFAULT_Q
+    a = np.random.default_rng(83).integers(0, q, size=(6, 4, 5))
+    assert gf.rank(a, q).tolist() == [4] * 6
+    assert verify_alignment(plan) == list(plan.verdicts)
+    assert calls == []
+    gf.solve(a[:, :, :4], a[:, :, 4:], q, [4] * 6)
+    assert calls == [24]

@@ -4,7 +4,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pbna"
 
-# pipebench/run.py and its SETUP_CODE call kernels.warmup until ROADMAP item 2b removes it
+# pipebench/run.py and its SETUP_CODE call kernels.warmup until ROADMAP item 2 removes it
 CALLED_FROM_OUTSIDE = {("kernels", "warmup")}
 
 
