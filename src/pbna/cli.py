@@ -12,8 +12,9 @@ byte-identical.
 
 Exit codes: 0 ok, 2 parse error, 3 assumption violation (including an
 interference edge the zero-function probe missed), 4 constraint violation
-(no valid alignment), 5 decode failure (a decode system had no unique
-solution, or a decode ran but recovered the wrong message).
+(no precoding attempt decoded at every destination within --attempts), 5
+decode failure (a decode system had no unique solution, or a decode ran but
+recovered the wrong message).
 """
 
 from __future__ import annotations
@@ -482,9 +483,7 @@ def main(argv=None) -> int:
         print(f"error: probe: {exc} (rerun with a larger --zero-trials or --q)", file=sys.stderr)
         return EXIT_ASSUMPTIONS
     except ConstraintViolation as exc:
-        aligned = any(reason == "alignment" for reason, _ in exc.attempt_failures)
-        hint = " (a required decoding determinant appears to vanish identically)" if aligned else ""
-        print(f"error: precoding: {exc}{hint}", file=sys.stderr)
+        print(f"error: precoding: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINTS
     except DecodeFailure as exc:
         print(f"error: simulate: {exc}", file=sys.stderr)

@@ -1,9 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is deliberately naive -- extended Euclid, one-matrix
-Gaussian elimination with Fermat inverses, Laplace expansion, subset
-enumeration, path enumeration, an edge-by-edge walk -- and shares no code
-with the implementations under test; coding coefficients are looked up
+Everything here is deliberately naive -- trial division, extended Euclid,
+one-matrix Gaussian elimination with Fermat inverses, Laplace expansion,
+subset enumeration, path enumeration, an edge-by-edge walk -- and shares no
+code with the implementations under test; coding coefficients are looked up
 through the network's layout index arrays.  The graph oracles walk g.edges
 with their own ``bfs_tree`` (neighbours in sorted edge order, as in the
 package) and union-find ``component_count``: ``independence_check``, a
@@ -25,6 +25,7 @@ unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 
 import numpy as np
@@ -32,6 +33,11 @@ import numpy as np
 from pbna import gf
 from pbna.interference import Edge, InterferenceGraph, NodeRef
 from pbna.precoding import A, B, AlignmentVerdict
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    """Primality by trying every divisor d with d * d <= n."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 def egcd_inverse(a: int, q: int) -> int:

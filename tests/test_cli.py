@@ -89,8 +89,8 @@ def test_constraint_violation_exits_4(tmp_path):
     path.write_text(net_to_json(adversarial_net()))
     proc = run_cli("pipeline", "--network", str(path))
     assert proc.returncode == 4
-    assert "alignment" in proc.stderr
-    assert "determinant appears to vanish" in proc.stderr
+    # D2's decode system is singular in every attempt; the message states that and no more
+    assert proc.stderr == "error: precoding: no valid assignment found in 20 attempts; every attempt failed at (D2, S3)\n"
 
 
 def test_reports_byte_identical(tmp_path):
@@ -253,7 +253,7 @@ GOLDEN_CASES = [
     # transfers it does not invert vanish at some slot
     pytest.param("precode", "networks/fourbyfour.json", ("--q", "7", "--seed", "3"), cli.EXIT_OK,
                  id="precode-fourbyfour-q7-seed3"),
-    # over F_2 every attempt's inverted transfers are nonzero, but some decode system is singular
+    # over F_2 some decode system is singular in each of the 20 attempts, yet the network decodes at q = 7
     pytest.param("precode", "networks/fourbyfour.json", ("--q", "2", "--zero-trials", "20", "--seed", "3"),
                  cli.EXIT_CONSTRAINTS, id="precode-fourbyfour-q2-seed3"),
     # (D1, S1) has mincut 2 and the demanded (D2, S3) mincut 0: exit 3, report written
@@ -277,6 +277,15 @@ def test_report_matches_golden(command, network, options, exit_code, request, mo
     out, err = GOLDEN / f"{name}.{'txt' if 'text' in options else 'json'}", GOLDEN / f"{name}.stderr"
     assert captured.out == (out.read_text(encoding="utf-8") if out.exists() else "")
     assert captured.err == (err.read_text(encoding="utf-8") if err.exists() else "")
+
+
+def test_every_golden_file_is_read_by_a_case():
+    # a missing golden stands for empty output, so a renamed or dropped case would leave its
+    # old file behind unchecked
+    read = set()
+    for case in GOLDEN_CASES:
+        read |= {f"{case.id}.{'txt' if 'text' in case.values[2] else 'json'}", f"{case.id}.stderr"}
+    assert sorted({path.name for path in GOLDEN.iterdir()} - read) == []
 
 
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
@@ -347,15 +356,17 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_exit_4_names_the_failure_reason(seed, tmp_path, capsys):
-    # on a K = 48 forest over F_7 every attempt has a zero on some inverted transfer row, so no
-    # alignment check ever runs and the message must not blame a vanishing decoding determinant
+    # on a K = 48 forest over F_7 every attempt fails verification; 20 random draws cannot show
+    # that a decoding determinant vanishes identically, and the message must not claim it
     net, _ = forest_instance(np.random.default_rng(48), size=48)
     path = tmp_path / "forest48.json"
     path.write_text(net_to_json(net))
     code = cli.main(["precode", "--network", str(path), "--q", "7", "--zero-trials", "20", "--seed", str(seed)])
     err = capsys.readouterr().err
     assert code == cli.EXIT_CONSTRAINTS
-    assert err == "error: precoding: no valid assignment found in 20 attempts (zero_at_assignment: 20)\n"
+    assert err.startswith("error: precoding: no valid assignment found in 20 attempts"), err
+    for claim in ("determinant", "vanish", "unachievable", "zero_at_assignment"):
+        assert claim not in err
 
 
 def test_empty_demand_set_exits_2(tmp_path):

@@ -7,7 +7,7 @@ from pbna.network import realize
 from pbna.precoding import plan_with_resampling, verify_alignment
 from pbna.sparsify import find_dstar
 from gen import fourbyfour_net
-from oracles import egcd_inverse, monic_rows, pad_stack, rank_by_minors, row_reduce_one, solve_full_width
+from oracles import egcd_inverse, is_prime_by_trial_division, monic_rows, pad_stack, rank_by_minors, row_reduce_one, solve_full_width
 
 
 def test_field_new_rejects_composite():
@@ -18,6 +18,16 @@ def test_field_new_rejects_composite():
         gf.check_modulus(1)
     with pytest.raises(gf.InvalidModulus):
         gf.check_modulus(2147483647 * 3)
+
+
+def test_is_prime_matches_trial_division():
+    # every n below 20,000, then the strong pseudoprimes to base 2 (2047), to bases 2 and 3
+    # (1373653) and to bases 2, 3 and 5 (25326001), Carmichael numbers, and the largest
+    # primes below 2**31
+    hard = [2047, 1373653, 25326001, 561, 41041, 825265, 321197185, 2147483587, 2147483629, 2147483647]
+    for n in [*range(20_000), *hard]:
+        assert gf.is_prime(n) == is_prime_by_trial_division(n), n
+    assert [gf.is_prime(n) for n in hard] == [False] * 7 + [True] * 3
 
 
 def test_check_modulus_rejects_a_large_modulus_before_testing_primality(monkeypatch):
