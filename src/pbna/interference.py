@@ -11,10 +11,10 @@ Underneath, every traversal runs on one cached integer index
 K + i, edge ids follow sorted edge order, and a set of deleted edges is a
 ``bytearray`` mask over edge ids.  There is one traversal per question: one
 component pass (``_components``) serves ``connected_components``,
-``has_cycle`` and ``decompose``; ``reaches`` is the greedy scan's
-early-exit search; ``_tarjan`` is the one bridge pass, read through
-``bridge_forest``; and ``shortest_cycle`` runs its own depth-bounded
-searches.
+``has_cycle`` and ``decompose``; ``_tarjan`` is the one bridge pass, read
+through ``bridge_forest``; and ``shortest_cycle`` runs its own
+depth-bounded searches.  find_dstar's greedy scan keeps its own spanning
+forest on the same index (see ``sparsify``).
 """
 
 from __future__ import annotations
@@ -102,34 +102,6 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
 def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
     """The (source j, destination i) edge joining two adjacent nodes."""
     return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
-
-
-def edge_mask(g: InterferenceGraph, removed) -> bytearray:
-    """The (source, destination) edges in ``removed``, all of them g's, as a mask over g's edge ids."""
-    ids = g.index.ids
-    mask = bytearray(len(ids))
-    for edge in removed:
-        mask[ids[edge]] = 1
-    return mask
-
-
-def reaches(g: InterferenceGraph, s: int, t: int, mask: bytearray) -> bool:
-    """True iff node t can be reached from node s over the edges not in ``mask``.
-
-    A breadth-first search that stops as soon as it discovers t.
-    """
-    incidence = g.index.incidence
-    seen = bytearray(len(incidence))
-    seen[s] = 1
-    queue = [s]
-    for u in queue:
-        for v, e in incidence[u]:
-            if not seen[v] and not mask[e]:
-                if v == t:
-                    return True
-                seen[v] = 1
-                queue.append(v)
-    return False
 
 
 def _tarjan(g: InterferenceGraph, mask: bytearray) -> tuple[bytearray, list[int], list[int]]:

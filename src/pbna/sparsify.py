@@ -16,8 +16,16 @@ before deciding that the current quota is infeasible.  The exchange graph's
 bond arcs come from one bridge pass (Tarjan 1974) per augmentation round:
 H = G - I's bridge forest gives every arc, each removed edge y costing only
 the length of the forest path between its endpoints, so a round costs
-O(V + E + |I|·V).  The greedy scan tests each candidate with one search
-that stops as soon as it reaches the candidate's far endpoint.
+O(V + E + |I|·V), and the rounds stop once I reaches the bond rank.
+
+The greedy scan keeps a spanning forest of the graph minus the edges it has
+taken or rejected, built once per scan by union-find, as a certificate of
+connectivity (the replacement-edge idea of decremental connectivity: Even
+and Shiloach 1981, Holm, de Lichtenberg and Thorup 2001).  A candidate off
+the forest is accepted at O(1); only a forest edge costs a search, two tree
+searches in lockstep and a scan of the smaller side for a replacement edge,
+so a scan costs O(f) plus O(V + E) per forest candidate at worst.  At
+quota 0 the scan builds nothing.
 
 The result is the sparsified graph h_bar and each destination's
 extra-decode set; precoding.plan_with_resampling derives the decode and
@@ -27,10 +35,10 @@ interference sets from them.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
-from .interference import Edge, InterferenceGraph, bridge_forest, connected_components, edge_mask, reaches
+from .interference import Edge, InterferenceGraph, bridge_forest, connected_components
 
 
 def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
@@ -38,30 +46,95 @@ def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
     return tuple(sorted(g.edges, key=lambda e: (e[1], e[0])))
 
 
+def _spanning_forest(g: InterferenceGraph, labeling: tuple[Edge, ...]) -> bytearray:
+    """Tree flags by edge id: a spanning forest of the labeled edges, by union-find over ``labeling`` in reverse.
+
+    The last edges enter the forest first, so the first candidates of a scan
+    tend to lie off it and need no search.
+    """
+    ids, k = g.index.ids, g.n_sources
+    root = list(range(len(g.index.nodes)))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    in_tree = bytearray(len(ids))
+    for e in reversed(labeling):
+        a, b = find(e[0]), find(k + e[1])
+        if a != b:
+            root[a] = b
+            in_tree[ids[e]] = 1
+    return in_tree
+
+
+def _replacement_edge(g: InterferenceGraph, s: int, t: int, in_tree: bytearray, mask: bytearray) -> int:
+    """Id of an edge that rejoins nodes s and t after their tree edge left the forest, or -1 if none does.
+
+    Two tree searches, from s and from t, advance one node at a time in
+    lockstep until one of them runs out: that side is the smaller of the two
+    trees, and any unmasked non-tree edge that leaves it joins them again.
+    """
+    incidence = g.index.incidence
+    side = bytearray(len(incidence))
+    side[s], side[t] = 1, 2
+    a, b = [s], [t]
+    next_a = next_b = 0
+    while next_a < len(a) and next_b < len(b):
+        for v, e in incidence[a[next_a]]:
+            if in_tree[e] and not side[v]:
+                side[v] = 1
+                a.append(v)
+        next_a += 1
+        for v, e in incidence[b[next_b]]:
+            if in_tree[e] and not side[v]:
+                side[v] = 2
+                b.append(v)
+        next_b += 1
+    smaller, mark = (a, 1) if next_a == len(a) else (b, 2)
+    for u in smaller:
+        for v, e in incidence[u]:
+            if not mask[e] and not in_tree[e] and side[v] != mark:
+                return e
+    return -1
+
+
 def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
     """Scan ``labeling`` once, keeping each edge that stays independent in both matroids.
 
-    The chosen set keeps every component connected, so e = (j, i) can join
-    it iff e is no bridge of G - chosen, i.e. j still reaches destination
-    node K + i in G - chosen - e: one search that stops on reaching it.
+    The chosen set keeps every component connected, so e can join it iff e
+    is no bridge of G - chosen.  A spanning forest T of G - chosen - rejected
+    certifies that: e off T lies on a cycle of T + e and is accepted with no
+    search; e in T is accepted iff a replacement edge rejoins the two trees
+    T - e leaves, and the replacement takes e's place in T.  ``labeling``
+    holds every edge of the components it touches.
 
     A rejected edge stays masked.  It is a bridge of G - chosen, and it
-    stays a bridge as chosen grows, since deleting edges makes no new cycle.
-    A later candidate's detour from j to K + i closes a cycle with that
-    candidate, so it never crosses a bridge: masking rejected edges changes
-    no answer and only makes the searches smaller.
+    stays a bridge as chosen grows, since deleting edges makes no new cycle,
+    so no later replacement can cross it.  At d = 0 every candidate misses
+    the quota, so no forest is built.
     """
-    ids = g.index.ids
+    if d == 0:
+        return ()
+    ids, k = g.index.ids, g.n_sources
+    in_tree = _spanning_forest(g, labeling)
     mask = bytearray(len(ids))  # the chosen and the rejected edges
     chosen: list[Edge] = []
     per_dest: dict[int, int] = {}
     for e in labeling:
         j, i = e
-        if per_dest.get(i, 0) + 1 > d:
+        if per_dest.get(i, 0) >= d:
             continue
-        mask[ids[e]] = 1
-        if not reaches(g, j, g.n_sources + i, mask):
-            continue
+        x = ids[e]
+        mask[x] = 1
+        if in_tree[x]:
+            in_tree[x] = 0
+            y = _replacement_edge(g, j, k + i, in_tree, mask)
+            if y < 0:
+                continue
+            in_tree[y] = 1
         chosen.append(e)
         per_dest[i] = per_dest.get(i, 0) + 1
     return tuple(chosen)
@@ -72,7 +145,10 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
 
     Grows ``start`` (a common independent set of the bond and partition
     matroids over ``pool``) by one element per shortest augmenting path until
-    none exists; by the matroid intersection theorem the result is maximum.
+    none exists, or until it reaches the bond rank f - (k + m) + 1 of
+    ``pool``'s component, past which none can; by the matroid intersection
+    theorem the result is maximum.  ``pool`` holds the edges of one
+    component of g.
 
     Bond independence is read off the bridges of H = G - I: since
     ``current`` (I) keeps every component connected, I + x does iff x is
@@ -80,52 +156,57 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     Those are H's non-bridges, which are all sources and so already
     visited, plus the bridges on H's bridge-forest path between y's
     endpoints.  So one bridge pass per round gives the sources and every
-    arc, and each popped y costs only its path length.  ``pool`` holds the
-    edges of one component of g.
+    arc, and each popped y costs only its path length.  The rounds run on
+    edge ids, and ascending ids are ascending edges.
     """
-    ids, edges = g.index.ids, g.index.edges
-    current = set(start)
-    while True:
-        ins = sorted(current)
-        outs = sorted(e for e in pool if e not in current)
-        ins_at: dict[int, list[Edge]] = {}  # removed edges per destination, in ins order
-        for y in ins:
-            ins_at.setdefault(y[1], []).append(y)
-        deg = {i: len(ys) for i, ys in ins_at.items()}
-        forest = bridge_forest(g, edge_mask(g, current))
-        sources = [e for e in outs if not forest.is_bridge[ids[e]]]
-        sinks = {e for e in outs if deg.get(e[1], 0) + 1 <= d}
+    ids, edges, k = g.index.ids, g.index.edges, g.n_sources
+    pool_ids = sorted(ids[e] for e in pool)
+    rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
+    current = bytearray(len(edges))
+    for e in start:
+        current[ids[e]] = 1
+    size = len(start)
+    while size < rank:
+        outs = []
+        ins_at: dict[int, list[int]] = {}  # removed edge ids per destination, ascending
+        for x in pool_ids:
+            if current[x]:
+                ins_at.setdefault(edges[x][1], []).append(x)
+            else:
+                outs.append(x)
+        forest = bridge_forest(g, current)
+        sources = [x for x in outs if not forest.is_bridge[x]]
+        full = {i for i, ys in ins_at.items() if len(ys) >= d}
+        sinks = {x for x in outs if edges[x][1] not in full}
         if not sources or not sinks:
-            return tuple(sorted(current))
-        prev: dict[Edge, Edge | None] = {e: None for e in sources}
-        queue = deque(sources)
-        goal = None
-        for e in sources:
-            if e in sinks:
-                goal = e
-                break
-        while queue and goal is None:
-            u = queue.popleft()
-            if u in current:  # swaps I - u + x that keep bond independence
-                arcs = [edges[e] for e in forest.path(u[0], g.n_sources + u[1])]
+            break
+        prev = dict.fromkeys(sources, -1)
+        goal = next((x for x in sources if x in sinks), -1)
+        queue = sources if goal < 0 else []
+        for u in queue:  # the list doubles as the queue
+            j, i = edges[u]
+            if current[u]:  # swaps I - u + x that keep bond independence
+                arcs = forest.path(j, k + i)
             else:  # swaps I - y + u that keep partition independence: u is no sink, so its
                 # destination is full and only dropping a removed edge there makes room
-                arcs = ins_at.get(u[1], ())
+                arcs = ins_at.get(i, ())
             for v in arcs:
                 if v in prev:
                     continue
                 prev[v] = u
                 if v in sinks:
                     goal = v
-                    queue.clear()
                     break
                 queue.append(v)
-        if goal is None:
-            return tuple(sorted(current))
-        node: Edge | None = goal
-        while node is not None:
-            current.symmetric_difference_update({node})
-            node = prev[node]
+            if goal >= 0:
+                break
+        if goal < 0:
+            break
+        while goal >= 0:
+            current[goal] ^= 1
+            goal = prev[goal]
+        size += 1
+    return tuple(edges[x] for x in pool_ids if current[x])
 
 
 @dataclass(frozen=True)
@@ -144,9 +225,10 @@ class SparsificationResult:
     the kept edges (the graph's edges minus ``removed``) form a spanning tree
     of every component.  ``h_bar`` removes further kept edges until every
     destination node has lost exactly min(d_star, degree) edges; those losses
-    define the per-destination extra-decode sets.  ``independence_checks`` counts greedy
-    membership tests; ``augmentations`` counts the rare exact-fallback passes
-    that rescued a stalled greedy scan.
+    define the per-destination extra-decode sets.  ``independence_checks`` adds
+    f, the component's edge count, per greedy scan: every scanned candidate
+    counts, quota-skipped ones too.  ``augmentations`` counts the rare
+    exact-fallback passes that rescued a stalled greedy scan.
     """
 
     d_star: int

@@ -6,7 +6,7 @@ import pytest
 from pbna import interference as ig, sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, has_cycle
 from pbna.network import realize
-from gen import dense_bipartite, random_bipartite
+from gen import dense_bipartite, forest_instance, random_bipartite
 from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, greedy_scan_by_component_counts,
                      independence_check)
 
@@ -249,14 +249,14 @@ def test_bridge_oracles_build_the_component_count_exchange_graph(monkeypatch):
 
 
 def test_augmentation_makes_no_connectivity_test(monkeypatch):
-    # Every reachability search find_dstar makes must come from the greedy scan.
+    # Every replacement search find_dstar makes must come from the greedy scan.
     calls = {"greedy": 0, "other": 0}
     in_greedy = []
-    real_reaches, real_scan = sp.reaches, sp._greedy_scan
+    real_replacement, real_scan = sp._replacement_edge, sp._greedy_scan
 
     def counting(*args, **kwargs):
         calls["greedy" if in_greedy else "other"] += 1
-        return real_reaches(*args, **kwargs)
+        return real_replacement(*args, **kwargs)
 
     def scan(*args, **kwargs):
         in_greedy.append(True)
@@ -265,7 +265,7 @@ def test_augmentation_makes_no_connectivity_test(monkeypatch):
         finally:
             in_greedy.pop()
 
-    monkeypatch.setattr(sp, "reaches", counting)
+    monkeypatch.setattr(sp, "_replacement_edge", counting)
     monkeypatch.setattr(sp, "_greedy_scan", scan)
     res = sp.find_dstar(stalling_graph())
     assert res.augmentations >= 1
@@ -274,11 +274,14 @@ def test_augmentation_makes_no_connectivity_test(monkeypatch):
 
 
 def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
-    # A round either augments by one edge or ends the search, so a call from
-    # start to result makes len(result) - len(start) + 1 rounds; each must
-    # cost exactly one Tarjan pass, and nothing outside the augmentation may
-    # make one.
+    # A round either augments by one edge or ends the search, and no round
+    # runs once the result reaches the bond rank f - (k + m) + 1 of the
+    # pool's component.  So a call that reaches the rank makes
+    # len(result) - len(start) rounds, and any other call makes one more;
+    # each must cost exactly one Tarjan pass, and nothing outside the
+    # augmentation may make one.
     passes = rounds = 0
+    kinds = {"at_rank": 0, "below_rank": 0}
     real_tarjan, real_augment = ig._tarjan, sp._augment_to_maximum
 
     def counting(*args, **kwargs):
@@ -290,8 +293,11 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
         nonlocal rounds
         before = passes
         result = real_augment(g, pool, d, start)
-        assert passes - before == len(result) - len(start) + 1
-        rounds += len(result) - len(start) + 1
+        rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
+        made = len(result) - len(start) + (len(result) < rank)
+        assert passes - before == made
+        kinds["at_rank" if len(result) == rank else "below_rank"] += 1
+        rounds += made
         return result
 
     monkeypatch.setattr(ig, "_tarjan", counting)
@@ -299,6 +305,7 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
     augmented = sum(sp.find_dstar(g).augmentations for g in _corpus(1992, sparse=0, dense=60))
     assert passes == rounds
     assert augmented >= 20 and rounds > augmented
+    assert kinds["at_rank"] >= 10 and kinds["below_rank"] >= 10
 
 
 def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
@@ -319,19 +326,67 @@ def test_most_extra_decoded_sources_at_one_destination_is_d_star():
     assert sum(d > 0 for d in d_stars) >= 100
 
 
-def test_greedy_scan_matches_the_component_count_scan():
-    # One early-exit search per candidate must accept exactly the edges that
-    # one full component count per candidate accepts, in any label order.
+def test_greedy_scan_matches_the_component_count_scan(monkeypatch):
+    # The spanning-forest certificate must accept exactly the edges that one
+    # full component count per candidate accepts, in any label order.  A
+    # replacement search runs only for a candidate in the forest, so each
+    # scan's non-tree accepts are its accepts minus its replacements.
+    found = {"replaced": 0, "bridge": 0}
+    real_replacement = sp._replacement_edge
+
+    def counting(*args, **kwargs):
+        y = real_replacement(*args, **kwargs)
+        found["replaced" if y >= 0 else "bridge"] += 1
+        return y
+
+    monkeypatch.setattr(sp, "_replacement_edge", counting)
     rng = np.random.default_rng(625)
     graphs = _corpus(1324, sparse=220, dense=100)
     cyclic = sum(has_cycle(g) for g in graphs)
+    seen = {"non_tree_accept": 0, "replaced": 0, "bridge": 0, "quota_skip": 0}
+    cases = 0
     for g in graphs:
         shuffled = list(sp.default_labeling(g))
         rng.shuffle(shuffled)
         for labeling in (sp.default_labeling(g), tuple(shuffled)):
-            for d in range(4):
-                assert sp._greedy_scan(g, labeling, d) == greedy_scan_by_component_counts(g, labeling, d)
-    assert len(graphs) >= 300 and cyclic >= 50
+            for d in range(5):
+                found.update(replaced=0, bridge=0)
+                chosen = sp._greedy_scan(g, labeling, d)
+                assert chosen == greedy_scan_by_component_counts(g, labeling, d)
+                cases += 1
+                seen["non_tree_accept"] += len(chosen) > found["replaced"]
+                seen["replaced"] += found["replaced"] > 0
+                seen["bridge"] += found["bridge"] > 0
+                seen["quota_skip"] += len(labeling) > len(chosen) + found["bridge"]
+    assert cases >= 2000 and cyclic >= 50
+    assert min(seen.values()) >= 100, seen
+
+
+def test_quota_zero_scan_builds_no_forest_on_forest_graphs(monkeypatch):
+    # An acyclic component needs no removal, so find_dstar scans it only at
+    # d = 0, where every candidate misses the quota: no union-find, no tree
+    # search.
+    calls: dict[str, list[tuple]] = {}
+
+    def record(name):
+        real = getattr(sp, name)
+        calls[name] = []
+
+        def recorded(*args):
+            calls[name].append(args)
+            return real(*args)
+
+        monkeypatch.setattr(sp, name, recorded)
+
+    for name in ("_greedy_scan", "_spanning_forest", "_replacement_edge"):
+        record(name)
+    for size in (16, 48):
+        _, edges = forest_instance(np.random.default_rng(size), size=size)
+        res = sp.find_dstar(InterferenceGraph(size, size, edges))
+        assert res.d_star == 0 and not res.removed and res.augmentations == 0
+    assert len(calls["_greedy_scan"]) >= 2
+    assert all(d == 0 for _, _, d in calls["_greedy_scan"])
+    assert calls["_spanning_forest"] == calls["_replacement_edge"] == []
 
 
 def test_find_dstar_matches_the_component_count_search(monkeypatch):
