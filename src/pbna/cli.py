@@ -10,11 +10,12 @@ section.  Reports render as human text or as deterministic JSON
 joined by a path or demanded) so identical (file, config) pairs are
 byte-identical.
 
-Exit codes: 0 ok, 2 parse error, 3 assumption violation (including an
-interference edge the zero-function probe missed), 4 constraint violation
-(no precoding attempt decoded at every destination within --attempts), 5
-decode failure (a decode system had no unique solution, or a decode ran but
-recovered the wrong message).
+Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
+it can get, e.g. a huge --zero-trials), 3 assumption violation (including
+an interference edge the zero-function probe missed), 4 constraint
+violation (no precoding attempt decoded at every destination within
+--attempts), 5 decode failure (a decode system had no unique solution, or a
+decode ran but recovered the wrong message).
 """
 
 from __future__ import annotations
@@ -488,6 +489,9 @@ def main(argv=None) -> int:
     except DecodeFailure as exc:
         print(f"error: simulate: {exc}", file=sys.stderr)
         return EXIT_DECODE
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_PARSE
     except (ParseError, InvalidModulus, NotACycle, ConfigError) as exc:
         module = {ParseError: "network", InvalidModulus: "gf", NotACycle: "obstruction", ConfigError: "config"}
         prefix = next(name for cls, name in module.items() if isinstance(exc, cls))

@@ -10,11 +10,11 @@ Underneath, every traversal runs on one cached integer index
 (``InterferenceGraph.index``): source j is node j, destination i is node
 K + i, edge ids follow sorted edge order, and a set of deleted edges is a
 ``bytearray`` mask over edge ids.  There is one traversal per question: one
-component pass (``_components``) serves ``connected_components``,
-``has_cycle`` and ``decompose``; ``_tarjan`` is the one bridge pass, read
-through ``bridge_forest``; and ``shortest_cycle`` runs its own
-depth-bounded searches.  find_dstar's greedy scan keeps its own spanning
-forest on the same index (see ``sparsify``).
+breadth-first component pass (``components``) serves
+``connected_components``, ``has_cycle`` and ``decompose``, and its forest of
+g minus a mask certifies find_dstar's bridges (see ``sparsify``); and
+``shortest_cycle`` runs its own depth-bounded searches.  find_dstar's
+greedy scan keeps its own spanning forest on the same index.
 """
 
 from __future__ import annotations
@@ -104,125 +104,20 @@ def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
     return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
 
 
-def _tarjan(g: InterferenceGraph, mask: bytearray) -> tuple[bytearray, list[int], list[int]]:
-    """One low-link pass (Tarjan 1974) over the edges not in ``mask``.
-
-    Returns the bridge flags by edge id, the nodes in depth-first preorder
-    and each node's tree edge (-1 at a root).  An edge is a bridge iff
-    deleting it splits its component.  O(V + E), kept iterative so that deep
-    graphs do not hit the recursion limit.
-    """
-    incidence = g.index.incidence
-    disc = [-1] * len(incidence)
-    low = [0] * len(incidence)
-    up = [-1] * len(incidence)
-    is_bridge = bytearray(len(mask))
-    preorder: list[int] = []
-    for root in range(len(incidence)):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = len(preorder)
-        preorder.append(root)
-        stack = [(root, iter(incidence[root]))]
-        while stack:
-            u, nbrs = stack[-1]
-            for v, e in nbrs:
-                # the graph is simple, so the tree edge is the only way back to the parent
-                if mask[e] or e == up[u]:
-                    continue
-                if disc[v] < 0:
-                    up[v] = e
-                    disc[v] = low[v] = len(preorder)
-                    preorder.append(v)
-                    stack.append((v, iter(incidence[v])))
-                    break
-                if disc[v] < low[u]:
-                    low[u] = disc[v]
-            else:
-                stack.pop()
-                if stack:
-                    p = stack[-1][0]
-                    if low[u] < low[p]:
-                        low[p] = low[u]
-                    if low[u] > disc[p]:
-                        is_bridge[up[u]] = 1
-    return is_bridge, preorder, up
-
-
-class BridgeForest(NamedTuple):
-    """The bridges of H = g minus a masked edge set, and the forest they span.
-
-    Contracting each 2-edge-connected class of H to a point turns H's bridges
-    into a forest: class c hangs from class ``parent[c]`` by bridge
-    ``up_edge[c]`` at ``depth[c]`` (roots: -1, -1, 0).  ``cls[v]`` is node
-    v's class and ``is_bridge`` flags H's bridges by edge id.
-    """
-
-    is_bridge: bytearray
-    cls: list[int]
-    parent: list[int]
-    up_edge: list[int]
-    depth: list[int]
-
-    def path(self, u: int, v: int) -> list[int]:
-        """Ids of the bridges on the forest path between nodes u and v, ascending.
-
-        u and v must lie in one component of H.  Adding an edge (u, v) to H
-        makes exactly these bridges non-bridges (Westbrook and Tarjan,
-        Algorithmica 1992).
-        """
-        a, b = self.cls[u], self.cls[v]
-        found = []
-        while a != b:
-            if self.depth[a] < self.depth[b]:
-                a, b = b, a
-            found.append(self.up_edge[a])
-            a = self.parent[a]
-        found.sort()
-        return found
-
-
-def bridge_forest(g: InterferenceGraph, mask: bytearray) -> BridgeForest:
-    """The bridge forest of g minus the edges in ``mask``, from one ``_tarjan`` pass.
-
-    The bridges are tree edges of the depth-first forest, and cutting them
-    leaves one subtree per 2-edge-connected class, entered at its first node
-    in preorder; so one preorder sweep labels the classes and links them.
-    """
-    is_bridge, preorder, up = _tarjan(g, mask)
-    edges, k = g.index.edges, g.n_sources
-    cls = [0] * len(up)
-    parent: list[int] = []
-    up_edge: list[int] = []
-    depth: list[int] = []
-    for v in preorder:
-        e = up[v]
-        if e >= 0:
-            j, i = edges[e]
-            above = cls[k + i if v < k else j]
-            if not is_bridge[e]:
-                cls[v] = above
-                continue
-            parent.append(above)
-            depth.append(depth[above] + 1)
-        else:
-            parent.append(-1)
-            depth.append(0)
-        up_edge.append(e)
-        cls[v] = len(up_edge) - 1
-    return BridgeForest(is_bridge, cls, parent, up_edge, depth)
-
-
-def _components(g: InterferenceGraph) -> tuple[list[int], list[list[int]]]:
-    """One breadth-first visit per component of g.
+def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[int], list[int], list[list[int]]]:
+    """One breadth-first visit per component of g minus the edges in ``mask``.
 
     Start ids are scanned in order, so each component is visited from its
     smallest node id, and the components come in ascending order of it.
-    Returns every node's BFS parent (a start is its own parent) and each
-    component's nodes in visit order.
+    Returns every node's BFS parent (a start is its own parent), its tree
+    edge id (-1 at a start) and each component's nodes in visit order, in
+    which an ancestor always comes before its descendants.
     """
     incidence = g.index.incidence
+    if mask is None:
+        mask = bytes(len(g.index.edges))
     parent = [-1] * len(incidence)
+    up = [-1] * len(incidence)
     orders = []
     for start in range(len(incidence)):
         if parent[start] >= 0:
@@ -230,23 +125,24 @@ def _components(g: InterferenceGraph) -> tuple[list[int], list[list[int]]]:
         parent[start] = start
         order = [start]
         for u in order:  # the visit order doubles as the queue
-            for v, _ in incidence[u]:
-                if parent[v] < 0:
+            for v, e in incidence[u]:
+                if parent[v] < 0 and not mask[e]:
                     parent[v] = u
+                    up[v] = e
                     order.append(v)
         orders.append(order)
-    return parent, orders
+    return parent, up, orders
 
 
 def connected_components(g: InterferenceGraph) -> list[list[NodeRef]]:
     """Components in ascending order of their smallest member, X side first."""
     nodes = g.index.nodes
-    return [[nodes[v] for v in sorted(order)] for order in _components(g)[1]]
+    return [[nodes[v] for v in sorted(order)] for order in components(g)[2]]
 
 
 def has_cycle(g: InterferenceGraph) -> bool:
     """True iff g is not a forest, i.e. has more than V - C edges."""
-    return len(g.edges) > len(g.index.nodes) - len(_components(g)[1])
+    return len(g.edges) > len(g.index.nodes) - len(components(g)[2])
 
 
 def decompose(g: InterferenceGraph) -> tuple[Tree, ...]:
@@ -259,7 +155,7 @@ def decompose(g: InterferenceGraph) -> tuple[Tree, ...]:
     CyclicGraph when the graph has a cycle.
     """
     nodes = g.index.nodes
-    parent, orders = _components(g)
+    parent, _, orders = components(g)
     if len(g.edges) > len(nodes) - len(orders):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
     # sources have the smallest ids, so a component holding one starts at its smallest

@@ -13,10 +13,12 @@ greedy scan can stall at a maximal set below the maximum (rare, but real:
 see tests for counterexamples).  When that happens, find_dstar finishes the
 job exactly with matroid-intersection augmenting paths (Cunningham 1986)
 before deciding that the current quota is infeasible.  The exchange graph's
-bond arcs come from one bridge pass (Tarjan 1974) per augmentation round:
-H = G - I's bridge forest gives every arc, each removed edge y costing only
-the length of the forest path between its endpoints, so a round costs
-O(V + E + |I|·V), and the rounds stop once I reaches the bond rank.
+bond arcs come from one bridge certificate per augmentation round: a BFS
+forest of H = G - I whose tree edges are flagged as covered by H's other
+edges, the uncovered ones being H's bridges.  It gives every arc, each
+removed edge y costing only the length of the tree path between its
+endpoints, so a round costs O(V + E + |I|·V), and the rounds stop once I
+reaches the bond rank.
 
 The greedy scan keeps a spanning forest of the graph minus the edges it has
 taken or rejected, built once per scan by union-find, as a certificate of
@@ -36,9 +38,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .interference import Edge, InterferenceGraph, bridge_forest, connected_components
+from .interference import Edge, InterferenceGraph, components, connected_components
 
 
 def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
@@ -140,6 +143,63 @@ def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tu
     return tuple(chosen)
 
 
+def _bridge_certificate(g: InterferenceGraph, mask: bytearray) -> tuple[bytearray, Callable[[int, int], list[int]]]:
+    """The bridges of H = g minus the edges in ``mask``, certified by one BFS forest of H.
+
+    Every non-tree edge covers the tree path between its ends, and the
+    bridges are the tree edges that none covers.  A path is walked by
+    climbing both ends to their meeting point, moving the end that comes
+    later in visit order (an ancestor always comes earlier), while a
+    union-find jump skips the stretches already covered, so the covering
+    pass flags each tree edge once.  Returns the bridge flags by edge id and
+    ``path(u, v)``: the ids of the bridges on the tree path between nodes u
+    and v of one component of H, ascending.  Adding an edge (u, v) to H
+    makes exactly these bridges non-bridges (Westbrook and Tarjan,
+    Algorithmica 1992).
+    """
+    parent, up, orders = components(g, mask)
+    visit = [0] * len(up)  # position in visit order
+    for n, v in enumerate(v for order in orders for v in order):
+        visit[v] = n
+    jump = list(range(len(up)))  # leads up from a node past covered tree edges
+
+    def lowest_open(v: int) -> int:
+        while jump[v] != v:
+            jump[v] = jump[jump[v]]
+            v = jump[v]
+        return v
+
+    is_bridge = bytearray(len(mask))
+    for e in up:
+        if e >= 0:
+            is_bridge[e] = 1
+    incidence = g.index.incidence
+    for j in range(g.n_sources):
+        for v, e in incidence[j]:
+            if mask[e] or up[v] == e or up[j] == e:
+                continue
+            a, b = lowest_open(j), lowest_open(v)
+            while a != b:
+                if visit[a] < visit[b]:
+                    a, b = b, a
+                is_bridge[up[a]] = 0
+                jump[a] = parent[a]
+                a = lowest_open(a)
+
+    def path(u: int, v: int) -> list[int]:
+        a, b = lowest_open(u), lowest_open(v)
+        found = []
+        while a != b:
+            if visit[a] < visit[b]:
+                a, b = b, a
+            found.append(up[a])
+            a = lowest_open(parent[a])
+        found.sort()
+        return found
+
+    return is_bridge, path
+
+
 def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, start) -> tuple[Edge, ...]:
     """Maximum common independent set via exchange-graph augmenting paths.
 
@@ -154,10 +214,11 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     ``current`` (I) keeps every component connected, I + x does iff x is
     not a bridge of H, and I - y + x does iff x is not a bridge of H + y.
     Those are H's non-bridges, which are all sources and so already
-    visited, plus the bridges on H's bridge-forest path between y's
-    endpoints.  So one bridge pass per round gives the sources and every
-    arc, and each popped y costs only its path length.  The rounds run on
-    edge ids, and ascending ids are ascending edges.
+    visited, plus the bridges on the BFS-tree path between y's endpoints.
+    So one ``_bridge_certificate`` per round (one BFS pass and one covering
+    pass over the whole graph) gives the sources and every arc, and each
+    popped y costs only its path length.  The rounds run on edge ids, and
+    ascending ids are ascending edges.
     """
     ids, edges, k = g.index.ids, g.index.edges, g.n_sources
     pool_ids = sorted(ids[e] for e in pool)
@@ -174,8 +235,8 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
                 ins_at.setdefault(edges[x][1], []).append(x)
             else:
                 outs.append(x)
-        forest = bridge_forest(g, current)
-        sources = [x for x in outs if not forest.is_bridge[x]]
+        is_bridge, path = _bridge_certificate(g, current)
+        sources = [x for x in outs if not is_bridge[x]]
         full = {i for i, ys in ins_at.items() if len(ys) >= d}
         sinks = {x for x in outs if edges[x][1] not in full}
         if not sources or not sinks:
@@ -186,7 +247,7 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
         for u in queue:  # the list doubles as the queue
             j, i = edges[u]
             if current[u]:  # swaps I - u + x that keep bond independence
-                arcs = forest.path(j, k + i)
+                arcs = path(j, k + i)
             else:  # swaps I - y + u that keep partition independence: u is no sink, so its
                 # destination is full and only dropping a removed edge there makes room
                 arcs = ins_at.get(i, ())

@@ -462,11 +462,12 @@ def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | No
 
 
 def augment_by_component_counts(g, pool, d: int, start):
-    """The exchange-graph augmentation find_dstar ran before bridge oracles.
+    """The exchange-graph augmentation find_dstar ran before it read bonds off bridges.
 
     Same construction, one full component count per bond-independence test
-    (O(|I|·|out|·(V+E)) per augmentation), kept to check that the bridge
-    oracles build the same exchange graph.
+    (O(|I|·|out|·(V+E)) per augmentation), kept to check that the bridges
+    find_dstar certifies with a BFS forest of H = G - I in each round build
+    the same exchange graph.
 
     Grows ``start`` (a common independent set of the bond and partition
     matroids over ``pool``) by one element per shortest augmenting path until

@@ -388,6 +388,25 @@ def test_internal_value_error_is_not_reported_as_config(monkeypatch):
         cli.main(["pipeline", "--network", str(FOREST)])
 
 
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 14.9 GiB for an array with shape (100000000, 20) and data type int64",
+     "Unable to allocate 14.9 GiB for an array with shape (100000000, 20) and data type int64"),
+    ("", "out of memory"),  # the interpreter's own MemoryError carries no message
+])
+def test_memory_error_exits_2_with_memory_prefix(message, shown, monkeypatch, capsys):
+    # a huge --zero-trials makes realize ask for a (trials, coefficients) array it
+    # cannot get; stand in for that failure without allocating anything
+    def too_big(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "realize", too_big)
+    code = cli.main(["igraph", "--network", str(FOURBYFOUR), "--zero-trials", "100000000"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err == f"error: memory: {shown}\n"
+
+
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0"),
                                            ("--attempts", "0"), ("--zero-trials", "0")])
 def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pbna import interference as ig
+from pbna import sparsify as sp
 from pbna.network import Network, realize
 from gen import dense_bipartite, forest_instance, random_bipartite
 from oracles import bipartite_has_cycle_bruteforce, shortest_cycle_by_full_bfs
@@ -258,9 +259,9 @@ def test_decompose_matches_networkx():
 
 
 def _bridges(g: ig.InterferenceGraph, removed=frozenset()) -> set:
-    """The bridges of g minus ``removed``, as flagged by its bridge forest."""
-    forest = ig.bridge_forest(g, _mask(g, removed))
-    return {edge for edge, flag in zip(g.index.edges, forest.is_bridge) if flag}
+    """The bridges of g minus ``removed``, as flagged by find_dstar's BFS-forest certificate."""
+    is_bridge, _ = sp._bridge_certificate(g, _mask(g, removed))
+    return {edge for edge, flag in zip(g.index.edges, is_bridge) if flag}
 
 
 def test_bridges_match_networkx_under_removals():
@@ -287,8 +288,9 @@ def test_bridges_do_not_recurse_on_long_paths():
     path = {(j, j) for j in range(n)} | {(j + 1, j) for j in range(n - 1)}
     g = ig.InterferenceGraph(n, n, frozenset(path))
     assert _bridges(g) == path
-    # S1 to W_n crosses every class of the 4,000-deep bridge forest
-    assert ig.bridge_forest(g, _mask(g, ())).path(0, 2 * n - 1) == list(range(len(path)))
+    # S1 to W_n crosses every edge of the 4,000-node BFS tree, all of them bridges
+    _, bridge_path = sp._bridge_certificate(g, _mask(g, ()))
+    assert bridge_path(0, 2 * n - 1) == list(range(len(path)))
     assert _bridges(g.replace_edges(path | {(0, n - 1)})) == set()
 
 
@@ -327,22 +329,25 @@ def _bond_removal(rng, nx, g):
 def test_bridge_forest_arcs_match_networkx():
     # For I keeping every component connected and H = G - I: the exchange
     # arcs out of y in I are the x outside I that are no bridge of H + y,
-    # i.e. H's non-bridges plus the bridges on the forest path of y's ends.
+    # i.e. H's non-bridges plus the bridges on the BFS-tree path of y's ends.
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(1992)
     graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(150)]
     graphs += [dense_bipartite(rng) for _ in range(50)]
-    checked = with_path = classes = 0
+    checked = with_path = mixed = 0
     for g in graphs:
         removal = _bond_removal(rng, nx, g)
         outs = g.edges - removal
-        forest = ig.bridge_forest(g, _mask(g, removal))
+        mask = _mask(g, removal)
+        is_bridge, bridge_path = sp._bridge_certificate(g, mask)
         _, h = _nx_graph(g, removal)
         cut = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-        assert {e for e in outs if forest.is_bridge[g.index.ids[e]]} == cut
-        classes += len(forest.depth) < len(g.index.nodes)
+        assert {e for e in outs if is_bridge[g.index.ids[e]]} == cut
+        # H has a bridge and a tree edge that some non-tree edge covers
+        tree = {e for e in ig.components(g, mask)[1] if e >= 0}
+        mixed += bool(cut) and any(not is_bridge[e] for e in tree)
         for j, i in sorted(removal):
-            path = forest.path(j, g.n_sources + i)
+            path = bridge_path(j, g.n_sources + i)
             assert path == sorted(set(path))
             h.add_edge(("x", j), ("y", i))
             still = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
@@ -352,4 +357,4 @@ def test_bridge_forest_arcs_match_networkx():
             assert {g.index.edges[e] for e in path} <= cut
             checked += 1
             with_path += bool(path)
-    assert checked > 500 and with_path > 300 and classes >= 40
+    assert checked > 500 and with_path > 300 and mixed >= 40

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pbna import interference as ig, sparsify as sp
+from pbna import sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, has_cycle
 from pbna.network import realize
 from gen import dense_bipartite, forest_instance, random_bipartite
@@ -278,16 +278,16 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
     # runs once the result reaches the bond rank f - (k + m) + 1 of the
     # pool's component.  So a call that reaches the rank makes
     # len(result) - len(start) rounds, and any other call makes one more;
-    # each must cost exactly one Tarjan pass, and nothing outside the
-    # augmentation may make one.
+    # each must build exactly one bridge certificate, and nothing outside
+    # the augmentation may build one.
     passes = rounds = 0
     kinds = {"at_rank": 0, "below_rank": 0}
-    real_tarjan, real_augment = ig._tarjan, sp._augment_to_maximum
+    real_certificate, real_augment = sp._bridge_certificate, sp._augment_to_maximum
 
     def counting(*args, **kwargs):
         nonlocal passes
         passes += 1
-        return real_tarjan(*args, **kwargs)
+        return real_certificate(*args, **kwargs)
 
     def augment(g, pool, d, start):
         nonlocal rounds
@@ -300,7 +300,7 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
         rounds += made
         return result
 
-    monkeypatch.setattr(ig, "_tarjan", counting)
+    monkeypatch.setattr(sp, "_bridge_certificate", counting)
     monkeypatch.setattr(sp, "_augment_to_maximum", augment)
     augmented = sum(sp.find_dstar(g).augmentations for g in _corpus(1992, sparse=0, dense=60))
     assert passes == rounds
