@@ -10,7 +10,7 @@ from .gf import InvalidModulus
 from .interference import build_igraph
 from .network import AssumptionViolation, ParseError, load_network_file, realize, validate_assumptions
 from .precoding import ConstraintViolation, plan_with_resampling
-from .simulate import DecodeFailure, run_session
+from .simulate import run_session
 from .sparsify import find_dstar
 
 __version__ = "0.1.0"
@@ -27,5 +27,4 @@ __all__ = [
     "AssumptionViolation",
     "InvalidModulus",
     "ConstraintViolation",
-    "DecodeFailure",
 ]

@@ -14,8 +14,8 @@ Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
 it can get, e.g. a huge --zero-trials), 3 assumption violation (including
 an interference edge the zero-function probe missed), 4 constraint
 violation (no precoding attempt decoded at every destination within
---attempts), 5 decode failure (a decode system had no unique solution, or a
-decode ran but recovered the wrong message).
+--attempts), 5 some simulated decode failed, by no unique solution or a
+wrong message (the report is written first).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .interference import InterferenceGraph, build_igraph, edge_between, has_cyc
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
-from .simulate import DecodeFailure, rate_report, run_session
+from .simulate import rate_report, run_session
 from .sparsify import find_dstar
 
 EXIT_OK = 0
@@ -106,7 +106,7 @@ class Run:
     @functools.cached_property
     def obstruction(self):
         """(cycle ratio, infeasibility report) on ``--cycle`` or a shortest cycle; None when acyclic."""
-        if self.cfg.cycle:
+        if self.cfg.cycle is not None:
             cyc = _parse_cycle_arg(self.net, self.graph, self.cfg.cycle)
         elif self.cyclic:
             cyc = shortest_cycle(self.graph)
@@ -136,7 +136,7 @@ class Run:
 
     @property
     def decode_exit(self) -> int:
-        """5 when any simulated decode recovered the wrong message, else 0."""
+        """5 when any simulated decode failed, else 0."""
         return EXIT_DECODE if self.rates.successes < self.rates.decode_checks else EXIT_OK
 
 
@@ -467,8 +467,8 @@ def main(argv=None) -> int:
         _emit(cfg, {"schema_version": SCHEMA_VERSION, "config": _config_section(cfg), **sections}, text)
         if code == EXIT_DECODE:
             rr = run.rates
-            print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes "
-                  "recovered the wrong message", file=sys.stderr)
+            print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes failed",
+                  file=sys.stderr)
         return code
     except OutputError as exc:
         print(f"error: output: {exc}", file=sys.stderr)
@@ -486,9 +486,6 @@ def main(argv=None) -> int:
     except ConstraintViolation as exc:
         print(f"error: precoding: {exc}", file=sys.stderr)
         return EXIT_CONSTRAINTS
-    except DecodeFailure as exc:
-        print(f"error: simulate: {exc}", file=sys.stderr)
-        return EXIT_DECODE
     except MemoryError as exc:
         print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PARSE

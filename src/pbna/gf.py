@@ -4,9 +4,11 @@ Scalars are plain Python ints in [0, q).  The linear algebra takes one
 shape only: a (B, rows, cols) numpy int64 stack of B matrices, all handled
 by one inverse-free ``kernels.row_reduce`` pass (``solve`` then makes one
 batched inverse); a single matrix is a stack of one.  Callers build their
-stacks with one gather each, zero-padded on the right.  Everything is exact
--- no floating point anywhere -- so rank and dimension checks are
-decisions, not estimates.
+stacks with one gather each, zero-padded on the right.  ``solve`` raises
+for malformed shapes only: it marks each right-hand side that has no
+unique solution, and the caller judges.  Everything is exact -- no
+floating point anywhere -- so rank and dimension checks are decisions, not
+estimates.
 
 Only prime moduli below 2**31 are supported (``check_modulus``).  The
 default modulus is the Mersenne prime 2**31 - 1, large enough that
@@ -27,26 +29,6 @@ DEFAULT_Q = 2147483647  # 2**31 - 1, prime
 
 class InvalidModulus(ValueError):
     """Raised for a field modulus that is composite or not below 2**31."""
-
-
-class SolveError(ArithmeticError):
-    """A system without a unique solution; ``column`` is the first right-hand side that has none.
-
-    ``item`` is the failing system's index in the stack of systems.
-    """
-
-    def __init__(self, message: str, column: int = 0, item: int = 0):
-        super().__init__(message)
-        self.column = column
-        self.item = item
-
-
-class NoSolution(SolveError):
-    """Raised by solve() when a right-hand side is outside the column span."""
-
-
-class RankDeficient(SolveError):
-    """Raised when a full-column-rank matrix was required but not supplied."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,44 +87,32 @@ def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
     return kernels.row_reduce(a, q, np.full(a.shape[:2], -1, dtype=np.int64))
 
 
-def solve(a, y, q: int, widths) -> np.ndarray:
-    """Solve A_b X_b = Y_b for the unique X_b of every system b, requiring full column rank.
+def solve(a, y, q: int, widths) -> tuple[np.ndarray, np.ndarray]:
+    """Solve A_b X_b = Y_b for every system b, and say which columns of X_b are unique.
 
     ``a`` is a (B, rows, cols) stack, each system zero-padded on the right
     (a zero column never becomes a pivot), and ``widths`` gives each
     system's real column count.  ``y`` is (B, rows, s): the s right-hand
     sides of each system, as columns.  All of them are reduced with A in one
-    pass, and the (B, cols, s) solution comes back with the padded rows
-    zero.  The error is the one of solving the (column, system) pairs one
-    at a time, column-major: the first pair without a unique solution
-    raises NoSolution if its column lies outside the column span of A_b,
-    else RankDeficient if A_b's columns are linearly dependent; ``column``
-    and ``item`` name the pair.
+    pass.  Returns (x, unique): x is the (B, cols, s) solution with the
+    padded rows zero, and the (B, s) mask ``unique`` is True where A_b has
+    full column rank and column s of Y_b lies in its span.  Where it is
+    False, x holds what the pivot rows give, with the free unknowns 0.
     """
     mat = _as_stack(a, q)
     rhs = np.asarray(y, dtype=np.int64) % q
     n_items, rows, cols = mat.shape
     if rhs.ndim != 3 or rhs.shape[:2] != mat.shape[:2]:
         raise ValueError("right-hand sides must be a (B, rows, s) stack with one row per row of A")
-    widths = np.asarray(widths, dtype=np.int64)
     aug = np.concatenate([mat, rhs], axis=2)
     # Pivots on A's columns only: the right-hand sides are carried along, and a column of
     # them is solvable iff it is zero in the rows below rank(A), which are zero on A.
     pivots = np.full(aug.shape[:2], -1, dtype=np.int64)
     rank_a = kernels.row_reduce(aug, q, pivots, cols)
     below = np.arange(rows)[None, :, None] >= rank_a[:, None, None]
-    unsolvable = (aug[:, :, cols:].astype(bool) & below).any(axis=1)  # (B, s)
-    deficient = (rank_a < widths) & (unsolvable.shape[1] > 0)
-    failing = deficient | unsolvable.any(axis=1)
-    if failing.any():
-        # a rank-deficient system fails at column 0, any other at its first unsolvable column
-        first = np.where(deficient, 0, np.argmax(unsolvable, axis=1))
-        b = min(np.flatnonzero(failing).tolist(), key=lambda b: (first[b], b))
-        if deficient[b] and not unsolvable[b, 0]:
-            raise RankDeficient(f"matrix has column rank {rank_a[b]} < {widths[b]}", 0, b)
-        raise NoSolution("right-hand side is not in the column span", int(first[b]), b)
+    unique = ~(aug[:, :, cols:].astype(bool) & below).any(axis=1) & (rank_a == np.asarray(widths))[:, None]
     x = np.zeros((n_items, cols, aug.shape[2] - cols), dtype=np.int64)
     items, pivot_rows = np.nonzero(pivots >= 0)
     piv = pivots[items, pivot_rows]  # x's row piv: pivot row r's right-hand sides over its leading entry
     x[items, piv] = aug[items, pivot_rows, cols:] * kernels.inverse(aug[items, pivot_rows, piv], q)[:, None] % q
-    return x
+    return x, unique

@@ -6,7 +6,10 @@ by the transfer kernel, and never computed from the transfer values, so each
 decode doubles as a check of the algebraic model.  The decode matrix of a
 destination is the same for every session, and every destination's system
 has the same n rows, so one gather builds their stack and one exact
-reduction of it decodes every destination for all sessions.
+reduction of it decodes every destination for all sessions.  A decode
+fails when its system has no unique solution or its solution is the wrong
+message; either way it is one ``False`` in the trace's ``success``, never
+an exception.
 """
 
 from __future__ import annotations
@@ -21,10 +24,6 @@ from .precoding import A, PrecodingPlan, decode_sources, signal_stack, source_ta
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
-
-
-class DecodeFailure(Exception):
-    """Decode system was rank-deficient or inconsistent (should not happen on verified plans)."""
 
 
 @dataclass(eq=False)
@@ -63,8 +62,8 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     interference coordinate (the interference columns coincide by
     construction), then keeps the source coordinates; one reduction of the
     stack of every destination's system solves them for all sessions.  A
-    decode system without a unique solution raises DecodeFailure for the
-    first failing (session, destination) pair in session-major order.
+    (session, destination) pair succeeds when its system has a unique
+    solution and that solution recovers every decoded message.
     """
     realization = plan.realization
     net = realization.network
@@ -78,14 +77,10 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
 
     desired = [sorted(d) for d in plan.new_demands]
     systems = source_table(decode_sources(plan))  # the systems whose full rank r_det_nonzero records
-    try:
-        sol = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, widths=(systems >= 0).sum(axis=1))
-    except gf.SolveError as exc:
-        # solve raises for the smallest (column, system) pair: the first failing (session, destination)
-        raise DecodeFailure(f"destination D{exc.item + 1}: {exc}") from exc
+    sol, unique = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, (systems >= 0).sum(axis=1))
     wanted = source_table(desired)
     # (S, M, u): every decoded source coordinate against its message; padding compares as equal
-    ok = ((sol[:, :wanted.shape[1]].transpose(2, 0, 1) == z[:, wanted]) | (wanted < 0)).all(axis=2)
+    ok = ((sol[:, :wanted.shape[1]].transpose(2, 0, 1) == z[:, wanted]) | (wanted < 0)).all(axis=2) & unique.T
     decoded = tuple(dict(zip(d, sol[i, :len(d)])) for i, d in enumerate(desired))
     return SessionTrace(z, received, decoded, tuple(ok.ravel().tolist()))
 

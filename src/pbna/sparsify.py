@@ -301,7 +301,7 @@ class SparsificationResult:
     augmentations: int
 
 
-def find_dstar(g: InterferenceGraph, labeling=None) -> SparsificationResult:
+def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     """Find d* and the sparsified acyclic graph for a (possibly disconnected) g.
 
     Each component is searched independently, iterating the quota d upward
@@ -309,9 +309,7 @@ def find_dstar(g: InterferenceGraph, labeling=None) -> SparsificationResult:
     size f-k-m+1 (complement a spanning tree); d* is the maximum over
     components.
     """
-    label_order = tuple(labeling) if labeling is not None else default_labeling(g)
-    if set(label_order) != set(g.edges) or len(label_order) != len(g.edges):
-        raise ValueError("labeling must be a permutation of the edge set")
+    label_order = default_labeling(g)
 
     checks = 0
     augmentations = 0

@@ -17,7 +17,8 @@ every source injects its unit vector through every edge of the per-edge
 schedule, so each edge carries K columns.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's reading of them off one reduction, and
-``solve_full_width`` raises ``gf``'s errors, so a solve can be compared with it.
+``solve_full_width`` returns ``gf.solve``'s (x, unique), so a solve can be
+compared with it.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
 unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
 """
@@ -108,31 +109,23 @@ def solve_full_width(a, y, q: int, widths):
     """``gf.solve`` on a (B, rows, cols) stack and (B, rows, s) right-hand sides, one system at a time.
 
     Each [A | Y] is reduced over its full width, right-hand sides included, by
-    ``row_reduce_one``; returns x as (B, cols, s) or raises the error of the
-    first failing (column, system) pair.
+    ``row_reduce_one``.  Returns (x, unique) like ``gf.solve``: unique[b, s]
+    when A_b has full column rank and column s of Y_b is zero below rank(A_b)
+    after the reduction, and x[b] read off the pivot rows of A_b.
     """
     n_items, rows, cols = a.shape
     x = np.zeros((n_items, cols, y.shape[2]), dtype=np.int64)
-    failures = []
+    unique = np.zeros((n_items, y.shape[2]), dtype=bool)
     for b in range(n_items):
         aug = np.concatenate([a[b], y[b]], axis=1) % q
         piv = np.full(rows, -1, dtype=np.int64)
         row_reduce_one(aug, q, piv)
         rank_a = int(np.count_nonzero((piv >= 0) & (piv < cols)))
-        bad = [s for s in range(y.shape[2]) if aug[rank_a:, cols + s].any()]
-        if rank_a < widths[b] and y.shape[2]:
-            failures.append((0, b, rank_a, bool(bad and bad[0] == 0)))
-        elif bad:
-            failures.append((bad[0], b, rank_a, True))
-        else:
-            for r in range(rank_a):
-                x[b, piv[r]] = aug[r, cols:]
-    if failures:
-        column, b, rank_a, outside_span = min(failures)
-        if not outside_span:
-            raise gf.RankDeficient(f"matrix has column rank {rank_a} < {widths[b]}", 0, b)
-        raise gf.NoSolution("right-hand side is not in the column span", column, b)
-    return x
+        for s in range(y.shape[2]):
+            unique[b, s] = rank_a == widths[b] and not aug[rank_a:, cols + s].any()
+        for r in range(rank_a):
+            x[b, piv[r]] = aug[r, cols:]
+    return x, unique
 
 
 def det_mod(rows, q: int) -> int:

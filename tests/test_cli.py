@@ -159,8 +159,9 @@ def test_obstruct_bad_explicit_cycle_exits_2():
     assert "obstruction" in proc.stderr
 
 
-# "²" and "١" pass str.isdigit, and int() rejects the first and reads the second as 1
-@pytest.mark.parametrize("cycle", ["S\u00b2,W1,S2,W2", "S\u0661,W1,S2,W2", "S0,W1,S2,W2", "S1,W0,S2,W2", "S1,,S2,W2"])
+# "²" and "١" pass str.isdigit, and int() rejects the first and reads the second as 1; an empty
+# --cycle is one empty label, not a request for the shortest cycle
+@pytest.mark.parametrize("cycle", ["S\u00b2,W1,S2,W2", "S\u0661,W1,S2,W2", "S0,W1,S2,W2", "S1,W0,S2,W2", "S1,,S2,W2", ""])
 def test_obstruct_rejects_bad_cycle_labels(cycle, capsys):
     code = cli.main(["obstruct", "--network", str(FOURBYFOUR), "--cycle", cycle])
     captured = capsys.readouterr()
@@ -211,20 +212,25 @@ def test_wrong_decode_exits_5_after_writing_report(monkeypatch, capsys):
         assert "simulate:" in captured.err
 
 
-def test_decode_failure_exit_code_mapping():
-    # unreachable in a verified pipeline; exercise the mapping directly
-    from pbna.simulate import DecodeFailure
+def test_decode_failure_exit_code_mapping(monkeypatch, capsys):
+    # D3 also decodes its interference representative, so its system has two equal
+    # columns and no unique solution: a failed decode, reported and mapped to exit 5
+    real = cli.plan_with_resampling
 
-    def boom(cfg):
-        raise DecodeFailure("synthetic")
+    def rank_deficient(*args, **kwargs):
+        plan = real(*args, **kwargs)
+        demands = list(plan.new_demands)
+        demands[2] = demands[2] | {min(plan.new_interference[2])}
+        return dataclasses.replace(plan, new_demands=tuple(demands))
 
-    old = cli._COMMANDS["pipeline"]
-    cli._COMMANDS["pipeline"] = boom
-    try:
-        code = cli.main(["pipeline", "--network", str(FOURBYFOUR)])
-    finally:
-        cli._COMMANDS["pipeline"] = old
-    assert code == cli.EXIT_DECODE
+    monkeypatch.setattr(cli, "plan_with_resampling", rank_deficient)
+    for command in ("pipeline", "simulate"):
+        code = cli.main([command, "--network", str(FOURBYFOUR), "--sessions", "3", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_DECODE
+        sim = json.loads(captured.out)["simulation"]
+        assert (sim["decode_checks"], sim["successes"]) == (12, 9)
+        assert captured.err == "error: simulate: 3 of 12 decodes failed\n"
 
 
 def test_runconfig_validates_counts():

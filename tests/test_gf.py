@@ -51,8 +51,11 @@ def test_linear_algebra_takes_only_stacks():
 
 
 def _scalar_inverse(a: int, q: int) -> int:
-    # a x = 1 over F_q, solved by the row-reduction kernel
-    return int(gf.solve([[[a]]], [[[1]]], q, [1])[0, 0, 0])
+    # a x = 1 over F_q, solved by the row-reduction kernel; like pow, a ValueError when a = 0
+    x, unique = gf.solve([[[a]]], [[[1]]], q, [1])
+    if not unique[0, 0]:
+        raise ValueError(f"{a} has no inverse mod {q}")
+    return int(x[0, 0, 0])
 
 
 def test_inverse_small_field():
@@ -71,7 +74,7 @@ def test_inverse_default_modulus_matches_euclid():
 
 
 def test_inverse_of_zero_raises():
-    with pytest.raises(gf.NoSolution):
+    with pytest.raises(ValueError, match="no inverse"):
         _scalar_inverse(0, 7)
 
 
@@ -130,22 +133,34 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix():
 
 
 def test_solve_identity():
-    x = gf.solve(np.eye(2, dtype=np.int64)[None], [[[3], [4]]], 7, [2])
-    assert x.tolist() == [[[3], [4]]]
+    x, unique = gf.solve(np.eye(2, dtype=np.int64)[None], [[[3], [4]]], 7, [2])
+    assert x.tolist() == [[[3], [4]]] and unique.tolist() == [[True]]
 
 
-def test_solve_inconsistent_raises():
-    with pytest.raises(gf.NoSolution):
-        gf.solve([[[1], [1]]], [[[2], [3]]], 5, [1])
+def _assert_solve_like_oracle(a, y, q, widths):
+    """gf.solve's mask equals the oracle's, and its x equals the oracle's on every unique column."""
+    x, unique = gf.solve(a, y, q, widths)
+    want_x, want_unique = solve_full_width(np.asarray(a), np.asarray(y), q, widths)
+    assert unique.tolist() == want_unique.tolist()
+    assert (x.transpose(0, 2, 1)[unique] == want_x.transpose(0, 2, 1)[unique]).all()
+    return x, unique
+
+
+def test_solve_marks_inconsistent():
+    # (2, 3) is outside the span of (1, 1); (4, 4) is inside, so one system has a unique and a failed column
+    x, unique = _assert_solve_like_oracle(np.array([[[1], [1]]]), np.array([[[2, 4], [3, 4]]]), 5, [1])
+    assert unique.tolist() == [[False, True]] and x[0, 0, 1] == 4
 
 
 def test_solve_scalar():
-    assert gf.solve([[[2]]], [[[3]]], 7, [1]).tolist() == [[[5]]]
+    x, unique = gf.solve([[[2]]], [[[3]]], 7, [1])
+    assert x.tolist() == [[[5]]] and unique.tolist() == [[True]]
 
 
-def test_solve_rank_deficient_raises():
-    with pytest.raises(gf.RankDeficient):
-        gf.solve([[[1, 2], [2, 4]]], [[[1], [2]]], 7, [2])
+def test_solve_marks_rank_deficient():
+    # dependent columns fail every right-hand side, in the span or not; x is still the pivot rows' reading
+    x, unique = _assert_solve_like_oracle(np.array([[[1, 2], [2, 4]]]), np.array([[[1, 1], [2, 3]]]), 7, [2])
+    assert unique.tolist() == [[False, False]] and x[0, :, 0].tolist() == [1, 0]
 
 
 def test_solve_roundtrip_random():
@@ -159,14 +174,15 @@ def test_solve_roundtrip_random():
                 continue
             x = rng.integers(0, q, size=(cols, 1))
             y = (a.astype(object) @ x) % q
-            assert gf.solve(a[None], y[None], q, [cols])[0].tolist() == x.tolist()
+            got, unique = gf.solve(a[None], y[None], q, [cols])
+            assert got[0].tolist() == x.tolist() and unique.all()
 
 
 def test_solve_columns_match_one_at_a_time():
-    # Several right-hand sides in one reduction: same solutions as solving
-    # each column alone, and the error of the first column that has none.
+    # Several right-hand sides in one reduction: the same mask and the same x as solving
+    # each column alone (pivots come from A only), and the oracle's on every unique column.
     rng = np.random.default_rng(29)
-    seen = {"ok": 0, "NoSolution later": 0, "RankDeficient": 0}
+    seen = {"ok": 0, "inconsistent later": 0, "rank-deficient": 0}
     for _ in range(400):
         q = int(rng.choice([2, 5, 7]))
         rows, cols = (int(n) for n in rng.integers(1, 5, size=2))
@@ -174,29 +190,20 @@ def test_solve_columns_match_one_at_a_time():
         x_true = rng.integers(0, q, size=(cols, int(rng.integers(0, 5))))
         y = (a.astype(object) @ x_true.astype(object) % q).astype(np.int64).reshape(rows, -1)
         y[:, rng.random(y.shape[1]) < 0.2] = rng.integers(0, q, size=rows)[:, None]  # some arbitrary columns
-        one_by_one = []
+        got, unique = _assert_solve_like_oracle(a[None], y[None], q, [cols])
+        assert got.shape == (1, cols, y.shape[1]) and unique.shape == (1, y.shape[1])
         for s in range(y.shape[1]):
-            try:
-                one_by_one.append(gf.solve(a[None], y[None, :, s:s + 1], q, [cols])[0, :, 0])
-            except (gf.NoSolution, gf.RankDeficient) as exc:
-                one_by_one.append(exc)
-        failed = [s for s, r in enumerate(one_by_one) if isinstance(r, Exception)]
-        if not failed:
-            got = gf.solve(a[None], y[None], q, [cols])[0]
-            assert got.shape == (cols, y.shape[1])
-            for s, col in enumerate(one_by_one):
-                assert got[:, s].tolist() == col.tolist()
-            assert ((a.astype(object) @ got.astype(object) - y) % q == 0).all()
-            seen["ok"] += 1
-            continue
-        want = one_by_one[failed[0]]
-        with pytest.raises(type(want)) as info:
-            gf.solve(a[None], y[None], q, [cols])
-        assert str(info.value) == str(want)
-        assert info.value.column == failed[0]
-        if isinstance(want, gf.NoSolution) and failed[0] > 0:
-            seen["NoSolution later"] += 1
-        seen["RankDeficient"] += isinstance(want, gf.RankDeficient)
+            alone, alone_unique = gf.solve(a[None], y[None, :, s:s + 1], q, [cols])
+            assert got[0, :, s].tolist() == alone[0, :, 0].tolist()
+            assert unique[0, s] == alone_unique[0, 0]
+        ok = unique[0]
+        assert ((a.astype(object) @ got[0][:, ok].astype(object) - y[:, ok]) % q == 0).all()
+        failed = np.flatnonzero(~ok)
+        seen["ok"] += failed.size == 0
+        if gf.rank(a[None], q)[0] < cols:
+            seen["rank-deficient"] += failed.size > 0
+        else:
+            seen["inconsistent later"] += failed.size > 0 and failed[0] > 0
     assert min(seen.values()) >= 10, seen
 
 
@@ -256,19 +263,12 @@ def test_stacked_row_reduce_matches_one_at_a_time():
     assert min(seen.values()) >= 20, seen
 
 
-def _solve_alone(a, y, q):
-    try:
-        return gf.solve(a[None], y[None], q, [a.shape[1]])[0]
-    except gf.SolveError as exc:
-        return exc
-
-
-def test_stacked_solve_raises_like_one_system_at_a_time():
+def test_stacked_solve_marks_like_one_system_at_a_time():
     # Each system is full rank and consistent, rank-deficient, or leaves the span from
-    # some right-hand side on.  The stack raises what the first failing (column, system)
-    # pair raises alone, and otherwise returns every system's solution, zero-padded.
+    # some right-hand side on.  The stack gives every system the mask and the x it gets
+    # alone, zero-padded, and the oracle's mask and x on every unique column.
     rng = np.random.default_rng(61)
-    seen = {"ok": 0, "RankDeficient": 0, "NoSolution at 0": 0, "NoSolution later": 0, "later system": 0}
+    seen = {"ok": 0, "rank-deficient": 0, "inconsistent at 0": 0, "inconsistent later": 0, "later system": 0}
     for _ in range(300):
         q = int(rng.choice([2, 5, 7, gf.DEFAULT_Q]))
         rows = int(rng.integers(2, 6))
@@ -286,43 +286,29 @@ def test_stacked_solve_raises_like_one_system_at_a_time():
             rhs.append(y)
         stack, y = pad_stack(items), np.stack(rhs)
         widths = [a.shape[1] for a in items]
-        alone = [_solve_alone(a, yb, q) for a, yb in zip(items, rhs)]
-        failed = sorted((r.column, b) for b, r in enumerate(alone) if isinstance(r, Exception))
-        if not failed:
-            x = gf.solve(stack, y, q, widths=widths)
-            assert x.shape == (len(items), stack.shape[2], n_rhs)
-            for b, r in enumerate(alone):
-                assert x[b, :widths[b]].tolist() == r.tolist()
-                assert not x[b, widths[b]:].any()
-            seen["ok"] += 1
-            continue
-        column, b = failed[0]
-        want = alone[b]
-        with pytest.raises(type(want)) as info:
-            gf.solve(stack, y, q, widths=widths)
-        assert str(info.value) == str(want)
-        assert (info.value.column, info.value.item) == (column, b)
-        if isinstance(want, gf.RankDeficient):
-            seen["RankDeficient"] += 1
-        else:
-            seen["NoSolution later" if column else "NoSolution at 0"] += 1
-        seen["later system"] += b > 0
+        x, unique = _assert_solve_like_oracle(stack, y, q, widths)
+        assert x.shape == (len(items), stack.shape[2], n_rhs) and unique.shape == (len(items), n_rhs)
+        for b, (a, yb) in enumerate(zip(items, rhs)):
+            alone, alone_unique = gf.solve(a[None], yb[None], q, [widths[b]])
+            assert x[b, :widths[b]].tolist() == alone[0].tolist()
+            assert unique[b].tolist() == alone_unique[0].tolist()
+            assert not x[b, widths[b]:].any()
+            if gf.rank(a[None], q)[0] < widths[b]:
+                seen["rank-deficient"] += 1
+            else:
+                seen["inconsistent at 0"] += not unique[b, 0]
+                seen["inconsistent later"] += bool(unique[b, 0] and not unique[b].all())
+        seen["ok"] += bool(unique.all())
+        seen["later system"] += bool((~unique[1:]).any())
     assert min(seen.values()) >= 10, seen
-
-
-def _outcome(solve, *args):
-    try:
-        return solve(*args).tolist()
-    except gf.SolveError as exc:
-        return type(exc), str(exc), exc.column, exc.item
 
 
 def test_solve_pivots_on_a_only_like_a_full_width_reduction():
     # gf.solve pivots only on A's columns; an oracle that reduces [A | Y] over its full
-    # width must give the same x, or the same error, column and item, on consistent,
+    # width must give the same mask, and the same x on every unique column, on consistent,
     # inconsistent and rank-deficient stacks.
     rng = np.random.default_rng(67)
-    seen = {"ok": 0, "NoSolution": 0, "RankDeficient": 0}
+    seen = {"ok": 0, "inconsistent": 0, "rank-deficient": 0}
     for _ in range(300):
         q = int(rng.choice([2, 3, 7, gf.DEFAULT_Q]))
         rows, n_rhs = int(rng.integers(1, 7)), int(rng.integers(1, 6))
@@ -337,14 +323,17 @@ def test_solve_pivots_on_a_only_like_a_full_width_reduction():
         y = (a.astype(object) @ rng.integers(0, q, size=(a.shape[2], n_rhs)).astype(object) % q).astype(np.int64)
         if rng.random() < 0.4:
             y[int(rng.integers(len(items))), :, int(rng.integers(n_rhs)):] = rng.integers(0, q, size=(rows, 1))
-        want = _outcome(solve_full_width, a, y, q, widths)
-        assert _outcome(gf.solve, a, y, q, widths) == want
-        seen[want[0].__name__ if isinstance(want, tuple) else "ok"] += 1
+        _, unique = _assert_solve_like_oracle(a, y, q, widths)
+        ranks = [gf.rank(m[None], q)[0] for m in items]
+        deficient = [r < w for r, w in zip(ranks, widths)]
+        seen["ok"] += bool(unique.all())
+        seen["rank-deficient"] += any(deficient)
+        seen["inconsistent"] += any(not d and not u.all() for d, u in zip(deficient, unique))
         pivots = np.full((len(items), rows), -1, dtype=np.int64)
         aug = np.concatenate([a, y], axis=2)
-        ranks = kernels.row_reduce(aug, q, pivots, a.shape[2])
+        kernel_ranks = kernels.row_reduce(aug, q, pivots, a.shape[2])
         assert (pivots < a.shape[2]).all()
-        assert ranks.tolist() == [gf.rank(m[None], q)[0] for m in items]
+        assert kernel_ranks.tolist() == ranks
     assert min(seen.values()) >= 20, seen
 
 

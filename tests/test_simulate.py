@@ -7,10 +7,10 @@ from pbna import kernels
 from pbna import simulate as sim
 from pbna.interference import build_igraph
 from pbna.network import Network, realize
-from pbna.precoding import PrecodingPlan, plan_with_resampling, verify_alignment
+from pbna.precoding import PrecodingPlan, decode_sources, plan_with_resampling, verify_alignment
 from pbna.sparsify import find_dstar
 from gen import forest_instance, random_dag_net, random_multiterminal_dag, seeded_messages
-from oracles import propagate_symbols_by_edges
+from oracles import propagate_symbols_by_edges, solve_full_width
 
 
 def build_plan(net, seed=0):
@@ -227,27 +227,27 @@ def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfo
     assert [shape[0] for shape in calls] == [net.n_destinations] * 3
 
 
-def first_failure_one_session_at_a_time(net, plan, msg):
-    """(session, message) of the first DecodeFailure when the sessions run one per batch, in order."""
-    for s in range(len(msg)):
-        try:
-            sim.run_session(plan, msg[s:s + 1])
-        except sim.DecodeFailure as exc:
-            return s, str(exc)
-    return None
+def failed_pairs_by_oracle(plan, received):
+    """(session, destination) pairs whose decode system, solved alone by the oracle, has no unique solution."""
+    q = plan.realization.q
+    failed = set()
+    for i, sources in enumerate(decode_sources(plan)):
+        a = np.stack([plan.realization.transfer[i, j] * plan.V[j] % q for j in sources], axis=1)
+        for s in range(len(received)):
+            _, unique = solve_full_width(a[None], received[None, s, i, :, None], q, [a.shape[1]])
+            if not unique[0, 0]:
+                failed.add((s, i))
+    return failed
 
 
 def assert_batch_fails_like_the_session_loop(net, plan, msg):
-    first, text = first_failure_one_session_at_a_time(net, plan, msg)
-    with pytest.raises(sim.DecodeFailure) as info:
-        sim.run_session(plan, msg)
-    assert str(info.value) == text
-    # the batch of the sessions before it (if any) decodes, and adding the failing one raises the same
-    if first:
-        sim.run_session(plan, msg[:first])
-    with pytest.raises(sim.DecodeFailure, match=f"^{text}$"):
-        sim.run_session(plan, msg[:first + 1])
-    return first, text
+    """The failed (session, destination) pairs of one batch: those of one session per batch, and the oracle's."""
+    trace = sim.run_session(plan, msg)
+    assert trace.success == sum((sim.run_session(plan, msg[s:s + 1]).success for s in range(len(msg))), ())
+    m = net.n_destinations
+    failed = {(s, i) for s in range(len(msg)) for i in range(m) if not trace.success[s * m + i]}
+    assert failed == failed_pairs_by_oracle(plan, trace.received)
+    return failed
 
 
 def test_decode_failure_rank_deficient_plan_matches_session_loop(fourbyfour):
@@ -258,9 +258,8 @@ def test_decode_failure_rank_deficient_plan_matches_session_loop(fourbyfour):
     demands[2] = demands[2] | {rep}
     broken = dataclasses.replace(plan, new_demands=tuple(demands))
     msg = np.random.default_rng(43).integers(0, plan.realization.q, size=(6, 4), dtype=np.int64)
-    first, text = assert_batch_fails_like_the_session_loop(fourbyfour, broken, msg)
-    assert first == 0
-    assert text.startswith("destination D3: ") and "column rank" in text
+    msg[0] = 0  # D3 reads the right (zero) messages off its pivot rows, and still fails
+    assert assert_batch_fails_like_the_session_loop(fourbyfour, broken, msg) == {(s, 2) for s in range(6)}
 
 
 def test_decode_failure_inconsistent_later_session_matches_session_loop(fourbyfour):
@@ -275,6 +274,5 @@ def test_decode_failure_inconsistent_later_session_matches_session_loop(fourbyfo
     msg = np.random.default_rng(47).integers(1, plan.realization.q, size=(5, 4), dtype=np.int64)
     msg[:3, rep1] = 0  # D1 fails from session 3 on
     msg[:2, rep3] = 0  # D3 fails from session 2 on
-    first, text = assert_batch_fails_like_the_session_loop(fourbyfour, broken, msg)
-    assert first == 2
-    assert text == "destination D3: right-hand side is not in the column span"
+    failed = assert_batch_fails_like_the_session_loop(fourbyfour, broken, msg)
+    assert failed == {(s, 0) for s in range(3, 5)} | {(s, 2) for s in range(2, 5)}

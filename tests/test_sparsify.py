@@ -157,15 +157,20 @@ def test_stalled_search_stops_at_the_degree_bound(monkeypatch):
 
 def test_labeling_invariance_of_greedy_size():
     rng = np.random.default_rng(777)
+    reordered = 0
     for _ in range(20):
         g = random_bipartite(rng, max_edges=10)
         base = sp.find_dstar(g)
         labeling = list(sp.default_labeling(g))
-        for _ in range(10):
-            rng.shuffle(labeling)
-            shuffled = sp.find_dstar(g, labeling=tuple(labeling))
-            assert shuffled.d_star == base.d_star
-            assert len(shuffled.removed) == len(base.removed)
+        with pytest.MonkeyPatch.context() as mp:
+            for _ in range(10):
+                rng.shuffle(labeling)
+                mp.setattr(sp, "default_labeling", lambda g, order=tuple(labeling): order)
+                shuffled = sp.find_dstar(g)
+                assert shuffled.d_star == base.d_star
+                assert len(shuffled.removed) == len(base.removed)
+                reordered += shuffled.removed != base.removed
+    assert reordered > 0  # the shuffled orders reach the scan
 
 
 def test_result_invariants_on_random_graphs():
@@ -193,12 +198,6 @@ def test_independence_check_budget():
         for c in res.components:
             budget += math.floor((c.sources - 1) / c.destinations + 2) * c.edges
         assert res.independence_checks <= max(budget, 0) + sum(c.edges for c in res.components)
-
-
-def test_rejects_bad_labeling():
-    g = star()
-    with pytest.raises(ValueError):
-        sp.find_dstar(g, labeling=((0, 0),))
 
 
 def stalling_graph() -> InterferenceGraph:
