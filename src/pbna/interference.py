@@ -3,8 +3,10 @@
 The graph has one node per source (the X side) and one node W_i per
 destination (the Y side); an edge (j, i) means source j interferes at
 destination i, i.e. j is not demanded there but its transfer function is not
-identically zero.  Results leave this module with nodes addressed as
-("x", j) / ("y", i) pairs with 0-based indices.
+identically zero.  Traversal results are node ids of the index below:
+``connected_components`` gives sorted id lists and ``decompose`` the BFS
+forest as id arrays.  Only the cycle API, whose nodes users type, speaks in
+NodeRef ("x", j) / ("y", i) pairs with 0-based indices.
 
 Underneath, every traversal runs on one cached integer index
 (``InterferenceGraph.index``): source j is node j, destination i is node
@@ -26,7 +28,6 @@ from typing import NamedTuple
 from .network import Network, NetworkRealization, pairs_in
 
 NodeRef = tuple[str, int]  # ("x", source index) or ("y", destination index)
-Tree = dict[NodeRef, NodeRef | None]  # {node: parent}, the root mapped to None
 Edge = tuple[int, int]  # (source j, destination i)
 
 
@@ -37,13 +38,12 @@ class CyclicGraph(Exception):
 class GraphIndex(NamedTuple):
     """Integer view of an interference graph.
 
-    ``nodes[v]`` is node v's NodeRef: sources 0..K-1, then destination i at
-    K + i.  ``edges[k]`` is edge k, in sorted order, so ascending edge ids are
+    Node v is source v for v < K and destination v - K otherwise.
+    ``edges[k]`` is edge k, in sorted order, so ascending edge ids are
     ascending (source, destination) pairs; ``ids`` inverts it.
     ``incidence[v]`` lists v's (neighbour, edge id) pairs by ascending edge id.
     """
 
-    nodes: tuple[NodeRef, ...]
     edges: tuple[Edge, ...]
     ids: dict[Edge, int]
     incidence: tuple[list[tuple[int, int]], ...]
@@ -78,13 +78,12 @@ class InterferenceGraph:
         frozen dataclass and stays out of eq/hash.
         """
         k = self.n_sources
-        nodes = tuple([("x", j) for j in range(k)] + [("y", i) for i in range(self.n_destinations)])
         edges = tuple(sorted(self.edges))
-        incidence: tuple[list[tuple[int, int]], ...] = tuple([] for _ in nodes)
+        incidence: tuple[list[tuple[int, int]], ...] = tuple([] for _ in range(k + self.n_destinations))
         for e, (j, i) in enumerate(edges):
             incidence[j].append((k + i, e))
             incidence[k + i].append((j, e))
-        return GraphIndex(nodes, edges, {edge: e for e, edge in enumerate(edges)}, incidence)
+        return GraphIndex(edges, {edge: e for e, edge in enumerate(edges)}, incidence)
 
 
 def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
@@ -134,33 +133,31 @@ def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[in
     return parent, up, orders
 
 
-def connected_components(g: InterferenceGraph) -> list[list[NodeRef]]:
-    """Components in ascending order of their smallest member, X side first."""
-    nodes = g.index.nodes
-    return [[nodes[v] for v in sorted(order)] for order in components(g)[2]]
+def connected_components(g: InterferenceGraph) -> list[list[int]]:
+    """Components as sorted node id lists, in ascending order of their smallest id."""
+    return [sorted(order) for order in components(g)[2]]
 
 
 def has_cycle(g: InterferenceGraph) -> bool:
     """True iff g is not a forest, i.e. has more than V - C edges."""
-    return len(g.edges) > len(g.index.nodes) - len(components(g)[2])
+    return len(g.edges) > len(g.index.incidence) - len(components(g)[2])
 
 
-def decompose(g: InterferenceGraph) -> tuple[Tree, ...]:
+def decompose(g: InterferenceGraph) -> tuple[list[int], list[int], list[list[int]]]:
     """Split an acyclic interference graph into rooted BFS trees.
 
-    One tree per component that holds a source, rooted at its smallest
-    source, in ascending root order: a {node: parent} dict that lists every
-    node after its parent, the root mapped to None.  Components without a
-    source are single destination nodes and carry no tree.  Raises
-    CyclicGraph when the graph has a cycle.
+    Returns ``components``' arrays, every node's BFS parent and tree-edge
+    id, with the visit orders of the components that hold a source only:
+    each is rooted at its smallest source, in ascending root order, and
+    lists every node after its parent.  Components without a source are
+    single destination nodes and carry no tree.  Raises CyclicGraph when the
+    graph has a cycle.
     """
-    nodes = g.index.nodes
-    parent, _, orders = components(g)
-    if len(g.edges) > len(nodes) - len(orders):
+    parent, up, orders = components(g)
+    if len(g.edges) > len(parent) - len(orders):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
     # sources have the smallest ids, so a component holding one starts at its smallest
-    return tuple({nodes[v]: None if parent[v] == v else nodes[parent[v]] for v in order}
-                 for order in orders if order[0] < g.n_sources)
+    return parent, up, [order for order in orders if order[0] < g.n_sources]
 
 
 def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
@@ -206,8 +203,9 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
         best = path[::-1]
     if best is None:
         return None
-    k0 = min((k for k, v in enumerate(best) if v < g.n_sources), key=best.__getitem__)
-    return tuple(index.nodes[v] for v in best[k0:] + best[:k0])
+    k = g.n_sources
+    k0 = min((t for t, v in enumerate(best) if v < k), key=best.__getitem__)
+    return tuple(("x", v) if v < k else ("y", v - k) for v in best[k0:] + best[:k0])
 
 
 def to_dot(g: InterferenceGraph) -> str:

@@ -13,9 +13,8 @@ coincide exactly.  One rule accepts an attempt: exact rank checks at the
 sampled assignment show that every destination decodes.  Any other attempt
 is retried with fresh randomness.
 
-The trees' links are indexed once per plan (``tree_links``), and every
-inverse an attempt needs comes from one ``kernels.inverse`` call, made
-before the walk down the trees.  Verification and decoding gather every
+Every inverse an attempt needs comes from one ``kernels.inverse`` call,
+made before the walk down the trees.  Verification and decoding gather every
 destination's received directions into one (M, n, w) stack, through a
 padded table of source indices, and reduce it in one pass.
 """
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import gf, kernels
 from .gf import DEFAULT_Q
-from .interference import NodeRef, Tree, decompose, edge_between
+from .interference import InterferenceGraph, decompose
 from .network import Network, NetworkRealization, pairs_in, realize
 from .sparsify import SparsificationResult
 
@@ -112,41 +111,33 @@ class PrecodingPlan:
         return (A, self.n)
 
 
-def tree_links(forest: tuple[Tree, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every tree link's transfer row, in walk order, as (destination, source, inverted) arrays."""
-    links = [(node, parent) for tree in forest for node, parent in tree.items() if parent is not None]
-    ends = np.array([edge_between(node, parent) for node, parent in links], dtype=np.int64).reshape(-1, 2)
-    return ends[:, 1], ends[:, 0], np.array([node[0] == "x" for node, _ in links], dtype=bool)
-
-
-def build_precoding(forest: tuple[Tree, ...], links, realization: NetworkRealization, seed: int) -> np.ndarray:
+def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], list[list[int]]], realization: NetworkRealization, seed: int) -> np.ndarray:
     """All precoding vectors, as the (K, n) array V, for one realized assignment.
 
-    ``forest`` holds decompose's trees, each walked in its dict order, and
-    ``links`` their tree_links.  A row may vanish at some slot, walked up or
-    down: only its nonzero entries are inverted, so a zero stays zero and
-    zeroes the vectors below it at that slot, and verification judges whether
-    every destination still decodes.
+    ``forest`` is decompose(g): every node's BFS parent and tree-edge id,
+    and the visit orders that the walk follows.  A link's row may vanish at
+    some slot, walked up or down: only its nonzero entries are inverted, so
+    a zero stays zero and zeroes the vectors below it at that slot, and
+    verification judges whether every destination still decodes.
     """
     q = realization.q
     n = realization.slot_count
+    k = g.n_sources
     rng = np.random.default_rng(seed)
-    dest, src, up = links
-    factor = realization.transfer[dest, src]  # one row per link, in walk order
-    inverted = up[:, None] & (factor != 0)
+    parent, up, orders = forest
+    below = [v for order in orders for v in order[1:]]  # every link's lower node, in walk order
+    src, dest = np.array([g.index.edges[up[v]] for v in below], dtype=np.int64).reshape(-1, 2).T
+    factor = realization.transfer[dest, src]  # one row per link
+    # links walked from a destination node down to a source
+    inverted = (np.array(below, dtype=np.int64) < k)[:, None] & (factor != 0)
     factor[inverted] = kernels.inverse(factor[inverted], q)  # all of the attempt's inverses in one batch
     rows = iter(factor)
-    V = np.zeros((realization.network.n_sources, n), dtype=np.int64)
-    for tree in forest:
-        scale: dict[NodeRef, np.ndarray] = {}
-        for node, parent in tree.items():
-            if parent is None:
-                scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
-            else:
-                scale[node] = scale[parent] * next(rows) % q
-            if node[0] == "x":
-                V[node[1]] = scale[node]
-    return V
+    scale = np.zeros((len(parent), n), dtype=np.int64)
+    for order in orders:
+        scale[order[0]] = rng.integers(1, q, size=n, dtype=np.int64)
+        for v in order[1:]:
+            scale[v] = scale[parent[v]] * next(rows) % q
+    return scale[:k]
 
 
 def decode_sources(plan: PrecodingPlan) -> list[list[int]]:
@@ -222,7 +213,6 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     n = net.demand_size + sparsification.d_star + 1
     h_bar = sparsification.h_bar
     forest = decompose(h_bar)
-    links = tree_links(forest)
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
     used = net.demand_mask.copy()
@@ -238,7 +228,7 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         missed = pairs_in(realization.transfer.any(axis=2) & ~used)
         if missed:
             raise MissedInterference(missed)
-        plan = PrecodingPlan(build_precoding(forest, links, realization, p_seed), realization, new_demands, new_interference)
+        plan = PrecodingPlan(build_precoding(h_bar, forest, realization, p_seed), realization, new_demands, new_interference)
         verdicts = verify_alignment(plan)
         if all(v.ok for v in verdicts):
             return dataclasses.replace(plan, verdicts=tuple(verdicts), attempts=attempt)

@@ -56,7 +56,7 @@ def _spanning_forest(g: InterferenceGraph, labeling: tuple[Edge, ...]) -> bytear
     tend to lie off it and need no search.
     """
     ids, k = g.index.ids, g.n_sources
-    root = list(range(len(g.index.nodes)))
+    root = list(range(len(g.index.incidence)))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -208,7 +208,10 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     none exists, or until it reaches the bond rank f - (k + m) + 1 of
     ``pool``'s component, past which none can; by the matroid intersection
     theorem the result is maximum.  ``pool`` holds the edges of one
-    component of g.
+    component of g, and d must be at least 1: a destination with no removed
+    edge never counts as full, so at d = 0 every outside edge would be a
+    sink.  find_dstar never calls it at d = 0: it starts at d = 0 only for
+    a target of 0, which the empty scan already meets.
 
     Bond independence is read off the bridges of H = G - I: since
     ``current`` (I) keeps every component connected, I + x does iff x is
@@ -288,8 +291,9 @@ class SparsificationResult:
     destination node has lost exactly min(d_star, degree) edges; those losses
     define the per-destination extra-decode sets.  ``independence_checks`` adds
     f, the component's edge count, per greedy scan: every scanned candidate
-    counts, quota-skipped ones too.  ``augmentations`` counts the rare
-    exact-fallback passes that rescued a stalled greedy scan.
+    counts, quota-skipped ones too.  ``augmentations`` counts every call
+    of the exact fallback after a greedy scan stalled below the bond rank,
+    including the calls that only prove a quota infeasible.
     """
 
     d_star: int
@@ -317,12 +321,12 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     stats = []
     for comp in connected_components(g):
         members = set(comp)
-        comp_labels = tuple(e for e in label_order if ("x", e[0]) in members)
+        comp_labels = tuple(e for e in label_order if e[0] in members)
         f = len(comp_labels)
         if f == 0:
             continue
-        k = sum(1 for kind, _ in comp if kind == "x")
-        m = sum(1 for kind, _ in comp if kind == "y")
+        k = sum(1 for v in comp if v < g.n_sources)
+        m = len(comp) - k
         target = f - k - m + 1
         max_degree = max(Counter(i for _, i in comp_labels).values())
         d = max(0, math.ceil(target / m))

@@ -12,6 +12,11 @@ membership predicate for the matroids find_dstar intersects;
 greedy scan and the exchange-graph augmentation with one full component
 count per independence test; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
+``bfs_forest`` builds decompose's forest as {node: parent} trees, and
+``precoding_by_tree_walk`` is the walk build_precoding once made down them,
+one link at a time with egcd inverses; ``integer_forest`` turns such trees
+into decompose's (parent, up, orders) arrays, so other roots can be fed to
+build_precoding.
 ``transfer_by_unit_columns`` is the dense propagation ``realize`` once ran:
 every source injects its unit vector through every edge of the per-edge
 schedule, so each edge carries K columns.
@@ -374,6 +379,58 @@ def bfs_tree(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[
                 tree[v] = u
                 queue.append(v)
     return tree
+
+
+def bfs_forest(g: InterferenceGraph) -> list[dict[NodeRef, NodeRef | None]]:
+    """One ``bfs_tree`` per component that holds a source, from its smallest source, in ascending root order."""
+    trees: list[dict[NodeRef, NodeRef | None]] = []
+    for j in range(g.n_sources):
+        if not any(("x", j) in tree for tree in trees):
+            trees.append(bfs_tree(g, ("x", j)))
+    return trees
+
+
+def integer_forest(g: InterferenceGraph, trees) -> tuple[list[int], list[int], list[list[int]]]:
+    """{node: parent} trees as decompose's arrays: every node's parent (itself at a root or
+    outside the trees) and tree-edge id (-1 there), and each tree's nodes in its dict order."""
+    k = g.n_sources
+
+    def node_id(v: NodeRef) -> int:
+        return v[1] if v[0] == "x" else k + v[1]
+
+    parent, up = list(range(k + g.n_destinations)), [-1] * (k + g.n_destinations)
+    for tree in trees:
+        for v, u in tree.items():
+            if u is not None:
+                parent[node_id(v)] = node_id(u)
+                up[node_id(v)] = g.index.ids[(v[1], u[1]) if v[0] == "x" else (u[1], v[1])]
+    return parent, up, [[node_id(v) for v in tree] for tree in trees]
+
+
+def precoding_by_tree_walk(trees, realization, seed: int) -> np.ndarray:
+    """Precoding vectors by walking {node: parent} trees link by link, in dict order.
+
+    Each root draws its random vector as it is reached; every other node
+    takes its parent's vector times the link's transfer row, walked from a
+    source down to a destination node, or times its egcd inverse, walked from
+    a destination node down to a source, a vanished entry staying 0.
+    """
+    q, n = realization.q, realization.slot_count
+    rng = np.random.default_rng(seed)
+    V = np.zeros((realization.transfer.shape[1], n), dtype=np.int64)
+    for tree in trees:
+        scale: dict[NodeRef, np.ndarray] = {}
+        for node, parent in tree.items():
+            if parent is None:
+                scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
+            elif node[0] == "y":
+                scale[node] = scale[parent] * realization.transfer[node[1], parent[1]] % q
+            else:
+                row = [egcd_inverse(int(m), q) if m else 0 for m in realization.transfer[parent[1], node[1]]]
+                scale[node] = scale[parent] * np.array(row, dtype=np.int64) % q
+            if node[0] == "x":
+                V[node[1]] = scale[node]
+    return V
 
 
 def component_count(g: InterferenceGraph, removed=frozenset()) -> int:

@@ -52,33 +52,30 @@ def test_has_cycle_matches_bruteforce_on_random_graphs():
     assert seen_cyclic > 5
 
 
-def _depths(tree) -> dict:
-    """Depth of every node of a {node: parent} tree; a KeyError means a child came before its parent."""
+def _depths(parent, order) -> dict:
+    """Depth of every node of one visit order; a KeyError means a child came before its parent."""
     depth = {}
-    for v, u in tree.items():
-        depth[v] = 0 if u is None else depth[u] + 1
+    for v in order:
+        depth[v] = 0 if parent[v] == v else depth[parent[v]] + 1
     return depth
 
 
 def test_decompose_single_edge():
     g = ig.InterferenceGraph(2, 1, frozenset({(1, 0)}))
-    # the isolated source S1, then the S2-W1 tree
-    assert [list(t.items()) for t in ig.decompose(g)] == [
-        [(("x", 0), None)],
-        [(("x", 1), None), (("y", 0), ("x", 1))],
-    ]
+    # the isolated source S1, then the S2-W1 tree; W1 is node 2, reached over edge 0
+    assert ig.decompose(g) == ([0, 1, 1], [-1, -1, 0], [[0], [1, 2]])
 
 
 def test_decompose_path():
     g = ig.InterferenceGraph(2, 1, frozenset({(0, 0), (1, 0)}))
-    (tree,) = ig.decompose(g)
-    assert list(tree.items()) == [(("x", 0), None), (("y", 0), ("x", 0)), (("x", 1), ("y", 0))]
+    # S1 -(edge 0)- W1 -(edge 1)- S2
+    assert ig.decompose(g) == ([0, 2, 0], [-1, 1, 0], [[0, 2, 1]])
 
 
 def test_decompose_star():
     g = ig.InterferenceGraph(3, 1, frozenset({(0, 0), (1, 0), (2, 0)}))
-    (tree,) = ig.decompose(g)
-    assert list(tree.items()) == [(("x", 0), None), (("y", 0), ("x", 0)), (("x", 1), ("y", 0)), (("x", 2), ("y", 0))]
+    # S1 -(edge 0)- W1, then S2 and S3 below W1 over edges 1 and 2
+    assert ig.decompose(g) == ([0, 3, 3, 0], [-1, 1, 2, 0], [[0, 3, 1, 2]])
 
 
 def test_decompose_rejects_cycles():
@@ -93,21 +90,22 @@ def test_decompose_partitions_nodes_and_levels_alternate():
         g = random_bipartite(rng, max_edges=8)
         if ig.has_cycle(g):
             continue
-        forest = ig.decompose(g)
+        k = g.n_sources
+        parent, up, orders = ig.decompose(g)
         seen_x: list[int] = []
         # destinations without an interferer form their own components and carry no tree
         seen_y: list[int] = list(g.empty_destinations())
-        for tree in forest:
-            seen_x.extend(idx for kind, idx in tree if kind == "x")
-            seen_y.extend(idx for kind, idx in tree if kind == "y")
-            depth = _depths(tree)
-            for (kind, _), d in depth.items():
-                assert kind == ("x" if d % 2 == 0 else "y")
+        for order in orders:
+            seen_x.extend(v for v in order if v < k)
+            seen_y.extend(v - k for v in order if v >= k)
+            depth = _depths(parent, order)
+            for v, d in depth.items():
+                assert (v < k) == (d % 2 == 0)
             # every tree edge is a graph edge joining consecutive levels
-            for v, u in tree.items():
-                if u is not None:
-                    assert ((u[1], v[1]) if u[0] == "x" else (v[1], u[1])) in g.edges
-                    assert depth[v] == depth[u] + 1
+            for v in order[1:]:
+                u = parent[v]
+                assert g.index.edges[up[v]] == ((v, u - k) if v < k else (u, v - k))
+                assert depth[v] == depth[u] + 1
         assert sorted(seen_x) == list(range(g.n_sources))
         assert sorted(seen_y) == list(range(g.n_destinations))
 
@@ -163,12 +161,12 @@ def test_components_discovered_in_ascending_root_order():
         g = random_bipartite(rng, max_edges=8)
         if ig.has_cycle(g):
             continue
-        forest = ig.decompose(g)
-        roots = [next(iter(tree)) for tree in forest]
+        parent, up, orders = ig.decompose(g)
+        roots = [order[0] for order in orders]
         assert roots == sorted(roots)
-        for root, tree in zip(roots, forest):
-            assert tree[root] is None
-            assert root == min(v for v in tree if v[0] == "x")
+        for root, order in zip(roots, orders):
+            assert parent[root] == root and up[root] == -1
+            assert root == min(v for v in order if v < g.n_sources)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +181,15 @@ def _mask(g: ig.InterferenceGraph, removed) -> bytearray:
     return mask
 
 
+def _refs(g: ig.InterferenceGraph) -> list:
+    """Every node's NodeRef, by node id: sources, then destinations."""
+    return [("x", j) for j in range(g.n_sources)] + [("y", i) for i in range(g.n_destinations)]
+
+
 def _nx_graph(g: ig.InterferenceGraph, removed=frozenset()):
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
-    h.add_nodes_from(g.index.nodes)
+    h.add_nodes_from(_refs(g))
     h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges - set(removed))
     return nx, h
 
@@ -222,8 +225,9 @@ def test_connected_components_match_networkx_under_removals():
             nx, h = _nx_graph(g, removed)
             rest = g.replace_edges(g.edges - removed)
             components = ig.connected_components(rest)
-            # ascending order of the smallest member, each component sorted
-            assert components == sorted(sorted(c) for c in nx.connected_components(h))
+            # ascending order of the smallest member, each component's node ids sorted
+            refs = _refs(g)
+            assert components == sorted(sorted(refs.index(v) for v in c) for c in nx.connected_components(h))
             assert ig.has_cycle(rest) == (not nx.is_forest(h))
             counts.add(len(components))
             cyclic.add(ig.has_cycle(rest))
@@ -242,19 +246,22 @@ def test_decompose_matches_networkx():
             cyclic += 1
             continue
         forests += 1
-        trees = ig.decompose(g)
+        parent, up, orders = ig.decompose(g)
+        refs = _refs(g)
         with_source = sorted((c for c in nx.connected_components(h) if any(v[0] == "x" for v in c)),
                              key=lambda c: min(c))
-        assert [set(tree) for tree in trees] == with_source
-        for tree, comp in zip(trees, with_source):
-            root = next(iter(tree))
-            assert root == min(v for v in comp if v[0] == "x")
-            lengths = nx.shortest_path_length(h, root)
-            for v, u in tree.items():
-                assert (u is None) == (v == root)
-                if u is not None:
-                    assert h.has_edge(u, v)
-            assert _depths(tree) == lengths
+        assert [{refs[v] for v in order} for order in orders] == with_source
+        for order, comp in zip(orders, with_source):
+            root = order[0]
+            assert refs[root] == min(v for v in comp if v[0] == "x")
+            lengths = nx.shortest_path_length(h, refs[root])
+            for v in order:
+                assert (parent[v] == v) == (v == root) == (up[v] == -1)
+                if v != root:
+                    assert h.has_edge(refs[parent[v]], refs[v])
+                    j, i = g.index.edges[up[v]]
+                    assert {("x", j), ("y", i)} == {refs[parent[v]], refs[v]}
+            assert {refs[v]: d for v, d in _depths(parent, order).items()} == lengths
     assert forests > 100 and cyclic > 50
 
 
@@ -311,7 +318,7 @@ def _bond_removal(rng, nx, g):
     keeps cycles, and with them 2-edge-connected classes of several nodes.
     """
     h = nx.Graph()
-    h.add_nodes_from(g.index.nodes)
+    h.add_nodes_from(_refs(g))
     h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges)
     components = nx.number_connected_components(h)
     removal = set()

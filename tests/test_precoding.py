@@ -6,12 +6,13 @@ import pytest
 
 from pbna import gf
 from pbna import precoding as pc
-from pbna.interference import build_igraph, decompose
-from pbna.network import Network, load_network_file, realize
+from pbna.interference import InterferenceGraph, build_igraph, decompose, has_cycle
+from pbna.network import Network, NetworkRealization, load_network_file, realize
 from pbna.simulate import run_session
 from pbna.sparsify import find_dstar
-from gen import adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, seeded_messages, sixcycle_net
-from oracles import bfs_tree, verdicts_by_ranks
+from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite, seeded_messages,
+                 sixcycle_net)
+from oracles import bfs_forest, bfs_tree, integer_forest, precoding_by_tree_walk, verdicts_by_ranks
 
 
 def path_net() -> Network:
@@ -38,6 +39,15 @@ def build_plan(net: Network, seed: int = 0, q: int = gf.DEFAULT_Q) -> pc.Precodi
     return pc.plan_with_resampling(net, spars, seed=seed, q=q)
 
 
+def walked_up_links(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(destination, source) arrays of the tree links build_precoding inverts:
+    those walked from a destination node down to a source, in walk order."""
+    _, up, orders = decompose(g)
+    links = [g.index.edges[up[v]] for order in orders for v in order[1:] if v < g.n_sources]
+    src, dest = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    return dest, src
+
+
 # ---------------------------------------------------------------------------
 # build_precoding
 
@@ -48,7 +58,7 @@ def test_path_vector_follows_parity_rule():
     realization = realize(net, 2, seed=5, q=q)
     graph = build_igraph(net, realization)
     forest = decompose(graph)
-    V = pc.build_precoding(forest, pc.tree_links(forest), realization, seed=8)
+    V = pc.build_precoding(graph, forest, realization, seed=8)
     theta = V[0]  # the root keeps its raw random vector
     for k in range(2):
         m11 = int(realization.transfer[0, 0, k])
@@ -59,7 +69,7 @@ def test_path_vector_follows_parity_rule():
     assert (V[2] != 0).all()
     # the walked-up (D1, S2) link vanishing at slot 0 zeroes S2's vector there, and only there
     realization.transfer[0, 1, 0] = 0
-    V0 = pc.build_precoding(forest, pc.tree_links(forest), realization, seed=8)
+    V0 = pc.build_precoding(graph, forest, realization, seed=8)
     assert V0[1, 0] == 0 and V0[1, 1] == V[1, 1]
 
 
@@ -67,12 +77,58 @@ def test_star_columns_coincide():
     net = star_net()
     realization = realize(net, 2, seed=11)
     graph = build_igraph(net, realization)
-    forest = decompose(graph)
-    V = pc.build_precoding(forest, pc.tree_links(forest), realization, seed=3)
+    V = pc.build_precoding(graph, decompose(graph), realization, seed=3)
     q = realization.q
     cols = [realization.transfer[0, j, :] * V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
     assert np.array_equal(cols[0], cols[2])
+
+
+def _oracle_cases(rng: np.random.Generator):
+    """(graph, realization) pairs on forests, cycling q through 3, 7 and 2^31 - 1.
+
+    random_bipartite forests get random transfer values with about one entry
+    in eight zeroed, so links vanish at every q; forest_instance graphs and
+    sparsified cyclic_instance graphs get their networks' realizations.
+    """
+    fields = (3, 7, gf.DEFAULT_Q)
+    cases = []
+    while len(cases) < 180:
+        g = random_bipartite(rng, max_sources=8, max_dests=8, max_edges=11)
+        q, n = fields[len(cases) % 3], int(rng.integers(1, 5))
+        shape = (g.n_destinations, g.n_sources, n)
+        transfer = rng.integers(0, q, size=shape, dtype=np.int64) * (rng.random(shape) >= 0.125)
+        if not has_cycle(g):
+            cases.append((g, NetworkRealization(None, q, n, None, transfer)))
+    for t in range(120):
+        net = forest_instance(rng)[0] if t % 2 else cyclic_instance(rng, int(rng.integers(8, 21)))[0]
+        h_bar = find_dstar(build_igraph(net, realize(net, 3, seed=t))).h_bar
+        cases.append((h_bar, realize(net, int(rng.integers(1, 5)), seed=t, q=fields[t % 3])))
+    return cases
+
+
+def test_build_precoding_matches_the_dict_tree_walk():
+    # the walk down {node: parent} trees that build_precoding replaced is the reference, bit for bit
+    rng = np.random.default_rng(26)
+    seen = {"root-only tree": 0, "destination-only component": 0, "vanished walked-up link": 0, "depth >= 4": 0}
+    cases = _oracle_cases(rng)
+    for t, (g, realization) in enumerate(cases):
+        forest, trees = decompose(g), bfs_forest(g)
+        assert forest == integer_forest(g, trees)
+        seed = int(rng.integers(2**31))
+        assert np.array_equal(pc.build_precoding(g, forest, realization, seed),
+                              precoding_by_tree_walk(trees, realization, seed)), t
+        parent, _, orders = forest
+        depth = [0] * len(parent)
+        for v in (v for order in orders for v in order[1:]):
+            depth[v] = depth[parent[v]] + 1
+        dest, src = walked_up_links(g)
+        seen["root-only tree"] += any(len(order) == 1 for order in orders)
+        seen["destination-only component"] += len(g.empty_destinations()) > 0
+        seen["vanished walked-up link"] += not realization.transfer[dest, src].all()
+        seen["depth >= 4"] += max(depth) >= 4
+    assert len(cases) >= 300
+    assert min(seen.values()) >= 20, seen
 
 
 def test_every_vector_nonzero_on_random_forests():
@@ -89,8 +145,8 @@ def test_a_vanished_walked_up_link_costs_no_attempt_by_itself():
     # a plan whose inverted link vanished somewhere is accepted whenever it decodes
     net = path_net()
     spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
-    dest, src, up = pc.tree_links(decompose(spars.h_bar))
-    assert list(zip(dest[up].tolist(), src[up].tolist())) == [(0, 1)]  # S2 hangs below W1, below the root S1
+    dest, src = walked_up_links(spars.h_bar)
+    assert list(zip(dest.tolist(), src.tolist())) == [(0, 1)]  # S2 hangs below W1, below the root S1
     vanished = 0
     for seed in range(40):
         plan = pc.plan_with_resampling(net, spars, max_attempts=200, seed=seed, q=3)
@@ -282,7 +338,7 @@ def test_every_accepted_plan_decodes_at_small_q():
     seen = {"plans at q <= 7": 0, "exhausted": 0, "plans with a vanished walked-up link": 0}
     for n, net in enumerate(nets):
         spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
-        dest, src, up = pc.tree_links(decompose(spars.h_bar))
+        dest, src = walked_up_links(spars.h_bar)
         for q in (2, 3, 7, 31):
             for seed in range(10):
                 try:
@@ -293,7 +349,7 @@ def test_every_accepted_plan_decodes_at_small_q():
                 trace = run_session(plan, seeded_messages(net, q, range(seed, seed + 3)))
                 assert all(trace.success), (n, q, seed)
                 seen["plans at q <= 7"] += q <= 7
-                seen["plans with a vanished walked-up link"] += not plan.realization.transfer[dest[up], src[up]].all()
+                seen["plans with a vanished walked-up link"] += not plan.realization.transfer[dest, src].all()
     assert seen["plans at q <= 7"] >= 20 and seen["exhausted"] > 0, seen
     assert seen["plans with a vanished walked-up link"] >= 10, seen
 
@@ -335,13 +391,14 @@ def test_root_choice_does_not_change_verdicts():
     # demanded set unchanged, no extra decode
     sets = ((net.demands[0],), (frozenset(graph.interferers(0)),))
     forest_a = decompose(graph)
-    plan_a = pc.PrecodingPlan(pc.build_precoding(forest_a, pc.tree_links(forest_a), realization, 1), realization, *sets)
+    plan_a = pc.PrecodingPlan(pc.build_precoding(graph, forest_a, realization, 1), realization, *sets)
     verdicts_a = pc.verify_alignment(plan_a)
     for other_root in (1, 2):
         # the star's tree rooted at another source, then the isolated S4's own tree
-        forest_b = (bfs_tree(graph, ("x", other_root)), bfs_tree(graph, ("x", 3)))
-        assert [set(t) for t in forest_b] == [set(t) for t in decompose(graph)]
-        plan_b = pc.PrecodingPlan(pc.build_precoding(forest_b, pc.tree_links(forest_b), realization, 1), realization, *sets)
+        forest_b = integer_forest(graph, (bfs_tree(graph, ("x", other_root)), bfs_tree(graph, ("x", 3))))
+        assert [set(order) for order in forest_b[2]] == [set(order) for order in forest_a[2]]
+        assert forest_b[2][0][0] == other_root
+        plan_b = pc.PrecodingPlan(pc.build_precoding(graph, forest_b, realization, 1), realization, *sets)
         verdicts_b = pc.verify_alignment(plan_b)
         assert verdicts_a == verdicts_b
 

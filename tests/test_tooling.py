@@ -19,15 +19,24 @@ def _names_used(tree: ast.AST) -> set[str]:
     return set(_reads(tree)) | {node.name for node in ast.walk(tree) if isinstance(node, ast.alias)}
 
 
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class, or the non-dunder
+    names an assignment binds, such as a type alias or a constant."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_every_module_level_definition_has_a_caller_in_src():
     # code in src/ that only tests use belongs in the tests
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             names = _names_used(stmt)
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, stmt.name))
-                names.discard(stmt.name)  # its own body is no caller
+            for name in _defined_names(stmt):
+                defined.append((path.stem, name))
+                names.discard(name)  # its own statement is no reader
             used |= names
     assert CALLED_FROM_OUTSIDE <= set(defined)
     unused = [f"{module}.{name}" for module, name in defined
