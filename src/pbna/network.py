@@ -9,6 +9,11 @@ in-edges.  Source-to-destination transfer functions are never materialized as
 polynomials -- they are evaluated at concrete coefficient assignments by
 forward propagation in topological order.
 
+Every pass over the network walks one integer view that construction builds:
+node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
+a list of its out-edge ids.  Only ``_max_flow`` builds residual arcs (an
+edge and its reverse), and it builds them afresh on each call.
+
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
 1-based source indices, one array per destination).
@@ -53,7 +58,13 @@ class AssumptionViolation(Exception):
 class Network:
     """Immutable groupcast network; validated on construction.
 
-    demands holds 0-based source index sets, one per destination.
+    demands holds 0-based source index sets, one per destination.  The same
+    pass builds the integer view the network's passes walk, node k being
+    ``nodes[k]``: edge e runs ``tail[e] -> head[e]``, ``out[v]`` lists node
+    v's out-edges in ascending order, ``source_ids`` and ``destination_ids``
+    are the terminals' nodes, ``destination_of[v]`` is node v's position in
+    ``destinations`` or -1, and ``topo_index`` is a topological order of the
+    nodes.
     """
 
     nodes: tuple[str, ...]
@@ -69,20 +80,31 @@ class Network:
         self.destinations = tuple(self.destinations)
         self.demands = tuple(frozenset(d) for d in self.demands)
 
-        known = set(self.nodes)
-        if len(known) != len(self.nodes):
+        position = {v: k for k, v in enumerate(self.nodes)}
+        if len(position) != len(self.nodes):
             raise ParseError("duplicate node ids")
-        for t, h in self.edges:
-            if t not in known or h not in known:
+        out: list[list[int]] = [[] for _ in self.nodes]
+        for e, (t, h) in enumerate(self.edges):
+            if t not in position or h not in position:
                 raise ParseError(f"edge ({t!r}, {h!r}) references an unknown node")
             if t == h:
                 raise CycleError(f"self-loop at node {t!r}")
+            out[position[t]].append(e)
+        self.tail = tuple(position[t] for t, _ in self.edges)
+        self.head = tuple(position[h] for _, h in self.edges)
+        self.out = tuple(map(tuple, out))
         for group, name in ((self.sources, "sources"), (self.destinations, "destinations")):
             if len(set(group)) != len(group):
                 raise ParseError(f"duplicate entries in {name}")
             for node in group:
-                if node not in known:
+                if node not in position:
                     raise ParseError(f"{name} entry {node!r} is not a declared node")
+        self.source_ids = tuple(position[v] for v in self.sources)
+        self.destination_ids = tuple(position[v] for v in self.destinations)
+        destination_of = [-1] * len(self.nodes)
+        for i, v in enumerate(self.destination_ids):
+            destination_of[v] = i
+        self.destination_of = tuple(destination_of)
         if len(self.demands) != len(self.destinations):
             raise ParseError("need exactly one demand set per destination")
         if not self.demands:
@@ -96,7 +118,7 @@ class Network:
             for j in dem:
                 if not 0 <= j < len(self.sources):
                     raise ParseError(f"demand source index {j} out of range")
-        self._topo_index = self._topological_order()
+        self.topo_index = self._topological_order()
 
     @property
     def n_sources(self) -> int:
@@ -110,27 +132,22 @@ class Network:
     def demand_size(self) -> int:
         return len(self.demands[0])
 
-    @property
-    def topo_index(self) -> tuple[int, ...]:
-        """A topological order of the nodes, as indices (positions in ``nodes``)."""
-        return self._topo_index
-
     def _topological_order(self) -> tuple[int, ...]:
-        # Kahn's algorithm over the arc lists (node index = position, forward
-        # arcs even); the heap hands out the ready node of smallest position,
+        # Kahn's algorithm; the heap hands out the ready node of smallest position,
         # so the order depends only on structure, not on node names.
-        head, out = self.arcs.head, self.arcs.out
-        indeg = [sum(a & 1 for a in arcs) for arcs in out]
+        head, out = self.head, self.out
+        indeg = [0] * len(out)
+        for v in head:
+            indeg[v] += 1
         ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
         order: list[int] = []
         while ready:
             v = heapq.heappop(ready)
             order.append(v)
-            for a in out[v]:
-                if not a & 1:
-                    indeg[head[a]] -= 1
-                    if indeg[head[a]] == 0:
-                        heapq.heappush(ready, head[a])
+            for e in out[v]:
+                indeg[head[e]] -= 1
+                if indeg[head[e]] == 0:
+                    heapq.heappush(ready, head[e])
         if len(order) != len(self.nodes):
             raise CycleError("directed graph has a cycle")
         return tuple(order)
@@ -140,15 +157,10 @@ class Network:
         return _build_layout(self)
 
     @cached_property
-    def arcs(self) -> "ArcLists":
-        return _build_arcs(self)
-
-    @cached_property
     def demand_mask(self) -> np.ndarray:
         """(M, K) read-only bool array, True where destination i demands source j."""
         mask = np.zeros((self.n_destinations, self.n_sources), dtype=bool)
-        for i, dem in enumerate(self.demands):
-            mask[i, list(dem)] = True
+        mask[np.repeat(np.arange(self.n_destinations), self.demand_size), [j for d in self.demands for j in d]] = True
         mask.flags.writeable = False
         return mask
 
@@ -159,38 +171,6 @@ def pairs_in(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
-
-
-@dataclass(frozen=True)
-class ArcLists:
-    """Residual-graph skeleton of a network, shared read-only by every mincut.
-
-    Edge e is arc 2e (tail to head) and its reverse is arc 2e + 1, so an
-    arc's partner is ``a ^ 1``.  head[a] is the node index arc a points to,
-    and out[v] lists the arcs that start at node v: the forward arcs of its
-    out-edges and the reverse arcs of its in-edges.  destination[v] is node
-    v's position in the network's destinations, or -1.
-    """
-
-    index: dict[str, int]
-    head: tuple[int, ...]
-    out: tuple[tuple[int, ...], ...]
-    destination: tuple[int, ...]
-
-
-def _build_arcs(net: Network) -> ArcLists:
-    index = {v: k for k, v in enumerate(net.nodes)}
-    head: list[int] = []
-    out: list[list[int]] = [[] for _ in net.nodes]
-    for tail, h in net.edges:
-        a = len(head)
-        head.extend((index[h], index[tail]))
-        out[index[tail]].append(a)
-        out[index[h]].append(a + 1)
-    destination = [-1] * len(net.nodes)
-    for i, t in enumerate(net.destinations):
-        destination[index[t]] = i
-    return ArcLists(index, tuple(head), tuple(tuple(arcs) for arcs in out), tuple(destination))
 
 
 def load_network(data: bytes | str) -> Network:
@@ -267,9 +247,8 @@ def mincut(net: Network, j: int) -> np.ndarray:
     source's own node, gets 0 and an edge-dominated one gets 1.  Only the
     rest, which have two edge-disjoint paths, run ``_max_flow``.
     """
-    arcs = net.arcs
-    head, out, destination = arcs.head, arcs.out, arcs.destination
-    src = arcs.index[net.sources[j]]
+    head, out, destination_of = net.head, net.out, net.destination_of
+    src = net.source_ids[j]
     order = net.topo_index
     n = len(out)
     into = [0] * n  # reached in-edges seen so far; stays 0 at the source and at unreached nodes
@@ -285,12 +264,10 @@ def mincut(net: Network, j: int) -> np.ndarray:
             d = idom[u]
             depth[u] = depth[d] + 1
             edge_dom[u] = into[u] == 1 or edge_dom[d]
-            if destination[u] >= 0:
-                cuts[destination[u]] = 1 if edge_dom[u] else _max_flow(net, src, u)
-        for a in out[u]:
-            if a & 1:
-                continue
-            v = head[a]
+            if destination_of[u] >= 0:
+                cuts[destination_of[u]] = 1 if edge_dom[u] else _max_flow(net, src, u)
+        for e in out[u]:
+            v = head[e]
             if into[v]:
                 x, y = idom[v], u
                 while x != y:  # a node no shallower than the other is not its ancestor
@@ -308,12 +285,18 @@ def mincut(net: Network, j: int) -> np.ndarray:
 def _max_flow(net: Network, src: int, dst: int) -> int:
     """Max-flow value from node index src to node index dst with unit edge capacities.
 
-    Edmonds-Karp: breadth-first augmenting paths over the network's arc
-    lists, so a call costs O(flow * (V + E)); parallel edges add capacity.
-    Each call keeps its residual capacities to itself.
+    Edmonds-Karp: breadth-first augmenting paths, so a call costs
+    O(flow * (V + E)); parallel edges add capacity.  Each call builds its own
+    residual arcs: edge e is arc 2e (tail to head) and its reverse is arc
+    2e + 1, so an arc's partner is ``a ^ 1``; out[v] lists the arcs that
+    start at node v.
     """
-    arcs = net.arcs
-    head, out = arcs.head, arcs.out
+    head: list[int] = []
+    out: list[list[int]] = [[] for _ in net.nodes]
+    for t, h in zip(net.tail, net.head):
+        out[t].append(len(head))
+        out[h].append(len(head) + 1)
+        head += (h, t)
     residual = [1, 0] * len(net.edges)
     flow = 0
     while True:
@@ -397,13 +380,12 @@ class CodingLayout(Schedule):
 
 
 def _build_layout(net: Network) -> CodingLayout:
-    arcs = net.arcs
     n_nodes, k_sources = len(net.nodes), net.n_sources
-    source_node = _int64([arcs.index[s] for s in net.sources])
+    source_node = _int64(net.source_ids)
     # One pass over the nodes in topological order, their out-edges by index: the coefficient
     # order of the edges.  depth[v] counts the edges on the longest path into node v, and bit j
     # of reach[v] says that v is source j's node or that source j reaches an in-edge of v.
-    head_of, out = arcs.head, arcs.out
+    head_of, out = net.head, net.out
     order: list[int] = []
     depth = [0] * n_nodes
     reach = [0] * n_nodes
@@ -411,17 +393,15 @@ def _build_layout(net: Network) -> CodingLayout:
         reach[v] = 1 << j
     for v in net.topo_index:
         bit, d = reach[v], depth[v] + 1
-        for a in out[v]:
-            if not a & 1:
-                order.append(a >> 1)
-                h = head_of[a]
-                reach[h] |= bit
-                if depth[h] < d:
-                    depth[h] = d
+        order += out[v]
+        for e in out[v]:
+            h = head_of[e]
+            reach[h] |= bit
+            if depth[h] < d:
+                depth[h] = d
     depth, order = _int64(depth), _int64(order)
 
-    tail = _int64(head_of[1::2])  # arc 2e + 1 runs back to edge e's tail
-    head = _int64(head_of[0::2])
+    tail, head = _int64(net.tail), _int64(head_of)
     into = order[np.argsort(head[order], kind="stable")]  # in-edges grouped by head, in that order
     indeg = np.bincount(head, minlength=n_nodes)
     in_ptr = np.cumsum(indeg) - indeg
@@ -441,7 +421,7 @@ def _build_layout(net: Network) -> CodingLayout:
     pair_out = np.repeat(order, fan_in)
     pair_cidx = _runs(first + injects, fan_in)
     rounds = depth[tail[pair_out]] - 1
-    dest_node = _int64([arcs.index[d] for d in net.destinations])
+    dest_node = _int64(net.destination_ids)
     dest_edges = into[_runs(in_ptr[dest_node], indeg[dest_node])]
     dest_ptr = np.concatenate(([0], np.cumsum(indeg[dest_node])))
     edge_schedule = _schedule(len(tail), inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, rounds,

@@ -54,10 +54,10 @@ def check_cycle(net: Network, cycle) -> tuple[NodeRef, ...]:
     for kind, idx in cyc:
         if kind == "x":
             if not 0 <= idx < net.n_sources:
-                raise NotACycle(f"source index {idx} out of range")
+                raise NotACycle(f"S{idx + 1} is out of range: the network has sources S1..S{net.n_sources}")
         elif kind == "y":
             if not 0 <= idx < net.n_destinations:
-                raise NotACycle(f"destination index {idx} out of range")
+                raise NotACycle(f"W{idx + 1} is out of range: the network has destinations W1..W{net.n_destinations}")
         else:
             raise NotACycle(f"bad node kind {kind!r}")
     for t, (kind, _) in enumerate(cyc):

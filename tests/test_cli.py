@@ -159,6 +159,18 @@ def test_obstruct_bad_explicit_cycle_exits_2():
     assert "obstruction" in proc.stderr
 
 
+@pytest.mark.parametrize("cycle, message", [
+    ("S9,W1,S2,W2", "S9 is out of range: the network has sources S1..S4"),
+    ("S1,W9,S2,W2", "W9 is out of range: the network has destinations W1..W4"),
+])
+def test_obstruct_names_out_of_range_cycle_labels(cycle, message, capsys):
+    code = cli.main(["obstruct", "--network", str(FOURBYFOUR), "--cycle", cycle])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_PARSE
+    assert captured.out == ""
+    assert captured.err == f"error: obstruction: {message}\n"
+
+
 # "²" and "١" pass str.isdigit, and int() rejects the first and reads the second as 1; an empty
 # --cycle is one empty label, not a request for the shortest cycle
 @pytest.mark.parametrize("cycle", ["S\u00b2,W1,S2,W2", "S\u0661,W1,S2,W2", "S0,W1,S2,W2", "S1,W0,S2,W2", "S1,,S2,W2", ""])

@@ -106,12 +106,51 @@ def test_topo_order_is_networkx_lexicographic_by_position(which):
         nets = [random_multiterminal_dag(rng, min_nodes=4, max_nodes=14) for _ in range(300)]
     else:
         nets = [ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / which)]
+    seen = {"parallel edges": 0, "source is a destination": 0}
     for net in nets:
         position = {v: k for k, v in enumerate(net.nodes)}
         g = nx.MultiDiGraph()
         g.add_nodes_from(range(len(net.nodes)))
         g.add_edges_from((position[t], position[h]) for t, h in net.edges)
         assert net.topo_index == tuple(nx.lexicographical_topological_sort(g))
+        # the integer view names the same edges, out-edge lists and terminals
+        assert [(net.nodes[net.tail[e]], net.nodes[net.head[e]]) for e in range(len(net.edges))] == list(net.edges)
+        assert net.out == tuple(tuple(e for e, (t, _) in enumerate(net.edges) if t == v) for v in net.nodes)
+        assert tuple(net.nodes[v] for v in net.source_ids) == net.sources
+        assert tuple(net.nodes[v] for v in net.destination_ids) == net.destinations
+        assert net.destination_of == tuple(net.destinations.index(v) if v in net.destinations else -1
+                                           for v in net.nodes)
+        seen["parallel edges"] += len(set(net.edges)) < len(net.edges)
+        seen["source is a destination"] += bool(set(net.sources) & set(net.destinations))
+    if which == "multiterminal":
+        assert min(seen.values()) >= 30, seen
+
+
+_TWO_HOPS = {"nodes": ["S1", "R", "D1"], "edges": [["S1", "R"], ["R", "D1"]], "sources": ["S1"],
+             "destinations": ["D1"], "demands": [[1]]}
+
+
+@pytest.mark.parametrize("change, cls, message", [
+    ({"nodes": ["S1", "R", "D1", "R"]}, ng.ParseError, "duplicate node ids"),
+    ({"edges": [["S1", "R"], ["GHOST", "D1"]]}, ng.ParseError, "edge ('GHOST', 'D1') references an unknown node"),
+    ({"edges": [["S1", "GHOST"], ["R", "D1"]]}, ng.ParseError, "edge ('S1', 'GHOST') references an unknown node"),
+    ({"edges": [["S1", "R"], ["R", "R"], ["R", "D1"]]}, ng.CycleError, "self-loop at node 'R'"),
+    ({"sources": ["GHOST"]}, ng.ParseError, "sources entry 'GHOST' is not a declared node"),
+    ({"destinations": ["GHOST"]}, ng.ParseError, "destinations entry 'GHOST' is not a declared node"),
+    ({"sources": ["S1", "S1"]}, ng.ParseError, "duplicate entries in sources"),
+    ({"destinations": ["D1", "D1"], "demands": [[1], [1]]}, ng.ParseError, "duplicate entries in destinations"),
+    ({"edges": [["S1", "R"], ["R", "D1"], ["D1", "R"]]}, ng.CycleError, "directed graph has a cycle"),
+])
+def test_construction_errors_are_pinned(change, cls, message, tmp_path, capsys):
+    spec = {**_TWO_HOPS, **change}
+    with pytest.raises(ng.ParseError) as info:
+        ng.Network(tuple(spec["nodes"]), tuple(map(tuple, spec["edges"])), tuple(spec["sources"]),
+                   tuple(spec["destinations"]), tuple(frozenset(j - 1 for j in d) for d in spec["demands"]))
+    assert type(info.value) is cls and str(info.value) == message
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["validate", "--network", str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: network: {message}\n"
 
 
 def test_demand_sizes_must_match():
@@ -286,8 +325,8 @@ def test_validate_calls_mincut_once_per_source(which, monkeypatch):
     monkeypatch.setattr(ng, "_max_flow", counting_flow)
     ng.validate_assumptions(net)
     assert calls == list(range(net.n_sources))
-    index = net.arcs.index
-    wide = [(index[net.sources[j]], index[net.destinations[i]])
+    position = {v: k for k, v in enumerate(net.nodes)}
+    wide = [(position[net.sources[j]], position[net.destinations[i]])
             for j in range(net.n_sources) for i in range(net.n_destinations)
             if mincut_by_enumeration(net, j, i) >= 2]
     assert sorted(flows) == sorted(wide)
