@@ -3,27 +3,25 @@
 The graph has one node per source (the X side) and one node W_i per
 destination (the Y side); an edge (j, i) means source j interferes at
 destination i, i.e. j is not demanded there but its transfer function is not
-identically zero.  Traversal results are node ids of the index below:
+identically zero.  Traversal results are node ids of the view below:
 ``connected_components`` gives sorted id lists and ``decompose`` the BFS
 forest as id arrays.  Only the cycle API, whose nodes users type, speaks in
 NodeRef ("x", j) / ("y", i) pairs with 0-based indices.
 
-Underneath, every traversal runs on one cached integer index
-(``InterferenceGraph.index``): source j is node j, destination i is node
-K + i, edge ids follow sorted edge order, and a set of deleted edges is a
-``bytearray`` mask over edge ids.  There is one traversal per question: one
-breadth-first component pass (``components``) serves
+Underneath, every traversal walks one integer view that the graph builds at
+construction (``edge_list``, ``ids`` and ``incidence``): source j is node j,
+destination i is node K + i, edge ids follow sorted edge order, and a set of
+deleted edges is a ``bytearray`` mask over edge ids.  There is one traversal
+per question: one breadth-first component pass (``components``) serves
 ``connected_components``, ``has_cycle`` and ``decompose``, and its forest of
 g minus a mask certifies find_dstar's bridges (see ``sparsify``); and
 ``shortest_cycle`` runs its own depth-bounded searches.  find_dstar's
-greedy scan keeps its own spanning forest on the same index.
+greedy scan keeps its own spanning forest on the same view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 from .network import Network, NetworkRealization, pairs_in
 
@@ -35,29 +33,35 @@ class CyclicGraph(Exception):
     """Forest decomposition was requested for a graph with cycles."""
 
 
-class GraphIndex(NamedTuple):
-    """Integer view of an interference graph.
+@dataclass(eq=False)
+class InterferenceGraph:
+    """Bipartite interference graph; the same pass builds the integer view every traversal walks.
 
-    Node v is source v for v < K and destination v - K otherwise.
-    ``edges[k]`` is edge k, in sorted order, so ascending edge ids are
-    ascending (source, destination) pairs; ``ids`` inverts it.
-    ``incidence[v]`` lists v's (neighbour, edge id) pairs by ascending edge id.
+    ``edges`` may be any iterable of edges and is normalized to a frozenset;
+    the graph is not mutated afterwards, or the view would go stale.  Node v
+    is source v for v < K and destination v - K otherwise.  ``edge_list[x]``
+    is edge x, in sorted order, so ascending edge ids are ascending (source,
+    destination) pairs; ``ids`` inverts it.  ``incidence[v]`` lists v's
+    (neighbour, edge id) pairs by ascending edge id.
     """
 
-    edges: tuple[Edge, ...]
-    ids: dict[Edge, int]
-    incidence: tuple[list[tuple[int, int]], ...]
-
-
-@dataclass(frozen=True)
-class InterferenceGraph:
     n_sources: int
     n_destinations: int
     edges: frozenset[Edge]
 
+    def __post_init__(self) -> None:
+        self.edges = frozenset(self.edges)
+        k = self.n_sources
+        self.edge_list = tuple(sorted(self.edges))
+        self.ids = {edge: x for x, edge in enumerate(self.edge_list)}
+        self.incidence = tuple([] for _ in range(k + self.n_destinations))
+        for x, (j, i) in enumerate(self.edge_list):
+            self.incidence[j].append((k + i, x))
+            self.incidence[k + i].append((j, x))
+
     def interferers(self, i: int) -> tuple[int, ...]:
         """Sources with an edge at destination i, ascending."""
-        return tuple(j for j, _ in self.index.incidence[self.n_sources + i])
+        return tuple(j for j, _ in self.incidence[self.n_sources + i])
 
     def empty_destinations(self) -> tuple[int, ...]:
         """Destinations with no interferer.
@@ -66,24 +70,6 @@ class InterferenceGraph:
         warnings, not as violations.
         """
         return tuple(i for i in range(self.n_destinations) if not self.interferers(i))
-
-    def replace_edges(self, edges) -> "InterferenceGraph":
-        return InterferenceGraph(self.n_sources, self.n_destinations, frozenset(edges))
-
-    @cached_property
-    def index(self) -> GraphIndex:
-        """The integer index every traversal runs on, built once per graph.
-
-        cached_property writes the instance __dict__, so it works on the
-        frozen dataclass and stays out of eq/hash.
-        """
-        k = self.n_sources
-        edges = tuple(sorted(self.edges))
-        incidence: tuple[list[tuple[int, int]], ...] = tuple([] for _ in range(k + self.n_destinations))
-        for e, (j, i) in enumerate(edges):
-            incidence[j].append((k + i, e))
-            incidence[k + i].append((j, e))
-        return GraphIndex(edges, {edge: e for e, edge in enumerate(edges)}, incidence)
 
 
 def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
@@ -95,7 +81,7 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
     left without an interferer are listed by ``empty_destinations``.
     """
     live = realization.transfer.any(axis=2) & ~net.demand_mask  # (M, K)
-    return InterferenceGraph(net.n_sources, net.n_destinations, frozenset((j, i) for i, j in pairs_in(live)))
+    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs_in(live)))
 
 
 def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
@@ -112,9 +98,9 @@ def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[in
     edge id (-1 at a start) and each component's nodes in visit order, in
     which an ancestor always comes before its descendants.
     """
-    incidence = g.index.incidence
+    incidence = g.incidence
     if mask is None:
-        mask = bytes(len(g.index.edges))
+        mask = bytes(len(g.edge_list))
     parent = [-1] * len(incidence)
     up = [-1] * len(incidence)
     orders = []
@@ -140,7 +126,7 @@ def connected_components(g: InterferenceGraph) -> list[list[int]]:
 
 def has_cycle(g: InterferenceGraph) -> bool:
     """True iff g is not a forest, i.e. has more than V - C edges."""
-    return len(g.edges) > len(g.index.incidence) - len(components(g)[2])
+    return len(g.edges) > len(g.incidence) - len(components(g)[2])
 
 
 def decompose(g: InterferenceGraph) -> tuple[list[int], list[int], list[list[int]]]:
@@ -171,10 +157,9 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
     Rotated to start at the smallest source on the cycle for deterministic
     output.
     """
-    index = g.index
-    incidence = index.incidence
+    incidence = g.incidence
     best: list[int] | None = None
-    for skip, (j, i) in enumerate(index.edges):
+    for skip, (j, i) in enumerate(g.edge_list):
         a, b = j, g.n_sources + i
         # a closure beats best iff its path a..b has fewer nodes, i.e. b at depth <= len(best) - 3
         limit = len(incidence) if best is None else len(best) - 3

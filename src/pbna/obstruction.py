@@ -122,7 +122,7 @@ def _is_four_by_four_cycle(net: Network, graph: InterferenceGraph) -> bool:
     if net.n_sources != 4 or net.n_destinations != 4 or net.demand_size != 2:
         return False
     # a 2-regular bipartite graph on 8 nodes is one 8-cycle or two 4-cycles
-    return all(len(nbrs) == 2 for nbrs in graph.index.incidence) and len(connected_components(graph)) == 1
+    return all(len(nbrs) == 2 for nbrs in graph.incidence) and len(connected_components(graph)) == 1
 
 
 def infeasibility_report(net: Network, ratio: CycleRatio, graph: InterferenceGraph) -> ObstructionReport:

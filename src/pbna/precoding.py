@@ -126,7 +126,7 @@ def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], li
     rng = np.random.default_rng(seed)
     parent, up, orders = forest
     below = [v for order in orders for v in order[1:]]  # every link's lower node, in walk order
-    src, dest = np.array([g.index.edges[up[v]] for v in below], dtype=np.int64).reshape(-1, 2).T
+    src, dest = np.array([g.edge_list[up[v]] for v in below], dtype=np.int64).reshape(-1, 2).T
     factor = realization.transfer[dest, src]  # one row per link
     # links walked from a destination node down to a source
     inverted = (np.array(below, dtype=np.int64) < k)[:, None] & (factor != 0)

@@ -7,6 +7,9 @@ fixed label order, greedily collecting a set that is independent in both the
 bond (cographic) matroid -- edge sets whose removal keeps every component
 connected -- and the partition matroid that allows at most d edges per
 destination node, raising d until the kept edges form a spanning forest.
+d starts at the least quota that the destination degrees allow: a
+spanning forest keeps an edge at every destination, so at quota d a
+destination of degree deg loses at most min(d, deg - 1) edges.
 
 The common independent sets of two matroids do not form a matroid, so the
 greedy scan can stall at a maximal set below the maximum (rare, but real:
@@ -36,7 +39,6 @@ interference sets from them.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -55,8 +57,8 @@ def _spanning_forest(g: InterferenceGraph, labeling: tuple[Edge, ...]) -> bytear
     The last edges enter the forest first, so the first candidates of a scan
     tend to lie off it and need no search.
     """
-    ids, k = g.index.ids, g.n_sources
-    root = list(range(len(g.index.incidence)))
+    ids, k = g.ids, g.n_sources
+    root = list(range(len(g.incidence)))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -80,7 +82,7 @@ def _replacement_edge(g: InterferenceGraph, s: int, t: int, in_tree: bytearray, 
     lockstep until one of them runs out: that side is the smaller of the two
     trees, and any unmasked non-tree edge that leaves it joins them again.
     """
-    incidence = g.index.incidence
+    incidence = g.incidence
     side = bytearray(len(incidence))
     side[s], side[t] = 1, 2
     a, b = [s], [t]
@@ -121,7 +123,7 @@ def _greedy_scan(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tu
     """
     if d == 0:
         return ()
-    ids, k = g.index.ids, g.n_sources
+    ids, k = g.ids, g.n_sources
     in_tree = _spanning_forest(g, labeling)
     mask = bytearray(len(ids))  # the chosen and the rejected edges
     chosen: list[Edge] = []
@@ -173,7 +175,7 @@ def _bridge_certificate(g: InterferenceGraph, mask: bytearray) -> tuple[bytearra
     for e in up:
         if e >= 0:
             is_bridge[e] = 1
-    incidence = g.index.incidence
+    incidence = g.incidence
     for j in range(g.n_sources):
         for v, e in incidence[j]:
             if mask[e] or up[v] == e or up[j] == e:
@@ -223,7 +225,7 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], d: int, st
     popped y costs only its path length.  The rounds run on edge ids, and
     ascending ids are ascending edges.
     """
-    ids, edges, k = g.index.ids, g.index.edges, g.n_sources
+    ids, edges, k = g.ids, g.edge_list, g.n_sources
     pool_ids = sorted(ids[e] for e in pool)
     rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
     current = bytearray(len(edges))
@@ -293,7 +295,8 @@ class SparsificationResult:
     f, the component's edge count, per greedy scan: every scanned candidate
     counts, quota-skipped ones too.  ``augmentations`` counts every call
     of the exact fallback after a greedy scan stalled below the bond rank,
-    including the calls that only prove a quota infeasible.
+    including the calls that only prove a quota infeasible.  Quotas below
+    the degree count are never scanned, so they add to neither counter.
     """
 
     d_star: int
@@ -305,11 +308,21 @@ class SparsificationResult:
     augmentations: int
 
 
+def _degree_count_quota(degrees, target: int) -> int:
+    """The least quota d with sum(min(d, deg - 1)) >= target over the destination ``degrees``.
+
+    No smaller quota can reach the bond rank ``target`` (see the module
+    docstring).  d = max(degrees) - 1 always passes: its sum f - m is at
+    least f - k - m + 1.
+    """
+    return next(d for d in range(max(degrees)) if sum(min(d, deg - 1) for deg in degrees) >= target)
+
+
 def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     """Find d* and the sparsified acyclic graph for a (possibly disconnected) g.
 
     Each component is searched independently, iterating the quota d upward
-    from max(0, ceil((f-k-m+1)/m)) until the greedy independent set reaches
+    from ``_degree_count_quota`` until the greedy independent set reaches
     size f-k-m+1 (complement a spanning tree); d* is the maximum over
     components.
     """
@@ -328,8 +341,9 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
         k = sum(1 for v in comp if v < g.n_sources)
         m = len(comp) - k
         target = f - k - m + 1
-        max_degree = max(Counter(i for _, i in comp_labels).values())
-        d = max(0, math.ceil(target / m))
+        degrees = Counter(i for _, i in comp_labels).values()
+        max_degree = max(degrees)
+        d = _degree_count_quota(degrees, target)
         while True:
             chosen = _greedy_scan(g, comp_labels, d)
             checks += f
@@ -365,7 +379,7 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     return SparsificationResult(
         d_star=d_star,
         removed=frozenset(removed),
-        h_bar=g.replace_edges((j, i) for j, i in g.edges if j not in extra[i]),
+        h_bar=InterferenceGraph(g.n_sources, g.n_destinations, ((j, i) for j, i in g.edges if j not in extra[i])),
         extra_decode=tuple(map(frozenset, extra)),
         components=tuple(stats),
         independence_checks=checks,

@@ -241,6 +241,26 @@ def dense_bipartite(rng: np.random.Generator) -> InterferenceGraph:
     ))
 
 
+def hub_bipartite(rng: np.random.Generator) -> InterferenceGraph:
+    """A dense bipartite core on 2-4 sources and 2-4 destinations, with one or two hub destinations.
+
+    Each hub has one edge into the core and one or two pendant sources.
+    Every hub edge is a bridge, so a hub adds to find_dstar's degree count
+    yet can lose no edge; where the core's own count is tight, the count
+    falls below d*.
+    """
+    k, m = (int(n) for n in rng.integers(2, 5, size=2))
+    density = rng.uniform(0.7, 1.0)
+    edges = [(j, i) for j in range(k) for i in range(m) if rng.random() < density]
+    hubs = int(rng.integers(1, 3))
+    for hub in range(m, m + hubs):
+        edges.append((int(rng.integers(k)), hub))
+        for _ in range(int(rng.integers(1, 3))):
+            edges.append((k, hub))
+            k += 1
+    return InterferenceGraph(k, m + hubs, edges)
+
+
 def random_multiterminal_dag(rng: np.random.Generator, min_nodes: int = 4, max_nodes: int = 7,
                              edge_prob: float = 0.4) -> Network:
     """Random DAG with 1-4 sources and 1-4 destinations, for mincut oracles.

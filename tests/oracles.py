@@ -403,7 +403,7 @@ def integer_forest(g: InterferenceGraph, trees) -> tuple[list[int], list[int], l
         for v, u in tree.items():
             if u is not None:
                 parent[node_id(v)] = node_id(u)
-                up[node_id(v)] = g.index.ids[(v[1], u[1]) if v[0] == "x" else (u[1], v[1])]
+                up[node_id(v)] = g.ids[(v[1], u[1]) if v[0] == "x" else (u[1], v[1])]
     return parent, up, [[node_id(v) for v in tree] for tree in trees]
 
 

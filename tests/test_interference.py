@@ -4,7 +4,7 @@ import pytest
 from pbna import interference as ig
 from pbna import sparsify as sp
 from pbna.network import Network, realize
-from gen import dense_bipartite, forest_instance, random_bipartite
+from gen import cyclic_instance, dense_bipartite, forest_instance, random_bipartite
 from oracles import bipartite_has_cycle_bruteforce, shortest_cycle_by_full_bfs
 
 
@@ -39,6 +39,32 @@ def test_has_cycle_tree_and_disjoint_edges():
     assert not ig.has_cycle(tree)
     two_edges = ig.InterferenceGraph(2, 2, frozenset({(0, 0), (1, 1)}))
     assert not ig.has_cycle(two_edges)
+
+
+def test_integer_view_matches_the_edge_set():
+    # The view built at construction: edge ids follow sorted edge order, ids
+    # inverts edge_list, and incidence lists each node's edges by ascending id.
+    rng = np.random.default_rng(2028)
+    graphs = [ig.InterferenceGraph(3, 2, iter(()))]
+    graphs += [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(120)]
+    graphs += [dense_bipartite(rng) for _ in range(40)]
+    for size in (12, 20, 30):
+        net, drawn = cyclic_instance(rng, size, density=0.1)
+        graphs.append(graph_of(net))
+        assert graphs[-1].edges == drawn
+    seen = {"isolated": 0, "several_components": 0}
+    for g in graphs:
+        k = g.n_sources
+        assert isinstance(g.edges, frozenset)
+        assert g.edge_list == tuple(sorted(g.edges))
+        assert len(g.ids) == len(g.edges) and all(g.ids[g.edge_list[x]] == x for x in range(len(g.edge_list)))
+        assert len(g.incidence) == k + g.n_destinations
+        for v, pairs in enumerate(g.incidence):
+            assert pairs == [(k + i if v == j else j, x) for x, (j, i) in enumerate(sorted(g.edges)) if v in (j, k + i)]
+        seen["isolated"] += any(not pairs for pairs in g.incidence)
+        seen["several_components"] += sum(len(c) > 1 for c in ig.connected_components(g)) >= 2
+    assert graphs[0].edge_list == () and graphs[0].ids == {} and graphs[0].incidence == ([],) * 5
+    assert min(seen.values()) >= 20, seen
 
 
 def test_has_cycle_matches_bruteforce_on_random_graphs():
@@ -104,7 +130,7 @@ def test_decompose_partitions_nodes_and_levels_alternate():
             # every tree edge is a graph edge joining consecutive levels
             for v in order[1:]:
                 u = parent[v]
-                assert g.index.edges[up[v]] == ((v, u - k) if v < k else (u, v - k))
+                assert g.edge_list[up[v]] == ((v, u - k) if v < k else (u, v - k))
                 assert depth[v] == depth[u] + 1
         assert sorted(seen_x) == list(range(g.n_sources))
         assert sorted(seen_y) == list(range(g.n_destinations))
@@ -175,9 +201,9 @@ def test_components_discovered_in_ascending_root_order():
 
 def _mask(g: ig.InterferenceGraph, removed) -> bytearray:
     """The edges in ``removed``, all of them g's, as a mask over g's edge ids."""
-    mask = bytearray(len(g.index.edges))
+    mask = bytearray(len(g.edge_list))
     for edge in removed:
-        mask[g.index.ids[edge]] = 1
+        mask[g.ids[edge]] = 1
     return mask
 
 
@@ -223,7 +249,7 @@ def test_connected_components_match_networkx_under_removals():
         edges = sorted(g.edges)
         for removed in [{e for e in edges if rng.random() < 0.4} for _ in range(3)] + [set()]:
             nx, h = _nx_graph(g, removed)
-            rest = g.replace_edges(g.edges - removed)
+            rest = ig.InterferenceGraph(g.n_sources, g.n_destinations, g.edges - removed)
             components = ig.connected_components(rest)
             # ascending order of the smallest member, each component's node ids sorted
             refs = _refs(g)
@@ -259,7 +285,7 @@ def test_decompose_matches_networkx():
                 assert (parent[v] == v) == (v == root) == (up[v] == -1)
                 if v != root:
                     assert h.has_edge(refs[parent[v]], refs[v])
-                    j, i = g.index.edges[up[v]]
+                    j, i = g.edge_list[up[v]]
                     assert {("x", j), ("y", i)} == {refs[parent[v]], refs[v]}
             assert {refs[v]: d for v, d in _depths(parent, order).items()} == lengths
     assert forests > 100 and cyclic > 50
@@ -268,7 +294,7 @@ def test_decompose_matches_networkx():
 def _bridges(g: ig.InterferenceGraph, removed=frozenset()) -> set:
     """The bridges of g minus ``removed``, as flagged by find_dstar's BFS-forest certificate."""
     is_bridge, _ = sp._bridge_certificate(g, _mask(g, removed))
-    return {edge for edge, flag in zip(g.index.edges, is_bridge) if flag}
+    return {edge for edge, flag in zip(g.edge_list, is_bridge) if flag}
 
 
 def test_bridges_match_networkx_under_removals():
@@ -298,7 +324,7 @@ def test_bridges_do_not_recurse_on_long_paths():
     # S1 to W_n crosses every edge of the 4,000-node BFS tree, all of them bridges
     _, bridge_path = sp._bridge_certificate(g, _mask(g, ()))
     assert bridge_path(0, 2 * n - 1) == list(range(len(path)))
-    assert _bridges(g.replace_edges(path | {(0, n - 1)})) == set()
+    assert _bridges(ig.InterferenceGraph(n, n, path | {(0, n - 1)})) == set()
 
 
 def test_shortest_cycle_matches_one_full_bfs_per_edge():
@@ -349,7 +375,7 @@ def test_bridge_forest_arcs_match_networkx():
         is_bridge, bridge_path = sp._bridge_certificate(g, mask)
         _, h = _nx_graph(g, removal)
         cut = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-        assert {e for e in outs if is_bridge[g.index.ids[e]]} == cut
+        assert {e for e in outs if is_bridge[g.ids[e]]} == cut
         # H has a bridge and a tree edge that some non-tree edge covers
         tree = {e for e in ig.components(g, mask)[1] if e >= 0}
         mixed += bool(cut) and any(not is_bridge[e] for e in tree)
@@ -359,9 +385,9 @@ def test_bridge_forest_arcs_match_networkx():
             h.add_edge(("x", j), ("y", i))
             still = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
             h.remove_edge(("x", j), ("y", i))
-            arcs = {e for e in outs if e not in cut} | {g.index.edges[e] for e in path}
+            arcs = {e for e in outs if e not in cut} | {g.edge_list[e] for e in path}
             assert arcs == {x for x in outs if x not in still}
-            assert {g.index.edges[e] for e in path} <= cut
+            assert {g.edge_list[e] for e in path} <= cut
             checked += 1
             with_path += bool(path)
     assert checked > 500 and with_path > 300 and mixed >= 40

@@ -43,7 +43,7 @@ def walked_up_links(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """(destination, source) arrays of the tree links build_precoding inverts:
     those walked from a destination node down to a source, in walk order."""
     _, up, orders = decompose(g)
-    links = [g.index.edges[up[v]] for order in orders for v in order[1:] if v < g.n_sources]
+    links = [g.edge_list[up[v]] for order in orders for v in order[1:] if v < g.n_sources]
     src, dest = np.array(links, dtype=np.int64).reshape(-1, 2).T
     return dest, src
 

@@ -1,12 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pbna import sparsify as sp
-from pbna.interference import InterferenceGraph, build_igraph, has_cycle
+from pbna.interference import InterferenceGraph, build_igraph, connected_components, has_cycle
 from pbna.network import realize
-from gen import dense_bipartite, forest_instance, random_bipartite
+from gen import dense_bipartite, forest_instance, hub_bipartite, random_bipartite
 from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, greedy_scan_by_component_counts,
                      independence_check)
 
@@ -138,6 +139,28 @@ def test_dstar_within_paper_bound_on_random_graphs():
     assert positive >= 30
 
 
+def test_degree_count_never_exceeds_the_exhaustive_dstar():
+    # find_dstar starts each component at the degree count's quota, so that
+    # count must be a lower bound on the component's exhaustive d*.
+    rng = np.random.default_rng(4096)
+    graphs = [random_bipartite(rng, max_sources=6, max_dests=6, max_edges=14) for _ in range(100)]
+    graphs += [hub_bipartite(rng) for _ in range(200)]
+    seen = {"equal": 0, "below": 0}
+    for g in graphs:
+        for comp in connected_components(g):
+            members = set(comp)
+            edges = [e for e in g.edges if e[0] in members]
+            if not edges:
+                continue
+            target = len(edges) - len(comp) + 1
+            start = sp._degree_count_quota(Counter(i for _, i in edges).values(), target)
+            exact = dstar_exact_removal(InterferenceGraph(g.n_sources, g.n_destinations, edges))
+            assert start <= exact
+            if target > 0:
+                seen["equal" if start == exact else "below"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
 def test_stalled_search_stops_at_the_degree_bound(monkeypatch):
     # With the scan and the augmentation forced to find nothing, the quota
     # loop must give up once d reaches the max destination degree.
@@ -221,7 +244,7 @@ def test_greedy_stall_is_rescued_by_augmentation():
     assert independence_check(g, res.removed, res.d_star)
     kept = g.edges - res.removed
     assert len(kept) == 4 + 3 - 1
-    assert not has_cycle(g.replace_edges(kept))
+    assert not has_cycle(InterferenceGraph(g.n_sources, g.n_destinations, kept))
 
 
 def _outcome(res: sp.SparsificationResult):
@@ -278,8 +301,9 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
     # pool's component.  So a call that reaches the rank makes
     # len(result) - len(start) rounds, and any other call makes one more;
     # each must build exactly one bridge certificate, and nothing outside
-    # the augmentation may build one.
-    passes = rounds = 0
+    # the augmentation may build one.  Some call must make more than one
+    # round, so that counting passes per round is not counting calls.
+    passes = rounds = calls = 0
     kinds = {"at_rank": 0, "below_rank": 0}
     real_certificate, real_augment = sp._bridge_certificate, sp._augment_to_maximum
 
@@ -289,7 +313,8 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
         return real_certificate(*args, **kwargs)
 
     def augment(g, pool, d, start):
-        nonlocal rounds
+        nonlocal rounds, calls
+        calls += 1
         before = passes
         result = real_augment(g, pool, d, start)
         rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
@@ -301,10 +326,30 @@ def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
 
     monkeypatch.setattr(sp, "_bridge_certificate", counting)
     monkeypatch.setattr(sp, "_augment_to_maximum", augment)
-    augmented = sum(sp.find_dstar(g).augmentations for g in _corpus(1992, sparse=0, dense=60))
+    augmented = 0
+    for g in _corpus(1992, sparse=0, dense=60):
+        res = sp.find_dstar(g)
+        augmented += res.augmentations
+        for pool, d, start in _quotas_below_dstar(g, res):
+            sp._augment_to_maximum(g, pool, d, start)
     assert passes == rounds
-    assert augmented >= 20 and rounds > augmented
+    assert augmented >= 20 and rounds > calls
     assert kinds["at_rank"] >= 10 and kinds["below_rank"] >= 10
+
+
+def _quotas_below_dstar(g: InterferenceGraph, res: sp.SparsificationResult):
+    """(pool, d - 1, greedy set) for each component whose d is at least 2.
+
+    find_dstar never searches the quotas that the degree count rules out,
+    so an augmentation at an infeasible quota is run at d - 1 here, from
+    the set the greedy scan gives at that quota.
+    """
+    labels = sp.default_labeling(g)
+    with_edges = [set(comp) for comp in connected_components(g) if len(comp) > 1]
+    for members, stats in zip(with_edges, res.components, strict=True):
+        if stats.d >= 2:
+            pool = tuple(e for e in labels if e[0] in members)
+            yield pool, stats.d - 1, sp._greedy_scan(g, pool, stats.d - 1)
 
 
 def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
@@ -392,14 +437,23 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
     # The whole search, with the greedy scan and the augmentation both
     # replaced by their one-component-count-per-test oracles, must give every
     # result field unchanged; small graphs are also checked exhaustively.
+    # The augmentation at each component's d - 1 must match its oracle too,
+    # and stay below the bond rank, since d is the least feasible quota.
     graphs = _corpus(1226, sparse=150, dense=180)
     fast = [sp.find_dstar(g) for g in graphs]
+    augmented = 0
     for g, res in zip(graphs, fast):
         if len(g.edges) <= 12:
             assert res.d_star == dstar_exact_removal(g)
+        below = list(_quotas_below_dstar(g, res))
+        for pool, d, start in below:
+            chosen = sp._augment_to_maximum(g, pool, d, start)
+            assert chosen == augment_by_component_counts(g, pool, d, start)
+            assert len(chosen) < len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
+        augmented += res.augmentations >= 1 or len(below) > 0
     monkeypatch.setattr(sp, "_greedy_scan", greedy_scan_by_component_counts)
     monkeypatch.setattr(sp, "_augment_to_maximum", augment_by_component_counts)
     counted = [sp.find_dstar(g) for g in graphs]
     assert [_outcome(r) for r in fast] == [_outcome(r) for r in counted]
     assert len(graphs) >= 300
-    assert sum(r.augmentations >= 1 for r in fast) >= 100
+    assert augmented >= 100

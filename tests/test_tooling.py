@@ -59,6 +59,30 @@ def test_every_class_member_has_a_reader_in_src():
     assert [name for name in defined if reads[name.rpartition(".")[2]] <= 0] == []
 
 
+def _attribute_loads(tree: ast.AST) -> Counter:
+    """How often a piece of code reads each attribute name."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
+def test_every_attribute_set_in_post_init_has_a_reader_in_src():
+    # a view built at construction that no pass reads is dead weight; reads inside the
+    # __post_init__ that builds it do not count
+    assigned, reads = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_attribute_loads(tree))
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "__post_init__":
+                        assigned += [f"{path.stem}.{cls.name}.{node.attr}" for node in ast.walk(stmt)
+                                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                                     and getattr(node.value, "id", None) == "self"]
+                        reads.subtract(_attribute_loads(stmt))
+    assert assigned
+    assert [name for name in assigned if reads[name.rpartition(".")[2]] <= 0] == []
+
+
 def test_every_imported_name_is_read_by_its_module():
     # an import its module never reads is dead weight; the strings in __all__ count as reads
     unread = []
