@@ -457,6 +457,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (exception class, stderr prefix, exit code, hint) per typed error; the first row whose class
+# matches wins, so OutputError comes before its base class OSError
+_ERRORS = (
+    (OutputError, "output", EXIT_PARSE, ""),
+    (OSError, "network file", EXIT_PARSE, ""),
+    (AssumptionViolation, "network", EXIT_ASSUMPTIONS, " (every demanded pair needs mincut exactly 1, others at most 1)"),
+    (MissedInterference, "probe", EXIT_ASSUMPTIONS, " (rerun with a larger --zero-trials or --q)"),
+    (ConstraintViolation, "precoding", EXIT_CONSTRAINTS, ""),
+    (MemoryError, "memory", EXIT_PARSE, ""),
+    (ParseError, "network", EXIT_PARSE, ""),
+    (InvalidModulus, "gf", EXIT_PARSE, ""),
+    (NotACycle, "obstruction", EXIT_PARSE, ""),
+    (ConfigError, "config", EXIT_PARSE, ""),
+)
+
+
 def main(argv=None) -> int:
     args = vars(_build_parser().parse_args(argv))
     command = args.pop("command")
@@ -470,30 +486,11 @@ def main(argv=None) -> int:
             print(f"error: simulate: {rr.decode_checks - rr.successes} of {rr.decode_checks} decodes failed",
                   file=sys.stderr)
         return code
-    except OutputError as exc:
-        print(f"error: output: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: network file: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except AssumptionViolation as exc:
-        print(f"error: network: {exc} (every demanded pair needs mincut exactly 1, others at most 1)",
-              file=sys.stderr)
-        return EXIT_ASSUMPTIONS
-    except MissedInterference as exc:
-        print(f"error: probe: {exc} (rerun with a larger --zero-trials or --q)", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
-    except ConstraintViolation as exc:
-        print(f"error: precoding: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINTS
-    except MemoryError as exc:
-        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, InvalidModulus, NotACycle, ConfigError) as exc:
-        module = {ParseError: "network", InvalidModulus: "gf", NotACycle: "obstruction", ConfigError: "config"}
-        prefix = next(name for cls, name in module.items() if isinstance(exc, cls))
-        print(f"error: {prefix}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except tuple(row[0] for row in _ERRORS) as exc:
+        cls, prefix, code, hint = next(row for row in _ERRORS if isinstance(exc, row[0]))
+        detail = str(exc) or ("out of memory" if cls is MemoryError else "")
+        print(f"error: {prefix}: {detail}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

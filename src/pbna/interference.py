@@ -13,10 +13,11 @@ construction (``edge_list``, ``ids`` and ``incidence``): source j is node j,
 destination i is node K + i, edge ids follow sorted edge order, and a set of
 deleted edges is a ``bytearray`` mask over edge ids.  There is one traversal
 per question: one breadth-first component pass (``components``) serves
-``connected_components``, ``has_cycle`` and ``decompose``, and its forest of
-g minus a mask certifies find_dstar's bridges (see ``sparsify``); and
-``shortest_cycle`` runs its own depth-bounded searches.  find_dstar's
-greedy scan keeps its own spanning forest on the same view.
+``connected_components``, ``has_cycle`` and ``decompose``, and, with every
+edge outside a forest masked, gives find_dstar's augmentation that forest's
+tree paths (see ``sparsify``); and ``shortest_cycle`` runs its own
+depth-bounded searches.  find_dstar's scans build their forests by
+union-find on the same view.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[in
     smallest node id, and the components come in ascending order of it.
     Returns every node's BFS parent (a start is its own parent), its tree
     edge id (-1 at a start) and each component's nodes in visit order, in
-    which an ancestor always comes before its descendants.
+    which an ancestor always comes before its descendants.  When the mask
+    leaves a forest, its trees are the BFS trees, so find_dstar's
+    augmentation walks the forest's paths up these arrays.
     """
     incidence = g.incidence
     if mask is None:

@@ -7,10 +7,13 @@ code with the implementations under test; coding coefficients are looked up
 through the network's layout index arrays.  The graph oracles walk g.edges
 with their own ``bfs_tree`` (neighbours in sorted edge order, as in the
 package) and union-find ``component_count``: ``independence_check``, a
-membership predicate for the matroids find_dstar intersects;
-``greedy_scan_by_component_counts`` and ``augment_by_component_counts``, the
-greedy scan and the exchange-graph augmentation with one full component
-count per independence test; and ``shortest_cycle_by_full_bfs``, one
+membership predicate for the bond and partition matroids whose intersection
+decides a quota on the removed side; ``greedy_scan_by_component_counts`` and
+``augment_by_component_counts``, the removed side's greedy scan and
+exchange-graph augmentation with one full component count per independence
+test; ``forest_scan_by_component_counts``, find_dstar's capped Kruskal scan
+with one component count per edge; ``max_capped_forest``, the largest capped
+forest by subset enumeration; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
 ``bfs_forest`` builds decompose's forest as {node: parent} trees, and
 ``precoding_by_tree_walk`` is the walk build_precoding once made down them,
@@ -471,7 +474,12 @@ def independence_check(g, candidate, d: int) -> bool:
 
 
 def greedy_scan_by_component_counts(g: InterferenceGraph, labeling: tuple[Edge, ...], d: int) -> tuple[Edge, ...]:
-    """find_dstar's greedy scan with one full component count per scanned edge."""
+    """The removed side's greedy scan, with one full component count per scanned edge.
+
+    Takes each edge, in ``labeling`` order, whose removal together with the
+    edges taken before it leaves every component connected, at most d per
+    destination.
+    """
     base_components = component_count(g)
     chosen: list[Edge] = []
     per_dest: dict[int, int] = {}
@@ -483,6 +491,45 @@ def greedy_scan_by_component_counts(g: InterferenceGraph, labeling: tuple[Edge, 
         chosen.append(e)
         per_dest[e[1]] = per_dest.get(e[1], 0) + 1
     return tuple(chosen)
+
+
+def forest_scan_by_component_counts(g: InterferenceGraph, edges, room=None) -> tuple[Edge, ...]:
+    """find_dstar's Kruskal scan with one full component count per edge.
+
+    Keeps each edge, in the given order, whose addition lowers the component
+    count of the kept edges while its destination has kept fewer than
+    ``room[i]`` (no cap without ``room``).
+    """
+    kept: list[Edge] = []
+    per_dest: dict[int, int] = {}
+    for e in edges:
+        if room is not None and per_dest.get(e[1], 0) >= room[e[1]]:
+            continue
+        if component_count(g, g.edges - set(kept) - {e}) == component_count(g, g.edges - set(kept)):
+            continue
+        kept.append(e)
+        per_dest[e[1]] = per_dest.get(e[1], 0) + 1
+    return tuple(kept)
+
+
+def max_capped_forest(g: InterferenceGraph, pool, cap) -> int:
+    """Size of the largest forest within ``pool`` that keeps at most ``cap[i]`` edges at each destination i.
+
+    Tries every subset, largest first, from sum(cap), which no such forest
+    exceeds; ``pool`` holds at most 11 edges.
+    """
+    pool = sorted(pool)
+    assert len(pool) <= 11, "exhaustive search over at most 11 edges"
+    base = component_count(g, g.edges)
+    for size in range(min(len(pool), sum(cap.values())), 0, -1):
+        for subset in itertools.combinations(pool, size):
+            per_dest: dict[int, int] = {}
+            for _, i in subset:
+                per_dest[i] = per_dest.get(i, 0) + 1
+            within_caps = all(n <= cap[i] for i, n in per_dest.items())
+            if within_caps and component_count(g, g.edges - set(subset)) == base - size:
+                return size
+    return 0
 
 
 def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
@@ -512,12 +559,12 @@ def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | No
 
 
 def augment_by_component_counts(g, pool, d: int, start):
-    """The exchange-graph augmentation find_dstar ran before it read bonds off bridges.
+    """The exchange-graph augmentation on the removed side: bond matroid against at most d per destination.
 
-    Same construction, one full component count per bond-independence test
-    (O(|I|·|out|·(V+E)) per augmentation), kept to check that the bridges
-    find_dstar certifies with a BFS forest of H = G - I in each round build
-    the same exchange graph.
+    One full component count per bond-independence test
+    (O(|I|·|out|·(V+E)) per augmentation), kept as the reference that
+    find_dstar's forest side must agree with: quota d is feasible iff this
+    reaches the bond rank f - k - m + 1.
 
     Grows ``start`` (a common independent set of the bond and partition
     matroids over ``pool``) by one element per shortest augmenting path until

@@ -358,8 +358,10 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 # gen.cyclic_instance(np.random.default_rng(160), 160): K = M = 160, L = 2, 776 interference
 # edges at density 0.03, d* = 4 after 1 augmentation, so the report pins find_dstar's
 # removal and the shortest cycle the obstruction section names.  The degree count rules
-# out d = 3, so find_dstar scans only d = 4: independence_checks reads 776, one scan
-K160_CYCLIC_PIPELINE_SHA256 = "5c9379858ed5a1936505bd52447f17b74b39656ffa646c052258fcf3b44bdd59"
+# out d = 3, so find_dstar scans only d = 4: independence_checks reads 776, one scan.
+# The removal is the complement of the capped forest the scan and one augmentation keep
+# at d = 4, extended to a spanning tree
+K160_CYCLIC_PIPELINE_SHA256 = "5455640bf5ab07854f50c5d3bf6fd2f09d6163fc7251f6080ed077e11c76b95c"
 
 
 def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -369,7 +371,7 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 152_838
+    assert len(out) == 152_879
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 

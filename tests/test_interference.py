@@ -291,13 +291,20 @@ def test_decompose_matches_networkx():
     assert forests > 100 and cyclic > 50
 
 
-def _bridges(g: ig.InterferenceGraph, removed=frozenset()) -> set:
-    """The bridges of g minus ``removed``, as flagged by find_dstar's BFS-forest certificate."""
-    is_bridge, _ = sp._bridge_certificate(g, _mask(g, removed))
-    return {edge for edge, flag in zip(g.edge_list, is_bridge) if flag}
+def _forest_walk(g: ig.InterferenceGraph, forest):
+    """One components pass over ``forest``, g's other edges masked: parent and tree-edge arrays, visit positions."""
+    parent, up, orders = ig.components(g, _mask(g, g.edges - set(forest)))
+    visit = [0] * len(parent)
+    for n, v in enumerate(v for order in orders for v in order):
+        visit[v] = n
+    return parent, up, visit
 
 
 def test_bridges_match_networkx_under_removals():
+    # A components pass over G - R gives a spanning forest I of it; the
+    # bridges of G - R are the edges of I that no tree path of an unmasked
+    # edge outside I covers.  This checks the masked pass and the forest-path
+    # walk together against networkx's bridges.
     rng = np.random.default_rng(1974)
     disconnected = isolated = bridgeless = 0
     for _ in range(250):
@@ -305,26 +312,40 @@ def test_bridges_match_networkx_under_removals():
         share = rng.choice([0.0, 0.15, 0.4])
         removed = {e for e in sorted(g.edges) if rng.random() < share}
         nx, h = _nx_graph(g, removed)
-        expected = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-        found = _bridges(g, removed)
-        assert found == expected
+        forest = {g.edge_list[e] for e in ig.components(g, _mask(g, removed))[1] if e >= 0}
+        _, tree = _nx_graph(g, g.edges - forest)
+        assert nx.is_forest(tree) and nx.number_connected_components(tree) == nx.number_connected_components(h)
+        walk = _forest_walk(g, forest)
+        covered = set()
+        for j, i in sorted(g.edges - removed - forest):
+            covered.update(g.edge_list[e] for e in sp._tree_path(*walk, j, g.n_sources + i))
+        found = forest - covered
+        assert found == {ig.edge_between(u, v) for u, v in nx.bridges(h)}
         disconnected += not nx.is_connected(h)
         isolated += nx.number_of_isolates(h) > 0
         bridgeless += h.number_of_edges() > 0 and not found
     assert disconnected > 50 and isolated > 50 and bridgeless > 10
 
 
-def test_bridges_do_not_recurse_on_long_paths():
-    # a 4,000-node path S1-W1-S2-W2-...; a recursive DFS would exceed
+def test_forest_paths_do_not_recurse_on_long_paths():
+    # a 4,000-node path S1-W1-S2-W2-...-Sn-Wn, closed into a cycle by (S1, Wn),
+    # with a pendant source S(n+1) at W1; a recursive DFS would exceed
     # Python's default recursion limit of 1,000 frames
     n = 2000
     path = {(j, j) for j in range(n)} | {(j + 1, j) for j in range(n - 1)}
-    g = ig.InterferenceGraph(n, n, frozenset(path))
-    assert _bridges(g) == path
-    # S1 to W_n crosses every edge of the 4,000-node BFS tree, all of them bridges
-    _, bridge_path = sp._bridge_certificate(g, _mask(g, ()))
-    assert bridge_path(0, 2 * n - 1) == list(range(len(path)))
-    assert _bridges(ig.InterferenceGraph(n, n, path | {(0, n - 1)})) == set()
+    g = ig.InterferenceGraph(n + 1, n, frozenset(path | {(0, n - 1), (n, 0)}))
+    res = sp.find_dstar(g)
+    assert res.d_star == 1 and len(res.removed) == 1
+    # S1 to Wn crosses every edge of the 4,000-node path
+    assert sorted(sp._tree_path(*_forest_walk(g, path), 0, 2 * n)) == sorted(g.ids[e] for e in path)
+    # From the path, at two kept edges per destination: W1 is full, Wn has room
+    # for (S1, Wn), which closes the whole path, and the pendant edge joins S(n+1)
+    # once an edge at W1 leaves.  The one augmenting path walks all 3,999 edges.
+    cap = dict.fromkeys(range(n), 2)
+    grown = set(sp._augment_to_maximum(g, sp.default_labeling(g), cap, tuple(path)))
+    assert len(grown) == 2 * n and {(0, n - 1), (n, 0)} <= grown
+    assert len(path - grown) == 1 and (path - grown) <= {(0, 0), (1, 0)}
+    assert not ig.has_cycle(ig.InterferenceGraph(n + 1, n, grown))
 
 
 def test_shortest_cycle_matches_one_full_bfs_per_edge():
@@ -337,57 +358,45 @@ def test_shortest_cycle_matches_one_full_bfs_per_edge():
     assert sum(ig.has_cycle(g) for g in graphs) >= 150
 
 
-def _bond_removal(rng, nx, g):
-    """A random edge set whose removal keeps every component of g connected.
-
-    Each edge is tried with probability 1/2, so G minus the set usually
-    keeps cycles, and with them 2-edge-connected classes of several nodes.
-    """
-    h = nx.Graph()
-    h.add_nodes_from(_refs(g))
-    h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges)
-    components = nx.number_connected_components(h)
-    removal = set()
-    for j, i in sorted(g.edges, key=lambda e: rng.random()):
-        if rng.random() < 0.5:
-            continue
-        h.remove_edge(("x", j), ("y", i))
-        if nx.number_connected_components(h) == components:
-            removal.add((j, i))
-        else:
-            h.add_edge(("x", j), ("y", i))
-    return removal
-
-
 def test_bridge_forest_arcs_match_networkx():
-    # For I keeping every component connected and H = G - I: the exchange
-    # arcs out of y in I are the x outside I that are no bridge of H + y,
-    # i.e. H's non-bridges plus the bridges on the BFS-tree path of y's ends.
+    # find_dstar's augmentation reads an outside edge x's exchange arcs, the
+    # edges y of the forest I for which I - y + x is a forest, off one
+    # components pass over I: they are the edges on the tree path between x's
+    # ends, i.e. the edges of I that are no bridge of I + x, and an x whose
+    # ends lie in two trees has none and joins them.  Every path must be
+    # networkx's path in I, over random forests of random graphs.
     nx = pytest.importorskip("networkx")
     rng = np.random.default_rng(1992)
-    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(150)]
+    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=30) for _ in range(250)]
     graphs += [dense_bipartite(rng) for _ in range(50)]
-    checked = with_path = mixed = 0
+    seen = {"checked": 0, "with_path": 0, "joins": 0, "isolated": 0, "mixed": 0, "spanning": 0}
     for g in graphs:
-        removal = _bond_removal(rng, nx, g)
-        outs = g.edges - removal
-        mask = _mask(g, removal)
-        is_bridge, bridge_path = sp._bridge_certificate(g, mask)
-        _, h = _nx_graph(g, removal)
-        cut = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-        assert {e for e in outs if is_bridge[g.ids[e]]} == cut
-        # H has a bridge and a tree edge that some non-tree edge covers
-        tree = {e for e in ig.components(g, mask)[1] if e >= 0}
-        mixed += bool(cut) and any(not is_bridge[e] for e in tree)
-        for j, i in sorted(removal):
-            path = bridge_path(j, g.n_sources + i)
-            assert path == sorted(set(path))
-            h.add_edge(("x", j), ("y", i))
-            still = {(u[1], v[1]) if u[0] == "x" else (v[1], u[1]) for u, v in nx.bridges(h)}
-            h.remove_edge(("x", j), ("y", i))
-            arcs = {e for e in outs if e not in cut} | {g.edge_list[e] for e in path}
-            assert arcs == {x for x in outs if x not in still}
-            assert {g.edge_list[e] for e in path} <= cut
-            checked += 1
-            with_path += bool(path)
-    assert checked > 500 and with_path > 300 and mixed >= 40
+        share = rng.choice([0.4, 0.8, 1.0])
+        weighted = nx.Graph()
+        weighted.add_weighted_edges_from((("x", j), ("y", i), rng.random()) for j, i in sorted(g.edges)
+                                         if rng.random() < share)
+        forest = {ig.edge_between(u, v) for u, v in nx.minimum_spanning_edges(weighted, data=False)}
+        walk = _forest_walk(g, forest)
+        _, h = _nx_graph(g, g.edges - forest)
+        joins = closes = 0
+        for j, i in sorted(g.edges - forest):
+            found = sp._tree_path(*walk, j, g.n_sources + i)
+            if nx.has_path(h, ("x", j), ("y", i)):
+                nodes = nx.shortest_path(h, ("x", j), ("y", i))
+                assert sorted(found) == sorted(g.ids[ig.edge_between(u, v)] for u, v in zip(nodes, nodes[1:]))
+                h.add_edge(("x", j), ("y", i))
+                bridges = {ig.edge_between(u, v) for u, v in nx.bridges(h)}
+                h.remove_edge(("x", j), ("y", i))
+                assert {g.edge_list[e] for e in found} == forest - bridges
+                closes += 1
+            else:
+                assert found is None
+                joins += 1
+            seen["checked"] += 1
+        seen["with_path"] += closes
+        seen["joins"] += joins
+        seen["isolated"] += nx.number_of_isolates(h) > 0
+        seen["mixed"] += joins > 0 and closes > 0
+        seen["spanning"] += closes > 0 and not joins
+    assert seen["checked"] > 500 and seen["with_path"] > 300, seen
+    assert seen["joins"] > 50 and seen["isolated"] > 50 and seen["mixed"] >= 40 and seen["spanning"] > 10, seen

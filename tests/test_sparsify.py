@@ -8,8 +8,8 @@ from pbna import sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, connected_components, has_cycle
 from pbna.network import realize
 from gen import dense_bipartite, forest_instance, hub_bipartite, random_bipartite
-from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, greedy_scan_by_component_counts,
-                     independence_check)
+from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, forest_scan_by_component_counts,
+                     greedy_scan_by_component_counts, independence_check, max_capped_forest)
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -165,17 +165,17 @@ def test_stalled_search_stops_at_the_degree_bound(monkeypatch):
     # With the scan and the augmentation forced to find nothing, the quota
     # loop must give up once d reaches the max destination degree.
     k52 = InterferenceGraph(5, 2, frozenset((j, i) for j in range(5) for i in range(2)))
-    quotas = []
+    caps = []
 
-    def nothing(g, labeling, d):
-        quotas.append(d)
+    def nothing(g, edges, room=None):
+        caps.append(sorted(room.values()))
         return ()
 
-    monkeypatch.setattr(sp, "_greedy_scan", nothing)
-    monkeypatch.setattr(sp, "_augment_to_maximum", lambda g, pool, d, start: tuple(start))
+    monkeypatch.setattr(sp, "_forest", nothing)
+    monkeypatch.setattr(sp, "_augment_to_maximum", lambda g, pool, cap, start: tuple(start))
     with pytest.raises(AssertionError, match="max destination degree 5"):
         sp.find_dstar(k52)
-    assert quotas == [2, 3, 4]
+    assert caps == [[3, 3], [2, 2], [1, 1]]  # quotas 2, 3 and 4
 
 
 def test_labeling_invariance_of_greedy_size():
@@ -223,27 +223,42 @@ def test_independence_check_budget():
         assert res.independence_checks <= max(budget, 0) + sum(c.edges for c in res.components)
 
 
+def _caps(pool, d: int) -> dict[int, int]:
+    """Each destination's kept-edge cap max(deg - d, 1) at quota d, the degrees counted within ``pool``."""
+    return {i: max(deg - d, 1) for i, deg in Counter(i for _, i in pool).items()}
+
+
+def _forest_feasible(g: InterferenceGraph, pool, d: int) -> bool:
+    """Quota d on the forest side: the scan, rescued by the augmentation, reaches sum(cap)."""
+    cap = _caps(pool, d)
+    return len(sp._augment_to_maximum(g, pool, cap, sp._forest(g, pool[::-1], cap))) == sum(cap.values())
+
+
 def stalling_graph() -> InterferenceGraph:
-    return InterferenceGraph(4, 3, frozenset(
-        {(0, 0), (0, 2), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+    return InterferenceGraph(4, 2, frozenset(
+        {(0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)}
     ))
 
 
 def test_greedy_stall_is_rescued_by_augmentation():
-    # Known counterexample to "common independent sets form a matroid": with
-    # the default labeling the greedy at d=1 stalls at 2 of 3 removable edges,
-    # yet a quota-1 spanning-tree solution exists (e.g. drop (1,0), (2,1),
-    # (0,2)).  find_dstar must still return 1 via the exact fallback.
+    # Known counterexample to "common independent sets form a matroid": at
+    # d = 1 the caps are 2 at W1 and 3 at W2, a spanning tree's 5 edges.  The
+    # scan in reverse label order fills W2 with (3,1), (2,1) and (1,1) before
+    # it reaches S1's only edge (0,1), so it stalls at 4 edges, yet a quota-1
+    # spanning tree exists (e.g. keep (0,1), (1,1), (2,1), (1,0), (3,0)).
+    # find_dstar must still return 1 via the exact fallback.
     g = stalling_graph()
+    cap = _caps(sp.default_labeling(g), 1)
+    assert len(sp._forest(g, sp.default_labeling(g)[::-1], cap)) == 4 < sum(cap.values()) == 5
     res = sp.find_dstar(g)
     assert res.d_star == 1 == dstar_exact_removal(g)
-    assert res.augmentations >= 1  # the greedy scan stalled at d = 1
-    assert len(res.removed) == 3
-    # the rescued removal is still independent in both matroids: complement
+    assert res.augmentations == 1  # the scan stalled at d = 1
+    assert len(res.removed) == 2
+    # the rescued removal is independent in both matroids: its complement
     # is a spanning tree and no destination loses more than d* edges
     assert independence_check(g, res.removed, res.d_star)
     kept = g.edges - res.removed
-    assert len(kept) == 4 + 3 - 1
+    assert len(kept) == 4 + 2 - 1
     assert not has_cycle(InterferenceGraph(g.n_sources, g.n_destinations, kept))
 
 
@@ -252,104 +267,150 @@ def _outcome(res: sp.SparsificationResult):
             res.augmentations, res.independence_checks)
 
 
-def test_bridge_oracles_build_the_component_count_exchange_graph(monkeypatch):
-    # Same exchange graph, same BFS, so the same augmenting paths: every
-    # result field must match the per-pair component-count construction.
+def test_forest_side_is_feasible_iff_the_bond_oracle_reaches_the_bond_rank():
+    # Quota d is one question asked from two sides: can a removal of at most
+    # d edges per destination keep every component connected (bond matroid),
+    # and can a forest keep max(deg - d, 1) edges at every destination
+    # (graphic matroid)?  At every quota from the degree count to the
+    # component's d, both must give the same answer: no below d, yes at d.
     rng = np.random.default_rng(1986)
-    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(120)]
+    graphs = [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(1000)]
+    graphs += [hub_bipartite(rng) for _ in range(300)]
     for _ in range(100):
         k, m = (int(n) for n in rng.integers(8, 15, size=2))
         density = rng.uniform(0.15, 0.4)
         graphs.append(InterferenceGraph(k, m, frozenset(
             (j, i) for j in range(k) for i in range(m) if rng.random() < density
         )))
-    bridged = [sp.find_dstar(g) for g in graphs]
-    monkeypatch.setattr(sp, "_augment_to_maximum", augment_by_component_counts)
-    counted = [sp.find_dstar(g) for g in graphs]
-    assert [_outcome(r) for r in bridged] == [_outcome(r) for r in counted]
-    assert sum(r.augmentations >= 1 for r in bridged) >= 20
+    seen = {"infeasible": 0, "feasible": 0, "stalled": 0}
+    for g in graphs:
+        res = sp.find_dstar(g)
+        with_edges = [set(comp) for comp in connected_components(g) if len(comp) > 1]
+        for members, stats in zip(with_edges, res.components, strict=True):
+            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            rank = stats.edges - stats.sources - stats.destinations + 1
+            if rank == 0:
+                continue
+            start = sp._degree_count_quota(Counter(i for _, i in pool).values(), rank)
+            for d in range(start, stats.d + 1):
+                bond = augment_by_component_counts(g, pool, d, greedy_scan_by_component_counts(g, pool, d))
+                assert _forest_feasible(g, pool, d) == (len(bond) == rank) == (d == stats.d)
+                seen["feasible" if d == stats.d else "infeasible"] += 1
+                cap = _caps(pool, d)
+                seen["stalled"] += len(sp._forest(g, pool[::-1], cap)) < sum(cap.values())
+    assert len(graphs) >= 1000
+    assert min(seen.values()) >= 20, seen
+
+
+def test_augmentation_reaches_the_exhaustive_maximum_capped_forest():
+    # From the scan's forest and from nothing, the augmenting paths must
+    # reach the largest capped forest that subset enumeration finds, at
+    # every quota from 1 to the component's max degree - 1, feasible or not.
+    rng = np.random.default_rng(2543)
+    seen = {"stalled": 0, "below_sum": 0, "at_sum": 0}
+    graphs = 0
+    while graphs < 1500:
+        k, m = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        g = InterferenceGraph(k, m, frozenset((j, i) for j in range(k) for i in range(m) if rng.random() < 0.6))
+        if len(g.edges) > 11:
+            continue
+        graphs += 1
+        for comp in connected_components(g):
+            members = set(comp)
+            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            if not pool:
+                continue
+            for d in range(1, max(Counter(i for _, i in pool).values())):
+                cap = _caps(pool, d)
+                best = max_capped_forest(g, pool, cap)
+                start = sp._forest(g, pool[::-1], cap)
+                assert len(sp._augment_to_maximum(g, pool, cap, start)) == best
+                assert len(sp._augment_to_maximum(g, pool, cap, ())) == best
+                seen["stalled"] += len(start) < best
+                seen["at_sum" if best == sum(cap.values()) else "below_sum"] += 1
+    assert seen["stalled"] >= 20 and seen["below_sum"] >= 100 and seen["at_sum"] >= 100, seen
 
 
 def test_augmentation_makes_no_connectivity_test(monkeypatch):
-    # Every replacement search find_dstar makes must come from the greedy scan.
-    calls = {"greedy": 0, "other": 0}
-    in_greedy = []
-    real_replacement, real_scan = sp._replacement_edge, sp._greedy_scan
+    # Every union-find forest find_dstar builds must come from its scans and
+    # its final extension: the augmentation reads every exchange off its one
+    # components pass per round.
+    calls = {"outside": 0, "inside": 0}
+    in_augmentation = []
+    real_forest, real_augment = sp._forest, sp._augment_to_maximum
 
     def counting(*args, **kwargs):
-        calls["greedy" if in_greedy else "other"] += 1
-        return real_replacement(*args, **kwargs)
+        calls["inside" if in_augmentation else "outside"] += 1
+        return real_forest(*args, **kwargs)
 
-    def scan(*args, **kwargs):
-        in_greedy.append(True)
+    def augment(*args, **kwargs):
+        in_augmentation.append(True)
         try:
-            return real_scan(*args, **kwargs)
+            return real_augment(*args, **kwargs)
         finally:
-            in_greedy.pop()
+            in_augmentation.pop()
 
-    monkeypatch.setattr(sp, "_replacement_edge", counting)
-    monkeypatch.setattr(sp, "_greedy_scan", scan)
+    monkeypatch.setattr(sp, "_forest", counting)
+    monkeypatch.setattr(sp, "_augment_to_maximum", augment)
     res = sp.find_dstar(stalling_graph())
     assert res.augmentations >= 1
-    assert calls["greedy"] > 0
-    assert calls["other"] == 0
+    assert calls["outside"] == 2  # the d = 1 scan and the extension to a spanning tree
+    assert calls["inside"] == 0
 
 
-def test_each_augmentation_round_makes_one_bridge_pass(monkeypatch):
+def test_each_augmentation_round_makes_one_components_pass(monkeypatch):
     # A round either augments by one edge or ends the search, and no round
-    # runs once the result reaches the bond rank f - (k + m) + 1 of the
-    # pool's component.  So a call that reaches the rank makes
+    # runs once the forest reaches sum(cap).  So a call that reaches it makes
     # len(result) - len(start) rounds, and any other call makes one more;
-    # each must build exactly one bridge certificate, and nothing outside
-    # the augmentation may build one.  Some call must make more than one
-    # round, so that counting passes per round is not counting calls.
+    # each must make exactly one components pass, and nothing else in
+    # sparsify may make one.  Some call must make more than one round, so
+    # that counting passes per round is not counting calls.
     passes = rounds = calls = 0
     kinds = {"at_rank": 0, "below_rank": 0}
-    real_certificate, real_augment = sp._bridge_certificate, sp._augment_to_maximum
+    real_components, real_augment = sp.components, sp._augment_to_maximum
 
     def counting(*args, **kwargs):
         nonlocal passes
         passes += 1
-        return real_certificate(*args, **kwargs)
+        return real_components(*args, **kwargs)
 
-    def augment(g, pool, d, start):
+    def augment(g, pool, cap, start):
         nonlocal rounds, calls
         calls += 1
         before = passes
-        result = real_augment(g, pool, d, start)
-        rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
-        made = len(result) - len(start) + (len(result) < rank)
+        result = real_augment(g, pool, cap, start)
+        made = len(result) - len(start) + (len(result) < sum(cap.values()))
         assert passes - before == made
-        kinds["at_rank" if len(result) == rank else "below_rank"] += 1
+        kinds["at_rank" if len(result) == sum(cap.values()) else "below_rank"] += 1
         rounds += made
         return result
 
-    monkeypatch.setattr(sp, "_bridge_certificate", counting)
+    monkeypatch.setattr(sp, "components", counting)
     monkeypatch.setattr(sp, "_augment_to_maximum", augment)
     augmented = 0
-    for g in _corpus(1992, sparse=0, dense=60):
+    for g in _corpus(1992, sparse=0, dense=90):
         res = sp.find_dstar(g)
         augmented += res.augmentations
         for pool, d, start in _quotas_below_dstar(g, res):
-            sp._augment_to_maximum(g, pool, d, start)
+            sp._augment_to_maximum(g, pool, _caps(pool, d), start)
     assert passes == rounds
     assert augmented >= 20 and rounds > calls
     assert kinds["at_rank"] >= 10 and kinds["below_rank"] >= 10
 
 
 def _quotas_below_dstar(g: InterferenceGraph, res: sp.SparsificationResult):
-    """(pool, d - 1, greedy set) for each component whose d is at least 2.
+    """(pool, d - 1, the scan's forest at d - 1) for each component whose d is at least 2.
 
     find_dstar never searches the quotas that the degree count rules out,
     so an augmentation at an infeasible quota is run at d - 1 here, from
-    the set the greedy scan gives at that quota.
+    the forest the scan gives at that quota.
     """
     labels = sp.default_labeling(g)
     with_edges = [set(comp) for comp in connected_components(g) if len(comp) > 1]
     for members, stats in zip(with_edges, res.components, strict=True):
         if stats.d >= 2:
             pool = tuple(e for e in labels if e[0] in members)
-            yield pool, stats.d - 1, sp._greedy_scan(g, pool, stats.d - 1)
+            yield pool, stats.d - 1, sp._forest(g, pool[::-1], _caps(pool, stats.d - 1))
 
 
 def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
@@ -370,46 +431,45 @@ def test_most_extra_decoded_sources_at_one_destination_is_d_star():
     assert sum(d > 0 for d in d_stars) >= 100
 
 
-def test_greedy_scan_matches_the_component_count_scan(monkeypatch):
-    # The spanning-forest certificate must accept exactly the edges that one
-    # full component count per candidate accepts, in any label order.  A
-    # replacement search runs only for a candidate in the forest, so each
-    # scan's non-tree accepts are its accepts minus its replacements.
-    found = {"replaced": 0, "bridge": 0}
-    real_replacement = sp._replacement_edge
-
-    def counting(*args, **kwargs):
-        y = real_replacement(*args, **kwargs)
-        found["replaced" if y >= 0 else "bridge"] += 1
-        return y
-
-    monkeypatch.setattr(sp, "_replacement_edge", counting)
+def test_greedy_scan_matches_the_component_count_scan():
+    # The union-find scan must keep exactly the edges that one full component
+    # count per edge keeps, in any order and under any caps.  Without caps it
+    # keeps the complement of the removed side's greedy in reverse order: the
+    # equality that lets find_dstar's forest-side scan pick the removal the
+    # bond-side scan picked whenever the caps do not bind.
     rng = np.random.default_rng(625)
     graphs = _corpus(1324, sparse=220, dense=100)
     cyclic = sum(has_cycle(g) for g in graphs)
-    seen = {"non_tree_accept": 0, "replaced": 0, "bridge": 0, "quota_skip": 0}
+    seen = {"kept": 0, "closes_cycle": 0, "no_room": 0, "complement": 0}
     cases = 0
     for g in graphs:
         shuffled = list(sp.default_labeling(g))
         rng.shuffle(shuffled)
         for labeling in (sp.default_labeling(g), tuple(shuffled)):
+            removed = greedy_scan_by_component_counts(g, labeling, len(g.edges))  # a quota that never binds
+            assert set(sp._forest(g, labeling[::-1])) == g.edges - set(removed)
+            seen["complement"] += bool(removed)
             for d in range(5):
-                found.update(replaced=0, bridge=0)
-                chosen = sp._greedy_scan(g, labeling, d)
-                assert chosen == greedy_scan_by_component_counts(g, labeling, d)
+                cap = _caps(labeling, d)
+                kept = sp._forest(g, labeling, cap)
+                assert kept == forest_scan_by_component_counts(g, labeling, cap)
                 cases += 1
-                seen["non_tree_accept"] += len(chosen) > found["replaced"]
-                seen["replaced"] += found["replaced"] > 0
-                seen["bridge"] += found["bridge"] > 0
-                seen["quota_skip"] += len(labeling) > len(chosen) + found["bridge"]
+                held = Counter(i for _, i in kept)
+                last = {e[1]: n for n, e in enumerate(labeling) if e in kept}
+                skipped = [(n, e[1]) for n, e in enumerate(labeling) if e not in kept]
+                seen["kept"] += bool(kept)
+                # a skipped edge after its full destination's last kept edge found no room;
+                # one at a destination that never filled closed a cycle
+                seen["no_room"] += any(held[i] == cap[i] and n > last[i] for n, i in skipped)
+                seen["closes_cycle"] += any(held[i] < cap[i] for _, i in skipped)
     assert cases >= 2000 and cyclic >= 50
     assert min(seen.values()) >= 100, seen
 
 
 def test_quota_zero_scan_builds_no_forest_on_forest_graphs(monkeypatch):
-    # An acyclic component needs no removal, so find_dstar scans it only at
-    # d = 0, where every candidate misses the quota: no union-find, no tree
-    # search.
+    # An acyclic component needs no removal, so find_dstar gives it d = 0
+    # with no scan, no augmentation and no components pass, though it still
+    # counts its f edges as checks.
     calls: dict[str, list[tuple]] = {}
 
     def record(name):
@@ -422,23 +482,23 @@ def test_quota_zero_scan_builds_no_forest_on_forest_graphs(monkeypatch):
 
         monkeypatch.setattr(sp, name, recorded)
 
-    for name in ("_greedy_scan", "_spanning_forest", "_replacement_edge"):
+    for name in ("_forest", "_augment_to_maximum", "components"):
         record(name)
     for size in (16, 48):
         _, edges = forest_instance(np.random.default_rng(size), size=size)
         res = sp.find_dstar(InterferenceGraph(size, size, edges))
         assert res.d_star == 0 and not res.removed and res.augmentations == 0
-    assert len(calls["_greedy_scan"]) >= 2
-    assert all(d == 0 for _, _, d in calls["_greedy_scan"])
-    assert calls["_spanning_forest"] == calls["_replacement_edge"] == []
+        assert res.independence_checks == len(edges)
+    assert calls == {"_forest": [], "_augment_to_maximum": [], "components": []}
 
 
 def test_find_dstar_matches_the_component_count_search(monkeypatch):
-    # The whole search, with the greedy scan and the augmentation both
-    # replaced by their one-component-count-per-test oracles, must give every
-    # result field unchanged; small graphs are also checked exhaustively.
-    # The augmentation at each component's d - 1 must match its oracle too,
-    # and stay below the bond rank, since d is the least feasible quota.
+    # The whole search, with the union-find scan replaced by its
+    # one-component-count-per-edge oracle, must give every result field
+    # unchanged; small graphs are also checked exhaustively.  At each
+    # component's d - 1 the augmentation must stay below sum(cap), and the
+    # removed side's oracle below the bond rank, since d is the least
+    # feasible quota.
     graphs = _corpus(1226, sparse=150, dense=180)
     fast = [sp.find_dstar(g) for g in graphs]
     augmented = 0
@@ -447,12 +507,12 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
             assert res.d_star == dstar_exact_removal(g)
         below = list(_quotas_below_dstar(g, res))
         for pool, d, start in below:
-            chosen = sp._augment_to_maximum(g, pool, d, start)
-            assert chosen == augment_by_component_counts(g, pool, d, start)
-            assert len(chosen) < len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
+            cap = _caps(pool, d)
+            assert len(sp._augment_to_maximum(g, pool, cap, start)) < sum(cap.values())
+            rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
+            assert len(augment_by_component_counts(g, pool, d, greedy_scan_by_component_counts(g, pool, d))) < rank
         augmented += res.augmentations >= 1 or len(below) > 0
-    monkeypatch.setattr(sp, "_greedy_scan", greedy_scan_by_component_counts)
-    monkeypatch.setattr(sp, "_augment_to_maximum", augment_by_component_counts)
+    monkeypatch.setattr(sp, "_forest", forest_scan_by_component_counts)
     counted = [sp.find_dstar(g) for g in graphs]
     assert [_outcome(r) for r in fast] == [_outcome(r) for r in counted]
     assert len(graphs) >= 300
