@@ -11,8 +11,10 @@ forward propagation in topological order.
 
 Every pass over the network walks one integer view that construction builds:
 node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
-a list of its out-edge ids.  Only ``_max_flow`` builds residual arcs (an
-edge and its reverse), and it builds them afresh on each call.
+a list of its out-edge ids.  One reach relation, ``Network.reached``, feeds
+both the mincut passes and the coding layout.  Only ``_max_flow`` builds
+residual arcs (an edge and its reverse), and it builds them afresh on each
+call.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -64,7 +66,8 @@ class Network:
     v's out-edges in ascending order, ``source_ids`` and ``destination_ids``
     are the terminals' nodes, ``destination_of[v]`` is node v's position in
     ``destinations`` or -1, and ``topo_index`` is a topological order of the
-    nodes.
+    nodes.  ``reached``, built on first use, lists per source the nodes it
+    reaches, in that order.
     """
 
     nodes: tuple[str, ...]
@@ -157,6 +160,25 @@ class Network:
         return _build_layout(self)
 
     @cached_property
+    def reached(self) -> tuple[tuple[int, ...], ...]:
+        """Per source j, s_j's node and every node s_j reaches by a path, in ``topo_index`` order."""
+        # one pass in topological order: bit j of mask[v] says that v is s_j's node or s_j reaches it
+        head, out = self.head, self.out
+        mask = [0] * len(out)
+        for j, v in enumerate(self.source_ids):
+            mask[v] = 1 << j
+        reached: list[list[int]] = [[] for _ in self.sources]
+        for v in self.topo_index:
+            bits = mask[v]
+            for e in out[v]:
+                mask[head[e]] |= bits
+            while bits:
+                low = bits & -bits
+                reached[low.bit_length() - 1].append(v)
+                bits ^= low
+        return tuple(map(tuple, reached))
+
+    @cached_property
     def demand_mask(self) -> np.ndarray:
         """(M, K) read-only bool array, True where destination i demands source j."""
         mask = np.zeros((self.n_destinations, self.n_sources), dtype=bool)
@@ -236,30 +258,27 @@ def mincut(net: Network, j: int) -> np.ndarray:
 
     Edges have unit capacity, so parallel edges add capacity.  By Menger's
     theorem a reached destination has mincut 1 exactly when one edge lies on
-    every path to it from the source: when an edge dominates it in the DAG
-    with every edge subdivided.  One pass over the nodes the source reaches,
-    in topological order, builds that dominator tree (Cooper, Harvey and
-    Kennedy, "A Simple, Fast Dominance Algorithm", 2001).  A node with exactly
-    one reached in-edge (a parallel edge counts as a second) is dominated by
-    that edge.  Otherwise its immediate dominator is the lowest common
-    ancestor of its in-edges' tails, and an edge dominates it exactly when
-    one dominates that ancestor.  An unreached destination, or one at the
-    source's own node, gets 0 and an edge-dominated one gets 1.  Only the
-    rest, which have two edge-disjoint paths, run ``_max_flow``.
+    every path to it from the source: when an edge dominates it in the DAG with
+    every edge subdivided.  One pass over ``net.reached[j]``, the nodes the
+    source reaches in topological order, builds that dominator tree (Cooper,
+    Harvey and Kennedy, "A Simple, Fast Dominance Algorithm", 2001).  A node
+    with exactly one reached in-edge (a parallel edge counts as a second) is
+    dominated by that edge.  Otherwise its immediate dominator is the lowest
+    common ancestor of its in-edges' tails, and an edge dominates it exactly
+    when one dominates that ancestor.  An unreached destination, or one at the
+    source's own node, gets 0 and an edge-dominated one gets 1.  Only the rest,
+    which have two edge-disjoint paths, run ``_max_flow``.
     """
     head, out, destination_of = net.head, net.out, net.destination_of
     src = net.source_ids[j]
-    order = net.topo_index
-    n = len(out)
-    into = [0] * n  # reached in-edges seen so far; stays 0 at the source and at unreached nodes
-    idom = [-1] * n  # nearest dominating node: the LCA of the tails seen so far
-    depth = [0] * n  # in the dominator tree, rooted at the source
-    edge_dom = [False] * n  # one edge lies on every path from the source
+    reached = net.reached[j]
+    into = dict.fromkeys(reached, 0)  # reached in-edges seen so far; stays 0 at the source
+    idom = {}  # nearest dominating node: the LCA of the tails seen so far
+    depth = {src: 0}  # in the dominator tree, rooted at the source
+    edge_dom = {src: False}  # one edge lies on every path from the source
     cuts = np.zeros(net.n_destinations, dtype=np.int64)
-    for u in order[order.index(src):]:
+    for u in reached:
         if u != src:
-            if not into[u]:
-                continue
             # every tail of u comes earlier in the order, so idom[u] is final
             d = idom[u]
             depth[u] = depth[d] + 1
@@ -383,20 +402,15 @@ def _build_layout(net: Network) -> CodingLayout:
     n_nodes, k_sources = len(net.nodes), net.n_sources
     source_node = _int64(net.source_ids)
     # One pass over the nodes in topological order, their out-edges by index: the coefficient
-    # order of the edges.  depth[v] counts the edges on the longest path into node v, and bit j
-    # of reach[v] says that v is source j's node or that source j reaches an in-edge of v.
+    # order of the edges.  depth[v] counts the edges on the longest path into node v.
     head_of, out = net.head, net.out
     order: list[int] = []
     depth = [0] * n_nodes
-    reach = [0] * n_nodes
-    for j, v in enumerate(source_node.tolist()):
-        reach[v] = 1 << j
     for v in net.topo_index:
-        bit, d = reach[v], depth[v] + 1
+        d = depth[v] + 1
         order += out[v]
         for e in out[v]:
             h = head_of[e]
-            reach[h] |= bit
             if depth[h] < d:
                 depth[h] = d
     depth, order = _int64(depth), _int64(order)
@@ -427,11 +441,9 @@ def _build_layout(net: Network) -> CodingLayout:
     edge_schedule = _schedule(len(tail), inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, rounds,
                               dest_ptr, dest_edges)
 
-    # (node, source) keys node * K + j for the bits of reach, ascending; an edge's entries are
-    # its tail's keys, and entries are numbered edge by edge in coefficient order
-    n_bytes = (k_sources + 7) // 8
-    bits = np.frombuffer(b"".join(m.to_bytes(n_bytes, "little") for m in reach), dtype=np.uint8)
-    keys = np.flatnonzero(np.unpackbits(bits.reshape(n_nodes, n_bytes), axis=1, bitorder="little")[:, :k_sources])
+    # (node, source) keys node * K + j, one per node in reached[j], ascending; an edge's entries
+    # are its tail's keys, and entries are numbered edge by edge in coefficient order
+    keys = np.sort(_int64([v * k_sources + j for j, nodes in enumerate(net.reached) for v in nodes]))
     node_size = np.bincount(keys // k_sources, minlength=n_nodes)
     node_ptr = np.cumsum(node_size) - node_size
     size = node_size[tail]

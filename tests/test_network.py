@@ -333,6 +333,33 @@ def test_validate_calls_mincut_once_per_source(which, monkeypatch):
     assert bool(wide) == (which == "multiterminal")
 
 
+class _NoOrder:
+    """Stands in for ``topo_index``; any read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"topo_index.{name} was read")
+
+    def __iter__(self):
+        raise AssertionError("topo_index was iterated")
+
+    def __getitem__(self, key):
+        raise AssertionError("topo_index was indexed")
+
+
+def test_validation_walks_only_what_each_source_reaches():
+    # S1 reaches D1 by two disjoint paths and D2 by one; S2 reaches D2 by one edge and D3 by two
+    # parallel ones.  D4 ends a 3,000-node chain that no source reaches, and the chain comes after
+    # the sources in topological order, so a pass that walked the order would cross it.
+    chain = [f"C{k}" for k in range(3000)]
+    nodes = ("S1", "S2", "A", "B", "D1", "D2", "D3", *chain, "D4")
+    edges = (("S1", "A"), ("S1", "B"), ("A", "D1"), ("B", "D1"), ("A", "D2"), ("S2", "D2"), ("S2", "D3"),
+             ("S2", "D3"), *zip(chain, chain[1:] + ["D4"]))
+    net = ng.Network(nodes, edges, ("S1", "S2"), ("D1", "D2", "D3", "D4"), (frozenset({0}),) * 4)
+    assert net.reached == ((0, 2, 3, 4, 5), (1, 5, 6))
+    net.topo_index = _NoOrder()
+    assert ng.validate_assumptions(net).mincut.tolist() == [[2, 0], [1, 1], [0, 2], [0, 0]]
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -452,11 +479,44 @@ def test_transfer_matches_path_enumeration_oracle():
     assert min(seen.values()) >= 20, seen
 
 
+def test_reached_is_each_source_and_its_descendants_in_topological_order():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(31)
+    seen = collections.Counter()
+    for draw in range(480):
+        if draw % 4 == 0:
+            net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=10)
+        elif draw % 4 == 1:
+            net = random_dag_net(rng, max_extra_nodes=5, max_edges=10)
+        elif draw % 4 == 2:
+            net = forest_instance(rng)[0]
+        else:
+            net = cyclic_instance(rng, int(rng.integers(3, 8)), density=0.3)[0]
+        g = nx.MultiDiGraph()
+        g.add_nodes_from(net.nodes)
+        g.add_edges_from(net.edges)
+        position = {v: k for k, v in enumerate(net.nodes)}
+        assert len(net.reached) == net.n_sources
+        for j, s in enumerate(net.sources):
+            want = {position[v] for v in nx.descendants(g, s) | {s}}
+            assert net.reached[j] == tuple(v for v in net.topo_index if v in want), (net_to_mapping(net), j)
+        sources = set(net.sources)
+        seen["source with in-edges"] += any(h in sources for _, h in net.edges)
+        seen["source reached from another"] += any(
+            any(net.source_ids[k] in net.reached[j] for k in range(net.n_sources) if k != j)
+            for j in range(net.n_sources))
+        seen["parallel edges"] += len(set(net.edges)) < len(net.edges)
+        seen["node no source reaches"] += len(set().union(*net.reached)) < len(net.nodes)
+        seen["destination at a source"] += bool(sources & set(net.destinations))
+    assert len(seen) == 5 and min(seen.values()) >= 20, seen
+
+
 def test_reach_schedule_has_one_entry_per_reaching_source():
     rng = np.random.default_rng(71)
     for _ in range(60):
         net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=9)
         assert net.layout.reach.n_values == sum(map(len, _sources_reaching_tails(net)))
+        assert net.layout.reach.n_values == sum(len(net.out[v]) for nodes in net.reached for v in nodes)
     # private routes: each edge is reached by the one source whose route it is on
     for net in (forest_instance(rng, size=12)[0], cyclic_instance(rng, 12, density=0.3)[0]):
         assert net.layout.reach.n_values == len(net.edges)
