@@ -11,10 +11,10 @@ forward propagation in topological order.
 
 Every pass over the network walks one integer view that construction builds:
 node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
-a list of its out-edge ids.  One reach relation, ``Network.reached``, feeds
-both the mincut passes and the coding layout.  Only ``_max_flow`` builds
-residual arcs (an edge and its reverse), and it builds them afresh on each
-call.
+lists of its out-edge and in-edge ids.  One reach relation,
+``Network.reached``, feeds both the mincut passes and the coding layout, and
+``_max_flow`` searches the residual graph through the same edge lists, so no
+pass builds an adjacency of its own.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -62,12 +62,12 @@ class Network:
 
     demands holds 0-based source index sets, one per destination.  The same
     pass builds the integer view the network's passes walk, node k being
-    ``nodes[k]``: edge e runs ``tail[e] -> head[e]``, ``out[v]`` lists node
-    v's out-edges in ascending order, ``source_ids`` and ``destination_ids``
-    are the terminals' nodes, ``destination_of[v]`` is node v's position in
-    ``destinations`` or -1, and ``topo_index`` is a topological order of the
-    nodes.  ``reached``, built on first use, lists per source the nodes it
-    reaches, in that order.
+    ``nodes[k]``: edge e runs ``tail[e] -> head[e]``, ``out[v]`` and ``into[v]``
+    list node v's out-edges and in-edges in ascending order, ``source_ids``
+    and ``destination_ids`` are the terminals' nodes, ``destination_of[v]`` is
+    node v's position in ``destinations`` or -1, and ``topo_index`` is a
+    topological order of the nodes.  ``reached``, built on first use, lists
+    per source the nodes it reaches, in that order.
     """
 
     nodes: tuple[str, ...]
@@ -87,15 +87,18 @@ class Network:
         if len(position) != len(self.nodes):
             raise ParseError("duplicate node ids")
         out: list[list[int]] = [[] for _ in self.nodes]
+        into: list[list[int]] = [[] for _ in self.nodes]
         for e, (t, h) in enumerate(self.edges):
             if t not in position or h not in position:
                 raise ParseError(f"edge ({t!r}, {h!r}) references an unknown node")
             if t == h:
                 raise CycleError(f"self-loop at node {t!r}")
             out[position[t]].append(e)
+            into[position[h]].append(e)
         self.tail = tuple(position[t] for t, _ in self.edges)
         self.head = tuple(position[h] for _, h in self.edges)
         self.out = tuple(map(tuple, out))
+        self.into = tuple(map(tuple, into))
         for group, name in ((self.sources, "sources"), (self.destinations, "destinations")):
             if len(set(group)) != len(group):
                 raise ParseError(f"duplicate entries in {name}")
@@ -139,9 +142,7 @@ class Network:
         # Kahn's algorithm; the heap hands out the ready node of smallest position,
         # so the order depends only on structure, not on node names.
         head, out = self.head, self.out
-        indeg = [0] * len(out)
-        for v in head:
-            indeg[v] += 1
+        indeg = list(map(len, self.into))
         ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
         order: list[int] = []
         while ready:
@@ -195,6 +196,16 @@ def pairs_in(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key that appears twice is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r} in network file")
+        obj[key] = value
+    return obj
+
+
 def load_network(data: bytes | str) -> Network:
     """Parse and validate a network from its JSON file content."""
     if isinstance(data, bytes):
@@ -203,7 +214,7 @@ def load_network(data: bytes | str) -> Network:
         except UnicodeDecodeError as exc:
             raise ParseError(f"network file is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data)
+        obj = json.loads(data, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nesting level
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
@@ -272,7 +283,7 @@ def mincut(net: Network, j: int) -> np.ndarray:
     head, out, destination_of = net.head, net.out, net.destination_of
     src = net.source_ids[j]
     reached = net.reached[j]
-    into = dict.fromkeys(reached, 0)  # reached in-edges seen so far; stays 0 at the source
+    entered = dict.fromkeys(reached, 0)  # reached in-edges seen so far; stays 0 at the source
     idom = {}  # nearest dominating node: the LCA of the tails seen so far
     depth = {src: 0}  # in the dominator tree, rooted at the source
     edge_dom = {src: False}  # one edge lies on every path from the source
@@ -282,12 +293,12 @@ def mincut(net: Network, j: int) -> np.ndarray:
             # every tail of u comes earlier in the order, so idom[u] is final
             d = idom[u]
             depth[u] = depth[d] + 1
-            edge_dom[u] = into[u] == 1 or edge_dom[d]
+            edge_dom[u] = entered[u] == 1 or edge_dom[d]
             if destination_of[u] >= 0:
                 cuts[destination_of[u]] = 1 if edge_dom[u] else _max_flow(net, src, u)
         for e in out[u]:
             v = head[e]
-            if into[v]:
+            if entered[v]:
                 x, y = idom[v], u
                 while x != y:  # a node no shallower than the other is not its ancestor
                     if depth[x] < depth[y]:
@@ -297,47 +308,37 @@ def mincut(net: Network, j: int) -> np.ndarray:
                 idom[v] = x
             else:
                 idom[v] = u
-            into[v] += 1
+            entered[v] += 1
     return cuts
 
 
 def _max_flow(net: Network, src: int, dst: int) -> int:
     """Max-flow value from node index src to node index dst with unit edge capacities.
 
-    Edmonds-Karp: breadth-first augmenting paths, so a call costs
-    O(flow * (V + E)); parallel edges add capacity.  Each call builds its own
-    residual arcs: edge e is arc 2e (tail to head) and its reverse is arc
-    2e + 1, so an arc's partner is ``a ^ 1``; out[v] lists the arcs that
-    start at node v.
+    Edmonds-Karp on the network's own edge lists: ``flow`` marks the edges
+    that carry flow, and each breadth-first search crosses an ``out`` edge
+    without flow forward and an ``into`` edge with flow backward.  It visits
+    only what src reaches, so a call costs O(flow * (reached nodes + their
+    edges)); parallel edges add capacity.
     """
-    head: list[int] = []
-    out: list[list[int]] = [[] for _ in net.nodes]
-    for t, h in zip(net.tail, net.head):
-        out[t].append(len(head))
-        out[h].append(len(head) + 1)
-        head += (h, t)
-    residual = [1, 0] * len(net.edges)
-    flow = 0
+    tail, head, out, into = net.tail, net.head, net.out, net.into
+    flow = bytearray(len(net.edges))
     while True:
-        via = [-1] * len(out)  # arc that first reached each node
-        via[src] = len(head)  # any non-negative mark: the source is reached
+        via = {src: None}  # the edge that first entered each node, and the node it came from
         queue = deque([src])
-        while queue and via[dst] < 0:
+        while queue and dst not in via:
             u = queue.popleft()
-            for a in out[u]:
-                v = head[a]
-                if residual[a] and via[v] < 0:
-                    via[v] = a
-                    queue.append(v)
-        if via[dst] < 0:
-            return flow
+            for ends, edges, full in ((head, out[u], 0), (tail, into[u], 1)):
+                for e in edges:
+                    if flow[e] == full and ends[e] not in via:
+                        via[ends[e]] = e, u
+                        queue.append(ends[e])
+        if dst not in via:
+            return sum(flow[e] for e in out[src])  # no path enters src, so all flow leaves it
         v = dst
         while v != src:
-            a = via[v]
-            residual[a] -= 1
-            residual[a ^ 1] += 1
-            v = head[a ^ 1]
-        flow += 1
+            e, v = via[v]
+            flow[e] ^= 1
 
 
 @dataclass(eq=False)

@@ -103,32 +103,29 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[
     Grows ``start`` (such a capped forest) by one edge per shortest
     augmenting path until none exists, or until it reaches sum(cap), past
     which none can; by the matroid intersection theorem the result is
-    maximum.  ``pool`` holds the edges of one component of g.
+    maximum.  ``pool`` holds every edge of one component of g.
 
     Each round makes one ``components`` pass over the forest I, every edge
     outside it masked, and searches backward: from the outside edges whose
     destination has room, to an outside edge that joins two trees of I.
     I - y + x is a forest iff y lies on the tree path between x's ends, and
     it keeps the caps, for an x whose destination is full, iff y is at x's
-    destination.  The rounds run on edge ids, and ascending ids are
-    ascending edges.
+    destination: the outside ones in its ``incidence`` list.  A path's flips
+    add a used edge only at its first edge's destination, since every other
+    flip swaps two edges at one.  Ascending edge ids are ascending edges.
     """
-    ids, edges, k = g.ids, g.edge_list, g.n_sources
+    ids, edges, incidence, k = g.ids, g.edge_list, g.incidence, g.n_sources
     pool_ids = sorted(ids[e] for e in pool)
     outside = bytearray(b"\x01") * len(edges)
     for e in start:
         outside[ids[e]] = 0
+    used = Counter(i for _, i in start)  # inside edges per destination
     size, most = len(start), sum(cap.values())
     while size < most:
         parent, up, orders = components(g, outside)
         visit = [0] * len(parent)
         for n, v in enumerate(v for order in orders for v in order):
             visit[v] = n
-        used = Counter(edges[x][1] for x in pool_ids if not outside[x])
-        outs_at: dict[int, list[int]] = {}  # outside edge ids per destination, ascending
-        for x in pool_ids:
-            if outside[x]:
-                outs_at.setdefault(edges[x][1], []).append(x)
         queue = [x for x in pool_ids if outside[x] and used[edges[x][1]] < cap[edges[x][1]]]
         prev = dict.fromkeys(queue, -1)
         goal = -1
@@ -140,7 +137,7 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[
                     goal = u
                     break
             else:
-                arcs = outs_at.get(i, ())
+                arcs = [x for _, x in incidence[k + i] if outside[x]]
             for v in arcs:
                 if v not in prev:
                     prev[v] = u
@@ -149,7 +146,8 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[
             break
         while goal >= 0:
             outside[goal] ^= 1
-            goal = prev[goal]
+            first, goal = goal, prev[goal]
+        used[edges[first][1]] += 1
         size += 1
     return tuple(edges[x] for x in pool_ids if not outside[x])
 

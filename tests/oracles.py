@@ -15,6 +15,11 @@ test; ``forest_scan_by_component_counts``, find_dstar's capped Kruskal scan
 with one component count per edge; ``max_capped_forest``, the largest capped
 forest by subset enumeration; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
+``augment_by_rebuilt_exchanges`` is the capped-forest augmentation
+find_dstar once ran, which rebuilt its used counts and per-destination
+outside edges from the pool every round.  It shares the package's
+``components`` pass and tree paths, so it pins only where the exchange arcs
+and caps are read from: the augmenting paths must stay the same.
 ``bfs_forest`` builds decompose's forest as {node: parent} trees, and
 ``precoding_by_tree_walk`` is the walk build_precoding once made down them,
 one link at a time with egcd inverses; ``integer_forest`` turns such trees
@@ -35,13 +40,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
 from pbna import gf
-from pbna.interference import Edge, InterferenceGraph, NodeRef
+from pbna.interference import Edge, InterferenceGraph, NodeRef, components
 from pbna.precoding import A, B, AlignmentVerdict
+from pbna.sparsify import _tree_path
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -619,6 +625,55 @@ def augment_by_component_counts(g, pool, d: int, start):
         while node is not None:
             current.symmetric_difference_update({node})
             node = prev[node]
+
+
+def augment_by_rebuilt_exchanges(g: InterferenceGraph, pool, cap: dict[int, int], start) -> tuple[Edge, ...]:
+    """find_dstar's augmentation to a maximum capped forest, with its per-round rebuilds.
+
+    Each round counts the inside edges per destination and lists the outside
+    edges per destination afresh from ``pool``; otherwise the search is
+    ``sparsify._augment_to_maximum``'s, so both must grow ``start`` along the
+    same shortest augmenting paths.
+    """
+    ids, edges, k = g.ids, g.edge_list, g.n_sources
+    pool_ids = sorted(ids[e] for e in pool)
+    outside = bytearray(b"\x01") * len(edges)
+    for e in start:
+        outside[ids[e]] = 0
+    size, most = len(start), sum(cap.values())
+    while size < most:
+        parent, up, orders = components(g, outside)
+        visit = [0] * len(parent)
+        for n, v in enumerate(v for order in orders for v in order):
+            visit[v] = n
+        used = Counter(edges[x][1] for x in pool_ids if not outside[x])
+        outs_at: dict[int, list[int]] = {}  # outside edge ids per destination, ascending
+        for x in pool_ids:
+            if outside[x]:
+                outs_at.setdefault(edges[x][1], []).append(x)
+        queue = [x for x in pool_ids if outside[x] and used[edges[x][1]] < cap[edges[x][1]]]
+        prev = dict.fromkeys(queue, -1)
+        goal = -1
+        for u in queue:
+            j, i = edges[u]
+            if outside[u]:
+                arcs = _tree_path(parent, up, visit, j, k + i)
+                if arcs is None:
+                    goal = u
+                    break
+            else:
+                arcs = outs_at.get(i, ())
+            for v in arcs:
+                if v not in prev:
+                    prev[v] = u
+                    queue.append(v)
+        if goal < 0:
+            break
+        while goal >= 0:
+            outside[goal] ^= 1
+            goal = prev[goal]
+        size += 1
+    return tuple(edges[x] for x in pool_ids if not outside[x])
 
 
 def verdicts_by_ranks(plan) -> list:

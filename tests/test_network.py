@@ -116,6 +116,7 @@ def test_topo_order_is_networkx_lexicographic_by_position(which):
         # the integer view names the same edges, out-edge lists and terminals
         assert [(net.nodes[net.tail[e]], net.nodes[net.head[e]]) for e in range(len(net.edges))] == list(net.edges)
         assert net.out == tuple(tuple(e for e, (t, _) in enumerate(net.edges) if t == v) for v in net.nodes)
+        assert net.into == tuple(tuple(e for e, (_, h) in enumerate(net.edges) if h == v) for v in net.nodes)
         assert tuple(net.nodes[v] for v in net.source_ids) == net.sources
         assert tuple(net.nodes[v] for v in net.destination_ids) == net.destinations
         assert net.destination_of == tuple(net.destinations.index(v) if v in net.destinations else -1
@@ -150,6 +151,21 @@ def test_construction_errors_are_pinned(change, cls, message, tmp_path, capsys):
     path = tmp_path / "net.json"
     path.write_text(json.dumps(spec))
     assert cli.main(["validate", "--network", str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: network: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "dstar"])
+def test_duplicate_file_keys_are_pinned(command, tmp_path, capsys):
+    # a second "demands" listing must not silently replace the first
+    text = (Path(__file__).resolve().parent.parent / "networks" / "fourbyfour.json").read_text()
+    text = text.rstrip().removesuffix("}") + ',\n  "demands": [[1, 2], [1, 2], [1, 2], [1, 2]]\n}\n'
+    message = "duplicate key 'demands' in network file"
+    with pytest.raises(ng.ParseError) as info:
+        ng.load_network(text)
+    assert type(info.value) is ng.ParseError and str(info.value) == message
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    assert cli.main([command, "--network", str(path)]) == cli.EXIT_PARSE
     assert capsys.readouterr().err == f"error: network: {message}\n"
 
 
@@ -188,6 +204,14 @@ def test_mincut_two_disjoint_paths():
     )
     assert ng.mincut(net, 0)[0] == 2
     assert ng.mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
+    # The first breadth-first path is S1-X-Y-D1.  It blocks both S1-P-Y-D1 and S1-X-Q-D1, so the
+    # second path, S1-P-Y-X-Q-D1, must cancel the flow on X -> Y by crossing it backward.
+    net = ng.Network(
+        ("S1", "X", "P", "Y", "Q", "D1"),
+        (("S1", "X"), ("S1", "P"), ("X", "Y"), ("X", "Q"), ("P", "Y"), ("Y", "D1"), ("Q", "D1")),
+        ("S1",), ("D1",), (frozenset({0}),),
+    )
+    assert ng.mincut(net, 0)[0] == 2 == mincut_by_enumeration(net, 0, 0)
 
 
 def test_mincut_matches_enumeration_on_random_dags():
@@ -333,6 +357,21 @@ def test_validate_calls_mincut_once_per_source(which, monkeypatch):
     assert bool(wide) == (which == "multiterminal")
 
 
+class _Unreadable:
+    """Stands in for ``tail`` or ``head``; iterating fails, and so does indexing an edge in ``hidden``."""
+
+    def __init__(self, values, hidden):
+        self.values, self.hidden = values, hidden
+
+    def __iter__(self):
+        raise AssertionError("an edge table was iterated")
+
+    def __getitem__(self, e):
+        if e in self.hidden:
+            raise AssertionError(f"edge {e} was read")
+        return self.values[e]
+
+
 class _NoOrder:
     """Stands in for ``topo_index``; any read fails."""
 
@@ -349,7 +388,8 @@ class _NoOrder:
 def test_validation_walks_only_what_each_source_reaches():
     # S1 reaches D1 by two disjoint paths and D2 by one; S2 reaches D2 by one edge and D3 by two
     # parallel ones.  D4 ends a 3,000-node chain that no source reaches, and the chain comes after
-    # the sources in topological order, so a pass that walked the order would cross it.
+    # the sources in topological order, so a pass that walked the order would cross it.  S1-D1 and
+    # S2-D3 run max-flow, which must not read the chain's edges either.
     chain = [f"C{k}" for k in range(3000)]
     nodes = ("S1", "S2", "A", "B", "D1", "D2", "D3", *chain, "D4")
     edges = (("S1", "A"), ("S1", "B"), ("A", "D1"), ("B", "D1"), ("A", "D2"), ("S2", "D2"), ("S2", "D3"),
@@ -357,6 +397,8 @@ def test_validation_walks_only_what_each_source_reaches():
     net = ng.Network(nodes, edges, ("S1", "S2"), ("D1", "D2", "D3", "D4"), (frozenset({0}),) * 4)
     assert net.reached == ((0, 2, 3, 4, 5), (1, 5, 6))
     net.topo_index = _NoOrder()
+    chain_edges = range(8, len(edges))
+    net.tail, net.head = _Unreadable(net.tail, chain_edges), _Unreadable(net.head, chain_edges)
     assert ng.validate_assumptions(net).mincut.tolist() == [[2, 0], [1, 1], [0, 2], [0, 0]]
 
 

@@ -7,9 +7,10 @@ import pytest
 from pbna import sparsify as sp
 from pbna.interference import InterferenceGraph, build_igraph, connected_components, has_cycle
 from pbna.network import realize
-from gen import dense_bipartite, forest_instance, hub_bipartite, random_bipartite
-from oracles import (augment_by_component_counts, component_count, dstar_exact_removal, forest_scan_by_component_counts,
-                     greedy_scan_by_component_counts, independence_check, max_capped_forest)
+from gen import cyclic_instance, dense_bipartite, forest_instance, hub_bipartite, random_bipartite
+from oracles import (augment_by_component_counts, augment_by_rebuilt_exchanges, component_count, dstar_exact_removal,
+                     forest_scan_by_component_counts, greedy_scan_by_component_counts, independence_check,
+                     max_capped_forest)
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -329,6 +330,33 @@ def test_augmentation_reaches_the_exhaustive_maximum_capped_forest():
                 seen["stalled"] += len(start) < best
                 seen["at_sum" if best == sum(cap.values()) else "below_sum"] += 1
     assert seen["stalled"] >= 20 and seen["below_sum"] >= 100 and seen["at_sum"] >= 100, seen
+
+
+def test_augmentation_paths_match_the_per_round_rebuild():
+    # Reading an inside edge's exchange arcs off its destination's incidence
+    # list, and counting used edges once, must find the very paths that the
+    # per-round rebuild found: the identical edge tuple, from the scan's
+    # forest and from nothing, at every quota from 1 to the component's max
+    # degree - 1.  The corpora come with both K = 160 pinned instances'
+    # interference graphs.
+    rng = np.random.default_rng(2024)
+    graphs = _corpus(1226, sparse=150, dense=180) + [hub_bipartite(rng) for _ in range(100)]
+    graphs.append(InterferenceGraph(160, 160, forest_instance(np.random.default_rng(160), size=160)[1]))
+    graphs.append(InterferenceGraph(160, 160, cyclic_instance(np.random.default_rng(160), 160)[1]))
+    augmented = 0
+    for g in graphs:
+        for comp in connected_components(g):
+            members = set(comp)
+            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            if not pool:
+                continue
+            for d in range(1, max(Counter(i for _, i in pool).values())):
+                cap = _caps(pool, d)
+                for start in (sp._forest(g, pool[::-1], cap), ()):
+                    grown = sp._augment_to_maximum(g, pool, cap, start)
+                    assert grown == augment_by_rebuilt_exchanges(g, pool, cap, start)
+                    augmented += len(grown) > len(start)
+    assert augmented >= 100
 
 
 def test_augmentation_makes_no_connectivity_test(monkeypatch):
