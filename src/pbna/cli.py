@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
-from .interference import InterferenceGraph, build_igraph, edge_between, has_cycle, shortest_cycle, to_dot
+from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
-from .obstruction import NotACycle, check_cycle, cycle_ratio, infeasibility_report
+from .obstruction import NotACycle, cycle_edges, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
 from .simulate import rate_report, run_session
 from .sparsify import find_dstar
@@ -140,8 +140,8 @@ class Run:
         return EXIT_DECODE if self.rates.successes < self.rates.decode_checks else EXIT_OK
 
 
-def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
-    """An explicit ``--cycle``: well formed, and a cycle of this run's interference graph."""
+def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str) -> tuple[int, ...]:
+    """An explicit ``--cycle`` as node ids: well formed, and a cycle of this run's interference graph."""
     nodes = []
     for tok in arg.split(","):
         tok = tok.strip()
@@ -149,13 +149,15 @@ def _parse_cycle_arg(net: Network, graph: InterferenceGraph, arg: str):
         # str.isdigit alone also accepts digits such as "²" and "١"
         if kind not in ("S", "W") or not (digits.isascii() and digits.isdigit()) or int(digits) == 0:
             raise ConfigError(f"bad cycle node {tok!r}; expected S<k> or W<k> labels, k from 1")
-        nodes.append(("x" if kind == "S" else "y", int(digits) - 1))
-    cyc = check_cycle(net, nodes)
-    for t, u in enumerate(cyc):
-        j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
+        side, count, first = (("sources", net.n_sources, 0) if kind == "S"
+                              else ("destinations", net.n_destinations, net.n_sources))
+        if int(digits) > count:
+            raise NotACycle(f"{kind}{int(digits)} is out of range: the network has {side} {kind}1..{kind}{count}")
+        nodes.append(first + int(digits) - 1)
+    for j, i in cycle_edges(net, tuple(nodes)):
         if (j, i) not in graph.edges:
             raise NotACycle(f"(S{j + 1}, W{i + 1}) is not an edge of the interference graph")
-    return cyc
+    return tuple(nodes)
 
 
 def _src(j: int) -> str:
@@ -250,7 +252,7 @@ def _obstruction_section(run: Run) -> dict | None:
         return None
     ratio, obs = run.obstruction
     return {
-        "cycle": [(_src(idx) if kind == "x" else f"W{idx + 1}") for kind, idx in ratio.cycle],
+        "cycle": [_src(v) if v < run.net.n_sources else f"W{v - run.net.n_sources + 1}" for v in ratio.cycle],
         "evaluations": list(ratio.evaluations),
         "verdict": ratio.verdict,
         "four_by_four_cycle": obs.four_by_four_cycle,

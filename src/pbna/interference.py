@@ -4,9 +4,8 @@ The graph has one node per source (the X side) and one node W_i per
 destination (the Y side); an edge (j, i) means source j interferes at
 destination i, i.e. j is not demanded there but its transfer function is not
 identically zero.  Traversal results are node ids of the view below:
-``connected_components`` gives sorted id lists and ``decompose`` the BFS
-forest as id arrays.  Only the cycle API, whose nodes users type, speaks in
-NodeRef ("x", j) / ("y", i) pairs with 0-based indices.
+``connected_components`` gives sorted id lists, ``decompose`` the BFS
+forest as id arrays and ``shortest_cycle`` a tuple of ids.
 
 Underneath, every traversal walks one integer view that the graph builds at
 construction (``edge_list``, ``ids`` and ``incidence``): source j is node j,
@@ -26,7 +25,6 @@ from dataclasses import dataclass
 
 from .network import Network, NetworkRealization, pairs_in
 
-NodeRef = tuple[str, int]  # ("x", source index) or ("y", destination index)
 Edge = tuple[int, int]  # (source j, destination i)
 
 
@@ -83,11 +81,6 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
     """
     live = realization.transfer.any(axis=2) & ~net.demand_mask  # (M, K)
     return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs_in(live)))
-
-
-def edge_between(u: NodeRef, v: NodeRef) -> tuple[int, int]:
-    """The (source j, destination i) edge joining two adjacent nodes."""
-    return (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
 
 
 def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[int], list[int], list[list[int]]]:
@@ -149,16 +142,16 @@ def decompose(g: InterferenceGraph) -> tuple[list[int], list[int], list[list[int
     return parent, up, [order for order in orders if order[0] < g.n_sources]
 
 
-def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
-    """Shortest cycle as an alternating node sequence, or None if acyclic.
+def shortest_cycle(g: InterferenceGraph) -> tuple[int, ...] | None:
+    """Shortest cycle as an alternating sequence of node ids, or None if acyclic.
 
     For every edge in sorted order, BFS the shortest path between its
     endpoints in the graph without that edge; the first strictly shortest
     closure wins.  Each BFS stops when it discovers the far endpoint, and
     gives up at the depth where it could no longer beat the best closure so
     far (the far endpoint lies at odd depth, the graph being bipartite).
-    Rotated to start at the smallest source on the cycle for deterministic
-    output.
+    Rotated to start at its smallest id, which is its smallest source, for
+    deterministic output.
     """
     incidence = g.incidence
     best: list[int] | None = None
@@ -191,9 +184,8 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
         best = path[::-1]
     if best is None:
         return None
-    k = g.n_sources
-    k0 = min((t for t, v in enumerate(best) if v < k), key=best.__getitem__)
-    return tuple(("x", v) if v < k else ("y", v - k) for v in best[k0:] + best[:k0])
+    k0 = best.index(min(best))
+    return tuple(best[k0:] + best[:k0])
 
 
 def to_dot(g: InterferenceGraph) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import kernels
 from .gf import DEFAULT_Q
-from .interference import InterferenceGraph, NodeRef, connected_components, edge_between
+from .interference import Edge, InterferenceGraph, connected_components
 from .network import Network, realize
 
 
@@ -30,65 +30,63 @@ class NotACycle(ValueError):
 class CycleRatio:
     """Alternating-ratio evaluations around one cycle.
 
-    evaluations has one entry per trial; None marks trials skipped because a
-    denominator factor vanished.  verdict is "non-constant", "constant", or
-    "undefined" (fewer than two usable evaluations).
+    cycle is the interference graph's node ids, source j as j and
+    destination i as K + i, in the order walked.  evaluations has one entry
+    per trial; None marks trials skipped because a denominator factor
+    vanished.  verdict is "non-constant", "constant", or "undefined" (fewer
+    than two usable evaluations).
     """
 
-    cycle: tuple[NodeRef, ...]
+    cycle: tuple[int, ...]
     evaluations: tuple[int | None, ...]
     verdict: str
 
 
-def check_cycle(net: Network, cycle) -> tuple[NodeRef, ...]:
-    """The cycle as ("x"|"y", index) pairs; NotACycle unless its nodes are
-    distinct, in range and alternating, with no demanded pair adjacent.
+def cycle_edges(net: Network, cycle: tuple[int, ...]) -> tuple[Edge, ...]:
+    """The (j, i) edge from each node of a cycle of node ids to the next, in walk order.
 
-    Whether each adjacent pair is an interference edge is left to the caller.
+    NotACycle unless the nodes are distinct ids in 0..K+M-1, at least 4 and
+    an even number of them, alternating between sources and destinations,
+    with no demanded pair adjacent.  Whether each edge is an interference
+    edge is left to the caller.
     """
-    cyc = tuple((str(kind), int(idx)) for kind, idx in cycle)
-    if len(cyc) < 4 or len(cyc) % 2 != 0:
+    k, n = net.n_sources, net.n_sources + net.n_destinations
+    if len(cycle) < 4 or len(cycle) % 2 != 0:
         raise NotACycle("a cycle needs an even number of nodes, at least 4")
-    if len(set(cyc)) != len(cyc):
+    if len(set(cycle)) != len(cycle):
         raise NotACycle("cycle nodes must be distinct")
-    for kind, idx in cyc:
-        if kind == "x":
-            if not 0 <= idx < net.n_sources:
-                raise NotACycle(f"S{idx + 1} is out of range: the network has sources S1..S{net.n_sources}")
-        elif kind == "y":
-            if not 0 <= idx < net.n_destinations:
-                raise NotACycle(f"W{idx + 1} is out of range: the network has destinations W1..W{net.n_destinations}")
-        else:
-            raise NotACycle(f"bad node kind {kind!r}")
-    for t, (kind, _) in enumerate(cyc):
-        if kind == cyc[(t + 1) % len(cyc)][0]:
-            raise NotACycle("cycle must alternate source and destination nodes")
-    for t, u in enumerate(cyc):
-        j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
+    for v in cycle:
+        if not 0 <= v < n:
+            raise NotACycle(f"node {v} is out of range: the graph has node ids 0..{n - 1}")
+    steps = list(zip(cycle, cycle[1:] + cycle[:1]))
+    if any((u < k) == (v < k) for u, v in steps):
+        raise NotACycle("cycle must alternate source and destination nodes")
+    edges = tuple((u, v - k) if u < k else (v, u - k) for u, v in steps)
+    for j, i in edges:
         if j in net.demands[i]:
             raise NotACycle(f"(S{j + 1}, W{i + 1}) is a demanded pair, not interference")
-    return cyc
+    return edges
 
 
 def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DEFAULT_Q) -> CycleRatio:
     """Evaluate the alternating ratio at ``trials`` independent assignments.
 
-    Walking the cycle in order, an edge entered from the destination side
-    contributes its transfer value to the numerator, an edge entered from the
-    source side to the denominator.
+    Walking the cycle of node ids in order, an edge left from a destination
+    (an id of at least K) contributes its transfer value to the numerator,
+    an edge left from a source to the denominator.
     """
     if trials < 2:
         raise ValueError("constancy testing needs at least 2 trials")
-    cyc = check_cycle(net, cycle)
+    cycle = tuple(cycle)
+    edges = cycle_edges(net, cycle)
     rng = np.random.default_rng(seed)
     ratios: list[tuple[int, int] | None] = []
     for _ in range(trials):
         r = realize(net, 1, int(rng.integers(0, 2**63)), q)
         num = den = 1
-        for t, u in enumerate(cyc):
-            j, i = edge_between(u, cyc[(t + 1) % len(cyc)])
+        for u, (j, i) in zip(cycle, edges):
             m = int(r.transfer[i, j, 0])
-            if u[0] == "y":
+            if u >= net.n_sources:
                 num = num * m % q
             elif m == 0:
                 ratios.append(None)
@@ -108,7 +106,7 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
         verdict = "non-constant"
     else:
         verdict = "constant"
-    return CycleRatio(cyc, tuple(evaluations), verdict)
+    return CycleRatio(cycle, tuple(evaluations), verdict)
 
 
 @dataclass(frozen=True)

@@ -210,9 +210,12 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     augmentations = 0
     removed: set[Edge] = set()
     stats = []
-    for comp in connected_components(g):
-        members = set(comp)
-        comp_labels = tuple(e for e in label_order if e[0] in members)
+    comps = connected_components(g)
+    which = {v: c for c, comp in enumerate(comps) for v in comp}
+    buckets: list[list[Edge]] = [[] for _ in comps]
+    for e in label_order:  # each component's edges in label order, in one pass
+        buckets[which[e[0]]].append(e)
+    for comp, comp_labels in zip(comps, map(tuple, buckets)):
         f = len(comp_labels)
         if f == 0:
             continue

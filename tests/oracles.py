@@ -45,9 +45,11 @@ from collections import Counter, deque
 import numpy as np
 
 from pbna import gf
-from pbna.interference import Edge, InterferenceGraph, NodeRef, components
+from pbna.interference import Edge, InterferenceGraph, components
 from pbna.precoding import A, B, AlignmentVerdict
 from pbna.sparsify import _tree_path
+
+Node = tuple[str, int]  # the reference walks' own node names: ("x", source j) or ("y", destination i)
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -369,17 +371,17 @@ def dstar_exact_removal(g) -> int:
     return max_deg
 
 
-def bfs_tree(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[NodeRef, NodeRef | None]:
+def bfs_tree(g: InterferenceGraph, start: Node, removed=frozenset()) -> dict[Node, Node | None]:
     """Breadth-first {node: parent} tree from ``start`` over g's edges not in ``removed``.
 
     Neighbours are visited in sorted edge order; the tree lists nodes in
     visit order, the start mapped to None.
     """
-    adj: dict[NodeRef, list[NodeRef]] = {start: []}
+    adj: dict[Node, list[Node]] = {start: []}
     for j, i in sorted(g.edges - set(removed)):
         adj.setdefault(("x", j), []).append(("y", i))
         adj.setdefault(("y", i), []).append(("x", j))
-    tree: dict[NodeRef, NodeRef | None] = {start: None}
+    tree: dict[Node, Node | None] = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
@@ -390,9 +392,9 @@ def bfs_tree(g: InterferenceGraph, start: NodeRef, removed=frozenset()) -> dict[
     return tree
 
 
-def bfs_forest(g: InterferenceGraph) -> list[dict[NodeRef, NodeRef | None]]:
+def bfs_forest(g: InterferenceGraph) -> list[dict[Node, Node | None]]:
     """One ``bfs_tree`` per component that holds a source, from its smallest source, in ascending root order."""
-    trees: list[dict[NodeRef, NodeRef | None]] = []
+    trees: list[dict[Node, Node | None]] = []
     for j in range(g.n_sources):
         if not any(("x", j) in tree for tree in trees):
             trees.append(bfs_tree(g, ("x", j)))
@@ -404,7 +406,7 @@ def integer_forest(g: InterferenceGraph, trees) -> tuple[list[int], list[int], l
     outside the trees) and tree-edge id (-1 there), and each tree's nodes in its dict order."""
     k = g.n_sources
 
-    def node_id(v: NodeRef) -> int:
+    def node_id(v: Node) -> int:
         return v[1] if v[0] == "x" else k + v[1]
 
     parent, up = list(range(k + g.n_destinations)), [-1] * (k + g.n_destinations)
@@ -428,7 +430,7 @@ def precoding_by_tree_walk(trees, realization, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     V = np.zeros((realization.transfer.shape[1], n), dtype=np.int64)
     for tree in trees:
-        scale: dict[NodeRef, np.ndarray] = {}
+        scale: dict[Node, np.ndarray] = {}
         for node, parent in tree.items():
             if parent is None:
                 scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
@@ -538,17 +540,18 @@ def max_capped_forest(g: InterferenceGraph, pool, cap) -> int:
     return 0
 
 
-def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | None:
-    """Shortest cycle as an alternating node sequence, or None if acyclic.
+def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[int, ...] | None:
+    """Shortest cycle as an alternating sequence of g's node ids, or None if acyclic.
 
     For every edge, BFS the shortest path between its endpoints in the graph
     without that edge; the best closure wins.  Rotated to start at the
-    smallest source on the cycle for deterministic output.
+    smallest source on the cycle for deterministic output, then written as
+    node ids (source j is j, destination i is K + i).
     """
-    best: list[NodeRef] | None = None
+    best: list[Node] | None = None
     for j, i in sorted(g.edges):
-        a: NodeRef = ("x", j)
-        b: NodeRef = ("y", i)
+        a: Node = ("x", j)
+        b: Node = ("y", i)
         prev = bfs_tree(g, a, removed={(j, i)})
         if b not in prev:
             continue
@@ -561,7 +564,7 @@ def shortest_cycle_by_full_bfs(g: InterferenceGraph) -> tuple[NodeRef, ...] | No
         return None
     starts = [k for k, (kind, _) in enumerate(best) if kind == "x"]
     k0 = min(starts, key=lambda k: best[k][1])
-    return tuple(best[k0:] + best[:k0])
+    return tuple(idx if kind == "x" else g.n_sources + idx for kind, idx in best[k0:] + best[:k0])
 
 
 def augment_by_component_counts(g, pool, d: int, start):

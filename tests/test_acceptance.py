@@ -100,7 +100,7 @@ def test_criterion_2_fourbyfour_cycle(fourbyfour_stack):
 def test_criterion_3_obstruction_hypothesis(fourbyfour_stack):
     with criterion(3, "4x4 ratio non-constant in >= 99/100 seeded runs, infeasibility statement emitted"):
         net, graph, _, _ = fourbyfour_stack
-        cycle = (("x", 0), ("y", 0), ("x", 1), ("y", 1), ("x", 2), ("y", 2), ("x", 3), ("y", 3))
+        cycle = (0, 4, 1, 5, 2, 6, 3, 7)  # S1, W1, S2, W2, S3, W3, S4, W4
         ratios = [cycle_ratio(net, cycle, trials=5, seed=s, q=Q) for s in range(100)]
         non_constant = sum(r.verdict == "non-constant" for r in ratios)
         assert non_constant >= 99

@@ -147,6 +147,20 @@ def test_obstruct_subcommand_explicit_cycle():
     assert "non-constant" in proc.stdout
 
 
+def test_obstruct_explicit_cycle_may_start_at_a_destination(capsys):
+    # the cycle is reported in the order given, and a rotation leaves the ratio unchanged
+    reports = {}
+    for cycle in ("W1,S2,W2,S3,W3,S4,W4,S1", "S1,W1,S2,W2,S3,W3,S4,W4"):
+        code = cli.main(["obstruct", "--network", str(FOURBYFOUR), "--cycle", cycle, "--format", "json"])
+        assert code == cli.EXIT_OK
+        reports[cycle] = json.loads(capsys.readouterr().out)["obstruction"]
+        assert reports[cycle]["cycle"] == cycle.split(",")
+        assert reports[cycle]["verdict"] == "non-constant"
+    first, second = reports.values()
+    assert first["evaluations"] == second["evaluations"]
+    assert first["evaluations"] == [354235247, 1510246364, 1297080026, 1758306777, 93264073]
+
+
 def test_obstruct_on_forest_reports_acyclic():
     proc = run_cli("obstruct", "--network", str(FOREST))
     assert proc.returncode == 0

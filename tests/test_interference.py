@@ -4,7 +4,8 @@ import pytest
 from pbna import interference as ig
 from pbna import sparsify as sp
 from pbna.network import Network, realize
-from gen import cyclic_instance, dense_bipartite, forest_instance, random_bipartite
+from gen import (cyclic_instance, dense_bipartite, forest_instance, random_bipartite, random_dag_net,
+                 random_multiterminal_dag)
 from oracles import bipartite_has_cycle_bruteforce, shortest_cycle_by_full_bfs
 
 
@@ -156,16 +157,42 @@ def test_edges_shrink_when_demands_grow():
             assert (j, i) not in g2.edges
 
 
+def test_probe_graph_is_reachability_minus_demands():
+    # A transfer function is identically zero iff no path joins the pair, so
+    # the probe at the default q must find exactly the pairs that networkx
+    # connects by a path, less the demanded ones; a destination at the
+    # source's own node is joined by no path of edges, so it is unreached.
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(2020)
+    seen = {"parallel edges": 0, "destination at a source": 0, "source reached from another": 0}
+    for draw in range(840):
+        if draw % 4 == 0:
+            net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=10)
+        elif draw % 4 == 1:
+            net = random_dag_net(rng, max_extra_nodes=5, max_edges=10)
+        elif draw % 4 == 2:
+            net = forest_instance(rng)[0]
+        else:
+            net = cyclic_instance(rng, int(rng.integers(3, 8)), density=0.3)[0]
+        h = nx.MultiDiGraph()
+        h.add_nodes_from(net.nodes)
+        h.add_edges_from(net.edges)
+        reached = {(j, i) for j, s in enumerate(net.sources) for i, d in enumerate(net.destinations)
+                   if s != d and nx.has_path(h, s, d)}
+        assert graph_of(net).edges == {(j, i) for j, i in reached if j not in net.demands[i]}, draw
+        seen["parallel edges"] += len(set(net.edges)) < len(net.edges)
+        seen["destination at a source"] += bool(set(net.sources) & set(net.destinations))
+        seen["source reached from another"] += any(s != t and nx.has_path(h, s, t)
+                                                   for s in net.sources for t in net.sources)
+    assert min(seen.values()) >= 50, seen
+
+
 def test_shortest_cycle_on_eight_cycle(fourbyfour):
     g = graph_of(fourbyfour)
     cyc = ig.shortest_cycle(g)
-    assert cyc is not None and len(cyc) == 8
-    assert cyc[0] == ("x", 0)
-    # consecutive nodes are joined by interference edges
-    for t in range(8):
-        u, v = cyc[t], cyc[(t + 1) % 8]
-        j, i = (u[1], v[1]) if u[0] == "x" else (v[1], u[1])
-        assert (j, i) in g.edges
+    # S1, W4, S4, W3, S3, W2, S2, W1 as node ids: consecutive nodes are joined by interference edges
+    assert cyc == (0, 7, 3, 6, 2, 5, 1, 4)
+    assert all(_edge(g, u, v) in g.edges for u, v in zip(cyc, cyc[1:] + cyc[:1]))
 
 
 def test_shortest_cycle_none_on_forest():
@@ -207,16 +234,18 @@ def _mask(g: ig.InterferenceGraph, removed) -> bytearray:
     return mask
 
 
-def _refs(g: ig.InterferenceGraph) -> list:
-    """Every node's NodeRef, by node id: sources, then destinations."""
-    return [("x", j) for j in range(g.n_sources)] + [("y", i) for i in range(g.n_destinations)]
+def _edge(g: ig.InterferenceGraph, u: int, v: int) -> tuple[int, int]:
+    """The (source, destination) pair of two node ids, one of each side, in either order."""
+    k = g.n_sources
+    return (u, v - k) if u < k else (v, u - k)
 
 
 def _nx_graph(g: ig.InterferenceGraph, removed=frozenset()):
+    """g minus ``removed`` as a networkx graph over g's node ids."""
     nx = pytest.importorskip("networkx")
     h = nx.Graph()
-    h.add_nodes_from(_refs(g))
-    h.add_edges_from((("x", j), ("y", i)) for j, i in g.edges - set(removed))
+    h.add_nodes_from(range(len(g.incidence)))
+    h.add_edges_from((j, g.n_sources + i) for j, i in g.edges - set(removed))
     return nx, h
 
 
@@ -234,10 +263,10 @@ def test_shortest_cycle_matches_networkx_girth():
         seen_cyclic += 1
         assert len(cyc) == girth
         assert len(set(cyc)) == len(cyc)
-        for t, u in enumerate(cyc):
-            v = cyc[(t + 1) % len(cyc)]
-            assert u[0] != v[0]
-            assert ((u[1], v[1]) if u[0] == "x" else (v[1], u[1])) in g.edges
+        assert cyc[0] == min(cyc) < g.n_sources
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            assert (u < g.n_sources) != (v < g.n_sources)
+            assert _edge(g, u, v) in g.ids
     assert seen_cyclic > 50
 
 
@@ -252,8 +281,7 @@ def test_connected_components_match_networkx_under_removals():
             rest = ig.InterferenceGraph(g.n_sources, g.n_destinations, g.edges - removed)
             components = ig.connected_components(rest)
             # ascending order of the smallest member, each component's node ids sorted
-            refs = _refs(g)
-            assert components == sorted(sorted(refs.index(v) for v in c) for c in nx.connected_components(h))
+            assert components == sorted(sorted(c) for c in nx.connected_components(h))
             assert ig.has_cycle(rest) == (not nx.is_forest(h))
             counts.add(len(components))
             cyclic.add(ig.has_cycle(rest))
@@ -273,21 +301,18 @@ def test_decompose_matches_networkx():
             continue
         forests += 1
         parent, up, orders = ig.decompose(g)
-        refs = _refs(g)
-        with_source = sorted((c for c in nx.connected_components(h) if any(v[0] == "x" for v in c)),
-                             key=lambda c: min(c))
-        assert [{refs[v] for v in order} for order in orders] == with_source
+        with_source = sorted((c for c in nx.connected_components(h) if min(c) < g.n_sources), key=min)
+        assert [set(order) for order in orders] == with_source
         for order, comp in zip(orders, with_source):
             root = order[0]
-            assert refs[root] == min(v for v in comp if v[0] == "x")
-            lengths = nx.shortest_path_length(h, refs[root])
+            assert root == min(comp)
+            lengths = nx.shortest_path_length(h, root)
             for v in order:
                 assert (parent[v] == v) == (v == root) == (up[v] == -1)
                 if v != root:
-                    assert h.has_edge(refs[parent[v]], refs[v])
-                    j, i = g.edge_list[up[v]]
-                    assert {("x", j), ("y", i)} == {refs[parent[v]], refs[v]}
-            assert {refs[v]: d for v, d in _depths(parent, order).items()} == lengths
+                    assert h.has_edge(parent[v], v)
+                    assert g.edge_list[up[v]] == _edge(g, parent[v], v)
+            assert _depths(parent, order) == lengths
     assert forests > 100 and cyclic > 50
 
 
@@ -320,7 +345,7 @@ def test_bridges_match_networkx_under_removals():
         for j, i in sorted(g.edges - removed - forest):
             covered.update(g.edge_list[e] for e in sp._tree_path(*walk, j, g.n_sources + i))
         found = forest - covered
-        assert found == {ig.edge_between(u, v) for u, v in nx.bridges(h)}
+        assert found == {_edge(g, u, v) for u, v in nx.bridges(h)}
         disconnected += not nx.is_connected(h)
         isolated += nx.number_of_isolates(h) > 0
         bridgeless += h.number_of_edges() > 0 and not found
@@ -373,20 +398,21 @@ def test_bridge_forest_arcs_match_networkx():
     for g in graphs:
         share = rng.choice([0.4, 0.8, 1.0])
         weighted = nx.Graph()
-        weighted.add_weighted_edges_from((("x", j), ("y", i), rng.random()) for j, i in sorted(g.edges)
+        weighted.add_weighted_edges_from((j, g.n_sources + i, rng.random()) for j, i in sorted(g.edges)
                                          if rng.random() < share)
-        forest = {ig.edge_between(u, v) for u, v in nx.minimum_spanning_edges(weighted, data=False)}
+        forest = {_edge(g, u, v) for u, v in nx.minimum_spanning_edges(weighted, data=False)}
         walk = _forest_walk(g, forest)
         _, h = _nx_graph(g, g.edges - forest)
         joins = closes = 0
         for j, i in sorted(g.edges - forest):
             found = sp._tree_path(*walk, j, g.n_sources + i)
-            if nx.has_path(h, ("x", j), ("y", i)):
-                nodes = nx.shortest_path(h, ("x", j), ("y", i))
-                assert sorted(found) == sorted(g.ids[ig.edge_between(u, v)] for u, v in zip(nodes, nodes[1:]))
-                h.add_edge(("x", j), ("y", i))
-                bridges = {ig.edge_between(u, v) for u, v in nx.bridges(h)}
-                h.remove_edge(("x", j), ("y", i))
+            u, v = j, g.n_sources + i
+            if nx.has_path(h, u, v):
+                nodes = nx.shortest_path(h, u, v)
+                assert sorted(found) == sorted(g.ids[_edge(g, a, b)] for a, b in zip(nodes, nodes[1:]))
+                h.add_edge(u, v)
+                bridges = {_edge(g, a, b) for a, b in nx.bridges(h)}
+                h.remove_edge(u, v)
                 assert {g.edge_list[e] for e in found} == forest - bridges
                 closes += 1
             else:

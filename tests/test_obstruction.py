@@ -5,9 +5,8 @@ from pbna.interference import CyclicGraph, build_igraph, decompose, shortest_cyc
 from pbna.network import realize
 from gen import fourbyfour_constant_ratio_net, sixcycle_net
 
-EIGHT_CYCLE = (
-    ("x", 0), ("y", 0), ("x", 1), ("y", 1), ("x", 2), ("y", 2), ("x", 3), ("y", 3),
-)
+# S1, W1, S2, W2, S3, W3, S4, W4 as node ids: source j is j, destination i is 4 + i
+EIGHT_CYCLE = (0, 4, 1, 5, 2, 6, 3, 7)
 
 
 def test_generic_fourbyfour_ratio_non_constant(fourbyfour):
@@ -34,12 +33,24 @@ def test_not_a_cycle_rejections(fourbyfour):
         ob.cycle_ratio(fourbyfour, EIGHT_CYCLE[:2], trials=2)  # too short
     with pytest.raises(ob.NotACycle):
         ob.cycle_ratio(fourbyfour, EIGHT_CYCLE[:3], trials=2)  # odd length
-    bad_kind = (("x", 0), ("x", 1), ("y", 0), ("y", 1))
-    with pytest.raises(ob.NotACycle):
-        ob.cycle_ratio(fourbyfour, bad_kind, trials=2)
-    demanded = (("x", 2), ("y", 0), ("x", 1), ("y", 1))  # (S3, W1) is demanded at D1
-    with pytest.raises(ob.NotACycle):
+    with pytest.raises(ob.NotACycle, match="distinct"):
+        ob.cycle_ratio(fourbyfour, (0, 4, 0, 4), trials=2)
+    not_alternating = (0, 1, 4, 5)
+    with pytest.raises(ob.NotACycle, match="alternate"):
+        ob.cycle_ratio(fourbyfour, not_alternating, trials=2)
+    demanded = (2, 4, 1, 5)  # (S3, W1) is demanded at D1
+    with pytest.raises(ob.NotACycle, match=r"\(S3, W1\) is a demanded pair"):
         ob.cycle_ratio(fourbyfour, demanded, trials=2)
+    for out_of_range in ((0, 4, 1, 8), (-1, 4, 1, 5)):  # ids run 0..7
+        with pytest.raises(ob.NotACycle, match=r"out of range: the graph has node ids 0\.\.7"):
+            ob.cycle_ratio(fourbyfour, out_of_range, trials=2)
+
+
+def test_cycle_edges_walk_the_cycle_in_order(fourbyfour):
+    # the edge from each node to the next, whichever side the walk starts on
+    edges = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (0, 3))
+    assert ob.cycle_edges(fourbyfour, EIGHT_CYCLE) == edges
+    assert ob.cycle_edges(fourbyfour, EIGHT_CYCLE[1:] + EIGHT_CYCLE[:1]) == edges[1:] + edges[:1]
 
 
 def test_rotation_invariance(fourbyfour):

@@ -545,3 +545,42 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
     assert [_outcome(r) for r in fast] == [_outcome(r) for r in counted]
     assert len(graphs) >= 300
     assert augmented >= 100
+
+
+def _disjoint_union(rng: np.random.Generator, blocks) -> InterferenceGraph:
+    """The blocks side by side, with sources and destinations renumbered at random, so components interleave."""
+    k, m = sum(b.n_sources for b in blocks), sum(b.n_destinations for b in blocks)
+    src, dst = rng.permutation(k), rng.permutation(m)
+    edges, k0, m0 = [], 0, 0
+    for b in blocks:
+        edges += [(int(src[k0 + j]), int(dst[m0 + i])) for j, i in b.edges]
+        k0, m0 = k0 + b.n_sources, m0 + b.n_destinations
+    return InterferenceGraph(k, m, edges)
+
+
+def test_find_dstar_is_its_per_component_results_on_many_components():
+    # Each component is searched on its own, so on a graph of many components
+    # find_dstar must give the results of find_dstar run on each component's
+    # own graph: d* their maximum, the removals' union, the component stats in
+    # the order of the components' smallest ids and the counters' sums.
+    rng = np.random.default_rng(3141)
+    seen = {"augmented": 0, "cyclic components": 0, "isolated nodes": 0}
+    for _ in range(40):
+        blocks = [dense_bipartite(rng) if rng.random() < 0.3 else random_bipartite(rng, max_edges=12)
+                  for _ in range(int(rng.integers(25, 40)))]
+        g = _disjoint_union(rng, blocks)
+        res = sp.find_dstar(g)
+        comps = [comp for comp in connected_components(g) if len(comp) > 1]
+        assert len(comps) >= 20
+        parts = [sp.find_dstar(InterferenceGraph(g.n_sources, g.n_destinations,
+                                                 ((j, i) for j, i in g.edges if j in comp)))
+                 for comp in map(set, comps)]
+        assert res.d_star == max(p.d_star for p in parts)
+        assert res.removed == frozenset().union(*(p.removed for p in parts))
+        assert res.components == tuple(s for p in parts for s in p.components)
+        assert res.independence_checks == sum(p.independence_checks for p in parts)
+        assert res.augmentations == sum(p.augmentations for p in parts)
+        seen["augmented"] += res.augmentations > 0
+        seen["cyclic components"] += sum(p.d_star > 0 for p in parts)
+        seen["isolated nodes"] += len(comps) < len(connected_components(g))
+    assert seen["augmented"] >= 20 and seen["cyclic components"] >= 400 and seen["isolated nodes"] >= 30, seen
