@@ -11,11 +11,11 @@ joined by a path or demanded) so identical (file, config) pairs are
 byte-identical.
 
 Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
-it can get, e.g. a huge --zero-trials), 3 assumption violation (including
-an interference edge the zero-function probe missed), 4 constraint
-violation (no precoding attempt decoded at every destination within
---attempts), 5 some simulated decode failed, by no unique solution or a
-wrong message (the report is written first).
+it can get, e.g. a huge --zero-trials or --ratio-trials), 3 assumption
+violation (including an interference edge the zero-function probe missed),
+4 constraint violation (no precoding attempt decoded at every destination
+within --attempts), 5 some simulated decode failed, by no unique solution
+or a wrong message (the report is written first).
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Run:
 
     @functools.cached_property
     def graph(self) -> InterferenceGraph:
-        """The run's one zero-function probe; it also decides which destinations lack interference."""
+        """The run's one zero-function probe."""
         return build_igraph(self.net, realize(self.net, self.cfg.zero_test_trials, self.cfg.seed, self.cfg.q))
 
     @functools.cached_property
@@ -186,7 +186,8 @@ def _config_section(cfg: RunConfig) -> dict:
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
     # one row per pair with a path or a demand, destination-major; every other pair has mincut 0 and is ok
-    listed = np.nonzero((report.mincut > 0) | report.demanded)
+    joined = report.mincut > 0
+    listed = np.nonzero(joined | report.demanded)
     columns = (*listed, report.mincut[listed], report.demanded[listed], report.pair_ok[listed])
     return {
         "ok": report.ok,
@@ -199,7 +200,8 @@ def _assumptions_section(run: Run) -> dict:
              "demanded": bool(report.demanded[i, j])}
             for i, j in report.violations
         ],
-        "empty_interference": [_dst(i) for i in run.graph.empty_destinations()],
+        # a destination that no non-demanded source reaches has no interference
+        "empty_interference": [_dst(i) for i in np.flatnonzero(~(joined & ~report.demanded).any(axis=1)).tolist()],
     }
 
 

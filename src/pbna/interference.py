@@ -65,8 +65,8 @@ class InterferenceGraph:
     def empty_destinations(self) -> tuple[int, ...]:
         """Destinations with no interferer.
 
-        The alignment constraints there are vacuous, so reports list them as
-        warnings, not as violations.
+        The alignment constraints there are vacuous, so the igraph report
+        lists them, not as violations.
         """
         return tuple(i for i in range(self.n_destinations) if not self.interferers(i))
 

@@ -6,8 +6,9 @@ product on edges traversed the other way, is a rational function of the
 coding coefficients.  If it is non-constant, the 2x2-session configuration
 whose interference graph is a single 8-cycle cannot reach per-source rate 1/3
 in finitely many slots.  Constancy is tested black-box: evaluate at
-independent random assignments and compare (one-sided; "constant" can be
-wrong with probability at most (deg/q)**(valid evaluations - 1)).
+independent random assignments, the slots of one realization, and compare
+(one-sided; "constant" can be wrong with probability at most
+(deg/q)**(valid evaluations - 1)).
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ class CycleRatio:
 
     cycle is the interference graph's node ids, source j as j and
     destination i as K + i, in the order walked.  evaluations has one entry
-    per trial; None marks trials skipped because a denominator factor
-    vanished.  verdict is "non-constant", "constant", or "undefined" (fewer
-    than two usable evaluations).
+    per trial, trial t read off slot t of one realization; None marks trials
+    skipped because a denominator factor vanished.  verdict is
+    "non-constant", "constant", or "undefined" (fewer than two usable
+    evaluations).
     """
 
     cycle: tuple[int, ...]
@@ -71,33 +73,27 @@ def cycle_edges(net: Network, cycle: tuple[int, ...]) -> tuple[Edge, ...]:
 def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DEFAULT_Q) -> CycleRatio:
     """Evaluate the alternating ratio at ``trials`` independent assignments.
 
-    Walking the cycle of node ids in order, an edge left from a destination
-    (an id of at least K) contributes its transfer value to the numerator,
-    an edge left from a source to the denominator.
+    Trial t is slot t of one ``trials``-slot realization, whose seed is the
+    first draw of ``default_rng(seed)``.  Walking the cycle of node ids in
+    order, an edge left from a destination (an id of at least K) contributes
+    its transfer value to the numerator, an edge left from a source to the
+    denominator.
     """
     if trials < 2:
         raise ValueError("constancy testing needs at least 2 trials")
     cycle = tuple(cycle)
     edges = cycle_edges(net, cycle)
-    rng = np.random.default_rng(seed)
-    ratios: list[tuple[int, int] | None] = []
-    for _ in range(trials):
-        r = realize(net, 1, int(rng.integers(0, 2**63)), q)
-        num = den = 1
-        for u, (j, i) in zip(cycle, edges):
-            m = int(r.transfer[i, j, 0])
-            if u >= net.n_sources:
-                num = num * m % q
-            elif m == 0:
-                ratios.append(None)
-                break
-            else:
-                den = den * m % q
+    transfer = realize(net, trials, int(np.random.default_rng(seed).integers(0, 2**63)), q).transfer
+    num = den = np.ones(trials, dtype=np.int64)
+    for u, (j, i) in zip(cycle, edges):
+        if u >= net.n_sources:
+            num = num * transfer[i, j] % q
         else:
-            ratios.append((num, den))
-    # every usable trial's denominator, inverted in one batch
-    inv = iter(kernels.inverse([den for _, den in filter(None, ratios)], q).tolist())
-    evaluations = [None if ratio is None else ratio[0] * next(inv) % q for ratio in ratios]
+            den = den * transfer[i, j] % q
+    # q is prime, so a zero product is a vanished factor; every other trial is inverted in one batch
+    usable = den != 0
+    inv = iter(kernels.inverse(den[usable], q).tolist())
+    evaluations = [n * next(inv) % q if ok else None for n, ok in zip(num.tolist(), usable.tolist())]
 
     valid = [e for e in evaluations if e is not None]
     if len(valid) < 2:

@@ -197,6 +197,63 @@ def cyclic_instance(rng: np.random.Generator, size: int, demand_size: int = 2, d
     return net, interference
 
 
+def hub_relay_net(rng: np.random.Generator) -> Network:
+    """Random groupcast network whose interference routes share bottleneck edges.
+
+    K = 3-5 sources, M = 3-5 destinations demanding L = 1 or 2 sources each.
+    Each of 1-2 hubs is one edge H<h>a -> H<h>b.  A source feeds at most one
+    hub and a destination hears each hub with probability 0.6, so every pair
+    joined through a hub crosses that hub's edge, and a cycle among such
+    pairs has a constant alternating ratio.  A pair not joined through a hub
+    gets a private route when it is demanded, or with probability 0.3.
+    A hub is reached and left by a direct edge, a relay, a doubled edge or a
+    diamond of two relays; a private route is a direct edge, a relay, or two
+    relays joined by a doubled edge.  So every pair has mincut at most 1 and
+    the network passes validation.
+    """
+    k, m, l_size = (int(n) for n in rng.integers((3, 3, 1), (6, 6, 3)))
+    demands = tuple(frozenset(int(x) for x in rng.choice(k, size=l_size, replace=False)) for _ in range(m))
+    n_hubs = int(rng.integers(1, 3))
+    hub_of = [int(rng.integers(n_hubs)) if rng.random() < 0.8 else -1 for _ in range(k)]
+    hears = [{h for h in range(n_hubs) if rng.random() < 0.6} for _ in range(m)]
+    nodes = [f"S{j + 1}" for j in range(k)] + [f"D{i + 1}" for i in range(m)]
+    edges = [(f"H{h + 1}a", f"H{h + 1}b") for h in range(n_hubs)]
+    nodes += [v for edge in edges for v in edge]
+
+    def relay() -> str:
+        nodes.append(f"R{len(nodes) - k - m - 2 * n_hubs + 1}")
+        return nodes[-1]
+
+    def route(a: str, b: str, kinds) -> None:
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind == "edge":
+            edges.append((a, b))
+        elif kind == "double":
+            edges.extend([(a, b)] * 2)
+        elif kind == "relay":
+            r = relay()
+            edges.extend([(a, r), (r, b)])
+        elif kind == "diamond":
+            for r in (relay(), relay()):
+                edges.extend([(a, r), (r, b)])
+        else:  # two relays joined by a doubled edge
+            r1, r2 = relay(), relay()
+            edges.extend([(a, r1), (r1, r2), (r1, r2), (r2, b)])
+
+    hub_kinds = ("edge", "relay", "double", "diamond")
+    for j, h in enumerate(hub_of):
+        if h >= 0:
+            route(f"S{j + 1}", f"H{h + 1}a", hub_kinds)
+    for i in range(m):
+        for h in sorted(hears[i]):
+            route(f"H{h + 1}b", f"D{i + 1}", hub_kinds)
+        for j in range(k):
+            if hub_of[j] not in hears[i] and (j in demands[i] or rng.random() < 0.3):
+                route(f"S{j + 1}", f"D{i + 1}", ("edge", "relay", "relay-double"))
+    return Network(tuple(nodes), tuple(edges), tuple(f"S{j + 1}" for j in range(k)),
+                   tuple(f"D{i + 1}" for i in range(m)), demands)
+
+
 def random_dag_net(rng: np.random.Generator, max_extra_nodes: int = 4, max_edges: int = 8):
     """Small arbitrary DAG with one source and one destination, for oracles.
 

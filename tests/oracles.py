@@ -34,6 +34,10 @@ call, to check verify_alignment's reading of them off one reduction, and
 compared with it.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
 unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
+``segment_verdict`` decides a cycle ratio's constancy exactly, from each
+pair's ``dominator_chain`` (the edges on every source-to-destination path,
+found by deleting one edge at a time), for comparison with the randomized
+``cycle_ratio``.
 """
 
 from __future__ import annotations
@@ -200,6 +204,64 @@ def mincut_by_enumeration(net, j: int, i: int) -> int:
             if not _has_path(len(net.nodes), kept, s, t):
                 return size
     return len(edges)
+
+
+def _one_path(n_nodes: int, edges, s: int, t: int) -> list[int]:
+    """The edge ids of one s -> t path, in path order, by breadth-first search; t must be reachable."""
+    out = [[] for _ in range(n_nodes)]
+    for e, (a, _) in enumerate(edges):
+        out[a].append(e)
+    via = {s: None}
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for e in out[u]:
+            if edges[e][1] not in via:
+                via[edges[e][1]] = e
+                queue.append(edges[e][1])
+    path = []
+    while t != s:
+        path.append(via[t])
+        t = edges[via[t]][0]
+    return path[::-1]
+
+
+def dominator_chain(net, j: int, i: int) -> tuple[int, ...]:
+    """The edges that lie on every path from source j to destination i, in the order paths cross them.
+
+    An edge lies on every path when removing it leaves none.  Such edges lie
+    in particular on one path found first, and every path crosses them in
+    that path's order.
+    """
+    idx = {v: k for k, v in enumerate(net.nodes)}
+    edges = [(idx[t], idx[h]) for t, h in net.edges]
+    s, t = idx[net.sources[j]], idx[net.destinations[i]]
+    return tuple(e for e in _one_path(len(net.nodes), edges, s, t)
+                 if not _has_path(len(net.nodes), edges[:e] + edges[e + 1:], s, t))
+
+
+def segment_verdict(net, cycle) -> str:
+    """The alternating ratio's verdict around a cycle of node ids, read off the transfer functions' factors.
+
+    On a network that passes validation every cycle pair (j, i) has mincut 1,
+    so its dominator chain e_1, ..., e_r is not empty, and m_ij is the
+    product of one irreducible segment polynomial per consecutive pair of
+    (s_j, e_1, ..., e_r, d_i), in disjoint variables; the last factor is 1
+    when e_r enters d_i, so it is left out.  By unique factorization the
+    ratio is constant exactly when the numerator's multiset of segments
+    equals the denominator's.  As in ``cycle_ratio``, an edge walked from a
+    destination (an id of at least K) is in the numerator.
+    """
+    k = net.n_sources
+    segments = {True: Counter(), False: Counter()}
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        j, i = (u, v - k) if u < k else (v, u - k)
+        chain = dominator_chain(net, j, i)
+        ends = [("source", j), *(("edge", e) for e in chain), ("destination", i)]
+        if net.edges[chain[-1]][1] == net.destinations[i]:
+            ends.pop()
+        segments[u >= k].update(zip(ends, ends[1:]))
+    return "constant" if segments[True] == segments[False] else "non-constant"
 
 
 def enumerate_paths(net, j: int):

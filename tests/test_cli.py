@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import inspect
+import itertools
 import json
 import os
 import random
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from pbna import cli, kernels, network, obstruction, precoding
+from pbna.interference import build_igraph
 from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json, random_multiterminal_dag
 
 REPO = Path(__file__).resolve().parent.parent
@@ -158,7 +160,7 @@ def test_obstruct_explicit_cycle_may_start_at_a_destination(capsys):
         assert reports[cycle]["verdict"] == "non-constant"
     first, second = reports.values()
     assert first["evaluations"] == second["evaluations"]
-    assert first["evaluations"] == [354235247, 1510246364, 1297080026, 1758306777, 93264073]
+    assert first["evaluations"] == [354235247, 1138278633, 646459973, 1699750707, 726739437]
 
 
 def test_obstruct_on_forest_reports_acyclic():
@@ -375,7 +377,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 # out d = 3, so find_dstar scans only d = 4: independence_checks reads 776, one scan.
 # The removal is the complement of the capped forest the scan and one augmentation keep
 # at d = 4, extended to a spanning tree
-K160_CYCLIC_PIPELINE_SHA256 = "5455640bf5ab07854f50c5d3bf6fd2f09d6163fc7251f6080ed077e11c76b95c"
+K160_CYCLIC_PIPELINE_SHA256 = "3a57b11bc7f9a33819918c6cbf79694c9522822942b2851132b7d07594b2becf"
 
 
 def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -385,7 +387,7 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 152_879
+    assert len(out) == 152_878
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 
@@ -429,17 +431,20 @@ def test_internal_value_error_is_not_reported_as_config(monkeypatch):
     ("", "out of memory"),  # the interpreter's own MemoryError carries no message
 ])
 def test_memory_error_exits_2_with_memory_prefix(message, shown, monkeypatch, capsys):
-    # a huge --zero-trials makes realize ask for a (trials, coefficients) array it
+    # a huge trial count makes realize ask for a (trials, coefficients) array it
     # cannot get; stand in for that failure without allocating anything
     def too_big(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "realize", too_big)
-    code = cli.main(["igraph", "--network", str(FOURBYFOUR), "--zero-trials", "100000000"])
-    captured = capsys.readouterr()
-    assert code == cli.EXIT_PARSE
-    assert captured.out == ""
-    assert captured.err == f"error: memory: {shown}\n"
+    # the probe's realization, then the ratio's one realization after a probe that ran
+    for module, command, option in ((cli, "igraph", "--zero-trials"), (obstruction, "obstruct", "--ratio-trials")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "realize", too_big)
+            code = cli.main([command, "--network", str(FOURBYFOUR), option, "100000000"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_PARSE, command
+        assert captured.out == ""
+        assert captured.err == f"error: memory: {shown}\n"
 
 
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0"),
@@ -472,11 +477,13 @@ def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, c
         monkeypatch.setattr(module, "realize", counting_realize)
     assert cli.main([command, "--network", str(network_path), "--format", "json", "--sessions", "2"]) == cli.EXIT_OK
     capsys.readouterr()
-    assert calls["load_network_file"] == calls["build_igraph"] == 1
+    # validate reads its interference warning off the mincut table, so it draws no coefficients
+    probes = 0 if command == "validate" else 1
+    assert calls["load_network_file"] == 1 and calls["build_igraph"] == probes
     assert calls["find_dstar"] <= 1 and calls["plan_with_resampling"] <= 1 and calls["cycle_ratio"] <= 1
-    ratio_trials = len(results["cycle_ratio"].evaluations) if "cycle_ratio" in results else 0
     attempts = results["plan_with_resampling"].attempts if "plan_with_resampling" in results else 0
-    assert calls["realize"] == 1 + ratio_trials + attempts  # the probe, the ratio trials, the precoding attempts
+    # the probe, one realization whose slots are the ratio trials, the precoding attempts
+    assert calls["realize"] == probes + calls["cycle_ratio"] + attempts
 
 
 @pytest.mark.parametrize("seed", [12, 25])
@@ -491,6 +498,31 @@ def test_probe_that_missed_an_edge_exits_3(command, seed, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: probe: the interference graph misses (D")
     assert "--zero-trials" in captured.err
+
+
+def test_validate_interference_warning_does_not_depend_on_q_or_seed(tmp_path, capsys):
+    # the warning lists the destinations no non-demanded source reaches; a zero-function probe
+    # at small q once missed interference and warned about destinations that have it
+    net, _ = forest_instance(np.random.default_rng(48), size=48)
+    (tmp_path / "forest48.json").write_text(net_to_json(net))
+    for path in (FOREST, tmp_path / "forest48.json"):
+        def empty_interference(*options):
+            assert cli.main(["validate", "--network", str(path), "--format", "json", *options]) == cli.EXIT_OK
+            return json.loads(capsys.readouterr().out)["assumptions"]["empty_interference"]
+
+        expected = empty_interference()
+        for q, seed in itertools.product((2, 3, 7), range(40)):
+            assert empty_interference("--q", str(q), "--seed", str(seed)) == expected, (path, q, seed)
+
+
+def test_interference_warning_equals_the_default_q_probe(tmp_path):
+    # reading the warning off the mincut table left every default-q report as it was
+    (tmp_path / "forest160.json").write_text(net_to_json(forest_instance(np.random.default_rng(160), size=160)[0]))
+    (tmp_path / "cyclic160.json").write_text(net_to_json(cyclic_instance(np.random.default_rng(160), 160)[0]))
+    for path in (FOREST, FOURBYFOUR, REPO / "tests" / "violating.json", *tmp_path.iterdir()):
+        run = cli.Run(cli.RunConfig(network_path=str(path)))
+        probe = [f"D{i + 1}" for i in build_igraph(run.net, network.realize(run.net, 3, 0)).empty_destinations()]
+        assert cli._assumptions_section(run)["empty_interference"] == probe, path
 
 
 def test_unwritable_out_path_is_reported_as_output_error(tmp_path, capsys):
