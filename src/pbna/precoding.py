@@ -9,19 +9,21 @@ product of signed transfer values along the unique tree path to the root
 node, inverses on edges walked from a destination node down to a source).
 A link whose transfer vanishes at a slot, walked either way, zeroes the
 vectors below it there; otherwise all interference columns at a destination
-coincide exactly.  One rule accepts an attempt: exact rank checks at the
-sampled assignment show that every destination decodes.  Any other attempt
-is retried with fresh randomness.
+coincide exactly.  One rule accepts an attempt: at every destination the
+decode system [U | w_rep] (the decoded sources' columns, then one
+interference column) has full column rank and the interference columns W
+have rank at most B, by exact rank checks at the sampled assignment.  Any
+other attempt is retried with fresh randomness.
 
 Every inverse an attempt needs comes from one ``kernels.inverse`` call,
-made before the walk down the trees.  Verification and decoding gather every
-destination's received directions into one (M, n, w) stack, through a
-padded table of source indices, and reduce it in one pass.
+made before the walk down the trees.  Verification gathers every
+destination's [U | w_rep] and W into one (M, n, w) stack, through a padded
+table of source indices, and ranks every [U | w_rep], then every W, in one
+pass each; decoding gathers and solves the same systems.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,33 +74,20 @@ class ConstraintViolation(Exception):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class AlignmentVerdict:
-    """Exact dimension checks at one destination."""
-
-    destination: int
-    dim_u: int
-    dim_w: int
-    dim_intersection: int
-    ok: bool
-    r_det_nonzero: bool
-
-
 @dataclass(frozen=True, eq=False)
 class PrecodingPlan:
     """Per-source precoding vectors, the realization they were built on, and the decode sets.
 
     new_demands[i] holds the sources destination i decodes (its demands plus
     its extra-decode set) and new_interference[i] the ones that interfere
-    there; a plan from plan_with_resampling also carries its verdicts and
-    the attempt that produced it.
+    there; a plan from plan_with_resampling also carries the attempt that
+    produced it.
     """
 
     V: np.ndarray  # (K, n), row j is the length-n vector of source j; a tree root's row is its raw random vector
     realization: NetworkRealization
     new_demands: tuple[frozenset[int], ...]
     new_interference: tuple[frozenset[int], ...]
-    verdicts: tuple[AlignmentVerdict, ...] = ()
     attempts: int = 0
 
     @property
@@ -164,35 +153,21 @@ def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
     return cols.transpose(0, 2, 1)
 
 
-def verify_alignment(plan: PrecodingPlan) -> list[AlignmentVerdict]:
-    """Exact rank checks of the alignment conditions at every destination, for the plan's decode sets.
+def verify_alignment(plan: PrecodingPlan) -> np.ndarray:
+    """The (M,) mask of destinations that decode, by exact rank checks of the plan's decode sets.
 
-    ``ok`` means the destination decodes: decode_sources' system [U | w_rep]
-    has full column rank (``r_det_nonzero``) and dim_w <= B.  These imply the
-    rest: U's columns are independent, so dim_u counts the decoded sources,
-    and W is empty or span(w_rep), so it meets U trivially (dim_intersection 0).
-    One gather builds [U | W] per destination, w_rep first, padded to a
-    common width, then W; reducing the first gives rank(U), rank([U | w_rep])
-    and rank([U | W]) as pivot counts, and reducing W gives every rank(W).
+    Destination i decodes when decode_sources' system [U | w_rep] has full
+    column rank and its interference columns W have rank at most B.  That
+    implies every alignment condition: U's columns are independent, and W is
+    empty or span(w_rep), so it meets span(U) only at 0.  One gather builds
+    [U | w_rep | W] per destination, each part padded to a common width,
+    and one rank reduction of each part decides every destination.
     """
     q = plan.realization.q
-    decode = decode_sources(plan)
-    interf = [sorted(f) for f in plan.new_interference]
-    uw = source_table([cols + f[1:] for cols, f in zip(decode, interf)])
-    width = uw.shape[1]
-    cols = signal_stack(plan, np.concatenate([uw, source_table(interf)], axis=1))
-    pivots = np.full(cols.shape[:2], -1, dtype=np.int64)
-    rank_uw = kernels.row_reduce(cols[:, :, :width], q, pivots)
-    dim_w = gf.rank(cols[:, :, width:], q)
-    u = np.array([len(d) for d in plan.new_demands])
-    n_decode = np.array([len(d) for d in decode])
-    dim_u = np.count_nonzero((pivots >= 0) & (pivots < u[:, None]), axis=1)
-    # with no interferer W is empty, so rank([U | W]) = dim_u and the intersection is trivial
-    dim_int = dim_u + dim_w - rank_uw
-    r_det_nonzero = np.count_nonzero((pivots >= 0) & (pivots < n_decode[:, None]), axis=1) == n_decode
-    ok = r_det_nonzero & (dim_w <= B)
-    return [AlignmentVerdict(i, *v) for i, v in enumerate(zip(
-        dim_u.tolist(), dim_w.tolist(), dim_int.tolist(), ok.tolist(), r_det_nonzero.tolist()))]
+    decode = source_table(decode_sources(plan))
+    cols = signal_stack(plan, np.concatenate([decode, source_table([sorted(f) for f in plan.new_interference])], axis=1))
+    width = decode.shape[1]
+    return (gf.rank(cols[:, :, :width], q) == (decode >= 0).sum(axis=1)) & (gf.rank(cols[:, :, width:], q) <= B)
 
 
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:
@@ -200,13 +175,14 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
 
     Destination i decodes its demands plus its extra-decode set and sees the
     sparsified graph's interferers at i as interference; the plan carries
-    both sets.  The one acceptance rule: every verdict of verify_alignment
-    is ``ok``.  An attempt with a nonzero transfer at a pair in neither set
-    proves the graph wrong and raises MissedInterference; any other attempt
-    that fails verification is retried.  Exhausting the ``max_attempts``
-    (at least 1) raises ConstraintViolation with each attempt's failing
-    destinations.  Random coefficients decode only with high probability,
-    so at small q this can happen on a network that a larger q serves.
+    both sets.  The one acceptance rule: verify_alignment's mask is all
+    True.  An attempt with a nonzero transfer at a pair in neither set proves
+    the graph wrong and raises MissedInterference; any other attempt is
+    retried.  Exhausting the ``max_attempts`` (at least 1) raises
+    ConstraintViolation with each attempt's failing destinations, each with
+    its smallest interferer.  Random coefficients decode only with high
+    probability, so at small q this can happen on a network that a larger q
+    serves.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
@@ -228,13 +204,9 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         missed = pairs_in(realization.transfer.any(axis=2) & ~used)
         if missed:
             raise MissedInterference(missed)
-        plan = PrecodingPlan(build_precoding(h_bar, forest, realization, p_seed), realization, new_demands, new_interference)
-        verdicts = verify_alignment(plan)
-        if all(v.ok for v in verdicts):
-            return dataclasses.replace(plan, verdicts=tuple(verdicts), attempts=attempt)
-        attempt_failures.append(tuple(
-            (v.destination, min(new_interference[v.destination], default=-1))
-            for v in verdicts
-            if not v.ok
-        ))
+        plan = PrecodingPlan(build_precoding(h_bar, forest, realization, p_seed), realization, new_demands, new_interference, attempt)
+        ok = verify_alignment(plan)
+        if ok.all():
+            return plan
+        attempt_failures.append(tuple((i, min(new_interference[i], default=-1)) for i in np.flatnonzero(~ok).tolist()))
     raise ConstraintViolation(attempt_failures)

@@ -76,7 +76,8 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     received = propagate_symbols(net, realization, transmitted)
 
     desired = [sorted(d) for d in plan.new_demands]
-    systems = source_table(decode_sources(plan))  # the systems whose full rank r_det_nonzero records
+    # the systems verify_alignment found of full column rank; only gf.solve reads their pivot table
+    systems = source_table(decode_sources(plan))
     sol, unique = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, (systems >= 0).sum(axis=1))
     wanted = source_table(desired)
     # (S, M, u): every decoded source coordinate against its message; padding compares as equal

@@ -29,7 +29,8 @@ build_precoding.
 every source injects its unit vector through every edge of the per-edge
 schedule, so each edge carries K columns.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
-call, to check verify_alignment's reading of them off one reduction, and
+call, to check verify_alignment's two-rank mask and the verdict rows that
+the report derives from an accepted plan's decode sets, and
 ``solve_full_width`` returns ``gf.solve``'s (x, unique), so a solve can be
 compared with it.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
@@ -44,16 +45,18 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 
 import numpy as np
 
 from pbna import gf
 from pbna.interference import Edge, InterferenceGraph, components
-from pbna.precoding import A, B, AlignmentVerdict
+from pbna.precoding import A, B
 from pbna.sparsify import _tree_path
 
 Node = tuple[str, int]  # the reference walks' own node names: ("x", source j) or ("y", destination i)
+# the exact dimension checks at one destination, named as in the report's precoding.verdicts rows
+Verdict = namedtuple("Verdict", "destination dim_u dim_w dim_intersection ok r_det_nonzero")
 
 
 def is_prime_by_trial_division(n: int) -> bool:
@@ -741,7 +744,7 @@ def augment_by_rebuilt_exchanges(g: InterferenceGraph, pool, cap: dict[int, int]
     return tuple(edges[x] for x in pool_ids if not outside[x])
 
 
-def verdicts_by_ranks(plan) -> list:
+def verdicts_by_ranks(plan) -> list[Verdict]:
     """Alignment verdicts for the plan's decode sets from four separate rank reductions per destination.
 
     rank(U), rank(W), rank([U | W]) and rank([U | w_rep]) each get their own
@@ -767,5 +770,5 @@ def verdicts_by_ranks(plan) -> list:
             dim_int = 0
             r_det_nonzero = dim_u == len(desired)
         ok = dim_u == len(desired) * A and dim_w <= B and dim_int == 0 and r_det_nonzero
-        verdicts.append(AlignmentVerdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
+        verdicts.append(Verdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts

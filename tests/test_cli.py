@@ -15,7 +15,9 @@ import pytest
 
 from pbna import cli, kernels, network, obstruction, precoding
 from pbna.interference import build_igraph
-from gen import adversarial_net, cyclic_instance, forest_instance, net_to_json, random_multiterminal_dag
+from gen import (adversarial_net, cyclic_instance, forest_instance, hub_relay_net, net_to_json, random_dag_net,
+                 random_multiterminal_dag)
+from oracles import verdicts_by_ranks
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
@@ -389,6 +391,75 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     assert code == cli.EXIT_OK
     assert len(out) == 152_878
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
+
+
+def test_pinned_reports_pass_the_benchmark_checks(tmp_path, monkeypatch, capsys):
+    # pipebench/checks.py decides whether a benchmark call was correct; a re-pinned report that
+    # it would call incorrect must fail here, not first in the benchmark
+    monkeypatch.syspath_prepend(str(REPO / "pipebench"))
+    from checks import report_problems
+
+    forest_l = network.load_network_file(FOREST).demand_size
+    fourbyfour_l = network.load_network_file(FOURBYFOUR).demand_size
+    for name, demand_size, expected in (("pipeline-forest", forest_l, {"forest": True}),
+                                        ("pipeline-forest-q31-seed6", forest_l, {"forest": True}),
+                                        ("pipeline-fourbyfour", fourbyfour_l, {"d_star": 1})):
+        report = json.loads((GOLDEN / f"{name}.json").read_text())
+        assert report_problems(cli.EXIT_OK, report, demand_size, **expected) == [], name
+    monkeypatch.chdir(tmp_path)
+    for name, (net, interference), pin, expected in (
+            ("forest160", forest_instance(np.random.default_rng(160), size=160), K160_PIPELINE_SHA256,
+             {"forest": True}),
+            ("cyclic160", cyclic_instance(np.random.default_rng(160), 160), K160_CYCLIC_PIPELINE_SHA256,
+             {"forest": False, "d_star": 4})):
+        (tmp_path / f"{name}.json").write_text(net_to_json(net))
+        code = cli.main(["pipeline", "--network", f"{name}.json", "--format", "json", "--sessions", "2"])
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == pin, name
+        assert report_problems(code, json.loads(out), net.demand_size, interference=interference, **expected) == [], name
+
+
+def test_verdict_rows_equal_measured_ranks(tmp_path, monkeypatch, capsys):
+    # the precoding.verdicts rows are written from the accepted plan's decode sets, not measured;
+    # on every written report they must equal the four-rank oracle's dimensions on that plan
+    runs = []
+
+    class RecordedRun(cli.Run):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            runs.append(self)
+
+    monkeypatch.setattr(cli, "Run", RecordedRun)
+    path, out = tmp_path / "net.json", tmp_path / "report.json"
+    rng = np.random.default_rng(113)
+    draws = (random_dag_net, random_multiterminal_dag, hub_relay_net)
+    written = {"default q": 0, "q = 31": 0}
+    seen = {"no interferer": 0, "two or more interferers": 0, "attempts > 1": 0}
+    draw = 0
+    while written["default q"] < 300 or written["q = 31"] < 80:
+        net = draws[draw % 3](rng)
+        draw += 1
+        if not network.validate_assumptions(net).ok:
+            continue
+        field = "default q" if written["default q"] < 300 else "q = 31"
+        path.write_text(net_to_json(net))
+        out.unlink(missing_ok=True)
+        command = ("precode", "pipeline")[draw % 2]
+        code = cli.main([command, "--network", str(path), "--format", "json", "--out", str(out), "--sessions", "2",
+                         "--seed", str(draw), *(("--q", "31") if field == "q = 31" else ())])
+        capsys.readouterr()
+        if code == cli.EXIT_CONSTRAINTS:
+            assert not out.exists()
+            continue
+        assert code == cli.EXIT_OK, (draw, command, field)
+        plan = runs[-1].plan
+        want = [dict(v._asdict(), destination=f"D{v.destination + 1}") for v in verdicts_by_ranks(plan)]
+        assert json.loads(out.read_text())["precoding"]["verdicts"] == want, (draw, command, field)
+        written[field] += 1
+        seen["no interferer"] += sum(not f for f in plan.new_interference)
+        seen["two or more interferers"] += sum(len(f) >= 2 for f in plan.new_interference)
+        seen["attempts > 1"] += plan.attempts > 1
+    assert min(seen.values()) >= 10, seen
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -113,7 +113,7 @@ def test_rank_matches_minor_enumeration():
 
 
 def test_pivot_columns_count_the_rank_of_every_column_prefix():
-    # the pivot table of kernels.row_reduce, which verify_alignment reads its dimensions off
+    # the pivot table of kernels.row_reduce, which only gf.solve reads, to place each unknown
     rng = np.random.default_rng(19)
     for q in (2, 5, 7):
         for _ in range(40):
@@ -427,7 +427,7 @@ def test_rank_only_reductions_invert_nothing(monkeypatch):
     q = gf.DEFAULT_Q
     a = np.random.default_rng(83).integers(0, q, size=(6, 4, 5))
     assert gf.rank(a, q).tolist() == [4] * 6
-    assert verify_alignment(plan) == list(plan.verdicts)
+    assert verify_alignment(plan).all()
     assert calls == []
     gf.solve(a[:, :, :4], a[:, :, 4:], q, [4] * 6)
     assert calls == [24]

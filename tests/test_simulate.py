@@ -220,8 +220,8 @@ def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfo
         return original(a, q, pivots, *args)
 
     monkeypatch.setattr(kernels, "row_reduce", counting)
-    verdicts = verify_alignment(plan)
-    assert len(calls) == 2 and all(v.ok for v in verdicts)
+    ok = verify_alignment(plan)
+    assert len(calls) == 2 and ok.all()
     trace = sim.run_session(plan, msg)
     assert len(calls) == 3 and all(trace.success)
     assert [shape[0] for shape in calls] == [net.n_destinations] * 3
