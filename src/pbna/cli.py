@@ -6,9 +6,12 @@ obstruction, d* sparsification, precoding plan, simulated sessions) with
 each stage computed on first use and kept, so a command runs only the
 stages its sections need and each of those once.  ``pipeline`` lists every
 section.  Reports render as human text or as deterministic JSON
-(schema_version 2: one line, sorted keys, and mincut rows only for pairs
+(schema_version 3: one line, sorted keys, and mincut rows only for pairs
 joined by a path or demanded) so identical (file, config) pairs are
-byte-identical.
+byte-identical.  A report restates nothing it implies: it writes no
+per-destination alignment rows, which every accepted plan fixes from the
+demands and extra_decode, and no removed-edge list, which is extra_decode
+flattened.
 
 Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
 it can get, e.g. a huge --zero-trials or --ratio-trials), 3 assumption
@@ -42,7 +45,7 @@ EXIT_ASSUMPTIONS = 3
 EXIT_CONSTRAINTS = 4
 EXIT_DECODE = 5
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ConfigError(ValueError):
@@ -217,16 +220,12 @@ def _igraph_section(run: Run) -> dict:
 
 def _sparsification_section(run: Run) -> dict:
     spars = run.sparsification
-    removed = sorted(
-        (j, i) for i, ed in enumerate(spars.extra_decode) for j in ed
-    )
     return {
         "d_star": spars.d_star,
         "components": [
             {"sources": c.sources, "destinations": c.destinations, "edges": c.edges, "d": c.d}
             for c in spars.components
         ],
-        "removed_edges": [[_src(j), f"W{i + 1}"] for j, i in removed],
         "extra_decode": [sorted(_src(j) for j in ed) for ed in spars.extra_decode],
         "independence_checks": spars.independence_checks,
     }
@@ -241,12 +240,6 @@ def _precoding_section(run: Run) -> dict:
         "attempts": plan.attempts,
         "per_source_rate": f"{A}/{plan.n}",
         "V": {_src(j): [int(x) for x in plan.V[j]] for j in range(plan.V.shape[0])},
-        # the rows an accepted plan implies: [U | w_rep] has full column rank, and W is empty or span(w_rep)
-        "verdicts": [
-            {"destination": _dst(i), "dim_u": len(d), "dim_w": min(len(f), B),
-             "dim_intersection": 0, "ok": True, "r_det_nonzero": True}
-            for i, (d, f) in enumerate(zip(plan.new_demands, plan.new_interference))
-        ],
     }
 
 
@@ -326,11 +319,6 @@ def _text_precoding(section: dict) -> str:
     lines = [f"precoding: n={section['n']} rate={section['per_source_rate']} attempts={section['attempts']}"]
     for src, vec in section["V"].items():
         lines.append(f"  V[{src}] = {vec}")
-    for v in section["verdicts"]:
-        lines.append(
-            f"  {v['destination']}: dim_u={v['dim_u']} dim_w={v['dim_w']} "
-            f"dim_int={v['dim_intersection']} ok={v['ok']}"
-        )
     return "\n".join(lines)
 
 

@@ -151,17 +151,18 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[int, ...] | None:
     gives up at the depth where it could no longer beat the best closure so
     far (the far endpoint lies at odd depth, the graph being bipartite).
     Rotated to start at its smallest id, which is its smallest source, for
-    deterministic output.
+    deterministic output.  The searches share one ``parent`` list, and each
+    resets only the nodes it reached, so it costs only what it visits.
     """
     incidence = g.incidence
     best: list[int] | None = None
+    parent = [-1] * len(incidence)
     for skip, (j, i) in enumerate(g.edge_list):
         a, b = j, g.n_sources + i
         # a closure beats best iff its path a..b has fewer nodes, i.e. b at depth <= len(best) - 3
         limit = len(incidence) if best is None else len(best) - 3
-        parent = [-1] * len(incidence)
         parent[a] = a
-        frontier = [a]
+        seen, frontier = [a], [a]
         depth = 0
         while frontier and depth < limit and parent[b] < 0:
             depth += 1
@@ -170,18 +171,20 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[int, ...] | None:
                 for v, e in incidence[u]:
                     if parent[v] < 0 and e != skip:
                         parent[v] = u
+                        reached.append(v)
                         if v == b:
                             break
-                        reached.append(v)
                 if parent[b] >= 0:
                     break
+            seen += reached
             frontier = reached
-        if parent[b] < 0:
-            continue
-        path = [b]
-        while path[-1] != a:
-            path.append(parent[path[-1]])
-        best = path[::-1]
+        if parent[b] >= 0:
+            path = [b]
+            while path[-1] != a:
+                path.append(parent[path[-1]])
+            best = path[::-1]
+        for v in seen:
+            parent[v] = -1
     if best is None:
         return None
     k0 = best.index(min(best))

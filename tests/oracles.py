@@ -29,8 +29,8 @@ build_precoding.
 every source injects its unit vector through every edge of the per-edge
 schedule, so each edge carries K columns.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
-call, to check verify_alignment's two-rank mask and the verdict rows that
-the report derives from an accepted plan's decode sets, and
+call, to check verify_alignment's two-rank mask and the rows that a
+report implies through its demands and extra_decode, and
 ``solve_full_width`` returns ``gf.solve``'s (x, unique), so a solve can be
 compared with it.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
@@ -55,7 +55,7 @@ from pbna.precoding import A, B
 from pbna.sparsify import _tree_path
 
 Node = tuple[str, int]  # the reference walks' own node names: ("x", source j) or ("y", destination i)
-# the exact dimension checks at one destination, named as in the report's precoding.verdicts rows
+# the exact dimension checks at one destination, named as the rows test_cli rebuilds from a report
 Verdict = namedtuple("Verdict", "destination dim_u dim_w dim_intersection ok r_det_nonzero")
 
 

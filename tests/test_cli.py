@@ -40,7 +40,7 @@ def test_pipeline_fourbyfour_json(tmp_path):
                    "--out", str(out), "--sessions", "20")
     assert proc.returncode == 0, proc.stderr
     report = json.loads(out.read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["cyclic"] is True
     assert report["sparsification"]["d_star"] == 1
     assert report["precoding"]["per_source_rate"] == "1/4"
@@ -133,7 +133,8 @@ def test_precode_subcommand_json():
     report = json.loads(proc.stdout)
     assert report["precoding"]["n"] == 4
     assert len(report["precoding"]["V"]) == 4
-    assert all(v["ok"] for v in report["precoding"]["verdicts"])
+    assert report["schema_version"] == 3
+    assert "verdicts" not in report["precoding"]
 
 
 def test_obstruct_subcommand_auto_cycle():
@@ -330,18 +331,18 @@ EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
 TEXT_REPORT_PINS = {
     ("validate", "fourbyfour"): (0, "0b01211a0c67e8ff410a89f98ffde032231e609d50a2f04a4fa80b05c1228a62", EMPTY_SHA256),
     ("igraph", "fourbyfour"): (0, "2a93573f824991a46be2e7bc55ae84cbc049247d375cb3a09b6045ab9df9507c", EMPTY_SHA256),
-    ("dstar", "fourbyfour"): (0, "afaab3fce9245ade4a46747245e13c2d9390f437fcd480ab7e6ad924823ef81b", EMPTY_SHA256),
-    ("precode", "fourbyfour"): (0, "0e94fb58ab037bc515b6d05bdf1fe2d31c9929d26a19a7208b334ca9caea6036", EMPTY_SHA256),
+    ("dstar", "fourbyfour"): (0, "889fd20d94022ff9493a54cf91231c1046027f8a1423cddfec443b818e61f4a1", EMPTY_SHA256),
+    ("precode", "fourbyfour"): (0, "6c53efa46e1ae312236d857d39e1d8b533614d857e58b08234de4291c69b33ce", EMPTY_SHA256),
     ("obstruct", "fourbyfour"): (0, "f66493867e3d835314fc46772708e6d1332a3c7b2efa5766d764d479cd029602", EMPTY_SHA256),
     ("simulate", "fourbyfour"): (0, "0ed370b1dcf2b570077883136ed861b9c808c201214350e47d02c5fb2ec5b21d", EMPTY_SHA256),
-    ("pipeline", "fourbyfour"): (0, "ac56f1862d006f04e8bedae5be1c8b8505b87a5f9fe27ba5970158290ead6cc5", EMPTY_SHA256),
+    ("pipeline", "fourbyfour"): (0, "842b2a5fed907072b7b8c31961bbcec6353e4037bab060586ffccf5355be8afb", EMPTY_SHA256),
     ("validate", "forest"): (0, "0b01211a0c67e8ff410a89f98ffde032231e609d50a2f04a4fa80b05c1228a62", EMPTY_SHA256),
     ("igraph", "forest"): (0, "5a6e4e524dc1a8081d3ed7a60c1421211e4823ea6455d9db2af5586d5fa2f7d9", EMPTY_SHA256),
-    ("dstar", "forest"): (0, "0dfc7d59b90f18b5ebadec141a5511bdc6252f27f996ae8d44ca58799f0ca923", EMPTY_SHA256),
-    ("precode", "forest"): (0, "819042151bac63633766f79a134ac7ce8e65a5d5c47a24eec2b516ddae734f1e", EMPTY_SHA256),
+    ("dstar", "forest"): (0, "d5f45cd2e8a6172ee469fd6cc078a19990b47a5554ce4996f2a529bbea2d152f", EMPTY_SHA256),
+    ("precode", "forest"): (0, "4285e22f9f91f0a299b77b8a7e17c7fc552494da927ecfaecfb0ded70d9f9b85", EMPTY_SHA256),
     ("obstruct", "forest"): (0, "cc488b503b779e6bc2797e656d8f1e5af49122a78aebc1f60bb7b8aad2002049", EMPTY_SHA256),
     ("simulate", "forest"): (0, "23075e039ec81d831eb072929e351f39659244b65a8498b68a2b6c0d77b66d2d", EMPTY_SHA256),
-    ("pipeline", "forest"): (0, "2fe8c2a89b179bd22288895534477b1094725beafc88641f0f3997e6d93a6ceb", EMPTY_SHA256),
+    ("pipeline", "forest"): (0, "986826f7b64c095b02eefa37ca0703c96f87340c066a1eee99803a890f724546", EMPTY_SHA256),
 }
 
 
@@ -356,9 +357,9 @@ def test_text_reports_are_pinned(monkeypatch, capsys):
 
 
 # sha256 of `pbna pipeline --network forest160.json --format json --sessions 2` on
-# gen.forest_instance(np.random.default_rng(160), size=160): a 69,856-byte report whose
+# gen.forest_instance(np.random.default_rng(160), size=160): a 52,809-byte report whose
 # mincut table lists the pairs joined by a path, which any change to validation must keep
-K160_PIPELINE_SHA256 = "91cec6049d5d24492211b074b17e1393b1cff1df14a97f58b3daed80a1d93801"
+K160_PIPELINE_SHA256 = "1856f538f44fc481824a45437efce3d7f9589a78597540d0f7db6788d2649f74"
 
 
 def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -368,7 +369,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "forest160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 69_856
+    assert len(out) == 52_809
     assert hashlib.sha256(out).hexdigest() == K160_PIPELINE_SHA256
 
 
@@ -379,7 +380,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 # out d = 3, so find_dstar scans only d = 4: independence_checks reads 776, one scan.
 # The removal is the complement of the capped forest the scan and one augmentation keep
 # at d = 4, extended to a spanning tree
-K160_CYCLIC_PIPELINE_SHA256 = "3a57b11bc7f9a33819918c6cbf79694c9522822942b2851132b7d07594b2becf"
+K160_CYCLIC_PIPELINE_SHA256 = "708a72a6cba0fb919b59db238f6cf4d82d09c5e988cce3f002d734d50a004642"
 
 
 def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -389,7 +390,7 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 152_878
+    assert len(out) == 126_516
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 
@@ -419,9 +420,27 @@ def test_pinned_reports_pass_the_benchmark_checks(tmp_path, monkeypatch, capsys)
         assert report_problems(code, json.loads(out), net.demand_size, interference=interference, **expected) == [], name
 
 
-def test_verdict_rows_equal_measured_ranks(tmp_path, monkeypatch, capsys):
-    # the precoding.verdicts rows are written from the accepted plan's decode sets, not measured;
-    # on every written report they must equal the four-rank oracle's dimensions on that plan
+def _rows_implied_by(network_file: dict, report: dict) -> list[dict]:
+    """Each destination's alignment dimensions as an accepted plan fixes them, from JSON alone.
+
+    The decoded sources at D_i are its demands plus ``extra_decode[i]``; the
+    sparsified graph keeps the interference edges at W_i whose source is not
+    in ``extra_decode[i]``, and they align into one dimension.
+    """
+    extra_decode = report["sparsification"]["extra_decode"]
+    kept_at = {w for source, w in report["interference_graph"]["edges"] if source not in extra_decode[int(w[1:]) - 1]}
+    return [
+        {"destination": f"D{i + 1}", "dim_u": len({f"S{j}" for j in demands} | set(extra_decode[i])),
+         "dim_w": int(f"W{i + 1}" in kept_at), "dim_intersection": 0, "ok": True, "r_det_nonzero": True}
+        for i, demands in enumerate(network_file["demands"])
+    ]
+
+
+def test_reports_imply_the_measured_ranks(tmp_path, monkeypatch, capsys):
+    # a report writes no alignment rows: an accepted plan fixes them from the demands, extra_decode
+    # and the interference edges, and on every written report those rows must equal the four-rank
+    # oracle's dimensions on the plan.  A precode report holds neither input, so its rows come from
+    # the igraph and dstar reports of the same configuration
     runs = []
 
     class RecordedRun(cli.Run):
@@ -445,16 +464,29 @@ def test_verdict_rows_equal_measured_ranks(tmp_path, monkeypatch, capsys):
         path.write_text(net_to_json(net))
         out.unlink(missing_ok=True)
         command = ("precode", "pipeline")[draw % 2]
-        code = cli.main([command, "--network", str(path), "--format", "json", "--out", str(out), "--sessions", "2",
-                         "--seed", str(draw), *(("--q", "31") if field == "q = 31" else ())])
+        options = ["--network", str(path), "--format", "json", "--sessions", "2", "--seed", str(draw),
+                   *(("--q", "31") if field == "q = 31" else ())]
+        code = cli.main([command, *options, "--out", str(out)])
         capsys.readouterr()
         if code == cli.EXIT_CONSTRAINTS:
             assert not out.exists()
             continue
         assert code == cli.EXIT_OK, (draw, command, field)
         plan = runs[-1].plan
+        report = json.loads(out.read_text())
+        assert "verdicts" not in report["precoding"]
+        if command == "precode":
+            for sibling in ("igraph", "dstar"):
+                assert cli.main([sibling, *options]) == cli.EXIT_OK
+                sections = json.loads(capsys.readouterr().out)
+                assert sections.pop("config") == report["config"]
+                report.update(sections)
+        assert "removed_edges" not in report["sparsification"]
+        extra_decode = report["sparsification"]["extra_decode"]
+        extra = [[source, f"W{i + 1}"] for i, ed in enumerate(extra_decode) for source in ed]
+        assert all(edge in report["interference_graph"]["edges"] for edge in extra), (draw, command, field)
         want = [dict(v._asdict(), destination=f"D{v.destination + 1}") for v in verdicts_by_ranks(plan)]
-        assert json.loads(out.read_text())["precoding"]["verdicts"] == want, (draw, command, field)
+        assert _rows_implied_by(json.loads(path.read_text()), report) == want, (draw, command, field)
         written[field] += 1
         seen["no interferer"] += sum(not f for f in plan.new_interference)
         seen["two or more interferers"] += sum(len(f) >= 2 for f in plan.new_interference)

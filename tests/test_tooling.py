@@ -83,6 +83,31 @@ def test_every_attribute_set_in_post_init_has_a_reader_in_src():
     assert [name for name in assigned if reads[name.rpartition(".")[2]] <= 0] == []
 
 
+# result fields that only tests and pipebench/ read today, each with what retires it: the
+# tracer reads augmentations until ROADMAP item 1's --metrics does, and removed goes when item 7's
+# witness, or a derivation in the tests, replaces the tests' reads of it
+UNREAD_FIELDS = {"sparsify.SparsificationResult.augmentations", "sparsify.SparsificationResult.removed"}
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_dataclass_field_has_a_reader_in_src():
+    # a field only tests read belongs in the tests; only an attribute load x.field reads it, not a
+    # constructor keyword or a local of the same name
+    fields, reads = [], Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reads.update(_attribute_loads(tree))
+        fields += [f"{path.stem}.{cls.name}.{stmt.target.id}"
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+                   for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    assert UNREAD_FIELDS <= set(fields)
+    assert [name for name in fields if reads[name.rpartition(".")[2]] <= 0 and name not in UNREAD_FIELDS] == []
+
+
 def test_every_imported_name_is_read_by_its_module():
     # an import its module never reads is dead weight; the strings in __all__ count as reads
     unread = []
