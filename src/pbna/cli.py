@@ -6,16 +6,18 @@ obstruction, d* sparsification, precoding plan, simulated sessions) with
 each stage computed on first use and kept, so a command runs only the
 stages its sections need and each of those once.  ``pipeline`` lists every
 section.  Reports render as human text or as deterministic JSON
-(schema_version 3: one line, sorted keys, and mincut rows only for pairs
-joined by a path or demanded) so identical (file, config) pairs are
-byte-identical.  A report restates nothing it implies: it writes no
-per-destination alignment rows, which every accepted plan fixes from the
-demands and extra_decode, and no removed-edge list, which is extra_decode
-flattened.
+(schema_version 3: one line, sorted keys, and, in validate's report only,
+mincut rows for the pairs joined by a path or demanded) so identical (file,
+config) pairs are byte-identical.  A report restates nothing it implies: it
+writes no per-destination alignment rows, which every accepted plan fixes
+from the demands and extra_decode, no removed-edge list, which is
+extra_decode flattened, and in pipeline no mincut rows, which are the
+demanded pairs plus the interference edges, each with mincut 1 and ok.
 
 Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
 it can get, e.g. a huge --zero-trials or --ratio-trials), 3 assumption
-violation (including an interference edge the zero-function probe missed),
+violation (also, in every command that builds the interference graph, a
+pair a path joins whose zero-function probe row is all zero),
 4 constraint violation (no precoding attempt decoded at every destination
 within --attempts), 5 some simulated decode failed, by no unique solution
 or a wrong message (the report is written first).
@@ -32,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
-from .interference import InterferenceGraph, build_igraph, has_cycle, shortest_cycle, to_dot
+from .interference import InterferenceGraph, MissedInterference, build_igraph, has_cycle, shortest_cycle, to_dot
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, cycle_edges, cycle_ratio, infeasibility_report
-from .precoding import A, B, ConstraintViolation, MissedInterference, plan_with_resampling
+from .precoding import A, B, ConstraintViolation, plan_with_resampling
 from .simulate import rate_report, run_session
 from .sparsify import find_dstar
 
@@ -188,24 +190,25 @@ def _config_section(cfg: RunConfig) -> dict:
 
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
-    # one row per pair with a path or a demand, destination-major; every other pair has mincut 0 and is ok
-    joined = report.mincut > 0
-    listed = np.nonzero(joined | report.demanded)
-    columns = (*listed, report.mincut[listed], report.demanded[listed], report.pair_ok[listed])
+    # a destination that no non-demanded source reaches has no interference
+    interfered = ((report.mincut > 0) & ~report.demanded).any(axis=1)
     return {
         "ok": report.ok,
-        "mincuts": [
-            {"demanded": demanded, "destination": _dst(i), "mincut": cut, "ok": ok, "source": _src(j)}
-            for i, j, cut, demanded, ok in zip(*(column.tolist() for column in columns))
-        ],
         "violations": [
             {"destination": _dst(i), "source": _src(j), "mincut": int(report.mincut[i, j]),
              "demanded": bool(report.demanded[i, j])}
             for i, j in report.violations
         ],
-        # a destination that no non-demanded source reaches has no interference
-        "empty_interference": [_dst(i) for i in np.flatnonzero(~(joined & ~report.demanded).any(axis=1)).tolist()],
+        "empty_interference": [_dst(i) for i in np.flatnonzero(~interfered).tolist()],
     }
+
+
+def _mincut_rows(report) -> list:
+    # one row per pair with a path or a demand, destination-major; every other pair has mincut 0 and is ok
+    listed = np.nonzero((report.mincut > 0) | report.demanded)
+    columns = (*listed, report.mincut[listed], report.demanded[listed], report.pair_ok[listed])
+    return [{"demanded": demanded, "destination": _dst(i), "mincut": cut, "ok": ok, "source": _src(j)}
+            for i, j, cut, demanded, ok in zip(*(column.tolist() for column in columns))]
 
 
 def _igraph_section(run: Run) -> dict:
@@ -361,7 +364,7 @@ def _emit(cfg: RunConfig, report: dict, text: str) -> None:
 
 
 def cmd_validate(run: Run):
-    section = _assumptions_section(run)
+    section = {**_assumptions_section(run), "mincuts": _mincut_rows(run.validation)}
     return {"assumptions": section}, _text_assumptions(section), EXIT_OK if run.validation.ok else EXIT_ASSUMPTIONS
 
 
@@ -393,6 +396,7 @@ def cmd_simulate(run: Run):
 
 
 def cmd_pipeline(run: Run):
+    # valid and exact, the graph implies the mincut rows: its edges and the demanded pairs, each mincut 1 and ok
     run.validation.require_ok()
     sections = {
         "assumptions": _assumptions_section(run),

@@ -32,6 +32,15 @@ class CyclicGraph(Exception):
     """Forest decomposition was requested for a graph with cycles."""
 
 
+class MissedInterference(Exception):
+    """The zero-function probe gave an all-zero transfer row at (destination, source) ``pairs`` a path joins."""
+
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+        what = ", ".join(f"(D{i + 1}, S{j + 1})" for i, j in self.pairs)
+        super().__init__(f"the interference graph misses {what}: a path joins each, yet every probe evaluation was 0")
+
+
 @dataclass(eq=False)
 class InterferenceGraph:
     """Bipartite interference graph; the same pass builds the integer view every traversal walks.
@@ -72,14 +81,18 @@ class InterferenceGraph:
 
 
 def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
-    """Assemble the interference graph from a realization's transfer values.
+    """Assemble the interference graph from a realization's transfer values, checked against the paths.
 
-    An all-zero transfer row across the realization's slots is taken as
-    evidence that the pair's transfer function is identically zero (one-sided
-    Monte Carlo, error probability at most (deg/q)**slots).  Destinations
-    left without an interferer are listed by ``empty_destinations``.
+    An edge is a non-demanded pair whose transfer row is nonzero at some slot.
+    Where a path joins the pair (``Network.joined``) the row can still vanish at
+    every slot, with probability at most (deg/q)**slots: MissedInterference then
+    names every such pair, so a returned graph is exact.  Destinations left
+    without an interferer are listed by ``empty_destinations``.
     """
     live = realization.transfer.any(axis=2) & ~net.demand_mask  # (M, K)
+    missed = pairs_in(net.joined & ~net.demand_mask & ~live)
+    if missed:
+        raise MissedInterference(missed)
     return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs_in(live)))
 
 

@@ -12,9 +12,10 @@ forward propagation in topological order.
 Every pass over the network walks one integer view that construction builds:
 node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
 lists of its out-edge and in-edge ids.  One reach relation,
-``Network.reached``, feeds both the mincut passes and the coding layout, and
-``_max_flow`` searches the residual graph through the same edge lists, so no
-pass builds an adjacency of its own.
+``Network.reached``, feeds the mincut passes, the coding layout and the
+``joined`` mask the probe is checked against, and ``_max_flow`` searches the
+residual graph through the same edge lists, so no pass builds an adjacency
+of its own.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -186,6 +187,16 @@ class Network:
         mask[np.repeat(np.arange(self.n_destinations), self.demand_size), [j for d in self.demands for j in d]] = True
         mask.flags.writeable = False
         return mask
+
+    @cached_property
+    def joined(self) -> np.ndarray:
+        """(M, K) read-only bool array, True where a path joins source j to destination i: ``mincut > 0``."""
+        after = [nodes[1:] for nodes in self.reached]  # less s_j's own node, which no path of edges joins to itself
+        mask = np.zeros((self.n_destinations + 1, self.n_sources), dtype=bool)  # row M takes the other nodes
+        mask[np.asarray(self.destination_of)[[v for nodes in after for v in nodes]],
+             np.repeat(np.arange(self.n_sources), list(map(len, after)))] = True
+        mask.flags.writeable = False
+        return mask[:-1]
 
 
 def pairs_in(mask: np.ndarray) -> tuple[tuple[int, int], ...]:

@@ -31,26 +31,12 @@ import numpy as np
 from . import gf, kernels
 from .gf import DEFAULT_Q
 from .interference import InterferenceGraph, decompose
-from .network import Network, NetworkRealization, pairs_in, realize
+from .network import Network, NetworkRealization, realize
 from .sparsify import SparsificationResult
 
 
 # message symbols per source and interference dimensions per destination
 A = B = 1
-
-
-class MissedInterference(Exception):
-    """A sampled realization has a nonzero transfer at pairs the interference graph calls zero.
-
-    pairs holds those (destination, source) pairs: the zero-function probe
-    that built the graph missed their interference, so no plan on that
-    graph can be trusted.
-    """
-
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-        what = ", ".join(f"(D{i + 1}, S{j + 1})" for i, j in self.pairs)
-        super().__init__(f"the interference graph misses {what}: nonzero transfers at a sampled assignment")
 
 
 class ConstraintViolation(Exception):
@@ -176,11 +162,10 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     Destination i decodes its demands plus its extra-decode set and sees the
     sparsified graph's interferers at i as interference; the plan carries
     both sets.  The one acceptance rule: verify_alignment's mask is all
-    True.  An attempt with a nonzero transfer at a pair in neither set proves
-    the graph wrong and raises MissedInterference; any other attempt is
-    retried.  Exhausting the ``max_attempts`` (at least 1) raises
-    ConstraintViolation with each attempt's failing destinations, each with
-    its smallest interferer.  Random coefficients decode only with high
+    True; any other attempt is retried.  The graph must be exact, as
+    build_igraph returns it.  Exhausting the ``max_attempts`` (at least 1)
+    raises ConstraintViolation with each attempt's failing destinations,
+    each with its smallest interferer.  Random coefficients decode only with high
     probability, so at small q this can happen on a network that a larger q
     serves.
     """
@@ -191,9 +176,6 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
     forest = decompose(h_bar)
     new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
     new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
-    used = net.demand_mask.copy()
-    extra = [sparsification.extra_decode[i] | new_interference[i] for i in range(net.n_destinations)]
-    used[[i for i, js in enumerate(extra) for _ in js], [j for js in extra for j in js]] = True
 
     rng = np.random.default_rng(seed)
     attempt_failures = []
@@ -201,9 +183,6 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         r_seed = int(rng.integers(0, 2**63))
         p_seed = int(rng.integers(0, 2**63))
         realization = realize(net, n, r_seed, q)
-        missed = pairs_in(realization.transfer.any(axis=2) & ~used)
-        if missed:
-            raise MissedInterference(missed)
         plan = PrecodingPlan(build_precoding(h_bar, forest, realization, p_seed), realization, new_demands, new_interference, attempt)
         ok = verify_alignment(plan)
         if ok.all():

@@ -357,9 +357,9 @@ def test_text_reports_are_pinned(monkeypatch, capsys):
 
 
 # sha256 of `pbna pipeline --network forest160.json --format json --sessions 2` on
-# gen.forest_instance(np.random.default_rng(160), size=160): a 52,809-byte report whose
-# mincut table lists the pairs joined by a path, which any change to validation must keep
-K160_PIPELINE_SHA256 = "1856f538f44fc481824a45437efce3d7f9589a78597540d0f7db6788d2649f74"
+# gen.forest_instance(np.random.default_rng(160), size=160): an 11,933-byte report whose
+# interference edges are the pairs joined by a path less the demanded ones
+K160_PIPELINE_SHA256 = "153841a674fb5fe367321221c364c78a7f124316643a348d59176f098c76b3d0"
 
 
 def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -369,7 +369,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "forest160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 52_809
+    assert len(out) == 11_933
     assert hashlib.sha256(out).hexdigest() == K160_PIPELINE_SHA256
 
 
@@ -380,7 +380,7 @@ def test_k160_forest_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
 # out d = 3, so find_dstar scans only d = 4: independence_checks reads 776, one scan.
 # The removal is the complement of the capped forest the scan and one augmentation keep
 # at d = 4, extended to a spanning tree
-K160_CYCLIC_PIPELINE_SHA256 = "708a72a6cba0fb919b59db238f6cf4d82d09c5e988cce3f002d734d50a004642"
+K160_CYCLIC_PIPELINE_SHA256 = "e771b49a776b22657dbf8520b9ddc8a44a84c9ee94bea305df4b932738cf2ae5"
 
 
 def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
@@ -390,7 +390,7 @@ def test_k160_cyclic_pipeline_report_is_pinned(tmp_path, monkeypatch, capsys):
     code = cli.main(["pipeline", "--network", "cyclic160.json", "--format", "json", "--sessions", "2"])
     out = capsys.readouterr().out.encode()
     assert code == cli.EXIT_OK
-    assert len(out) == 126_516
+    assert len(out) == 32_966
     assert hashlib.sha256(out).hexdigest() == K160_CYCLIC_PIPELINE_SHA256
 
 
@@ -560,9 +560,8 @@ def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):
     assert captured.err.startswith(f"error: config: {option} must be at least ")
 
 
-@pytest.mark.parametrize("network_path", [FOREST, FOURBYFOUR], ids=["forest", "fourbyfour"])
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, capsys):
+def _count_stage_calls(monkeypatch) -> tuple[collections.Counter, dict]:
+    """Count the calls of each stage a Run makes, and of realize wherever it is looked up; keep each last result."""
     calls = collections.Counter()
     results = {}
 
@@ -578,6 +577,13 @@ def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, c
     counting_realize = counting("realize", network.realize)
     for module in (cli, network, obstruction, precoding):
         monkeypatch.setattr(module, "realize", counting_realize)
+    return calls, results
+
+
+@pytest.mark.parametrize("network_path", [FOREST, FOURBYFOUR], ids=["forest", "fourbyfour"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, capsys):
+    calls, results = _count_stage_calls(monkeypatch)
     assert cli.main([command, "--network", str(network_path), "--format", "json", "--sessions", "2"]) == cli.EXIT_OK
     capsys.readouterr()
     # validate reads its interference warning off the mincut table, so it draws no coefficients
@@ -589,11 +595,15 @@ def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, c
     assert calls["realize"] == probes + calls["cycle_ratio"] + attempts
 
 
+GRAPH_COMMANDS = ["igraph", "dstar", "obstruct", "precode", "simulate", "pipeline"]
+
+
 @pytest.mark.parametrize("seed", [12, 25])
-@pytest.mark.parametrize("command", ["precode", "simulate", "pipeline"])
-def test_probe_that_missed_an_edge_exits_3(command, seed, capsys):
-    # a one-trial probe over F_3 drops real interference edges on these seeds; the plan's
-    # realizations prove them nonzero, so the run stops before decoding against the wrong graph
+@pytest.mark.parametrize("command", GRAPH_COMMANDS)
+def test_probe_that_missed_an_edge_exits_3(command, seed, monkeypatch, capsys):
+    # a one-trial probe over F_3 drops real interference edges on these seeds; the graph is checked
+    # against the pairs a path joins, so every command that builds it stops before it uses it
+    calls, _ = _count_stage_calls(monkeypatch)
     code = cli.main([command, "--network", str(FOREST), "--q", "3", "--zero-trials", "1", "--seed", str(seed),
                      "--format", "json"])
     captured = capsys.readouterr()
@@ -601,6 +611,45 @@ def test_probe_that_missed_an_edge_exits_3(command, seed, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: probe: the interference graph misses (D")
     assert "--zero-trials" in captured.err
+    # the probe's realize is the only one that ran
+    assert calls == {"load_network_file": 1, "build_igraph": 1, "realize": 1}
+
+
+def _graph_answer(command, path, *options, capsys):
+    """Exit code, captured output and, on exit 0, the graph-derived content of igraph, dstar or obstruct."""
+    code = cli.main([command, "--network", str(path), "--format", "json", *options])
+    captured = capsys.readouterr()
+    if code != cli.EXIT_OK:
+        return code, captured, None
+    report = json.loads(captured.out)
+    if command == "igraph":
+        return code, captured, (report["interference_graph"], report["cyclic"])
+    if command == "dstar":
+        return code, captured, report["sparsification"]
+    # the ratio evaluations and their verdict depend on q and seed; the cycle does not
+    return code, captured, (report["obstruction"] and report["obstruction"]["cycle"], report["cyclic"])
+
+
+def test_graph_commands_at_small_q_are_exact_or_exit_3(tmp_path, capsys):
+    # at a small q the probe misses edges often; every graph-building command then either stops
+    # with exit 3 or answers exactly as at the default q
+    (tmp_path / "forest48.json").write_text(net_to_json(forest_instance(np.random.default_rng(48), size=48)[0]))
+    seen = {"exact": 0, "exit 3": 0}
+    for path, command in itertools.product((FOREST, FOURBYFOUR, tmp_path / "forest48.json"),
+                                           ("igraph", "dstar", "obstruct")):
+        code, _, expected = _graph_answer(command, path, capsys=capsys)
+        assert code == cli.EXIT_OK
+        for q, seed in itertools.product((2, 3, 7), range(40)):
+            code, captured, answer = _graph_answer(command, path, "--q", str(q), "--seed", str(seed), capsys=capsys)
+            point = (command, path.name, q, seed, captured.err)
+            if code == cli.EXIT_OK:
+                assert answer == expected, point
+                seen["exact"] += 1
+            else:
+                assert code == cli.EXIT_ASSUMPTIONS and captured.out == "", point
+                assert captured.err.startswith("error: probe: "), point
+                seen["exit 3"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_validate_interference_warning_does_not_depend_on_q_or_seed(tmp_path, capsys):
@@ -751,18 +800,59 @@ def test_emitter_matches_json_dumps_on_random_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "pipeline"])
 def test_text_reports_never_render_the_mincut_rows(command, monkeypatch, capsys):
-    # the text report of a run whose mincut table is emptied is the text report of the real run
+    # the text report of a run whose mincut rows are emptied is the text report of the real run;
+    # validate writes the rows into its JSON report, pipeline writes no mincut key at all
     reports = {}
     for rows in ("real", "emptied"):
         if rows == "emptied":
-            real = cli._assumptions_section
-            monkeypatch.setattr(cli, "_assumptions_section", lambda run: {**real(run), "mincuts": []})
+            monkeypatch.setattr(cli, "_mincut_rows", lambda report: [])
         for fmt in ("text", "json"):
             assert cli.main([command, "--network", str(FOREST), "--format", fmt]) == cli.EXIT_OK
             reports[rows, fmt] = capsys.readouterr().out
     assert reports["real", "text"] == reports["emptied", "text"]
-    assert json.loads(reports["real", "json"])["assumptions"]["mincuts"]
-    assert reports["real", "json"] != reports["emptied", "json"]
+    if command == "validate":
+        assert json.loads(reports["real", "json"])["assumptions"]["mincuts"]
+        assert reports["real", "json"] != reports["emptied", "json"]
+    else:
+        assert "mincuts" not in json.loads(reports["real", "json"])["assumptions"]
+        assert reports["real", "json"] == reports["emptied", "json"]
+
+
+def test_pipeline_report_implies_the_mincut_table(tmp_path, capsys):
+    # pipeline writes no mincut rows: on a valid network with an exact interference graph they are
+    # the demanded pairs plus the graph's edges, each with mincut 1 and ok, as validate lists them
+    path = tmp_path / "net.json"
+    rng = np.random.default_rng(37)
+    draws = (random_dag_net, random_multiterminal_dag, hub_relay_net)
+    seen = {"reports": 0, "interference edges": 0, "demanded pairs": 0}
+    draw = 0
+    while seen["reports"] < 300:
+        net = draws[draw % 3](rng)
+        draw += 1
+        if not network.validate_assumptions(net).ok:
+            continue
+        network_file = net_to_json(net)
+        path.write_text(network_file)
+        options = ["--network", str(path), "--format", "json", "--sessions", "1", "--seed", str(draw)]
+        code = cli.main(["pipeline", *options])
+        out = capsys.readouterr().out
+        if code == cli.EXIT_CONSTRAINTS:
+            continue
+        assert code == cli.EXIT_OK, draw
+        report = json.loads(out)
+        assert "mincuts" not in report["assumptions"]
+        # (destination, source) numbers from 1: the file's demands are 1-based source indices
+        demands = json.loads(network_file)["demands"]
+        demanded = {(i + 1, j): True for i, sources in enumerate(demands) for j in sources}
+        edges = {(int(w[1:]), int(source[1:])): False for source, w in report["interference_graph"]["edges"]}
+        rebuilt = [{"demanded": d, "destination": f"D{i}", "mincut": 1, "ok": True, "source": f"S{j}"}
+                   for (i, j), d in sorted({**demanded, **edges}.items())]
+        assert cli.main(["validate", *options]) == cli.EXIT_OK
+        assert rebuilt == json.loads(capsys.readouterr().out)["assumptions"]["mincuts"], draw
+        seen["reports"] += 1
+        seen["interference edges"] += len(report["interference_graph"]["edges"])
+        seen["demanded pairs"] += len(demanded)
+    assert min(seen.values()) >= 300, seen
 
 
 def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, capsys):
@@ -783,6 +873,9 @@ def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, cap
         reached = {(i, j) for i, t in enumerate(net.destinations) for j, s in enumerate(net.sources)
                    if s != t and nx.has_path(g, s, t)}
         demanded = {(i, j) for i, sources in enumerate(net.demands) for j in sources}
+        # the mask the probe is checked against is this reach relation
+        assert set(network.pairs_in(net.joined)) == reached, net_to_json(net)
+        assert np.array_equal(net.joined, expected.mincut > 0)
         listed = [(int(row["destination"][1:]) - 1, int(row["source"][1:]) - 1) for row in section["mincuts"]]
         assert listed == sorted(reached | demanded), net_to_json(net)
         for (i, j), row in zip(listed, section["mincuts"]):

@@ -6,8 +6,8 @@ import pytest
 
 from pbna import gf
 from pbna import precoding as pc
-from pbna.interference import InterferenceGraph, build_igraph, decompose, has_cycle
-from pbna.network import Network, NetworkRealization, load_network_file, realize
+from pbna.interference import InterferenceGraph, MissedInterference, build_igraph, decompose, has_cycle
+from pbna.network import Network, NetworkRealization, load_network_file, pairs_in, realize
 from pbna.simulate import run_session
 from pbna.sparsify import find_dstar
 from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite, seeded_messages,
@@ -315,17 +315,18 @@ def test_adversarial_network_raises_constraint_violation():
 
 
 def test_probe_that_missed_an_edge_raises_missed_interference():
-    # at q = 3 a one-trial probe drops real interference edges; an attempt's
-    # realization shows them nonzero, so no plan is built on the wrong graph
+    # at q = 3 a one-trial probe drops real interference edges; build_igraph checks the probe
+    # against the pairs a path joins, so it names exactly the dropped edges and builds no graph
     net = load_network_file(Path(__file__).resolve().parent.parent / "networks" / "forest.json")
     true_edges = build_igraph(net, realize(net, 3, seed=0)).edges
     for seed in (12, 25):
-        graph = build_igraph(net, realize(net, 1, seed, q=3))
-        assert graph.edges < true_edges
-        with pytest.raises(pc.MissedInterference) as exc_info:
-            pc.plan_with_resampling(net, find_dstar(graph), seed=seed, q=3)
+        realization = realize(net, 1, seed, q=3)
+        probed = {(j, i) for i, j in pairs_in(realization.transfer.any(axis=2) & ~net.demand_mask)}
+        assert probed < true_edges
+        with pytest.raises(MissedInterference) as exc_info:
+            build_igraph(net, realization)
         pairs = exc_info.value.pairs
-        assert pairs and set(pairs) <= {(i, j) for j, i in true_edges - graph.edges}
+        assert {(j, i) for i, j in pairs} == true_edges - probed
         assert all(f"(D{i + 1}, S{j + 1})" in str(exc_info.value) for i, j in pairs)
 
 
