@@ -28,10 +28,11 @@ over the forest; an outside edge's exchange arcs are the forest edges on the
 tree path between its ends, and an inside edge's are the outside edges at
 its destination, so a round costs O(V + E) plus the tree paths it walks.
 
-The removal is the component minus the forest extended to a spanning tree.
-The result is the sparsified graph h_bar and each destination's
-extra-decode set; precoding.plan_with_resampling derives the decode and
-interference sets from them.
+The removal is the component minus the forest extended, uncapped, to a
+spanning tree, which keeps at least c_i edges at every W_i.  It goes straight
+into each destination's extra-decode set, and a trim in label order fills
+every set to min(d*, deg_i) sources; h_bar is g without those edges.
+precoding.plan_with_resampling derives the decode and interference sets.
 """
 
 from __future__ import annotations
@@ -164,13 +165,14 @@ class ComponentStats:
 class SparsificationResult:
     """Outcome of the minimal extra-decode search.
 
-    ``removed`` is, per component, the complement of a spanning tree that
-    keeps max(deg - d, 1) edges at every destination.  ``h_bar`` removes
-    further kept edges until every destination node has lost exactly
-    min(d_star, degree) edges; those losses define the per-destination
-    extra-decode sets.  ``independence_checks`` adds f, the component's
-    edge count, per quota scanned (once for a tree component, which needs
-    no scan): every scanned candidate counts, the ones without room too.
+    Each component's removal is the complement of a spanning tree that
+    keeps at least max(deg - d, 1) edges at every destination.  ``h_bar``
+    removes further kept edges until every destination node has lost
+    exactly min(d_star, degree) edges; those losses define the
+    per-destination extra-decode sets.  ``independence_checks`` adds f, the
+    component's edge count, per quota scanned (once for a tree component,
+    which needs no scan): every scanned candidate counts, the ones without
+    room too.
     ``augmentations`` counts every call of the exact fallback after a scan
     stalled below sum(cap), including the calls that only prove a quota
     infeasible.  Quotas below the degree count are never scanned, so they
@@ -178,7 +180,6 @@ class SparsificationResult:
     """
 
     d_star: int
-    removed: frozenset[Edge]
     h_bar: InterferenceGraph
     extra_decode: tuple[frozenset[int], ...]
     components: tuple[ComponentStats, ...]
@@ -208,7 +209,7 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
 
     checks = 0
     augmentations = 0
-    removed: set[Edge] = set()
+    extra: list[set[int]] = [set() for _ in range(g.n_destinations)]
     stats = []
     comps = connected_components(g)
     which = {v: c for c, comp in enumerate(comps) for v in comp}
@@ -237,8 +238,8 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
                 kept = _augment_to_maximum(g, comp_labels, cap, kept)
                 augmentations += 1
             if len(kept) == sum(cap.values()):
-                tree = set(_forest(g, kept + comp_labels[::-1]))
-                removed.update(e for e in comp_labels if e not in tree)
+                for j, i in set(comp_labels).difference(_forest(g, kept + comp_labels[::-1])):
+                    extra[i].add(j)
                 break
             d += 1
             if d >= max_degree:
@@ -253,16 +254,12 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     # edges in total.  Extra deletions come from the spanning forest in label
     # order; removing forest edges keeps the graph acyclic, and since each edge
     # touches exactly one destination node the quotas never interact.
-    extra: list[set[int]] = [set() for _ in range(g.n_destinations)]
-    for j, i in removed:
-        extra[i].add(j)
     for j, i in label_order:
         if len(extra[i]) < d_star:
             extra[i].add(j)
 
     return SparsificationResult(
         d_star=d_star,
-        removed=frozenset(removed),
         h_bar=InterferenceGraph(g.n_sources, g.n_destinations, ((j, i) for j, i in g.edges if j not in extra[i])),
         extra_decode=tuple(map(frozenset, extra)),
         components=tuple(stats),

@@ -1,13 +1,5 @@
 import pytest
 
-from pbna import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # run the kernels once, outside any timed section
-    kernels.warmup()
-
 
 @pytest.fixture()
 def fourbyfour():

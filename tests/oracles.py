@@ -15,6 +15,8 @@ test; ``forest_scan_by_component_counts``, find_dstar's capped Kruskal scan
 with one component count per edge; ``max_capped_forest``, the largest capped
 forest by subset enumeration; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
+``find_dstar_with_removal`` returns find_dstar's result with the removal it
+makes before the trim, recorded from its uncapped scans rather than rebuilt.
 ``augment_by_rebuilt_exchanges`` is the capped-forest augmentation
 find_dstar once ran, which rebuilt its used counts and per-destination
 outside edges from the pool every round.  It shares the package's
@@ -49,7 +51,7 @@ from collections import Counter, deque, namedtuple
 
 import numpy as np
 
-from pbna import gf
+from pbna import gf, sparsify
 from pbna.interference import Edge, InterferenceGraph, components
 from pbna.precoding import A, B
 from pbna.sparsify import _tree_path
@@ -583,6 +585,29 @@ def forest_scan_by_component_counts(g: InterferenceGraph, edges, room=None) -> t
         kept.append(e)
         per_dest[e[1]] = per_dest.get(e[1], 0) + 1
     return tuple(kept)
+
+
+def find_dstar_with_removal(g: InterferenceGraph):
+    """find_dstar(g) and its pre-trim removal, as (result, removal), observed rather than recomputed.
+
+    Wraps whatever ``sparsify._forest`` is at call time, so a swapped-in scan
+    still composes.  find_dstar makes an uncapped call only to extend a
+    component's capped forest to a spanning tree, and that call's edges minus
+    its result are the component's removal.
+    """
+    scan, removal = sparsify._forest, set()
+
+    def recording(g, edges, room=None):
+        kept = scan(g, edges, room)
+        if room is None:
+            removal.update(set(edges).difference(kept))
+        return kept
+
+    sparsify._forest = recording
+    try:
+        return sparsify.find_dstar(g), frozenset(removal)
+    finally:
+        sparsify._forest = scan
 
 
 def max_capped_forest(g: InterferenceGraph, pool, cap) -> int:

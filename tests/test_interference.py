@@ -6,7 +6,7 @@ from pbna import sparsify as sp
 from pbna.network import Network, realize
 from gen import (cyclic_instance, dense_bipartite, forest_instance, random_bipartite, random_dag_net,
                  random_multiterminal_dag)
-from oracles import bipartite_has_cycle_bruteforce, shortest_cycle_by_full_bfs
+from oracles import bipartite_has_cycle_bruteforce, find_dstar_with_removal, shortest_cycle_by_full_bfs
 
 
 def graph_of(net: Network, trials: int = 3, seed: int = 0):
@@ -359,8 +359,8 @@ def test_forest_paths_do_not_recurse_on_long_paths():
     n = 2000
     path = {(j, j) for j in range(n)} | {(j + 1, j) for j in range(n - 1)}
     g = ig.InterferenceGraph(n + 1, n, frozenset(path | {(0, n - 1), (n, 0)}))
-    res = sp.find_dstar(g)
-    assert res.d_star == 1 and len(res.removed) == 1
+    res, removal = find_dstar_with_removal(g)
+    assert res.d_star == 1 and len(removal) == 1
     # S1 to Wn crosses every edge of the 4,000-node path
     assert sorted(sp._tree_path(*_forest_walk(g, path), 0, 2 * n)) == sorted(g.ids[e] for e in path)
     # From the path, at two kept edges per destination: W1 is full, Wn has room

@@ -9,8 +9,8 @@ from pbna.interference import InterferenceGraph, build_igraph, connected_compone
 from pbna.network import realize
 from gen import cyclic_instance, dense_bipartite, forest_instance, hub_bipartite, random_bipartite
 from oracles import (augment_by_component_counts, augment_by_rebuilt_exchanges, component_count, dstar_exact_removal,
-                     forest_scan_by_component_counts, greedy_scan_by_component_counts, independence_check,
-                     max_capped_forest)
+                     find_dstar_with_removal, forest_scan_by_component_counts, greedy_scan_by_component_counts,
+                     independence_check, max_capped_forest)
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -56,26 +56,26 @@ def test_independence_keeps_tree_connected():
 
 
 # ---------------------------------------------------------------------------
-# greedy scan, observed through find_dstar (augmentations == 0 means the
-# greedy scan alone reached the spanning tree)
+# greedy scan, observed through find_dstar's removal before the trim
+# (augmentations == 0 means the greedy scan alone reached the spanning tree)
 
 
 def test_greedy_on_tree_removes_nothing():
-    res = sp.find_dstar(star())
-    assert res.removed == frozenset()
+    res, removal = find_dstar_with_removal(star())
+    assert removal == frozenset()
     assert res.augmentations == 0
 
 
 def test_greedy_on_eight_cycle_takes_first_label():
     g = eight_cycle()
-    res = sp.find_dstar(g)
-    assert res.removed == {sp.default_labeling(g)[0]}
+    res, removal = find_dstar_with_removal(g)
+    assert removal == {sp.default_labeling(g)[0]}
     assert res.augmentations == 0
 
 
 def test_greedy_on_four_cycle():
-    res = sp.find_dstar(four_cycle())
-    assert len(res.removed) == 1
+    res, removal = find_dstar_with_removal(four_cycle())
+    assert len(removal) == 1
     assert res.augmentations == 0
 
 
@@ -184,16 +184,16 @@ def test_labeling_invariance_of_greedy_size():
     reordered = 0
     for _ in range(20):
         g = random_bipartite(rng, max_edges=10)
-        base = sp.find_dstar(g)
+        base, base_removal = find_dstar_with_removal(g)
         labeling = list(sp.default_labeling(g))
         with pytest.MonkeyPatch.context() as mp:
             for _ in range(10):
                 rng.shuffle(labeling)
                 mp.setattr(sp, "default_labeling", lambda g, order=tuple(labeling): order)
-                shuffled = sp.find_dstar(g)
+                shuffled, removal = find_dstar_with_removal(g)
                 assert shuffled.d_star == base.d_star
-                assert len(shuffled.removed) == len(base.removed)
-                reordered += shuffled.removed != base.removed
+                assert len(removal) == len(base_removal)
+                reordered += removal != base_removal
     assert reordered > 0  # the shuffled orders reach the scan
 
 
@@ -201,7 +201,7 @@ def test_result_invariants_on_random_graphs():
     rng = np.random.default_rng(2718)
     for _ in range(40):
         g = random_bipartite(rng, max_edges=12)
-        res = sp.find_dstar(g)
+        res, removal = find_dstar_with_removal(g)
         assert not has_cycle(res.h_bar)
         for i in range(g.n_destinations):
             degree = len(g.interferers(i))
@@ -209,7 +209,29 @@ def test_result_invariants_on_random_graphs():
         if g.edges:
             assert res.d_star == max(len(e) for e in res.extra_decode)
         # complement of the greedy removal spans every component
-        assert component_count(g, res.removed) == component_count(g)
+        assert component_count(g, removal) == component_count(g)
+
+
+def test_trim_tops_each_removal_up_with_the_first_labels_outside_it():
+    # extra_decode[i] is the removal at W_i plus W_i's first edges in label
+    # order outside it, min(d*, deg_i) sources in all
+    rng = np.random.default_rng(1776)
+    graphs = [random_bipartite(rng, max_edges=12) for _ in range(200)] + [dense_bipartite(rng) for _ in range(150)]
+    seen = {"stalled": 0, "deg <= d*": 0, "trimmed": 0}
+    for g in graphs:
+        res, removal = find_dstar_with_removal(g)
+        labels = sp.default_labeling(g)
+        for i in range(g.n_destinations):
+            own = {j for j, d in removal if d == i}
+            want = min(res.d_star, len(g.interferers(i)))
+            assert len(own) <= want
+            trimmed = [j for j, d in labels if d == i and j not in own][:want - len(own)]
+            assert res.extra_decode[i] == own | set(trimmed)
+            assert len(res.extra_decode[i]) == want
+            seen["deg <= d*"] += 0 < len(g.interferers(i)) <= res.d_star
+            seen["trimmed"] += bool(trimmed)
+        seen["stalled"] += res.augmentations > 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_independence_check_budget():
@@ -251,20 +273,20 @@ def test_greedy_stall_is_rescued_by_augmentation():
     g = stalling_graph()
     cap = _caps(sp.default_labeling(g), 1)
     assert len(sp._forest(g, sp.default_labeling(g)[::-1], cap)) == 4 < sum(cap.values()) == 5
-    res = sp.find_dstar(g)
+    res, removal = find_dstar_with_removal(g)
     assert res.d_star == 1 == dstar_exact_removal(g)
     assert res.augmentations == 1  # the scan stalled at d = 1
-    assert len(res.removed) == 2
+    assert len(removal) == 2
     # the rescued removal is independent in both matroids: its complement
     # is a spanning tree and no destination loses more than d* edges
-    assert independence_check(g, res.removed, res.d_star)
-    kept = g.edges - res.removed
+    assert independence_check(g, removal, res.d_star)
+    kept = g.edges - removal
     assert len(kept) == 4 + 2 - 1
     assert not has_cycle(InterferenceGraph(g.n_sources, g.n_destinations, kept))
 
 
-def _outcome(res: sp.SparsificationResult):
-    return (res.removed, res.h_bar.edges, res.extra_decode, res.d_star,
+def _outcome(res: sp.SparsificationResult, removal):
+    return (removal, res.h_bar.edges, res.extra_decode, res.d_star,
             res.augmentations, res.independence_checks)
 
 
@@ -514,8 +536,8 @@ def test_quota_zero_scan_builds_no_forest_on_forest_graphs(monkeypatch):
         record(name)
     for size in (16, 48):
         _, edges = forest_instance(np.random.default_rng(size), size=size)
-        res = sp.find_dstar(InterferenceGraph(size, size, edges))
-        assert res.d_star == 0 and not res.removed and res.augmentations == 0
+        res, removal = find_dstar_with_removal(InterferenceGraph(size, size, edges))
+        assert res.d_star == 0 and not removal and res.augmentations == 0
         assert res.independence_checks == len(edges)
     assert calls == {"_forest": [], "_augment_to_maximum": [], "components": []}
 
@@ -528,9 +550,9 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
     # removed side's oracle below the bond rank, since d is the least
     # feasible quota.
     graphs = _corpus(1226, sparse=150, dense=180)
-    fast = [sp.find_dstar(g) for g in graphs]
+    fast = [find_dstar_with_removal(g) for g in graphs]
     augmented = 0
-    for g, res in zip(graphs, fast):
+    for g, (res, _) in zip(graphs, fast):
         if len(g.edges) <= 12:
             assert res.d_star == dstar_exact_removal(g)
         below = list(_quotas_below_dstar(g, res))
@@ -541,8 +563,8 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
             assert len(augment_by_component_counts(g, pool, d, greedy_scan_by_component_counts(g, pool, d))) < rank
         augmented += res.augmentations >= 1 or len(below) > 0
     monkeypatch.setattr(sp, "_forest", forest_scan_by_component_counts)
-    counted = [sp.find_dstar(g) for g in graphs]
-    assert [_outcome(r) for r in fast] == [_outcome(r) for r in counted]
+    counted = [find_dstar_with_removal(g) for g in graphs]
+    assert [_outcome(*r) for r in fast] == [_outcome(*r) for r in counted]
     assert len(graphs) >= 300
     assert augmented >= 100
 
@@ -569,14 +591,14 @@ def test_find_dstar_is_its_per_component_results_on_many_components():
         blocks = [dense_bipartite(rng) if rng.random() < 0.3 else random_bipartite(rng, max_edges=12)
                   for _ in range(int(rng.integers(25, 40)))]
         g = _disjoint_union(rng, blocks)
-        res = sp.find_dstar(g)
+        res, removal = find_dstar_with_removal(g)
         comps = [comp for comp in connected_components(g) if len(comp) > 1]
         assert len(comps) >= 20
-        parts = [sp.find_dstar(InterferenceGraph(g.n_sources, g.n_destinations,
-                                                 ((j, i) for j, i in g.edges if j in comp)))
-                 for comp in map(set, comps)]
+        parts, removals = zip(*(find_dstar_with_removal(InterferenceGraph(g.n_sources, g.n_destinations,
+                                                                          ((j, i) for j, i in g.edges if j in comp)))
+                                for comp in map(set, comps)))
         assert res.d_star == max(p.d_star for p in parts)
-        assert res.removed == frozenset().union(*(p.removed for p in parts))
+        assert removal == frozenset().union(*removals)
         assert res.components == tuple(s for p in parts for s in p.components)
         assert res.independence_checks == sum(p.independence_checks for p in parts)
         assert res.augmentations == sum(p.augmentations for p in parts)

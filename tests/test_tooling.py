@@ -2,9 +2,10 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pbna"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pbna"
 
-# pipebench/run.py and its SETUP_CODE call kernels.warmup until ROADMAP item 2 removes it
+# pipebench/run.py calls kernels.warmup, a no-op, until ROADMAP item 2 removes the call
 CALLED_FROM_OUTSIDE = {("kernels", "warmup")}
 
 
@@ -42,6 +43,15 @@ def test_every_module_level_definition_has_a_caller_in_src():
     unused = [f"{module}.{name}" for module, name in defined
               if name not in used and (module, name) not in CALLED_FROM_OUTSIDE]
     assert unused == []
+
+
+def test_each_name_called_from_outside_is_called_by_the_benchmark_harness():
+    # the allowlist retires itself: once pipebench/run.py stops calling a name, its entry must go
+    tree = ast.parse((ROOT / "pipebench" / "run.py").read_text())
+    called = {(node.func.value.id, node.func.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)}
+    assert CALLED_FROM_OUTSIDE <= called
 
 
 def test_every_class_member_has_a_reader_in_src():
@@ -83,10 +93,9 @@ def test_every_attribute_set_in_post_init_has_a_reader_in_src():
     assert [name for name in assigned if reads[name.rpartition(".")[2]] <= 0] == []
 
 
-# result fields that only tests and pipebench/ read today, each with what retires it: the
-# tracer reads augmentations until ROADMAP item 1's --metrics does, and removed goes when item 7's
-# witness, or a derivation in the tests, replaces the tests' reads of it
-UNREAD_FIELDS = {"sparsify.SparsificationResult.augmentations", "sparsify.SparsificationResult.removed"}
+# result fields that only tests and pipebench/ read today: the tracer reads augmentations until
+# ROADMAP item 1's --metrics does
+UNREAD_FIELDS = {"sparsify.SparsificationResult.augmentations"}
 
 
 def _is_dataclass(cls: ast.ClassDef) -> bool:
@@ -106,6 +115,12 @@ def test_every_dataclass_field_has_a_reader_in_src():
                    for stmt in cls.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
     assert UNREAD_FIELDS <= set(fields)
     assert [name for name in fields if reads[name.rpartition(".")[2]] <= 0 and name not in UNREAD_FIELDS] == []
+
+
+def test_each_unread_field_is_read_by_the_benchmark_tracer():
+    # the allowlist retires itself: once pipebench/spans.py stops reading a field, its entry must go
+    reads = _attribute_loads(ast.parse((ROOT / "pipebench" / "spans.py").read_text()))
+    assert [name for name in UNREAD_FIELDS if reads[name.rpartition(".")[2]] <= 0] == []
 
 
 def test_every_imported_name_is_read_by_its_module():
