@@ -242,7 +242,7 @@ def _precoding_section(run: Run) -> dict:
         "b": B,
         "attempts": plan.attempts,
         "per_source_rate": f"{A}/{plan.n}",
-        "V": {_src(j): [int(x) for x in plan.V[j]] for j in range(plan.V.shape[0])},
+        "V": {_src(j): row for j, row in enumerate(plan.V.tolist())},
     }
 
 

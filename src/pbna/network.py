@@ -11,11 +11,13 @@ forward propagation in topological order.
 
 Every pass over the network walks one integer view that construction builds:
 node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
-lists of its out-edge and in-edge ids.  One reach relation,
-``Network.reached``, feeds the mincut passes, the coding layout and the
-``joined`` mask the probe is checked against, and ``_max_flow`` searches the
-residual graph through the same edge lists, so no pass builds an adjacency
-of its own.
+lists of its out-edge and in-edge ids.  Construction's one Kahn pass over the
+topological order yields the rest, and no other pass walks that order: the
+reach relation ``Network.reached``, which feeds the mincut passes, the coding
+layout and the ``joined`` mask the probe is checked against; the coefficient
+order ``edge_order``; and the node depths ``depth`` that set the schedules'
+rounds.  ``_max_flow`` searches the residual graph through the same edge
+lists, so no pass builds an adjacency of its own.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -66,9 +68,12 @@ class Network:
     ``nodes[k]``: edge e runs ``tail[e] -> head[e]``, ``out[v]`` and ``into[v]``
     list node v's out-edges and in-edges in ascending order, ``source_ids``
     and ``destination_ids`` are the terminals' nodes, ``destination_of[v]`` is
-    node v's position in ``destinations`` or -1, and ``topo_index`` is a
-    topological order of the nodes.  ``reached``, built on first use, lists
-    per source the nodes it reaches, in that order.
+    node v's position in ``destinations`` or -1.  One Kahn pass, which takes
+    the ready node of smallest position first, yields the rest and is the only
+    walk of the topological order: ``reached[j]`` lists the nodes source j
+    reaches (its own first), in that order; ``edge_order`` lists the edges by
+    their tails' place in it, then by index; and ``depth[v]`` counts the edges
+    on the longest path into node v.
     """
 
     nodes: tuple[str, ...]
@@ -125,7 +130,40 @@ class Network:
             for j in dem:
                 if not 0 <= j < len(self.sources):
                     raise ParseError(f"demand source index {j} out of range")
-        self.topo_index = self._topological_order()
+
+        # Kahn's algorithm; the heap hands out the ready node of smallest position, so the
+        # order depends only on structure, not on node names.  Bit j of mask[v] says that v
+        # is s_j's node or s_j reaches it.
+        head = self.head
+        indeg = list(map(len, self.into))
+        ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
+        mask = [0] * len(self.nodes)
+        for j, v in enumerate(self.source_ids):
+            mask[v] = 1 << j
+        reached: list[list[int]] = [[] for _ in self.sources]
+        edge_order: list[int] = []
+        depth = [0] * len(self.nodes)
+        while ready:
+            v = heapq.heappop(ready)
+            bits, d = mask[v], depth[v] + 1
+            edge_order += out[v]
+            for e in out[v]:
+                h = head[e]
+                mask[h] |= bits
+                if depth[h] < d:
+                    depth[h] = d
+                indeg[h] -= 1
+                if indeg[h] == 0:
+                    heapq.heappush(ready, h)
+            while bits:
+                low = bits & -bits
+                reached[low.bit_length() - 1].append(v)
+                bits ^= low
+        if len(edge_order) != len(self.edges):  # a node on a cycle never gets ready, nor its out-edges
+            raise CycleError("directed graph has a cycle")
+        self.reached = tuple(map(tuple, reached))
+        self.edge_order = tuple(edge_order)
+        self.depth = tuple(depth)
 
     @property
     def n_sources(self) -> int:
@@ -139,46 +177,9 @@ class Network:
     def demand_size(self) -> int:
         return len(self.demands[0])
 
-    def _topological_order(self) -> tuple[int, ...]:
-        # Kahn's algorithm; the heap hands out the ready node of smallest position,
-        # so the order depends only on structure, not on node names.
-        head, out = self.head, self.out
-        indeg = list(map(len, self.into))
-        ready = [v for v, d in enumerate(indeg) if d == 0]  # ascending, so already a heap
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for e in out[v]:
-                indeg[head[e]] -= 1
-                if indeg[head[e]] == 0:
-                    heapq.heappush(ready, head[e])
-        if len(order) != len(self.nodes):
-            raise CycleError("directed graph has a cycle")
-        return tuple(order)
-
     @cached_property
     def layout(self) -> "CodingLayout":
         return _build_layout(self)
-
-    @cached_property
-    def reached(self) -> tuple[tuple[int, ...], ...]:
-        """Per source j, s_j's node and every node s_j reaches by a path, in ``topo_index`` order."""
-        # one pass in topological order: bit j of mask[v] says that v is s_j's node or s_j reaches it
-        head, out = self.head, self.out
-        mask = [0] * len(out)
-        for j, v in enumerate(self.source_ids):
-            mask[v] = 1 << j
-        reached: list[list[int]] = [[] for _ in self.sources]
-        for v in self.topo_index:
-            bits = mask[v]
-            for e in out[v]:
-                mask[head[e]] |= bits
-            while bits:
-                low = bits & -bits
-                reached[low.bit_length() - 1].append(v)
-                bits ^= low
-        return tuple(map(tuple, reached))
 
     @cached_property
     def demand_mask(self) -> np.ndarray:
@@ -246,14 +247,12 @@ def load_network(data: bytes | str) -> Network:
     nodes = str_list("nodes")
     sources = str_list("sources")
     destinations = str_list("destinations")
-    edges_raw = obj["edges"]
-    if not isinstance(edges_raw, list):
+    edges = obj["edges"]
+    if not isinstance(edges, list):
         raise ParseError("'edges' must be an array of [tail, head] pairs")
-    edges = []
-    for item in edges_raw:
+    for item in edges:
         if not (isinstance(item, list) and len(item) == 2 and all(isinstance(x, str) for x in item)):
             raise ParseError(f"bad edge entry {item!r}; expected [tail, head] strings")
-        edges.append((item[0], item[1]))
     demands_raw = obj["demands"]
     if not isinstance(demands_raw, list):
         raise ParseError("'demands' must be an array of arrays of 1-based source indices")
@@ -266,8 +265,8 @@ def load_network(data: bytes | str) -> Network:
         for idx in entry:
             if not 1 <= idx <= len(sources):
                 raise ParseError(f"demand source index {idx} out of range 1..{len(sources)}")
-        demands.append(frozenset(idx - 1 for idx in entry))
-    return Network(tuple(nodes), tuple(edges), tuple(sources), tuple(destinations), tuple(demands))
+        demands.append([idx - 1 for idx in entry])
+    return Network(nodes, edges, sources, destinations, demands)  # Network normalizes the lists
 
 
 def load_network_file(path) -> Network:
@@ -393,17 +392,18 @@ class Schedule:
 class CodingLayout(Schedule):
     """Coefficient layout of one network, with its two propagation schedules.
 
-    Coefficient order follows the edges by their tails' topological order,
-    then by index: for each edge, first its source injection (if the tail is
-    a source), then one coefficient per in-edge of the tail, in that same
-    edge order.  The layout itself is the per-edge schedule: one value per
-    edge, one target per destination.  ``reach`` is the schedule over
-    (edge, source) entries, one for each source that is the edge's tail or
-    reaches an in-edge of its tail.  Each coding pair there becomes one pair
-    per source reaching its in-edge, with the same coefficient, and target
-    i * K + j sums the entries of source j on destination i's in-edges.  So
-    ``reach`` with unit inputs yields every transfer value while carrying
-    only entries that can be nonzero.
+    Coefficient order is the network's ``edge_order``, the edges by their
+    tails' topological order, then by index: for each edge, first its source
+    injection (if the tail is a source), then one coefficient per in-edge of
+    the tail, in that same edge order.  Rounds come from the network's
+    ``depth``, so the builder walks no order of its own.  The layout itself
+    is the per-edge schedule: one value per edge, one target per destination.
+    ``reach`` is the schedule over (edge, source) entries, one for each
+    source that is the edge's tail or reaches an in-edge of its tail.  Each
+    coding pair there becomes one pair per source reaching its in-edge, with
+    the same coefficient, and target i * K + j sums the entries of source j
+    on destination i's in-edges.  So ``reach`` with unit inputs yields every
+    transfer value while carrying only entries that can be nonzero.
     """
 
     n_coeffs: int
@@ -412,22 +412,8 @@ class CodingLayout(Schedule):
 
 def _build_layout(net: Network) -> CodingLayout:
     n_nodes, k_sources = len(net.nodes), net.n_sources
-    source_node = _int64(net.source_ids)
-    # One pass over the nodes in topological order, their out-edges by index: the coefficient
-    # order of the edges.  depth[v] counts the edges on the longest path into node v.
-    head_of, out = net.head, net.out
-    order: list[int] = []
-    depth = [0] * n_nodes
-    for v in net.topo_index:
-        d = depth[v] + 1
-        order += out[v]
-        for e in out[v]:
-            h = head_of[e]
-            if depth[h] < d:
-                depth[h] = d
-    depth, order = _int64(depth), _int64(order)
-
-    tail, head = _int64(net.tail), _int64(head_of)
+    source_node, order, depth = _int64(net.source_ids), _int64(net.edge_order), _int64(net.depth)
+    tail, head = _int64(net.tail), _int64(net.head)
     into = order[np.argsort(head[order], kind="stable")]  # in-edges grouped by head, in that order
     indeg = np.bincount(head, minlength=n_nodes)
     in_ptr = np.cumsum(indeg) - indeg
@@ -455,7 +441,8 @@ def _build_layout(net: Network) -> CodingLayout:
 
     # (node, source) keys node * K + j, one per node in reached[j], ascending; an edge's entries
     # are its tail's keys, and entries are numbered edge by edge in coefficient order
-    keys = np.sort(_int64([v * k_sources + j for j, nodes in enumerate(net.reached) for v in nodes]))
+    reach_len = list(map(len, net.reached))
+    keys = np.sort(np.concatenate(net.reached) * k_sources + np.repeat(np.arange(k_sources), reach_len))
     node_size = np.bincount(keys // k_sources, minlength=n_nodes)
     node_ptr = np.cumsum(node_size) - node_size
     size = node_size[tail]

@@ -338,8 +338,21 @@ def propagate_symbols_by_edges(net, realization, k: int, source_symbols) -> np.n
     q = realization.q
     inj, pair = coefficient_indices(net)
     coeff = realization.coding_assignments[k]
-    topo_pos = {net.nodes[v]: t for t, v in enumerate(net.topo_index)}
-    edge_order = sorted(range(len(net.edges)), key=lambda e: (topo_pos[net.edges[e][0]], e))
+    # edges by their tails in a topological order of this oracle's own Kahn pass, then by index
+    out_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
+    for e, (t, _) in enumerate(net.edges):
+        out_edges[t].append(e)
+    indeg = Counter(h for _, h in net.edges)
+    ready = deque(v for v in net.nodes if not indeg[v])
+    edge_order = []
+    while ready:
+        v = ready.popleft()
+        edge_order += out_edges[v]
+        for e in out_edges[v]:
+            h = net.edges[e][1]
+            indeg[h] -= 1
+            if not indeg[h]:
+                ready.append(h)
     in_edges: dict[str, list[int]] = {v: [] for v in net.nodes}
     for e in edge_order:
         in_edges[net.edges[e][1]].append(e)

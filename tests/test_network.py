@@ -106,13 +106,24 @@ def test_topo_order_is_networkx_lexicographic_by_position(which):
         nets = [random_multiterminal_dag(rng, min_nodes=4, max_nodes=14) for _ in range(300)]
     else:
         nets = [ng.load_network_file(Path(__file__).resolve().parent.parent / "networks" / which)]
-    seen = {"parallel edges": 0, "source is a destination": 0}
+    seen = {"parallel edges": 0, "source is a destination": 0, "tails of two depths into a node": 0}
     for net in nets:
         position = {v: k for k, v in enumerate(net.nodes)}
         g = nx.MultiDiGraph()
         g.add_nodes_from(range(len(net.nodes)))
         g.add_edges_from((position[t], position[h]) for t, h in net.edges)
-        assert net.topo_index == tuple(nx.lexicographical_topological_sort(g))
+        order = list(nx.lexicographical_topological_sort(g))
+        rank = {v: t for t, v in enumerate(order)}
+        # the coefficient order: edges grouped by tail in that order, then by index
+        by_tail = sorted(range(len(net.edges)), key=lambda e: (rank[position[net.edges[e][0]]], e))
+        assert net.edge_order == tuple(by_tail)
+        # depth[v]: the edges on the longest path into v, by a DP over that order
+        depth = [0] * len(net.nodes)
+        for v in order:
+            for _, h in g.out_edges(v):
+                depth[h] = max(depth[h], depth[v] + 1)
+        assert net.depth == tuple(depth)
+        seen["tails of two depths into a node"] += any(len({depth[t] for t, _ in g.in_edges(v)}) > 1 for v in g)
         # the integer view names the same edges, out-edge lists and terminals
         assert [(net.nodes[net.tail[e]], net.nodes[net.head[e]]) for e in range(len(net.edges))] == list(net.edges)
         assert net.out == tuple(tuple(e for e, (t, _) in enumerate(net.edges) if t == v) for v in net.nodes)
@@ -373,16 +384,19 @@ class _Unreadable:
 
 
 class _NoOrder:
-    """Stands in for ``topo_index``; any read fails."""
+    """Stands in for ``edge_order`` or ``depth``, which follow the whole topological order; any read fails."""
 
-    def __getattr__(self, name):
-        raise AssertionError(f"topo_index.{name} was read")
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} was read")
 
     def __iter__(self):
-        raise AssertionError("topo_index was iterated")
+        raise AssertionError(f"{self.name} was iterated")
 
     def __getitem__(self, key):
-        raise AssertionError("topo_index was indexed")
+        raise AssertionError(f"{self.name} was indexed")
 
 
 def test_validation_walks_only_what_each_source_reaches():
@@ -396,7 +410,8 @@ def test_validation_walks_only_what_each_source_reaches():
              ("S2", "D3"), *zip(chain, chain[1:] + ["D4"]))
     net = ng.Network(nodes, edges, ("S1", "S2"), ("D1", "D2", "D3", "D4"), (frozenset({0}),) * 4)
     assert net.reached == ((0, 2, 3, 4, 5), (1, 5, 6))
-    net.topo_index = _NoOrder()
+    assert len(net.edge_order) == len(edges) and len(net.depth) == len(nodes)
+    net.edge_order, net.depth = _NoOrder("edge_order"), _NoOrder("depth")
     chain_edges = range(8, len(edges))
     net.tail, net.head = _Unreadable(net.tail, chain_edges), _Unreadable(net.head, chain_edges)
     assert ng.validate_assumptions(net).mincut.tolist() == [[2, 0], [1, 1], [0, 2], [0, 0]]
@@ -538,10 +553,11 @@ def test_reached_is_each_source_and_its_descendants_in_topological_order():
         g.add_nodes_from(net.nodes)
         g.add_edges_from(net.edges)
         position = {v: k for k, v in enumerate(net.nodes)}
+        order = list(nx.lexicographical_topological_sort(nx.relabel_nodes(g, position)))
         assert len(net.reached) == net.n_sources
         for j, s in enumerate(net.sources):
             want = {position[v] for v in nx.descendants(g, s) | {s}}
-            assert net.reached[j] == tuple(v for v in net.topo_index if v in want), (net_to_mapping(net), j)
+            assert net.reached[j] == tuple(v for v in order if v in want), (net_to_mapping(net), j)
         sources = set(net.sources)
         seen["source with in-edges"] += any(h in sources for _, h in net.edges)
         seen["source reached from another"] += any(
