@@ -14,13 +14,16 @@ from the demands and extra_decode, no removed-edge list, which is
 extra_decode flattened, and in pipeline no mincut rows, which are the
 demanded pairs plus the interference edges, each with mincut 1 and ok.
 
-Exit codes: 0 ok, 2 parse error (also a run that asks for more memory than
-it can get, e.g. a huge --zero-trials or --ratio-trials), 3 assumption
+Exit codes: 0 ok, 2 parse error (also an allocation that fails with
+MemoryError, e.g. for a huge --ratio-trials; a run the operating system
+kills for memory it had granted, as overcommit allows, ends with no code
+of ours), 3 assumption
 violation (also, in every command that builds the interference graph, a
-pair a path joins whose zero-function probe row is all zero),
-4 constraint violation (no precoding attempt decoded at every destination
-within --attempts), 5 some simulated decode failed, by no unique solution
-or a wrong message (the report is written first).
+pair a path joins whose zero-function probe row over F_(2^31-1) is all
+zero; another --seed redraws the probe), 4 constraint violation (no
+precoding attempt decoded at every destination within --attempts), 5 some
+simulated decode failed, by no unique solution or a wrong message (the
+report is written first).
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import DEFAULT_Q, InvalidModulus, check_modulus
-from .interference import InterferenceGraph, MissedInterference, build_igraph, has_cycle, shortest_cycle, to_dot
+from .interference import InterferenceGraph, MissedInterference, build_igraph, has_cycle, shortest_cycle
 from .network import AssumptionViolation, Network, ParseError, load_network_file, realize, validate_assumptions
 from .obstruction import NotACycle, cycle_edges, cycle_ratio, infeasibility_report
 from .precoding import A, B, ConstraintViolation, plan_with_resampling
 from .simulate import rate_report, run_session
-from .sparsify import find_dstar
+from .sparsify import default_labeling, find_dstar
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -69,7 +72,6 @@ class RunConfig:
     q: int = DEFAULT_Q
     seed: int = 0
     max_attempts: int = 20
-    zero_test_trials: int = 3
     ratio_trials: int = 5
     fmt: str = "text"
     out: str | None = None
@@ -79,8 +81,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         check_modulus(self.q)
         for name, flag, low in (("seed", "--seed", 0), ("max_attempts", "--attempts", 1),
-                                ("zero_test_trials", "--zero-trials", 1), ("ratio_trials", "--ratio-trials", 2),
-                                ("sessions", "--sessions", 1)):
+                                ("ratio_trials", "--ratio-trials", 2), ("sessions", "--sessions", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{flag} must be at least {low}")
 
@@ -101,8 +102,12 @@ class Run:
 
     @functools.cached_property
     def graph(self) -> InterferenceGraph:
-        """The run's one zero-function probe."""
-        return build_igraph(self.net, realize(self.net, self.cfg.zero_test_trials, self.cfg.seed, self.cfg.q))
+        """The run's one zero-function probe: 3 slots over F_(2^31-1), whatever ``--q``.
+
+        A transfer is a sum of distinct coefficient-1 monomials, one per path,
+        so it vanishes over one prime field exactly when it vanishes over all.
+        """
+        return build_igraph(self.net, realize(self.net, 3, self.cfg.seed, DEFAULT_Q))
 
     @functools.cached_property
     def cyclic(self) -> bool:
@@ -183,7 +188,6 @@ def _config_section(cfg: RunConfig) -> dict:
         "q": cfg.q,
         "seed": cfg.seed,
         "max_attempts": cfg.max_attempts,
-        "zero_test_trials": cfg.zero_test_trials,
         "ratio_trials": cfg.ratio_trials,
     }
 
@@ -216,7 +220,7 @@ def _igraph_section(run: Run) -> dict:
     return {
         "sources": graph.n_sources,
         "destinations": graph.n_destinations,
-        "edges": [[_src(j), f"W{i + 1}"] for j, i in sorted(graph.edges, key=lambda e: (e[1], e[0]))],
+        "edges": [[_src(j), f"W{i + 1}"] for j, i in default_labeling(graph)],
         "empty_destinations": [f"W{i + 1}" for i in graph.empty_destinations()],
     }
 
@@ -306,6 +310,16 @@ def _text_assumptions(section: dict) -> str:
     return "\n".join(lines)
 
 
+def _text_igraph(section: dict, cyclic: bool) -> str:
+    """DOT text with the two bipartite ranks and the interference edge list, then the cycle verdict."""
+    lines = ["graph interference {", "  rankdir=LR;",
+             "  { rank=source; " + " ".join(f'"{_src(j)}";' for j in range(section["sources"])) + " }",
+             "  { rank=sink; " + " ".join(f'"W{i + 1}";' for i in range(section["destinations"])) + " }"]
+    lines += [f'  "{source}" -- "{w}";' for source, w in section["edges"]]
+    lines += ["}", f"cyclic: {cyclic}"]
+    return "\n".join(lines)
+
+
 def _text_sparsification(section: dict) -> str:
     lines = ["sparsification:"]
     lines.append("  comp   K   M  |F|   d")
@@ -369,8 +383,8 @@ def cmd_validate(run: Run):
 
 
 def cmd_igraph(run: Run):
-    sections = {"interference_graph": _igraph_section(run), "cyclic": run.cyclic}
-    return sections, to_dot(run.graph) + f"cyclic: {run.cyclic}", EXIT_OK
+    section = _igraph_section(run)
+    return {"interference_graph": section, "cyclic": run.cyclic}, _text_igraph(section, run.cyclic), EXIT_OK
 
 
 def cmd_dstar(run: Run):
@@ -443,8 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="seed for all randomness")
         p.add_argument("--attempts", type=int, dest="max_attempts", metavar="ATTEMPTS",
                        help="resampling budget for precoding")
-        p.add_argument("--zero-trials", type=int, dest="zero_test_trials", metavar="ZERO_TRIALS",
-                       help="evaluations for zero-function tests")
         p.add_argument("--ratio-trials", type=int, help="evaluations for ratio constancy tests")
         p.add_argument("--sessions", type=int, help="simulated sessions (simulate/pipeline)")
         p.add_argument("--format", choices=("text", "json"), dest="fmt")
@@ -460,7 +472,7 @@ _ERRORS = (
     (OutputError, "output", EXIT_PARSE, ""),
     (OSError, "network file", EXIT_PARSE, ""),
     (AssumptionViolation, "network", EXIT_ASSUMPTIONS, " (every demanded pair needs mincut exactly 1, others at most 1)"),
-    (MissedInterference, "probe", EXIT_ASSUMPTIONS, " (rerun with a larger --zero-trials or --q)"),
+    (MissedInterference, "probe", EXIT_ASSUMPTIONS, " (rerun with another --seed)"),
     (ConstraintViolation, "precoding", EXIT_CONSTRAINTS, ""),
     (MemoryError, "memory", EXIT_PARSE, ""),
     (ParseError, "network", EXIT_PARSE, ""),

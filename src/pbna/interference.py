@@ -203,13 +203,3 @@ def shortest_cycle(g: InterferenceGraph) -> tuple[int, ...] | None:
     k0 = best.index(min(best))
     return tuple(best[k0:] + best[:k0])
 
-
-def to_dot(g: InterferenceGraph) -> str:
-    """DOT text with the two bipartite ranks and the interference edge list."""
-    lines = ["graph interference {", "  rankdir=LR;"]
-    lines.append("  { rank=source; " + " ".join(f'"S{j + 1}";' for j in range(g.n_sources)) + " }")
-    lines.append("  { rank=sink; " + " ".join(f'"W{i + 1}";' for i in range(g.n_destinations)) + " }")
-    for j, i in sorted(g.edges, key=lambda e: (e[1], e[0])):
-        lines.append(f'  "S{j + 1}" -- "W{i + 1}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

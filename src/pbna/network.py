@@ -51,10 +51,9 @@ class DemandSizeError(ParseError):
 
 
 class AssumptionViolation(Exception):
-    """Mincut assumptions do not hold; carries the validation report."""
+    """Mincut assumptions do not hold at the validation report's violating pairs."""
 
     def __init__(self, report: "ValidationReport"):
-        self.report = report
         pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={report.mincut[i, j]}" for i, j in report.violations)
         super().__init__(f"mincut assumptions violated for: {pairs}")
 
@@ -87,7 +86,14 @@ class Network:
         self.edges = tuple((t, h) for t, h in self.edges)
         self.sources = tuple(self.sources)
         self.destinations = tuple(self.destinations)
-        self.demands = tuple(frozenset(d) for d in self.demands)
+        demands = [list(d) for d in self.demands]
+        for dem in demands:  # before the other checks, and worded in the file's 1-based indices
+            if len(set(dem)) != len(dem):
+                raise ParseError(f"demand entry {[j + 1 for j in dem]!r} repeats a source index")
+            for j in dem:
+                if not 0 <= j < len(self.sources):
+                    raise ParseError(f"demand source index {j + 1} out of range 1..{len(self.sources)}")
+        self.demands = tuple(map(frozenset, demands))
 
         position = {v: k for k, v in enumerate(self.nodes)}
         if len(position) != len(self.nodes):
@@ -126,10 +132,6 @@ class Network:
         sizes = {len(d) for d in self.demands}
         if len(sizes) != 1:
             raise DemandSizeError(f"demand sets must share one size, got sizes {sorted(sizes)}")
-        for dem in self.demands:
-            for j in dem:
-                if not 0 <= j < len(self.sources):
-                    raise ParseError(f"demand source index {j} out of range")
 
         # Kahn's algorithm; the heap hands out the ready node of smallest position, so the
         # order depends only on structure, not on node names.  Bit j of mask[v] says that v
@@ -260,13 +262,8 @@ def load_network(data: bytes | str) -> Network:
     for entry in demands_raw:
         if not (isinstance(entry, list) and all(isinstance(x, int) and not isinstance(x, bool) for x in entry)):
             raise ParseError(f"bad demand entry {entry!r}; expected integers")
-        if len(set(entry)) != len(entry):
-            raise ParseError(f"demand entry {entry!r} repeats a source index")
-        for idx in entry:
-            if not 1 <= idx <= len(sources):
-                raise ParseError(f"demand source index {idx} out of range 1..{len(sources)}")
         demands.append([idx - 1 for idx in entry])
-    return Network(nodes, edges, sources, destinations, demands)  # Network normalizes the lists
+    return Network(nodes, edges, sources, destinations, demands)  # Network checks and normalizes the lists
 
 
 def load_network_file(path) -> Network:

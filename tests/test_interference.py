@@ -200,14 +200,6 @@ def test_shortest_cycle_none_on_forest():
     assert ig.shortest_cycle(g) is None
 
 
-def test_to_dot_lists_every_edge(fourbyfour):
-    g = graph_of(fourbyfour)
-    dot = ig.to_dot(g)
-    assert dot.startswith("graph interference {")
-    assert dot.count(" -- ") == 8
-    assert '"S1" -- "W1";' in dot
-
-
 def test_components_discovered_in_ascending_root_order():
     rng = np.random.default_rng(12)
     for _ in range(30):

@@ -152,12 +152,17 @@ _TWO_HOPS = {"nodes": ["S1", "R", "D1"], "edges": [["S1", "R"], ["R", "D1"]], "s
     ({"sources": ["S1", "S1"]}, ng.ParseError, "duplicate entries in sources"),
     ({"destinations": ["D1", "D1"], "demands": [[1], [1]]}, ng.ParseError, "duplicate entries in destinations"),
     ({"edges": [["S1", "R"], ["R", "D1"], ["D1", "R"]]}, ng.CycleError, "directed graph has a cycle"),
+    # the Python API once turned demands [[0, 0]] into {0}, a network with L = 1; its messages
+    # name the file's 1-based indices
+    ({"demands": [[1, 1]]}, ng.ParseError, "demand entry [1, 1] repeats a source index"),
+    ({"demands": [[2]]}, ng.ParseError, "demand source index 2 out of range 1..1"),
+    ({"demands": [[0]]}, ng.ParseError, "demand source index 0 out of range 1..1"),
 ])
 def test_construction_errors_are_pinned(change, cls, message, tmp_path, capsys):
     spec = {**_TWO_HOPS, **change}
     with pytest.raises(ng.ParseError) as info:
         ng.Network(tuple(spec["nodes"]), tuple(map(tuple, spec["edges"])), tuple(spec["sources"]),
-                   tuple(spec["destinations"]), tuple(frozenset(j - 1 for j in d) for d in spec["demands"]))
+                   tuple(spec["destinations"]), [[j - 1 for j in d] for d in spec["demands"]])
     assert type(info.value) is cls and str(info.value) == message
     path = tmp_path / "net.json"
     path.write_text(json.dumps(spec))

@@ -1,6 +1,10 @@
+import argparse
 import ast
+import re
 from collections import Counter
 from pathlib import Path
+
+from pbna import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pbna"
@@ -154,3 +158,14 @@ def test_one_modular_inverse_implementation():
             owner = getattr(stmt, "name", None)
             found += [(path.stem, owner) for node in ast.walk(stmt) if _is_modular_inverse(node)]
     assert found == [("kernels", "inverse")]
+
+
+def test_readme_common_flags_are_the_options_of_every_subcommand():
+    # README's flag list once drifted from the parser; --network is required and --cycle is obstruct's own
+    sentence = re.search(r"Common flags:(.*?)\.\s", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    named = set(re.findall(r"`(--[\w-]+)", sentence))
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subcommands) == set(cli._COMMANDS)
+    for command, parser in subcommands.items():
+        options = {option for action in parser._actions for option in action.option_strings if option.startswith("--")}
+        assert options - {"--help", "--network", "--cycle"} == named, command
