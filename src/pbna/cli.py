@@ -195,24 +195,19 @@ def _config_section(cfg: RunConfig) -> dict:
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
     # a destination that no non-demanded source reaches has no interference
-    interfered = ((report.mincut > 0) & ~report.demanded).any(axis=1)
+    interfered = {i for i, _, cut, demanded, _ in report.rows if cut and not demanded}
     return {
         "ok": report.ok,
-        "violations": [
-            {"destination": _dst(i), "source": _src(j), "mincut": int(report.mincut[i, j]),
-             "demanded": bool(report.demanded[i, j])}
-            for i, j in report.violations
-        ],
-        "empty_interference": [_dst(i) for i in np.flatnonzero(~interfered).tolist()],
+        "violations": [{"destination": _dst(i), "source": _src(j), "mincut": cut, "demanded": demanded}
+                       for i, j, cut, demanded, _ in report.violations],
+        "empty_interference": [_dst(i) for i in range(run.net.n_destinations) if i not in interfered],
     }
 
 
 def _mincut_rows(report) -> list:
     # one row per pair with a path or a demand, destination-major; every other pair has mincut 0 and is ok
-    listed = np.nonzero((report.mincut > 0) | report.demanded)
-    columns = (*listed, report.mincut[listed], report.demanded[listed], report.pair_ok[listed])
     return [{"demanded": demanded, "destination": _dst(i), "mincut": cut, "ok": ok, "source": _src(j)}
-            for i, j, cut, demanded, ok in zip(*(column.tolist() for column in columns))]
+            for i, j, cut, demanded, ok in report.rows]
 
 
 def _igraph_section(run: Run) -> dict:

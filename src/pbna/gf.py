@@ -83,8 +83,7 @@ def _as_stack(m, q: int) -> np.ndarray:
 
 def rank(m, q: int = DEFAULT_Q) -> np.ndarray:
     """The (B,) ranks over F_q of the (B, rows, cols) stack ``m``, by exact Gaussian elimination."""
-    a = _as_stack(m, q)
-    return kernels.row_reduce(a, q, np.full(a.shape[:2], -1, dtype=np.int64))
+    return kernels.row_reduce(_as_stack(m, q), q)[0]
 
 
 def solve(a, y, q: int, widths) -> tuple[np.ndarray, np.ndarray]:
@@ -107,8 +106,7 @@ def solve(a, y, q: int, widths) -> tuple[np.ndarray, np.ndarray]:
     aug = np.concatenate([mat, rhs], axis=2)
     # Pivots on A's columns only: the right-hand sides are carried along, and a column of
     # them is solvable iff it is zero in the rows below rank(A), which are zero on A.
-    pivots = np.full(aug.shape[:2], -1, dtype=np.int64)
-    rank_a = kernels.row_reduce(aug, q, pivots, cols)
+    rank_a, pivots = kernels.row_reduce(aug, q, cols)
     below = np.arange(rows)[None, :, None] >= rank_a[:, None, None]
     unique = ~(aug[:, :, cols:].astype(bool) & below).any(axis=1) & (rank_a == np.asarray(widths))[:, None]
     x = np.zeros((n_items, cols, aug.shape[2] - cols), dtype=np.int64)

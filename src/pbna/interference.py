@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .network import Network, NetworkRealization, pairs_in
+from .network import Network, NetworkRealization
 
 Edge = tuple[int, int]  # (source j, destination i)
 
@@ -81,19 +81,20 @@ class InterferenceGraph:
 
 
 def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
-    """Assemble the interference graph from a realization's transfer values, checked against the paths.
+    """Assemble the interference graph, the non-demanded pairs a path joins, checked against a realization.
 
-    An edge is a non-demanded pair whose transfer row is nonzero at some slot.
-    Where a path joins the pair (``Network.joined``) the row can still vanish at
-    every slot, with probability at most (deg/q)**slots: MissedInterference then
-    names every such pair, so a returned graph is exact.  Destinations left
-    without an interferer are listed by ``empty_destinations``.
+    No pair outside ``Network.joined`` has a transfer that is not identically
+    zero.  A joined pair's transfer row can still vanish at every slot, with
+    probability at most (deg/q)**slots: MissedInterference then names every
+    such pair, so a returned graph is exact.  Destinations left without an
+    interferer are listed by ``empty_destinations``.
     """
-    live = realization.transfer.any(axis=2) & ~net.demand_mask  # (M, K)
-    missed = pairs_in(net.joined & ~net.demand_mask & ~live)
+    pairs = [(i, j) for i, j in net.joined if j not in net.demands[i]]
+    live = realization.transfer[[i for i, _ in pairs], [j for _, j in pairs]].any(axis=1).tolist()
+    missed = [pair for pair, found in zip(pairs, live) if not found]
     if missed:
         raise MissedInterference(missed)
-    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs_in(live)))
+    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs))
 
 
 def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[int], list[int], list[list[int]]]:

@@ -41,16 +41,16 @@ def inverse(x, q):
     return inv[:x.size].reshape(x.shape)
 
 
-def row_reduce(a, q, pivots, pivot_cols=None):
+def row_reduce(a, q, pivot_cols=None):
     """In-place reduced row echelon form, up to row scaling, of every matrix in the stack ``a`` modulo q.
 
     ``a`` is (B, rows, cols); each column step finds every matrix's pivot row,
     then swaps and eliminates in all of them at once.  Only the first
     ``pivot_cols`` columns (default: all) may hold pivots; row operations
     still span every column, so the rest are carried along as right-hand
-    sides.  ``pivots[b, r]`` receives the pivot column of pivot row r of
-    matrix b (entries beyond its rank are left untouched, callers should
-    pre-fill with -1).  Returns the (B,) ranks.
+    sides.  Returns the (B,) ranks and the (B, rows) pivot table:
+    ``pivots[b, r]`` is the pivot column of pivot row r of matrix b, and -1
+    for r at or beyond its rank.
 
     A step divides by nothing: with pivot p, every other row becomes
     ``p * row - f * pivot_row`` for its entry f in the pivot column, which
@@ -62,6 +62,7 @@ def row_reduce(a, q, pivots, pivot_cols=None):
     """
     n_items, rows, cols = a.shape
     rank = np.zeros(n_items, dtype=np.int64)
+    pivots = np.full((n_items, rows), -1, dtype=np.int64)
     row_ids = np.arange(rows)
     for c in range(cols if pivot_cols is None else pivot_cols):
         # a row at or below the item's rank with a nonzero entry in column c
@@ -82,7 +83,7 @@ def row_reduce(a, q, pivots, pivot_cols=None):
         rank[items] += 1
         if rank.min() == rows:
             break
-    return rank
+    return rank, pivots
 
 
 def propagate(coeffs, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cidx, dest_ptr, dest_edges, n_edges, n_cols, q,

@@ -14,7 +14,7 @@ node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
 lists of its out-edge and in-edge ids.  Construction's one Kahn pass over the
 topological order yields the rest, and no other pass walks that order: the
 reach relation ``Network.reached``, which feeds the mincut passes, the coding
-layout and the ``joined`` mask the probe is checked against; the coefficient
+layout and the ``joined`` pairs the probe is checked against; the coefficient
 order ``edge_order``; and the node depths ``depth`` that set the schedules'
 rounds.  ``_max_flow`` searches the residual graph through the same edge
 lists, so no pass builds an adjacency of its own.
@@ -31,6 +31,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -54,7 +55,7 @@ class AssumptionViolation(Exception):
     """Mincut assumptions do not hold at the validation report's violating pairs."""
 
     def __init__(self, report: "ValidationReport"):
-        pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={report.mincut[i, j]}" for i, j in report.violations)
+        pairs = ", ".join(f"(D{i + 1}, S{j + 1}) mincut={cut}" for i, j, cut, _, _ in report.violations)
         super().__init__(f"mincut assumptions violated for: {pairs}")
 
 
@@ -184,27 +185,16 @@ class Network:
         return _build_layout(self)
 
     @cached_property
-    def demand_mask(self) -> np.ndarray:
-        """(M, K) read-only bool array, True where destination i demands source j."""
-        mask = np.zeros((self.n_destinations, self.n_sources), dtype=bool)
-        mask[np.repeat(np.arange(self.n_destinations), self.demand_size), [j for d in self.demands for j in d]] = True
-        mask.flags.writeable = False
-        return mask
-
-    @cached_property
-    def joined(self) -> np.ndarray:
-        """(M, K) read-only bool array, True where a path joins source j to destination i: ``mincut > 0``."""
-        after = [nodes[1:] for nodes in self.reached]  # less s_j's own node, which no path of edges joins to itself
-        mask = np.zeros((self.n_destinations + 1, self.n_sources), dtype=bool)  # row M takes the other nodes
-        mask[np.asarray(self.destination_of)[[v for nodes in after for v in nodes]],
-             np.repeat(np.arange(self.n_sources), list(map(len, after)))] = True
-        mask.flags.writeable = False
-        return mask[:-1]
-
-
-def pairs_in(mask: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """The (destination, source) pairs set in an (M, K) mask, in row-major order."""
-    return tuple(map(tuple, np.argwhere(mask).tolist()))
+    def joined(self) -> tuple[tuple[int, int], ...]:
+        """The (destination, source) pairs that a path joins, in row-major order: the pairs with mincut > 0."""
+        destination_of = self.destination_of
+        rows = [[] for _ in self.destinations]  # filled source by source, so each row is sorted
+        for j, nodes in enumerate(self.reached):
+            for v in nodes[1:]:  # less s_j's own node, which no path of edges joins to itself
+                i = destination_of[v]
+                if i >= 0:
+                    rows[i].append((i, j))
+        return tuple(chain.from_iterable(rows))
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
@@ -271,8 +261,8 @@ def load_network_file(path) -> Network:
         return load_network(fh.read())
 
 
-def mincut(net: Network, j: int) -> np.ndarray:
-    """Max-flow value from source j to every destination, as an (M,) int64 column.
+def mincut(net: Network, j: int) -> dict[int, int]:
+    """Max-flow value from source j to each destination it reaches, as {destination: mincut}.
 
     Edges have unit capacity, so parallel edges add capacity.  By Menger's
     theorem a reached destination has mincut 1 exactly when one edge lies on
@@ -284,8 +274,9 @@ def mincut(net: Network, j: int) -> np.ndarray:
     dominated by that edge.  Otherwise its immediate dominator is the lowest
     common ancestor of its in-edges' tails, and an edge dominates it exactly
     when one dominates that ancestor.  An unreached destination, or one at the
-    source's own node, gets 0 and an edge-dominated one gets 1.  Only the rest,
-    which have two edge-disjoint paths, run ``_max_flow``.
+    source's own node, is left out: its mincut is 0.  An edge-dominated one
+    gets 1, and only the rest, which have two edge-disjoint paths, run
+    ``_max_flow``.
     """
     head, out, destination_of = net.head, net.out, net.destination_of
     src = net.source_ids[j]
@@ -294,7 +285,7 @@ def mincut(net: Network, j: int) -> np.ndarray:
     idom = {}  # nearest dominating node: the LCA of the tails seen so far
     depth = {src: 0}  # in the dominator tree, rooted at the source
     edge_dom = {src: False}  # one edge lies on every path from the source
-    cuts = np.zeros(net.n_destinations, dtype=np.int64)
+    cuts = {}
     for u in reached:
         if u != src:
             # every tail of u comes earlier in the order, so idom[u] is final
@@ -528,34 +519,32 @@ def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkReali
     return NetworkRealization(net, q, n, coeffs, transfer)
 
 
+MincutRow = tuple[int, int, int, bool, bool]  # (destination i, source j, mincut, demanded, ok)
+
+
 @dataclass(frozen=True, eq=False)
 class ValidationReport:
-    """Mincut of every (destination, source) pair, as (M, K) arrays.
+    """Mincut of every (destination, source) pair that a path joins or a demand names.
 
-    mincut[i, j] is the max-flow value from source j to destination i, which
-    by Menger's theorem is the fewest edges whose removal cuts every path
-    between them; column j is ``mincut(net, j)``.  demanded is the network's
-    demand mask.  A pair is ok with mincut exactly 1 when demanded and at
-    most 1 otherwise; violations lists the other pairs.  A report's mincut
-    table lists only the pairs with mincut > 0 or demanded: no path joins
-    any other pair (or its source is its destination), so it has mincut 0
-    and is ok.
+    ``rows`` holds one (i, j, mincut, demanded, ok) row per such pair, in
+    row-major order: mincut is the max-flow value from source j to
+    destination i, which by Menger's theorem is the fewest edges whose
+    removal cuts every path between them, and demanded says that destination
+    i demands source j.  A pair is ok with mincut exactly 1 when demanded and
+    at most 1 otherwise; violations lists the rows of the other pairs.  No
+    path joins any pair left out (or its source is its destination), so it
+    has mincut 0, is not demanded and is ok.
     """
 
-    mincut: np.ndarray  # (M, K) int64
-    demanded: np.ndarray  # (M, K) bool
-
-    @cached_property
-    def pair_ok(self) -> np.ndarray:
-        return np.where(self.demanded, self.mincut == 1, self.mincut <= 1)
+    rows: tuple[MincutRow, ...]
 
     @property
     def ok(self) -> bool:
-        return bool(self.pair_ok.all())
+        return not self.violations
 
     @property
-    def violations(self) -> tuple[tuple[int, int], ...]:
-        return pairs_in(~self.pair_ok)
+    def violations(self) -> tuple[MincutRow, ...]:
+        return tuple(row for row in self.rows if not row[4])
 
     def require_ok(self) -> None:
         if not self.ok:
@@ -565,9 +554,17 @@ class ValidationReport:
 def validate_assumptions(net: Network) -> ValidationReport:
     """Check the unit-mincut regime for every (destination, source) pair.
 
-    One ``mincut`` call per source gives that source's column: its dominator
-    pass settles every pair with mincut 0 or 1, and only pairs joined by two
-    edge-disjoint paths run a max-flow.
+    One ``mincut`` call per source gives the mincuts of the destinations it
+    reaches: its dominator pass settles every pair with mincut 0 or 1, and
+    only pairs joined by two edge-disjoint paths run a max-flow.
     """
-    cuts = np.stack([mincut(net, j) for j in range(net.n_sources)], axis=1)
-    return ValidationReport(cuts, net.demand_mask)
+    by_destination = [{} for _ in net.demands]  # {source: mincut} per destination
+    for j in range(net.n_sources):
+        for i, cut in mincut(net, j).items():
+            by_destination[i][j] = cut
+    rows = []
+    for i, (cuts, demand) in enumerate(zip(by_destination, net.demands)):
+        for j in sorted(cuts.keys() | demand):
+            cut, demanded = cuts.get(j, 0), j in demand
+            rows.append((i, j, cut, demanded, cut == 1 if demanded else cut <= 1))
+    return ValidationReport(tuple(rows))

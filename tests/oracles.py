@@ -37,6 +37,10 @@ report implies through its demands and extra_decode, and
 compared with it.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
 unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
+``mincut_table`` is the dense (M, K) table of ``mincut_by_enumeration`` (or
+``mincut_by_networkx``); ``rows_of_table`` reads a validation report's rows
+off it, and ``table_of_rows`` turns a report's rows back into that dense
+view.
 ``segment_verdict`` decides a cycle ratio's constancy exactly, from each
 pair's ``dominator_chain`` (the edges on every source-to-destination path,
 found by deleting one edge at a time), for comparison with the randomized
@@ -209,6 +213,49 @@ def mincut_by_enumeration(net, j: int, i: int) -> int:
             if not _has_path(len(net.nodes), kept, s, t):
                 return size
     return len(edges)
+
+
+def mincut_by_networkx(net, j: int, i: int) -> int:
+    """Max-flow value from source j to destination i by networkx, parallel edges adding capacity."""
+    import networkx as nx
+
+    s, t = net.sources[j], net.destinations[i]
+    if s == t:
+        return 0
+    g = nx.DiGraph()
+    g.add_nodes_from(net.nodes)
+    for tail, head in net.edges:
+        cap = g.edges[tail, head]["capacity"] + 1 if g.has_edge(tail, head) else 1
+        g.add_edge(tail, head, capacity=cap)
+    return nx.maximum_flow_value(g, s, t)
+
+
+def mincut_table(net, cut=mincut_by_enumeration) -> np.ndarray:
+    """The dense (M, K) int64 mincut table, entry (i, j) being ``cut(net, j, i)``."""
+    return np.array([[cut(net, j, i) for j in range(net.n_sources)] for i in range(net.n_destinations)],
+                    dtype=np.int64)
+
+
+def rows_of_table(net, table) -> tuple[tuple[int, int, int, bool, bool], ...]:
+    """The validation rows read off a dense mincut table, in row-major order.
+
+    One (i, j, mincut, demanded, ok) row per pair with mincut > 0 or a
+    demand: ok is mincut == 1 for a demanded pair and mincut <= 1 otherwise.
+    """
+    rows = []
+    for (i, j), cut in np.ndenumerate(table):
+        cut, demanded = int(cut), j in net.demands[i]
+        if cut or demanded:
+            rows.append((i, j, cut, demanded, cut == 1 if demanded else cut <= 1))
+    return tuple(rows)
+
+
+def table_of_rows(net, rows) -> np.ndarray:
+    """The dense (M, K) int64 view of validation rows: each row's mincut at (i, j), 0 elsewhere."""
+    table = np.zeros((net.n_destinations, net.n_sources), dtype=np.int64)
+    for i, j, cut, _, _ in rows:
+        table[i, j] = cut
+    return table
 
 
 def _one_path(n_nodes: int, edges, s: int, t: int) -> list[int]:

@@ -208,7 +208,7 @@ def test_criterion_8_mincut_oracle():
         rng = np.random.default_rng(818)
         for _ in range(50):
             net = random_dag_net(rng, max_extra_nodes=4, max_edges=8)
-            assert mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
+            assert mincut(net, 0).get(0, 0) == mincut_by_enumeration(net, 0, 0)
 
 
 def test_criterion_9_constraint_violation_detection():

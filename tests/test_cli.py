@@ -13,11 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pbna import cli, kernels, network, obstruction, precoding
+from pbna import cli, gf, kernels, network, obstruction, precoding
 from pbna.interference import build_igraph
 from gen import (adversarial_net, cyclic_instance, forest_instance, hub_relay_net, net_to_json, random_dag_net,
                  random_multiterminal_dag)
-from oracles import verdicts_by_ranks
+from oracles import mincut_by_networkx, mincut_table, rows_of_table, verdicts_by_ranks
 
 REPO = Path(__file__).resolve().parent.parent
 FOURBYFOUR = REPO / "networks" / "fourbyfour.json"
@@ -550,6 +550,31 @@ def test_memory_error_exits_2_with_memory_prefix(message, shown, monkeypatch, ca
         assert captured.err == f"error: memory: {shown}\n"
 
 
+def test_every_command_exits_with_a_documented_code_on_random_networks(tmp_path, capsys):
+    # each run ends in 0, 2, 3, 4 or 5 with no exception escaping; every nonzero exit prints an
+    # error line, but validate's 3, which writes its report instead
+    rng = np.random.default_rng(41)
+    path = tmp_path / "net.json"
+    draws = (random_dag_net, random_multiterminal_dag, hub_relay_net,
+             lambda r: cyclic_instance(r, int(r.integers(3, 7)), density=0.4)[0])
+    seen = collections.Counter()
+    for draw in range(200):
+        path.write_text(net_to_json(draws[draw % len(draws)](rng)))
+        for command in cli._COMMANDS:
+            q = (2, 3, 7, 31, gf.DEFAULT_Q)[int(rng.integers(5))]
+            code = cli.main([command, "--network", str(path), "--q", str(q), "--seed", str(int(rng.integers(1000))),
+                             "--attempts", "3", "--sessions", "3", "--format", "json"])
+            err = capsys.readouterr().err
+            assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_ASSUMPTIONS, cli.EXIT_CONSTRAINTS, cli.EXIT_DECODE)
+            silent = code == cli.EXIT_OK or (command, code) == ("validate", cli.EXIT_ASSUMPTIONS)
+            assert (err == "") == silent and (silent or err.startswith("error: ")), (command, code, err)
+            if (command, code) == ("pipeline", cli.EXIT_ASSUMPTIONS):
+                assert err.startswith("error: network: mincut assumptions violated for: (D"), err
+            seen[command, code] += 1
+    assert seen["pipeline", cli.EXIT_ASSUMPTIONS] and seen["validate", cli.EXIT_ASSUMPTIONS], seen
+    assert seen["pipeline", cli.EXIT_OK] and seen["precode", cli.EXIT_CONSTRAINTS], seen
+
+
 @pytest.mark.parametrize("option, value", [("--seed", "-1"), ("--ratio-trials", "1"), ("--sessions", "0"),
                                            ("--attempts", "0")])
 def test_out_of_range_option_exits_2_with_config_prefix(option, value, capsys):
@@ -605,7 +630,7 @@ def test_each_command_runs_each_stage_once(command, network_path, monkeypatch, c
     calls, results = _count_stage_calls(monkeypatch)
     assert cli.main([command, "--network", str(network_path), "--format", "json", "--sessions", "2"]) == cli.EXIT_OK
     capsys.readouterr()
-    # validate reads its interference warning off the mincut table, so it draws no coefficients
+    # validate reads its interference warning off the mincut rows, so it draws no coefficients
     probes = 0 if command == "validate" else 1
     assert calls["load_network_file"] == 1 and calls["build_igraph"] == probes
     assert calls["find_dstar"] <= 1 and calls["plan_with_resampling"] <= 1 and calls["cycle_ratio"] <= 1
@@ -624,7 +649,7 @@ def test_probe_that_missed_an_edge_exits_3(command, seed, monkeypatch, capsys):
     # F_(2^31-1) is too rare to draw; the graph is checked against the pairs a path joins, so
     # every command that builds it stops before it uses it
     net = network.load_network_file(FOREST)
-    i, j = network.pairs_in(net.joined & ~net.demand_mask)[seed % 3]  # a joined, non-demanded pair
+    i, j = [(i, j) for i, j in net.joined if j not in net.demands[i]][seed % 3]  # a joined, non-demanded pair
     calls, _ = _count_stage_calls(monkeypatch)
     counting_realize = cli.realize
 
@@ -881,33 +906,33 @@ def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, cap
     nx = pytest.importorskip("networkx")
     path = tmp_path / "net.json"
     rng = np.random.default_rng(18)
-    seen = {"unreachable_demanded": 0, "colocated": 0, "at_least_2": 0}
+    seen = {"unreachable_demanded": 0, "colocated": 0, "parallel": 0, "at_least_2": 0}
     for _ in range(400):
         net = random_multiterminal_dag(rng)
         path.write_text(net_to_json(net))
         code = cli.main(["validate", "--network", str(path), "--format", "json"])
         section = json.loads(capsys.readouterr().out)["assumptions"]
-        expected = network.validate_assumptions(net)
-        assert code == (cli.EXIT_OK if expected.ok else cli.EXIT_ASSUMPTIONS)
+        table = mincut_table(net, mincut_by_networkx)
+        rows = rows_of_table(net, table)
+        assert network.validate_assumptions(net).rows == rows, net_to_json(net)
+        ok = all(row[4] for row in rows)
+        assert code == (cli.EXIT_OK if ok else cli.EXIT_ASSUMPTIONS)
         g = nx.MultiDiGraph(list(net.edges))
         g.add_nodes_from(net.nodes)
         # a co-located pair has only the empty path, and mincut 0
         reached = {(i, j) for i, t in enumerate(net.destinations) for j, s in enumerate(net.sources)
                    if s != t and nx.has_path(g, s, t)}
         demanded = {(i, j) for i, sources in enumerate(net.demands) for j in sources}
-        # the mask the probe is checked against is this reach relation
-        assert set(network.pairs_in(net.joined)) == reached, net_to_json(net)
-        assert np.array_equal(net.joined, expected.mincut > 0)
-        listed = [(int(row["destination"][1:]) - 1, int(row["source"][1:]) - 1) for row in section["mincuts"]]
-        assert listed == sorted(reached | demanded), net_to_json(net)
-        for (i, j), row in zip(listed, section["mincuts"]):
-            assert row == {"demanded": bool(expected.demanded[i, j]), "destination": f"D{i + 1}",
-                           "mincut": int(expected.mincut[i, j]), "ok": bool(expected.pair_ok[i, j]),
-                           "source": f"S{j + 1}"}
-        assert {(v["destination"], v["source"]) for v in section["violations"]} \
-            <= {(row["destination"], row["source"]) for row in section["mincuts"]}
-        assert len(section["violations"]) == len(expected.violations)
+        # the pairs the probe is checked against are this reach relation, in row-major order
+        assert net.joined == tuple(sorted(reached)), net_to_json(net)
+        assert [row[:2] for row in rows] == sorted(reached | demanded), net_to_json(net)
+        assert section["mincuts"] == [{"demanded": d, "destination": f"D{i + 1}", "mincut": cut, "ok": pair_ok,
+                                       "source": f"S{j + 1}"} for i, j, cut, d, pair_ok in rows]
+        assert section["ok"] == ok
+        assert section["violations"] == [{"demanded": d, "destination": f"D{i + 1}", "mincut": cut,
+                                          "source": f"S{j + 1}"} for i, j, cut, d, pair_ok in rows if not pair_ok]
         seen["unreachable_demanded"] += len(demanded - reached)
         seen["colocated"] += len(set(net.sources) & set(net.destinations))
-        seen["at_least_2"] += int((expected.mincut >= 2).sum())
+        seen["parallel"] += len(set(net.edges)) < len(net.edges)
+        seen["at_least_2"] += int((table >= 2).sum())
     assert all(seen.values()), seen

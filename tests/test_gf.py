@@ -122,8 +122,8 @@ def test_pivot_columns_count_the_rank_of_every_column_prefix():
             a = rng.integers(0, q, size=(rows, cols))
             if rng.random() < 0.4:
                 a[:, int(rng.integers(cols))] = a[:, int(rng.integers(cols))]
-            table = np.full((1, rows), -1, dtype=np.int64)
-            rank = int(kernels.row_reduce(a[None].copy(), q, table)[0])
+            ranks, table = kernels.row_reduce(a[None].copy(), q)
+            rank = int(ranks[0])
             pivots = table[0, :rank].tolist()
             assert (table[0, rank:] == -1).all()
             assert pivots == sorted(set(pivots)) and all(0 <= c < cols for c in pivots)
@@ -243,9 +243,8 @@ def test_stacked_row_reduce_matches_one_at_a_time():
             items = _ragged_items(rng, q)
             stack = pad_stack(items)
             width = stack.shape[2]
-            pivots = np.full(stack.shape[:2], -1, dtype=np.int64)
-            ranks = kernels.row_reduce(stack, q, pivots)
-            assert ranks.shape == (len(items),)
+            ranks, pivots = kernels.row_reduce(stack, q)
+            assert ranks.shape == (len(items),) and pivots.shape == stack.shape[:2]
             for b, a in enumerate(items):
                 one = a.copy()
                 piv = np.full(a.shape[0], -1, dtype=np.int64)
@@ -329,9 +328,8 @@ def test_solve_pivots_on_a_only_like_a_full_width_reduction():
         seen["ok"] += bool(unique.all())
         seen["rank-deficient"] += any(deficient)
         seen["inconsistent"] += any(not d and not u.all() for d, u in zip(deficient, unique))
-        pivots = np.full((len(items), rows), -1, dtype=np.int64)
         aug = np.concatenate([a, y], axis=2)
-        kernel_ranks = kernels.row_reduce(aug, q, pivots, a.shape[2])
+        kernel_ranks, pivots = kernels.row_reduce(aug, q, a.shape[2])
         assert (pivots < a.shape[2]).all()
         assert kernel_ranks.tolist() == ranks
     assert min(seen.values()) >= 20, seen
@@ -343,8 +341,7 @@ def test_row_reduce_no_int64_overflow_near_modulus():
     a = np.full((2, 4, 4), q - 1, dtype=np.int64)
     a[0, 0, 0] = 1
     a[1, :, 3] = 0
-    piv = np.full((2, 4), -1, dtype=np.int64)
-    r = kernels.row_reduce(a, q, piv)
+    r, _ = kernels.row_reduce(a, q)
     assert ((1 <= r) & (r <= 4)).all()
     assert ((a >= 0) & (a < q)).all()
 
@@ -399,8 +396,7 @@ def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
         if (want_pivots >= n_a).any():
             continue  # a pivot outside A: reducing [A | Y] differs from pivoting on A alone
         seen += 1
-        pivots = np.full((3, rows), -1, dtype=np.int64)
-        ranks = kernels.row_reduce(aug, q, pivots, n_a)
+        ranks, pivots = kernels.row_reduce(aug, q, n_a)
         assert ranks.tolist() == want_ranks
         assert pivots.tolist() == want_pivots.tolist()
         assert ((aug >= 0) & (aug < q)).all()
@@ -412,8 +408,8 @@ def test_row_reduce_scaled_elimination_is_exact_at_the_largest_modulus():
     want = a.copy()
     want_pivots = np.full((2, 5), -1, dtype=np.int64)
     want_ranks = [row_reduce_one(want[b], q, want_pivots[b]) for b in range(2)]
-    pivots = np.full((2, 5), -1, dtype=np.int64)
-    assert kernels.row_reduce(a, q, pivots).tolist() == want_ranks
+    ranks, pivots = kernels.row_reduce(a, q)
+    assert ranks.tolist() == want_ranks
     assert pivots.tolist() == want_pivots.tolist() and monic_rows(a, q).tolist() == want.tolist()
 
 

@@ -1,5 +1,6 @@
 import collections
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
 from gen import (cyclic_instance, forest_instance, fourbyfour_net, net_to_json, net_to_mapping, random_dag_net,
                  random_multiterminal_dag)
-from oracles import injection_value, mincut_by_enumeration, pair_value, transfer_by_paths, transfer_by_unit_columns
+from oracles import (injection_value, mincut_by_enumeration, mincut_by_networkx, mincut_table, pair_value, rows_of_table,
+                     table_of_rows, transfer_by_paths, transfer_by_unit_columns)
 
 
 def single_edge_net() -> ng.Network:
@@ -204,12 +206,12 @@ def test_empty_demand_sets_rejected():
 
 
 def test_mincut_direct_edge():
-    assert ng.mincut(single_edge_net(), 0)[0] == 1
+    assert ng.mincut(single_edge_net(), 0) == {0: 1}
 
 
 def test_mincut_no_path():
     net = ng.Network(("S1", "D1", "X"), (("S1", "X"),), ("S1",), ("D1",), (frozenset({0}),))
-    assert ng.mincut(net, 0)[0] == 0
+    assert ng.mincut(net, 0) == {}  # an unreached destination is left out: its mincut is 0
 
 
 def test_mincut_two_disjoint_paths():
@@ -218,8 +220,8 @@ def test_mincut_two_disjoint_paths():
         (("S1", "A"), ("A", "D1"), ("S1", "B"), ("B", "D1")),
         ("S1",), ("D1",), (frozenset({0}),),
     )
-    assert ng.mincut(net, 0)[0] == 2
-    assert ng.mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
+    assert ng.mincut(net, 0) == {0: 2}
+    assert mincut_by_enumeration(net, 0, 0) == 2
     # The first breadth-first path is S1-X-Y-D1.  It blocks both S1-P-Y-D1 and S1-X-Q-D1, so the
     # second path, S1-P-Y-X-Q-D1, must cancel the flow on X -> Y by crossing it backward.
     net = ng.Network(
@@ -227,23 +229,22 @@ def test_mincut_two_disjoint_paths():
         (("S1", "X"), ("S1", "P"), ("X", "Y"), ("X", "Q"), ("P", "Y"), ("Y", "D1"), ("Q", "D1")),
         ("S1",), ("D1",), (frozenset({0}),),
     )
-    assert ng.mincut(net, 0)[0] == 2 == mincut_by_enumeration(net, 0, 0)
+    assert ng.mincut(net, 0) == {0: 2}
+    assert mincut_by_enumeration(net, 0, 0) == 2
 
 
 def test_mincut_matches_enumeration_on_random_dags():
     rng = np.random.default_rng(7)
     for _ in range(50):
         net = random_dag_net(rng)
-        assert ng.mincut(net, 0)[0] == mincut_by_enumeration(net, 0, 0)
+        assert ng.mincut(net, 0).get(0, 0) == mincut_by_enumeration(net, 0, 0)
 
 
 def _checked_mincuts(net, oracle):
-    """validate_assumptions' (M, K) mincut table, each entry asserted equal to the oracle's."""
-    cuts = ng.validate_assumptions(net).mincut
-    assert cuts.shape == (net.n_destinations, net.n_sources)
-    for (i, j), cut in np.ndenumerate(cuts):
-        assert cut == oracle(net, j, i), (net_to_mapping(net), i, j)
-    return cuts
+    """The oracle's dense (M, K) mincut table, asserted to give validate_assumptions' rows."""
+    table = mincut_table(net, oracle)
+    assert ng.validate_assumptions(net).rows == rows_of_table(net, table), net_to_mapping(net)
+    return table
 
 
 def test_validate_mincuts_match_enumeration_on_multiterminal_dags():
@@ -261,27 +262,13 @@ def test_validate_mincuts_match_enumeration_on_multiterminal_dags():
     assert all(seen.values()), seen
 
 
-def _networkx_mincut(net, j, i):
-    import networkx as nx
-
-    s, t = net.sources[j], net.destinations[i]
-    if s == t:
-        return 0
-    g = nx.DiGraph()
-    g.add_nodes_from(net.nodes)
-    for tail, head in net.edges:
-        cap = g.edges[tail, head]["capacity"] + 1 if g.has_edge(tail, head) else 1
-        g.add_edge(tail, head, capacity=cap)
-    return nx.maximum_flow_value(g, s, t)
-
-
 def test_validate_mincuts_match_networkx_on_larger_dags():
     pytest.importorskip("networkx")
     rng = np.random.default_rng(12)
     largest = 0
     for _ in range(100):
         net = random_multiterminal_dag(rng, min_nodes=20, max_nodes=40, edge_prob=0.12)
-        largest = max(largest, int(_checked_mincuts(net, _networkx_mincut).max()))
+        largest = max(largest, int(_checked_mincuts(net, mincut_by_networkx).max()))
     assert largest >= 3
 
 
@@ -289,11 +276,11 @@ def test_mincut_keeps_no_state_between_calls():
     net = random_multiterminal_dag(np.random.default_rng(4), min_nodes=12, max_nodes=12, edge_prob=0.5)
     sources = list(range(net.n_sources))
     runs = [
-        {j: ng.mincut(net, j).tolist() for j in order}
+        {j: ng.mincut(net, j) for j in order}
         for order in (sources, sources[::-1], sources, sources[::-1])
     ]
     assert all(run == runs[0] for run in runs)
-    assert max(max(col) for col in runs[0].values()) >= 2  # flows that leave residual state behind
+    assert max(max(cuts.values(), default=0) for cuts in runs[0].values()) >= 2  # flows that leave residual state
 
 
 def test_mincut_columns_match_networkx_and_enumeration(monkeypatch):
@@ -315,12 +302,13 @@ def test_mincut_columns_match_networkx_and_enumeration(monkeypatch):
         seen["into_source"] += any(h in net.sources for _, h in net.edges)
         for j in range(net.n_sources):
             flows.clear()
-            column = ng.mincut(net, j)
-            assert column.shape == (net.n_destinations,) and column.dtype == np.int64
-            assert len(flows) == np.count_nonzero(column >= 2)  # the dominator pass settles every cut below 2
-            for i, cut in enumerate(column.tolist()):
+            cuts = ng.mincut(net, j)
+            assert len(flows) == sum(cut >= 2 for cut in cuts.values())  # the dominator pass settles every cut below 2
+            for i in range(net.n_destinations):
+                cut = cuts.get(i, 0)
                 expect = mincut_by_enumeration(net, j, i)
-                assert cut == expect == _networkx_mincut(net, j, i), (net_to_mapping(net), i, j)
+                assert cut == expect == mincut_by_networkx(net, j, i), (net_to_mapping(net), i, j)
+                assert (i in cuts) == (cut > 0)  # exactly the destinations a path reaches are listed
                 seen["unreachable"] += cut == 0 and net.sources[j] != net.destinations[i]
                 seen["at_least_3"] += cut >= 3
     assert all(seen.values()), seen
@@ -331,7 +319,7 @@ def test_mincut_on_deep_dags():
     chain = [f"V{k}" for k in range(4000)]
     net = ng.Network(tuple(chain), tuple(zip(chain, chain[1:])), (chain[0],), tuple(chain[1:]),
                      (frozenset({0}),) * (len(chain) - 1))
-    assert ng.mincut(net, 0).tolist() == [1] * (len(chain) - 1)
+    assert ng.mincut(net, 0) == dict.fromkeys(range(len(chain) - 1), 1)
     # a ladder: each rail step A<k> -> A<k+1> is doubled by a detour through the rung R<k>, so the
     # dominator tree is the rail, 2,000 deep; every rail node past A0 has mincut 2 and every rung 1
     rail = [f"A{k}" for k in range(2001)]
@@ -339,7 +327,8 @@ def test_mincut_on_deep_dags():
     edges = [e for k in range(2000) for e in ((rail[k], rail[k + 1]), (rail[k], rungs[k]), (rungs[k], rail[k + 1]))]
     picked = rail[1::250] + [rail[-1]] + rungs[::500]
     net = ng.Network(tuple(rail + rungs), tuple(edges), (rail[0],), tuple(picked), (frozenset({0}),) * len(picked))
-    assert ng.mincut(net, 0).tolist() == [2] * (len(rail[1::250]) + 1) + [1] * len(rungs[::500])
+    wide = len(rail[1::250]) + 1
+    assert ng.mincut(net, 0) == {i: 2 if i < wide else 1 for i in range(len(picked))}
 
 
 @pytest.mark.parametrize("which", ["forest.json", "multiterminal"])
@@ -419,27 +408,26 @@ def test_validation_walks_only_what_each_source_reaches():
     net.edge_order, net.depth = _NoOrder("edge_order"), _NoOrder("depth")
     chain_edges = range(8, len(edges))
     net.tail, net.head = _Unreadable(net.tail, chain_edges), _Unreadable(net.head, chain_edges)
-    assert ng.validate_assumptions(net).mincut.tolist() == [[2, 0], [1, 1], [0, 2], [0, 0]]
+    assert table_of_rows(net, ng.validate_assumptions(net).rows).tolist() == [[2, 0], [1, 1], [0, 2], [0, 0]]
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def test_demand_mask_is_read_only_and_matches_demands(fourbyfour):
-    mask = fourbyfour.demand_mask
-    assert mask is fourbyfour.demand_mask
-    assert [set(np.flatnonzero(row).tolist()) for row in mask] == [set(d) for d in fourbyfour.demands]
-    with pytest.raises(ValueError):
-        mask[0, 0] = not mask[0, 0]
+def test_demands_are_stored_as_given():
+    # the file's 1-based demand lists become 0-based source index sets, one per destination, in order
+    path = Path(__file__).resolve().parent.parent / "networks" / "fourbyfour.json"
+    given = json.loads(path.read_text())["demands"]
+    assert ng.load_network_file(path).demands == tuple(frozenset(j - 1 for j in d) for d in given)
 
 
 def test_validate_fourbyfour_all_unit_mincuts(fourbyfour):
     report = ng.validate_assumptions(fourbyfour)
     assert report.ok
-    assert report.mincut.shape == (4, 4)
-    assert (report.mincut == 1).all()
-    assert report.pair_ok.all() and report.violations == ()
+    assert [row[:2] for row in report.rows] == [(i, j) for i in range(4) for j in range(4)]
+    assert all(cut == 1 and ok for _, _, cut, _, ok in report.rows)
+    assert report.violations == ()
     report.require_ok()
 
 
@@ -449,11 +437,24 @@ def test_validate_flags_unreachable_demanded_pair():
     # D1 demands S2 but only S1 reaches it, and D2 demands S1 but only S2 reaches it
     report = ng.validate_assumptions(net)
     assert not report.ok
-    assert report.violations == ((0, 1), (1, 0))
-    assert report.demanded.tolist() == [[False, True], [True, False]]
-    assert report.mincut.tolist() == [[1, 0], [0, 1]]
+    assert report.rows == ((0, 0, 1, False, True), (0, 1, 0, True, False), (1, 0, 0, True, False),
+                           (1, 1, 1, False, True))
+    assert report.violations == ((0, 1, 0, True, False), (1, 0, 0, True, False))
     with pytest.raises(ng.AssumptionViolation, match=r"\(D1, S2\) mincut=0, \(D2, S1\) mincut=0$"):
         report.require_ok()
+
+
+def test_validation_holds_no_table_of_every_pair():
+    # validation keeps one row per joined or demanded pair; its peak stays below one (M, K) int64 table
+    net = forest_instance(np.random.default_rng(400), size=400)[0]
+    tracemalloc.start()
+    try:
+        report = ng.validate_assumptions(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < net.n_destinations * net.n_sources * 8, peak
+    assert len(report.rows) < net.n_destinations * net.n_sources // 50
 
 
 def test_validate_flags_mincut_two():
@@ -464,8 +465,7 @@ def test_validate_flags_mincut_two():
     )
     report = ng.validate_assumptions(net)
     assert not report.ok
-    assert report.violations == ((0, 0),)
-    assert report.mincut[0, 0] == 2
+    assert report.rows == report.violations == ((0, 0, 2, True, False),)
 
 
 def test_validate_flags_empty_interference(tmp_path, capsys):
@@ -590,7 +590,7 @@ def test_mincut_zero_implies_zero_function():
     rng = np.random.default_rng(29)
     for _ in range(30):
         net = random_dag_net(rng)
-        if ng.mincut(net, 0)[0] == 0:
+        if 0 not in ng.mincut(net, 0):
             assert (ng.realize(net, 3, 0).transfer[0, 0, :] == 0).all()
 
 

@@ -215,9 +215,9 @@ def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfo
     calls = []
     original = kernels.row_reduce
 
-    def counting(a, q, pivots, *args):
+    def counting(a, q, *args):
         calls.append(a.shape)
-        return original(a, q, pivots, *args)
+        return original(a, q, *args)
 
     monkeypatch.setattr(kernels, "row_reduce", counting)
     ok = verify_alignment(plan)

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 
 from pbna import cli
+from pbna.network import load_network_file
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "pbna"
@@ -169,3 +170,11 @@ def test_readme_common_flags_are_the_options_of_every_subcommand():
     for command, parser in subcommands.items():
         options = {option for action in parser._actions for option in action.option_strings if option.startswith("--")}
         assert options - {"--help", "--network", "--cycle"} == named, command
+
+
+def test_readme_network_names_are_network_attributes():
+    # README's prose drifts from the class: every `Network.<name>` it cites must be an attribute of a loaded network
+    named = set(re.findall(r"`Network\.(\w+)", (ROOT / "README.md").read_text(encoding="utf-8")))
+    net = load_network_file(ROOT / "networks" / "fourbyfour.json")
+    assert named
+    assert sorted(name for name in named if not hasattr(net, name)) == []
