@@ -192,15 +192,19 @@ def _config_section(cfg: RunConfig) -> dict:
     }
 
 
+def _quiet_destinations(net: Network) -> list[int]:
+    """Destinations that no non-demanded source reaches: no interference there, and no graph edge."""
+    interfered = {i for i, j in net.joined if j not in net.demands[i]}
+    return [i for i in range(net.n_destinations) if i not in interfered]
+
+
 def _assumptions_section(run: Run) -> dict:
     report = run.validation
-    # a destination that no non-demanded source reaches has no interference
-    interfered = {i for i, _, cut, demanded, _ in report.rows if cut and not demanded}
     return {
         "ok": report.ok,
         "violations": [{"destination": _dst(i), "source": _src(j), "mincut": cut, "demanded": demanded}
                        for i, j, cut, demanded, _ in report.violations],
-        "empty_interference": [_dst(i) for i in range(run.net.n_destinations) if i not in interfered],
+        "empty_interference": [_dst(i) for i in _quiet_destinations(run.net)],
     }
 
 
@@ -216,7 +220,7 @@ def _igraph_section(run: Run) -> dict:
         "sources": graph.n_sources,
         "destinations": graph.n_destinations,
         "edges": [[_src(j), f"W{i + 1}"] for j, i in default_labeling(graph)],
-        "empty_destinations": [f"W{i + 1}" for i in graph.empty_destinations()],
+        "empty_destinations": [f"W{i + 1}" for i in _quiet_destinations(run.net)],
     }
 
 

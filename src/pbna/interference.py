@@ -71,14 +71,6 @@ class InterferenceGraph:
         """Sources with an edge at destination i, ascending."""
         return tuple(j for j, _ in self.incidence[self.n_sources + i])
 
-    def empty_destinations(self) -> tuple[int, ...]:
-        """Destinations with no interferer.
-
-        The alignment constraints there are vacuous, so the igraph report
-        lists them, not as violations.
-        """
-        return tuple(i for i in range(self.n_destinations) if not self.interferers(i))
-
 
 def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceGraph:
     """Assemble the interference graph, the non-demanded pairs a path joins, checked against a realization.
@@ -86,15 +78,14 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
     No pair outside ``Network.joined`` has a transfer that is not identically
     zero.  A joined pair's transfer row can still vanish at every slot, with
     probability at most (deg/q)**slots: MissedInterference then names every
-    such pair, so a returned graph is exact.  Destinations left without an
-    interferer are listed by ``empty_destinations``.
+    such pair, so a returned graph is exact.
     """
-    pairs = [(i, j) for i, j in net.joined if j not in net.demands[i]]
-    live = realization.transfer[[i for i, _ in pairs], [j for _, j in pairs]].any(axis=1).tolist()
-    missed = [pair for pair, found in zip(pairs, live) if not found]
+    pairs = [(pair, p) for pair, p in net.joined.items() if pair[1] not in net.demands[pair[0]]]
+    live = realization.transfer[[p for _, p in pairs]].any(axis=1).tolist()
+    missed = [pair for (pair, _), found in zip(pairs, live) if not found]
     if missed:
         raise MissedInterference(missed)
-    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for i, j in pairs))
+    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for (i, j), _ in pairs))
 
 
 def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[int], list[int], list[list[int]]]:

@@ -7,17 +7,18 @@ Random linear coding assigns one coefficient to every adjacent
 (source, out-edge) pair; a destination observes the sum of the symbols on its
 in-edges.  Source-to-destination transfer functions are never materialized as
 polynomials -- they are evaluated at concrete coefficient assignments by
-forward propagation in topological order.
+forward propagation in topological order, and only for the pairs that a path
+joins: every other transfer is identically zero.
 
 Every pass over the network walks one integer view that construction builds:
 node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
 lists of its out-edge and in-edge ids.  Construction's one Kahn pass over the
 topological order yields the rest, and no other pass walks that order: the
 reach relation ``Network.reached``, which feeds the mincut passes, the coding
-layout and the ``joined`` pairs the probe is checked against; the coefficient
-order ``edge_order``; and the node depths ``depth`` that set the schedules'
-rounds.  ``_max_flow`` searches the residual graph through the same edge
-lists, so no pass builds an adjacency of its own.
+layout and the ``joined`` pairs that number a realization's transfer rows;
+the coefficient order ``edge_order``; and the node depths ``depth`` that set
+the schedules' rounds.  ``_max_flow`` searches the residual graph through
+the same edge lists, so no pass builds an adjacency of its own.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -185,8 +186,8 @@ class Network:
         return _build_layout(self)
 
     @cached_property
-    def joined(self) -> tuple[tuple[int, int], ...]:
-        """The (destination, source) pairs that a path joins, in row-major order: the pairs with mincut > 0."""
+    def joined(self) -> dict[tuple[int, int], int]:
+        """The transfer row of each (destination, source) pair that a path joins (mincut > 0), in row-major order."""
         destination_of = self.destination_of
         rows = [[] for _ in self.destinations]  # filled source by source, so each row is sorted
         for j, nodes in enumerate(self.reached):
@@ -194,7 +195,7 @@ class Network:
                 i = destination_of[v]
                 if i >= 0:
                     rows[i].append((i, j))
-        return tuple(chain.from_iterable(rows))
+        return {pair: p for p, pair in enumerate(chain.from_iterable(rows))}
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
@@ -389,9 +390,10 @@ class CodingLayout(Schedule):
     ``reach`` is the schedule over (edge, source) entries, one for each
     source that is the edge's tail or reaches an in-edge of its tail.  Each
     coding pair there becomes one pair per source reaching its in-edge, with
-    the same coefficient, and target i * K + j sums the entries of source j
-    on destination i's in-edges.  So ``reach`` with unit inputs yields every
-    transfer value while carrying only entries that can be nonzero.
+    the same coefficient; target p sums the entries of source j on destination
+    i's in-edges for row p of ``Network.joined``, pair (i, j), and one empty
+    target comes last.  So ``reach`` with unit inputs yields every transfer
+    value, carrying only the entries and pairs that can be nonzero.
     """
 
     n_coeffs: int
@@ -441,7 +443,7 @@ def _build_layout(net: Network) -> CodingLayout:
     def entry(e, j):
         return base[e] + np.searchsorted(keys, tail[e] * k_sources + j) - node_ptr[tail[e]]
 
-    # one pair per source reaching the in-edge; target i * K + j sums entry (e, j) over in-edges e of i
+    # one pair per source reaching the in-edge; the pair (i, j) sums entry (e, j) over in-edges e of i
     fan = size[pair_in]
     reach_pair_in = _runs(base[pair_in], fan)
     reach_pair_out = np.repeat(pair_out, fan)
@@ -449,12 +451,13 @@ def _build_layout(net: Network) -> CodingLayout:
     slot_entries = _runs(base[dest_edges], slot_size)
     targets = np.repeat(np.repeat(np.arange(net.n_destinations), indeg[dest_node]), slot_size) * k_sources
     targets += entry_src[slot_entries]
-    counts = np.bincount(targets, minlength=net.n_destinations * k_sources)
+    by_target = np.argsort(targets, kind="stable")
+    # each key i * K + j is a joined pair and each joined pair has one, so the sorted keys' runs are its rows
+    runs = np.flatnonzero(np.diff(targets[by_target], prepend=-1))
     reach_schedule = _schedule(
         len(entry_src), entry(inj_edge, inj_col), inj_col, inj_cidx,
         reach_pair_in, entry(reach_pair_out, entry_src[reach_pair_in]), np.repeat(pair_cidx, fan),
-        np.repeat(rounds, fan),
-        np.concatenate(([0], np.cumsum(counts))), slot_entries[np.argsort(targets, kind="stable")],
+        np.repeat(rounds, fan), np.append(runs, [len(targets)] * 2), slot_entries[by_target],
     )
     return CodingLayout(**vars(edge_schedule), n_coeffs=int(width.sum()), reach=reach_schedule)
 
@@ -491,15 +494,16 @@ def _schedule(n_values, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cid
 class NetworkRealization:
     """One concrete assignment of all coding coefficients per slot.
 
-    transfer[i, j, k] is the transfer value from source j to destination i
-    under the slot-k assignment.  Fully reproducible from (network, q, seed).
+    transfer[network.joined[i, j], k] is the transfer value from source j to
+    destination i at slot k; a pair that no path joins reads the zero last
+    row, ``joined.get((i, j), -1)``.  Fully reproducible from (network, q, seed).
     """
 
     network: Network
     q: int
     slot_count: int
     coding_assignments: np.ndarray  # (slot_count, n_coeffs)
-    transfer: np.ndarray  # (M, K, slot_count)
+    transfer: np.ndarray  # (P + 1, slot_count) for the P joined pairs
 
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:
@@ -507,16 +511,15 @@ def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkReali
 
     The transfer values come from one propagation over the layout's
     (edge, source) schedule with unit inputs: entry (e, j) carries the
-    transfer value from source j to edge e, and target (i, j) sums it over
-    destination i's in-edges.  Entries exist only where source j reaches the
-    edge, so every other transfer value is 0 without being carried.
+    transfer value from source j to edge e, and joined pair (i, j)'s row sums
+    it over destination i's in-edges.  Entries and rows exist only where a
+    path runs, so every other transfer value is 0 without being carried.
     """
     check_modulus(q)
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(0, q, size=(n, net.layout.n_coeffs), dtype=np.int64)
     units = np.ones((net.n_sources, 1, n), dtype=np.int64)
-    transfer = net.layout.reach.propagate(coeffs, units, q).reshape(net.n_destinations, net.n_sources, n)
-    return NetworkRealization(net, q, n, coeffs, transfer)
+    return NetworkRealization(net, q, n, coeffs, net.layout.reach.propagate(coeffs, units, q)[:, 0])
 
 
 MincutRow = tuple[int, int, int, bool, bool]  # (destination i, source j, mincut, demanded, ok)

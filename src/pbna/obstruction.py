@@ -86,10 +86,11 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
     transfer = realize(net, trials, int(np.random.default_rng(seed).integers(0, 2**63)), q).transfer
     num = den = np.ones(trials, dtype=np.int64)
     for u, (j, i) in zip(cycle, edges):
+        m = transfer[net.joined.get((i, j), -1)]
         if u >= net.n_sources:
-            num = num * transfer[i, j] % q
+            num = num * m % q
         else:
-            den = den * transfer[i, j] % q
+            den = den * m % q
     # q is prime, so a zero product is a vanished factor; every other trial is inverted in one batch
     usable = den != 0
     inv = iter(kernels.inverse(den[usable], q).tolist())

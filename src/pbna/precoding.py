@@ -17,9 +17,9 @@ other attempt is retried with fresh randomness.
 
 Every inverse an attempt needs comes from one ``kernels.inverse`` call,
 made before the walk down the trees.  Verification gathers every
-destination's [U | w_rep] and W into one (M, n, w) stack, through a padded
-table of source indices, and ranks every [U | w_rep], then every W, in one
-pass each; decoding gathers and solves the same systems.
+destination's [U | w_rep] and W through one padded table of source indices,
+stacks them into one (2M, n, w) batch of a common width, and ranks them all
+in one pass; decoding gathers and solves the [U | w_rep] systems.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], li
     rng = np.random.default_rng(seed)
     parent, up, orders = forest
     below = [v for order in orders for v in order[1:]]  # every link's lower node, in walk order
-    src, dest = np.array([g.edge_list[up[v]] for v in below], dtype=np.int64).reshape(-1, 2).T
-    factor = realization.transfer[dest, src]  # one row per link
+    joined = realization.network.joined
+    factor = realization.transfer[[joined.get((i, j), -1) for j, i in (g.edge_list[up[v]] for v in below)]]
     # links walked from a destination node down to a source
     inverted = (np.array(below, dtype=np.int64) < k)[:, None] & (factor != 0)
     factor[inverted] = kernels.inverse(factor[inverted], q)  # all of the attempt's inverses in one batch
@@ -131,12 +131,12 @@ def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
     """Received directions at every destination, as one (M, n, w) stack, by one gather.
 
     Column t of matrix i is diag(m_ij) V_j for the source j = table[i, t] of
-    an (M, w) ``source_table``; its -1 padding gives zero columns.
+    an (M, w) ``source_table``.  No path joins a -1 padding entry to its
+    destination, so it reads the realization's zero row and gives a zero column.
     """
-    # -1 gathers the last source, and the mask zeroes it
-    cols = plan.realization.transfer[np.arange(len(table))[:, None], table] * plan.V[table] % plan.realization.q
-    cols[table < 0] = 0
-    return cols.transpose(0, 2, 1)
+    r = plan.realization
+    rows = [[r.network.joined.get((i, j), -1) for j in js] for i, js in enumerate(table.tolist())]
+    return (r.transfer[rows] * plan.V[table] % r.q).transpose(0, 2, 1)
 
 
 def verify_alignment(plan: PrecodingPlan) -> np.ndarray:
@@ -146,14 +146,14 @@ def verify_alignment(plan: PrecodingPlan) -> np.ndarray:
     column rank and its interference columns W have rank at most B.  That
     implies every alignment condition: U's columns are independent, and W is
     empty or span(w_rep), so it meets span(U) only at 0.  One gather builds
-    [U | w_rep | W] per destination, each part padded to a common width,
-    and one rank reduction of each part decides every destination.
+    [U | w_rep | W] per destination, both parts padded to one width, and one
+    rank reduction of every [U | w_rep], then every W, decides them all.
     """
-    q = plan.realization.q
-    decode = source_table(decode_sources(plan))
-    cols = signal_stack(plan, np.concatenate([decode, source_table([sorted(f) for f in plan.new_interference])], axis=1))
-    width = decode.shape[1]
-    return (gf.rank(cols[:, :, :width], q) == (decode >= 0).sum(axis=1)) & (gf.rank(cols[:, :, width:], q) <= B)
+    m = len(plan.new_demands)
+    table = source_table(decode_sources(plan) + [sorted(f) for f in plan.new_interference])  # (2M, w)
+    cols = signal_stack(plan, np.hstack(np.split(table, 2)))  # row i is [U | w_rep | W] of destination i
+    ranks = gf.rank(np.vstack(np.split(cols, 2, axis=2)), plan.realization.q)
+    return (ranks[:m] == (table[:m] >= 0).sum(axis=1)) & (ranks[m:] <= B)
 
 
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:

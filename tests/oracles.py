@@ -29,7 +29,11 @@ into decompose's (parent, up, orders) arrays, so other roots can be fed to
 build_precoding.
 ``transfer_by_unit_columns`` is the dense propagation ``realize`` once ran:
 every source injects its unit vector through every edge of the per-edge
-schedule, so each edge carries K columns.
+schedule, so each edge carries K columns.  ``dense_transfer`` is the (M, K, n)
+view of a realization's joined-pair rows, every pair looked up through
+``Network.joined`` as the package does, and ``realization_of_table`` makes a
+realization from such a table, every pair joined, for graphs drawn without a
+network.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's two-rank mask and the rows that a
 report implies through its demands and extra_decode, and
@@ -52,11 +56,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque, namedtuple
+from types import SimpleNamespace
 
 import numpy as np
 
 from pbna import gf, sparsify
 from pbna.interference import Edge, InterferenceGraph, components
+from pbna.network import NetworkRealization
 from pbna.precoding import A, B
 from pbna.sparsify import _tree_path
 
@@ -368,6 +374,20 @@ def transfer_by_paths(net, realization, i: int, j: int, k: int) -> int:
     return total
 
 
+def dense_transfer(realization) -> np.ndarray:
+    """The (M, K, n) transfer table, each pair's row looked up as ``joined.get((i, j), -1)``."""
+    net = realization.network
+    return realization.transfer[[[net.joined.get((i, j), -1) for j in range(net.n_sources)]
+                                 for i in range(net.n_destinations)]]
+
+
+def realization_of_table(transfer, q: int) -> NetworkRealization:
+    """A realization whose rows are those of the dense (M, K, n) ``transfer``, every pair joined, on no network."""
+    m, k, n = transfer.shape
+    pairs = SimpleNamespace(n_destinations=m, n_sources=k, joined={(i, j): i * k + j for i in range(m) for j in range(k)})
+    return NetworkRealization(pairs, q, n, None, np.concatenate([transfer.reshape(m * k, n), np.zeros((1, n), np.int64)]))
+
+
 def transfer_by_unit_columns(realization) -> np.ndarray:
     """(M, K, n) transfers from the per-edge schedule, source j injecting the unit vector e_j in every slot."""
     net, n = realization.network, realization.slot_count
@@ -554,17 +574,18 @@ def precoding_by_tree_walk(trees, realization, seed: int) -> np.ndarray:
     a destination node down to a source, a vanished entry staying 0.
     """
     q, n = realization.q, realization.slot_count
+    transfer = dense_transfer(realization)
     rng = np.random.default_rng(seed)
-    V = np.zeros((realization.transfer.shape[1], n), dtype=np.int64)
+    V = np.zeros((transfer.shape[1], n), dtype=np.int64)
     for tree in trees:
         scale: dict[Node, np.ndarray] = {}
         for node, parent in tree.items():
             if parent is None:
                 scale[node] = rng.integers(1, q, size=n, dtype=np.int64)
             elif node[0] == "y":
-                scale[node] = scale[parent] * realization.transfer[node[1], parent[1]] % q
+                scale[node] = scale[parent] * transfer[node[1], parent[1]] % q
             else:
-                row = [egcd_inverse(int(m), q) if m else 0 for m in realization.transfer[parent[1], node[1]]]
+                row = [egcd_inverse(int(m), q) if m else 0 for m in transfer[parent[1], node[1]]]
                 scale[node] = scale[parent] * np.array(row, dtype=np.int64) % q
             if node[0] == "x":
                 V[node[1]] = scale[node]
@@ -838,14 +859,15 @@ def verdicts_by_ranks(plan) -> list[Verdict]:
     """
     r = plan.realization
     q = r.q
+    transfer = dense_transfer(r)
     verdicts = []
     for i in range(r.network.n_destinations):
         desired = sorted(plan.new_demands[i])
         interf = sorted(plan.new_interference[i])
-        u_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in desired], axis=1)
+        u_cols = np.stack([transfer[i, j, :] * plan.V[j] % q for j in desired], axis=1)
         dim_u = int(gf.rank(u_cols[None], q)[0])
         if interf:
-            w_cols = np.stack([r.transfer[i, j, :] * plan.V[j] % q for j in interf], axis=1)
+            w_cols = np.stack([transfer[i, j, :] * plan.V[j] % q for j in interf], axis=1)
             dim_w = int(gf.rank(w_cols[None], q)[0])
             dim_int = dim_u + dim_w - int(gf.rank(np.concatenate([u_cols, w_cols], axis=1)[None], q)[0])
             rep = np.concatenate([u_cols, w_cols[:, :1]], axis=1)

@@ -20,8 +20,8 @@ from pbna.precoding import ConstraintViolation, plan_with_resampling, verify_ali
 from pbna.simulate import propagate_symbols, rate_report, run_session
 from pbna.sparsify import default_labeling, find_dstar
 from gen import adversarial_net, forest_instance, fourbyfour_net, random_bipartite, random_dag_net, seeded_messages
-from oracles import (dstar_exact_removal, find_dstar_with_removal, mincut_by_enumeration, propagate_symbols_by_edges,
-                     verdicts_by_ranks)
+from oracles import (dense_transfer, dstar_exact_removal, find_dstar_with_removal, mincut_by_enumeration,
+                     propagate_symbols_by_edges, verdicts_by_ranks)
 
 Q = gf.DEFAULT_Q
 
@@ -169,7 +169,7 @@ def test_criterion_6_alignment_identity(forest_plans, fourbyfour_stack):
                 if len(interf) < 2:
                     continue
                 assert verdicts[i].dim_w == 1
-                cols = [realization.transfer[i, j, :] * plan.V[j] % Q for j in interf]
+                cols = [dense_transfer(realization)[i, j, :] * plan.V[j] % Q for j in interf]
                 base = cols[0]
                 pivot = int(np.nonzero(base)[0][0])
                 for other in cols[1:]:
@@ -192,12 +192,13 @@ def test_criterion_7_transfer_consistency():
             realization = realize(net, 2, seed=int(rng.integers(2**32)), q=Q)
             x = rng.integers(0, Q, size=net.n_sources, dtype=np.int64)
             batched = propagate_symbols(net, realization, np.repeat(x[None, :, None], 2, axis=2))
+            transfer = dense_transfer(realization)
             for k in range(2):
                 got = propagate_symbols_by_edges(net, realization, k, x)
                 for i in range(net.n_destinations):
                     expect = 0
                     for j in range(net.n_sources):
-                        expect = (expect + int(realization.transfer[i, j, k]) * int(x[j])) % Q
+                        expect = (expect + int(transfer[i, j, k]) * int(x[j])) % Q
                     assert int(got[i]) == expect
                 assert np.array_equal(batched[0, :, k], got)
             done += 1

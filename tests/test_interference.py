@@ -32,7 +32,7 @@ def test_empty_interference_raises_unless_allowed():
     net = Network(("S1", "D1"), (("S1", "D1"),), ("S1",), ("D1",), (frozenset({0}),))
     g = graph_of(net)
     assert g.edges == frozenset()
-    assert g.empty_destinations() == (0,)
+    assert g.interferers(0) == ()
 
 
 def test_has_cycle_tree_and_disjoint_edges():
@@ -121,7 +121,7 @@ def test_decompose_partitions_nodes_and_levels_alternate():
         parent, up, orders = ig.decompose(g)
         seen_x: list[int] = []
         # destinations without an interferer form their own components and carry no tree
-        seen_y: list[int] = list(g.empty_destinations())
+        seen_y = [i for i in range(g.n_destinations) if not g.interferers(i)]
         for order in orders:
             seen_x.extend(v for v in order if v < k)
             seen_y.extend(v - k for v in order if v >= k)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -9,10 +10,10 @@ import pytest
 from pbna import cli
 from pbna import network as ng
 from pbna.gf import DEFAULT_Q, InvalidModulus
-from gen import (cyclic_instance, forest_instance, fourbyfour_net, net_to_json, net_to_mapping, random_dag_net,
-                 random_multiterminal_dag)
-from oracles import (injection_value, mincut_by_enumeration, mincut_by_networkx, mincut_table, pair_value, rows_of_table,
-                     table_of_rows, transfer_by_paths, transfer_by_unit_columns)
+from gen import (cyclic_instance, forest_instance, fourbyfour_net, hub_relay_net, net_to_json, net_to_mapping,
+                 random_dag_net, random_multiterminal_dag)
+from oracles import (dense_transfer, enumerate_paths, injection_value, mincut_by_enumeration, mincut_by_networkx,
+                     mincut_table, pair_value, rows_of_table, table_of_rows, transfer_by_paths, transfer_by_unit_columns)
 
 
 def single_edge_net() -> ng.Network:
@@ -486,7 +487,7 @@ def test_single_edge_transfer_is_path_product():
     net = single_edge_net()
     r = ng.realize(net, 3, seed=1)
     for k in range(3):
-        assert int(r.transfer[0, 0, k]) == injection_value(r, k, 0, 0)
+        assert int(dense_transfer(r)[0, 0, k]) == injection_value(r, k, 0, 0)
 
 
 def test_two_hop_transfer_is_path_product():
@@ -495,16 +496,60 @@ def test_two_hop_transfer_is_path_product():
     r = ng.realize(net, 2, seed=3)
     for k in range(2):
         expect = injection_value(r, k, 0, 0) * pair_value(r, k, 0, 1) % r.q
-        assert int(r.transfer[0, 0, k]) == expect
+        assert int(dense_transfer(r)[0, 0, k]) == expect
 
 
 def test_disconnected_pair_transfer_zero():
     net = ng.Network(("S1", "S2", "D1"), (("S1", "D1"),), ("S1", "S2"), ("D1",),
                      (frozenset({0}),))
     r = ng.realize(net, 4, seed=9)
-    assert (r.transfer[0, 1, :] == 0).all()
-    assert (ng.realize(net, 3, 0).transfer[0, 1, :] == 0).all()
-    assert not (ng.realize(net, 3, 0).transfer[0, 0, :] == 0).all()
+    assert (dense_transfer(r)[0, 1, :] == 0).all()
+    assert (dense_transfer(ng.realize(net, 3, 0))[0, 1, :] == 0).all()
+    assert not (dense_transfer(ng.realize(net, 3, 0))[0, 0, :] == 0).all()
+
+
+def test_row_lookup_matches_path_enumeration_at_every_pair():
+    # realize keeps one row per joined pair, then a zero row; every (destination, source) pair,
+    # joined or not, reads row joined.get((i, j), -1), which must be its sum over paths
+    rng = np.random.default_rng(42)
+    seen = collections.Counter()
+    for draw in range(330):
+        if draw % 3 == 0:
+            net = random_dag_net(rng, max_extra_nodes=4, max_edges=10)
+        elif draw % 3 == 1:
+            net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=7)
+        else:
+            net = hub_relay_net(rng)
+        q = (2, 3, 7, 2**31 - 1)[draw % 4]
+        r = ng.realize(net, int(rng.integers(1, 4)), seed=int(rng.integers(2**32)), q=q)
+        assert r.transfer.shape == (len(net.joined) + 1, r.slot_count)
+        assert not r.transfer[-1].any()
+        for i, j in itertools.product(range(net.n_destinations), range(net.n_sources)):
+            paths = len(enumerate_paths(net, j)[net.destinations[i]])
+            assert ((i, j) in net.joined) == (paths > 0), (draw, i, j)
+            row = r.transfer[net.joined.get((i, j), -1)].tolist()
+            assert row == [transfer_by_paths(net, r, i, j, k) for k in range(r.slot_count)], (draw, i, j)
+            seen["unjoined pair"] += paths == 0
+            seen["pair joined by two paths"] += paths >= 2
+    assert min(seen.values()) >= 300, seen
+
+
+def test_layout_and_realization_hold_no_array_of_every_pair():
+    # K = M = 1,500 with one direct route per destination: 1,500 joined pairs of 2.25 million, and
+    # the layout and a realization hold rows for the joined ones only (one (M, K) int64 table is 18 MB)
+    k = 1500
+    sources, destinations = tuple(f"S{j + 1}" for j in range(k)), tuple(f"D{i + 1}" for i in range(k))
+    net = ng.Network(sources + destinations, tuple(zip(sources, destinations)), sources, destinations,
+                     tuple(frozenset({i}) for i in range(k)))
+    tracemalloc.start()
+    try:
+        assert net.layout.reach.n_values == k
+        r = ng.realize(net, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.transfer.shape == (k + 1, 3)
+    assert peak < 8 * 2**20, peak
 
 
 def _sources_reaching_tails(net):
@@ -529,9 +574,10 @@ def test_transfer_matches_path_enumeration_oracle():
             net = random_multiterminal_dag(rng, min_nodes=4, max_nodes=7)
         q = (2, 3, 7, 2**31 - 1)[draw // 2 % 4]
         r = ng.realize(net, int(rng.integers(1, 4)), seed=int(rng.integers(2**32)), q=q)
-        assert np.array_equal(r.transfer, transfer_by_unit_columns(r))
-        for i, j, k in np.ndindex(r.transfer.shape):
-            assert int(r.transfer[i, j, k]) == transfer_by_paths(net, r, i, j, k)
+        transfer = dense_transfer(r)
+        assert np.array_equal(transfer, transfer_by_unit_columns(r))
+        for i, j, k in np.ndindex(transfer.shape):
+            assert int(transfer[i, j, k]) == transfer_by_paths(net, r, i, j, k)
         tails = {t for t, _ in net.edges}
         heads = {h for _, h in net.edges}
         seen["shared edge"] += any(len(srcs) >= 2 for srcs in _sources_reaching_tails(net))
@@ -591,7 +637,7 @@ def test_mincut_zero_implies_zero_function():
     for _ in range(30):
         net = random_dag_net(rng)
         if 0 not in ng.mincut(net, 0):
-            assert (ng.realize(net, 3, 0).transfer[0, 0, :] == 0).all()
+            assert (dense_transfer(ng.realize(net, 3, 0))[0, 0, :] == 0).all()
 
 
 def test_realize_reproducible():
@@ -599,9 +645,9 @@ def test_realize_reproducible():
     a = ng.realize(net, 3, seed=42)
     b = ng.realize(net, 3, seed=42)
     assert np.array_equal(a.coding_assignments, b.coding_assignments)
-    assert np.array_equal(a.transfer, b.transfer)
+    assert np.array_equal(dense_transfer(a), dense_transfer(b))
     c = ng.realize(net, 3, seed=43)
-    assert not np.array_equal(a.transfer, c.transfer)
+    assert not np.array_equal(dense_transfer(a), dense_transfer(c))
 
 
 def test_transfer_invariant_under_relabeling():
@@ -617,7 +663,7 @@ def test_transfer_invariant_under_relabeling():
     )
     a = ng.realize(net, 2, seed=5)
     b = ng.realize(renamed, 2, seed=5)
-    assert np.array_equal(a.transfer, b.transfer)
+    assert np.array_equal(dense_transfer(a), dense_transfer(b))
 
 
 def test_forest_instances_pass_validation():

@@ -7,12 +7,13 @@ import pytest
 from pbna import gf
 from pbna import precoding as pc
 from pbna.interference import InterferenceGraph, MissedInterference, build_igraph, decompose, has_cycle
-from pbna.network import Network, NetworkRealization, load_network_file, realize
+from pbna.network import Network, load_network_file, realize
 from pbna.simulate import run_session
 from pbna.sparsify import find_dstar
 from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite, seeded_messages,
                  sixcycle_net)
-from oracles import bfs_forest, bfs_tree, integer_forest, precoding_by_tree_walk, verdicts_by_ranks
+from oracles import (bfs_forest, bfs_tree, dense_transfer, integer_forest, precoding_by_tree_walk, realization_of_table,
+                     verdicts_by_ranks)
 
 
 def path_net() -> Network:
@@ -60,15 +61,16 @@ def test_path_vector_follows_parity_rule():
     forest = decompose(graph)
     V = pc.build_precoding(graph, forest, realization, seed=8)
     theta = V[0]  # the root keeps its raw random vector
+    transfer = dense_transfer(realization)
     for k in range(2):
-        m11 = int(realization.transfer[0, 0, k])
-        m12 = int(realization.transfer[0, 1, k])
+        m11 = int(transfer[0, 0, k])
+        m12 = int(transfer[0, 1, k])
         expect = m11 * pow(m12, q - 2, q) % q * int(theta[k]) % q
         assert int(V[1, k]) == expect
     # the isolated demanded source gets its own vector
     assert (V[2] != 0).all()
     # the walked-up (D1, S2) link vanishing at slot 0 zeroes S2's vector there, and only there
-    realization.transfer[0, 1, 0] = 0
+    realization.transfer[net.joined[0, 1], 0] = 0
     V0 = pc.build_precoding(graph, forest, realization, seed=8)
     assert V0[1, 0] == 0 and V0[1, 1] == V[1, 1]
 
@@ -79,7 +81,7 @@ def test_star_columns_coincide():
     graph = build_igraph(net, realization)
     V = pc.build_precoding(graph, decompose(graph), realization, seed=3)
     q = realization.q
-    cols = [realization.transfer[0, j, :] * V[j] % q for j in (0, 1, 2)]
+    cols = [dense_transfer(realization)[0, j, :] * V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
     assert np.array_equal(cols[0], cols[2])
 
@@ -99,7 +101,7 @@ def _oracle_cases(rng: np.random.Generator):
         shape = (g.n_destinations, g.n_sources, n)
         transfer = rng.integers(0, q, size=shape, dtype=np.int64) * (rng.random(shape) >= 0.125)
         if not has_cycle(g):
-            cases.append((g, NetworkRealization(None, q, n, None, transfer)))
+            cases.append((g, realization_of_table(transfer, q)))
     for t in range(120):
         net = forest_instance(rng)[0] if t % 2 else cyclic_instance(rng, int(rng.integers(8, 21)))[0]
         h_bar = find_dstar(build_igraph(net, realize(net, 3, seed=t))).h_bar
@@ -124,8 +126,8 @@ def test_build_precoding_matches_the_dict_tree_walk():
             depth[v] = depth[parent[v]] + 1
         dest, src = walked_up_links(g)
         seen["root-only tree"] += any(len(order) == 1 for order in orders)
-        seen["destination-only component"] += len(g.empty_destinations()) > 0
-        seen["vanished walked-up link"] += not realization.transfer[dest, src].all()
+        seen["destination-only component"] += any(not g.interferers(i) for i in range(g.n_destinations))
+        seen["vanished walked-up link"] += not dense_transfer(realization)[dest, src].all()
         seen["depth >= 4"] += max(depth) >= 4
     assert len(cases) >= 300
     assert min(seen.values()) >= 20, seen
@@ -152,7 +154,7 @@ def test_a_vanished_walked_up_link_costs_no_attempt_by_itself():
         plan = pc.plan_with_resampling(net, spars, max_attempts=200, seed=seed, q=3)
         trace = run_session(plan, np.arange(net.n_sources)[None] % 3)
         assert all(trace.success), seed
-        vanished += not plan.realization.transfer[0, 1].all()
+        vanished += not dense_transfer(plan.realization)[0, 1].all()
     assert vanished >= 1
 
 
@@ -207,6 +209,7 @@ def corrupted_vectors(plan: pc.PrecodingPlan, kind: int, rng: np.random.Generato
     """
     r = plan.realization
     q = r.q
+    transfer = dense_transfer(r)
     V = plan.V.copy()
     i = int(rng.integers(r.network.n_destinations))
     desired = sorted(plan.new_demands[i])
@@ -214,8 +217,8 @@ def corrupted_vectors(plan: pc.PrecodingPlan, kind: int, rng: np.random.Generato
 
     def aligned_with(d, j):
         # V_j with diag(m_ij) V_j = diag(m_id) V_d; relevant transfer values are nonzero on a verified plan
-        inv = np.array([pow(int(m), q - 2, q) for m in r.transfer[i, j]], dtype=np.int64)
-        return r.transfer[i, d] * V[d] % q * inv % q
+        inv = np.array([pow(int(m), q - 2, q) for m in transfer[i, j]], dtype=np.int64)
+        return transfer[i, d] * V[d] % q * inv % q
 
     if kind == 1 and len(interf) >= 2:
         j = interf[int(rng.integers(len(interf)))]
@@ -267,13 +270,13 @@ def test_decode_matrix_full_rank_on_success():
     for _ in range(6):
         net, _ = forest_instance(rng)
         plan = build_plan(net, seed=int(rng.integers(2**31)))
-        realization = plan.realization
-        q = realization.q
+        q = plan.realization.q
+        transfer = dense_transfer(plan.realization)
         for i in range(net.n_destinations):
-            cols = [realization.transfer[i, j, :] * plan.V[j] % q for j in sorted(plan.new_demands[i])]
+            cols = [transfer[i, j, :] * plan.V[j] % q for j in sorted(plan.new_demands[i])]
             interf = sorted(plan.new_interference[i])
             if interf:
-                cols.append(realization.transfer[i, interf[0], :] * plan.V[interf[0]] % q)
+                cols.append(transfer[i, interf[0], :] * plan.V[interf[0]] % q)
             decode = np.stack(cols, axis=1)
             assert gf.rank(decode[None], q).tolist() == [decode.shape[1]]
 
@@ -321,7 +324,7 @@ def test_probe_that_missed_an_edge_raises_missed_interference():
     true_edges = build_igraph(net, realize(net, 3, seed=0)).edges
     for seed in (12, 25):
         realization = realize(net, 1, seed, q=3)
-        live = np.argwhere(realization.transfer.any(axis=2)).tolist()
+        live = np.argwhere(dense_transfer(realization).any(axis=2)).tolist()
         probed = {(j, i) for i, j in live if j not in net.demands[i]}
         assert probed < true_edges
         with pytest.raises(MissedInterference) as exc_info:
@@ -353,7 +356,7 @@ def test_every_accepted_plan_decodes_at_small_q():
                 trace = run_session(plan, seeded_messages(net, q, range(seed, seed + 3)))
                 assert all(trace.success), (n, q, seed)
                 seen["plans at q <= 7"] += q <= 7
-                seen["plans with a vanished walked-up link"] += not plan.realization.transfer[dest, src].all()
+                seen["plans with a vanished walked-up link"] += not dense_transfer(plan.realization)[dest, src].all()
     assert seen["plans at q <= 7"] >= 20 and seen["exhausted"] > 0, seen
     assert seen["plans with a vanished walked-up link"] >= 10, seen
 
@@ -371,13 +374,13 @@ def test_alignment_identity_scalar_multiples():
     plans.append((fourbyfour_net(), build_plan(fourbyfour_net(), seed=1)))
     checked = 0
     for net, plan in plans:
-        realization = plan.realization
-        q = realization.q
+        q = plan.realization.q
+        transfer = dense_transfer(plan.realization)
         for i in range(net.n_destinations):
             interf = sorted(plan.new_interference[i])
             if len(interf) < 2:
                 continue
-            cols = [realization.transfer[i, j, :] * plan.V[j] % q for j in interf]
+            cols = [transfer[i, j, :] * plan.V[j] % q for j in interf]
             base = cols[0]
             pivot = int(np.nonzero(base)[0][0])
             for other in cols[1:]:
@@ -411,14 +414,14 @@ def test_root_choice_does_not_change_verdicts():
 def test_verdict_independent_of_representative():
     net = star_net()
     plan = build_plan(net, seed=9)
-    realization = plan.realization
-    q = realization.q
+    q = plan.realization.q
+    transfer = dense_transfer(plan.realization)
     desired = sorted(plan.new_demands[0])
     interf = sorted(plan.new_interference[0])
     assert len(interf) >= 2
-    u_cols = np.stack([realization.transfer[0, j, :] * plan.V[j] % q for j in desired], axis=1)
+    u_cols = np.stack([transfer[0, j, :] * plan.V[j] % q for j in desired], axis=1)
     ranks = []
     for rep in interf:
-        w = (realization.transfer[0, rep, :] * plan.V[rep] % q)[:, None]
+        w = (transfer[0, rep, :] * plan.V[rep] % q)[:, None]
         ranks.append(int(gf.rank(np.concatenate([u_cols, w], axis=1)[None], q)[0]))
     assert len(set(ranks)) == 1

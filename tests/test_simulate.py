@@ -10,7 +10,7 @@ from pbna.network import Network, realize
 from pbna.precoding import PrecodingPlan, decode_sources, plan_with_resampling, verify_alignment
 from pbna.sparsify import find_dstar
 from gen import forest_instance, random_dag_net, random_multiterminal_dag, seeded_messages
-from oracles import propagate_symbols_by_edges, solve_full_width
+from oracles import dense_transfer, propagate_symbols_by_edges, solve_full_width
 
 
 def build_plan(net, seed=0):
@@ -73,11 +73,12 @@ def test_received_matches_algebraic_model(fourbyfour):
     rng = np.random.default_rng(17)
     msg = rng.integers(0, q, size=(3, 4), dtype=np.int64)
     trace = sim.run_session(plan, msg)
+    transfer = dense_transfer(realization)
     for s in range(3):
         for i in range(4):
             expect = np.zeros(plan.n, dtype=np.int64)
             for j in range(4):
-                expect = (expect + realization.transfer[i, j, :] * plan.V[j] % q * msg[s, j]) % q
+                expect = (expect + transfer[i, j, :] * plan.V[j] % q * msg[s, j]) % q
             assert np.array_equal(trace.received[s, i], expect)
 
 
@@ -90,7 +91,7 @@ def test_raw_propagation_matches_transfer_on_random_dags():
         realization = realize(net, 1, seed=int(rng.integers(2**32)))
         x = rng.integers(0, realization.q, size=1, dtype=np.int64)
         got = propagate_symbols_by_edges(net, realization, 0, x)
-        expect = realization.transfer[0, 0, 0] * x[0] % realization.q
+        expect = dense_transfer(realization)[0, 0, 0] * x[0] % realization.q
         assert int(got[0]) == int(expect)
         assert int(sim.propagate_symbols(net, realization, x.reshape(1, 1, 1))[0, 0, 0]) == int(expect)
         checked += 1
@@ -221,18 +222,20 @@ def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfo
 
     monkeypatch.setattr(kernels, "row_reduce", counting)
     ok = verify_alignment(plan)
-    assert len(calls) == 2 and ok.all()
+    # every [U | w_rep], then every W, in one batch
+    assert len(calls) == 1 and ok.all()
     trace = sim.run_session(plan, msg)
-    assert len(calls) == 3 and all(trace.success)
-    assert [shape[0] for shape in calls] == [net.n_destinations] * 3
+    assert len(calls) == 2 and all(trace.success)
+    assert [shape[0] for shape in calls] == [2 * net.n_destinations, net.n_destinations]
 
 
 def failed_pairs_by_oracle(plan, received):
     """(session, destination) pairs whose decode system, solved alone by the oracle, has no unique solution."""
     q = plan.realization.q
+    transfer = dense_transfer(plan.realization)
     failed = set()
     for i, sources in enumerate(decode_sources(plan)):
-        a = np.stack([plan.realization.transfer[i, j] * plan.V[j] % q for j in sources], axis=1)
+        a = np.stack([transfer[i, j] * plan.V[j] % q for j in sources], axis=1)
         for s in range(len(received)):
             _, unique = solve_full_width(a[None], received[None, s, i, :, None], q, [a.shape[1]])
             if not unique[0, 0]:
