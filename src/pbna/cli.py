@@ -194,8 +194,7 @@ def _config_section(cfg: RunConfig) -> dict:
 
 def _quiet_destinations(net: Network) -> list[int]:
     """Destinations that no non-demanded source reaches: no interference there, and no graph edge."""
-    interfered = {i for i, j in net.joined if j not in net.demands[i]}
-    return [i for i in range(net.n_destinations) if i not in interfered]
+    return sorted(set(range(net.n_destinations)).difference(net.interference[0].tolist()))
 
 
 def _assumptions_section(run: Run) -> dict:

@@ -76,16 +76,16 @@ def build_igraph(net: Network, realization: NetworkRealization) -> InterferenceG
     """Assemble the interference graph, the non-demanded pairs a path joins, checked against a realization.
 
     No pair outside ``Network.joined`` has a transfer that is not identically
-    zero.  A joined pair's transfer row can still vanish at every slot, with
-    probability at most (deg/q)**slots: MissedInterference then names every
-    such pair, so a returned graph is exact.
+    zero, so the edges are ``Network.interference``.  A joined pair's transfer
+    row can still vanish at every slot, with probability at most
+    (deg/q)**slots: MissedInterference then names every such pair, so a
+    returned graph is exact.
     """
-    pairs = [(pair, p) for pair, p in net.joined.items() if pair[1] not in net.demands[pair[0]]]
-    live = realization.transfer[[p for _, p in pairs]].any(axis=1).tolist()
-    missed = [pair for (pair, _), found in zip(pairs, live) if not found]
-    if missed:
-        raise MissedInterference(missed)
-    return InterferenceGraph(net.n_sources, net.n_destinations, ((j, i) for (i, j), _ in pairs))
+    i, j = net.interference
+    live = realization.at(i, j).any(axis=1)
+    if not live.all():
+        raise MissedInterference(zip(i[~live].tolist(), j[~live].tolist()))
+    return InterferenceGraph(net.n_sources, net.n_destinations, zip(j.tolist(), i.tolist()))
 
 
 def components(g: InterferenceGraph, mask: bytes | None = None) -> tuple[list[int], list[int], list[list[int]]]:

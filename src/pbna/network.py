@@ -10,15 +10,12 @@ polynomials -- they are evaluated at concrete coefficient assignments by
 forward propagation in topological order, and only for the pairs that a path
 joins: every other transfer is identically zero.
 
-Every pass over the network walks one integer view that construction builds:
-node k is ``nodes[k]``, edge e runs ``tail[e] -> head[e]``, and each node has
-lists of its out-edge and in-edge ids.  Construction's one Kahn pass over the
-topological order yields the rest, and no other pass walks that order: the
-reach relation ``Network.reached``, which feeds the mincut passes, the coding
-layout and the ``joined`` pairs that number a realization's transfer rows;
-the coefficient order ``edge_order``; and the node depths ``depth`` that set
-the schedules' rounds.  ``_max_flow`` searches the residual graph through
-the same edge lists, so no pass builds an adjacency of its own.
+Every pass walks the integer view that ``Network`` builds at construction,
+whose one Kahn pass is the only walk of the topological order;
+``_max_flow`` searches the residual graph through the same edge lists, so no
+pass builds an adjacency of its own.  This module alone numbers the transfer
+rows of a realization: ``Network.joined`` holds the keys i * K + j of the
+pairs a path joins, key p being row p, and ``Network.row`` is the one lookup.
 
 The network file format is UTF-8 JSON with exactly the keys "nodes", "edges"
 (pairs [tail, head]), "sources", "destinations", and "demands" (arrays of
@@ -186,16 +183,30 @@ class Network:
         return _build_layout(self)
 
     @cached_property
-    def joined(self) -> dict[tuple[int, int], int]:
-        """The transfer row of each (destination, source) pair that a path joins (mincut > 0), in row-major order."""
-        destination_of = self.destination_of
-        rows = [[] for _ in self.destinations]  # filled source by source, so each row is sorted
+    def joined(self) -> np.ndarray:
+        """Ascending keys i * K + j of the (destination, source) pairs a path joins; key p's pair has transfer row p."""
+        k, destination_of = self.n_sources, self.destination_of
+        keys = [[] for _ in self.destinations]  # filled source by source, so each destination's keys ascend
         for j, nodes in enumerate(self.reached):
             for v in nodes[1:]:  # less s_j's own node, which no path of edges joins to itself
                 i = destination_of[v]
                 if i >= 0:
-                    rows[i].append((i, j))
-        return {pair: p for p, pair in enumerate(chain.from_iterable(rows))}
+                    keys[i].append(i * k + j)
+        return np.fromiter(chain.from_iterable(keys), dtype=np.int64)
+
+    def row(self, i, j) -> np.ndarray:
+        """Transfer rows of broadcast (destination i, source j) pairs: zero row P where no path joins, or j = -1."""
+        j = np.asarray(j, dtype=np.int64)
+        keys = np.asarray(i, dtype=np.int64) * self.n_sources + j
+        first, after = np.searchsorted(self.joined, keys), np.searchsorted(self.joined, keys, side="right")
+        return np.where((after > first) & (j >= 0), first, len(self.joined))
+
+    @cached_property
+    def interference(self) -> tuple[np.ndarray, np.ndarray]:
+        """(destinations, sources) of the joined pairs whose destination does not demand the source, in row order."""
+        k = self.n_sources
+        keys = [key for key in self.joined.tolist() if key % k not in self.demands[key // k]]
+        return np.divmod(np.array(keys, dtype=np.int64), k)
 
 
 _FILE_KEYS = {"nodes", "edges", "sources", "destinations", "demands"}
@@ -390,10 +401,10 @@ class CodingLayout(Schedule):
     ``reach`` is the schedule over (edge, source) entries, one for each
     source that is the edge's tail or reaches an in-edge of its tail.  Each
     coding pair there becomes one pair per source reaching its in-edge, with
-    the same coefficient; target p sums the entries of source j on destination
-    i's in-edges for row p of ``Network.joined``, pair (i, j), and one empty
-    target comes last.  So ``reach`` with unit inputs yields every transfer
-    value, carrying only the entries and pairs that can be nonzero.
+    the same coefficient; target ``net.row(i, j)`` sums the entries of source
+    j on destination i's in-edges for joined pair (i, j), and one empty target
+    comes last.  So ``reach`` with unit inputs yields every transfer value,
+    carrying only the entries and pairs that can be nonzero.
     """
 
     n_coeffs: int
@@ -449,15 +460,14 @@ def _build_layout(net: Network) -> CodingLayout:
     reach_pair_out = np.repeat(pair_out, fan)
     slot_size = size[dest_edges]
     slot_entries = _runs(base[dest_edges], slot_size)
-    targets = np.repeat(np.repeat(np.arange(net.n_destinations), indeg[dest_node]), slot_size) * k_sources
-    targets += entry_src[slot_entries]
-    by_target = np.argsort(targets, kind="stable")
-    # each key i * K + j is a joined pair and each joined pair has one, so the sorted keys' runs are its rows
-    runs = np.flatnonzero(np.diff(targets[by_target], prepend=-1))
+    # a source reaching an in-edge of destination i is joined to it, so every slot entry has a row
+    slot_dest = np.repeat(np.repeat(np.arange(net.n_destinations), indeg[dest_node]), slot_size)
+    rows = net.row(slot_dest, entry_src[slot_entries])
+    row_size = np.bincount(rows, minlength=len(net.joined) + 1)  # the zero last row gets no entry
     reach_schedule = _schedule(
         len(entry_src), entry(inj_edge, inj_col), inj_col, inj_cidx,
         reach_pair_in, entry(reach_pair_out, entry_src[reach_pair_in]), np.repeat(pair_cidx, fan),
-        np.repeat(rounds, fan), np.append(runs, [len(targets)] * 2), slot_entries[by_target],
+        np.repeat(rounds, fan), np.append(0, np.cumsum(row_size)), slot_entries[np.argsort(rows, kind="stable")],
     )
     return CodingLayout(**vars(edge_schedule), n_coeffs=int(width.sum()), reach=reach_schedule)
 
@@ -494,9 +504,9 @@ def _schedule(n_values, inj_edge, inj_col, inj_cidx, pair_in, pair_out, pair_cid
 class NetworkRealization:
     """One concrete assignment of all coding coefficients per slot.
 
-    transfer[network.joined[i, j], k] is the transfer value from source j to
-    destination i at slot k; a pair that no path joins reads the zero last
-    row, ``joined.get((i, j), -1)``.  Fully reproducible from (network, q, seed).
+    ``at(i, j)[k]`` is the transfer value from source j to destination i at
+    slot k, read off row ``Network.row(i, j)`` of ``transfer``, which is zero
+    where no path joins the pair.  Fully reproducible from (network, q, seed).
     """
 
     network: Network
@@ -505,15 +515,19 @@ class NetworkRealization:
     coding_assignments: np.ndarray  # (slot_count, n_coeffs)
     transfer: np.ndarray  # (P + 1, slot_count) for the P joined pairs
 
+    def at(self, i, j) -> np.ndarray:
+        """The (..., slot_count) transfer rows of the (destination i, source j) pairs, over broadcast index arrays."""
+        return self.transfer[self.network.row(i, j)]
+
 
 def realize(net: Network, n: int, seed: int, q: int = DEFAULT_Q) -> NetworkRealization:
     """Draw all coding coefficients uniformly at random, independently per slot.
 
     The transfer values come from one propagation over the layout's
     (edge, source) schedule with unit inputs: entry (e, j) carries the
-    transfer value from source j to edge e, and joined pair (i, j)'s row sums
-    it over destination i's in-edges.  Entries and rows exist only where a
-    path runs, so every other transfer value is 0 without being carried.
+    transfer value from source j to edge e, and row ``net.row(i, j)`` sums it
+    over destination i's in-edges.  Entries and rows exist only where a path
+    runs, so every other transfer value is 0 without being carried.
     """
     check_modulus(q)
     rng = np.random.default_rng(seed)

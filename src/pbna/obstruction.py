@@ -83,10 +83,9 @@ def cycle_ratio(net: Network, cycle, trials: int = 5, seed: int = 0, q: int = DE
         raise ValueError("constancy testing needs at least 2 trials")
     cycle = tuple(cycle)
     edges = cycle_edges(net, cycle)
-    transfer = realize(net, trials, int(np.random.default_rng(seed).integers(0, 2**63)), q).transfer
+    realization = realize(net, trials, int(np.random.default_rng(seed).integers(0, 2**63)), q)
     num = den = np.ones(trials, dtype=np.int64)
-    for u, (j, i) in zip(cycle, edges):
-        m = transfer[net.joined.get((i, j), -1)]
+    for u, m in zip(cycle, realization.at([i for _, i in edges], [j for j, _ in edges])):
         if u >= net.n_sources:
             num = num * m % q
         else:

@@ -101,8 +101,8 @@ def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], li
     rng = np.random.default_rng(seed)
     parent, up, orders = forest
     below = [v for order in orders for v in order[1:]]  # every link's lower node, in walk order
-    joined = realization.network.joined
-    factor = realization.transfer[[joined.get((i, j), -1) for j, i in (g.edge_list[up[v]] for v in below)]]
+    links = [g.edge_list[up[v]] for v in below]  # (source, destination)
+    factor = realization.at([i for _, i in links], [j for j, _ in links])
     # links walked from a destination node down to a source
     inverted = (np.array(below, dtype=np.int64) < k)[:, None] & (factor != 0)
     factor[inverted] = kernels.inverse(factor[inverted], q)  # all of the attempt's inverses in one batch
@@ -131,12 +131,11 @@ def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
     """Received directions at every destination, as one (M, n, w) stack, by one gather.
 
     Column t of matrix i is diag(m_ij) V_j for the source j = table[i, t] of
-    an (M, w) ``source_table``.  No path joins a -1 padding entry to its
-    destination, so it reads the realization's zero row and gives a zero column.
+    an (M, w) ``source_table``.  A -1 padding entry reads the realization's
+    zero row through ``Network.row``, so it gives a zero column.
     """
     r = plan.realization
-    rows = [[r.network.joined.get((i, j), -1) for j in js] for i, js in enumerate(table.tolist())]
-    return (r.transfer[rows] * plan.V[table] % r.q).transpose(0, 2, 1)
+    return (r.at(np.arange(len(table))[:, None], table) * plan.V[table] % r.q).transpose(0, 2, 1)
 
 
 def verify_alignment(plan: PrecodingPlan) -> np.ndarray:

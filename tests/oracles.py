@@ -31,9 +31,9 @@ build_precoding.
 every source injects its unit vector through every edge of the per-edge
 schedule, so each edge carries K columns.  ``dense_transfer`` is the (M, K, n)
 view of a realization's joined-pair rows, every pair looked up through
-``Network.joined`` as the package does, and ``realization_of_table`` makes a
-realization from such a table, every pair joined, for graphs drawn without a
-network.
+``NetworkRealization.at`` as the package does, and ``realization_of_table``
+makes a realization from such a table on the complete bipartite network,
+every pair joined by one edge, for graphs drawn without a network.
 ``verdicts_by_ranks`` takes each alignment dimension from its own ``gf.rank``
 call, to check verify_alignment's two-rank mask and the rows that a
 report implies through its demands and extra_decode, and
@@ -56,13 +56,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, deque, namedtuple
-from types import SimpleNamespace
 
 import numpy as np
 
 from pbna import gf, sparsify
 from pbna.interference import Edge, InterferenceGraph, components
-from pbna.network import NetworkRealization
+from pbna.network import Network, NetworkRealization
 from pbna.precoding import A, B
 from pbna.sparsify import _tree_path
 
@@ -375,17 +374,19 @@ def transfer_by_paths(net, realization, i: int, j: int, k: int) -> int:
 
 
 def dense_transfer(realization) -> np.ndarray:
-    """The (M, K, n) transfer table, each pair's row looked up as ``joined.get((i, j), -1)``."""
+    """The (M, K, n) transfer table, each pair's row looked up through ``Network.row``."""
     net = realization.network
-    return realization.transfer[[[net.joined.get((i, j), -1) for j in range(net.n_sources)]
-                                 for i in range(net.n_destinations)]]
+    return realization.at(*np.indices((net.n_destinations, net.n_sources)))
 
 
 def realization_of_table(transfer, q: int) -> NetworkRealization:
-    """A realization whose rows are those of the dense (M, K, n) ``transfer``, every pair joined, on no network."""
+    """A realization whose rows are those of the dense (M, K, n) ``transfer``, on the complete bipartite
+    network: an edge from every source to every destination joins each pair, row-major."""
     m, k, n = transfer.shape
-    pairs = SimpleNamespace(n_destinations=m, n_sources=k, joined={(i, j): i * k + j for i in range(m) for j in range(k)})
-    return NetworkRealization(pairs, q, n, None, np.concatenate([transfer.reshape(m * k, n), np.zeros((1, n), np.int64)]))
+    sources, destinations = [f"S{j + 1}" for j in range(k)], [f"D{i + 1}" for i in range(m)]
+    net = Network(sources + destinations, [(s, d) for d in destinations for s in sources], sources, destinations,
+                  [[0]] * m)
+    return NetworkRealization(net, q, n, None, np.concatenate([transfer.reshape(m * k, n), np.zeros((1, n), np.int64)]))
 
 
 def transfer_by_unit_columns(realization) -> np.ndarray:

@@ -649,14 +649,14 @@ def test_probe_that_missed_an_edge_exits_3(command, seed, monkeypatch, capsys):
     # F_(2^31-1) is too rare to draw; the graph is checked against the pairs a path joins, so
     # every command that builds it stops before it uses it
     net = network.load_network_file(FOREST)
-    i, j = [(i, j) for i, j in net.joined if j not in net.demands[i]][seed % 3]  # a joined, non-demanded pair
+    i, j = (int(side[seed % 3]) for side in net.interference)  # a joined, non-demanded pair
     calls, _ = _count_stage_calls(monkeypatch)
     counting_realize = cli.realize
 
     def missing_one_edge(*args):
         realization = counting_realize(*args)
         transfer = realization.transfer.copy()
-        transfer[net.joined[i, j]] = 0
+        transfer[net.row(i, j)] = 0
         return dataclasses.replace(realization, transfer=transfer)
 
     monkeypatch.setattr(cli, "realize", missing_one_edge)
@@ -903,6 +903,33 @@ def test_pipeline_report_implies_the_mincut_table(tmp_path, capsys):
     assert min(seen.values()) >= 300, seen
 
 
+def test_a_network_that_joins_no_pair(tmp_path, capsys):
+    # P = 0: a realization is one zero row, the graph has no edge, and no destination decodes
+    net = network.Network(("S1", "S2", "D1", "D2"), (), ("S1", "S2"), ("D1", "D2"), ([0], [1]))
+    assert net.joined.tolist() == []
+    assert net.row([0, 1, 1], [1, 0, -1]).tolist() == [0, 0, 0]
+    assert network.realize(net, 3, 0).transfer.tolist() == [[0, 0, 0]]
+    path = tmp_path / "edgeless.json"
+    path.write_text(net_to_json(net))
+
+    def run(command):
+        code = cli.main([command, "--network", str(path), "--format", "json"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if out else err
+
+    code, report = run("igraph")
+    assert code == cli.EXIT_OK
+    assert not report["cyclic"]
+    assert report["interference_graph"] == {"destinations": 2, "edges": [], "empty_destinations": ["W1", "W2"],
+                                            "sources": 2}
+    code, report = run("dstar")
+    assert code == cli.EXIT_OK
+    assert report["sparsification"] == {"components": [], "d_star": 0, "extra_decode": [[], []],
+                                        "independence_checks": 0}
+    assert run("precode") == (cli.EXIT_CONSTRAINTS, "error: precoding: no valid assignment found in 20 attempts; "
+                              "every attempt failed at (D1, no interferer), (D2, no interferer)\n")
+
+
 def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, capsys):
     nx = pytest.importorskip("networkx")
     path = tmp_path / "net.json"
@@ -925,7 +952,8 @@ def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, cap
                    if s != t and nx.has_path(g, s, t)}
         demanded = {(i, j) for i, sources in enumerate(net.demands) for j in sources}
         # the pairs the probe is checked against are this reach relation, numbered in row-major order
-        assert list(net.joined.items()) == [(pair, p) for p, pair in enumerate(sorted(reached))], net_to_json(net)
+        assert [divmod(key, net.n_sources) for key in net.joined.tolist()] == sorted(reached), net_to_json(net)
+        assert [int(net.row(i, j)) for i, j in sorted(reached)] == list(range(len(reached))), net_to_json(net)
         assert [row[:2] for row in rows] == sorted(reached | demanded), net_to_json(net)
         assert section["mincuts"] == [{"demanded": d, "destination": f"D{i + 1}", "mincut": cut, "ok": pair_ok,
                                        "source": f"S{j + 1}"} for i, j, cut, d, pair_ok in rows]

@@ -510,7 +510,7 @@ def test_disconnected_pair_transfer_zero():
 
 def test_row_lookup_matches_path_enumeration_at_every_pair():
     # realize keeps one row per joined pair, then a zero row; every (destination, source) pair,
-    # joined or not, reads row joined.get((i, j), -1), which must be its sum over paths
+    # joined or not, reads row net.row(i, j), which must be its sum over paths
     rng = np.random.default_rng(42)
     seen = collections.Counter()
     for draw in range(330):
@@ -526,8 +526,8 @@ def test_row_lookup_matches_path_enumeration_at_every_pair():
         assert not r.transfer[-1].any()
         for i, j in itertools.product(range(net.n_destinations), range(net.n_sources)):
             paths = len(enumerate_paths(net, j)[net.destinations[i]])
-            assert ((i, j) in net.joined) == (paths > 0), (draw, i, j)
-            row = r.transfer[net.joined.get((i, j), -1)].tolist()
+            assert (net.row(i, j) < len(net.joined)) == (paths > 0), (draw, i, j)
+            row = r.at(i, j).tolist()
             assert row == [transfer_by_paths(net, r, i, j, k) for k in range(r.slot_count)], (draw, i, j)
             seen["unjoined pair"] += paths == 0
             seen["pair joined by two paths"] += paths >= 2

@@ -70,7 +70,7 @@ def test_path_vector_follows_parity_rule():
     # the isolated demanded source gets its own vector
     assert (V[2] != 0).all()
     # the walked-up (D1, S2) link vanishing at slot 0 zeroes S2's vector there, and only there
-    realization.transfer[net.joined[0, 1], 0] = 0
+    realization.transfer[net.row(0, 1), 0] = 0
     V0 = pc.build_precoding(graph, forest, realization, seed=8)
     assert V0[1, 0] == 0 and V0[1, 1] == V[1, 1]
 
@@ -84,6 +84,21 @@ def test_star_columns_coincide():
     cols = [dense_transfer(realization)[0, j, :] * V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
     assert np.array_equal(cols[0], cols[2])
+
+
+def test_padding_reads_the_zero_row_where_the_key_before_it_is_joined():
+    # D2's -1 padding has key 1 * K - 1 = 1, the key of joined pair (D1, S2)
+    net = Network(("S1", "S2", "D1", "D2"), (("S1", "D1"), ("S2", "D1"), ("S1", "D2")),
+                  ("S1", "S2"), ("D1", "D2"), (frozenset({0}), frozenset({0})))
+    table = pc.source_table([[0, 1], [0]])
+    assert table.tolist() == [[0, 1], [0, -1]]
+    assert net.joined.tolist() == [0, 1, 2]
+    assert net.row(1, -1) == len(net.joined)
+    plan = pc.PrecodingPlan(np.ones((2, 3), dtype=np.int64), realize(net, 3, seed=4), (frozenset({0}),) * 2,
+                            (frozenset({1}), frozenset()))
+    cols = pc.signal_stack(plan, table)
+    assert cols[0, :, 1].all()  # (D1, S2)'s row, which the padding must not read
+    assert not cols[1, :, 1].any()
 
 
 def _oracle_cases(rng: np.random.Generator):

@@ -161,6 +161,18 @@ def test_one_modular_inverse_implementation():
     assert found == [("kernels", "inverse")]
 
 
+def test_only_network_reads_transfer_rows():
+    # the transfer-row numbering lives in network.py: every other module reads rows through
+    # NetworkRealization.at, which looks pairs up with Network.row
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            found += [(path.stem, owner) for node in ast.walk(stmt)
+                      if isinstance(node, ast.Attribute) and node.attr == "transfer" and isinstance(node.ctx, ast.Load)]
+    assert found == [("network", "NetworkRealization")]
+
+
 def test_readme_common_flags_are_the_options_of_every_subcommand():
     # README's flag list once drifted from the parser; --network is required and --cycle is obstruct's own
     sentence = re.search(r"Common flags:(.*?)\.\s", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
