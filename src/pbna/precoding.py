@@ -16,14 +16,14 @@ have rank at most B, by exact rank checks at the sampled assignment.  Any
 other attempt is retried with fresh randomness.
 
 Every inverse an attempt needs comes from one ``kernels.inverse`` call,
-made before the walk down the trees.  Verification gathers every
-destination's [U | w_rep] and W through one padded table of source indices,
-stacks them into one (2M, n, w) batch of a common width, and ranks them all
-in one pass; decoding gathers and solves the [U | w_rep] systems.
+made before the walk down the trees.  A plan gathers its decode systems
+once, as one (2M, n, w) stack of every destination's [U | w_rep], then every
+W: verification ranks it in one pass, and decoding solves its first half.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,8 @@ class PrecodingPlan:
     new_demands[i] holds the sources destination i decodes (its demands plus
     its extra-decode set) and new_interference[i] the ones that interfere
     there; a plan from plan_with_resampling also carries the attempt that
-    produced it.
+    produced it.  ``table`` and ``systems`` are derived from these fields on
+    first read, so a ``dataclasses.replace`` copy derives its own.
     """
 
     V: np.ndarray  # (K, n), row j is the length-n vector of source j; a tree root's row is its raw random vector
@@ -84,6 +85,28 @@ class PrecodingPlan:
     def rate(self) -> tuple[int, int]:
         """Per-source rate as the exact fraction (a, n)."""
         return (A, self.n)
+
+    @functools.cached_property
+    def table(self) -> np.ndarray:
+        """Read-only (2M, w) source indices, padded with -1: row i lists destination i's decoded sources, then its
+        smallest interferer, if any (every other interference column is a multiple of its column on an ok plan);
+        row M + i lists destination i's interferers."""
+        rows = [sorted(d) + sorted(f)[:1] for d, f in zip(self.new_demands, self.new_interference)]
+        rows += [sorted(f) for f in self.new_interference]
+        w = max(map(len, rows))
+        table = np.array([js + [-1] * (w - len(js)) for js in rows], dtype=np.int64)
+        table.flags.writeable = False
+        return table
+
+    @functools.cached_property
+    def systems(self) -> np.ndarray:
+        """Read-only (2M, n, w) stack of every [U | w_rep], then every W, by one gather: column t of matrix i is
+        diag(m_ij) V_j for j = table[i, t] at destination i mod M; -1 padding reads ``Network.row``'s zero row."""
+        r, table = self.realization, self.table
+        transfer = r.at(np.arange(len(table))[:, None] % len(self.new_demands), table)
+        stack = (transfer * self.V[table] % r.q).transpose(0, 2, 1)
+        stack.flags.writeable = False
+        return stack
 
 
 def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], list[list[int]]], realization: NetworkRealization, seed: int) -> np.ndarray:
@@ -115,44 +138,18 @@ def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], li
     return scale[:k]
 
 
-def decode_sources(plan: PrecodingPlan) -> list[list[int]]:
-    """Per destination, the sources its decoder solves for: its decoded sources, then its smallest
-    interferer, if any, whose column every other interference column is a multiple of on an ok plan."""
-    return [sorted(d) + sorted(f)[:1] for d, f in zip(plan.new_demands, plan.new_interference)]
-
-
-def source_table(sources) -> np.ndarray:
-    """One list of source indices per destination, as an (M, w) table padded on the right with -1."""
-    w = max(map(len, sources))
-    return np.array([js + [-1] * (w - len(js)) for js in sources], dtype=np.int64)
-
-
-def signal_stack(plan: PrecodingPlan, table: np.ndarray) -> np.ndarray:
-    """Received directions at every destination, as one (M, n, w) stack, by one gather.
-
-    Column t of matrix i is diag(m_ij) V_j for the source j = table[i, t] of
-    an (M, w) ``source_table``.  A -1 padding entry reads the realization's
-    zero row through ``Network.row``, so it gives a zero column.
-    """
-    r = plan.realization
-    return (r.at(np.arange(len(table))[:, None], table) * plan.V[table] % r.q).transpose(0, 2, 1)
-
-
 def verify_alignment(plan: PrecodingPlan) -> np.ndarray:
     """The (M,) mask of destinations that decode, by exact rank checks of the plan's decode sets.
 
-    Destination i decodes when decode_sources' system [U | w_rep] has full
-    column rank and its interference columns W have rank at most B.  That
-    implies every alignment condition: U's columns are independent, and W is
-    empty or span(w_rep), so it meets span(U) only at 0.  One gather builds
-    [U | w_rep | W] per destination, both parts padded to one width, and one
-    rank reduction of every [U | w_rep], then every W, decides them all.
+    Destination i decodes when its system [U | w_rep] has full column rank
+    and its interference columns W have rank at most B.  That implies every
+    alignment condition: U's columns are independent, and W is empty or
+    span(w_rep), so it meets span(U) only at 0.  One rank reduction of the
+    plan's ``systems``, every [U | w_rep] then every W, decides them all.
     """
     m = len(plan.new_demands)
-    table = source_table(decode_sources(plan) + [sorted(f) for f in plan.new_interference])  # (2M, w)
-    cols = signal_stack(plan, np.hstack(np.split(table, 2)))  # row i is [U | w_rep | W] of destination i
-    ranks = gf.rank(np.vstack(np.split(cols, 2, axis=2)), plan.realization.q)
-    return (ranks[:m] == (table[:m] >= 0).sum(axis=1)) & (ranks[m:] <= B)
+    ranks = gf.rank(plan.systems, plan.realization.q)
+    return (ranks[:m] == (plan.table[:m] >= 0).sum(axis=1)) & (ranks[m:] <= B)
 
 
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:

@@ -5,11 +5,11 @@ symbols are injected at the sources and propagated through the coded edges
 by the transfer kernel, and never computed from the transfer values, so each
 decode doubles as a check of the algebraic model.  The decode matrix of a
 destination is the same for every session, and every destination's system
-has the same n rows, so one gather builds their stack and one exact
-reduction of it decodes every destination for all sessions.  A decode
-fails when its system has no unique solution or its solution is the wrong
-message; either way it is one ``False`` in the trace's ``success``, never
-an exception.
+has the same n rows, so one exact reduction of the [U | w_rep] half of the
+plan's ``systems`` stack, the one verification ranked, decodes every
+destination for all sessions.  A decode fails when its system has no
+unique solution or its solution is the wrong message; either way it is one
+``False`` in the trace's ``success``, never an exception.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import gf
 from .network import Network, NetworkRealization
-from .precoding import A, PrecodingPlan, decode_sources, signal_stack, source_table
+from .precoding import A, PrecodingPlan
 
 # Sessions per kernel call, so the (edges, sessions, slots) edge tensor stays bounded.
 SESSION_BLOCK = 256
@@ -75,14 +75,15 @@ def run_session(plan: PrecodingPlan, messages) -> SessionTrace:
     transmitted = z[:, :, None] * plan.V[None, :, :] % q
     received = propagate_symbols(net, realization, transmitted)
 
-    desired = [sorted(d) for d in plan.new_demands]
+    table, interferers = np.split(plan.table, 2)
+    widths = (table >= 0).sum(axis=1)
+    u = widths - (interferers[:, 0] >= 0)  # each row's decoded sources, before its interference column
     # the systems verify_alignment found of full column rank; only gf.solve reads their pivot table
-    systems = source_table(decode_sources(plan))
-    sol, unique = gf.solve(signal_stack(plan, systems), received.transpose(1, 2, 0), q, (systems >= 0).sum(axis=1))
-    wanted = source_table(desired)
-    # (S, M, u): every decoded source coordinate against its message; padding compares as equal
-    ok = ((sol[:, :wanted.shape[1]].transpose(2, 0, 1) == z[:, wanted]) | (wanted < 0)).all(axis=2) & unique.T
-    decoded = tuple(dict(zip(d, sol[i, :len(d)])) for i, d in enumerate(desired))
+    sol, unique = gf.solve(plan.systems[:len(table), :, :widths.max()], received.transpose(1, 2, 0), q, widths)
+    wanted = np.arange(sol.shape[1]) < u[:, None]
+    # (S, M, w): every decoded source coordinate against its message; the other columns compare as equal
+    ok = ((sol.transpose(2, 0, 1) == z[:, table[:, :sol.shape[1]]]) | ~wanted).all(axis=2) & unique.T
+    decoded = tuple(dict(zip(js[:k], x[:k])) for js, x, k in zip(table.tolist(), sol, u.tolist()))
     return SessionTrace(z, received, decoded, tuple(ok.ravel().tolist()))
 
 

@@ -38,7 +38,8 @@ every pair joined by one edge, for graphs drawn without a network.
 call, to check verify_alignment's two-rank mask and the rows that a
 report implies through its demands and extra_decode, and
 ``solve_full_width`` returns ``gf.solve``'s (x, unique), so a solve can be
-compared with it.
+compared with it, and ``decode_sources`` lists each destination's decode
+system sources without ``PrecodingPlan.table``.
 ``monic_rows`` scales rows to a leading 1, so ``kernels.row_reduce``'s
 unnormalized echelon form can be compared with ``row_reduce_one``'s RREF.
 ``mincut_table`` is the dense (M, K) table of ``mincut_by_enumeration`` (or
@@ -880,3 +881,11 @@ def verdicts_by_ranks(plan) -> list[Verdict]:
         ok = dim_u == len(desired) * A and dim_w <= B and dim_int == 0 and r_det_nonzero
         verdicts.append(Verdict(i, dim_u, dim_w, dim_int, ok, r_det_nonzero))
     return verdicts
+
+
+def decode_sources(plan) -> list[list[int]]:
+    """Per destination, the sources of its decode system [U | w_rep], one destination at a time."""
+    sources = []
+    for demanded, interferers in zip(plan.new_demands, plan.new_interference):
+        sources.append(sorted(demanded) + ([min(interferers)] if interferers else []))
+    return sources

@@ -12,8 +12,8 @@ from pbna.simulate import run_session
 from pbna.sparsify import find_dstar
 from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite, seeded_messages,
                  sixcycle_net)
-from oracles import (bfs_forest, bfs_tree, dense_transfer, integer_forest, precoding_by_tree_walk, realization_of_table,
-                     verdicts_by_ranks)
+from oracles import (bfs_forest, bfs_tree, decode_sources, dense_transfer, integer_forest, precoding_by_tree_walk,
+                     realization_of_table, verdicts_by_ranks)
 
 
 def path_net() -> Network:
@@ -90,15 +90,31 @@ def test_padding_reads_the_zero_row_where_the_key_before_it_is_joined():
     # D2's -1 padding has key 1 * K - 1 = 1, the key of joined pair (D1, S2)
     net = Network(("S1", "S2", "D1", "D2"), (("S1", "D1"), ("S2", "D1"), ("S1", "D2")),
                   ("S1", "S2"), ("D1", "D2"), (frozenset({0}), frozenset({0})))
-    table = pc.source_table([[0, 1], [0]])
-    assert table.tolist() == [[0, 1], [0, -1]]
-    assert net.joined.tolist() == [0, 1, 2]
-    assert net.row(1, -1) == len(net.joined)
     plan = pc.PrecodingPlan(np.ones((2, 3), dtype=np.int64), realize(net, 3, seed=4), (frozenset({0}),) * 2,
                             (frozenset({1}), frozenset()))
-    cols = pc.signal_stack(plan, table)
+    assert plan.table[:2].tolist() == [[0, 1], [0, -1]]
+    assert net.joined.tolist() == [0, 1, 2]
+    assert net.row(1, -1) == len(net.joined)
+    cols = plan.systems[:2]
     assert cols[0, :, 1].all()  # (D1, S2)'s row, which the padding must not read
     assert not cols[1, :, 1].any()
+
+
+def test_decode_systems_are_read_only_and_follow_the_plans_fields(fourbyfour):
+    plan = build_plan(fourbyfour)
+    for derived in (plan.table, plan.systems):
+        assert not derived.flags.writeable
+        with pytest.raises(ValueError):
+            derived[0] = 0
+    # plan.systems is already gathered; a copy with one more decoded source at D1 gathers its own
+    extra = next(j for j in range(fourbyfour.n_sources) if j not in plan.new_demands[0])
+    wider = dataclasses.replace(plan, new_demands=(plan.new_demands[0] | {extra},) + plan.new_demands[1:])
+    sources = decode_sources(wider)[0]
+    assert extra in sources and len(sources) == (plan.table[0] >= 0).sum() + 1
+    q, transfer = plan.realization.q, dense_transfer(plan.realization)
+    want = np.stack([transfer[0, j] * plan.V[j] % q for j in sources], axis=1)
+    assert np.array_equal(wider.systems[0, :, :len(sources)], want)
+    assert not wider.systems[0, :, len(sources):].any()
 
 
 def _oracle_cases(rng: np.random.Generator):

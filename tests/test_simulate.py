@@ -6,11 +6,11 @@ import pytest
 from pbna import kernels
 from pbna import simulate as sim
 from pbna.interference import build_igraph
-from pbna.network import Network, realize
-from pbna.precoding import PrecodingPlan, decode_sources, plan_with_resampling, verify_alignment
+from pbna.network import Network, NetworkRealization, realize
+from pbna.precoding import PrecodingPlan, plan_with_resampling, verify_alignment
 from pbna.sparsify import find_dstar
 from gen import forest_instance, random_dag_net, random_multiterminal_dag, seeded_messages
-from oracles import dense_transfer, propagate_symbols_by_edges, solve_full_width
+from oracles import decode_sources, dense_transfer, propagate_symbols_by_edges, solve_full_width
 
 
 def build_plan(net, seed=0):
@@ -211,22 +211,29 @@ def test_success_on_random_forest_instances():
 @pytest.mark.parametrize("which", ["fourbyfour", "forest_k12"])
 def test_verify_and_decode_reduce_every_destination_in_one_stack(which, fourbyfour, monkeypatch):
     net = fourbyfour if which == "fourbyfour" else forest_instance(np.random.default_rng(67), size=12)[0]
-    plan = build_plan(net)
+    plan = dataclasses.replace(build_plan(net))  # a fresh copy, whose decode systems nothing has gathered yet
     msg = seeded_messages(net, plan.realization.q, range(10))
-    calls = []
-    original = kernels.row_reduce
+    calls, gathers = [], []
+    original, original_at = kernels.row_reduce, NetworkRealization.at
 
     def counting(a, q, *args):
         calls.append(a.shape)
         return original(a, q, *args)
 
+    def counting_at(self, i, j):
+        gathers.append(np.broadcast_shapes(np.shape(i), np.shape(j)))
+        return original_at(self, i, j)
+
     monkeypatch.setattr(kernels, "row_reduce", counting)
+    monkeypatch.setattr(NetworkRealization, "at", counting_at)
     ok = verify_alignment(plan)
     # every [U | w_rep], then every W, in one batch
     assert len(calls) == 1 and ok.all()
     trace = sim.run_session(plan, msg)
     assert len(calls) == 2 and all(trace.success)
     assert [shape[0] for shape in calls] == [2 * net.n_destinations, net.n_destinations]
+    # verification and decoding read one gather of the plan's systems
+    assert len(gathers) == 1 and gathers[0][0] == 2 * net.n_destinations
 
 
 def failed_pairs_by_oracle(plan, received):
