@@ -17,13 +17,13 @@ demanded pairs plus the interference edges, each with mincut 1 and ok.
 Exit codes: 0 ok, 2 parse error (also an allocation that fails with
 MemoryError, e.g. for a huge --ratio-trials; a run the operating system
 kills for memory it had granted, as overcommit allows, ends with no code
-of ours), 3 assumption
-violation (also, in every command that builds the interference graph, a
-pair a path joins whose zero-function probe row over F_(2^31-1) is all
-zero; another --seed redraws the probe), 4 constraint violation (no
-precoding attempt decoded at every destination within --attempts), 5 some
-simulated decode failed, by no unique solution or a wrong message (the
-report is written first).
+of ours), 3 assumption violation (also, in every command that builds the
+interference graph, a pair a path joins whose zero-function probe row over
+F_(2^31-1) is all zero, where another --seed redraws the probe; and, in
+precode and simulate, a demanded pair that no path joins, found before any
+precoding attempt), 4 constraint violation (no precoding attempt decoded at
+every destination within --attempts), 5 some simulated decode failed, by no
+unique solution or a wrong message (the report is written first).
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ def _igraph_section(run: Run) -> dict:
     return {
         "sources": graph.n_sources,
         "destinations": graph.n_destinations,
-        "edges": [[_src(j), f"W{i + 1}"] for j, i in default_labeling(graph)],
+        "edges": [[_src(j), f"W{i + 1}"] for j, i in map(graph.edge_list.__getitem__, default_labeling(graph))],
         "empty_destinations": [f"W{i + 1}" for i in _quiet_destinations(run.net)],
     }
 

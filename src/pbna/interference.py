@@ -8,15 +8,15 @@ identically zero.  Traversal results are node ids of the view below:
 forest as id arrays and ``shortest_cycle`` a tuple of ids.
 
 Underneath, every traversal walks one integer view that the graph builds at
-construction (``edge_list``, ``ids`` and ``incidence``): source j is node j,
+construction (``edge_list`` and ``incidence``): source j is node j,
 destination i is node K + i, edge ids follow sorted edge order, and a set of
-deleted edges is a ``bytearray`` mask over edge ids.  There is one traversal
-per question: one breadth-first component pass (``components``) serves
+deleted edges is a ``bytearray`` mask over edge ids.  A run builds one graph:
+find_dstar works in its edge ids, and precoding masks its extra-decoded edges.
+One breadth-first component pass (``components``) serves
 ``connected_components``, ``has_cycle`` and ``decompose``, and, with every
 edge outside a forest masked, gives find_dstar's augmentation that forest's
-tree paths (see ``sparsify``); and ``shortest_cycle`` runs its own
-depth-bounded searches.  find_dstar's scans build their forests by
-union-find on the same view.
+tree paths (see ``sparsify``); ``shortest_cycle`` runs its own depth-bounded
+searches, and find_dstar's scans union-find on the same view.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ class InterferenceGraph:
     the graph is not mutated afterwards, or the view would go stale.  Node v
     is source v for v < K and destination v - K otherwise.  ``edge_list[x]``
     is edge x, in sorted order, so ascending edge ids are ascending (source,
-    destination) pairs; ``ids`` inverts it.  ``incidence[v]`` lists v's
-    (neighbour, edge id) pairs by ascending edge id.
+    destination) pairs.  ``incidence[v]`` lists v's (neighbour, edge id)
+    pairs by ascending edge id.
     """
 
     n_sources: int
@@ -61,7 +61,6 @@ class InterferenceGraph:
         self.edges = frozenset(self.edges)
         k = self.n_sources
         self.edge_list = tuple(sorted(self.edges))
-        self.ids = {edge: x for x, edge in enumerate(self.edge_list)}
         self.incidence = tuple([] for _ in range(k + self.n_destinations))
         for x, (j, i) in enumerate(self.edge_list):
             self.incidence[j].append((k + i, x))
@@ -130,18 +129,18 @@ def has_cycle(g: InterferenceGraph) -> bool:
     return len(g.edges) > len(g.incidence) - len(components(g)[2])
 
 
-def decompose(g: InterferenceGraph) -> tuple[list[int], list[int], list[list[int]]]:
-    """Split an acyclic interference graph into rooted BFS trees.
+def decompose(g: InterferenceGraph, mask: bytes) -> tuple[list[int], list[int], list[list[int]]]:
+    """Split g minus the edges in ``mask``, which must leave no cycle, into rooted BFS trees.
 
     Returns ``components``' arrays, every node's BFS parent and tree-edge
     id, with the visit orders of the components that hold a source only:
     each is rooted at its smallest source, in ascending root order, and
     lists every node after its parent.  Components without a source are
     single destination nodes and carry no tree.  Raises CyclicGraph when the
-    graph has a cycle.
+    unmasked edges hold a cycle.
     """
-    parent, up, orders = components(g)
-    if len(g.edges) > len(parent) - len(orders):
+    parent, up, orders = components(g, mask)
+    if len(g.edge_list) - sum(mask) > len(parent) - len(orders):
         raise CyclicGraph("interference graph has a cycle; sparsify first")
     # sources have the smallest ids, so a component holding one starts at its smallest
     return parent, up, [order for order in orders if order[0] < g.n_sources]

@@ -31,7 +31,7 @@ import numpy as np
 from . import gf, kernels
 from .gf import DEFAULT_Q
 from .interference import InterferenceGraph, decompose
-from .network import Network, NetworkRealization, realize
+from .network import AssumptionViolation, Network, NetworkRealization, ValidationReport, realize
 from .sparsify import SparsificationResult
 
 
@@ -112,10 +112,10 @@ class PrecodingPlan:
 def build_precoding(g: InterferenceGraph, forest: tuple[list[int], list[int], list[list[int]]], realization: NetworkRealization, seed: int) -> np.ndarray:
     """All precoding vectors, as the (K, n) array V, for one realized assignment.
 
-    ``forest`` is decompose(g): every node's BFS parent and tree-edge id,
-    and the visit orders that the walk follows.  A link's row may vanish at
-    some slot, walked up or down: only its nonzero entries are inverted, so
-    a zero stays zero and zeroes the vectors below it at that slot, and
+    ``forest`` is decompose(g, mask): every node's BFS parent and tree-edge
+    id, and the visit orders that the walk follows.  A link's row may vanish
+    at some slot, walked up or down: only its nonzero entries are inverted,
+    so a zero stays zero and zeroes the vectors below it at that slot, and
     verification judges whether every destination still decodes.
     """
     q = realization.q
@@ -155,23 +155,28 @@ def verify_alignment(plan: PrecodingPlan) -> np.ndarray:
 def plan_with_resampling(net: Network, sparsification: SparsificationResult, max_attempts: int = 20, seed: int = 0, q: int = DEFAULT_Q) -> PrecodingPlan:
     """Realize, precode, and verify with fresh randomness until every destination decodes.
 
-    Destination i decodes its demands plus its extra-decode set and sees the
-    sparsified graph's interferers at i as interference; the plan carries
-    both sets.  The one acceptance rule: verify_alignment's mask is all
-    True; any other attempt is retried.  The graph must be exact, as
-    build_igraph returns it.  Exhausting the ``max_attempts`` (at least 1)
-    raises ConstraintViolation with each attempt's failing destinations,
-    each with its smallest interferer.  Random coefficients decode only with high
-    probability, so at small q this can happen on a network that a larger q
-    serves.
+    Destination i decodes its demands plus its extra-decode set and sees its
+    other interferers in the sparsified graph as interference; the plan
+    carries both sets.  The one acceptance rule: verify_alignment's mask is
+    all True; any other attempt is retried.  The graph must be exact, as
+    build_igraph returns it.  A demanded pair that no path joins raises
+    AssumptionViolation before any draw.  Exhausting the ``max_attempts``
+    (at least 1) raises ConstraintViolation with each attempt's failing
+    destinations, each with its smallest interferer.  Random coefficients
+    decode only with high probability, so at small q this can happen on a
+    network that a larger q serves.
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
+    dest, src = zip(*((i, j) for i, demand in enumerate(net.demands) for j in sorted(demand)))
+    lost = [(i, j, 0, True, False) for i, j, p in zip(dest, src, net.row(dest, src).tolist()) if p == len(net.joined)]
+    if lost:  # no path joins these demanded pairs, so no attempt can decode them
+        raise AssumptionViolation(ValidationReport(tuple(lost)))
     n = net.demand_size + sparsification.d_star + 1
-    h_bar = sparsification.h_bar
-    forest = decompose(h_bar)
-    new_demands = tuple(net.demands[i] | sparsification.extra_decode[i] for i in range(net.n_destinations))
-    new_interference = tuple(frozenset(h_bar.interferers(i)) for i in range(net.n_destinations))
+    g, extra = sparsification.graph, sparsification.extra_decode
+    forest = decompose(g, bytearray(j in extra[i] for j, i in g.edge_list))
+    new_demands = tuple(net.demands[i] | extra[i] for i in range(net.n_destinations))
+    new_interference = tuple(frozenset(g.interferers(i)) - extra[i] for i in range(net.n_destinations))
 
     rng = np.random.default_rng(seed)
     attempt_failures = []
@@ -179,7 +184,7 @@ def plan_with_resampling(net: Network, sparsification: SparsificationResult, max
         r_seed = int(rng.integers(0, 2**63))
         p_seed = int(rng.integers(0, 2**63))
         realization = realize(net, n, r_seed, q)
-        plan = PrecodingPlan(build_precoding(h_bar, forest, realization, p_seed), realization, new_demands, new_interference, attempt)
+        plan = PrecodingPlan(build_precoding(g, forest, realization, p_seed), realization, new_demands, new_interference, attempt)
         ok = verify_alignment(plan)
         if ok.all():
             return plan

@@ -13,11 +13,12 @@ allow, sum c_i <= k + m - 1, the size of a spanning tree of a component
 with k sources and m destinations; a tree component gets d = 0 and no
 search.
 
-Each quota runs one Kruskal scan by union-find (``_forest``) in reverse
-label order, keeping each edge that joins two trees while its destination
-has room.  The order is reversed because, for one matroid, the greedy that
-removes edges in label order while the rest stays connected removes exactly
-the complement of the greedy forest in reverse label order.
+All of it works in g's edge ids.  Each quota runs one Kruskal scan by
+union-find (``_forest``) in reverse label order, keeping each edge that joins
+two trees while its destination has room.  The order is reversed because,
+for one matroid, the greedy that removes edges in label order while the rest
+stays connected removes exactly the complement of the greedy forest in
+reverse label order.
 
 The common independent sets of two matroids do not form a matroid, so the
 scan can stall at a maximal forest below the maximum (rare, but real: see
@@ -28,11 +29,11 @@ over the forest; an outside edge's exchange arcs are the forest edges on the
 tree path between its ends, and an inside edge's are the outside edges at
 its destination, so a round costs O(V + E) plus the tree paths it walks.
 
-The removal is the component minus the forest extended, uncapped, to a
-spanning tree, which keeps at least c_i edges at every W_i.  It goes straight
-into each destination's extra-decode set, and a trim in label order fills
-every set to min(d*, deg_i) sources; h_bar is g without those edges.
-precoding.plan_with_resampling derives the decode and interference sets.
+The removal is the component minus the forest extended to a spanning tree
+(capped at the degrees, which never bind), which keeps at least c_i edges at
+every W_i.  It goes straight into each destination's extra-decode set, and a
+trim in label order fills every set to min(d*, deg_i) sources.  H-bar is g
+without those edges: precoding.plan_with_resampling masks them in g.
 """
 
 from __future__ import annotations
@@ -40,23 +41,23 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .interference import Edge, InterferenceGraph, components, connected_components
+from .interference import InterferenceGraph, components, connected_components
 
 
-def default_labeling(g: InterferenceGraph) -> tuple[Edge, ...]:
-    """Deterministic edge order: lexicographic by (destination, source)."""
-    return tuple(sorted(g.edges, key=lambda e: (e[1], e[0])))
+def default_labeling(g: InterferenceGraph) -> tuple[int, ...]:
+    """g's edge ids by (destination, source): ids ascend with (source, destination), so a stable sort by destination."""
+    return tuple(sorted(range(len(g.edge_list)), key=[i for _, i in g.edge_list].__getitem__))
 
 
-def _forest(g: InterferenceGraph, edges, room: dict[int, int] | None = None) -> tuple[Edge, ...]:
-    """Kruskal by union-find: each edge, in the given order, that joins two trees of the edges kept before it.
+def _forest(g: InterferenceGraph, edges, room: dict[int, int]) -> tuple[int, ...]:
+    """Kruskal by union-find: each edge id, in the given order, that joins two trees of the edges kept before it.
 
-    With ``room``, a cap per destination, an edge is kept only while its
+    ``room`` caps each destination: an edge is kept only while its
     destination has fewer kept edges than its cap.
     """
-    k = g.n_sources
+    k, pairs = g.n_sources, g.edge_list
     root = list(range(len(g.incidence)))
-    left = None if room is None else dict(room)
+    left = dict(room)
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -65,16 +66,15 @@ def _forest(g: InterferenceGraph, edges, room: dict[int, int] | None = None) -> 
         return v
 
     kept = []
-    for e in edges:
-        j, i = e
-        if left is not None and not left[i]:
+    for x in edges:
+        j, i = pairs[x]
+        if not left[i]:
             continue
         a, b = find(j), find(k + i)
         if a != b:
             root[a] = b
-            kept.append(e)
-            if left is not None:
-                left[i] -= 1
+            kept.append(x)
+            left[i] -= 1
     return tuple(kept)
 
 
@@ -98,13 +98,13 @@ def _tree_path(parent: list[int], up: list[int], visit: list[int], u: int, v: in
     return path
 
 
-def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[int, int], start) -> tuple[Edge, ...]:
+def _augment_to_maximum(g: InterferenceGraph, pool: tuple[int, ...], cap: dict[int, int], start) -> tuple[int, ...]:
     """Maximum forest of ``pool`` with at most ``cap[i]`` edges at each destination i, by augmenting paths.
 
     Grows ``start`` (such a capped forest) by one edge per shortest
     augmenting path until none exists, or until it reaches sum(cap), past
-    which none can; by the matroid intersection theorem the result is
-    maximum.  ``pool`` holds every edge of one component of g.
+    which none can; by the matroid intersection theorem the result (ids
+    ascending) is maximum.  ``pool`` holds every edge id of one component.
 
     Each round makes one ``components`` pass over the forest I, every edge
     outside it masked, and searches backward: from the outside edges whose
@@ -113,21 +113,21 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[
     it keeps the caps, for an x whose destination is full, iff y is at x's
     destination: the outside ones in its ``incidence`` list.  A path's flips
     add a used edge only at its first edge's destination, since every other
-    flip swaps two edges at one.  Ascending edge ids are ascending edges.
+    flip swaps two edges at one.
     """
-    ids, edges, incidence, k = g.ids, g.edge_list, g.incidence, g.n_sources
-    pool_ids = sorted(ids[e] for e in pool)
+    edges, incidence, k = g.edge_list, g.incidence, g.n_sources
+    pool = sorted(pool)
     outside = bytearray(b"\x01") * len(edges)
-    for e in start:
-        outside[ids[e]] = 0
-    used = Counter(i for _, i in start)  # inside edges per destination
+    for x in start:
+        outside[x] = 0
+    used = Counter(edges[x][1] for x in start)  # inside edges per destination
     size, most = len(start), sum(cap.values())
     while size < most:
         parent, up, orders = components(g, outside)
         visit = [0] * len(parent)
         for n, v in enumerate(v for order in orders for v in order):
             visit[v] = n
-        queue = [x for x in pool_ids if outside[x] and used[edges[x][1]] < cap[edges[x][1]]]
+        queue = [x for x in pool if outside[x] and used[edges[x][1]] < cap[edges[x][1]]]
         prev = dict.fromkeys(queue, -1)
         goal = -1
         for u in queue:  # the list doubles as the queue
@@ -150,7 +150,7 @@ def _augment_to_maximum(g: InterferenceGraph, pool: tuple[Edge, ...], cap: dict[
             first, goal = goal, prev[goal]
         used[edges[first][1]] += 1
         size += 1
-    return tuple(edges[x] for x in pool_ids if not outside[x])
+    return tuple(x for x in pool if not outside[x])
 
 
 @dataclass(frozen=True)
@@ -166,21 +166,20 @@ class SparsificationResult:
     """Outcome of the minimal extra-decode search.
 
     Each component's removal is the complement of a spanning tree that
-    keeps at least max(deg - d, 1) edges at every destination.  ``h_bar``
+    keeps at least max(deg - d, 1) edges at every destination.  A trim
     removes further kept edges until every destination node has lost
-    exactly min(d_star, degree) edges; those losses define the
-    per-destination extra-decode sets.  ``independence_checks`` adds f, the
-    component's edge count, per quota scanned (once for a tree component,
-    which needs no scan): every scanned candidate counts, the ones without
-    room too.
-    ``augmentations`` counts every call of the exact fallback after a scan
+    exactly min(d_star, degree) edges; those losses are the extra-decode
+    sets, and H-bar is ``graph``, the g searched, less them.
+    ``independence_checks`` adds f, the component's edge count, per quota
+    scanned (once for a tree component, which needs no scan): every scanned
+    candidate counts, the ones without room too.  ``augmentations`` counts every call of the exact fallback after a scan
     stalled below sum(cap), including the calls that only prove a quota
     infeasible.  Quotas below the degree count are never scanned, so they
     add to neither counter.
     """
 
     d_star: int
-    h_bar: InterferenceGraph
+    graph: InterferenceGraph
     extra_decode: tuple[frozenset[int], ...]
     components: tuple[ComponentStats, ...]
     independence_checks: int
@@ -199,13 +198,13 @@ def _degree_count_quota(degrees, target: int) -> int:
 
 
 def find_dstar(g: InterferenceGraph) -> SparsificationResult:
-    """Find d* and the sparsified acyclic graph for a (possibly disconnected) g.
+    """Find d* and the extra-decode sets whose edges leave a (possibly disconnected) g acyclic.
 
     Each component is searched independently, iterating the quota d upward
     from ``_degree_count_quota`` until the capped forest reaches sum(cap);
     d* is the maximum over components.
     """
-    label_order = default_labeling(g)
+    label_order, edges = default_labeling(g), g.edge_list
 
     checks = 0
     augmentations = 0
@@ -213,16 +212,16 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     stats = []
     comps = connected_components(g)
     which = {v: c for c, comp in enumerate(comps) for v in comp}
-    buckets: list[list[Edge]] = [[] for _ in comps]
-    for e in label_order:  # each component's edges in label order, in one pass
-        buckets[which[e[0]]].append(e)
+    buckets: list[list[int]] = [[] for _ in comps]
+    for x in label_order:  # each component's edges in label order, in one pass
+        buckets[which[edges[x][0]]].append(x)
     for comp, comp_labels in zip(comps, map(tuple, buckets)):
         f = len(comp_labels)
         if f == 0:
             continue
         k = sum(1 for v in comp if v < g.n_sources)
         m = len(comp) - k
-        degrees = Counter(i for _, i in comp_labels)
+        degrees = Counter(edges[x][1] for x in comp_labels)
         max_degree = max(degrees.values())
         d = _degree_count_quota(degrees.values(), f - k - m + 1)
         while True:
@@ -238,8 +237,8 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
                 kept = _augment_to_maximum(g, comp_labels, cap, kept)
                 augmentations += 1
             if len(kept) == sum(cap.values()):
-                for j, i in set(comp_labels).difference(_forest(g, kept + comp_labels[::-1])):
-                    extra[i].add(j)
+                for x in set(comp_labels).difference(_forest(g, kept + comp_labels[::-1], degrees)):
+                    extra[edges[x][1]].add(edges[x][0])
                 break
             d += 1
             if d >= max_degree:
@@ -254,13 +253,13 @@ def find_dstar(g: InterferenceGraph) -> SparsificationResult:
     # edges in total.  Extra deletions come from the spanning forest in label
     # order; removing forest edges keeps the graph acyclic, and since each edge
     # touches exactly one destination node the quotas never interact.
-    for j, i in label_order:
+    for j, i in map(edges.__getitem__, label_order):
         if len(extra[i]) < d_star:
             extra[i].add(j)
 
     return SparsificationResult(
         d_star=d_star,
-        h_bar=InterferenceGraph(g.n_sources, g.n_destinations, ((j, i) for j, i in g.edges if j not in extra[i])),
+        graph=g,
         extra_decode=tuple(map(frozenset, extra)),
         components=tuple(stats),
         independence_checks=checks,

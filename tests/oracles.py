@@ -16,7 +16,11 @@ with one component count per edge; ``max_capped_forest``, the largest capped
 forest by subset enumeration; and ``shortest_cycle_by_full_bfs``, one
 complete breadth-first tree per edge.
 ``find_dstar_with_removal`` returns find_dstar's result with the removal it
-makes before the trim, recorded from its uncapped scans rather than rebuilt.
+makes before the trim, recorded from its spanning-tree extensions (the scans
+whose caps cannot bind) rather than rebuilt.  The package works in g's edge
+ids, which ``edge_ids`` gives for (j, i) pairs; ``sparsified_graph`` is H-bar
+as a graph of its own, g less the extra-decoded edges, as find_dstar once
+returned it.
 ``augment_by_rebuilt_exchanges`` is the capped-forest augmentation
 find_dstar once ran, which rebuilt its used counts and per-destination
 outside edges from the pool every round.  It shares the package's
@@ -550,6 +554,19 @@ def bfs_forest(g: InterferenceGraph) -> list[dict[Node, Node | None]]:
     return trees
 
 
+def edge_ids(g: InterferenceGraph, edges) -> tuple[int, ...]:
+    """g's edge ids of the (source, destination) pairs ``edges``, in order: each pair's place in sorted g.edges."""
+    ids = {edge: x for x, edge in enumerate(sorted(g.edges))}
+    return tuple(ids[edge] for edge in edges)
+
+
+def sparsified_graph(spars) -> InterferenceGraph:
+    """H-bar built on its own: the searched graph without each edge (j, i) whose j is in extra_decode[i]."""
+    g = spars.graph
+    return InterferenceGraph(g.n_sources, g.n_destinations,
+                             ((j, i) for j, i in g.edges if j not in spars.extra_decode[i]))
+
+
 def integer_forest(g: InterferenceGraph, trees) -> tuple[list[int], list[int], list[list[int]]]:
     """{node: parent} trees as decompose's arrays: every node's parent (itself at a root or
     outside the trees) and tree-edge id (-1 there), and each tree's nodes in its dict order."""
@@ -563,7 +580,7 @@ def integer_forest(g: InterferenceGraph, trees) -> tuple[list[int], list[int], l
         for v, u in tree.items():
             if u is not None:
                 parent[node_id(v)] = node_id(u)
-                up[node_id(v)] = g.ids[(v[1], u[1]) if v[0] == "x" else (u[1], v[1])]
+                up[node_id(v)] = edge_ids(g, [(v[1], u[1]) if v[0] == "x" else (u[1], v[1])])[0]
     return parent, up, [[node_id(v) for v in tree] for tree in trees]
 
 
@@ -651,39 +668,41 @@ def greedy_scan_by_component_counts(g: InterferenceGraph, labeling: tuple[Edge, 
     return tuple(chosen)
 
 
-def forest_scan_by_component_counts(g: InterferenceGraph, edges, room=None) -> tuple[Edge, ...]:
-    """find_dstar's Kruskal scan with one full component count per edge.
+def forest_scan_by_component_counts(g: InterferenceGraph, edges, room) -> tuple[int, ...]:
+    """find_dstar's Kruskal scan with one full component count per edge, over g's edge ids.
 
     Keeps each edge, in the given order, whose addition lowers the component
     count of the kept edges while its destination has kept fewer than
-    ``room[i]`` (no cap without ``room``).
+    ``room[i]``.
     """
     kept: list[Edge] = []
     per_dest: dict[int, int] = {}
-    for e in edges:
-        if room is not None and per_dest.get(e[1], 0) >= room[e[1]]:
+    for e in map(sorted(g.edges).__getitem__, edges):
+        if per_dest.get(e[1], 0) >= room[e[1]]:
             continue
         if component_count(g, g.edges - set(kept) - {e}) == component_count(g, g.edges - set(kept)):
             continue
         kept.append(e)
         per_dest[e[1]] = per_dest.get(e[1], 0) + 1
-    return tuple(kept)
+    return edge_ids(g, kept)
 
 
 def find_dstar_with_removal(g: InterferenceGraph):
     """find_dstar(g) and its pre-trim removal, as (result, removal), observed rather than recomputed.
 
     Wraps whatever ``sparsify._forest`` is at call time, so a swapped-in scan
-    still composes.  find_dstar makes an uncapped call only to extend a
-    component's capped forest to a spanning tree, and that call's edges minus
-    its result are the component's removal.
+    still composes.  find_dstar extends a component's capped forest to a
+    spanning tree by one call whose caps, the degrees, cannot bind: no
+    destination has more of its edges than its cap.  That call's edges minus
+    its result are the component's removal, given as (j, i) pairs.  Every
+    quota scan caps some destination below its degree.
     """
     scan, removal = sparsify._forest, set()
 
-    def recording(g, edges, room=None):
+    def recording(g, edges, room):
         kept = scan(g, edges, room)
-        if room is None:
-            removal.update(set(edges).difference(kept))
+        if all(n <= room[i] for i, n in Counter(g.edge_list[x][1] for x in set(edges)).items()):
+            removal.update(g.edge_list[x] for x in set(edges).difference(kept))
         return kept
 
     sparsify._forest = recording
@@ -803,19 +822,20 @@ def augment_by_component_counts(g, pool, d: int, start):
             node = prev[node]
 
 
-def augment_by_rebuilt_exchanges(g: InterferenceGraph, pool, cap: dict[int, int], start) -> tuple[Edge, ...]:
+def augment_by_rebuilt_exchanges(g: InterferenceGraph, pool, cap: dict[int, int], start) -> tuple[int, ...]:
     """find_dstar's augmentation to a maximum capped forest, with its per-round rebuilds.
 
     Each round counts the inside edges per destination and lists the outside
     edges per destination afresh from ``pool``; otherwise the search is
     ``sparsify._augment_to_maximum``'s, so both must grow ``start`` along the
-    same shortest augmenting paths.
+    same shortest augmenting paths.  ``pool``, ``start`` and the result are
+    g's edge ids.
     """
-    ids, edges, k = g.ids, g.edge_list, g.n_sources
-    pool_ids = sorted(ids[e] for e in pool)
+    edges, k = g.edge_list, g.n_sources
+    pool_ids = sorted(pool)
     outside = bytearray(b"\x01") * len(edges)
-    for e in start:
-        outside[ids[e]] = 0
+    for x in start:
+        outside[x] = 0
     size, most = len(start), sum(cap.values())
     while size < most:
         parent, up, orders = components(g, outside)
@@ -849,7 +869,7 @@ def augment_by_rebuilt_exchanges(g: InterferenceGraph, pool, cap: dict[int, int]
             outside[goal] ^= 1
             goal = prev[goal]
         size += 1
-    return tuple(edges[x] for x in pool_ids if not outside[x])
+    return tuple(x for x in pool_ids if not outside[x])
 
 
 def verdicts_by_ranks(plan) -> list[Verdict]:

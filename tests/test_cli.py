@@ -903,7 +903,7 @@ def test_pipeline_report_implies_the_mincut_table(tmp_path, capsys):
     assert min(seen.values()) >= 300, seen
 
 
-def test_a_network_that_joins_no_pair(tmp_path, capsys):
+def test_a_network_that_joins_no_pair(tmp_path, capsys, monkeypatch):
     # P = 0: a realization is one zero row, the graph has no edge, and no destination decodes
     net = network.Network(("S1", "S2", "D1", "D2"), (), ("S1", "S2"), ("D1", "D2"), ([0], [1]))
     assert net.joined.tolist() == []
@@ -926,8 +926,14 @@ def test_a_network_that_joins_no_pair(tmp_path, capsys):
     assert code == cli.EXIT_OK
     assert report["sparsification"] == {"components": [], "d_star": 0, "extra_decode": [[], []],
                                         "independence_checks": 0}
-    assert run("precode") == (cli.EXIT_CONSTRAINTS, "error: precoding: no valid assignment found in 20 attempts; "
-                              "every attempt failed at (D1, no interferer), (D2, no interferer)\n")
+    # no path joins either demanded pair, so precode and simulate exit 3 before any precoding draw
+    draws = []
+    monkeypatch.setattr(precoding, "realize", lambda *args: draws.append(args))
+    for command in ("precode", "simulate"):
+        assert run(command) == (cli.EXIT_ASSUMPTIONS, "error: network: mincut assumptions violated for: "
+                                "(D1, S1) mincut=0, (D2, S2) mincut=0 (every demanded pair needs mincut exactly 1, "
+                                "others at most 1)\n")
+    assert draws == []
 
 
 def test_mincut_table_lists_the_pairs_joined_by_a_path_or_demanded(tmp_path, capsys):

@@ -6,7 +6,7 @@ from pbna import sparsify as sp
 from pbna.network import Network, realize
 from gen import (cyclic_instance, dense_bipartite, forest_instance, random_bipartite, random_dag_net,
                  random_multiterminal_dag)
-from oracles import bipartite_has_cycle_bruteforce, find_dstar_with_removal, shortest_cycle_by_full_bfs
+from oracles import bipartite_has_cycle_bruteforce, edge_ids, find_dstar_with_removal, shortest_cycle_by_full_bfs
 
 
 def graph_of(net: Network, trials: int = 3, seed: int = 0):
@@ -43,8 +43,8 @@ def test_has_cycle_tree_and_disjoint_edges():
 
 
 def test_integer_view_matches_the_edge_set():
-    # The view built at construction: edge ids follow sorted edge order, ids
-    # inverts edge_list, and incidence lists each node's edges by ascending id.
+    # The view built at construction: edge ids follow sorted edge order, and
+    # incidence lists each node's edges by ascending id.
     rng = np.random.default_rng(2028)
     graphs = [ig.InterferenceGraph(3, 2, iter(()))]
     graphs += [random_bipartite(rng, max_sources=7, max_dests=7, max_edges=20) for _ in range(120)]
@@ -58,13 +58,13 @@ def test_integer_view_matches_the_edge_set():
         k = g.n_sources
         assert isinstance(g.edges, frozenset)
         assert g.edge_list == tuple(sorted(g.edges))
-        assert len(g.ids) == len(g.edges) and all(g.ids[g.edge_list[x]] == x for x in range(len(g.edge_list)))
+        assert edge_ids(g, g.edge_list) == tuple(range(len(g.edges)))
         assert len(g.incidence) == k + g.n_destinations
         for v, pairs in enumerate(g.incidence):
             assert pairs == [(k + i if v == j else j, x) for x, (j, i) in enumerate(sorted(g.edges)) if v in (j, k + i)]
         seen["isolated"] += any(not pairs for pairs in g.incidence)
         seen["several_components"] += sum(len(c) > 1 for c in ig.connected_components(g)) >= 2
-    assert graphs[0].edge_list == () and graphs[0].ids == {} and graphs[0].incidence == ([],) * 5
+    assert graphs[0].edge_list == () and graphs[0].incidence == ([],) * 5
     assert min(seen.values()) >= 20, seen
 
 
@@ -90,25 +90,25 @@ def _depths(parent, order) -> dict:
 def test_decompose_single_edge():
     g = ig.InterferenceGraph(2, 1, frozenset({(1, 0)}))
     # the isolated source S1, then the S2-W1 tree; W1 is node 2, reached over edge 0
-    assert ig.decompose(g) == ([0, 1, 1], [-1, -1, 0], [[0], [1, 2]])
+    assert ig.decompose(g, bytes(len(g.edge_list))) == ([0, 1, 1], [-1, -1, 0], [[0], [1, 2]])
 
 
 def test_decompose_path():
     g = ig.InterferenceGraph(2, 1, frozenset({(0, 0), (1, 0)}))
     # S1 -(edge 0)- W1 -(edge 1)- S2
-    assert ig.decompose(g) == ([0, 2, 0], [-1, 1, 0], [[0, 2, 1]])
+    assert ig.decompose(g, bytes(len(g.edge_list))) == ([0, 2, 0], [-1, 1, 0], [[0, 2, 1]])
 
 
 def test_decompose_star():
     g = ig.InterferenceGraph(3, 1, frozenset({(0, 0), (1, 0), (2, 0)}))
     # S1 -(edge 0)- W1, then S2 and S3 below W1 over edges 1 and 2
-    assert ig.decompose(g) == ([0, 3, 3, 0], [-1, 1, 2, 0], [[0, 3, 1, 2]])
+    assert ig.decompose(g, bytes(len(g.edge_list))) == ([0, 3, 3, 0], [-1, 1, 2, 0], [[0, 3, 1, 2]])
 
 
 def test_decompose_rejects_cycles():
     g = ig.InterferenceGraph(2, 2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
     with pytest.raises(ig.CyclicGraph):
-        ig.decompose(g)
+        ig.decompose(g, bytes(len(g.edge_list)))
 
 
 def test_decompose_partitions_nodes_and_levels_alternate():
@@ -118,7 +118,7 @@ def test_decompose_partitions_nodes_and_levels_alternate():
         if ig.has_cycle(g):
             continue
         k = g.n_sources
-        parent, up, orders = ig.decompose(g)
+        parent, up, orders = ig.decompose(g, bytes(len(g.edge_list)))
         seen_x: list[int] = []
         # destinations without an interferer form their own components and carry no tree
         seen_y = [i for i in range(g.n_destinations) if not g.interferers(i)]
@@ -206,7 +206,7 @@ def test_components_discovered_in_ascending_root_order():
         g = random_bipartite(rng, max_edges=8)
         if ig.has_cycle(g):
             continue
-        parent, up, orders = ig.decompose(g)
+        parent, up, orders = ig.decompose(g, bytes(len(g.edge_list)))
         roots = [order[0] for order in orders]
         assert roots == sorted(roots)
         for root, order in zip(roots, orders):
@@ -221,8 +221,8 @@ def test_components_discovered_in_ascending_root_order():
 def _mask(g: ig.InterferenceGraph, removed) -> bytearray:
     """The edges in ``removed``, all of them g's, as a mask over g's edge ids."""
     mask = bytearray(len(g.edge_list))
-    for edge in removed:
-        mask[g.ids[edge]] = 1
+    for x in edge_ids(g, removed):
+        mask[x] = 1
     return mask
 
 
@@ -258,7 +258,7 @@ def test_shortest_cycle_matches_networkx_girth():
         assert cyc[0] == min(cyc) < g.n_sources
         for u, v in zip(cyc, cyc[1:] + cyc[:1]):
             assert (u < g.n_sources) != (v < g.n_sources)
-            assert _edge(g, u, v) in g.ids
+            assert _edge(g, u, v) in g.edges
     assert seen_cyclic > 50
 
 
@@ -288,11 +288,11 @@ def test_decompose_matches_networkx():
         nx, h = _nx_graph(g)
         if not nx.is_forest(h):
             with pytest.raises(ig.CyclicGraph):
-                ig.decompose(g)
+                ig.decompose(g, bytes(len(g.edge_list)))
             cyclic += 1
             continue
         forests += 1
-        parent, up, orders = ig.decompose(g)
+        parent, up, orders = ig.decompose(g, bytes(len(g.edge_list)))
         with_source = sorted((c for c in nx.connected_components(h) if min(c) < g.n_sources), key=min)
         assert [set(order) for order in orders] == with_source
         for order, comp in zip(orders, with_source):
@@ -354,12 +354,12 @@ def test_forest_paths_do_not_recurse_on_long_paths():
     res, removal = find_dstar_with_removal(g)
     assert res.d_star == 1 and len(removal) == 1
     # S1 to Wn crosses every edge of the 4,000-node path
-    assert sorted(sp._tree_path(*_forest_walk(g, path), 0, 2 * n)) == sorted(g.ids[e] for e in path)
+    assert sorted(sp._tree_path(*_forest_walk(g, path), 0, 2 * n)) == sorted(edge_ids(g, path))
     # From the path, at two kept edges per destination: W1 is full, Wn has room
     # for (S1, Wn), which closes the whole path, and the pendant edge joins S(n+1)
     # once an edge at W1 leaves.  The one augmenting path walks all 3,999 edges.
     cap = dict.fromkeys(range(n), 2)
-    grown = set(sp._augment_to_maximum(g, sp.default_labeling(g), cap, tuple(path)))
+    grown = {g.edge_list[x] for x in sp._augment_to_maximum(g, sp.default_labeling(g), cap, edge_ids(g, path))}
     assert len(grown) == 2 * n and {(0, n - 1), (n, 0)} <= grown
     assert len(path - grown) == 1 and (path - grown) <= {(0, 0), (1, 0)}
     assert not ig.has_cycle(ig.InterferenceGraph(n + 1, n, grown))
@@ -401,7 +401,7 @@ def test_bridge_forest_arcs_match_networkx():
             u, v = j, g.n_sources + i
             if nx.has_path(h, u, v):
                 nodes = nx.shortest_path(h, u, v)
-                assert sorted(found) == sorted(g.ids[_edge(g, a, b)] for a, b in zip(nodes, nodes[1:]))
+                assert sorted(found) == sorted(edge_ids(g, [_edge(g, a, b) for a, b in zip(nodes, nodes[1:])]))
                 h.add_edge(u, v)
                 bridges = {_edge(g, a, b) for a, b in nx.bridges(h)}
                 h.remove_edge(u, v)

@@ -111,7 +111,7 @@ def test_pipeline_refuses_precoding_on_cyclic_graph(fourbyfour):
     # pipeline: decomposition refuses cyclic graphs outright
     graph = build_igraph(fourbyfour, realize(fourbyfour, 3, 0))
     with pytest.raises(CyclicGraph):
-        decompose(graph)
+        decompose(graph, bytes(len(graph.edge_list)))
 
 
 def test_nonconstant_rate_over_seeds(fourbyfour):

@@ -7,13 +7,15 @@ import pytest
 from pbna import gf
 from pbna import precoding as pc
 from pbna.interference import InterferenceGraph, MissedInterference, build_igraph, decompose, has_cycle
-from pbna.network import Network, load_network_file, realize
+from pbna.network import (AssumptionViolation, Network, ValidationReport, load_network_file, realize,
+                          validate_assumptions)
 from pbna.simulate import run_session
 from pbna.sparsify import find_dstar
-from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite, seeded_messages,
+from gen import (adversarial_net, cyclic_instance, forest_instance, fourbyfour_net, random_bipartite,
+                 random_dag_net, random_multiterminal_dag, seeded_messages,
                  sixcycle_net)
 from oracles import (bfs_forest, bfs_tree, decode_sources, dense_transfer, integer_forest, precoding_by_tree_walk,
-                     realization_of_table, verdicts_by_ranks)
+                     realization_of_table, sparsified_graph, verdicts_by_ranks)
 
 
 def path_net() -> Network:
@@ -43,7 +45,7 @@ def build_plan(net: Network, seed: int = 0, q: int = gf.DEFAULT_Q) -> pc.Precodi
 def walked_up_links(g: InterferenceGraph) -> tuple[np.ndarray, np.ndarray]:
     """(destination, source) arrays of the tree links build_precoding inverts:
     those walked from a destination node down to a source, in walk order."""
-    _, up, orders = decompose(g)
+    _, up, orders = decompose(g, bytes(len(g.edge_list)))
     links = [g.edge_list[up[v]] for order in orders for v in order[1:] if v < g.n_sources]
     src, dest = np.array(links, dtype=np.int64).reshape(-1, 2).T
     return dest, src
@@ -58,7 +60,7 @@ def test_path_vector_follows_parity_rule():
     q = gf.DEFAULT_Q
     realization = realize(net, 2, seed=5, q=q)
     graph = build_igraph(net, realization)
-    forest = decompose(graph)
+    forest = decompose(graph, bytes(len(graph.edge_list)))
     V = pc.build_precoding(graph, forest, realization, seed=8)
     theta = V[0]  # the root keeps its raw random vector
     transfer = dense_transfer(realization)
@@ -79,7 +81,7 @@ def test_star_columns_coincide():
     net = star_net()
     realization = realize(net, 2, seed=11)
     graph = build_igraph(net, realization)
-    V = pc.build_precoding(graph, decompose(graph), realization, seed=3)
+    V = pc.build_precoding(graph, decompose(graph, bytes(len(graph.edge_list))), realization, seed=3)
     q = realization.q
     cols = [dense_transfer(realization)[0, j, :] * V[j] % q for j in (0, 1, 2)]
     assert np.array_equal(cols[0], cols[1])
@@ -135,7 +137,7 @@ def _oracle_cases(rng: np.random.Generator):
             cases.append((g, realization_of_table(transfer, q)))
     for t in range(120):
         net = forest_instance(rng)[0] if t % 2 else cyclic_instance(rng, int(rng.integers(8, 21)))[0]
-        h_bar = find_dstar(build_igraph(net, realize(net, 3, seed=t))).h_bar
+        h_bar = sparsified_graph(find_dstar(build_igraph(net, realize(net, 3, seed=t))))
         cases.append((h_bar, realize(net, int(rng.integers(1, 5)), seed=t, q=fields[t % 3])))
     return cases
 
@@ -146,7 +148,7 @@ def test_build_precoding_matches_the_dict_tree_walk():
     seen = {"root-only tree": 0, "destination-only component": 0, "vanished walked-up link": 0, "depth >= 4": 0}
     cases = _oracle_cases(rng)
     for t, (g, realization) in enumerate(cases):
-        forest, trees = decompose(g), bfs_forest(g)
+        forest, trees = decompose(g, bytes(len(g.edge_list))), bfs_forest(g)
         assert forest == integer_forest(g, trees)
         seed = int(rng.integers(2**31))
         assert np.array_equal(pc.build_precoding(g, forest, realization, seed),
@@ -178,7 +180,7 @@ def test_a_vanished_walked_up_link_costs_no_attempt_by_itself():
     # a plan whose inverted link vanished somewhere is accepted whenever it decodes
     net = path_net()
     spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
-    dest, src = walked_up_links(spars.h_bar)
+    dest, src = walked_up_links(sparsified_graph(spars))
     assert list(zip(dest.tolist(), src.tolist())) == [(0, 1)]  # S2 hangs below W1, below the root S1
     vanished = 0
     for seed in range(40):
@@ -187,6 +189,36 @@ def test_a_vanished_walked_up_link_costs_no_attempt_by_itself():
         assert all(trace.success), seed
         vanished += not dense_transfer(plan.realization)[0, 1].all()
     assert vanished >= 1
+
+
+def test_a_demanded_pair_that_no_path_joins_stops_the_plan_before_any_draw(monkeypatch):
+    # No attempt can decode a demanded pair that no path joins, so plan_with_resampling names every
+    # such pair (the validation report's demanded rows with mincut 0) and draws no realization;
+    # any other network gets its one attempt here.
+    rng = np.random.default_rng(45)
+    edgeless = Network(("S1", "S2", "D1", "D2"), (), ("S1", "S2"), ("D1", "D2"), (frozenset({0}), frozenset({1})))
+    nets = [edgeless, load_network_file(Path(__file__).resolve().parent / "violating.json")]
+    nets += [random_multiterminal_dag(rng) for _ in range(60)] + [random_dag_net(rng) for _ in range(150)]
+    draws = []
+    monkeypatch.setattr(pc, "realize", lambda *args: draws.append(args) or realize(*args))
+    seen = {"stopped": 0, "drawn": 0}
+    for net in nets:
+        spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
+        unjoined = tuple(row for row in validate_assumptions(net).rows if row[3] and row[2] == 0)
+        draws.clear()
+        if unjoined:
+            with pytest.raises(AssumptionViolation) as exc_info:
+                pc.plan_with_resampling(net, spars, max_attempts=2000)
+            assert str(exc_info.value) == str(AssumptionViolation(ValidationReport(unjoined)))
+            assert draws == []
+        else:
+            try:
+                pc.plan_with_resampling(net, spars, max_attempts=1)
+            except pc.ConstraintViolation:
+                pass
+            assert len(draws) == 1
+        seen["stopped" if unjoined else "drawn"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_resampling_needs_at_least_one_attempt(fourbyfour):
@@ -376,7 +408,7 @@ def test_every_accepted_plan_decodes_at_small_q():
     seen = {"plans at q <= 7": 0, "exhausted": 0, "plans with a vanished walked-up link": 0}
     for n, net in enumerate(nets):
         spars = find_dstar(build_igraph(net, realize(net, 3, seed=0)))
-        dest, src = walked_up_links(spars.h_bar)
+        dest, src = walked_up_links(sparsified_graph(spars))
         for q in (2, 3, 7, 31):
             for seed in range(10):
                 try:
@@ -428,7 +460,7 @@ def test_root_choice_does_not_change_verdicts():
     graph = build_igraph(net, realization)
     # demanded set unchanged, no extra decode
     sets = ((net.demands[0],), (frozenset(graph.interferers(0)),))
-    forest_a = decompose(graph)
+    forest_a = decompose(graph, bytes(len(graph.edge_list)))
     plan_a = pc.PrecodingPlan(pc.build_precoding(graph, forest_a, realization, 1), realization, *sets)
     verdicts_a = pc.verify_alignment(plan_a)
     oracle_a = verdicts_by_ranks(plan_a)

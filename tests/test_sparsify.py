@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from pbna import sparsify as sp
-from pbna.interference import InterferenceGraph, build_igraph, connected_components, has_cycle
+from pbna.interference import CyclicGraph, InterferenceGraph, build_igraph, connected_components, decompose, has_cycle
 from pbna.network import realize
 from gen import cyclic_instance, dense_bipartite, forest_instance, hub_bipartite, random_bipartite
 from oracles import (augment_by_component_counts, augment_by_rebuilt_exchanges, component_count, dstar_exact_removal,
-                     find_dstar_with_removal, forest_scan_by_component_counts, greedy_scan_by_component_counts,
-                     independence_check, max_capped_forest)
+                     edge_ids, find_dstar_with_removal, forest_scan_by_component_counts,
+                     greedy_scan_by_component_counts, independence_check, max_capped_forest, sparsified_graph)
 
 
 def eight_cycle() -> InterferenceGraph:
@@ -69,7 +69,7 @@ def test_greedy_on_tree_removes_nothing():
 def test_greedy_on_eight_cycle_takes_first_label():
     g = eight_cycle()
     res, removal = find_dstar_with_removal(g)
-    assert removal == {sp.default_labeling(g)[0]}
+    assert removal == {g.edge_list[sp.default_labeling(g)[0]]}
     assert res.augmentations == 0
 
 
@@ -88,7 +88,7 @@ def test_dstar_zero_on_forest():
     result = sp.find_dstar(g)
     assert result.d_star == 0
     assert all(not e for e in result.extra_decode)
-    assert result.h_bar.edges == g.edges
+    assert result.graph is g and sparsified_graph(result).edges == g.edges
 
 
 def test_dstar_eight_cycle(fourbyfour):
@@ -96,11 +96,12 @@ def test_dstar_eight_cycle(fourbyfour):
     result = sp.find_dstar(g)
     assert result.d_star == 1
     assert result.d_star == dstar_exact_removal(g)
-    assert not has_cycle(result.h_bar)
+    h_bar = sparsified_graph(result)
+    assert not has_cycle(h_bar)
     # every destination decodes exactly one extra source, demands grow to 3
     assert all(len(e) == 1 for e in result.extra_decode)
     assert all(len(fourbyfour.demands[i] | e) == 3 for i, e in enumerate(result.extra_decode))
-    assert all(len(result.h_bar.interferers(i)) == 1 for i in range(4))
+    assert all(len(h_bar.interferers(i)) == 1 for i in range(4))
 
 
 def test_dstar_two_disjoint_cycles():
@@ -202,7 +203,7 @@ def test_result_invariants_on_random_graphs():
     for _ in range(40):
         g = random_bipartite(rng, max_edges=12)
         res, removal = find_dstar_with_removal(g)
-        assert not has_cycle(res.h_bar)
+        assert not has_cycle(sparsified_graph(res))
         for i in range(g.n_destinations):
             degree = len(g.interferers(i))
             assert len(res.extra_decode[i]) == min(res.d_star, degree)
@@ -220,7 +221,7 @@ def test_trim_tops_each_removal_up_with_the_first_labels_outside_it():
     seen = {"stalled": 0, "deg <= d*": 0, "trimmed": 0}
     for g in graphs:
         res, removal = find_dstar_with_removal(g)
-        labels = sp.default_labeling(g)
+        labels = [g.edge_list[x] for x in sp.default_labeling(g)]
         for i in range(g.n_destinations):
             own = {j for j, d in removal if d == i}
             want = min(res.d_star, len(g.interferers(i)))
@@ -246,14 +247,22 @@ def test_independence_check_budget():
         assert res.independence_checks <= max(budget, 0) + sum(c.edges for c in res.components)
 
 
-def _caps(pool, d: int) -> dict[int, int]:
-    """Each destination's kept-edge cap max(deg - d, 1) at quota d, the degrees counted within ``pool``."""
-    return {i: max(deg - d, 1) for i, deg in Counter(i for _, i in pool).items()}
+def _caps(g: InterferenceGraph, pool, d: int) -> dict[int, int]:
+    """Each destination's kept-edge cap max(deg - d, 1) at quota d, the degrees counted within ``pool``'s edge ids.
+
+    At d = 0 the caps are the degrees, which no forest of ``pool`` can exceed.
+    """
+    return {i: max(deg - d, 1) for i, deg in Counter(g.edge_list[x][1] for x in pool).items()}
+
+
+def _pool(g: InterferenceGraph, members) -> tuple[int, ...]:
+    """The edge ids of the component whose node ids are ``members``, in label order."""
+    return tuple(x for x in sp.default_labeling(g) if g.edge_list[x][0] in members)
 
 
 def _forest_feasible(g: InterferenceGraph, pool, d: int) -> bool:
     """Quota d on the forest side: the scan, rescued by the augmentation, reaches sum(cap)."""
-    cap = _caps(pool, d)
+    cap = _caps(g, pool, d)
     return len(sp._augment_to_maximum(g, pool, cap, sp._forest(g, pool[::-1], cap))) == sum(cap.values())
 
 
@@ -271,7 +280,7 @@ def test_greedy_stall_is_rescued_by_augmentation():
     # spanning tree exists (e.g. keep (0,1), (1,1), (2,1), (1,0), (3,0)).
     # find_dstar must still return 1 via the exact fallback.
     g = stalling_graph()
-    cap = _caps(sp.default_labeling(g), 1)
+    cap = _caps(g, sp.default_labeling(g), 1)
     assert len(sp._forest(g, sp.default_labeling(g)[::-1], cap)) == 4 < sum(cap.values()) == 5
     res, removal = find_dstar_with_removal(g)
     assert res.d_star == 1 == dstar_exact_removal(g)
@@ -286,7 +295,7 @@ def test_greedy_stall_is_rescued_by_augmentation():
 
 
 def _outcome(res: sp.SparsificationResult, removal):
-    return (removal, res.h_bar.edges, res.extra_decode, res.d_star,
+    return (removal, sparsified_graph(res).edges, res.extra_decode, res.d_star,
             res.augmentations, res.independence_checks)
 
 
@@ -310,16 +319,17 @@ def test_forest_side_is_feasible_iff_the_bond_oracle_reaches_the_bond_rank():
         res = sp.find_dstar(g)
         with_edges = [set(comp) for comp in connected_components(g) if len(comp) > 1]
         for members, stats in zip(with_edges, res.components, strict=True):
-            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            pool = _pool(g, members)
+            pairs = [g.edge_list[x] for x in pool]
             rank = stats.edges - stats.sources - stats.destinations + 1
             if rank == 0:
                 continue
-            start = sp._degree_count_quota(Counter(i for _, i in pool).values(), rank)
+            start = sp._degree_count_quota(Counter(i for _, i in pairs).values(), rank)
             for d in range(start, stats.d + 1):
-                bond = augment_by_component_counts(g, pool, d, greedy_scan_by_component_counts(g, pool, d))
+                bond = augment_by_component_counts(g, pairs, d, greedy_scan_by_component_counts(g, pairs, d))
                 assert _forest_feasible(g, pool, d) == (len(bond) == rank) == (d == stats.d)
                 seen["feasible" if d == stats.d else "infeasible"] += 1
-                cap = _caps(pool, d)
+                cap = _caps(g, pool, d)
                 seen["stalled"] += len(sp._forest(g, pool[::-1], cap)) < sum(cap.values())
     assert len(graphs) >= 1000
     assert min(seen.values()) >= 20, seen
@@ -339,13 +349,12 @@ def test_augmentation_reaches_the_exhaustive_maximum_capped_forest():
             continue
         graphs += 1
         for comp in connected_components(g):
-            members = set(comp)
-            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            pool = _pool(g, set(comp))
             if not pool:
                 continue
-            for d in range(1, max(Counter(i for _, i in pool).values())):
-                cap = _caps(pool, d)
-                best = max_capped_forest(g, pool, cap)
+            for d in range(1, max(_caps(g, pool, 0).values())):
+                cap = _caps(g, pool, d)
+                best = max_capped_forest(g, [g.edge_list[x] for x in pool], cap)
                 start = sp._forest(g, pool[::-1], cap)
                 assert len(sp._augment_to_maximum(g, pool, cap, start)) == best
                 assert len(sp._augment_to_maximum(g, pool, cap, ())) == best
@@ -368,17 +377,51 @@ def test_augmentation_paths_match_the_per_round_rebuild():
     augmented = 0
     for g in graphs:
         for comp in connected_components(g):
-            members = set(comp)
-            pool = tuple(e for e in sp.default_labeling(g) if e[0] in members)
+            pool = _pool(g, set(comp))
             if not pool:
                 continue
-            for d in range(1, max(Counter(i for _, i in pool).values())):
-                cap = _caps(pool, d)
+            for d in range(1, max(_caps(g, pool, 0).values())):
+                cap = _caps(g, pool, d)
                 for start in (sp._forest(g, pool[::-1], cap), ()):
                     grown = sp._augment_to_maximum(g, pool, cap, start)
                     assert grown == augment_by_rebuilt_exchanges(g, pool, cap, start)
                     augmented += len(grown) > len(start)
     assert augmented >= 100
+
+
+def test_masking_the_extra_decoded_edges_decomposes_as_the_sparsified_graph():
+    # Precoding decomposes g with its extra-decoded edges masked, not a graph of
+    # its own: the parents, visit orders and tree-edge pairs must be those of
+    # H-bar built as a separate graph, whose edge ids are renumbered.  A mask
+    # that leaves a cycle (no mask on a cyclic g, or one masked edge put back
+    # between two nodes H-bar connects) must raise CyclicGraph.
+    rng = np.random.default_rng(45)
+    graphs = _corpus(4545, sparse=150, dense=150) + [hub_bipartite(rng) for _ in range(100)]
+    graphs.append(InterferenceGraph(160, 160, forest_instance(np.random.default_rng(160), size=160)[1]))
+    graphs.append(InterferenceGraph(160, 160, cyclic_instance(np.random.default_rng(160), 160)[1]))
+    seen = {"masked": 0, "renumbered": 0, "edge put back": 0}
+    for g in graphs:
+        spars = sp.find_dstar(g)
+        h_bar = sparsified_graph(spars)
+        mask = bytearray(j in spars.extra_decode[i] for j, i in g.edge_list)
+        parent, up, orders = decompose(g, mask)
+        h_parent, h_up, h_orders = decompose(h_bar, bytes(len(h_bar.edge_list)))
+        assert (parent, orders) == (h_parent, h_orders)
+        assert [g.edge_list[x] for x in up if x >= 0] == [h_bar.edge_list[x] for x in h_up if x >= 0]
+        assert [x < 0 for x in up] == [x < 0 for x in h_up]
+        seen["masked"] += any(mask)
+        seen["renumbered"] += up != h_up
+        if has_cycle(g):
+            with pytest.raises(CyclicGraph):
+                decompose(g, bytearray(len(mask)))
+        masked = g.edges - h_bar.edges
+        closing = [x for x in edge_ids(g, sorted(masked))
+                   if component_count(g, masked - {g.edge_list[x]}) == component_count(g, masked)]
+        if closing:
+            with pytest.raises(CyclicGraph):
+                decompose(g, mask[:closing[0]] + b"\x00" + mask[closing[0] + 1:])
+            seen["edge put back"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_augmentation_makes_no_connectivity_test(monkeypatch):
@@ -442,7 +485,7 @@ def test_each_augmentation_round_makes_one_components_pass(monkeypatch):
         res = sp.find_dstar(g)
         augmented += res.augmentations
         for pool, d, start in _quotas_below_dstar(g, res):
-            sp._augment_to_maximum(g, pool, _caps(pool, d), start)
+            sp._augment_to_maximum(g, pool, _caps(g, pool, d), start)
     assert passes == rounds
     assert augmented >= 20 and rounds > calls
     assert kinds["at_rank"] >= 10 and kinds["below_rank"] >= 10
@@ -455,12 +498,11 @@ def _quotas_below_dstar(g: InterferenceGraph, res: sp.SparsificationResult):
     so an augmentation at an infeasible quota is run at d - 1 here, from
     the forest the scan gives at that quota.
     """
-    labels = sp.default_labeling(g)
     with_edges = [set(comp) for comp in connected_components(g) if len(comp) > 1]
     for members, stats in zip(with_edges, res.components, strict=True):
         if stats.d >= 2:
-            pool = tuple(e for e in labels if e[0] in members)
-            yield pool, stats.d - 1, sp._forest(g, pool[::-1], _caps(pool, stats.d - 1))
+            pool = _pool(g, members)
+            yield pool, stats.d - 1, sp._forest(g, pool[::-1], _caps(g, pool, stats.d - 1))
 
 
 def _corpus(seed: int, sparse: int, dense: int) -> list[InterferenceGraph]:
@@ -484,9 +526,10 @@ def test_most_extra_decoded_sources_at_one_destination_is_d_star():
 def test_greedy_scan_matches_the_component_count_scan():
     # The union-find scan must keep exactly the edges that one full component
     # count per edge keeps, in any order and under any caps.  Without caps it
-    # keeps the complement of the removed side's greedy in reverse order: the
-    # equality that lets find_dstar's forest-side scan pick the removal the
-    # bond-side scan picked whenever the caps do not bind.
+    # (caps at the degrees, quota 0) it keeps the complement of the removed
+    # side's greedy in reverse order: the equality that lets find_dstar's
+    # forest-side scan pick the removal the bond-side scan picked whenever the
+    # caps do not bind.
     rng = np.random.default_rng(625)
     graphs = _corpus(1324, sparse=220, dense=100)
     cyclic = sum(has_cycle(g) for g in graphs)
@@ -496,17 +539,20 @@ def test_greedy_scan_matches_the_component_count_scan():
         shuffled = list(sp.default_labeling(g))
         rng.shuffle(shuffled)
         for labeling in (sp.default_labeling(g), tuple(shuffled)):
-            removed = greedy_scan_by_component_counts(g, labeling, len(g.edges))  # a quota that never binds
-            assert set(sp._forest(g, labeling[::-1])) == g.edges - set(removed)
+            pairs = [g.edge_list[x] for x in labeling]
+            removed = greedy_scan_by_component_counts(g, pairs, len(g.edges))  # a quota that never binds
+            kept = sp._forest(g, labeling[::-1], _caps(g, labeling, 0))
+            assert set(kept) == set(edge_ids(g, g.edges - set(removed)))
             seen["complement"] += bool(removed)
             for d in range(5):
-                cap = _caps(labeling, d)
+                cap = _caps(g, labeling, d)
                 kept = sp._forest(g, labeling, cap)
                 assert kept == forest_scan_by_component_counts(g, labeling, cap)
                 cases += 1
+                kept = {g.edge_list[x] for x in kept}
                 held = Counter(i for _, i in kept)
-                last = {e[1]: n for n, e in enumerate(labeling) if e in kept}
-                skipped = [(n, e[1]) for n, e in enumerate(labeling) if e not in kept]
+                last = {e[1]: n for n, e in enumerate(pairs) if e in kept}
+                skipped = [(n, e[1]) for n, e in enumerate(pairs) if e not in kept]
                 seen["kept"] += bool(kept)
                 # a skipped edge after its full destination's last kept edge found no room;
                 # one at a destination that never filled closed a cycle
@@ -557,10 +603,11 @@ def test_find_dstar_matches_the_component_count_search(monkeypatch):
             assert res.d_star == dstar_exact_removal(g)
         below = list(_quotas_below_dstar(g, res))
         for pool, d, start in below:
-            cap = _caps(pool, d)
+            cap = _caps(g, pool, d)
             assert len(sp._augment_to_maximum(g, pool, cap, start)) < sum(cap.values())
-            rank = len(pool) - len({j for j, _ in pool}) - len({i for _, i in pool}) + 1
-            assert len(augment_by_component_counts(g, pool, d, greedy_scan_by_component_counts(g, pool, d))) < rank
+            pairs = [g.edge_list[x] for x in pool]
+            rank = len(pairs) - len({j for j, _ in pairs}) - len({i for _, i in pairs}) + 1
+            assert len(augment_by_component_counts(g, pairs, d, greedy_scan_by_component_counts(g, pairs, d))) < rank
         augmented += res.augmentations >= 1 or len(below) > 0
     monkeypatch.setattr(sp, "_forest", forest_scan_by_component_counts)
     counted = [find_dstar_with_removal(g) for g in graphs]

@@ -173,6 +173,18 @@ def test_only_network_reads_transfer_rows():
     assert found == [("network", "NetworkRealization")]
 
 
+def test_only_build_igraph_constructs_an_interference_graph():
+    # a run has one interference graph and one edge numbering: later stages work in build_igraph's
+    # graph and its edge ids, and the sparsified graph is that graph with its extra-decoded edges masked
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            found += [(path.stem, owner) for node in ast.walk(stmt) if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None)) == "InterferenceGraph"]
+    assert found == [("interference", "build_igraph")]
+
+
 def test_readme_common_flags_are_the_options_of_every_subcommand():
     # README's flag list once drifted from the parser; --network is required and --cycle is obstruct's own
     sentence = re.search(r"Common flags:(.*?)\.\s", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
